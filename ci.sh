@@ -47,20 +47,27 @@ cargo test -p greencell-sim --test pipeline_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-core --test prop_pipeline_config -q $CARGO_FLAGS
 cargo test -p greencell-core --test s1_zero_alloc -q $CARGO_FLAGS
 
+echo "== one slot driver golden gate =="
+# Fingerprints recorded before the dense and city drivers were merged:
+# pruned city runs (greedy, sequential-fix, aggressive sleep, cooperation;
+# 1 and 2 workers) and dense paper runs with active sleep + cooperation,
+# with and without BS outages, must reproduce byte for byte.
+cargo test -p greencell-sim --test one_driver -q $CARGO_FLAGS
+
 echo "== snapshot equivalence gate =="
 # Crash-safe restore: snapshot at any slot boundary, round-trip through
 # the on-disk image, restore, and replay — SlotReports, RunMetrics, and
 # watchdog verdicts must be bit-identical to the uninterrupted run across
-# all four fault archetypes and both schedulers, and corrupt/mismatched
-# snapshot files must surface as typed errors.
+# all four fault archetypes and both schedulers, and on a partitioned city
+# with sleep, cooperation and outages live; corrupt/mismatched snapshot
+# files must surface as typed errors.
 cargo test -p greencell-sim --test snapshot_equivalence -q $CARGO_FLAGS
 
 echo "== networkstate equivalence gate =="
 # Dynamic network-state layer: inert policies (never-triggering sleep,
 # zero-efficiency cooperation) must replay the static default controller
-# bit-for-bit across every fault archetype and on the sharded city path;
-# an aggressive sleep policy must re-decompose clusters and stay
-# worker-count invariant.
+# bit-for-bit across every fault archetype and on the partitioned city
+# path; an aggressive city sleep policy must stay worker-count invariant.
 cargo test -p greencell-sim --test networkstate_equivalence -q $CARGO_FLAGS
 
 echo "== policy ablation gate =="
@@ -92,18 +99,29 @@ echo "== adaptive frontier gate =="
 cargo test -p greencell-sim --test frontier -q $CARGO_FLAGS
 
 echo "== city equivalence gate =="
-# The sharded city path (grid index + interference pruning + per-cluster
-# solves) must match the dense single-controller path bit-for-bit when the
-# cutoff is disabled, and pruning may only zero gains that sit below the
-# thermal noise floor (property-tested over random shadowed layouts).
+# City scenarios run through the same slot driver as the paper: with the
+# cutoff disabled a city is one part and must replay the frozen dense
+# oracle bit-for-bit, a connected pruned network keeps the exact dense
+# network, and pruning may only zero gains that sit below the thermal
+# noise floor (property-tested over random shadowed layouts).
 cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 
 echo "== city determinism gate =="
-# City runs are bit-identical across worker counts and seeds reproduce
-# byte-identical layouts; the steady-state city slot allocates nothing.
+# Partitioned city runs are bit-identical across worker counts and seeds
+# reproduce byte-identical layouts; the steady-state partitioned slot
+# allocates nothing at one worker.
 cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
+
+echo "== faults x city gate =="
+# Every fault archetype, the chaos preset and a Markov grid chain run on a
+# pruned (partitioned) city: each completes, 1 and 2 workers agree byte for
+# byte, energy-starved variants drive the ladder, and the unpruned runs
+# replay the frozen dense oracle. Traced city runs emit every stage span
+# and engine gauge with a worker-count-invariant deterministic section.
+cargo test -p greencell-sim --test city_faults -q $CARGO_FLAGS
+cargo test -p greencell-sim --test city_trace -q $CARGO_FLAGS
 
 echo "== serve smoke gate =="
 # End-to-end service posture through the release binary: pipe a short
@@ -130,8 +148,19 @@ grep -q '"event":"start","slot":2,"restored":true' "$SERVE_DIR/events2.jsonl"
 rm -rf "$SERVE_DIR"
 echo "serve smoke: restore-on-startup verified"
 
+echo "== city run smoke (release binary, n = 10^4) =="
+# A 10 000-user city is partitioned by its interference clusters and never
+# assembles the dense n x n network, so it runs in well under a second.
+./target/release/greencell run --city 10000 --horizon 2 >/dev/null
+echo "city smoke: 10^4 users stepped"
+
 echo "== criterion benches compile =="
 cargo bench --workspace --no-run -q $CARGO_FLAGS
+
+echo "== benchmark harness compiles =="
+# The frozen perfbench/ harness builds against the library API, so an API
+# break fails here instead of in a benchmark run.
+cargo build --release --manifest-path perfbench/Cargo.toml $CARGO_FLAGS
 
 echo "== city_scale bench smoke (n = 10^2) =="
 # Run the smallest city tier end-to-end so the scaling bench can never

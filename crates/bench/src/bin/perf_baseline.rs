@@ -26,7 +26,7 @@ use greencell_core::{
 };
 use greencell_net::GridIndex;
 use greencell_sim::{
-    run_sweep, run_sweep_distributed_stats, trace_points, CitySim, DistribOptions, Scenario,
+    run_sweep, run_sweep_distributed_stats, trace_points, DistribOptions, Scenario, Simulator,
     SweepOptions, SweepPoint, SweepReport, WorkerCommand,
 };
 use greencell_trace::{RingSink, Stage};
@@ -125,7 +125,7 @@ fn s4_kernel_row(label: &str, fixture: &S4Fixture, samples: usize) -> String {
     )
 }
 
-/// One `city_scale` record: steady-state sharded slot latency (p50/p99 in
+/// One `city_scale` record: steady-state partitioned slot latency (p50/p99 in
 /// nanoseconds over `samples` slots after warm-up) plus the structural
 /// numbers the scaling claim rests on — cluster count, largest cluster,
 /// and occupied grid cells (per-slot cost should track the latter,
@@ -141,11 +141,11 @@ fn city_row(users: usize, workers: usize, samples: usize) -> String {
         }
         index.occupied_cells()
     });
-    let mut sim = CitySim::with_workers(&scenario, workers).expect("city scenario builds");
+    let mut sim = Simulator::with_workers(&scenario, workers).expect("city scenario builds");
     let clusters = sim.controller().decomposition().len();
     let largest = sim.controller().decomposition().largest();
     for _ in 0..samples / 10 + 1 {
-        sim.step().expect("warm-up slot");
+        sim.step_with_report().expect("warm-up slot");
     }
     let mut times: Vec<u64> = (0..samples)
         .map(|_| {
@@ -340,7 +340,7 @@ fn main() {
         .map(|(label, fixture)| s4_kernel_row(label, fixture, 201))
         .collect();
 
-    // City-scale sharded-slot latency sweep. Cluster solves only fan out
+    // City-scale partitioned-slot latency sweep. Cluster solves only fan out
     // when threads > 1; at threads == 1 the global "degenerate" label
     // applies to these rows too.
     let city_workers = threads.max(1);

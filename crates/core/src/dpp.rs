@@ -19,7 +19,6 @@
 use crate::{ControllerConfig, EnergyConfig};
 use greencell_energy::CostFn;
 use greencell_energy::QuadraticCost;
-use greencell_net::Network;
 use greencell_phy::PhyConfig;
 use greencell_units::Energy;
 
@@ -32,20 +31,23 @@ pub fn beta(config: &ControllerConfig, phy: &PhyConfig) -> f64 {
 }
 
 /// The largest feasible total grid draw per slot: `Σ_{i∈ℬ} p^max_i`
-/// (mobile-user draws do not enter `P(t)` per §II-E).
+/// (mobile-user draws do not enter `P(t)` per §II-E). `is_bs` flags the
+/// base stations in node order.
 #[must_use]
-pub fn max_grid_draw(net: &Network, energy: &EnergyConfig) -> Energy {
-    net.topology()
-        .base_stations()
-        .map(|b| energy.nodes[b.index()].grid_limit)
+pub fn max_grid_draw(is_bs: &[bool], energy: &EnergyConfig) -> Energy {
+    is_bs
+        .iter()
+        .zip(&energy.nodes)
+        .filter(|(&bs, _)| bs)
+        .map(|(_, node)| node.grid_limit)
         .sum()
 }
 
 /// The shift constant `γ_max`: the largest first-order derivative of
 /// `f(P)` over feasible draws.
 #[must_use]
-pub fn gamma_max(net: &Network, energy: &EnergyConfig) -> f64 {
-    energy.cost.max_marginal(max_grid_draw(net, energy))
+pub fn gamma_max(is_bs: &[bool], energy: &EnergyConfig) -> f64 {
+    energy.cost.max_marginal(max_grid_draw(is_bs, energy))
 }
 
 /// The shifted battery level `z_i(t) = x_i(t) − V·γ_max − d^max_i`, in
@@ -56,31 +58,30 @@ pub fn shifted_level(level: Energy, v: f64, gamma_max: f64, discharge_limit: Ene
     level.as_kilowatt_hours() - v * gamma_max - discharge_limit.as_kilowatt_hours()
 }
 
-/// Lemma 1's constant `B` (Eq. (34)).
+/// Lemma 1's constant `B` (Eq. (34)) for a network whose node kinds are
+/// `is_bs` (base stations flagged, node order) carrying `sessions`
+/// sessions.
 ///
 /// Units are mixed exactly as in the paper: packet² terms from the data and
 /// virtual queues, kWh² terms from the energy buffers.
 #[must_use]
 pub fn penalty_constant_b(
-    net: &Network,
+    is_bs: &[bool],
+    sessions: usize,
     energy: &EnergyConfig,
     config: &ControllerConfig,
     phy: &PhyConfig,
 ) -> f64 {
-    let n = net.topology().len();
-    let s = net.session_count();
+    let n = is_bs.len();
+    let s = sessions;
     let b = beta(config, phy);
     let k_max = config.k_max.count_f64();
 
     // ½ Σ_s Σ_i [ (max_j (1/δ)c^max_ij Δt)² + (max_j (1/δ)c^max_ji Δt + l^max_s·1{i∈ℬ})² ].
     let mut total = 0.0;
     for _ in 0..s {
-        for node in net.topology().nodes() {
-            let arrival_bound = if node.kind().is_base_station() {
-                b + k_max
-            } else {
-                b
-            };
+        for &bs in is_bs {
+            let arrival_bound = if bs { b + k_max } else { b };
             total += 0.5 * (b * b + arrival_bound * arrival_bound);
         }
     }
@@ -154,7 +155,7 @@ mod tests {
     use super::*;
     use crate::{RelayPolicy, SchedulerKind};
     use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
-    use greencell_net::{NetworkBuilder, PathLossModel, Point};
+    use greencell_net::{Network, NetworkBuilder, PathLossModel, Point};
     use greencell_units::{Bandwidth, DataRate, PacketSize, Packets, Power, TimeDelta};
 
     fn setup() -> (Network, EnergyConfig, ControllerConfig, PhyConfig) {
@@ -205,11 +206,11 @@ mod tests {
 
     #[test]
     fn gamma_max_is_marginal_at_peak_draw() {
-        let (net, energy, _, _) = setup();
+        let (_, energy, _, _) = setup();
         // One BS with p_max = 0.2 kWh: γ_max = 2·0.8·0.2 + 0.2 = 0.52.
-        assert!((gamma_max(&net, &energy) - 0.52).abs() < 1e-12);
+        assert!((gamma_max(&[true, false], &energy) - 0.52).abs() < 1e-12);
         assert_eq!(
-            max_grid_draw(&net, &energy),
+            max_grid_draw(&[true, false], &energy),
             Energy::from_kilowatt_hours(0.2)
         );
     }
@@ -228,7 +229,7 @@ mod tests {
 
     #[test]
     fn penalty_constant_matches_eq34() {
-        let (net, energy, config, phy) = setup();
+        let (_, energy, config, phy) = setup();
         let b = beta(&config, &phy);
         let k = 1000.0;
         // S = 1, nodes: one BS, one user.
@@ -236,7 +237,7 @@ mod tests {
         let link_terms = 2.0 * (b * b) * (b * b);
         let energy_terms = 2.0 * 0.5 * (0.1f64 * 0.1).max(0.06 * 0.06);
         let expected = queue_terms + link_terms + energy_terms;
-        let got = penalty_constant_b(&net, &energy, &config, &phy);
+        let got = penalty_constant_b(&[true, false], 1, &energy, &config, &phy);
         assert!((got / expected - 1.0).abs() < 1e-12, "{got} vs {expected}");
     }
 

@@ -137,16 +137,17 @@ impl RelaxedController {
         let n = net.topology().len();
         assert_eq!(energy.nodes.len(), n, "one energy config per node");
         let beta = dpp::beta(&config, &phy);
-        let gamma_max = dpp::gamma_max(&net, &energy);
-        let penalty_b = dpp::penalty_constant_b(&net, &energy, &config, &phy);
+        let nodes = net.topology().nodes();
+        let is_bs: Vec<bool> = nodes.iter().map(|nd| nd.kind().is_base_station()).collect();
+        let gamma_max = dpp::gamma_max(&is_bs, &energy);
+        let penalty_b =
+            dpp::penalty_constant_b(&is_bs, net.session_count(), &energy, &config, &phy);
         let levels = energy
             .nodes
             .iter()
             .map(|c| c.battery.level().as_kilowatt_hours())
             .collect();
         let grid_limits = energy.nodes.iter().map(|c| c.grid_limit).collect();
-        let nodes = net.topology().nodes();
-        let is_bs = nodes.iter().map(|nd| nd.kind().is_base_station()).collect();
         let relay_stage =
             pipeline::relay_stage(config.relay.key()).expect("built-in relay stage is registered");
         Self {

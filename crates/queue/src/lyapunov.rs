@@ -9,11 +9,17 @@ use greencell_stochastic::Series;
 /// L(Θ(t)) = ½ [ Σ_{s,i} Q^s_i(t)² + Σ_{i,j} H_ij(t)² + Σ_i z_i(t)² ]
 /// ```
 ///
-/// for the current queue state. `shifted_energy` holds the shifted battery
-/// levels `z_i(t) = x_i(t) − Vγ_max − d^max_i` in joules (they can be
-/// negative — that is the point of the shift).
+/// for the current queue state. `shifted_energy` yields the shifted battery
+/// levels `z_i(t) = x_i(t) − Vγ_max − d^max_i` of the banks' nodes in node
+/// order (they can be negative — that is the point of the shift); a
+/// partitioned controller passes each part's levels gathered from the
+/// global vector, so no per-part copy is needed.
 #[must_use]
-pub fn lyapunov_value(data: &DataQueueBank, links: &LinkQueueBank, shifted_energy: &[f64]) -> f64 {
+pub fn lyapunov_value(
+    data: &DataQueueBank,
+    links: &LinkQueueBank,
+    shifted_energy: impl IntoIterator<Item = f64>,
+) -> f64 {
     let mut total = 0.0;
     for s in 0..data.session_count() {
         for i in 0..data.node_count() {
@@ -38,7 +44,7 @@ pub fn lyapunov_value(data: &DataQueueBank, links: &LinkQueueBank, shifted_energ
             }
         }
     }
-    for &z in shifted_energy {
+    for z in shifted_energy {
         total += z * z;
     }
     0.5 * total
@@ -122,7 +128,7 @@ mod tests {
     fn lyapunov_of_empty_state_is_zero() {
         let data = DataQueueBank::new(2, &[NodeId::from_index(1)]);
         let links = LinkQueueBank::new(2, 1.0);
-        assert_eq!(lyapunov_value(&data, &links, &[0.0, 0.0]), 0.0);
+        assert_eq!(lyapunov_value(&data, &links, [0.0, 0.0]), 0.0);
     }
 
     #[test]
@@ -146,7 +152,7 @@ mod tests {
         );
         links.advance(&plan, &[]);
         // Q = 3 at (0, s0); G_01 = 2 so H_01 = 4; z = [-1, 2].
-        let l = lyapunov_value(&data, &links, &[-1.0, 2.0]);
+        let l = lyapunov_value(&data, &links, [-1.0, 2.0]);
         assert_eq!(l, 0.5 * (9.0 + 16.0 + 1.0 + 4.0));
     }
 

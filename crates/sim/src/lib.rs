@@ -62,8 +62,9 @@ pub use frontier::{
     run_frontier, FrontierEngine, FrontierMap, FrontierOptions, FrontierPoint, FrontierStats,
 };
 pub use fsio::write_text_atomic;
+pub use greencell_core::ClusterSet;
 pub use metrics::RunMetrics;
-pub use scale::{CitySim, ClusterSet, ShardedController};
+pub use scale::CitySim;
 pub use scenario::{
     DemandModel, DiurnalProfile, GridModel, Placement, Scenario, ScenarioLayout, TouPricing,
 };

@@ -1,10 +1,13 @@
-//! Connected components of the pruned interference graph.
+//! Connected components of the pruned interference graph, and the
+//! per-cluster sub-networks the controller solves S1–S3 on.
 
-use greencell_net::{GridIndex, PathLossModel};
+use greencell_core::{ClusterSet, PartSpec};
+use greencell_net::{GridIndex, NetworkBuilder, NodeId, NodeKind, PathLossModel};
 
+use crate::engine::SimError;
 use crate::scenario::{Scenario, ScenarioLayout};
 
-/// The partition of a layout's nodes into interference clusters.
+/// Partitions a layout's nodes into interference clusters.
 ///
 /// Two nodes are connected iff their *unshadowed* path-loss gain survives
 /// the scenario's pruning floor — exactly the predicate
@@ -13,210 +16,117 @@ use crate::scenario::{Scenario, ScenarioLayout};
 /// below the thermal noise floor (see `PhyConfig::prune_gain_floor`),
 /// every surviving signal *and* interference term of the physical model
 /// stays within one cluster: the components are independent per-slot
-/// subproblems for S1–S3.
+/// subproblems for S1–S3. With pruning disabled (`gain_floor <= 0`) there
+/// is exactly one cluster holding every node.
 ///
-/// With pruning disabled (`gain_floor <= 0`) there is exactly one cluster
-/// holding every node.
+/// A spatial grid over node positions means only pairs within the cutoff
+/// radius (plus a conservative rounding margin) are tested with the exact
+/// gain predicate, so expected cost is `Θ(n)` at bounded density instead
+/// of `Θ(n²)`.
 ///
-/// Cluster ids are assigned in order of first appearance over ascending
-/// node index, and each cluster's member list is ascending — both are
-/// deterministic functions of the layout alone, independent of worker
-/// count or hash state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterSet {
-    membership: Vec<usize>,
-    clusters: Vec<Vec<usize>>,
+/// # Panics
+///
+/// Panics if the layout carries shadowing offsets — shadowed gains are
+/// not a function of distance, so the geometric prefilter (and the
+/// closure guarantee) would not hold. Shadowed scenarios are never
+/// partitioned.
+#[must_use]
+pub fn decompose(layout: &ScenarioLayout, scenario: &Scenario) -> ClusterSet {
+    assert!(
+        layout.shadowing_db.is_empty(),
+        "cluster decomposition requires unshadowed gains"
+    );
+    let n = layout.len();
+    let Some(d_cut) = scenario.cutoff_radius_m() else {
+        return ClusterSet::single(n);
+    };
+    let model = PathLossModel::new(scenario.path_loss_c, scenario.path_loss_gamma);
+    let floor = scenario.gain_floor;
+    let mut index = GridIndex::new(d_cut, scenario.area_m, scenario.area_m);
+    for &p in &layout.positions {
+        index.insert(p);
+    }
+    // The grid scan radius gets a hair of slack so float rounding in
+    // `d_cut = (C/F)^{1/γ}` can never exclude a pair whose exact gain
+    // still clears the floor; the gain predicate itself is exact.
+    let scan = d_cut * 1.0001;
+    let mut parent: Vec<usize> = (0..n).collect();
+    for i in 0..n {
+        let pi = layout.positions[i];
+        index.for_neighbors_within(pi, scan, |j, pj| {
+            if j < i && model.gain(pi.distance_to(pj)) >= floor {
+                ClusterSet::union(&mut parent, i, j);
+            }
+        });
+    }
+    ClusterSet::from_union_find(&mut parent)
 }
 
-impl ClusterSet {
-    /// Decomposes `layout` under `scenario`'s pruning floor using a
-    /// spatial grid over node positions: only pairs within the cutoff
-    /// radius (plus a conservative rounding margin) are tested with the
-    /// exact gain predicate, so expected cost is `Θ(n)` at bounded
-    /// density instead of `Θ(n²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout carries shadowing offsets — shadowed gains are
-    /// not a function of distance, so the geometric prefilter (and the
-    /// closure guarantee) would not hold. The sharded path rejects
-    /// shadowing before calling this.
-    #[must_use]
-    pub fn decompose(layout: &ScenarioLayout, scenario: &Scenario) -> Self {
-        assert!(
-            layout.shadowing_db.is_empty(),
-            "cluster decomposition requires unshadowed gains"
-        );
-        let n = layout.len();
-        if scenario.gain_floor <= 0.0 {
-            return Self {
-                membership: vec![0; n],
-                clusters: if n == 0 {
-                    vec![]
-                } else {
-                    vec![(0..n).collect()]
-                },
-            };
-        }
-        let d_cut = scenario
-            .cutoff_radius_m()
-            .expect("positive floor implies a finite cutoff");
-        let model = PathLossModel::new(scenario.path_loss_c, scenario.path_loss_gamma);
-        let floor = scenario.gain_floor;
-        let mut index = GridIndex::new(d_cut, scenario.area_m, scenario.area_m);
-        for &p in &layout.positions {
-            index.insert(p);
-        }
-        // The grid scan radius gets a hair of slack so float rounding in
-        // `d_cut = (C/F)^{1/γ}` can never exclude a pair whose exact gain
-        // still clears the floor; the gain predicate itself is exact.
-        let scan = d_cut * 1.0001;
-        let mut parent: Vec<usize> = (0..n).collect();
-        for i in 0..n {
-            let pi = layout.positions[i];
-            index.for_neighbors_within(pi, scan, |j, pj| {
-                if j < i && model.gain(pi.distance_to(pj)) >= floor {
-                    union(&mut parent, i, j);
-                }
+/// One controller part per cluster that holds a base station: the
+/// cluster's sub-network (its members in ascending global order — base
+/// stations keep their lead because global ids put them first — with the
+/// sessions whose destination it holds, in global session order). Nodes
+/// of base-station-free clusters belong to no part and idle.
+///
+/// # Errors
+///
+/// [`SimError::UnsupportedAtScale`] if a session destination lies in a
+/// base-station-free cluster (no admission source could ever reach it);
+/// [`SimError::Network`] if a sub-network fails validation.
+pub(crate) fn parts(
+    layout: &ScenarioLayout,
+    scenario: &Scenario,
+    clusters: &ClusterSet,
+) -> Result<Vec<PartSpec>, SimError> {
+    let has_bs = |members: &[usize]| layout.kinds[members[0]].is_base_station();
+    let mut sessions: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
+    for (sid, &(dest, _)) in layout.sessions.iter().enumerate() {
+        let cid = clusters.cluster_of(dest);
+        if !has_bs(&clusters.clusters()[cid]) {
+            return Err(SimError::UnsupportedAtScale {
+                detail: format!(
+                    "session destination node {dest} lies in a base-station-free \
+                     interference cluster; no admission source could reach it"
+                ),
             });
         }
-        Self::from_parents(&mut parent)
+        sessions[cid].push(sid);
     }
-
-    /// Like [`ClusterSet::decompose`], but with every node flagged in
-    /// `masked` (the sharded controller passes its sleeping base
-    /// stations) excluded from edge formation: a masked node forms a
-    /// singleton cluster and components that were only bridged by masked
-    /// nodes split apart. Deterministic for the same inputs — the sharded
-    /// controller recomputes this whenever the awake set changes, so the
-    /// effective decomposition it reports tracks the live network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout carries shadowing offsets or if `masked` does
-    /// not hold exactly one entry per node.
-    #[must_use]
-    pub fn decompose_masked(layout: &ScenarioLayout, scenario: &Scenario, masked: &[bool]) -> Self {
-        assert!(
-            layout.shadowing_db.is_empty(),
-            "cluster decomposition requires unshadowed gains"
+    let mut parts = Vec::new();
+    for (members, sessions) in clusters.clusters().iter().zip(sessions) {
+        if !has_bs(members) {
+            continue;
+        }
+        let mut b = NetworkBuilder::new(
+            PathLossModel::new(scenario.path_loss_c, scenario.path_loss_gamma),
+            scenario.band_count(),
         );
-        let n = layout.len();
-        assert_eq!(masked.len(), n, "one mask entry per node");
-        let mut parent: Vec<usize> = (0..n).collect();
-        if scenario.gain_floor <= 0.0 {
-            // No pruning: every unmasked node joins one component.
-            let mut prev = usize::MAX;
-            for i in (0..n).filter(|&i| !masked[i]) {
-                if prev != usize::MAX {
-                    union(&mut parent, prev, i);
-                }
-                prev = i;
-            }
-        } else {
-            let d_cut = scenario
-                .cutoff_radius_m()
-                .expect("positive floor implies a finite cutoff");
-            let model = PathLossModel::new(scenario.path_loss_c, scenario.path_loss_gamma);
-            let floor = scenario.gain_floor;
-            let mut index = GridIndex::new(d_cut, scenario.area_m, scenario.area_m);
-            for &p in &layout.positions {
-                index.insert(p);
-            }
-            let scan = d_cut * 1.0001;
-            for i in 0..n {
-                if masked[i] {
-                    continue;
-                }
-                let pi = layout.positions[i];
-                index.for_neighbors_within(pi, scan, |j, pj| {
-                    if j < i && !masked[j] && model.gain(pi.distance_to(pj)) >= floor {
-                        union(&mut parent, i, j);
-                    }
-                });
-            }
+        for &g in members {
+            match layout.kinds[g] {
+                NodeKind::BaseStation => b.add_base_station(layout.positions[g]),
+                NodeKind::User => b.add_user(layout.positions[g]),
+            };
         }
-        Self::from_parents(&mut parent)
-    }
-
-    /// Collapses a union-find forest into dense cluster ids (order of
-    /// first appearance over ascending node index) and ascending member
-    /// lists — the shared tail of both decompositions.
-    fn from_parents(parent: &mut [usize]) -> Self {
-        let n = parent.len();
-        let mut membership = vec![0usize; n];
-        let mut root_id = vec![usize::MAX; n];
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for (i, slot) in membership.iter_mut().enumerate() {
-            let r = find(parent, i);
-            if root_id[r] == usize::MAX {
-                root_id[r] = clusters.len();
-                clusters.push(Vec::new());
-            }
-            *slot = root_id[r];
-            clusters[root_id[r]].push(i);
+        for (local, &g) in members.iter().enumerate() {
+            b.set_bands(NodeId::from_index(local), layout.bands[g]);
         }
-        Self {
-            membership,
-            clusters,
+        for &sid in &sessions {
+            let (dest, demand) = layout.sessions[sid];
+            let local = members
+                .binary_search(&dest)
+                .expect("destination is a member");
+            b.add_session(NodeId::from_index(local), demand);
         }
+        if scenario.gain_floor > 0.0 {
+            b.set_gain_floor(scenario.gain_floor);
+        }
+        parts.push(PartSpec {
+            net: b.build()?,
+            nodes: members.clone(),
+            sessions,
+        });
     }
-
-    /// Number of clusters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// `true` if the layout had no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// The cluster id of node `node`.
-    #[must_use]
-    pub fn cluster_of(&self, node: usize) -> usize {
-        self.membership[node]
-    }
-
-    /// Per-node cluster ids, indexed by node.
-    #[must_use]
-    pub fn membership(&self) -> &[usize] {
-        &self.membership
-    }
-
-    /// Member lists (ascending node ids), indexed by cluster id.
-    #[must_use]
-    pub fn clusters(&self) -> &[Vec<usize>] {
-        &self.clusters
-    }
-
-    /// The size of the largest cluster (0 when empty) — the quantity that
-    /// bounds per-slot cost, since each cluster solves a dense
-    /// `Θ(|cluster|²)` subproblem.
-    #[must_use]
-    pub fn largest(&self) -> usize {
-        self.clusters.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
-
-fn find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]]; // path halving
-        x = parent[x];
-    }
-    x
-}
-
-fn union(parent: &mut [usize], a: usize, b: usize) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra != rb {
-        // Deterministic: smaller root wins (no rank state to seed).
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        parent[hi] = lo;
-    }
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -228,7 +138,7 @@ mod tests {
     fn no_pruning_means_one_cluster() {
         let s = Scenario::tiny(3);
         let layout = s.build_layout();
-        let set = ClusterSet::decompose(&layout, &s);
+        let set = decompose(&layout, &s);
         assert_eq!(set.len(), 1);
         assert_eq!(set.clusters()[0].len(), layout.len());
         assert!(set.membership().iter().all(|&c| c == 0));
@@ -238,7 +148,7 @@ mod tests {
     fn city_cells_separate_into_clusters() {
         let s = Scenario::city(100, 4, Scenario::default_city_area(4), 5);
         let layout = s.build_layout();
-        let set = ClusterSet::decompose(&layout, &s);
+        let set = decompose(&layout, &s);
         assert!(
             set.len() >= 2,
             "expected separated cells, got {}",
@@ -268,32 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn masking_a_node_makes_it_a_singleton() {
+    fn one_cluster_part_is_the_dense_network() {
         let s = Scenario::tiny(3);
         let layout = s.build_layout();
-        let n = layout.len();
-        let mut masked = vec![false; n];
-        let unmasked = ClusterSet::decompose_masked(&layout, &s, &masked);
-        assert_eq!(unmasked, ClusterSet::decompose(&layout, &s));
-        masked[0] = true;
-        let set = ClusterSet::decompose_masked(&layout, &s, &masked);
-        assert_eq!(set.len(), 2, "masked node splits off");
-        assert_eq!(set.clusters()[0], vec![0]);
-        assert_eq!(set.clusters()[1], (1..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn masking_respects_the_pruned_graph() {
-        let s = Scenario::city(100, 4, Scenario::default_city_area(4), 5);
-        let layout = s.build_layout();
-        let base = ClusterSet::decompose(&layout, &s);
-        // Mask the first BS: the masked decomposition must have at least
-        // as many clusters, with the BS alone in its own.
-        let mut masked = vec![false; layout.len()];
-        masked[0] = true;
-        let set = ClusterSet::decompose_masked(&layout, &s, &masked);
-        assert!(set.len() >= base.len());
-        let c0 = set.cluster_of(0);
-        assert_eq!(set.clusters()[c0], vec![0]);
+        let parts = parts(&layout, &s, &ClusterSet::single(layout.len())).expect("builds");
+        assert_eq!(parts.len(), 1);
+        let dense = s.build_network().expect("dense network builds");
+        assert_eq!(parts[0].net, dense);
+        assert_eq!(
+            parts[0].sessions,
+            (0..dense.session_count()).collect::<Vec<_>>()
+        );
     }
 }

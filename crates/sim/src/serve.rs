@@ -361,8 +361,8 @@ pub fn run_serve<R: BufRead, W: Write>(
         ),
     )?;
 
-    let nodes = sim.network().topology().len();
-    let sessions = sim.network().sessions().len();
+    let nodes = sim.controller().node_count();
+    let sessions = sim.controller().session_count();
     let mut summary = ServeSummary {
         slots_stepped: 0,
         total_slots: sim.slots_run(),
@@ -497,8 +497,8 @@ mod tests {
     fn dims(s: &Scenario) -> (usize, usize) {
         let sim = Simulator::new(s).expect("scenario builds");
         (
-            sim.network().topology().len(),
-            sim.network().sessions().len(),
+            sim.controller().node_count(),
+            sim.controller().session_count(),
         )
     }
 

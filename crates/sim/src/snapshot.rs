@@ -687,32 +687,11 @@ impl Simulator {
                 snap.fault_plan_fp
             )));
         }
-        let nodes = sim.network().topology().len();
-        let sessions = sim.network().session_count();
-        let c = &snap.controller;
-        let dims_ok = c.batteries.len() == nodes
-            && c.data_queues.len() == sessions * nodes
-            && c.delivered.len() == sessions
-            && c.phantom.len() == sessions
-            && c.link_queues.len() == nodes * nodes;
-        if !dims_ok {
-            return Err(corrupt(
-                "controller state dimensions do not fit the network".to_string(),
-            ));
-        }
-        // Dynamic-network vectors: empty (static run) or one entry per
-        // node, all four together.
-        let dyn_lens = [
-            c.awake.len(),
-            c.idle_slots.len(),
-            c.ramp_remaining.len(),
-            c.association.len(),
-        ];
-        if !(dyn_lens.iter().all(|&l| l == 0) || dyn_lens.iter().all(|&l| l == nodes)) {
-            return Err(corrupt(
-                "network-state dimensions do not fit the network".to_string(),
-            ));
-        }
+        sim.controller
+            .check_state(&snap.controller)
+            .map_err(corrupt)?;
+        let nodes = sim.controller.node_count();
+        let sessions = sim.controller.session_count();
         if snap.grid_chains.len() != sim.grid_chains.len() {
             return Err(corrupt(format!(
                 "snapshot has {} grid chains, scenario builds {}",

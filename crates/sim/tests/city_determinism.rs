@@ -2,7 +2,19 @@
 //! cluster decomposition, and — critically — the cluster-parallel solve
 //! must be bit-identical at any worker count and across repeat runs.
 
-use greencell_sim::{CitySim, ClusterSet, Scenario};
+use greencell_core::SlotReport;
+use greencell_sim::{scale, Scenario, Simulator};
+
+fn run(s: &Scenario, workers: usize) -> Vec<SlotReport> {
+    let mut sim = Simulator::with_workers(s, workers).expect("city path builds");
+    assert!(
+        sim.controller().part_count() >= 2,
+        "need several clusters for the parallelism to be real"
+    );
+    (0..s.horizon)
+        .map(|_| sim.step_with_report().expect("slot steps"))
+        .collect()
+}
 
 #[test]
 fn city_generation_is_deterministic() {
@@ -15,8 +27,8 @@ fn city_generation_is_deterministic() {
     assert_eq!(a.build_layout(), b.build_layout());
     let la = a.build_layout();
     assert_eq!(
-        ClusterSet::decompose(&la, &a),
-        ClusterSet::decompose(&b.build_layout(), &b)
+        scale::decompose(&la, &a),
+        scale::decompose(&b.build_layout(), &b)
     );
 }
 
@@ -24,26 +36,14 @@ fn city_generation_is_deterministic() {
 fn worker_count_does_not_change_results() {
     let mut s = Scenario::city(240, 6, Scenario::default_city_area(6), 23);
     s.horizon = 15;
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let mut sim = CitySim::with_workers(&s, workers).expect("city path builds");
-        assert!(
-            sim.controller().solver_count() >= 2,
-            "need several clusters for the parallelism to be real"
-        );
-        runs.push(sim.run().expect("run completes"));
-    }
-    assert_eq!(runs[0], runs[1], "1 vs 2 workers diverged");
-    assert_eq!(runs[0], runs[2], "1 vs 4 workers diverged");
+    let serial = run(&s, 1);
+    assert_eq!(serial, run(&s, 2), "1 vs 2 workers diverged");
+    assert_eq!(serial, run(&s, 4), "1 vs 4 workers diverged");
 }
 
 #[test]
 fn repeat_city_runs_are_bit_identical() {
     let mut s = Scenario::city(120, 3, Scenario::default_city_area(3), 31);
     s.horizon = 10;
-    let mut first = CitySim::new(&s).expect("city path builds");
-    let mut second = CitySim::new(&s).expect("city path builds");
-    let a = first.run().expect("first run completes");
-    let b = second.run().expect("second run completes");
-    assert_eq!(a, b);
+    assert_eq!(run(&s, 1), run(&s, 1));
 }

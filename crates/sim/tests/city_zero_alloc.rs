@@ -1,9 +1,10 @@
-//! Steady-state allocation audit for the sharded city-scale slot path.
+//! Steady-state allocation audit for the partitioned city-scale slot
+//! path.
 //!
 //! A counting global allocator wraps `System`. Observations are pre-drawn
-//! outside the measured region; after a warm-up has grown every
-//! per-cluster arena and the global S4 workspace, repeated
-//! [`ShardedController::step`] calls — cluster S1–S3 solves, global S4,
+//! outside the measured region; after a warm-up has grown every part's
+//! scratch and the global S4 workspace, repeated [`Controller::step`]
+//! calls on a partitioned controller — per-part S1–S3 solves, global S4,
 //! queue and battery advance, report assembly — must perform **zero**
 //! heap allocations at `workers = 1` (thread spawning necessarily
 //! allocates, which is why the multi-worker configuration is exercised by
@@ -13,9 +14,9 @@
 //! the test starts, which on a single-core box races into the measured
 //! window.
 //!
-//! [`ShardedController::step`]: greencell_sim::ShardedController::step
+//! [`Controller::step`]: greencell_core::Controller::step
 
-use greencell_sim::{CitySim, Scenario};
+use greencell_sim::{Scenario, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,10 +63,10 @@ fn steady_state_city_slot_allocates_nothing() {
     AUDITED.with(|f| f.set(true));
     let mut s = Scenario::city(200, 4, Scenario::default_city_area(4), 47);
     s.horizon = 80;
-    let mut sim = CitySim::new(&s).expect("city path builds");
+    let mut sim = Simulator::new(&s).expect("city path builds");
     assert!(
-        sim.controller().decomposition().len() > 1,
-        "want a real multi-cluster decomposition"
+        sim.controller().part_count() > 1,
+        "want a real multi-part controller"
     );
 
     // Pre-draw every observation: the observation sampler legitimately
@@ -95,6 +96,6 @@ fn steady_state_city_slot_allocates_nothing() {
     let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
-        "steady-state sharded slots performed {delta} heap allocations: {per_slot:?}"
+        "steady-state partitioned slots performed {delta} heap allocations: {per_slot:?}"
     );
 }

@@ -7,13 +7,13 @@
 //! static default controller **bit for bit** — per-slot
 //! [`greencell_core::SlotReport`]s, final [`RunMetrics`], and the
 //! watchdog's verdict alike — on the paper scenario under every fault
-//! archetype, and on the sharded city path. Separately, the sharded path
-//! with sleeping *enabled* must re-decompose its clusters when the awake
-//! set changes and be worker-count invariant (byte-identical reports with
-//! 1 and 4 workers).
+//! archetype, and on the partitioned city path. Separately, the
+//! partitioned path with sleeping *enabled* must change its awake set and
+//! be worker-count invariant (byte-identical reports with 1 and 4
+//! workers).
 
 use greencell_core::{CoopPolicy, SleepPolicy, SlotReport};
-use greencell_sim::{CitySim, FaultSpec, RunMetrics, Scenario, Simulator, WatchdogReport};
+use greencell_sim::{FaultSpec, RunMetrics, Scenario, Simulator, WatchdogReport};
 
 /// The four fault archetypes; `pick == 4` means fault-free.
 fn fault_spec(pick: usize) -> Option<FaultSpec> {
@@ -91,14 +91,22 @@ fn both_inert_policies_together_replay_the_default_bit_for_bit() {
     assert_dense_identical("both/bs-outage", &base, &variant);
 }
 
+/// The reports of a run plus its BS sleep transitions.
 fn run_city(scenario: &Scenario, workers: usize) -> (Vec<SlotReport>, u64) {
-    let mut city = CitySim::with_workers(scenario, workers).expect("city path builds");
-    let reports = city.run().expect("city run completes");
-    (reports, city.controller().redecompositions())
+    let mut sim = Simulator::with_workers(scenario, workers).expect("city path builds");
+    assert!(sim.controller().part_count() > 1, "want a partitioned run");
+    let reports = (0..scenario.horizon)
+        .map(|_| sim.step_with_report().expect("city slot steps"))
+        .collect();
+    let sleeps = sim
+        .controller()
+        .network_state()
+        .map_or(0, |ns| ns.sleep_transitions());
+    (reports, sleeps)
 }
 
 /// A calibrated, *pruned* city scenario — several clusters, so sleep
-/// decisions exercise the masked re-decomposition path.
+/// decisions run over a partitioned controller.
 fn city_scenario() -> Scenario {
     let mut s = Scenario::city(80, 3, Scenario::default_city_area(3), 13);
     s.horizon = 18;
@@ -106,19 +114,15 @@ fn city_scenario() -> Scenario {
 }
 
 #[test]
-fn inert_policies_on_the_sharded_city_path_replay_the_default() {
+fn inert_policies_on_the_partitioned_city_path_replay_the_default() {
     let base = city_scenario();
-    let (base_reports, base_redecomp) = run_city(&base, 1);
-    assert_eq!(base_redecomp, 0, "static runs never re-decompose");
+    let (base_reports, _) = run_city(&base, 1);
 
     let mut sleepy = base.clone();
     sleepy.bs_sleep = Some(never_sleep(&base));
-    let (sleep_reports, sleep_redecomp) = run_city(&sleepy, 1);
+    let (sleep_reports, sleeps) = run_city(&sleepy, 1);
     assert_eq!(sleep_reports, base_reports, "city/never-sleep diverged");
-    assert_eq!(
-        sleep_redecomp, 0,
-        "a never-triggering policy never re-decomposes"
-    );
+    assert_eq!(sleeps, 0, "a never-triggering policy never sleeps");
 
     let mut coop = base.clone();
     coop.energy_coop = Some(CoopPolicy { eta_x: 0.0 });
@@ -127,12 +131,11 @@ fn inert_policies_on_the_sharded_city_path_replay_the_default() {
 }
 
 /// An aggressive sleep policy on the city scenario: every lightly-loaded
-/// BS powers down fast, so the awake set actually changes. The sharded
-/// controller must (a) re-decompose its effective cluster set on those
-/// changes and (b) stay byte-identical whether the slot solves run on 1
-/// worker or 4 — all sleep machinery runs pre-scatter, single-threaded.
+/// BS powers down fast, so the awake set actually changes, and the run
+/// must stay byte-identical whether the per-cluster solves run on 1 worker
+/// or 4 — the sleep machine runs once per slot, before S1, on one thread.
 #[test]
-fn city_sleeping_redecomposes_and_is_worker_count_invariant() {
+fn city_sleeping_is_worker_count_invariant() {
     let mut s = city_scenario();
     s.bs_sleep = Some(SleepPolicy {
         threshold_pkts: 1e12, // every BS counts as lightly loaded
@@ -141,12 +144,12 @@ fn city_sleeping_redecomposes_and_is_worker_count_invariant() {
         ..s.default_sleep_policy()
     });
 
-    let (serial, redecomp_1) = run_city(&s, 1);
+    let (serial, sleeps_1) = run_city(&s, 1);
     assert!(
-        redecomp_1 > 0,
-        "aggressive sleeping must change the awake set and re-decompose"
+        sleeps_1 > 0,
+        "aggressive sleeping must change the awake set"
     );
-    let (parallel, redecomp_4) = run_city(&s, 4);
+    let (parallel, sleeps_4) = run_city(&s, 4);
     assert_eq!(serial, parallel, "1-vs-4 worker reports diverged");
-    assert_eq!(redecomp_1, redecomp_4, "re-decomposition count diverged");
+    assert_eq!(sleeps_1, sleeps_4, "sleep transitions diverged");
 }

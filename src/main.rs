@@ -162,8 +162,8 @@ fn run_once(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     let metrics = sim.run()?.clone();
     println!(
         "scenario: {} nodes, {} sessions, {} slots, V={:.3e}, seed {}",
-        sim.network().topology().len(),
-        sim.network().session_count(),
+        sim.controller().node_count(),
+        sim.controller().session_count(),
         cmd.scenario.horizon,
         cmd.scenario.v,
         cmd.scenario.seed,
