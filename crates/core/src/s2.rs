@@ -65,7 +65,7 @@ pub fn resource_allocation(
     k_max: Packets,
 ) -> Vec<Admission> {
     let mut out = Vec::new();
-    resource_allocation_into(net, data, lambda, v, k_max, &mut out);
+    resource_allocation_masked_into(net, data, lambda, v, k_max, &|_| true, &mut out);
     out
 }
 
@@ -77,32 +77,15 @@ pub fn admission_valve_open(q: f64, lambda: f64, v: f64) -> bool {
     q - lambda * v < 0.0
 }
 
-/// Runs S2 for every session into a caller-owned buffer (cleared first).
-/// Allocation-free once `out` has reached its steady-state capacity — this
-/// is the variant the pipeline's per-slot arena calls.
-///
-/// # Panics
-///
-/// Panics if the network has no base stations (prevented by
-/// `NetworkBuilder` validation).
-pub fn resource_allocation_into(
-    net: &Network,
-    data: &DataQueueBank,
-    lambda: f64,
-    v: f64,
-    k_max: Packets,
-    out: &mut Vec<Admission>,
-) {
-    resource_allocation_masked_into(net, data, lambda, v, k_max, &|_| true, out);
-}
-
-/// S2 restricted to an eligible source set: the paper's rule over only the
-/// base stations for which `source_eligible` returns true. The dynamic
-/// network-state layer passes "awake and done ramping" here so sessions
-/// re-associate to a serving BS instead of queueing behind one that chose
-/// to sleep. Outaged BSs are *not* excluded by that caller — a down source
-/// admits nothing and the session waits the fault out, exactly as in the
-/// static controller.
+/// S2 into a caller-owned buffer (cleared first; allocation-free once it
+/// has reached its steady-state capacity), restricted to an eligible
+/// source set: the paper's rule over only the base stations for which
+/// `source_eligible` returns true. With a dynamic policy live the driver
+/// passes "awake and done ramping" here so sessions re-associate to a
+/// serving BS instead of queueing behind one that chose to sleep, and an
+/// always-true filter otherwise. Outaged BSs are *not* excluded — a down
+/// source admits nothing and the session waits the fault out, exactly as
+/// in the static controller.
 ///
 /// If no BS is eligible (every BS mid-ramp after a mass wake-up) the
 /// filter is ignored and the unrestricted rule applies; the caller's
