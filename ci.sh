@@ -60,8 +60,13 @@ echo "== snapshot equivalence gate =="
 # watchdog verdicts must be bit-identical to the uninterrupted run across
 # all four fault archetypes and both schedulers, and on a partitioned city
 # with sleep, cooperation and outages live; corrupt/mismatched snapshot
-# files must surface as typed errors.
+# files must surface as typed errors. The fsio unit tests open damaged
+# images of every container format (snapshot, sweep manifest, sweep
+# result) and demand a typed rejection each time.
 cargo test -p greencell-sim --test snapshot_equivalence -q $CARGO_FLAGS
+cargo test -p greencell-sim --lib fsio -q $CARGO_FLAGS
+# One container: the two-line header is formatted only in fsio.rs.
+if grep -rnF --exclude=fsio.rs '\"checksum\":\"0x' crates/sim/src; then echo "container header formatted outside fsio.rs" >&2; exit 1; fi
 
 echo "== networkstate equivalence gate =="
 # Dynamic network-state layer: inert policies (never-triggering sleep,
@@ -78,9 +83,12 @@ echo "== policy ablation gate =="
 cargo test -p greencell-sim --test policy_ablation -q $CARGO_FLAGS
 
 echo "== sweep resume gate =="
-# Resumable checkpointed sweeps: interrupt after k points, resume at any
-# worker count, byte-compare the deterministic stability report against a
-# one-shot sweep; corrupt checkpoints are quarantined, never trusted.
+# Resumable sweeps run the distrib work-dir protocol on worker threads:
+# interrupt after k points, resume the same work dir at 1, 2 and 4
+# threads, byte-compare the deterministic stability report against a
+# one-shot sweep. A corrupt or edited point's result is quarantined and
+# only that point recomputed; a failing sweep reports the first failure
+# by submission order.
 cargo test -p greencell-sim --test sweep_resume -q $CARGO_FLAGS
 
 echo "== distributed sweep gate =="

@@ -1,14 +1,23 @@
-//! Multi-process work-stealing sweep driver.
+//! The on-disk, resumable sweep driver: a work dir shared by workers
+//! that are either processes or threads.
 //!
-//! [`run_sweep_distributed`] scales the sweep engine past one process: a
-//! driver writes the point list to an on-disk **manifest**, spawns worker
-//! *processes* (the hidden `greencell sweep-worker` mode, or the
-//! `sweep_worker` test binary), and merges their per-point result files
-//! into a [`SweepReport`]. Because every point's randomness is sealed
-//! inside its own scenario seed (SplitMix64-derived, placement
-//! independent), the merged [`SweepReport::stability_json`] is
-//! **byte-identical** to the in-process [`crate::sweep::run_sweep`] at any
-//! process count — the distributed-equivalence CI gate pins this.
+//! A driver writes the point list to an on-disk **manifest**, runs
+//! workers that claim points and write one result file per point, and
+//! merges the result files into a [`SweepReport`] in manifest order. The
+//! two entry points differ only in how workers are launched:
+//!
+//! * [`run_sweep_distributed`] spawns worker *processes* (the hidden
+//!   `greencell sweep-worker` mode, or the `sweep_worker` test binary);
+//! * [`run_sweep_checkpointed`] runs [`SweepOptions::threads`] scoped
+//!   threads in this process — a resumable [`crate::sweep::run_sweep`].
+//!
+//! Because every point's randomness is sealed inside its own scenario
+//! seed (SplitMix64-derived, placement independent), the merged
+//! [`SweepReport::stability_json`] is **byte-identical** to the in-process
+//! [`crate::sweep::run_sweep`] at any worker count — the
+//! distributed-equivalence and sweep-resume CI gates pin this. A killed
+//! run restarted on the same work dir salvages every valid result and
+//! recomputes only what is missing.
 //!
 //! # Claim protocol
 //!
@@ -17,9 +26,9 @@
 //!
 //! ```text
 //! work_dir/
-//!   manifest.json      # checksummed point list (label + exact scenario)
+//!   manifest.json      # point list (label + exact scenario)
 //!   claims/p<i>.claim  # exclusive-create claim files, one per point
-//!   results/p<i>.json  # checksummed per-point outcomes, atomic writes
+//!   results/p<i>.json  # per-point outcomes, atomic writes
 //!   stats/<worker>.json# per-worker claim/steal/requeue counters
 //! ```
 //!
@@ -40,20 +49,33 @@
 //!   to `<name>.corrupt` and the point is **requeued**. Quarantined files
 //!   are never re-read as results — only exact `p<i>.json` names are.
 //!
+//! The manifest and result files are [`crate::fsio`] containers. A worker
+//! whose point fails releases its claim before returning the error, so
+//! the other workers reach the same error at once instead of waiting for
+//! the claim to go stale.
+//!
 //! The driver cleans `claims/` and `stats/` when it starts (one driver
 //! owns a work dir at a time), salvages any valid `results/` left by a
-//! previous interrupted run, and — after every spawned worker has exited —
-//! runs the same claim loop in-process to finish anything a crashed
-//! worker fleet left behind. Completion is therefore guaranteed whenever
-//! the points themselves are computable.
+//! previous interrupted run, and — after every worker has exited — runs
+//! the same claim loop in-process, scanning in index order, to finish
+//! anything the workers left behind. Completion is therefore guaranteed
+//! whenever the points themselves are computable, and otherwise the
+//! sweep fails with the first failing point's error by submission order.
 
-use crate::checkpoint::{entry_of, outcome_json, SavedEntry};
-use crate::faults::{FadeEvent, FaultSpec, MarkovFault, OutageScope, PriceSpike, SlotWindow};
+use crate::faults::{
+    FadeEvent, FaultSpec, MarkovFault, OutageScope, PriceSpike, SlotWindow, WatchdogReport,
+};
+use crate::fsio::{open, seal, write_text_atomic};
 use crate::scenario::{DemandModel, DiurnalProfile, GridModel, Placement, TouPricing};
-use crate::snapshot::{arr, f64_of, fingerprint_debug, fnv1a_64, get, hex_f64, hex_u64, u64_of};
-use crate::sweep::{json_escape, run_point, SweepPoint, SweepReport};
+use crate::snapshot::{
+    arr, bool_of, f64_of, fingerprint_debug, get, hex_f64, hex_u64, metrics_json, metrics_of,
+    u64_of, usize_of,
+};
+use crate::sweep::{
+    json_escape, run_point, PointOutcome, RunTelemetry, SweepOptions, SweepPoint, SweepReport,
+};
 use crate::{Architecture, Scenario, SimError};
-use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind};
+use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind, StageTimings};
 use greencell_trace::json::{parse, Value};
 use greencell_units::{DataRate, Energy, PacketSize, Packets, Power, TimeDelta};
 use std::path::{Path, PathBuf};
@@ -68,6 +90,12 @@ pub const RESULT_FORMAT: &str = "greencell-distrib-result";
 
 /// The distributed-sweep on-disk format version (manifest + results).
 pub const DISTRIB_VERSION: u32 = 1;
+
+/// A claim older than this with no result may be stolen.
+const STALE_AFTER: Duration = Duration::from_secs(30);
+
+/// How long an idle worker sleeps before rescanning the queue.
+const POLL: Duration = Duration::from_millis(25);
 
 // ---------------------------------------------------------------------------
 // Options and stats.
@@ -127,8 +155,8 @@ impl DistribOptions {
         Self {
             workers,
             worker,
-            stale_after: Duration::from_secs(30),
-            poll: Duration::from_millis(25),
+            stale_after: STALE_AFTER,
+            poll: POLL,
         }
     }
 }
@@ -394,10 +422,6 @@ pub fn scenario_json(s: &Scenario) -> String {
         hex_f64(s.gain_floor),
         hex_u64(s.seed),
     )
-}
-
-fn usize_of(v: &Value) -> Result<usize, String> {
-    u64_of(v).map(|x| x as usize)
 }
 
 fn str_of<'a>(v: &'a Value, what: &str) -> Result<&'a str, String> {
@@ -695,63 +719,131 @@ pub fn scenario_of(v: &Value) -> Result<Scenario, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Checksummed two-line containers (snapshot-style) for manifest/results.
+// Outcome / telemetry codecs (exact: u64 nanos, f64 bits).
 // ---------------------------------------------------------------------------
 
-fn container_wrap(format: &str, payload: &str) -> String {
-    let checksum = fnv1a_64(payload.as_bytes());
+fn duration_json(d: Duration) -> String {
+    hex_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+fn duration_of(v: &Value) -> Result<Duration, String> {
+    Ok(Duration::from_nanos(u64_of(v)?))
+}
+
+fn watchdog_report_json(w: &WatchdogReport) -> String {
     format!(
-        "{{\"format\":\"{format}\",\"version\":{DISTRIB_VERSION},\"checksum\":\"0x{checksum:016x}\"}}\n{payload}\n"
+        "[{},{},{},{},{},{},{}]",
+        hex_u64(w.slots as u64),
+        hex_f64(w.trailing_slope),
+        hex_f64(w.peak_backlog),
+        hex_f64(w.final_backlog),
+        hex_f64(w.battery_floor_kwh),
+        hex_u64(w.divergent_slots as u64),
+        w.stable,
     )
 }
 
-fn container_unwrap(format: &str, text: &str, path: &Path) -> Result<Value, SimError> {
-    let path_str = path.display().to_string();
-    let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path_str.clone(),
-        detail,
+fn watchdog_report_of(v: &Value) -> Result<WatchdogReport, String> {
+    let a = arr(v)?;
+    if a.len() != 7 {
+        return Err(format!("watchdog report has {} fields, need 7", a.len()));
+    }
+    Ok(WatchdogReport {
+        slots: usize_of(&a[0])?,
+        trailing_slope: f64_of(&a[1])?,
+        peak_backlog: f64_of(&a[2])?,
+        final_backlog: f64_of(&a[3])?,
+        battery_floor_kwh: f64_of(&a[4])?,
+        divergent_slots: usize_of(&a[5])?,
+        stable: bool_of(&a[6])?,
+    })
+}
+
+fn telemetry_json(t: &RunTelemetry) -> String {
+    let s = &t.stages;
+    format!(
+        "{{\"slots\":{},\"wall_ns\":{},\"slots_per_sec\":{},\"stages\":[{},{},{},{},{}],\"final_backlog_bs\":{},\"final_backlog_users\":{},\"final_buffer_bs_kwh\":{},\"final_buffer_users_wh\":{},\"degraded_slots\":{},\"degradation_events\":{},\"watchdog\":{}}}",
+        hex_u64(t.slots as u64),
+        duration_json(t.wall),
+        hex_f64(t.slots_per_sec),
+        duration_json(s.s1),
+        duration_json(s.s2),
+        duration_json(s.s3),
+        duration_json(s.s4),
+        hex_u64(s.slots),
+        hex_f64(t.final_backlog_bs),
+        hex_f64(t.final_backlog_users),
+        hex_f64(t.final_buffer_bs_kwh),
+        hex_f64(t.final_buffer_users_wh),
+        hex_u64(t.degraded_slots),
+        hex_u64(t.degradation_events),
+        watchdog_report_json(&t.watchdog),
+    )
+}
+
+fn telemetry_of(v: &Value) -> Result<RunTelemetry, String> {
+    let stages = arr(get(v, "stages")?)?;
+    if stages.len() != 5 {
+        return Err(format!(
+            "stage timings have {} fields, need 5",
+            stages.len()
+        ));
+    }
+    Ok(RunTelemetry {
+        slots: usize_of(get(v, "slots")?)?,
+        wall: duration_of(get(v, "wall_ns")?)?,
+        slots_per_sec: f64_of(get(v, "slots_per_sec")?)?,
+        stages: StageTimings {
+            s1: duration_of(&stages[0])?,
+            s2: duration_of(&stages[1])?,
+            s3: duration_of(&stages[2])?,
+            s4: duration_of(&stages[3])?,
+            slots: u64_of(&stages[4])?,
+        },
+        final_backlog_bs: f64_of(get(v, "final_backlog_bs")?)?,
+        final_backlog_users: f64_of(get(v, "final_backlog_users")?)?,
+        final_buffer_bs_kwh: f64_of(get(v, "final_buffer_bs_kwh")?)?,
+        final_buffer_users_wh: f64_of(get(v, "final_buffer_users_wh")?)?,
+        degraded_slots: u64_of(get(v, "degraded_slots")?)?,
+        degradation_events: u64_of(get(v, "degradation_events")?)?,
+        watchdog: watchdog_report_of(get(v, "watchdog")?)?,
+    })
+}
+
+fn outcome_json(fp: u64, o: &PointOutcome) -> String {
+    format!(
+        "{{\"label\":\"{}\",\"seed\":{},\"scenario_fp\":{},\"penalty_b\":{},\"relaxed_admitted\":{},\"telemetry\":{},\"metrics\":{}}}",
+        json_escape(&o.label),
+        hex_u64(o.seed),
+        hex_u64(fp),
+        hex_f64(o.penalty_b),
+        o.relaxed_admitted
+            .map_or_else(|| "null".to_string(), hex_f64),
+        telemetry_json(&o.telemetry),
+        metrics_json(&o.metrics),
+    )
+}
+
+/// Decodes a result payload: the scenario fingerprint the outcome was
+/// computed under, and the outcome.
+fn entry_of(v: &Value) -> Result<(u64, PointOutcome), String> {
+    let relaxed_admitted = match get(v, "relaxed_admitted")? {
+        Value::Null => None,
+        other => Some(f64_of(other)?),
     };
-    let (header_line, rest) = text
-        .split_once('\n')
-        .ok_or_else(|| corrupt("missing payload line".to_string()))?;
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
-    if payload.contains('\n') {
-        return Err(corrupt("more than two lines".to_string()));
-    }
-    let header = parse(header_line).map_err(|e| corrupt(format!("unparseable header: {e}")))?;
-    match header.get("format").and_then(Value::as_str) {
-        Some(tag) if tag == format => {}
-        Some(other) => return Err(corrupt(format!("format is `{other}`, expected `{format}`"))),
-        None => return Err(corrupt("header has no format tag".to_string())),
-    }
-    let version = header
-        .get("version")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| corrupt("header has no version".to_string()))?;
-    if version != f64::from(DISTRIB_VERSION) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let found = if version.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&version) {
-            version as u32
-        } else {
-            return Err(corrupt(format!("version `{version}` is not a u32")));
-        };
-        return Err(SimError::SnapshotVersionMismatch {
-            path: path_str,
-            expected: DISTRIB_VERSION,
-            found,
-        });
-    }
-    let declared = header
-        .get("checksum")
-        .ok_or_else(|| corrupt("header has no checksum".to_string()))
-        .and_then(|v| u64_of(v).map_err(|e| corrupt(format!("bad checksum field: {e}"))))?;
-    let actual = fnv1a_64(payload.as_bytes());
-    if declared != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch: header declares 0x{declared:016x}, payload hashes to 0x{actual:016x}"
-        )));
-    }
-    parse(payload).map_err(|e| corrupt(format!("unparseable payload: {e}")))
+    let label = get(v, "label")?
+        .as_str()
+        .ok_or_else(|| "label must be a string".to_string())?
+        .to_string();
+    let outcome = PointOutcome {
+        label,
+        seed: u64_of(get(v, "seed")?)?,
+        metrics: metrics_of(get(v, "metrics")?)?,
+        telemetry: telemetry_of(get(v, "telemetry")?)?,
+        penalty_b: f64_of(get(v, "penalty_b")?)?,
+        relaxed_admitted,
+    };
+    Ok((u64_of(get(v, "scenario_fp")?)?, outcome))
 }
 
 // ---------------------------------------------------------------------------
@@ -806,8 +898,9 @@ fn manifest_string(points: &[SweepPoint], fingerprints: &[u64]) -> String {
             )
         })
         .collect();
-    container_wrap(
+    seal(
         MANIFEST_FORMAT,
+        DISTRIB_VERSION,
         &format!("{{\"points\":[{}]}}", rows.join(",")),
     )
 }
@@ -818,9 +911,10 @@ fn manifest_string(points: &[SweepPoint], fingerprints: &[u64]) -> String {
 fn read_manifest(work_dir: &Path) -> Result<Vec<ManifestPoint>, SimError> {
     let path = manifest_path(work_dir);
     let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-    let value = container_unwrap(MANIFEST_FORMAT, &text, &path)?;
+    let path = path.display().to_string();
+    let value = open(&text, MANIFEST_FORMAT, DISTRIB_VERSION, &path)?;
     let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path.display().to_string(),
+        path: path.clone(),
         detail,
     };
     let rows = arr(get(&value, "points").map_err(&corrupt)?).map_err(&corrupt)?;
@@ -850,56 +944,50 @@ fn read_manifest(work_dir: &Path) -> Result<Vec<ManifestPoint>, SimError> {
 }
 
 /// Parses `results/p<idx>.json` and validates it against the manifest
-/// point. `Err` means the file exists but cannot be trusted.
+/// point. `Ok(None)` means the point has no result yet; `Err` means a
+/// file is there but cannot be trusted.
 fn read_result(
     work_dir: &Path,
     idx: usize,
     expect: &ManifestPoint,
-) -> Result<SavedEntry, SimError> {
+) -> Result<Option<PointOutcome>, SimError> {
     let path = result_path(work_dir, idx);
-    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
-    let value = container_unwrap(RESULT_FORMAT, &text, &path)?;
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(&path, &e)),
+    };
+    let path = path.display().to_string();
+    let value = open(&text, RESULT_FORMAT, DISTRIB_VERSION, &path)?;
     let corrupt = |detail: String| SimError::CorruptSnapshot {
-        path: path.display().to_string(),
+        path: path.clone(),
         detail,
     };
-    let entry = entry_of(&value).map_err(&corrupt)?;
-    if entry.outcome.label != expect.label
-        || entry.outcome.seed != expect.scenario.seed
-        || entry.scenario_fp != expect.scenario_fp
+    let (scenario_fp, outcome) = entry_of(&value).map_err(&corrupt)?;
+    if outcome.label != expect.label
+        || outcome.seed != expect.scenario.seed
+        || scenario_fp != expect.scenario_fp
     {
         return Err(corrupt(format!(
             "result belongs to a different sweep: label `{}` seed {} fp 0x{:016x}, \
              expected `{}` seed {} fp 0x{:016x}",
-            entry.outcome.label,
-            entry.outcome.seed,
-            entry.scenario_fp,
+            outcome.label,
+            outcome.seed,
+            scenario_fp,
             expect.label,
             expect.scenario.seed,
             expect.scenario_fp,
         )));
     }
-    Ok(entry)
+    Ok(Some(outcome))
 }
 
-/// Whether a missing-file error (point not yet computed) vs a real error.
-fn is_not_found(e: &SimError) -> bool {
-    matches!(e, SimError::Io(msg) if msg.contains("No such file")
-        || msg.contains("kind: NotFound")
-        || msg.contains("(os error 2)"))
-}
-
-/// Renames a bad result file to `<name>.corrupt` (never re-read as a
-/// result) and clears any claim so the point can be re-claimed.
+/// Quarantines a bad result file (never re-read as a result) and clears
+/// any claim so the point can be re-claimed.
 fn quarantine_result(work_dir: &Path, idx: usize, worker_id: &str, nonce: usize) {
-    let path = result_path(work_dir, idx);
-    let mut name = path
-        .file_name()
-        .map_or_else(|| "result".into(), std::ffi::OsStr::to_os_string);
-    name.push(".corrupt");
     // Best-effort: a concurrent quarantine of the same file is fine —
     // exactly one rename wins, the loser sees NotFound.
-    let _ = std::fs::rename(&path, path.with_file_name(name));
+    let _ = crate::fsio::quarantine(&result_path(work_dir, idx));
     // The claim (if any) belonged to whoever wrote the bad result; retire
     // it through the same single-winner rename the steal path uses.
     let claim = claim_path(work_dir, idx);
@@ -983,7 +1071,7 @@ fn try_steal(
         return false;
     }
     // Fresh claim marks the new owner and restarts the staleness clock.
-    let _ = crate::fsio::write_text_atomic(&claim, &format!("{worker_id} (stolen)\n"));
+    let _ = write_text_atomic(&claim, &format!("{worker_id} (stolen)\n"));
     true
 }
 
@@ -1000,8 +1088,10 @@ fn try_steal(
 /// # Errors
 ///
 /// Returns the first simulation failure, a manifest validation error, or
-/// an I/O error on the work-dir itself. On success the worker's stats have
-/// also been persisted to `stats/<worker_id>.json`.
+/// an I/O error on the work-dir itself. A failing point's claim is
+/// released first, so other workers reach the same error without waiting
+/// for it to go stale. On success the worker's stats have also been
+/// persisted to `stats/<worker_id>.json`.
 pub fn run_worker(
     work_dir: &Path,
     worker_id: &str,
@@ -1021,11 +1111,11 @@ pub fn run_worker(
             }
             // Result already there? Validate once; quarantine if bad.
             match read_result(work_dir, idx, point) {
-                Ok(_) => {
+                Ok(Some(_)) => {
                     verified[idx] = true;
                     continue;
                 }
-                Err(e) if is_not_found(&e) => {}
+                Ok(None) => {}
                 Err(_) => {
                     nonce += 1;
                     quarantine_result(work_dir, idx, worker_id, nonce);
@@ -1050,10 +1140,14 @@ pub fn run_worker(
             if !owned {
                 continue;
             }
-            let outcome = run_point(&point.label, &point.scenario)?;
+            // A failing point releases its claim, so other workers reach the
+            // same error now instead of after `stale_after`.
+            let outcome = run_point(&point.label, &point.scenario).inspect_err(|_| {
+                let _ = std::fs::remove_file(claim_path(work_dir, idx));
+            })?;
             let payload = outcome_json(point.scenario_fp, &outcome);
             let path = result_path(work_dir, idx);
-            crate::fsio::write_text_atomic(&path, &container_wrap(RESULT_FORMAT, &payload))
+            write_text_atomic(&path, &seal(RESULT_FORMAT, DISTRIB_VERSION, &payload))
                 .map_err(|e| io_err(&path, &e))?;
             stats.computed += 1;
             verified[idx] = true;
@@ -1070,7 +1164,7 @@ pub fn run_worker(
     }
 
     let path = stats_dir(work_dir).join(format!("{worker_id}.json"));
-    crate::fsio::write_text_atomic(&path, &stats.json()).map_err(|e| io_err(&path, &e))?;
+    write_text_atomic(&path, &stats.json()).map_err(|e| io_err(&path, &e))?;
     Ok(stats)
 }
 
@@ -1135,7 +1229,85 @@ pub fn prepare_work_dir(points: &[SweepPoint], work_dir: &Path) -> Result<(), Si
         .collect();
     let manifest = manifest_string(points, &fingerprints);
     let path = manifest_path(work_dir);
-    crate::fsio::write_text_atomic(&path, &manifest).map_err(|e| io_err(&path, &e))
+    write_text_atomic(&path, &manifest).map_err(|e| io_err(&path, &e))
+}
+
+/// The one driver body: stages `work_dir`, takes the salvage census,
+/// lets `launch` run workers `w0 … w{workers-1}` to completion (it returns
+/// how many failed), finishes in-process, and merges in manifest order.
+fn drive(
+    points: &[SweepPoint],
+    work_dir: &Path,
+    workers: usize,
+    poll: Duration,
+    launch: impl FnOnce() -> Result<usize, SimError>,
+) -> Result<(SweepReport, DistribStats), SimError> {
+    let start = Instant::now();
+    let mut stats = DistribStats::default();
+    prepare_work_dir(points, work_dir)?;
+
+    // Salvage census: validate pre-existing results now so the stats are
+    // honest; bad files are quarantined before any worker sees them.
+    let manifest_points = read_manifest(work_dir)?;
+    for (idx, point) in manifest_points.iter().enumerate() {
+        match read_result(work_dir, idx, point) {
+            Ok(Some(_)) => stats.salvaged += 1,
+            Ok(None) => {}
+            Err(_) => {
+                quarantine_result(work_dir, idx, "driver", idx);
+                stats.requeued += 1;
+            }
+        }
+    }
+
+    stats.worker_failures = launch()?;
+
+    // Salvage pass: with every worker gone, any leftover claim is dead by
+    // definition — steal immediately (stale_after = 0) and finish the
+    // sweep in-process. Scanning in index order also re-surfaces the
+    // first failing point's error deterministically instead of reporting
+    // a silent short merge.
+    let salvage = run_worker(work_dir, "driver", Duration::ZERO, poll)?;
+    stats.computed += salvage.computed;
+    stats.steals += salvage.steals;
+    stats.requeued += salvage.requeued;
+
+    // Aggregate worker stats (the driver's own salvage pass wrote
+    // `stats/driver.json` too; it is already counted above, so skip it).
+    for w in 0..workers {
+        let path = stats_dir(work_dir).join(format!("w{w}.json"));
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue; // failed before writing stats; its work was redone
+        };
+        let ws = WorkerStats::parse_str(&text).map_err(|e| SimError::CorruptSnapshot {
+            path: path.display().to_string(),
+            detail: e,
+        })?;
+        stats.computed += ws.computed;
+        stats.steals += ws.steals;
+        stats.requeued += ws.requeued;
+    }
+
+    // Merge in submission order — strict now: everything must be present
+    // and valid after the salvage pass.
+    let mut outcomes = Vec::with_capacity(points.len());
+    for (idx, point) in manifest_points.iter().enumerate() {
+        let missing = || {
+            io_err(
+                &result_path(work_dir, idx),
+                &"missing after the salvage pass",
+            )
+        };
+        outcomes.push(read_result(work_dir, idx, point)?.ok_or_else(missing)?);
+    }
+    Ok((
+        SweepReport {
+            outcomes,
+            threads: workers,
+            total_wall: start.elapsed(),
+        },
+        stats,
+    ))
 }
 
 /// Like [`run_sweep_distributed`], but also reports salvage/steal/requeue
@@ -1153,90 +1325,31 @@ pub fn run_sweep_distributed_stats(
     work_dir: &Path,
 ) -> Result<(SweepReport, DistribStats), SimError> {
     validate(points, opts)?;
-    let start = Instant::now();
-    let mut stats = DistribStats::default();
-    prepare_work_dir(points, work_dir)?;
-
-    // Salvage census: validate pre-existing results now so the stats are
-    // honest; bad files are quarantined before any worker sees them.
-    let manifest_points = read_manifest(work_dir)?;
-    for (idx, point) in manifest_points.iter().enumerate() {
-        match read_result(work_dir, idx, point) {
-            Ok(_) => stats.salvaged += 1,
-            Err(e) if is_not_found(&e) => {}
-            Err(_) => {
-                quarantine_result(work_dir, idx, "driver", idx);
-                stats.requeued += 1;
-            }
+    drive(points, work_dir, opts.workers, opts.poll, || {
+        let mut children = Vec::with_capacity(opts.workers);
+        for w in 0..opts.workers {
+            let child = Command::new(&opts.worker.program)
+                .args(&opts.worker.args)
+                .arg("--dir")
+                .arg(work_dir)
+                .arg("--id")
+                .arg(format!("w{w}"))
+                .arg("--stale-after-ms")
+                .arg(opts.stale_after.as_millis().to_string())
+                .arg("--poll-ms")
+                .arg(opts.poll.as_millis().to_string())
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .spawn()
+                .map_err(|e| io_err(&opts.worker.program, &e))?;
+            children.push(child);
         }
-    }
-
-    // Spawn the worker fleet.
-    let mut children = Vec::with_capacity(opts.workers);
-    for w in 0..opts.workers {
-        let child = Command::new(&opts.worker.program)
-            .args(&opts.worker.args)
-            .arg("--dir")
-            .arg(work_dir)
-            .arg("--id")
-            .arg(format!("w{w}"))
-            .arg("--stale-after-ms")
-            .arg(opts.stale_after.as_millis().to_string())
-            .arg("--poll-ms")
-            .arg(opts.poll.as_millis().to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| io_err(&opts.worker.program, &e))?;
-        children.push(child);
-    }
-    for mut child in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(_) => stats.worker_failures += 1,
-            Err(_) => stats.worker_failures += 1,
-        }
-    }
-
-    // Salvage pass: with every worker gone, any leftover claim is dead by
-    // definition — steal immediately (stale_after = 0) and finish the
-    // sweep in-process. Also re-surfaces a failing point's error
-    // deterministically instead of reporting a silent short merge.
-    let salvage = run_worker(work_dir, "driver", Duration::ZERO, opts.poll)?;
-    stats.computed += salvage.computed;
-    stats.steals += salvage.steals;
-    stats.requeued += salvage.requeued;
-
-    // Aggregate worker stats (the driver's own salvage pass wrote
-    // `stats/driver.json` too; it is already counted above, so skip it).
-    for w in 0..opts.workers {
-        let path = stats_dir(work_dir).join(format!("w{w}.json"));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue; // killed before writing stats; its work was stolen
-        };
-        let ws = WorkerStats::parse_str(&text).map_err(|e| SimError::CorruptSnapshot {
-            path: path.display().to_string(),
-            detail: e,
-        })?;
-        stats.computed += ws.computed;
-        stats.steals += ws.steals;
-        stats.requeued += ws.requeued;
-    }
-
-    // Merge in submission order — strict now: everything must be present
-    // and valid after the salvage pass.
-    let mut outcomes = Vec::with_capacity(points.len());
-    for (idx, point) in manifest_points.iter().enumerate() {
-        outcomes.push(read_result(work_dir, idx, point)?.outcome);
-    }
-    Ok((
-        SweepReport {
-            outcomes,
-            threads: opts.workers,
-            total_wall: start.elapsed(),
-        },
-        stats,
-    ))
+        Ok(children
+            .into_iter()
+            .map(|mut child| child.wait())
+            .filter(|status| !matches!(status, Ok(status) if status.success()))
+            .count())
+    })
 }
 
 /// [`crate::sweep::run_sweep`] across worker *processes*: points are
@@ -1254,6 +1367,53 @@ pub fn run_sweep_distributed(
     work_dir: &Path,
 ) -> Result<SweepReport, SimError> {
     run_sweep_distributed_stats(points, opts, work_dir).map(|(report, _)| report)
+}
+
+/// Like [`run_sweep_checkpointed`], but also reports what was salvaged,
+/// computed, and quarantined and requeued.
+///
+/// # Errors
+///
+/// Returns the first point failure by submission order, or an I/O error
+/// on the work dir. A corrupt or stale result file is not an error: it is
+/// quarantined to `<name>.corrupt` and its point recomputed.
+pub fn run_sweep_checkpointed_stats(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    work_dir: &Path,
+) -> Result<(SweepReport, DistribStats), SimError> {
+    drive(points, work_dir, opts.threads, POLL, || {
+        Ok(std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..opts.threads)
+                .map(|w| {
+                    scope.spawn(move || run_worker(work_dir, &format!("w{w}"), STALE_AFTER, POLL))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(std::thread::ScopedJoinHandle::join)
+                .filter(|joined| !matches!(joined, Ok(Ok(_))))
+                .count()
+        }))
+    })
+}
+
+/// [`crate::sweep::run_sweep`] with crash-safe resume: the sweep runs
+/// through the work-dir protocol on [`SweepOptions::threads`] worker
+/// threads, so every completed point persists to `work_dir` as it lands.
+/// A restart salvages the valid results and runs only what is missing;
+/// final reports are byte-identical to a never-interrupted sweep at any
+/// worker count.
+///
+/// # Errors
+///
+/// See [`run_sweep_checkpointed_stats`].
+pub fn run_sweep_checkpointed(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    work_dir: &Path,
+) -> Result<SweepReport, SimError> {
+    run_sweep_checkpointed_stats(points, opts, work_dir).map(|(report, _)| report)
 }
 
 #[cfg(test)]

@@ -124,18 +124,6 @@ fn emit<W: Write>(out: &mut W, line: &str) -> Result<(), SimError> {
         .map_err(|e| io_err(&e))
 }
 
-/// Moves an unusable snapshot aside as `<name>.corrupt` so the next
-/// startup does not trip over it again.
-fn quarantine(path: &Path) -> Result<PathBuf, SimError> {
-    let mut name = path
-        .file_name()
-        .map_or_else(|| "snapshot".into(), std::ffi::OsStr::to_os_string);
-    name.push(".corrupt");
-    let target = path.with_file_name(name);
-    std::fs::rename(path, &target).map_err(|e| SimError::Io(format!("{}: {e}", path.display())))?;
-    Ok(target)
-}
-
 // ---------------------------------------------------------------------------
 // Observation-line decoding (human JSON: plain numbers, not hex bits).
 // ---------------------------------------------------------------------------
@@ -285,7 +273,12 @@ fn start_simulator(
                 Err(
                     SimError::CorruptSnapshot { .. } | SimError::SnapshotVersionMismatch { .. },
                 ) => {
-                    quarantined.push(quarantine(&path)?);
+                    // Move it aside so the next startup does not trip
+                    // over it again.
+                    quarantined.push(
+                        crate::fsio::quarantine(&path)
+                            .map_err(|e| SimError::Io(format!("{}: {e}", path.display())))?,
+                    );
                 }
                 Err(other) => return Err(other),
             }

@@ -24,31 +24,32 @@
 //!
 //! # File format
 //!
-//! Exactly two lines of JSON (parse with the workspace's strict
-//! dependency-free parser):
+//! The image is the workspace's one checksummed container (see
+//! [`crate::fsio`]): exactly two lines of JSON, parsed with the
+//! workspace's strict dependency-free parser,
 //!
 //! ```text
-//! {"format":"greencell-snapshot","version":1,"checksum":"0x<fnv1a64>"}
+//! {"format":"greencell-snapshot","version":2,"checksum":"0x<fnv1a64>"}
 //! {...payload...}
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the payload line's exact bytes, so a
-//! torn write fails closed. The payload encodes every `u64` (RNG words,
-//! counters) and every exact `f64` (queue levels, series samples — as
-//! `f64::to_bits`) as `"0x%016x"` hex strings, because the JSON parser
-//! reads plain numbers as `f64` and would silently round anything above
-//! 2⁵³. Files are written atomically (temp sibling + rename, see
-//! [`crate::fsio`]); validation failures surface as typed
-//! [`SimError::CorruptSnapshot`] / [`SimError::SnapshotVersionMismatch`]
-//! — never a panic — so callers can quarantine the file and fall back.
+//! The payload encodes every `u64` (RNG words, counters) and every exact
+//! `f64` (queue levels, series samples — as `f64::to_bits`) as
+//! `"0x%016x"` hex strings, because the JSON parser reads plain numbers
+//! as `f64` and would silently round anything above 2⁵³. Files are
+//! written atomically (temp sibling + rename); validation failures
+//! surface as typed [`SimError::CorruptSnapshot`] /
+//! [`SimError::SnapshotVersionMismatch`] — never a panic — so callers can
+//! quarantine the file and fall back.
 
 use crate::faults::WatchdogState;
+use crate::fsio::fnv1a_64;
 use crate::{GridModel, RunMetrics, Scenario, SimError, Simulator};
 use greencell_core::{ControllerState, RelaxedState};
 use greencell_energy::Battery;
 use greencell_queue::PacketQueue;
 use greencell_stochastic::{MarkovOnOff, Rng, Series};
-use greencell_trace::json::{parse, Value};
+use greencell_trace::json::Value;
 use greencell_units::{Energy, Packets};
 use std::fmt::Debug;
 use std::fmt::Write as _;
@@ -62,18 +63,6 @@ pub const SNAPSHOT_FORMAT: &str = "greencell-snapshot";
 /// association, transfer totals); version-1 files are rejected with a
 /// typed [`SimError::SnapshotVersionMismatch`], never silently zeroed.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// FNV-1a 64-bit over `bytes` — the workspace's dependency-free content
-/// checksum (snapshots, checkpoints, state fingerprints).
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Fingerprint of a value via its `Debug` form. Rust's `f64` Debug
 /// formatting is shortest-roundtrip, so equal fingerprints mean equal
@@ -533,11 +522,7 @@ impl SimSnapshot {
     /// The complete two-line file image (header + checksummed payload).
     #[must_use]
     pub fn to_file_string(&self) -> String {
-        let payload = self.payload_json();
-        let checksum = fnv1a_64(payload.as_bytes());
-        format!(
-            "{{\"format\":\"{SNAPSHOT_FORMAT}\",\"version\":{SNAPSHOT_VERSION},\"checksum\":\"0x{checksum:016x}\"}}\n{payload}\n"
-        )
+        crate::fsio::seal(SNAPSHOT_FORMAT, SNAPSHOT_VERSION, &self.payload_json())
     }
 
     /// Parses a snapshot file image, verifying format, version, and
@@ -550,56 +535,11 @@ impl SimSnapshot {
     /// every other validation failure (torn file, bad checksum, malformed
     /// payload).
     pub fn parse_str(text: &str, path: &str) -> Result<Self, SimError> {
-        let corrupt = |detail: String| SimError::CorruptSnapshot {
+        let value = crate::fsio::open(text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, path)?;
+        let mut snap = Self::from_payload(&value).map_err(|detail| SimError::CorruptSnapshot {
             path: path.to_string(),
             detail,
-        };
-        let (header_line, rest) = text
-            .split_once('\n')
-            .ok_or_else(|| corrupt("missing payload line".to_string()))?;
-        let payload = rest.strip_suffix('\n').unwrap_or(rest);
-        if payload.contains('\n') {
-            return Err(corrupt("more than two lines".to_string()));
-        }
-        let header = parse(header_line).map_err(|e| corrupt(format!("unparseable header: {e}")))?;
-        let format = header
-            .get("format")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt("header has no format tag".to_string()))?;
-        if format != SNAPSHOT_FORMAT {
-            return Err(corrupt(format!(
-                "format is `{format}`, expected `{SNAPSHOT_FORMAT}`"
-            )));
-        }
-        let version = header
-            .get("version")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| corrupt("header has no version".to_string()))?;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let version = if version.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&version) {
-            version as u32
-        } else {
-            return Err(corrupt(format!("version `{version}` is not a u32")));
-        };
-        if version != SNAPSHOT_VERSION {
-            return Err(SimError::SnapshotVersionMismatch {
-                path: path.to_string(),
-                expected: SNAPSHOT_VERSION,
-                found: version,
-            });
-        }
-        let declared = header
-            .get("checksum")
-            .ok_or_else(|| corrupt("header has no checksum".to_string()))
-            .and_then(|v| u64_of(v).map_err(|e| corrupt(format!("bad checksum field: {e}"))))?;
-        let actual = fnv1a_64(payload.as_bytes());
-        if declared != actual {
-            return Err(corrupt(format!(
-                "checksum mismatch: header declares 0x{declared:016x}, payload hashes to 0x{actual:016x}"
-            )));
-        }
-        let value = parse(payload).map_err(|e| corrupt(format!("unparseable payload: {e}")))?;
-        let mut snap = Self::from_payload(&value).map_err(corrupt)?;
+        })?;
         snap.origin = path.to_string();
         Ok(snap)
     }
@@ -766,15 +706,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn hex_roundtrip_is_exact() {
+        use greencell_trace::json::parse;
         for x in [0.0_f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
             let v = parse(&hex_f64(x)).unwrap();
             assert_eq!(f64_of(&v).unwrap().to_bits(), x.to_bits());
@@ -799,36 +732,6 @@ mod tests {
         let mut back_cmp = back.clone();
         back_cmp.origin = snap.origin.clone();
         assert_eq!(back_cmp, snap);
-    }
-
-    #[test]
-    fn torn_payload_fails_the_checksum() {
-        let scenario = Scenario::tiny(29);
-        let sim = Simulator::new(&scenario).unwrap();
-        let text = sim.snapshot().to_file_string();
-        let torn = &text[..text.len() - text.len() / 3];
-        match SimSnapshot::parse_str(torn, "torn.snap") {
-            Err(SimError::CorruptSnapshot { path, .. }) => assert_eq!(path, "torn.snap"),
-            other => panic!("expected CorruptSnapshot, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn future_version_is_a_typed_mismatch() {
-        let scenario = Scenario::tiny(31);
-        let sim = Simulator::new(&scenario).unwrap();
-        let text = sim
-            .snapshot()
-            .to_file_string()
-            .replace("\"version\":2", "\"version\":3");
-        match SimSnapshot::parse_str(&text, "v3.snap") {
-            Err(SimError::SnapshotVersionMismatch {
-                expected, found, ..
-            }) => {
-                assert_eq!((expected, found), (2, 3));
-            }
-            other => panic!("expected SnapshotVersionMismatch, got {other:?}"),
-        }
     }
 
     #[test]
