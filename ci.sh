@@ -37,14 +37,15 @@ echo "== s4 kernel equivalence gate =="
 cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS
 
-echo "== pipeline equivalence gate =="
-# The staged S1–S4 pipeline driver must match the frozen pre-refactor
-# oracle bit-for-bit: seed scenarios, all four fault scenarios, both
-# degradation policies, every policy axis, plus a property test over
-# random controller configurations. The zero-alloc audit pins the
-# steady-state arena discipline.
-cargo test -p greencell-sim --test pipeline_equivalence -q $CARGO_FLAGS
-cargo test -p greencell-core --test prop_pipeline_config -q $CARGO_FLAGS
+echo "== slot driver golden gate =="
+# Fingerprints recorded in lockstep with the pre-pipeline controller: seed
+# scenarios, all four fault scenarios under both degradation policies,
+# chaos, every policy axis, the unpruned city cells, energy-starved runs
+# and a 48-case grid of controller configurations must reproduce byte for
+# byte, and every rung of the degradation ladder (shed, grid-only
+# fallback, drop schedule, safe mode, strict abort) must fire. The
+# zero-alloc audit pins the steady-state arena discipline.
+cargo test -p greencell-sim --test driver_golden -q $CARGO_FLAGS
 cargo test -p greencell-core --test s1_zero_alloc -q $CARGO_FLAGS
 
 echo "== one slot driver golden gate =="
@@ -107,11 +108,11 @@ echo "== adaptive frontier gate =="
 cargo test -p greencell-sim --test frontier -q $CARGO_FLAGS
 
 echo "== city equivalence gate =="
-# City scenarios run through the same slot driver as the paper: with the
-# cutoff disabled a city is one part and must replay the frozen dense
-# oracle bit-for-bit, a connected pruned network keeps the exact dense
-# network, and pruning may only zero gains that sit below the thermal
-# noise floor (property-tested over random shadowed layouts).
+# City scenarios run through the same slot driver as the paper: a
+# connected pruned network keeps the exact dense network, a decomposed
+# city runs cleanly over its clusters, and pruning may only zero gains
+# that sit below the thermal noise floor (property-tested over random
+# shadowed layouts). Unpruned cities are pinned by the driver golden.
 cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 
@@ -125,8 +126,8 @@ cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
 echo "== faults x city gate =="
 # Every fault archetype, the chaos preset and a Markov grid chain run on a
 # pruned (partitioned) city: each completes, 1 and 2 workers agree byte for
-# byte, energy-starved variants drive the ladder, and the unpruned runs
-# replay the frozen dense oracle. Traced city runs emit every stage span
+# byte, and energy-starved variants drive the ladder (the unpruned cells
+# are pinned by the driver golden). Traced city runs emit every stage span
 # and engine gauge with a worker-count-invariant deterministic section.
 cargo test -p greencell-sim --test city_faults -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_trace -q $CARGO_FLAGS
@@ -178,8 +179,9 @@ CITY_SCALE_SMOKE=1 cargo bench -p greencell-bench --bench city_scale -q $CARGO_F
 
 echo "== frontier run-smoke (release binary) =="
 # One-command frontier map on the tiny scenario through the release
-# binary, evaluated by 2 worker processes (the sweep_worker sibling built
-# above): the run must converge and emit both artifacts.
+# binary, evaluated by 2 worker processes (the same binary re-invoked in
+# its hidden sweep-worker mode): the run must converge and emit both
+# artifacts.
 FRONTIER_DIR=$(mktemp -d)
 ./target/release/greencell frontier --tiny --horizon 10 \
   --v-min 1e4 --v-max 1e6 --max-gap 0.6 --budget 10 --init-points 3 \
@@ -190,12 +192,25 @@ grep -q '"converged": true' "$FRONTIER_DIR/frontier.json"
 rm -rf "$FRONTIER_DIR"
 echo "frontier smoke: converged map written"
 
+echo "== figure run-smoke (release binary) =="
+# A tiny Fig. 2(a) sweep through the release binary: the bounds CSV lands
+# under --out and the sweep telemetry under results/ of the working
+# directory (a scratch dir here, so the checked-in telemetry is untouched).
+FIG_DIR=$(mktemp -d)
+GREENCELL_BIN="$PWD/target/release/greencell"
+(cd "$FIG_DIR" && "$GREENCELL_BIN" fig2a --tiny --horizon 5 --v-values 1e5,2e5 \
+  --out "$FIG_DIR" >/dev/null)
+test -s "$FIG_DIR/fig2a.csv"
+test -s "$FIG_DIR/results/fig2a_telemetry.json"
+rm -rf "$FIG_DIR"
+echo "figure smoke: fig2a.csv and telemetry written"
+
 echo "== trace determinism gate =="
-# Short paper-scenario traced run. --check re-parses the chrome-trace JSON
-# with the workspace's strict parser and byte-compares the deterministic
-# trace section across 1 vs 4 workers.
-cargo run --release -q -p greencell-sim --bin trace_run $CARGO_FLAGS -- \
-  --horizon 20 --workers 4 --check --out results >/dev/null
+# Short paper-scenario traced run (the scenario and its seed+1 twin).
+# --check re-parses the chrome-trace JSON with the workspace's strict
+# parser and byte-compares the deterministic trace section across 1 vs 4
+# workers; a violation exits non-zero.
+./target/release/greencell trace --horizon 20 --check --out results >/dev/null
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q $CARGO_FLAGS

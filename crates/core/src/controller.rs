@@ -12,16 +12,14 @@
 //! runs in part order on one thread, so results never depend on the worker
 //! count.
 
-use crate::partition::{for_each_part, link_service_into, PartInputs};
+use crate::partition::{for_each_part, PartInputs};
 use crate::pipeline::{
     self, EnergyStage, FallbackCx, FallbackOutcome, FallbackStage, RelayStage, ScheduleStage,
     SlotContext, StageClock,
 };
 use crate::{
-    dpp, greedy_schedule_with, resource_allocation, route_flows, s1::S1Inputs,
-    sequential_fix_schedule_with, solve_energy_management, ClusterSet, ControllerConfig,
-    EnergyConfig, EnergyManagementError, EnergyManagementInput, NetworkState, Part, PartSpec,
-    S1Scratch, ScheduleOutcome, SchedulerKind, SlotObservation,
+    dpp, ClusterSet, ControllerConfig, EnergyConfig, EnergyManagementError, EnergyManagementInput,
+    NetworkState, Part, PartSpec, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
@@ -1094,287 +1092,6 @@ impl Controller {
         }
         self.slot += 1;
         self.timings.slots += 1;
-        Ok(report)
-    }
-
-    /// The pre-refactor monolithic step, frozen as an equivalence oracle
-    /// for the pipeline driver. Allocates per slot, emits no spans, and
-    /// does not accumulate [`StageTimings`]; its decisions and state
-    /// advance are bit-identical to what [`Controller::step`] produced
-    /// before the stage extraction. Used by the `pipeline_equivalence`
-    /// and `prop_pipeline_config` tests; not part of the public API.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a partitioned controller: the oracle predates partitions.
-    #[doc(hidden)]
-    pub fn step_reference(&mut self, obs: &SlotObservation) -> Result<SlotReport, ControllerError> {
-        self.whole();
-        let mut parts = std::mem::take(&mut self.parts);
-        let report = self.reference_slot(&mut parts[0], obs);
-        self.parts = parts;
-        report
-    }
-
-    fn reference_slot(
-        &mut self,
-        p: &mut Part,
-        obs: &SlotObservation,
-    ) -> Result<SlotReport, ControllerError> {
-        let nodes = p.net.topology().len();
-        obs.validate(nodes, p.net.session_count(), p.net.band_count());
-
-        // Shifted battery levels for this slot.
-        let z: Vec<f64> = (0..nodes)
-            .map(|i| self.shifted_level(NodeId::from_index(i)))
-            .collect();
-
-        // Energy admission budget.
-        let traffic_budget: Vec<Energy> = (0..nodes)
-            .map(|i| {
-                let fixed = self.models[i].const_energy() + self.models[i].idle_energy();
-                let grid = if obs.grid_connected[i] {
-                    self.grid_limits[i]
-                } else {
-                    Energy::ZERO
-                };
-                (obs.renewable[i] + self.batteries[i].max_discharge_now() + grid - fixed)
-                    .max(Energy::ZERO)
-            })
-            .collect();
-
-        // S1 — link scheduling (+ minimal powers).
-        let s1_inputs = S1Inputs {
-            net: &p.net,
-            phy: &self.phy,
-            spectrum: &obs.spectrum,
-            links: &p.links,
-            max_powers: &p.max_powers,
-            energy_models: &self.models,
-            traffic_budget: &traffic_budget,
-            available: &obs.node_available,
-            slot: self.config.slot,
-            packet_size: self.config.packet_size,
-        };
-        let mut s1_scratch = S1Scratch::default();
-        let mut outcome = ScheduleOutcome::default();
-        match self.config.scheduler {
-            SchedulerKind::Greedy => {
-                greedy_schedule_with(&s1_inputs, &mut s1_scratch, &mut outcome);
-            }
-            SchedulerKind::SequentialFix => {
-                sequential_fix_schedule_with(&s1_inputs, &mut s1_scratch, &mut outcome);
-            }
-        }
-
-        // S2 — source selection and admission control.
-        let mut admissions = resource_allocation(
-            &p.net,
-            &p.data,
-            self.config.lambda,
-            self.config.v,
-            self.config.k_max,
-        );
-        if !obs.node_available.is_empty() {
-            admissions.retain(|a| obs.is_node_available(a.source.index()));
-        }
-
-        // S3 + S4 with the inline degradation ladder.
-        let mut shed = 0usize;
-        let mut degradation: Vec<DegradationEvent> = Vec::new();
-        let beta_cap = Packets::new(self.beta.floor() as u64);
-        let routing_caps: Vec<(NodeId, NodeId, Packets)> = p
-            .net
-            .topology()
-            .ordered_pairs()
-            .filter(|&(i, j)| !p.net.link_bands(i, j).is_empty())
-            .filter(|&(i, j)| obs.is_node_available(i.index()) && obs.is_node_available(j.index()))
-            .filter(|&(i, _)| match self.config.relay {
-                crate::RelayPolicy::MultiHop => true,
-                crate::RelayPolicy::OneHop => p.net.topology().node(i).kind().is_base_station(),
-            })
-            .map(|(i, j)| (i, j, beta_cap))
-            .collect();
-
-        let mut link_service: Vec<(NodeId, NodeId, Packets)> = Vec::new();
-        let (flows, energy_outcome) = loop {
-            link_service_into(
-                &outcome,
-                &obs.spectrum,
-                &self.phy,
-                &self.config,
-                &mut link_service,
-            );
-            let flows = route_flows(
-                &p.net,
-                &p.data,
-                &p.links,
-                &routing_caps,
-                &admissions,
-                &obs.session_demand,
-            );
-            let demand: Vec<Energy> = (0..nodes)
-                .map(|i| {
-                    let node = NodeId::from_index(i);
-                    let tx_power = outcome.schedule.transmission_from(node).and_then(|t| {
-                        outcome
-                            .schedule
-                            .transmissions()
-                            .iter()
-                            .position(|u| u == t)
-                            .map(|k| outcome.powers[k])
-                    });
-                    let receiving = outcome.schedule.transmission_to(node).is_some();
-                    self.models[i].slot_demand(tx_power, receiving, self.config.slot)
-                })
-                .collect();
-            let scaled_cost = greencell_energy::QuadraticCost::new(
-                self.energy.cost.quadratic() * obs.price_multiplier,
-                self.energy.cost.linear() * obs.price_multiplier,
-                self.energy.cost.constant() * obs.price_multiplier,
-            );
-            let input = EnergyManagementInput {
-                z: &z,
-                demand: &demand,
-                renewable: &obs.renewable,
-                batteries: &self.batteries,
-                grid_connected: &obs.grid_connected,
-                grid_limits: &self.grid_limits,
-                is_base_station: &self.is_bs,
-                cost: &scaled_cost,
-                v: self.config.v,
-            };
-            let solved = match self.config.energy_policy {
-                crate::EnergyPolicy::MarginalPrice => solve_energy_management(&input),
-                crate::EnergyPolicy::GridOnly => crate::solve_grid_only(&input),
-            };
-            match solved {
-                Ok(out) => break (flows, out),
-                Err(err) => {
-                    // Rung 1 — shed every transmission touching the
-                    // starving node and retry.
-                    if !outcome.schedule.is_empty() {
-                        let node = match &err {
-                            EnergyManagementError::Deficit { node, .. } => {
-                                NodeId::from_index((*node).min(nodes - 1))
-                            }
-                            _ => outcome.schedule.transmissions()[0].tx(),
-                        };
-                        let before = outcome.schedule.len();
-                        let reduced = pipeline::shed_node(
-                            &p.net,
-                            &outcome,
-                            node,
-                            &obs.spectrum,
-                            &self.phy,
-                            &p.max_powers,
-                        );
-                        let dropped = before - reduced.schedule.len();
-                        if dropped > 0 {
-                            outcome = reduced;
-                            shed += dropped;
-                            degradation.push(DegradationEvent::Shed {
-                                node: node.index(),
-                                dropped,
-                            });
-                            continue;
-                        }
-                    }
-                    if self.config.degradation == crate::DegradationPolicy::Strict {
-                        return Err(err.into());
-                    }
-                    // Rung 2 — the storage-oblivious grid-only solver.
-                    if let Ok(out) = crate::solve_grid_only(&input) {
-                        degradation.push(DegradationEvent::GridOnlyFallback);
-                        break (flows, out);
-                    }
-                    // Rung 3a — drop the whole schedule and retry.
-                    if !outcome.schedule.is_empty() {
-                        let dropped = outcome.schedule.len();
-                        shed += dropped;
-                        degradation.push(DegradationEvent::Shed {
-                            node: nodes, // sentinel: whole-schedule drop
-                            dropped,
-                        });
-                        outcome.clear();
-                        continue;
-                    }
-                    // Rung 3b — safe mode.
-                    let safe = crate::solve_safe_mode(&input);
-                    for &(node, deficit) in &safe.deficits {
-                        degradation.push(DegradationEvent::SafeMode { node, deficit });
-                    }
-                    admissions.clear();
-                    link_service.clear();
-                    break (
-                        greencell_queue::FlowPlan::new(nodes, p.net.session_count()),
-                        safe.outcome,
-                    );
-                }
-            }
-        };
-
-        // Drift-plus-penalty diagnostics.
-        let lyapunov_before = lyapunov_value(&p.data, &p.links, z.iter().copied());
-        let psi1 = dpp::psi1(
-            self.beta,
-            link_service
-                .iter()
-                .map(|&(i, j, pkts)| p.links.h(i, j) * pkts.count_f64()),
-        );
-        let psi2 = dpp::psi2(
-            admissions.iter().map(|a| {
-                (
-                    p.data.backlog(a.source, a.session).count_f64(),
-                    a.packets.count_f64(),
-                )
-            }),
-            self.config.lambda,
-            self.config.v,
-        );
-        let psi3 = dpp::psi3(flows.iter_nonzero().map(|(s, i, j, l)| {
-            let coeff = -p.data.backlog(i, s).count_f64()
-                + p.data.backlog(j, s).count_f64()
-                + self.beta * p.links.h(i, j);
-            (coeff, l.count_f64())
-        }));
-
-        // Advance state.
-        let admission_triples: Vec<(SessionId, NodeId, Packets)> = admissions
-            .iter()
-            .filter(|a| a.packets > Packets::ZERO)
-            .map(|a| (a.session, a.source, a.packets))
-            .collect();
-        let routed = flows.total();
-        p.data.advance(&flows, &admission_triples);
-        p.links.advance(&flows, &link_service);
-        for (battery, decision) in self.batteries.iter_mut().zip(&energy_outcome.decisions) {
-            decision
-                .apply_to_battery(battery)
-                .expect("validated decision must apply");
-        }
-        let z_after: Vec<f64> = (0..nodes)
-            .map(|i| self.shifted_level(NodeId::from_index(i)))
-            .collect();
-        let lyapunov_after = lyapunov_value(&p.data, &p.links, z_after.iter().copied());
-
-        let report = SlotReport {
-            slot: self.slot,
-            cost: energy_outcome.cost,
-            grid_draw: energy_outcome.grid_draw,
-            scheduled_links: outcome.schedule.len(),
-            admitted: admission_triples.iter().map(|(_, _, k)| *k).sum(),
-            routed,
-            psi1,
-            psi2,
-            psi3,
-            psi4: energy_outcome.objective,
-            lyapunov_before,
-            lyapunov_after,
-            shed_transmissions: shed,
-            degradation,
-        };
-        self.slot += 1;
         Ok(report)
     }
 }

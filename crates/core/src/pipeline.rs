@@ -24,16 +24,17 @@
 //!
 //! Everything here is bit-identical to the pre-pipeline monolithic
 //! controller: stage implementations call the exact same kernels in the
-//! exact same order, and the golden-fingerprint suite plus the
-//! `pipeline_equivalence` tests in `greencell-sim` hold that line.
+//! exact same order, and the `driver_golden` fingerprints in
+//! `greencell-sim` (recorded in lockstep with that controller) hold that
+//! line.
 
 use crate::netstate::NetworkState;
 use crate::s1::S1Inputs;
 use crate::{
-    greedy_schedule_with, sequential_fix_schedule_with, solve_energy_management_into,
-    solve_energy_management_warm_into, solve_grid_only_into, solve_safe_mode, ControllerConfig,
-    DegradationEvent, DegradationPolicy, EnergyManagementError, EnergyManagementInput,
-    EnergyOutcome, Part, S1Scratch, S4Workspace, ScheduleOutcome,
+    greedy_schedule_with, sequential_fix_schedule_with, solve_energy_management_warm_into,
+    solve_grid_only_into, solve_safe_mode, ControllerConfig, DegradationEvent, DegradationPolicy,
+    EnergyManagementError, EnergyManagementInput, EnergyOutcome, Part, S1Scratch, S4Workspace,
+    ScheduleOutcome,
 };
 use greencell_net::{Network, NodeId};
 use greencell_phy::{PhyConfig, Schedule, SpectrumState};
@@ -149,8 +150,8 @@ impl RelayStage for OneHopStage {
 /// Built-in S4 stage: the exact marginal-price equilibrium, solved by the
 /// warm-started threshold-replay kernel
 /// ([`crate::solve_energy_management_warm_into`]) — bit-identical to the
-/// frozen oracle behind [`MarginalPriceReferenceStage`], with the warm
-/// state living in the slot arena's [`S4Workspace`].
+/// cold-bisection oracle [`crate::solve_energy_management_into`], with the
+/// warm state living in the slot arena's [`S4Workspace`].
 #[derive(Debug, Clone, Copy)]
 pub struct MarginalPriceStage;
 
@@ -167,30 +168,6 @@ impl EnergyStage for MarginalPriceStage {
         out: &mut EnergyOutcome,
     ) -> Result<(), EnergyManagementError> {
         solve_energy_management_warm_into(input, ws, out)
-    }
-}
-
-/// Built-in S4 stage: the frozen cold-bisection oracle
-/// ([`crate::solve_energy_management_into`]), kept registered so
-/// equivalence tests and A/B harnesses can pin the warm kernel against it
-/// through the full controller seam
-/// ([`crate::Controller::set_energy_stage`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MarginalPriceReferenceStage;
-
-impl EnergyStage for MarginalPriceReferenceStage {
-    fn key(&self) -> &'static str {
-        "marginal_price_reference"
-    }
-
-    fn solve(
-        &self,
-        input: &EnergyManagementInput<'_>,
-        _net_state: &mut NetworkState,
-        ws: &mut S4Workspace,
-        out: &mut EnergyOutcome,
-    ) -> Result<(), EnergyManagementError> {
-        solve_energy_management_into(input, ws, out)
     }
 }
 
@@ -259,18 +236,12 @@ static SEQUENTIAL_FIX: SequentialFixStage = SequentialFixStage;
 static MULTI_HOP: MultiHopStage = MultiHopStage;
 static ONE_HOP: OneHopStage = OneHopStage;
 static MARGINAL_PRICE: MarginalPriceStage = MarginalPriceStage;
-static MARGINAL_PRICE_REFERENCE: MarginalPriceReferenceStage = MarginalPriceReferenceStage;
 static GRID_ONLY: GridOnlyStage = GridOnlyStage;
 static ENERGY_COOP: EnergyCoopStage = EnergyCoopStage;
 
 static SCHEDULE_STAGES: [&dyn ScheduleStage; 2] = [&GREEDY, &SEQUENTIAL_FIX];
 static RELAY_STAGES: [&dyn RelayStage; 2] = [&MULTI_HOP, &ONE_HOP];
-static ENERGY_STAGES: [&dyn EnergyStage; 4] = [
-    &MARGINAL_PRICE,
-    &MARGINAL_PRICE_REFERENCE,
-    &GRID_ONLY,
-    &ENERGY_COOP,
-];
+static ENERGY_STAGES: [&dyn EnergyStage; 3] = [&MARGINAL_PRICE, &GRID_ONLY, &ENERGY_COOP];
 
 /// A stage-registry lookup failed: the error names the unknown key and
 /// enumerates every registered key of that stage kind.
@@ -333,7 +304,7 @@ pub fn relay_stage(key: &str) -> Result<&'static dyn RelayStage, UnknownStageKey
 }
 
 /// Looks up a registered S4 stage by key (`"marginal_price"`,
-/// `"marginal_price_reference"`, `"grid_only"`, `"energy_coop"`).
+/// `"grid_only"`, `"energy_coop"`).
 ///
 /// # Errors
 ///
@@ -704,12 +675,7 @@ mod tests {
         for key in ["multi_hop", "one_hop"] {
             assert_eq!(relay_stage(key).expect("registered").key(), key);
         }
-        for key in [
-            "marginal_price",
-            "marginal_price_reference",
-            "grid_only",
-            "energy_coop",
-        ] {
+        for key in ["marginal_price", "grid_only", "energy_coop"] {
             assert_eq!(energy_stage(key).expect("registered").key(), key);
         }
         assert!(schedule_stage("no_such_stage").is_err());
@@ -737,8 +703,9 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "unknown energy stage key \"marginal\"; valid keys: \
-             marginal_price, marginal_price_reference, grid_only, energy_coop"
+             marginal_price, grid_only, energy_coop"
         );
+        assert_eq!(err.valid, ["marginal_price", "grid_only", "energy_coop"]);
     }
 
     #[test]

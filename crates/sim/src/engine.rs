@@ -129,6 +129,49 @@ impl From<std::io::Error> for SimError {
     }
 }
 
+/// Rejects a scenario the layout, path-loss, PHY or controller
+/// constructors would panic on: sessions without users, no base station,
+/// `C ≤ 0`, `γ < 0`, `Γ ≤ 0`, `η < 0`, `V < 0`, `λ < 0`, or NaN in any
+/// of these. A sweep point or a decoded distrib manifest can carry any
+/// scenario, so these are typed errors rather than panics.
+fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
+    let invalid = |detail: String| Err(SimError::InvalidConfig { detail });
+    if s.users == 0 && s.sessions > 0 {
+        return invalid(format!(
+            "users: 0 users cannot be the destinations of {} session(s)",
+            s.sessions
+        ));
+    }
+    if s.bs_positions.is_empty() {
+        return invalid("bs_positions: at least one base station is required".into());
+    }
+    if let Some((x, y)) = s
+        .bs_positions
+        .iter()
+        .find(|(x, y)| !(x.is_finite() && y.is_finite()))
+    {
+        return invalid(format!("bs_positions: non-finite position ({x}, {y})"));
+    }
+    for (field, value, ok) in [
+        ("path_loss_c", s.path_loss_c, s.path_loss_c > 0.0),
+        (
+            "path_loss_gamma",
+            s.path_loss_gamma,
+            s.path_loss_gamma >= 0.0,
+        ),
+        ("sinr_threshold", s.sinr_threshold, s.sinr_threshold > 0.0),
+        ("noise_density", s.noise_density, s.noise_density >= 0.0),
+        ("v", s.v, s.v >= 0.0),
+        ("lambda", s.lambda, s.lambda >= 0.0),
+    ] {
+        // NaN fails every comparison, so `ok` is false for it too.
+        if !ok {
+            return invalid(format!("{field}: out of range, got {value}"));
+        }
+    }
+    Ok(())
+}
+
 /// Drives a [`Controller`] (and optionally the relaxed lower-bound
 /// controller on the *same* observations — the paired design behind
 /// Fig. 2(a)) through a scenario's horizon.
@@ -171,9 +214,6 @@ pub struct Simulator {
     /// Nearest-BS index per session destination — the diurnal profile's
     /// "cell".
     session_cells: Vec<usize>,
-    /// Drive the controller through its frozen pre-pipeline oracle instead
-    /// of the staged driver (equivalence testing only).
-    reference: bool,
 }
 
 impl Simulator {
@@ -194,10 +234,15 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Propagates network validation and controller construction failures;
+    /// [`SimError::InvalidConfig`] naming the field if the scenario cannot
+    /// be built (sessions without users, no base station, or an
+    /// out-of-range or NaN path-loss, PHY, `V` or `λ` value); propagates
+    /// network validation
+    /// and controller construction failures;
     /// [`SimError::UnsupportedAtScale`] if a session destination lies in an
     /// interference cluster without a base station.
     pub fn with_workers(scenario: &Scenario, workers: usize) -> Result<Self, SimError> {
+        validate_scenario(scenario)?;
         let layout = scenario.build_layout();
         let is_bs: Vec<bool> = layout.kinds.iter().map(|k| k.is_base_station()).collect();
         // Only pruning splits the interference graph, and shadowed gains
@@ -287,19 +332,7 @@ impl Simulator {
             is_bs,
             session_nominal,
             session_cells: layout.session_cells(),
-            reference: false,
         })
-    }
-
-    /// Routes every subsequent step through the controller's frozen
-    /// pre-pipeline oracle (`Controller::step_reference`) instead of the
-    /// staged driver. Equivalence-test plumbing, not part of the public
-    /// API: observations, faults, and metrics are produced identically, so
-    /// a reference run and a pipeline run from the same scenario must
-    /// match bit for bit.
-    #[doc(hidden)]
-    pub fn set_reference(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// The controller under simulation.
@@ -576,11 +609,7 @@ impl Simulator {
             let cost = relaxed.step(obs);
             self.metrics.record_relaxed(cost);
         }
-        let report = if self.reference {
-            self.controller.step_reference(obs)?
-        } else {
-            self.controller.step_traced(obs, sink)?
-        };
+        let report = self.controller.step_traced(obs, sink)?;
 
         let (c, is_bs) = (&self.controller, &self.is_bs);
         let ids = |bs: bool| {
@@ -765,6 +794,64 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::Architecture;
+
+    fn rejected_field(s: &Scenario) -> String {
+        match Simulator::new(s) {
+            Err(SimError::InvalidConfig { detail }) => detail,
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn invalid_scenarios_are_typed_errors_naming_the_field() {
+        type Edit = fn(&mut Scenario);
+        let cases: [(&str, Edit); 14] = [
+            ("users", |s| s.users = 0),
+            ("bs_positions", |s| s.bs_positions.clear()),
+            ("bs_positions", |s| s.bs_positions[0].0 = f64::NAN),
+            ("path_loss_c", |s| s.path_loss_c = 0.0),
+            ("path_loss_c", |s| s.path_loss_c = f64::NAN),
+            ("path_loss_gamma", |s| s.path_loss_gamma = -1.0),
+            ("path_loss_gamma", |s| s.path_loss_gamma = f64::NAN),
+            ("sinr_threshold", |s| s.sinr_threshold = 0.0),
+            ("sinr_threshold", |s| s.sinr_threshold = f64::NAN),
+            ("noise_density", |s| s.noise_density = -1e-20),
+            ("noise_density", |s| s.noise_density = f64::NAN),
+            ("v", |s| s.v = -1.0),
+            ("v", |s| s.v = f64::NAN),
+            ("lambda", |s| s.lambda = f64::NAN),
+        ];
+        for (field, edit) in cases {
+            let mut s = Scenario::tiny(3);
+            edit(&mut s);
+            let detail = rejected_field(&s);
+            assert!(detail.starts_with(field), "{field}: got {detail}");
+        }
+        let mut s = Scenario::tiny(3);
+        s.lambda = -0.5;
+        assert!(rejected_field(&s).starts_with("lambda"));
+        // Zero users is fine when nobody needs a destination.
+        let mut s = Scenario::tiny(3);
+        s.users = 0;
+        s.sessions = 0;
+        assert!(Simulator::new(&s).is_ok());
+    }
+
+    #[test]
+    fn an_invalid_sweep_point_fails_the_sweep_with_the_typed_error() {
+        let mut bad = Scenario::tiny(3);
+        bad.sinr_threshold = -1.0;
+        let points = [
+            crate::SweepPoint::new("ok", Scenario::tiny(3)),
+            crate::SweepPoint::new("bad", bad),
+        ];
+        let err = crate::run_sweep(&points, &crate::SweepOptions::with_threads(2))
+            .expect_err("the invalid point fails the sweep");
+        assert!(
+            matches!(&err, SimError::InvalidConfig { detail } if detail.starts_with("sinr_threshold")),
+            "got {err:?}"
+        );
+    }
 
     #[test]
     fn tiny_run_completes_and_is_deterministic() {

@@ -262,21 +262,8 @@ pub struct Replication {
 }
 
 /// Runs `base` once per seed and aggregates (the confidence companion to
-/// every single-seed figure).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn replicate(base: &Scenario, seeds: &[u64]) -> Result<Replication, SimError> {
-    replicate_with(base, seeds, &SweepOptions::serial()).map(|(rep, _)| rep)
-}
-
-/// [`replicate`] on the sweep engine: the seeds become independent points
-/// fanned across `opts.threads` workers.
+/// every single-seed figure): the seeds become independent points fanned
+/// across `opts.threads` workers.
 ///
 /// # Errors
 ///
@@ -366,16 +353,8 @@ fn structural_sweep(
 }
 
 /// Sweeps the number of users (relay density) — more relays should help
-/// multi-hop serve the same sessions with shorter hops.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn sweep_users(base: &Scenario, counts: &[usize]) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_users_with(base, counts, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`sweep_users`] on the sweep engine, with telemetry.
+/// multi-hop serve the same sessions with shorter hops — on the sweep
+/// engine, with telemetry.
 ///
 /// # Errors
 ///
@@ -396,16 +375,8 @@ pub fn sweep_users_with(
     structural_sweep("users", specs, opts)
 }
 
-/// Sweeps the number of sessions (offered load).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn sweep_sessions(base: &Scenario, counts: &[usize]) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_sessions_with(base, counts, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`sweep_sessions`] on the sweep engine, with telemetry.
+/// Sweeps the number of sessions (offered load) on the sweep engine, with
+/// telemetry.
 ///
 /// # Errors
 ///
@@ -505,16 +476,8 @@ pub fn energy_policy_comparison(base: &Scenario) -> Result<EnergyPolicyCompariso
     })
 }
 
-/// Sweeps the number of extra (non-cellular) spectrum bands.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn sweep_bands(base: &Scenario, extra_bands: &[usize]) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_bands_with(base, extra_bands, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`sweep_bands`] on the sweep engine, with telemetry.
+/// Sweeps the number of extra (non-cellular) spectrum bands on the sweep
+/// engine, with telemetry.
 ///
 /// # Errors
 ///
@@ -570,5 +533,38 @@ mod tests {
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].architecture, Architecture::Proposed);
         assert!(rows.iter().all(|r| r.costs.len() == 1));
+    }
+
+    #[test]
+    fn structural_sweeps_report_one_point_per_value() {
+        let mut base = Scenario::tiny(37);
+        base.horizon = 6;
+        let opts = SweepOptions::with_threads(2);
+        let (users, report) = sweep_users_with(&base, &[3, 6], &opts).unwrap();
+        assert_eq!(users.iter().map(|p| p.x).collect::<Vec<_>>(), [3.0, 6.0]);
+        assert_eq!(report.outcomes.len(), 2);
+        let (sessions, _) = sweep_sessions_with(&base, &[1, 2], &opts).unwrap();
+        assert_eq!(sessions.len(), 2);
+        let (bands, _) = sweep_bands_with(&base, &[0, 2], &opts).unwrap();
+        assert_eq!(bands.len(), 2);
+        assert!(users
+            .iter()
+            .chain(&sessions)
+            .chain(&bands)
+            .all(|p| p.avg_cost.is_finite() && p.mean_scheduled >= 0.0));
+        // Worker count never changes results.
+        let (serial, _) = sweep_users_with(&base, &[3, 6], &SweepOptions::serial()).unwrap();
+        assert_eq!(serial, users);
+    }
+
+    #[test]
+    fn replication_aggregates_every_seed() {
+        let mut base = Scenario::tiny(41);
+        base.horizon = 6;
+        let (rep, report) =
+            replicate_with(&base, &[1, 2, 3], &SweepOptions::with_threads(2)).unwrap();
+        assert_eq!(rep.seeds, [1, 2, 3]);
+        assert_eq!(report.outcomes.len(), 3);
+        assert!(rep.mean_cost.is_finite() && rep.std_cost >= 0.0);
     }
 }

@@ -12,8 +12,8 @@
 //!   optionally the relaxed lower-bound controller on the *same* random
 //!   observations) and collects [`RunMetrics`].
 //! * [`experiments`] — one runner per figure, each returning the exact
-//!   rows/series the paper plots; the `fig2a`/`fig2bc`/`fig2de`/`fig2f`
-//!   binaries print them.
+//!   rows/series the paper plots; the `greencell fig2a`/`fig2bc`/`fig2de`/
+//!   `fig2f` subcommands print them.
 //!
 //! # Examples
 //!
@@ -71,6 +71,4 @@ pub use sweep::{
     run_sweep_traced, write_telemetry, PointOutcome, RunTelemetry, SweepOptions, SweepPoint,
     SweepReport,
 };
-pub use trace::{
-    check_trace_determinism, trace_points, trace_scenario, write_trace_artifacts, TracedRun,
-};
+pub use trace::{check_trace_determinism, trace_points, write_trace_artifacts, TracedRun};

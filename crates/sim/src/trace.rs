@@ -1,11 +1,10 @@
-//! High-level tracing entry points: run a scenario (or a sweep) with
-//! tracing on, write the exported artifacts under `results/`, and verify
-//! the determinism contract — shared by the `trace_run` binary, the
-//! `greencell trace` CLI subcommand, and CI.
+//! High-level tracing entry points: run a sweep with tracing on, write the
+//! exported artifacts under `results/`, and verify the determinism
+//! contract — behind the `greencell trace` CLI subcommand and its CI gate.
 
 use crate::sweep::{run_sweep_traced, SweepOptions, SweepPoint, SweepReport};
-use crate::{Scenario, SimError};
-use greencell_trace::{json, RingSink, TraceBundle};
+use crate::SimError;
+use greencell_trace::{json, TraceBundle};
 use std::path::{Path, PathBuf};
 
 /// A traced sweep: the usual per-point outcomes plus the merged trace.
@@ -15,20 +14,6 @@ pub struct TracedRun {
     pub report: SweepReport,
     /// The merged trace, tracks in point order.
     pub bundle: TraceBundle,
-}
-
-/// Runs `scenario` once with tracing on (a one-point sweep), using the
-/// default ring capacity.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn trace_scenario(scenario: &Scenario, label: &str) -> Result<TracedRun, SimError> {
-    trace_points(
-        &[SweepPoint::new(label, scenario.clone())],
-        &SweepOptions::serial(),
-        RingSink::DEFAULT_CAPACITY,
-    )
 }
 
 /// Runs a traced sweep over `points`.
@@ -117,11 +102,17 @@ pub fn check_trace_determinism(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greencell_trace::Stage;
+    use crate::Scenario;
+    use greencell_trace::{RingSink, Stage};
+
+    fn trace_one(scenario: Scenario, label: &str) -> TracedRun {
+        let points = [SweepPoint::new(label, scenario)];
+        trace_points(&points, &SweepOptions::serial(), RingSink::DEFAULT_CAPACITY).unwrap()
+    }
 
     #[test]
     fn traced_scenario_produces_all_sections() {
-        let run = trace_scenario(&Scenario::tiny(5), "tiny").unwrap();
+        let run = trace_one(Scenario::tiny(5), "tiny");
         assert_eq!(run.bundle.tracks.len(), 1);
         let summary = run.bundle.summary();
         // Spans for every stage, one whole-slot span per slot.
@@ -159,7 +150,7 @@ mod tests {
 
     #[test]
     fn artifacts_write_and_parse() {
-        let run = trace_scenario(&Scenario::tiny(9), "t9").unwrap();
+        let run = trace_one(Scenario::tiny(9), "t9");
         let dir = std::env::temp_dir().join("greencell_trace_test");
         let paths = write_trace_artifacts(&run.bundle, &dir, "t9").unwrap();
         assert_eq!(paths.len(), 3);

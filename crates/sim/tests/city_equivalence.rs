@@ -1,40 +1,11 @@
 //! Equivalence gate for city-scale scenarios on the one slot driver.
 //!
-//! With pruning disabled (`gain_floor = 0`, i.e. cutoff = ∞) a city
-//! scenario is one cluster and the [`Simulator`] must replay the frozen
-//! pre-pipeline oracle (`Controller::step_reference`) **bit for bit**:
-//! same per-slot [`greencell_core::SlotReport`]s, down to every `f64`
-//! diagnostic, with hotspot placement and diurnal traffic active. A pruned
-//! scenario whose interference graph is connected stays one part over the
-//! exact dense network, and a pruned city that decomposes runs cleanly
-//! over its clusters.
+//! A pruned scenario whose interference graph is connected stays one part
+//! over the exact dense network, and a pruned city that decomposes runs
+//! cleanly over its clusters. The unpruned city (`gain_floor = 0`, one
+//! cluster) is pinned slot by slot in the `driver_golden` fingerprints.
 
 use greencell_sim::{Scenario, Simulator};
-
-fn assert_matches_reference(label: &str, scenario: &Scenario) {
-    let mut driver = Simulator::new(scenario).expect("scenario builds");
-    let mut oracle = Simulator::new(scenario).expect("scenario builds");
-    oracle.set_reference(true);
-    assert_eq!(
-        driver.controller().part_count(),
-        1,
-        "{label}: cutoff = ∞ must give exactly one part"
-    );
-    for slot in 0..scenario.horizon {
-        let d = driver.step_with_report().expect("driver slot steps");
-        let o = oracle.step_with_report().expect("oracle slot steps");
-        assert_eq!(d, o, "{label}: slot {slot} diverged");
-    }
-    assert_eq!(driver.metrics(), oracle.metrics(), "{label}: metrics");
-}
-
-#[test]
-fn unpruned_city_scenario_replays_the_reference() {
-    let mut s = Scenario::city(60, 2, Scenario::default_city_area(2), 9);
-    s.gain_floor = 0.0; // cutoff = ∞: hotspots + diurnal stay, pruning off
-    s.horizon = 25;
-    assert_matches_reference("city-unpruned", &s);
-}
 
 #[test]
 fn connected_pruned_scenario_keeps_the_dense_network() {

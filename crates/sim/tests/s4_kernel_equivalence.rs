@@ -13,10 +13,10 @@
 //!   both S1 schedulers, all four fault scenarios, both degradation
 //!   policies, the one-hop architecture, grid-only, and a `V = 0`
 //!   pure-stability run) recorded from the pre-kernel controller;
-//! * an in-process lockstep: two simulators per scenario, one flipped to
-//!   the `marginal_price_reference` stage (the oracle behind the pipeline
-//!   seam), stepped slot by slot with bit-equality asserted on every
-//!   [`SlotReport`](greencell_core::SlotReport).
+//! * an in-process lockstep: two simulators per scenario, one with the
+//!   oracle installed as its S4 stage through the public pipeline seam
+//!   ([`ColdOracleStage`]), stepped slot by slot with bit-equality
+//!   asserted on every [`SlotReport`](greencell_core::SlotReport).
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -24,12 +24,49 @@
 //! GREENCELL_BLESS=1 cargo test -p greencell-sim --test s4_kernel_equivalence
 //! ```
 
-use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind};
+use greencell_core::pipeline::EnergyStage;
+use greencell_core::{
+    solve_energy_management_into, DegradationPolicy, EnergyManagementError, EnergyManagementInput,
+    EnergyOutcome, EnergyPolicy, NetworkState, S4Workspace, SchedulerKind,
+};
 use greencell_sim::faults::FaultSpec;
 use greencell_sim::{run_sweep, Architecture, Scenario, Simulator, SweepOptions, SweepPoint};
 use std::path::PathBuf;
 
 const GOLDEN: &str = "golden/s4_kernel_ab.fp";
+
+/// The cold-bisection oracle as an S4 stage: what the warm kernel must
+/// reproduce bit for bit, installed with `Controller::set_energy_stage`.
+#[derive(Debug)]
+struct ColdOracleStage;
+
+impl EnergyStage for ColdOracleStage {
+    fn key(&self) -> &'static str {
+        "cold_oracle"
+    }
+
+    fn solve(
+        &self,
+        input: &EnergyManagementInput<'_>,
+        _net_state: &mut NetworkState,
+        ws: &mut S4Workspace,
+        out: &mut EnergyOutcome,
+    ) -> Result<(), EnergyManagementError> {
+        solve_energy_management_into(input, ws, out)
+    }
+}
+
+static COLD_ORACLE: ColdOracleStage = ColdOracleStage;
+
+/// The oracle lives only here: the shipped registry no longer resolves
+/// the key it was once registered under.
+#[test]
+fn the_oracle_is_not_a_shipped_stage() {
+    let err = greencell_core::pipeline::energy_stage("marginal_price_reference")
+        .expect_err("the cold oracle is test-only");
+    assert_eq!(err.kind, "energy");
+    assert_eq!(err.valid, ["marginal_price", "grid_only", "energy_coop"]);
+}
 
 /// The pinned scenario battery: the s1-gate battery (tiny + paper seeds
 /// under both schedulers, the four fault scenarios) extended with the
@@ -147,9 +184,7 @@ fn kernel_matches_oracle_in_lockstep_on_every_scenario() {
         let mut kernel = Simulator::new(&scenario).expect("scenario builds");
         let mut oracle = Simulator::new(&scenario).expect("scenario builds");
         if scenario.energy_policy != EnergyPolicy::GridOnly {
-            let stage = greencell_core::pipeline::energy_stage("marginal_price_reference")
-                .expect("reference stage is registered");
-            oracle.controller_mut().set_energy_stage(stage);
+            oracle.controller_mut().set_energy_stage(&COLD_ORACLE);
         }
         let mut aborted = false;
         for slot in 0..scenario.horizon {

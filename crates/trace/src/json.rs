@@ -2,7 +2,7 @@
 //! artifacts.
 //!
 //! The workspace is dependency-free, but the trace/telemetry exporters
-//! hand-roll JSON — so tests and the `trace_run --check` gate need an
+//! hand-roll JSON — so tests and the `greencell trace --check` gate need an
 //! independent reader to prove the bytes actually parse and carry the
 //! right values. This is a strict recursive-descent parser for the JSON
 //! the exporters emit (no comments, no trailing commas); numbers are

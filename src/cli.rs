@@ -14,6 +14,12 @@ pub struct Command {
     pub action: Action,
     /// The fully-resolved scenario after applying every flag.
     pub scenario: Scenario,
+    /// The base scenario the flags started from: `"paper"`, `"tiny"` or
+    /// `"city"` (names trace points and artifacts).
+    pub preset: &'static str,
+    /// `--check` — verify the trace determinism contract (meaningful for
+    /// [`Action::Trace`] only).
+    pub check: bool,
     /// Lyapunov-weight sweep for the figure actions (defaults per figure).
     pub v_values: Option<Vec<f64>>,
     /// Output directory for CSV artifacts, if requested.
@@ -166,10 +172,14 @@ ACTIONS:
     fig2de   energy buffers              (paper Fig. 2(d)/(e))
     fig2f    architecture comparison     (paper Fig. 2(f))
     sweeps   structural sweeps + multi-seed replication
-    trace    run with per-slot tracing on; writes a Perfetto-loadable
-             chrome trace, a deterministic event dump, and a Fig. 2
-             time-series CSV (default under results/), then prints the
-             stage-latency histogram summary
+             (the figure actions and sweeps fan their points across
+             GREENCELL_THREADS workers, default all cores, with
+             bit-identical output, and write per-run telemetry to
+             results/<action>_telemetry.{json,csv})
+    trace    traced run of the scenario and its seed+1 twin; writes a
+             Perfetto-loadable chrome trace, a deterministic event dump,
+             and a Fig. 2 time-series CSV (default under results/), then
+             prints the stage-latency histogram summary
     serve    long-running service: JSON observation lines on stdin, JSON
              event lines (status gauges, watchdog verdicts, snapshot
              notices) on stdout; auto-snapshots to --state-dir and
@@ -205,6 +215,11 @@ FLAGS (all optional):
     --energy-coop       inter-BS energy cooperation: surplus renewable
                         offsets other BSs' grid draw (lossy)      [off]
     --out DIR           also write CSV artifacts to DIR
+
+TRACE FLAGS:
+    --check             also verify determinism: the chrome trace parses
+                        and the deterministic section is byte-identical
+                        at 1 and 4 workers; exits non-zero otherwise
 
 SERVE FLAGS:
     --state-dir DIR     snapshot directory (enables crash recovery)
@@ -259,6 +274,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut track_lower = false;
     let mut bs_sleep = false;
     let mut energy_coop = false;
+    let mut check = false;
     let mut out_dir = None;
     let mut v_values = None;
     let mut serve = ServeFlags::default();
@@ -313,6 +329,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "--track-lower-bound" => track_lower = true,
             "--bs-sleep" => bs_sleep = true,
             "--energy-coop" => energy_coop = true,
+            "--check" => check = true,
             "--out" => {
                 out_dir = Some(
                     it.next()
@@ -336,7 +353,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
     }
 
-    let mut scenario = match city {
+    let (preset, mut scenario) = match city {
         Some(users) => {
             if tiny {
                 return Err(ParseError(
@@ -344,10 +361,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 ));
             }
             let n_bs = (users / 50).max(2);
-            Scenario::city(users, n_bs, Scenario::default_city_area(n_bs), seed)
+            let city = Scenario::city(users, n_bs, Scenario::default_city_area(n_bs), seed);
+            ("city", city)
         }
-        None if tiny => Scenario::tiny(seed),
-        None => Scenario::paper(seed),
+        None if tiny => ("tiny", Scenario::tiny(seed)),
+        None => ("paper", Scenario::paper(seed)),
     };
     scenario.track_lower_bound = track_lower;
     for (key, value) in &scenario_edits {
@@ -372,6 +390,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     Ok(Command {
         action,
         scenario,
+        preset,
+        check,
         v_values,
         out_dir,
         serve,
@@ -607,6 +627,29 @@ mod tests {
     fn out_dir() {
         let cmd = parse(&argv("fig2bc --out results")).unwrap();
         assert_eq!(cmd.out_dir.as_deref(), Some("results"));
+        let err = parse(&argv("fig2a --out")).unwrap_err();
+        assert!(err.0.contains("--out needs a directory"), "got {err}");
+    }
+
+    #[test]
+    fn trace_check() {
+        let cmd = parse(&argv("trace --check")).unwrap();
+        assert_eq!(cmd.action, Action::Trace);
+        assert!(cmd.check);
+        assert_eq!(cmd.preset, "paper");
+        assert!(!parse(&argv("trace")).unwrap().check);
+        assert_eq!(parse(&argv("trace --tiny")).unwrap().preset, "tiny");
+        assert_eq!(parse(&argv("trace --city 100")).unwrap().preset, "city");
+        // A bad value is a typed error, not a panic.
+        let err = parse(&argv("trace --check --horizon x")).unwrap_err();
+        assert!(err.0.contains("invalid value for --horizon"), "got {err}");
+    }
+
+    #[test]
+    fn usage_documents_check_and_threads() {
+        assert!(USAGE.contains("--check"));
+        assert!(USAGE.contains("GREENCELL_THREADS"));
+        assert!(USAGE.contains("_telemetry.{json,csv}"));
     }
 
     #[test]

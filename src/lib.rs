@@ -39,9 +39,9 @@
 //!
 //! See `examples/` for runnable binaries (quickstart, the full paper
 //! scenario, the architecture comparison, a stability study, bursty
-//! traffic, and time-of-use pricing), the `greencell` CLI ([`cli`]) for
-//! the all-in-one interface, and the `fig2a`/`fig2bc`/`fig2de`/`fig2f`
-//! binaries in `greencell-sim` for the figure-by-figure reproduction.
+//! traffic, and time-of-use pricing) and the `greencell` CLI ([`cli`]),
+//! whose `fig2a`/`fig2bc`/`fig2de`/`fig2f` subcommands reproduce the
+//! paper's figures one by one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

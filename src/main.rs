@@ -3,7 +3,10 @@
 //! knobs. Run `greencell help` for usage.
 
 use greencell::cli::{parse, Action, Command, USAGE};
-use greencell::sim::{experiments, report, Simulator};
+use greencell::sim::{
+    experiments, report, sweep, Simulator, SweepOptions, SweepPoint, SweepReport,
+};
+use greencell_trace::RingSink;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,7 +53,7 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         init_points: cmd.frontier.init_points,
     };
     let engine = if cmd.frontier.procs == 0 {
-        FrontierEngine::InProcess(greencell_sim::SweepOptions::from_env())
+        FrontierEngine::InProcess(SweepOptions::from_env())
     } else {
         let work_dir = cmd.frontier.work_dir.clone().unwrap_or_else(|| {
             let base = cmd.out_dir.clone().unwrap_or_else(|| "results".into());
@@ -137,10 +140,30 @@ fn serve(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn trace(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    let label = format!("seed{}", cmd.scenario.seed);
-    let run = greencell::sim::trace_scenario(&cmd.scenario, &label)?;
+    // `--check` compares one worker against this many.
+    const CHECK_WORKERS: usize = 4;
+    let (preset, seed) = (cmd.preset, cmd.scenario.seed);
+    // The seed+1 twin exercises the trace merge path even in a quick run.
+    let mut twin = cmd.scenario.clone();
+    twin.seed = seed.wrapping_add(1);
+    let points = [
+        SweepPoint::new(format!("{preset}_seed{seed}"), cmd.scenario.clone()),
+        SweepPoint::new(format!("{preset}_seed{}", twin.seed), twin),
+    ];
+    let capacity = RingSink::DEFAULT_CAPACITY;
+    let run = if cmd.check {
+        let run = greencell_sim::check_trace_determinism(&points, CHECK_WORKERS, capacity)
+            .map_err(|e| format!("determinism check FAILED: {e}"))?;
+        eprintln!(
+            "determinism check passed: deterministic section byte-identical \
+             at 1 and {CHECK_WORKERS} workers; chrome trace JSON parses"
+        );
+        run
+    } else {
+        greencell_sim::trace_points(&points, &SweepOptions::from_env(), capacity)?
+    };
     let dir = cmd.out_dir.clone().unwrap_or_else(|| "results".into());
-    let paths = greencell::sim::write_trace_artifacts(&run.bundle, &dir, "cli")?;
+    let paths = greencell_sim::write_trace_artifacts(&run.bundle, &dir, preset)?;
     for p in &paths {
         eprintln!("wrote {}", p.display());
     }
@@ -200,15 +223,52 @@ fn run_once(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// The sweep engine for a figure action: `GREENCELL_THREADS` workers,
+/// announced on stderr.
+fn sweep_options(action: &str, cmd: &Command) -> SweepOptions {
+    let opts = SweepOptions::from_env();
+    eprintln!(
+        "{action}: {} scenario, seed {}, horizon {}, {} worker(s)",
+        cmd.preset, cmd.scenario.seed, cmd.scenario.horizon, opts.threads
+    );
+    opts
+}
+
+/// Writes a figure action's per-run telemetry to
+/// `results/<stem>_telemetry.{json,csv}`.
+fn telemetry(report: &SweepReport, stem: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let (json, csv) = sweep::write_telemetry(report, stem)?;
+    eprintln!(
+        "telemetry: {} and {} ({:.2}s total)",
+        json.display(),
+        csv.display(),
+        report.total_wall.as_secs_f64()
+    );
+    Ok(())
+}
+
 fn fig2a(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     let v_values = cmd
         .v_values
         .clone()
         .unwrap_or_else(|| (1..=10).map(|k| k as f64 * 1e5).collect());
-    let rows = experiments::fig2a(&cmd.scenario, &v_values)?;
+    let opts = sweep_options("fig2a", cmd);
+    let (rows, report) = experiments::fig2a_with(&cmd.scenario, &v_values, &opts)?;
     println!("# Fig 2(a) — time-averaged expected energy cost bounds vs V");
     print!("{}", report::bounds_table(&rows));
-    Ok(())
+    let tight = rows
+        .windows(2)
+        .all(|w| (w[1].upper - w[1].lower) <= (w[0].upper - w[0].lower) + 1e-9);
+    println!("# gap monotonically tightening with V: {tight}");
+    let mut csv = String::from("v,upper_cost,lower_cost,relaxed_cost,gap,upper_psi,lower_psi\n");
+    for r in &rows {
+        csv.push_str(&format!(
+            "{},{},{},{},{},{},{}\n",
+            r.v, r.upper, r.lower, r.relaxed_cost, r.gap, r.upper_psi, r.lower_psi
+        ));
+    }
+    write_artifacts(cmd, &[("fig2a.csv", &csv)])?;
+    telemetry(&report, "fig2a")
 }
 
 fn fig2bc(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
@@ -216,13 +276,27 @@ fn fig2bc(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         .v_values
         .clone()
         .unwrap_or_else(|| (1..=5).map(|k| k as f64 * 1e5).collect());
-    let rows = experiments::fig2bc(&cmd.scenario, &v_values)?;
+    let opts = sweep_options("fig2bc", cmd);
+    let (rows, report) = experiments::fig2bc_with(&cmd.scenario, &v_values, &opts)?;
     let (bs, users) = report::backlog_csv(&rows)?;
     println!("# Fig 2(b) — total data queue backlog of base stations (packets)");
     print!("{bs}");
     println!("# Fig 2(c) — total data queue backlog of mobile users (packets)");
     print!("{users}");
-    write_artifacts(cmd, &[("fig2b.csv", &bs), ("fig2c.csv", &users)])
+    for r in &rows {
+        println!(
+            "# V={:.0e}: BS final={:.0} peak={:.0}; users final={:.0} peak={:.0}",
+            r.v,
+            r.bs.last().unwrap_or(0.0),
+            r.bs.max().unwrap_or(0.0),
+            r.users.last().unwrap_or(0.0),
+            r.users.max().unwrap_or(0.0),
+        );
+        println!("#   BS    {}", report::sparkline(&r.bs));
+        println!("#   users {}", report::sparkline(&r.users));
+    }
+    write_artifacts(cmd, &[("fig2b.csv", &bs), ("fig2c.csv", &users)])?;
+    telemetry(&report, "fig2bc")
 }
 
 fn fig2de(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
@@ -230,15 +304,28 @@ fn fig2de(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         .v_values
         .clone()
         .unwrap_or_else(|| (1..=5).map(|k| k as f64 * 1e5).collect());
+    // Start buffers empty so the fill-up dynamics of Fig. 2(d)/(e) show.
     let mut scenario = cmd.scenario.clone();
     scenario.initial_battery_fraction = 0.0;
-    let rows = experiments::fig2de(&scenario, &v_values)?;
+    let opts = sweep_options("fig2de", cmd);
+    let (rows, report) = experiments::fig2de_with(&scenario, &v_values, &opts)?;
     let (bs, users) = report::buffer_csv(&rows)?;
     println!("# Fig 2(d) — total energy buffer size of base stations (kWh)");
     print!("{bs}");
     println!("# Fig 2(e) — total energy buffer size of mobile users (Wh)");
     print!("{users}");
-    write_artifacts(cmd, &[("fig2d.csv", &bs), ("fig2e.csv", &users)])
+    for r in &rows {
+        println!(
+            "# V={:.0e}: BS final={:.3} kWh; users final={:.1} Wh",
+            r.v,
+            r.bs_kwh.last().unwrap_or(0.0),
+            r.users_wh.last().unwrap_or(0.0),
+        );
+        println!("#   BS    {}", report::sparkline(&r.bs_kwh));
+        println!("#   users {}", report::sparkline(&r.users_wh));
+    }
+    write_artifacts(cmd, &[("fig2d.csv", &bs), ("fig2e.csv", &users)])?;
+    telemetry(&report, "fig2de")
 }
 
 fn fig2f(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
@@ -253,29 +340,56 @@ fn fig2f(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         scenario.recv_power = calibrated.recv_power;
         scenario.initial_battery_fraction = calibrated.initial_battery_fraction;
     }
-    let rows = experiments::fig2f(&scenario, &v_values)?;
+    let opts = sweep_options("fig2f", cmd);
+    let (rows, report) = experiments::fig2f_with(&scenario, &v_values, &opts)?;
     println!("# Fig 2(f) — time-averaged expected energy cost by architecture");
     print!("{}", report::architecture_table(&rows, &v_values));
-    Ok(())
+    let ours: f64 = rows[0].costs.iter().sum();
+    let best_other = rows[1..]
+        .iter()
+        .map(|r| r.costs.iter().sum::<f64>())
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "# proposed beats best baseline: {} ({}).",
+        ours <= best_other,
+        if best_other > 0.0 {
+            format!("ratio {:.3}", ours / best_other)
+        } else {
+            "baseline cost is zero".to_string()
+        }
+    );
+    telemetry(&report, "fig2f")
 }
 
 fn sweeps(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     let base = &cmd.scenario;
-    for (title, points) in [
-        ("users", experiments::sweep_users(base, &[5, 10, 20, 40])?),
+    let opts = sweep_options("sweeps", cmd);
+    let mut combined = SweepReport {
+        outcomes: Vec::new(),
+        threads: opts.threads,
+        total_wall: std::time::Duration::ZERO,
+    };
+    for (title, xlabel, (points, report)) in [
         (
-            "sessions",
-            experiments::sweep_sessions(base, &[2, 5, 10, 15])?,
+            "user-count sweep (relay density)",
+            "users",
+            experiments::sweep_users_with(base, &[5, 10, 20, 40], &opts)?,
         ),
         (
-            "extra bands",
-            experiments::sweep_bands(base, &[0, 2, 4, 8])?,
+            "session-count sweep (offered load)",
+            "sessions",
+            experiments::sweep_sessions_with(base, &[2, 5, 10, 15], &opts)?,
+        ),
+        (
+            "extra-band sweep (spectrum supply)",
+            "bands",
+            experiments::sweep_bands_with(base, &[0, 2, 4, 8], &opts)?,
         ),
     ] {
-        println!("# sweep: {title}");
+        println!("# {title}");
         println!(
-            "{:>10} {:>12} {:>12} {:>14} {:>10}",
-            "x", "avg cost", "delivered", "peak backlog", "links/slot"
+            "{xlabel:>10} {:>12} {:>12} {:>14} {:>10}",
+            "avg cost", "delivered", "peak backlog", "links/slot"
         );
         for p in &points {
             println!(
@@ -284,13 +398,18 @@ fn sweeps(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!();
+        combined.outcomes.extend(report.outcomes);
+        combined.total_wall += report.total_wall;
     }
-    let rep = experiments::replicate(base, &[1, 7, 13, 42, 99])?;
+    let (rep, report) = experiments::replicate_with(base, &[1, 7, 13, 42, 99], &opts)?;
+    println!("# replication across seeds {:?}", rep.seeds);
     println!(
-        "# replication over seeds {:?}: cost {:.6} ± {:.6}",
-        rep.seeds, rep.mean_cost, rep.std_cost
+        "cost {:.6} ± {:.6}; delivered {:.0}; peak backlog {:.0}",
+        rep.mean_cost, rep.std_cost, rep.mean_delivered, rep.mean_peak_backlog
     );
-    Ok(())
+    combined.outcomes.extend(report.outcomes);
+    combined.total_wall += report.total_wall;
+    telemetry(&combined, "sweeps")
 }
 
 fn write_artifacts(
