@@ -117,9 +117,11 @@ cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 
 echo "== city determinism gate =="
-# Partitioned city runs are bit-identical across worker counts and seeds
-# reproduce byte-identical layouts; the steady-state partitioned slot
-# allocates nothing at one worker.
+# Partitioned city runs are bit-identical at 1, 2, 3 and 4 workers (3
+# over a part count it does not divide, so the per-part S1–S3 solves and
+# the per-part queue advance and Lyapunov terms run on uneven chunks), and
+# seeds reproduce byte-identical layouts; the steady-state partitioned
+# slot allocates nothing at one worker.
 cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
 

@@ -8,9 +8,10 @@
 //! interference cluster for [`Controller::partitioned`] — and each slot it
 //! runs the BS sleep machine once, S1–S3 per part (on scoped threads when
 //! there are several parts and workers), then S4 and the ladder once over
-//! the whole network, and advances all state once. Every global reduction
-//! runs in part order on one thread, so results never depend on the worker
-//! count.
+//! the whole network, applies the batteries, and advances each part's
+//! queues and takes its Lyapunov terms per part, on the same threads.
+//! Every global reduction runs in part order on one thread, so results
+//! never depend on the worker count.
 
 use crate::partition::{for_each_part, PartInputs};
 use crate::pipeline::{
@@ -24,7 +25,7 @@ use crate::{
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
 use greencell_phy::PhyConfig;
-use greencell_queue::{lyapunov_value, DataQueueBank, LinkQueueBank, PacketQueue};
+use greencell_queue::{DataQueueBank, LinkQueueBank, PacketQueue};
 use greencell_trace::{names, NoopSink, Sink, Stage, TraceEvent};
 use greencell_units::{Energy, Packets};
 use std::error::Error;
@@ -331,12 +332,13 @@ impl Controller {
     }
 
     /// Builds a controller over pre-built interference-closed parts: S1–S3
-    /// run per part, on up to `workers` threads per slot (the worker count
-    /// never changes results), while S4 and the degradation ladder run
-    /// once over all `decomposition.membership().len()` nodes. Nodes in no
-    /// part (base-station-free clusters) never schedule or queue and draw
-    /// their idle demand only. A single part covering every node is
-    /// exactly [`Controller::new`].
+    /// and the queue advance run per part, on up to `workers` threads per
+    /// slot (the worker count never changes results), while S4 and the
+    /// degradation ladder run once over all
+    /// `decomposition.membership().len()` nodes. Nodes in no part
+    /// (base-station-free clusters) never schedule or queue and draw their
+    /// idle demand only. A single part covering every node is exactly
+    /// [`Controller::new`].
     ///
     /// # Errors
     ///
@@ -755,21 +757,6 @@ impl Controller {
         )
     }
 
-    /// `Σ_parts L_part + ½·Σ_{uncovered} z²`: the Lyapunov value
-    /// decomposes over parts because every queue lives inside one part
-    /// and the energy term is a per-node sum. The sum runs in part order,
-    /// one fixed `f64` association; with one part it is that part's value.
-    fn lyapunov(&self, parts: &[Part], z: &[f64]) -> f64 {
-        let mut total = 0.0;
-        for p in parts {
-            total += lyapunov_value(&p.data, &p.links, p.nodes.iter().map(|&g| z[g]));
-        }
-        for &g in &self.uncovered {
-            total += 0.5 * z[g] * z[g];
-        }
-        total
-    }
-
     /// Runs one slot of the S1→S2→S3→S4 pipeline and advances all queues.
     ///
     /// # Errors
@@ -984,10 +971,12 @@ impl Controller {
             }
         }
 
-        // Drift-plus-penalty diagnostics for the chosen actions, computed
-        // against the *pre-update* queue state (as in Lemma 1); every sum
-        // runs over the parts in order.
-        let lyapunov_before = self.lyapunov(parts, z);
+        // State advance, timed from here so every piece of work after S4
+        // falls inside a stage span. First the drift-plus-penalty
+        // diagnostics for the chosen actions, computed against the
+        // *pre-update* queue state (as in Lemma 1); every sum runs over the
+        // parts in order.
+        let advance_start = traced.then(Instant::now);
         let psi1 = dpp::psi1(
             self.beta,
             parts.iter().flat_map(|p| {
@@ -1017,13 +1006,8 @@ impl Controller {
             })
         }));
 
-        // Advance state: queues by their laws, batteries by the decisions.
-        let advance_start = traced.then(Instant::now);
-        let (mut admitted, mut routed, mut scheduled_links) = (0, 0, 0);
-        for p in parts.iter_mut() {
-            let (a, r, s) = p.advance();
-            (admitted, routed, scheduled_links) = (admitted + a, routed + r, scheduled_links + s);
-        }
+        // Batteries by the decisions, then the queues by their laws: each
+        // part advances and takes its Lyapunov terms on the workers.
         for (battery, decision) in self.batteries.iter_mut().zip(&energy.decisions) {
             decision
                 .apply_to_battery(battery)
@@ -1031,7 +1015,28 @@ impl Controller {
         }
         z_after.clear();
         z_after.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
-        let lyapunov_after = self.lyapunov(parts, z_after);
+        let (z, z_after) = (&*z, &*z_after);
+        for_each_part(parts, workers, &|p| p.advance(z, z_after));
+
+        // `L = Σ_parts L_part + ½·Σ_{uncovered} z²`: the Lyapunov value
+        // decomposes over parts because every queue lives inside one part
+        // and the energy term is a per-node sum. Every total is reduced
+        // here in part order, one fixed `f64` association at any worker
+        // count.
+        let (mut lyapunov_before, mut lyapunov_after) = (0.0, 0.0);
+        let (mut admitted, mut routed, mut scheduled_links) = (0, 0, 0);
+        for p in parts.iter() {
+            let a = &p.advanced;
+            lyapunov_before += a.lyapunov_before;
+            lyapunov_after += a.lyapunov_after;
+            admitted += a.admitted;
+            routed += a.routed;
+            scheduled_links += a.scheduled_links;
+        }
+        for &g in &self.uncovered {
+            lyapunov_before += 0.5 * z[g] * z[g];
+            lyapunov_after += 0.5 * z_after[g] * z_after[g];
+        }
         if let Some(start) = advance_start {
             sink.record(TraceEvent::span_ended(
                 self.slot,

@@ -18,7 +18,7 @@ use crate::{
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
 use greencell_phy::{packets_per_slot, potential_capacity, PhyConfig, SpectrumState};
-use greencell_queue::{DataQueueBank, FlowPlan, LinkQueueBank};
+use greencell_queue::{lyapunov_value, DataQueueBank, FlowPlan, LinkQueueBank};
 use greencell_units::{Energy, Packets, Power};
 
 /// A partition of a network's nodes into interference clusters.
@@ -166,11 +166,29 @@ pub struct Part {
     s1: S1Scratch,
     pub(crate) outcome: ScheduleOutcome,
     pub(crate) admissions: Vec<Admission>,
+    /// Kept across slots: rebuilt only when the up-mask changes.
     routing_caps: Vec<(NodeId, NodeId, Packets)>,
+    /// The local up-mask `routing_caps` was built for (empty before the
+    /// first build).
+    caps_mask: Vec<bool>,
     pub(crate) link_service: Vec<(NodeId, NodeId, Packets)>,
     s3: S3Scratch,
     pub(crate) flows: FlowPlan,
     admission_triples: Vec<(SessionId, NodeId, Packets)>,
+    /// What the last [`Part::advance`] measured, for the driver's
+    /// part-order reductions.
+    pub(crate) advanced: PartAdvance,
+}
+
+/// One part's share of a slot's state advance: its Lyapunov terms before
+/// and after the advance and its admitted, routed and scheduled totals.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PartAdvance {
+    pub lyapunov_before: f64,
+    pub lyapunov_after: f64,
+    pub admitted: u64,
+    pub routed: u64,
+    pub scheduled_links: usize,
 }
 
 /// The slot-wide inputs every part reads while solving S1–S3.
@@ -241,10 +259,12 @@ impl Part {
             outcome,
             admissions: Vec::new(),
             routing_caps: Vec::with_capacity(link_slots),
+            caps_mask: Vec::with_capacity(n),
             link_service: Vec::with_capacity(schedule_bound),
             s3,
             flows: FlowPlan::default(),
             admission_triples: Vec::new(),
+            advanced: PartAdvance::default(),
             net,
             nodes,
             sessions,
@@ -337,24 +357,14 @@ impl Part {
     /// zero, so such a link can never be scheduled and flow routed onto it
     /// would queue forever.
     pub(crate) fn route(&mut self, cx: &PartInputs<'_>) {
-        let (net, nodes) = (&self.net, &self.nodes);
-        let up = |i: NodeId| {
-            let g = nodes[i.index()];
+        let up = |g: usize| {
             if cx.dynamic {
                 cx.net_state.active()[g]
             } else {
                 cx.obs.is_node_available(g)
             }
         };
-        self.routing_caps.clear();
-        self.routing_caps.extend(
-            net.topology()
-                .ordered_pairs()
-                .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
-                .filter(|&(i, j)| up(i) && up(j))
-                .filter(|&(i, _)| cx.relay.may_relay(net, i))
-                .map(|(i, j)| (i, j, cx.beta_cap)),
-        );
+        self.update_routing_caps(up, cx.relay, cx.beta_cap);
         self.refresh_link_service(&cx.obs.spectrum, cx.phy, cx.config);
         let demand: &[Packets] = if self.whole {
             &cx.obs.session_demand
@@ -373,6 +383,37 @@ impl Part {
             demand,
             &mut self.s3,
             &mut self.flows,
+        );
+    }
+
+    /// Brings the routing caps up to date for this slot's up-mask (`up`
+    /// over global node ids). Besides the mask, the caps read only the
+    /// static band table, the relay stage and β, all fixed at
+    /// construction, so they are rebuilt only on a slot whose mask differs
+    /// from the one they were built for.
+    fn update_routing_caps(
+        &mut self,
+        up: impl Fn(usize) -> bool,
+        relay: &dyn RelayStage,
+        beta_cap: Packets,
+    ) {
+        let nodes = &self.nodes;
+        if self.caps_mask.len() == nodes.len()
+            && nodes.iter().zip(&self.caps_mask).all(|(&g, &m)| up(g) == m)
+        {
+            return;
+        }
+        self.caps_mask.clear();
+        self.caps_mask.extend(nodes.iter().map(|&g| up(g)));
+        let (net, mask) = (&self.net, &self.caps_mask);
+        self.routing_caps.clear();
+        self.routing_caps.extend(
+            net.topology()
+                .ordered_pairs()
+                .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
+                .filter(|&(i, j)| mask[i.index()] && mask[j.index()])
+                .filter(|&(i, _)| relay.may_relay(net, i))
+                .map(|(i, j)| (i, j, beta_cap)),
         );
     }
 
@@ -406,9 +447,14 @@ impl Part {
         }
     }
 
-    /// Advances the queue banks by the slot's decisions, returning the
-    /// admitted packets, routed packets and scheduled links.
-    pub(crate) fn advance(&mut self) -> (u64, u64, usize) {
+    /// Advances the queue banks by the slot's decisions into
+    /// [`Part::advanced`], with this part's Lyapunov term before the
+    /// advance (from the slot's shifted levels `z`) and after it (from the
+    /// post-slot levels `z_after`); both are indexed by global node.
+    pub(crate) fn advance(&mut self, z: &[f64], z_after: &[f64]) {
+        let lyapunov =
+            |p: &Self, z: &[f64]| lyapunov_value(&p.data, &p.links, p.nodes.iter().map(|&g| z[g]));
+        let lyapunov_before = lyapunov(self, z);
         self.admission_triples.clear();
         self.admission_triples.extend(
             self.admissions
@@ -424,7 +470,13 @@ impl Part {
         let routed = self.flows.total().count();
         self.data.advance(&self.flows, &self.admission_triples);
         self.links.advance(&self.flows, &self.link_service);
-        (admitted, routed, self.outcome.schedule.len())
+        self.advanced = PartAdvance {
+            lyapunov_before,
+            lyapunov_after: lyapunov(self, z_after),
+            admitted,
+            routed,
+            scheduled_links: self.outcome.schedule.len(),
+        };
     }
 }
 
@@ -470,6 +522,94 @@ pub(crate) fn for_each_part(parts: &mut [Part], workers: usize, f: &(dyn Fn(&mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{MultiHopStage, OneHopStage};
+    use greencell_net::{BandId, BandSet, NetworkBuilder, PathLossModel, Point};
+    use greencell_units::DataRate;
+
+    /// Two BSs and four users on two bands; user 5 hears only band 1, so
+    /// its pairs with band-0-only user 4 carry no shared band.
+    fn cap_fixture_part() -> Part {
+        let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 2);
+        b.add_base_station(Point::new(0.0, 0.0));
+        b.add_base_station(Point::new(900.0, 0.0));
+        for k in 0..4 {
+            b.add_user(Point::new(200.0 + 150.0 * k as f64, 120.0));
+        }
+        b.set_bands(
+            NodeId::from_index(4),
+            BandSet::from_iter([BandId::from_index(0)]),
+        );
+        b.set_bands(
+            NodeId::from_index(5),
+            BandSet::from_iter([BandId::from_index(1)]),
+        );
+        b.add_session(
+            NodeId::from_index(3),
+            DataRate::from_kilobits_per_second(100.0),
+        );
+        let net = b.build().unwrap();
+        let n = net.topology().len();
+        let model = NodeEnergyModel::new(
+            Energy::from_joules(10.0),
+            Energy::from_joules(5.0),
+            Power::from_milliwatts(100.0),
+        );
+        let spec = PartSpec {
+            net,
+            nodes: (0..n).collect(),
+            sessions: vec![0],
+        };
+        Part::new(spec, &[Power::from_watts(1.0); 6], &[model; 6], 10.0, false)
+    }
+
+    /// The caps rebuilt from scratch over `ordered_pairs()`.
+    fn fresh_caps(
+        part: &Part,
+        mask: &[bool],
+        relay: &dyn RelayStage,
+        cap: Packets,
+    ) -> Vec<(NodeId, NodeId, Packets)> {
+        let net = &part.net;
+        net.topology()
+            .ordered_pairs()
+            .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
+            .filter(|&(i, j)| mask[i.index()] && mask[j.index()])
+            .filter(|&(i, _)| relay.may_relay(net, i))
+            .map(|(i, j)| (i, j, cap))
+            .collect()
+    }
+
+    /// The caps kept across slots equal a fresh rebuild after a node goes
+    /// down and after it comes back up, under both relay stages.
+    #[test]
+    fn cached_routing_caps_match_a_fresh_rebuild() {
+        let cap = Packets::new(7);
+        let all_up = vec![true; 6];
+        let mut bs_down = all_up.clone();
+        bs_down[1] = false;
+        let mut user_down = all_up.clone();
+        user_down[3] = false;
+        let relays: [&dyn RelayStage; 2] = [&MultiHopStage, &OneHopStage];
+        for relay in relays {
+            let mut part = cap_fixture_part();
+            let mut previous = Vec::new();
+            for mask in [&all_up, &all_up, &bs_down, &all_up, &user_down, &all_up] {
+                part.update_routing_caps(|g| mask[g], relay, cap);
+                let fresh = fresh_caps(&part, mask, relay, cap);
+                assert_eq!(part.routing_caps, fresh, "{}: {mask:?}", relay.key());
+                assert!(!fresh.is_empty());
+                if mask != &all_up {
+                    assert_ne!(
+                        fresh,
+                        previous,
+                        "{}: the outage must change the caps",
+                        relay.key()
+                    );
+                }
+                previous = fresh;
+            }
+        }
+    }
 
     #[test]
     fn union_find_collapses_to_dense_ascending_clusters() {

@@ -8,6 +8,13 @@ use std::fmt;
 /// One micro-joule is far below any physically meaningful quantity here.
 const EPS_JOULES: f64 = 1e-6;
 
+/// Slack for a slot's battery operation — constraints (9), (11) and (12)
+/// and the supply balance — in joules. [`Battery::apply`] and
+/// [`crate::EnergyDecision::validate`] share it, so every decision that
+/// validates also applies, even at ~10¹⁰ J scales where rounding in the
+/// solver's arithmetic exceeds a micro-joule.
+pub(crate) const DECISION_SLACK_JOULES: f64 = 1e-4;
+
 /// Error applying an infeasible charge/discharge to a [`Battery`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatteryError {
@@ -280,23 +287,24 @@ impl Battery {
     /// * [`BatteryError::ChargeExceedsLimit`] — `c` above (11)'s bound;
     /// * [`BatteryError::DischargeExceedsLimit`] — `d` above (12)'s bound.
     ///
+    /// Each check allows the same slack as [`crate::EnergyDecision::validate`].
     /// On error the level is unchanged.
     pub fn apply(&mut self, c: Energy, d: Energy) -> Result<(), BatteryError> {
         if !c.is_non_negative() || !d.is_non_negative() {
             return Err(BatteryError::NegativeAmount);
         }
-        if c.as_joules() > EPS_JOULES && d.as_joules() > EPS_JOULES {
+        if c.as_joules() > DECISION_SLACK_JOULES && d.as_joules() > DECISION_SLACK_JOULES {
             return Err(BatteryError::SimultaneousChargeDischarge);
         }
         let c_limit = self.max_charge_now();
-        if c.as_joules() > c_limit.as_joules() + EPS_JOULES {
+        if c.as_joules() > c_limit.as_joules() + DECISION_SLACK_JOULES {
             return Err(BatteryError::ChargeExceedsLimit {
                 requested: c,
                 limit: c_limit,
             });
         }
         let d_limit = self.max_discharge_now();
-        if d.as_joules() > d_limit.as_joules() + EPS_JOULES {
+        if d.as_joules() > d_limit.as_joules() + DECISION_SLACK_JOULES {
             return Err(BatteryError::DischargeExceedsLimit {
                 requested: d,
                 limit: d_limit,

@@ -1,11 +1,10 @@
 //! A node's complete per-slot energy sourcing decision and its validation.
 
+use crate::battery::DECISION_SLACK_JOULES;
 use crate::{Battery, BatteryError, GridConnection, GridError, RenewableSplit};
 use greencell_units::Energy;
 use std::error::Error;
 use std::fmt;
-
-const EPS_JOULES: f64 = 1e-4;
 
 /// Error validating an [`EnergyDecision`] against the slot's state.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,17 +201,17 @@ impl EnergyDecision {
         grid.check_draw(self.grid_total())?;
         let c = self.charge_total();
         let d = self.discharge;
-        if c.as_joules() > EPS_JOULES && d.as_joules() > EPS_JOULES {
+        if c.as_joules() > DECISION_SLACK_JOULES && d.as_joules() > DECISION_SLACK_JOULES {
             return Err(BatteryError::SimultaneousChargeDischarge.into());
         }
-        if c.as_joules() > battery.max_charge_now().as_joules() + EPS_JOULES {
+        if c.as_joules() > battery.max_charge_now().as_joules() + DECISION_SLACK_JOULES {
             return Err(BatteryError::ChargeExceedsLimit {
                 requested: c,
                 limit: battery.max_charge_now(),
             }
             .into());
         }
-        if d.as_joules() > battery.max_discharge_now().as_joules() + EPS_JOULES {
+        if d.as_joules() > battery.max_discharge_now().as_joules() + DECISION_SLACK_JOULES {
             return Err(BatteryError::DischargeExceedsLimit {
                 requested: d,
                 limit: battery.max_discharge_now(),
@@ -220,7 +219,7 @@ impl EnergyDecision {
             .into());
         }
         let supplied = self.supplied();
-        if (supplied.as_joules() - demand.as_joules()).abs() > EPS_JOULES {
+        if (supplied.as_joules() - demand.as_joules()).abs() > DECISION_SLACK_JOULES {
             return Err(EnergyDecisionError::Unbalanced { supplied, demand });
         }
         Ok(())
@@ -272,6 +271,31 @@ mod tests {
         let mut b = battery_half();
         d.apply_to_battery(&mut b).unwrap();
         assert_eq!(b.level(), j(20.0));
+    }
+
+    /// A charge or discharge over the slot limit by 5·10⁻⁵ J — above the
+    /// battery's micro-joule slack, below the validator's — validates and
+    /// then applies: the state advance must never reject a validated
+    /// decision.
+    #[test]
+    fn validated_decision_within_slack_applies() {
+        let over = 5e-5;
+        let charge = EnergyDecision::new(j(0.0), j(40.0 + over), split(0.0, 0.0, 0.0, 0.0), j(0.0));
+        charge
+            .validate(j(0.0), &battery_half(), &grid_on())
+            .unwrap();
+        let mut b = battery_half();
+        charge.apply_to_battery(&mut b).unwrap();
+        assert_eq!(b.level(), j(50.0) + j(40.0 + over));
+
+        let discharge =
+            EnergyDecision::new(j(0.0), j(0.0), split(0.0, 0.0, 0.0, 0.0), j(40.0 + over));
+        discharge
+            .validate(j(40.0 + over), &battery_half(), &grid_on())
+            .unwrap();
+        let mut b = battery_half();
+        discharge.apply_to_battery(&mut b).unwrap();
+        assert_eq!(b.level(), j(50.0) - j(40.0 + over));
     }
 
     #[test]

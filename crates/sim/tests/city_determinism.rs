@@ -38,7 +38,20 @@ fn worker_count_does_not_change_results() {
     s.horizon = 15;
     let serial = run(&s, 1);
     assert_eq!(serial, run(&s, 2), "1 vs 2 workers diverged");
+    assert_eq!(serial, run(&s, 3), "1 vs 3 workers diverged");
     assert_eq!(serial, run(&s, 4), "1 vs 4 workers diverged");
+
+    // Uneven chunks: 3 workers over a part count 3 does not divide, so
+    // the per-part S1–S3 solves and the per-part advance and Lyapunov
+    // pass run on chunks of different sizes.
+    let mut s = Scenario::city(280, 7, Scenario::default_city_area(7), 23);
+    s.horizon = 15;
+    let parts = Simulator::with_workers(&s, 1)
+        .expect("city path builds")
+        .controller()
+        .part_count();
+    assert_ne!(parts % 3, 0, "{parts} parts split evenly over 3 workers");
+    assert_eq!(run(&s, 1), run(&s, 3), "1 vs 3 workers diverged");
 }
 
 #[test]

@@ -6,8 +6,9 @@ use std::time::Duration;
 /// A stage of the per-slot control pipeline, used to label spans.
 ///
 /// `S1`–`S4` are the paper's four subproblems (Lemma 1); [`Stage::Advance`]
-/// covers the state update that applies the chosen decisions to queues and
-/// batteries; [`Stage::Slot`] spans one whole `Controller::step`.
+/// covers everything after S4, including the state update that applies the
+/// chosen decisions to queues and batteries; [`Stage::Slot`] spans one
+/// whole `Controller::step`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// S1 — link scheduling (`Ψ̂₁`).
@@ -18,7 +19,10 @@ pub enum Stage {
     S3,
     /// S4 — energy management (`Ψ̂₄`), including degraded-mode retries.
     S4,
-    /// Queue and battery state advance after the decisions are fixed.
+    /// Everything after S4, once the decisions are fixed: the Ψ̂₁–Ψ̂₃
+    /// diagnostics, the battery and queue state advance, and the Lyapunov
+    /// values before and after it — so no work after S4 falls outside a
+    /// stage span.
     Advance,
     /// The whole controller step, S1 through state advance.
     Slot,
