@@ -10,6 +10,7 @@ use greencell_lp::{LinearProgram, Relation};
 use greencell_net::{BandId, NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
 use greencell_phy::{min_power_assignment, PhyConfig, Schedule, SpectrumState, Transmission};
 use greencell_queue::{DataQueueBank, FlowPlan, LinkQueueBank};
+use greencell_sim::Simulator;
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Energy, Packets, Power};
 use std::hint::black_box;
@@ -228,16 +229,24 @@ fn controller_step_paper_scenario(c: &mut Criterion) {
     });
 }
 
-/// One relaxed (lower-bound) controller step on the paper scenario — the
-/// per-slot LP relaxation plus the fractional pipeline.
+/// One relaxed (lower-bound) controller step on the paper scenario, mid-run:
+/// the controller is first stepped through 20 recorded slots so its virtual
+/// queues carry S1 candidates (a cold controller has `g = 0`, no
+/// candidates, and times a near-empty step).
 fn relaxed_step_paper_scenario(c: &mut Criterion) {
     use greencell_core::RelaxedController;
-    let scenario = greencell_bench::bench_scenario(1);
+    let scenario = greencell_bench::bench_scenario(20);
     let net = scenario.build_network().expect("net");
     let energy = scenario.energy_config(&net);
     let config = scenario.controller_config();
-    let relaxed = RelaxedController::new(net, scenario.phy(), energy, config);
-    let (_, obs) = warmed_controller(5);
+    let mut relaxed = RelaxedController::new(net, scenario.phy(), energy, config);
+    let (_, warmup) = Simulator::new(&scenario)
+        .and_then(|mut sim| sim.run_recording())
+        .expect("warm-up runs");
+    for obs in &warmup {
+        relaxed.step(obs);
+    }
+    let (_, obs) = warmed_controller(20);
     c.bench_function("relaxed_step_paper_scenario", |b| {
         b.iter(|| {
             let mut ctl = relaxed.clone();

@@ -4,28 +4,44 @@
 //! drift-plus-penalty problem with the integrality and SINR couplings
 //! relaxed. [`RelaxedController`] runs that relaxed system online:
 //!
-//! * S1 relaxed — activations `α ∈ [0, 1]` chosen by an LP with only the
-//!   single-radio rows (22) (the SINR constraint (24) is dropped; the
-//!   relaxed links transmit at their isolated noise-limited minimum
-//!   power). Fractional activations yield fractional link capacities.
+//! * S1 relaxed — activations `α ∈ [0, 1]` maximising `Σ β·g_ij·c_m·α`
+//!   under only the single-radio rows (22) (the SINR constraint (24) is
+//!   dropped; the relaxed links transmit at their isolated noise-limited
+//!   minimum power). That LP is a maximum-weight fractional matching on
+//!   the candidate multigraph, so it is solved exactly, without a simplex,
+//!   as an assignment on the bipartite double cover
+//!   ([`greencell_lp::max_weight_fractional_matching`]). The optimum is
+//!   half-integral: `α ∈ {0, ½, 1}`, at most one band per node pair (the
+//!   heaviest, the first in `ordered_pairs()` × band order on ties).
+//!   Fractional activations yield fractional link capacities.
 //! * S2 — already continuous; the exact rule is reused.
 //! * S3 relaxed — same per-link winner-take-all structure over fractional
 //!   capacities and real-valued queues.
 //! * S4 — the marginal-price solver is exact for the relaxed problem too
-//!   (the mutual-exclusion constraint is slack at any optimum).
+//!   (the mutual-exclusion constraint is slack at any optimum); it runs on
+//!   the warm kernel, bit-identical to the cold solver.
 //!
 //! Every constraint of the true system is weakly relaxed, so the relaxed
 //! system's achieved time-averaged cost estimates `ψ*_P̄3` from below the
 //! true controller's, and `ψ*_P̄3 − B/V` lower-bounds the offline optimum.
+//!
+//! The step is sparse: S1 and S3 scan only band-sharing links, and the
+//! queue and virtual-queue laws touch only queues that carry flow or
+//! service. Its per-slot buffers are kept on the controller, so a
+//! steady-state step allocates nothing.
 
 use crate::pipeline::{self, RelayStage};
-use crate::{dpp, ControllerConfig, EnergyConfig, EnergyManagementInput, SlotObservation};
+use crate::{
+    dpp, ControllerConfig, EnergyConfig, EnergyManagementInput, EnergyOutcome, S4Workspace,
+    SlotObservation,
+};
 use greencell_energy::Battery;
-use greencell_lp::{LinearProgram, Relation};
-use greencell_net::{Network, NodeId};
+use greencell_lp::{max_weight_fractional_matching_into, MatchingWorkspace};
+use greencell_net::{BandId, BandSet, Network, NodeId};
 use greencell_phy::{potential_capacity, PhyConfig};
 use greencell_stochastic::TimeAverage;
-use greencell_units::Energy;
+use greencell_units::{DataRate, Energy};
+use std::sync::OnceLock;
 
 /// Running estimate of Theorem 5's lower bound `ψ*_P̄3 − B/V`.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +89,8 @@ impl LowerBoundSeries {
 /// The complete evolving state of a [`RelaxedController`] — captured by
 /// [`RelaxedController::export_state`], replayed by
 /// [`RelaxedController::import_state`]. Everything else on the controller
-/// (`β`, `γ_max`, `B`, the relay stage) is a construction fact a restore
-/// rebuilds from the same inputs.
+/// (`β`, `γ_max`, `B`, the routable links) is a construction fact a restore
+/// rebuilds from the same inputs, or per-slot scratch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelaxedState {
     /// The next slot index to run (0-based).
@@ -95,6 +111,66 @@ pub struct RelaxedState {
     pub admitted_count: u64,
 }
 
+/// An ordered node pair sharing at least one band — the only pairs that
+/// can carry a relaxed S1 candidate or routed flow.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    i: usize,
+    j: usize,
+    bands: BandSet,
+    /// Whether the relay stage lets `i` transmit, so S3 may route on it.
+    routable: bool,
+}
+
+/// One relaxed S1 candidate: a link and a band (its weight `β·g_ij·c_m`
+/// sits in the matching edge list).
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    link: usize,
+    band: BandId,
+}
+
+/// The relaxed step's per-slot buffers, kept across slots so a
+/// steady-state [`RelaxedController::step`] allocates nothing. Scratch,
+/// not state: every buffer is rewritten before it is read each slot (the
+/// S4 kernel's warm start is bit-identical to a cold solve), so a restore
+/// never needs it.
+#[derive(Debug, Clone, Default)]
+struct RelaxedScratch {
+    /// This slot's `c_m` per band.
+    band_rate: Vec<DataRate>,
+    cand: Vec<Candidate>,
+    /// The candidates as matching edges `(i, j, weight)`.
+    edges: Vec<(usize, usize, f64)>,
+    /// One activation per candidate.
+    alpha: Vec<f64>,
+    matching: MatchingWorkspace,
+    tx_energy: Vec<f64>,
+    rx_energy: Vec<f64>,
+    /// Per session: the admitting BS and the admitted packets `k_s`.
+    admissions: Vec<(usize, f64)>,
+    /// Remaining routing capacity per link.
+    cap: Vec<f64>,
+    /// Packets not yet routed, `q[s·n + i]` layout.
+    backlog: Vec<f64>,
+    /// Routed flow `(session, link, packets)`; at most one entry per
+    /// (session, link).
+    flows: Vec<(usize, usize, f64)>,
+    /// Per-queue outflow and inflow sums, `q[s·n + i]` layout.
+    out: Vec<f64>,
+    inflow: Vec<f64>,
+    new_q: Vec<f64>,
+    /// Per-link virtual-queue service and arrivals, zero outside `touched`.
+    srv: Vec<f64>,
+    arrivals: Vec<f64>,
+    touched: Vec<usize>,
+    batteries: Vec<Battery>,
+    z: Vec<f64>,
+    demand: Vec<Energy>,
+    s4: S4Workspace,
+    energy: EnergyOutcome,
+}
+
 /// The online relaxed controller (see module docs).
 #[derive(Debug, Clone)]
 pub struct RelaxedController {
@@ -113,10 +189,14 @@ pub struct RelaxedController {
     series: LowerBoundSeries,
     admitted: TimeAverage,
     slot: u64,
-    // Slot-invariant constants + the relay stage from the shared `pipeline` registry.
+    // Slot-invariant constants.
     grid_limits: Vec<Energy>,
     is_bs: Vec<bool>,
     relay_stage: &'static dyn RelayStage,
+    /// Band-sharing pairs in `ordered_pairs()` order, built on the first
+    /// step so construction stays as cheap as the queues it allocates.
+    links: OnceLock<Vec<Link>>,
+    scratch: RelaxedScratch,
 }
 
 impl RelaxedController {
@@ -166,6 +246,8 @@ impl RelaxedController {
             grid_limits,
             is_bs,
             relay_stage,
+            links: OnceLock::new(),
+            scratch: RelaxedScratch::default(),
         }
     }
 
@@ -186,6 +268,49 @@ impl RelaxedController {
     #[must_use]
     pub fn average_admitted(&self) -> f64 {
         self.admitted.mean()
+    }
+
+    /// The relaxed S1 of the last slot this controller stepped: every
+    /// candidate `(i, j, band)` with `β·g_ij·c_m > 0`, in
+    /// `ordered_pairs()` × band order, with its activation
+    /// `α ∈ {0, ½, 1}`. Empty before the first step.
+    pub fn last_activations(&self) -> impl Iterator<Item = (NodeId, NodeId, BandId, f64)> + '_ {
+        let links = self.links();
+        self.scratch
+            .cand
+            .iter()
+            .zip(&self.scratch.alpha)
+            .map(move |(c, &alpha)| {
+                let link = links[c.link];
+                (
+                    NodeId::from_index(link.i),
+                    NodeId::from_index(link.j),
+                    c.band,
+                    alpha,
+                )
+            })
+    }
+
+    fn links(&self) -> &[Link] {
+        self.links.get_or_init(|| {
+            let n = self.net.topology().len();
+            let relays: Vec<bool> = (0..n)
+                .map(|i| self.relay_stage.may_relay(&self.net, NodeId::from_index(i)))
+                .collect();
+            self.net
+                .topology()
+                .ordered_pairs()
+                .filter_map(|(i, j)| {
+                    let bands = self.net.link_bands(i, j);
+                    (!bands.is_empty()).then(|| Link {
+                        i: i.index(),
+                        j: j.index(),
+                        bands,
+                        routable: relays[i.index()],
+                    })
+                })
+                .collect()
+        })
     }
 
     fn qi(&self, s: usize, i: usize) -> f64 {
@@ -238,71 +363,83 @@ impl RelaxedController {
         let n = self.net.topology().len();
         let sessions = self.net.session_count();
         obs.validate(n, sessions, self.net.band_count());
+        // Taken out for the step so `&self` helpers stay callable.
+        let mut sc = std::mem::take(&mut self.scratch);
+        self.relaxed_s1(obs, &mut sc);
+        self.slot_energy(obs, &mut sc);
+        self.admit(&mut sc);
+        self.route(obs, &mut sc);
+        let cost = self.source_energy(obs, &mut sc);
+        self.advance(&mut sc);
+        self.scratch = sc;
+        self.series.record(cost);
+        self.admitted
+            .record(self.scratch.admissions.iter().map(|&(_, k)| k).sum::<f64>());
+        self.slot += 1;
+        cost
+    }
 
-        // Relaxed S1: fractional activations via LP (objective only).
-        let topo = self.net.topology();
-        let mut lp = LinearProgram::new();
-        let mut cand: Vec<(usize, usize, greencell_net::BandId, greencell_lp::VarId)> = Vec::new();
-        for (i, j) in topo.ordered_pairs() {
-            let h = self.beta * self.g[i.index() * n + j.index()];
+    /// Relaxed S1: fractional activations maximising `Σ β·g_ij·c_m·α`
+    /// under the single-radio rows (22) — a fractional matching, solved
+    /// exactly (see [`greencell_lp::max_weight_fractional_matching`]).
+    fn relaxed_s1(&self, obs: &SlotObservation, sc: &mut RelaxedScratch) {
+        let n = self.net.topology().len();
+        sc.band_rate.clear();
+        sc.band_rate.extend(
+            obs.spectrum
+                .bandwidths()
+                .iter()
+                .map(|&w| potential_capacity(w, &self.phy)),
+        );
+        sc.cand.clear();
+        sc.edges.clear();
+        for (k, link) in self.links().iter().enumerate() {
+            let h = self.beta * self.g[link.i * n + link.j];
             if h <= 0.0 {
                 continue;
             }
-            for m in self.net.link_bands(i, j).iter() {
-                let c = potential_capacity(obs.spectrum.bandwidth(m), &self.phy);
-                let w = h * c.as_bits_per_second();
-                if w > 0.0 {
-                    let var = lp.add_variable(-w, 0.0, 1.0);
-                    cand.push((i.index(), j.index(), m, var));
+            for band in link.bands.iter() {
+                let weight = h * sc.band_rate[band.index()].as_bits_per_second();
+                if weight > 0.0 {
+                    sc.cand.push(Candidate { link: k, band });
+                    sc.edges.push((link.i, link.j, weight));
                 }
             }
         }
-        for node in 0..n {
-            let terms: Vec<_> = cand
-                .iter()
-                .filter(|(i, j, _, _)| *i == node || *j == node)
-                .map(|(_, _, _, v)| (*v, 1.0))
-                .collect();
-            if terms.len() > 1 {
-                lp.add_constraint(&terms, Relation::Le, 1.0);
-            }
-        }
-        let alphas: Vec<f64> = match lp.solve() {
-            Ok(sol) => cand.iter().map(|(_, _, _, v)| sol.value(*v)).collect(),
-            Err(_) => vec![0.0; cand.len()],
-        };
+        max_weight_fractional_matching_into(n, &sc.edges, &mut sc.matching, &mut sc.alpha);
+    }
 
-        // Per-node TX/RX energy at isolated noise-limited powers for the
-        // fractional schedule, and routing capacity at the β bound (the
-        // same two-layer reading as the exact controller — see `s3`).
-        let mut cap = vec![0.0f64; n * n];
-        for (i, j) in topo.ordered_pairs() {
-            let relay_ok = self.relay_stage.may_relay(&self.net, i);
-            if relay_ok && !self.net.link_bands(i, j).is_empty() {
-                cap[i.index() * n + j.index()] = self.beta;
-            }
-        }
-        let mut tx_energy = vec![0.0f64; n];
-        let mut rx_energy = vec![0.0f64; n];
-        let dt = self.config.slot;
-        for ((i, j, m, _), &alpha) in cand.iter().zip(&alphas) {
+    /// Per-node TX/RX energy of the fractional schedule at isolated
+    /// noise-limited powers (the SINR coupling (24) is relaxed away).
+    fn slot_energy(&self, obs: &SlotObservation, sc: &mut RelaxedScratch) {
+        let n = self.net.topology().len();
+        let (topo, links) = (self.net.topology(), self.links());
+        let dt = self.config.slot.as_seconds();
+        sc.tx_energy.clear();
+        sc.tx_energy.resize(n, 0.0);
+        sc.rx_energy.clear();
+        sc.rx_energy.resize(n, 0.0);
+        for (c, &alpha) in sc.cand.iter().zip(&sc.alpha) {
             if alpha <= 1e-9 {
                 continue;
             }
-            let w = obs.spectrum.bandwidth(*m);
-            let gain = topo.gain(NodeId::from_index(*i), NodeId::from_index(*j));
+            let Link { i, j, .. } = links[c.link];
+            let w = obs.spectrum.bandwidth(c.band);
+            let gain = topo.gain(NodeId::from_index(i), NodeId::from_index(j));
             let p_min =
                 self.phy.sinr_threshold() * w.noise_power_watts(self.phy.noise_density()) / gain;
-            let p_min = p_min.min(self.energy.nodes[*i].max_power.as_watts());
-            tx_energy[*i] += alpha * p_min * dt.as_seconds();
-            rx_energy[*j] += alpha
-                * self.energy.nodes[*j].energy_model.recv_power().as_watts()
-                * dt.as_seconds();
+            let p_min = p_min.min(self.energy.nodes[i].max_power.as_watts());
+            sc.tx_energy[i] += alpha * p_min * dt;
+            sc.rx_energy[j] +=
+                alpha * self.energy.nodes[j].energy_model.recv_power().as_watts() * dt;
         }
+    }
 
-        // S2 (exact rule on real-valued queues).
-        let mut admissions: Vec<(usize, usize, f64)> = Vec::new(); // (s, source, k)
-        for s in 0..sessions {
+    /// S2: the exact rule on real-valued queues.
+    fn admit(&self, sc: &mut RelaxedScratch) {
+        let topo = self.net.topology();
+        sc.admissions.clear();
+        for s in 0..self.net.session_count() {
             let source = topo
                 .base_stations()
                 .min_by(|a, b| {
@@ -320,14 +457,27 @@ impl RelaxedController {
             } else {
                 0.0
             };
-            admissions.push((s, source.index(), k));
+            sc.admissions.push((source.index(), k));
         }
+    }
 
-        // Relaxed S3: winner-take-all per link over fractional capacity.
-        let mut flows = vec![0.0f64; sessions * n * n];
-        let mut backlog = self.q.clone();
+    /// Relaxed S3: winner-take-all per routable link at the `β` bound (the
+    /// same two-layer reading as the exact controller — see `s3`), over
+    /// real-valued queues. Flows land in `sc.flows`, sorted by (session,
+    /// link).
+    fn route(&self, obs: &SlotObservation, sc: &mut RelaxedScratch) {
+        let (n, links) = (self.net.topology().len(), self.links());
+        let bb = self.beta * self.beta;
+        sc.cap.clear();
+        sc.cap.extend(
+            links
+                .iter()
+                .map(|l| if l.routable { self.beta } else { 0.0 }),
+        );
+        sc.backlog.clone_from(&self.q);
+        sc.flows.clear();
+        // Destination delivery first (constraint (18)).
         for session in self.net.sessions() {
-            // Destination delivery first (constraint (18)).
             let s = session.id().index();
             let dest = session.destination().index();
             let want = obs.session_demand[s].count_f64();
@@ -335,89 +485,89 @@ impl RelaxedController {
                 continue;
             }
             let mut best: Option<(usize, f64)> = None;
-            for i in 0..n {
-                if i == dest || cap[i * n + dest] <= 0.0 || backlog[s * n + i] <= 0.0 {
+            for (k, link) in links.iter().enumerate() {
+                let i = link.i;
+                if link.j != dest || sc.cap[k] <= 0.0 || sc.backlog[s * n + i] <= 0.0 {
                     continue;
                 }
-                let coeff = -self.qi(s, i) + self.beta * self.beta * self.g[i * n + dest];
+                let coeff = -self.qi(s, i) + bb * self.g[i * n + dest];
                 if best.is_none_or(|(_, c)| coeff < c) {
-                    best = Some((i, coeff));
+                    best = Some((k, coeff));
                 }
             }
-            if let Some((i, _)) = best {
-                let amount = want.min(cap[i * n + dest]).min(backlog[s * n + i]);
-                flows[s * n * n + i * n + dest] += amount;
-                cap[i * n + dest] -= amount;
-                backlog[s * n + i] -= amount;
+            if let Some((k, _)) = best {
+                let i = links[k].i;
+                let amount = want.min(sc.cap[k]).min(sc.backlog[s * n + i]);
+                sc.flows.push((s, k, amount));
+                sc.cap[k] -= amount;
+                sc.backlog[s * n + i] -= amount;
             }
         }
-        for i in 0..n {
-            for j in 0..n {
-                if i == j || cap[i * n + j] <= 1e-12 {
+        for (k, link) in links.iter().enumerate() {
+            if sc.cap[k] <= 1e-12 {
+                continue;
+            }
+            let (i, j) = (link.i, link.j);
+            let mut best: Option<(usize, f64)> = None;
+            for (s, session) in self.net.sessions().iter().enumerate() {
+                let dest = session.destination().index();
+                let source = sc.admissions[s].0;
+                if j == source || i == dest || j == dest || sc.backlog[s * n + i] <= 0.0 {
                     continue;
                 }
-                let mut best: Option<(usize, f64)> = None;
-                for s in 0..sessions {
-                    let dest = self.net.sessions()[s].destination().index();
-                    let source = admissions[s].1;
-                    if j == source || i == dest || j == dest || backlog[s * n + i] <= 0.0 {
-                        continue;
-                    }
-                    let coeff =
-                        -self.qi(s, i) + self.qi(s, j) + self.beta * self.beta * self.g[i * n + j];
-                    if coeff < 0.0 && best.is_none_or(|(_, c)| coeff < c) {
-                        best = Some((s, coeff));
-                    }
-                }
-                if let Some((s, _)) = best {
-                    let amount = cap[i * n + j].min(backlog[s * n + i]);
-                    flows[s * n * n + i * n + j] += amount;
-                    backlog[s * n + i] -= amount;
-                    cap[i * n + j] = 0.0;
+                let coeff = -self.qi(s, i) + self.qi(s, j) + bb * self.g[i * n + j];
+                if coeff < 0.0 && best.is_none_or(|(_, c)| coeff < c) {
+                    best = Some((s, coeff));
                 }
             }
+            if let Some((s, _)) = best {
+                let amount = sc.cap[k].min(sc.backlog[s * n + i]);
+                sc.flows.push((s, k, amount));
+                sc.backlog[s * n + i] -= amount;
+                sc.cap[k] = 0.0;
+            }
         }
+        // (session, link) order: the order in which the queue and virtual
+        // queue laws sum a queue's flows.
+        sc.flows.sort_unstable_by_key(|&(s, k, _)| (s, k));
+    }
 
-        // S4 (exact solver on reconstructed battery states).
-        let batteries: Vec<Battery> = self
-            .energy
-            .nodes
-            .iter()
-            .zip(&self.levels)
-            .map(|(c, &lvl)| {
+    /// S4: the exact solver on reconstructed battery states. Returns the
+    /// slot cost.
+    fn source_energy(&self, obs: &SlotObservation, sc: &mut RelaxedScratch) -> f64 {
+        let n = self.net.topology().len();
+        sc.batteries.clear();
+        sc.batteries
+            .extend(self.energy.nodes.iter().zip(&self.levels).map(|(c, &lvl)| {
                 Battery::with_level(
                     c.battery.capacity(),
                     c.battery.charge_limit(),
                     c.battery.discharge_limit(),
                     Energy::from_kilowatt_hours(lvl.min(c.battery.capacity().as_kilowatt_hours())),
                 )
-            })
-            .collect();
-        let z: Vec<f64> = batteries
-            .iter()
-            .map(|b| {
-                dpp::shifted_level(
-                    b.level(),
-                    self.config.v,
-                    self.gamma_max,
-                    b.discharge_limit(),
-                )
-            })
-            .collect();
-        let demand: Vec<Energy> = (0..n)
-            .map(|i| {
-                let model = self.energy.nodes[i].energy_model;
-                model.const_energy()
-                    + model.idle_energy()
-                    + Energy::from_joules(tx_energy[i] + rx_energy[i])
-            })
-            .collect();
+            }));
+        sc.z.clear();
+        sc.z.extend(sc.batteries.iter().map(|b| {
+            dpp::shifted_level(
+                b.level(),
+                self.config.v,
+                self.gamma_max,
+                b.discharge_limit(),
+            )
+        }));
+        sc.demand.clear();
+        sc.demand.extend((0..n).map(|i| {
+            let model = self.energy.nodes[i].energy_model;
+            model.const_energy()
+                + model.idle_energy()
+                + Energy::from_joules(sc.tx_energy[i] + sc.rx_energy[i])
+        }));
         let scaled_cost = dpp::scaled_cost(&self.energy.cost, obs.price_multiplier);
         let input = EnergyManagementInput {
-            z: &z,
-            demand: &demand,
+            z: &sc.z,
+            demand: &sc.demand,
             renewable: &obs.renewable,
-            batteries: &batteries,
+            batteries: &sc.batteries,
             grid_connected: &obs.grid_connected,
             grid_limits: &self.grid_limits,
             is_base_station: &self.is_bs,
@@ -429,51 +579,64 @@ impl RelaxedController {
         // back down the same chain as the exact controller — serving less
         // (or nothing) only lowers the relaxed cost, so the Theorem 5
         // bound stays a lower bound.
-        let outcome = pipeline::solve_energy_with_fallbacks(&input);
+        pipeline::solve_energy_with_fallbacks_into(&input, &mut sc.s4, &mut sc.energy);
+        sc.energy.cost
+    }
 
-        // Advance real-valued state.
-        for (lvl, d) in self.levels.iter_mut().zip(&outcome.decisions) {
+    /// Advances batteries, data queues and virtual queues, touching only
+    /// queues that carry flow or service.
+    fn advance(&mut self, sc: &mut RelaxedScratch) {
+        let n = self.net.topology().len();
+        let sessions = self.net.session_count();
+        for (lvl, d) in self.levels.iter_mut().zip(&sc.energy.decisions) {
             *lvl += d.charge_total().as_kilowatt_hours() - d.discharge().as_kilowatt_hours();
             *lvl = lvl.max(0.0);
         }
-        let mut new_q = vec![0.0f64; sessions * n];
-        for s in 0..sessions {
-            let dest = self.net.sessions()[s].destination().index();
-            for i in 0..n {
-                if i == dest {
-                    continue;
-                }
-                let out: f64 = (0..n).map(|j| flows[s * n * n + i * n + j]).sum();
-                let inflow: f64 = (0..n).map(|j| flows[s * n * n + j * n + i]).sum();
-                new_q[s * n + i] = (self.qi(s, i) - out).max(0.0) + inflow;
-            }
-            let (_, src, k) = admissions[s];
-            new_q[s * n + src] += k;
+        sc.out.clear();
+        sc.out.resize(sessions * n, 0.0);
+        sc.inflow.clear();
+        sc.inflow.resize(sessions * n, 0.0);
+        sc.srv.resize(self.links().len(), 0.0);
+        sc.arrivals.resize(self.links().len(), 0.0);
+        sc.touched.clear();
+        for &(s, k, amount) in &sc.flows {
+            let Link { i, j, .. } = self.links()[k];
+            sc.out[s * n + i] += amount;
+            sc.inflow[s * n + j] += amount;
+            sc.arrivals[k] += amount;
+            sc.touched.push(k);
         }
-        self.q = new_q;
+        sc.new_q.clear();
+        sc.new_q.resize(sessions * n, 0.0);
+        for (s, session) in self.net.sessions().iter().enumerate() {
+            let dest = session.destination().index();
+            for i in (0..n).filter(|&i| i != dest) {
+                let at = s * n + i;
+                sc.new_q[at] = (self.q[at] - sc.out[at]).max(0.0) + sc.inflow[at];
+            }
+            let (src, k) = sc.admissions[s];
+            sc.new_q[s * n + src] += k;
+        }
+        std::mem::swap(&mut self.q, &mut sc.new_q);
         // Virtual queues: service = fractional scheduled capacity (original,
         // pre-routing), arrivals = routed flow.
-        let mut srv = vec![0.0f64; n * n];
-        for ((i, j, m, _), &alpha) in cand.iter().zip(&alphas) {
-            let c = potential_capacity(obs.spectrum.bandwidth(*m), &self.phy);
-            srv[*i * n + *j] += alpha * (c * dt).count() / self.config.packet_size.as_bits_f64();
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let arrivals: f64 = (0..sessions).map(|s| flows[s * n * n + i * n + j]).sum();
-                let cell = &mut self.g[i * n + j];
-                *cell = (*cell - srv[i * n + j]).max(0.0) + arrivals;
+        let dt = self.config.slot;
+        let bits = self.config.packet_size.as_bits_f64();
+        for (c, &alpha) in sc.cand.iter().zip(&sc.alpha) {
+            if alpha != 0.0 {
+                sc.srv[c.link] += alpha * (sc.band_rate[c.band.index()] * dt).count() / bits;
+                sc.touched.push(c.link);
             }
         }
-
-        self.series.record(outcome.cost);
-        self.admitted
-            .record(admissions.iter().map(|&(_, _, k)| k).sum::<f64>());
-        self.slot += 1;
-        outcome.cost
+        sc.touched.sort_unstable();
+        sc.touched.dedup();
+        for &k in &sc.touched {
+            let Link { i, j, .. } = self.links()[k];
+            let cell = &mut self.g[i * n + j];
+            *cell = (*cell - sc.srv[k]).max(0.0) + sc.arrivals[k];
+            sc.srv[k] = 0.0;
+            sc.arrivals[k] = 0.0;
+        }
     }
 }
 

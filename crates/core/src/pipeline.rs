@@ -556,14 +556,20 @@ pub fn fallback_ladder(policy: DegradationPolicy) -> &'static [&'static dyn Fall
     }
 }
 
-/// The relaxed controller's S4 chain: marginal price, else grid-only, else
-/// safe mode (never fails). Shared with [`crate::RelaxedController`] so the
-/// lower bound cannot drift from the online ladder's solver order.
-#[must_use]
-pub fn solve_energy_with_fallbacks(input: &EnergyManagementInput<'_>) -> EnergyOutcome {
-    crate::solve_energy_management(input)
-        .or_else(|_| crate::solve_grid_only(input))
-        .unwrap_or_else(|_| solve_safe_mode(input).outcome)
+/// The relaxed controller's S4 chain: marginal price (the warm kernel, in
+/// the caller's workspace), else grid-only, else safe mode (never fails).
+/// Shared with [`crate::RelaxedController`] so the lower bound cannot
+/// drift from the online ladder's solver order.
+pub fn solve_energy_with_fallbacks_into(
+    input: &EnergyManagementInput<'_>,
+    ws: &mut S4Workspace,
+    out: &mut EnergyOutcome,
+) {
+    if solve_energy_management_warm_into(input, ws, out).is_err()
+        && solve_grid_only_into(input, out).is_err()
+    {
+        *out = solve_safe_mode(input).outcome;
+    }
 }
 
 /// Rebuilds the schedule without any transmission touching `node`, then

@@ -1,27 +1,28 @@
 //! Steady-state allocation audit for the per-slot control path.
 //!
-//! A counting global allocator wraps `System`. Three serial sections:
-//! first the greedy S1 kernel alone (the original PR-4 audit), then the
-//! warm-started S4 energy kernel alone (threshold search + guarded
-//! replay on a drifting instance), then the **full pipeline slot** —
-//! once a warm-up has grown every buffer in the
+//! A counting global allocator wraps `System`. Five serial sections: first
+//! the greedy S1 kernel alone, then the warm-started S4 energy kernel alone
+//! (threshold search + guarded replay on a drifting instance), then the
+//! **full pipeline slot** — once a warm-up has grown every buffer in the
 //! [`greencell_core::SlotContext`] arena, repeated [`Controller::step`]
-//! calls across S1–S4, the state advance, and report assembly must
-//! perform **zero** heap allocations. This test binary is kept to a
-//! single `#[test]` so no concurrent test thread can pollute the counter,
-//! and only allocations made by the audited thread are counted: libtest's
-//! main thread blocks in a channel `recv` whose lazy wake-context setup
-//! allocates at an arbitrary point after the test starts, which on a
-//! single-core box races into the measured window.
+//! calls across S1–S4, the state advance, and report assembly must perform
+//! **zero** heap allocations — then the same slot with the dynamic
+//! network-state policies live, and last the relaxed lower-bound
+//! controller's [`greencell_core::RelaxedController::step`]. This test
+//! binary is kept to a single `#[test]` so no concurrent test thread can
+//! pollute the counter, and only allocations made by the audited thread
+//! are counted: libtest's main thread blocks in a channel `recv` whose lazy
+//! wake-context setup allocates at an arbitrary point after the test
+//! starts, which on a single-core box races into the measured window.
 
 use greencell_core::{
     greedy_schedule_with, solve_energy_management_warm_into, Controller, ControllerConfig,
     CoopPolicy, DegradationPolicy, EnergyConfig, EnergyManagementInput, EnergyOutcome,
-    EnergyPolicy, NodeEnergyConfig, RelayPolicy, S1Inputs, S1Scratch, S4Workspace, ScheduleOutcome,
-    SchedulerKind, SleepPolicy, SlotObservation,
+    EnergyPolicy, NodeEnergyConfig, RelaxedController, RelayPolicy, S1Inputs, S1Scratch,
+    S4Workspace, ScheduleOutcome, SchedulerKind, SleepPolicy, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
-use greencell_net::{NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
+use greencell_net::{Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
 use greencell_phy::{PhyConfig, SpectrumState};
 use greencell_queue::{FlowPlan, LinkQueueBank};
 use greencell_units::{Bandwidth, DataRate, Energy, PacketSize, Packets, Power, TimeDelta};
@@ -73,6 +74,7 @@ fn steady_state_slot_allocates_nothing() {
     steady_state_warm_s4_section();
     steady_state_full_pipeline_section();
     steady_state_dynamic_policies_section();
+    steady_state_relaxed_step_section();
 }
 
 fn steady_state_warm_s4_section() {
@@ -215,9 +217,12 @@ fn steady_state_greedy_s1_section() {
     );
 }
 
-fn steady_state_full_pipeline_section() {
-    // Same 2 BS + 6 users geometry, now with sessions so every stage of
-    // the pipeline has work: S2 admits, S3 routes, S4 sources the energy.
+/// The pipeline fixture: 2 BS + 6 users on two bands with three sessions,
+/// so every stage has work — S2 admits, S3 routes, S4 sources the energy.
+fn pipeline_fixture(
+    bs_sleep: Option<SleepPolicy>,
+    energy_coop: Option<CoopPolicy>,
+) -> (Network, EnergyConfig, ControllerConfig, SlotObservation) {
     let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 2);
     b.add_base_station(Point::new(0.0, 0.0));
     b.add_base_station(Point::new(1200.0, 0.0));
@@ -271,12 +276,9 @@ fn steady_state_full_pipeline_section() {
         energy_policy: EnergyPolicy::MarginalPrice,
         w_max: Bandwidth::from_megahertz(2.0),
         degradation: DegradationPolicy::Graceful,
-        bs_sleep: None,
-        energy_coop: None,
+        bs_sleep,
+        energy_coop,
     };
-    let phy = PhyConfig::new(1.0, 1e-20);
-    let mut ctl = Controller::new(net, phy, energy, config).expect("controller builds");
-
     let obs = SlotObservation {
         spectrum: SpectrumState::new(vec![
             Bandwidth::from_megahertz(1.0),
@@ -288,6 +290,13 @@ fn steady_state_full_pipeline_section() {
         price_multiplier: 1.0,
         node_available: vec![],
     };
+    (net, energy, config, obs)
+}
+
+fn steady_state_full_pipeline_section() {
+    let (net, energy, config, obs) = pipeline_fixture(None, None);
+    let phy = PhyConfig::new(1.0, 1e-20);
+    let mut ctl = Controller::new(net, phy, energy, config).expect("controller builds");
 
     // Warm-up: grow the arena to steady state. Queues keep evolving across
     // slots, so run long enough for every retained buffer (admissions,
@@ -328,83 +337,17 @@ fn steady_state_dynamic_policies_section() {
     // state therefore exercises begin_slot, the backlog scatter,
     // step_sleep, masked S2 source selection, and compute_transfers —
     // all of which must run out of the arena.
-    let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 2);
-    b.add_base_station(Point::new(0.0, 0.0));
-    b.add_base_station(Point::new(1200.0, 0.0));
-    let mut users = Vec::new();
-    for k in 0..6 {
-        let angle = k as f64 * std::f64::consts::TAU / 6.0;
-        users.push(b.add_user(Point::new(600.0 + 500.0 * angle.cos(), 500.0 * angle.sin())));
-    }
-    for &u in users.iter().take(3) {
-        b.add_session(u, DataRate::from_kilobits_per_second(100.0));
-    }
-    let net = b.build().expect("valid network");
-    let n = net.topology().len();
-    let sessions = net.session_count();
-
-    let node_cfg = |is_bs: bool| NodeEnergyConfig {
-        battery: Battery::new(
-            Energy::from_kilowatt_hours(1.0),
-            Energy::from_kilowatt_hours(0.1),
-            Energy::from_kilowatt_hours(0.1),
-        ),
-        energy_model: NodeEnergyModel::new(
-            Energy::from_joules(10.0),
-            Energy::from_joules(5.0),
-            Power::from_milliwatts(100.0),
-        ),
-        max_power: if is_bs {
-            Power::from_watts(20.0)
-        } else {
-            Power::from_watts(1.0)
-        },
-        grid_limit: Energy::from_kilowatt_hours(0.2),
+    let sleep = SleepPolicy {
+        threshold_pkts: 1e9, // every slot counts as idle
+        w_slots: 2,
+        wake_threshold_pkts: 1e9, // and the decision sticks
+        ramp_slots: 2,
+        sleep_power: Power::from_milliwatts(500.0),
+        ramp_power: Power::from_watts(5.0),
     };
-    let energy = EnergyConfig {
-        nodes: net
-            .topology()
-            .nodes()
-            .iter()
-            .map(|nd| node_cfg(nd.kind().is_base_station()))
-            .collect(),
-        cost: QuadraticCost::paper_default(),
-    };
-    let config = ControllerConfig {
-        v: 1e5,
-        lambda: 0.2,
-        k_max: Packets::new(1000),
-        packet_size: PacketSize::from_bits(10_000),
-        slot: TimeDelta::from_minutes(1.0),
-        scheduler: SchedulerKind::Greedy,
-        relay: RelayPolicy::MultiHop,
-        energy_policy: EnergyPolicy::MarginalPrice,
-        w_max: Bandwidth::from_megahertz(2.0),
-        degradation: DegradationPolicy::Graceful,
-        bs_sleep: Some(SleepPolicy {
-            threshold_pkts: 1e9, // every slot counts as idle
-            w_slots: 2,
-            wake_threshold_pkts: 1e9, // and the decision sticks
-            ramp_slots: 2,
-            sleep_power: Power::from_milliwatts(500.0),
-            ramp_power: Power::from_watts(5.0),
-        }),
-        energy_coop: Some(CoopPolicy { eta_x: 0.7 }),
-    };
+    let (net, energy, config, obs) = pipeline_fixture(Some(sleep), Some(CoopPolicy { eta_x: 0.7 }));
     let phy = PhyConfig::new(1.0, 1e-20);
     let mut ctl = Controller::new(net, phy, energy, config).expect("controller builds");
-
-    let obs = SlotObservation {
-        spectrum: SpectrumState::new(vec![
-            Bandwidth::from_megahertz(1.0),
-            Bandwidth::from_megahertz(2.0),
-        ]),
-        renewable: vec![Energy::from_joules(300.0); n],
-        grid_connected: vec![true; n],
-        session_demand: vec![Packets::new(600); sessions],
-        price_multiplier: 1.0,
-        node_available: vec![],
-    };
 
     for _ in 0..50 {
         ctl.step(&obs).expect("fault-free slot");
@@ -428,6 +371,39 @@ fn steady_state_dynamic_policies_section() {
         0,
         "steady-state dynamic-policy Controller::step performed {} heap \
          allocations over 50 slots",
+        after - before
+    );
+}
+
+fn steady_state_relaxed_step_section() {
+    // The relaxed P̄3 controller on the pipeline fixture: once the virtual
+    // queues fill, every slot builds S1 candidates, solves the fractional
+    // matching, routes, and runs the warm S4 kernel — all out of buffers
+    // kept on the controller.
+    let (net, energy, config, obs) = pipeline_fixture(None, None);
+    let phy = PhyConfig::new(1.0, 1e-20);
+    let mut ctl = RelaxedController::new(net, phy, energy, config);
+    for _ in 0..50 {
+        ctl.step(&obs);
+    }
+    assert!(
+        ctl.last_activations().any(|(.., alpha)| alpha > 0.0),
+        "warm-up must activate a link or the relaxed audit is vacuous"
+    );
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut active = 0usize;
+    for _ in 0..50 {
+        ctl.step(&obs);
+        active += ctl.last_activations().filter(|a| a.3 > 0.0).count();
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(active > 0, "steady state must keep activating links");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state RelaxedController::step performed {} heap allocations \
+         over 50 slots",
         after - before
     );
 }

@@ -1,13 +1,17 @@
-//! Optimization substrate: a dense two-phase simplex LP solver and scalar
-//! search routines.
+//! Optimization substrate: a dense two-phase simplex LP solver, an exact
+//! fractional matching solver, and scalar search routines.
 //!
 //! The paper solves its per-slot subproblems with CPLEX 12.4 (§VI). This
-//! workspace has no external solver, so this crate hand-rolls the two
+//! workspace has no external solver, so this crate hand-rolls the
 //! numerical tools the controller needs:
 //!
 //! * [`LinearProgram`] — a small, deterministic, dense two-phase primal
 //!   simplex with bounded variables, used by the sequential-fix link
-//!   scheduler (S1) and the relaxed lower-bound controller `P̄3`;
+//!   scheduler (S1) and as the test oracle for the matching solver;
+//! * [`max_weight_fractional_matching`] — the relaxed lower-bound
+//!   controller `P̄3`'s S1: the LP with only single-radio rows is a
+//!   fractional matching, solved exactly and without a tableau as an
+//!   assignment on the bipartite double cover (half-integral optimum);
 //! * [`bisect_increasing`] / [`golden_section_min`] — scalar searches used
 //!   by the S4 marginal-price solver;
 //! * [`bisect_replay`] / [`bisect_replay_guarded`] /
@@ -43,9 +47,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod matching;
 mod search;
 mod simplex;
 
+pub use matching::{
+    max_weight_fractional_matching, max_weight_fractional_matching_into, MatchingWorkspace,
+};
 pub use search::{
     bisect_increasing, bisect_replay, bisect_replay_guarded, golden_section_min,
     piecewise_sign_threshold,
