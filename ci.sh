@@ -171,10 +171,14 @@ rm -rf "$SERVE_DIR"
 echo "serve smoke: restore-on-startup verified"
 
 echo "== city run smoke (release binary, n = 10^4) =="
-# A 10 000-user city is partitioned by its interference clusters and never
-# assembles the dense n x n network, so it runs in well under a second.
+# A 10 000-user city is partitioned by its interference clusters, and the
+# relaxed lower-bound controller runs on the same parts, so neither run
+# assembles the dense n x n network; the tracked run steps under an 8 GB
+# address-space cap.
 ./target/release/greencell run --city 10000 --horizon 2 >/dev/null
-echo "city smoke: 10^4 users stepped"
+(ulimit -v 8000000 && ./target/release/greencell run --city 10000 --horizon 2 \
+  --track-lower-bound >/dev/null)
+echo "city smoke: 10^4 users stepped, with and without the lower bound"
 
 echo "== criterion benches compile =="
 cargo bench --workspace --no-run -q $CARGO_FLAGS

@@ -265,8 +265,8 @@ pub struct ControllerState {
 /// driver over them. See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct Controller {
-    phy: PhyConfig,
-    energy: EnergyConfig,
+    pub(crate) phy: PhyConfig,
+    pub(crate) energy: EnergyConfig,
     config: ControllerConfig,
     batteries: Vec<Battery>,
     gamma_max: f64,
@@ -277,11 +277,11 @@ pub struct Controller {
     // Slot-invariant per-node constants, hoisted out of the per-slot path
     // (the energy configuration is immutable after construction).
     models: Vec<NodeEnergyModel>,
-    grid_limits: Vec<Energy>,
-    is_bs: Vec<bool>,
+    pub(crate) grid_limits: Vec<Energy>,
+    pub(crate) is_bs: Vec<bool>,
     // The partition: parts in cluster order, the cluster set they came
     // from, and the global ↔ part-local id maps.
-    parts: Vec<Part>,
+    pub(crate) parts: Vec<Part>,
     decomposition: ClusterSet,
     /// Global node → part index (`usize::MAX` for nodes in no part).
     node_part: Vec<usize>,
@@ -292,12 +292,12 @@ pub struct Controller {
     /// Nodes in no part (base-station-free clusters): they never schedule
     /// or queue, and draw their idle demand only.
     uncovered: Vec<usize>,
-    bands: usize,
-    workers: usize,
+    pub(crate) bands: usize,
+    pub(crate) workers: usize,
     // The resolved pipeline: stage objects looked up from the registry at
     // construction, so the hot path carries no `match` on config enums.
     schedule_stage: &'static dyn ScheduleStage,
-    relay_stage: &'static dyn RelayStage,
+    pub(crate) relay_stage: &'static dyn RelayStage,
     energy_stage: &'static dyn EnergyStage,
     ladder: &'static [&'static dyn FallbackStage],
     ctx: SlotContext,

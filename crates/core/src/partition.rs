@@ -504,8 +504,10 @@ pub(crate) fn link_service_into(
 
 /// Runs `f` on every part: in order on the calling thread, or in
 /// contiguous chunks on up to `workers` scoped threads. A part touches
-/// only its own state, so results never depend on `workers`.
-pub(crate) fn for_each_part(parts: &mut [Part], workers: usize, f: &(dyn Fn(&mut Part) + Sync)) {
+/// only its own state, so results never depend on `workers`. Generic over
+/// the part type: the exact controller's [`Part`]s and the relaxed
+/// controller's parts share this one fan-out.
+pub(crate) fn for_each_part<P: Send>(parts: &mut [P], workers: usize, f: &(dyn Fn(&mut P) + Sync)) {
     let workers = workers.min(parts.len());
     if workers <= 1 {
         parts.iter_mut().for_each(f);

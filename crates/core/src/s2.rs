@@ -77,6 +77,18 @@ pub fn admission_valve_open(q: f64, lambda: f64, v: f64) -> bool {
     q - lambda * v < 0.0
 }
 
+/// The paper's source rule: the base station with the smallest backlog,
+/// lowest id on ties (`None` when there is no candidate). Shared by the
+/// online S2 stage and the relaxed lower-bound controller; the online
+/// stage's integer backlogs convert to `f64` exactly and monotonically
+/// below 2⁵³, so both pick by the same keys.
+pub(crate) fn min_backlog_source(
+    candidates: impl Iterator<Item = NodeId>,
+    backlog: impl Fn(NodeId) -> f64,
+) -> Option<NodeId> {
+    candidates.min_by(|&a, &b| backlog(a).total_cmp(&backlog(b)).then(a.cmp(&b)))
+}
+
 /// S2 into a caller-owned buffer (cleared first; allocation-free once it
 /// has reached its steady-state capacity), restricted to an eligible
 /// source set: the paper's rule over only the base stations for which
@@ -107,16 +119,10 @@ pub fn resource_allocation_masked_into(
     out.clear();
     out.extend(net.sessions().iter().map(|session| {
         let s = session.id();
-        let source = net
-            .topology()
-            .base_stations()
-            .filter(|&b| source_eligible(b))
-            .min_by_key(|&b| (data.backlog(b, s), b))
-            .or_else(|| {
-                net.topology()
-                    .base_stations()
-                    .min_by_key(|&b| (data.backlog(b, s), b))
-            })
+        let backlog = |b: NodeId| data.backlog(b, s).count_f64();
+        let bss = || net.topology().base_stations();
+        let source = min_backlog_source(bss().filter(|&b| source_eligible(b)), backlog)
+            .or_else(|| min_backlog_source(bss(), backlog))
             .expect("network has at least one base station");
         let q = data.backlog(source, s).count_f64();
         let packets = if admission_valve_open(q, lambda, v) {

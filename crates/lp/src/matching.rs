@@ -69,6 +69,29 @@ impl MatchingWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Reserves every buffer for problems of up to `nodes` nodes and
+    /// `edges` edges, so no later call on such a problem allocates. The
+    /// assignment matrices of one component take `nodes²` entries each.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        for buf in [&mut self.bucketed, &mut self.order, &mut self.comp_edges] {
+            buf.reserve(edges);
+        }
+        for buf in [
+            &mut self.bucket_start,
+            &mut self.kept_at,
+            &mut self.parent,
+            &mut self.comp,
+            &mut self.local,
+            &mut self.comp_size,
+            &mut self.comp_start,
+        ] {
+            buf.reserve(nodes + 1);
+        }
+        self.cost.reserve(nodes * nodes);
+        self.edge_at.reserve(nodes * nodes);
+        self.hungarian.reserve(nodes);
+    }
 }
 
 const NONE: usize = usize::MAX;
@@ -281,6 +304,17 @@ struct Hungarian {
 }
 
 impl Hungarian {
+    fn reserve(&mut self, c: usize) {
+        for buf in [&mut self.u, &mut self.v, &mut self.minv] {
+            buf.reserve(c + 1);
+        }
+        for buf in [&mut self.p, &mut self.way] {
+            buf.reserve(c + 1);
+        }
+        self.used.reserve(c + 1);
+        self.assignment.reserve(c);
+    }
+
     fn solve(&mut self, c: usize, cost: &[f64]) {
         let Self {
             u,

@@ -3,8 +3,8 @@
 //! Claims points from an on-disk work queue (see [`greencell_sim::distrib`])
 //! until every manifest point has a result, then exits. The `greencell`
 //! CLI's hidden `sweep-worker` mode is the same loop; this binary exists so
-//! the sim crate's integration tests (and `perf_baseline`) can spawn
-//! workers without depending on the CLI crate.
+//! the sim crate's integration tests can spawn workers without depending
+//! on the CLI crate.
 //!
 //! ```text
 //! sweep_worker --dir <work_dir> --id <worker_id> \

@@ -179,7 +179,8 @@ fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
 /// The controller is partitioned by the scenario's interference clusters
 /// (see [`crate::scale`]) when pruning splits an unshadowed network into
 /// several, and covers the whole network otherwise; a partitioned run never
-/// builds the dense `n × n` network unless the lower bound is tracked.
+/// builds the dense `n × n` network. The relaxed controller runs on the
+/// same partition.
 ///
 /// All randomness derives from the scenario seed through independent
 /// split streams, so runs are bit-for-bit reproducible and two simulators
@@ -251,7 +252,6 @@ impl Simulator {
         let clusters = (scenario.gain_floor > 0.0 && layout.shadowing_db.is_empty())
             .then(|| scale::decompose(&layout, scenario))
             .filter(|c| c.len() > 1);
-        let partitioned = clusters.is_some();
         // Stream discipline: the scenario's topology stream is the master's
         // first split (consumed inside `build_layout`); the simulator takes
         // the subsequent splits in a fixed order.
@@ -286,7 +286,6 @@ impl Simulator {
         let energy = scenario.energy_config_for(is_bs.iter().copied());
         let config = scenario.controller_config();
         let phy = scenario.phy();
-        let relaxed_energy = scenario.track_lower_bound.then(|| energy.clone());
         let controller = match clusters {
             Some(clusters) => {
                 let parts = scale::parts(&layout, scenario, &clusters)?;
@@ -294,19 +293,10 @@ impl Simulator {
             }
             None => Controller::new(layout.assemble(scenario)?, phy, energy, config)?,
         };
-        // The relaxed P̄3 controller is not partitioned: it always solves
-        // the dense network.
-        let relaxed = match relaxed_energy {
-            Some(energy) => {
-                let net = if partitioned {
-                    layout.assemble(scenario)?
-                } else {
-                    controller.network().clone()
-                };
-                Some(RelaxedController::new(net, phy, energy, config))
-            }
-            None => None,
-        };
+        // The relaxed P̄3 controller runs on the controller's partition.
+        let relaxed = scenario
+            .track_lower_bound
+            .then(|| RelaxedController::for_controller(&controller));
         let total_demand: f64 = (0..scenario.sessions)
             .map(|_| scenario.demand_packets_per_slot().count_f64())
             .sum();

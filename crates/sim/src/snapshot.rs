@@ -630,8 +630,6 @@ impl Simulator {
         sim.controller
             .check_state(&snap.controller)
             .map_err(corrupt)?;
-        let nodes = sim.controller.node_count();
-        let sessions = sim.controller.session_count();
         if snap.grid_chains.len() != sim.grid_chains.len() {
             return Err(corrupt(format!(
                 "snapshot has {} grid chains, scenario builds {}",
@@ -640,16 +638,7 @@ impl Simulator {
             )));
         }
         match (&sim.relaxed, &snap.relaxed) {
-            (Some(_), Some(r)) => {
-                if r.levels.len() != nodes
-                    || r.q.len() != sessions * nodes
-                    || r.g.len() != nodes * nodes
-                {
-                    return Err(corrupt(
-                        "relaxed state dimensions do not fit the network".to_string(),
-                    ));
-                }
-            }
+            (Some(relaxed), Some(r)) => relaxed.check_state(r).map_err(corrupt)?,
             (None, None) => {}
             (have, snapshot) => {
                 return Err(corrupt(format!(
@@ -732,6 +721,32 @@ mod tests {
         let mut back_cmp = back.clone();
         back_cmp.origin = snap.origin.clone();
         assert_eq!(back_cmp, snap);
+    }
+
+    /// A relaxed state in the dense one-part layout (`n·S` data queues,
+    /// `n²` link queues) does not fit a partitioned run, whose relaxed
+    /// queues are its parts' blocks: the restore is a typed rejection.
+    #[test]
+    fn restore_rejects_a_dense_relaxed_state_on_a_partitioned_run() {
+        let mut scenario = Scenario::city(120, 3, Scenario::default_city_area(3), 61);
+        scenario.horizon = 6;
+        scenario.track_lower_bound = true;
+        let mut sim = Simulator::new(&scenario).unwrap();
+        assert!(sim.controller().part_count() > 1, "want a partitioned run");
+        for _ in 0..3 {
+            sim.step().unwrap();
+        }
+        let mut snap = sim.snapshot();
+        let (n, sessions) = (sim.controller().node_count(), scenario.sessions);
+        let relaxed = snap.relaxed.as_mut().expect("bound tracked");
+        relaxed.q = vec![0.0; sessions * n];
+        relaxed.g = vec![0.0; n * n];
+        match Simulator::restore(&scenario, &snap) {
+            Err(SimError::CorruptSnapshot { detail, .. }) => {
+                assert!(detail.contains("relaxed state"), "{detail}");
+            }
+            other => panic!("expected CorruptSnapshot, got {other:?}"),
+        }
     }
 
     #[test]

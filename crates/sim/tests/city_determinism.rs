@@ -1,19 +1,24 @@
 //! Determinism gates for the city-scale subsystem: scenario generation,
 //! cluster decomposition, and — critically — the cluster-parallel solve
-//! must be bit-identical at any worker count and across repeat runs.
+//! must be bit-identical at any worker count and across repeat runs, for
+//! the exact controller and the relaxed lower-bound controller alike.
 
 use greencell_core::SlotReport;
 use greencell_sim::{scale, Scenario, Simulator};
 
-fn run(s: &Scenario, workers: usize) -> Vec<SlotReport> {
+/// The run's slot reports and its relaxed cost series (empty unless the
+/// scenario tracks the lower bound).
+fn run(s: &Scenario, workers: usize) -> (Vec<SlotReport>, Vec<f64>) {
     let mut sim = Simulator::with_workers(s, workers).expect("city path builds");
     assert!(
         sim.controller().part_count() >= 2,
         "need several clusters for the parallelism to be real"
     );
-    (0..s.horizon)
+    let reports = (0..s.horizon)
         .map(|_| sim.step_with_report().expect("slot steps"))
-        .collect()
+        .collect();
+    let relaxed = sim.metrics().relaxed_cost_series().values().to_vec();
+    (reports, relaxed)
 }
 
 #[test]
@@ -36,7 +41,9 @@ fn city_generation_is_deterministic() {
 fn worker_count_does_not_change_results() {
     let mut s = Scenario::city(240, 6, Scenario::default_city_area(6), 23);
     s.horizon = 15;
+    s.track_lower_bound = true;
     let serial = run(&s, 1);
+    assert_eq!(serial.1.len(), s.horizon, "the relaxed series is tracked");
     assert_eq!(serial, run(&s, 2), "1 vs 2 workers diverged");
     assert_eq!(serial, run(&s, 3), "1 vs 3 workers diverged");
     assert_eq!(serial, run(&s, 4), "1 vs 4 workers diverged");
@@ -46,6 +53,7 @@ fn worker_count_does_not_change_results() {
     // pass run on chunks of different sizes.
     let mut s = Scenario::city(280, 7, Scenario::default_city_area(7), 23);
     s.horizon = 15;
+    s.track_lower_bound = true;
     let parts = Simulator::with_workers(&s, 1)
         .expect("city path builds")
         .controller()

@@ -5,17 +5,20 @@
 //! outside the measured region; after a warm-up has grown every part's
 //! scratch and the global S4 workspace, repeated [`Controller::step`]
 //! calls on a partitioned controller — per-part S1–S3 solves, global S4,
-//! queue and battery advance, report assembly — must perform **zero**
-//! heap allocations at `workers = 1` (thread spawning necessarily
-//! allocates, which is why the multi-worker configuration is exercised by
-//! the determinism gate instead). Only allocations made by the audited
+//! queue and battery advance, report assembly — each beside the relaxed
+//! lower-bound controller's [`RelaxedController::step`] on the same parts,
+//! must perform **zero** heap allocations at `workers = 1` (thread
+//! spawning necessarily allocates, which is why the multi-worker
+//! configuration is exercised by the determinism gate instead). Only allocations made by the audited
 //! thread are counted: libtest's main thread blocks in a channel `recv`
 //! whose lazy wake-context setup allocates at an arbitrary point after
 //! the test starts, which on a single-core box races into the measured
 //! window.
 //!
 //! [`Controller::step`]: greencell_core::Controller::step
+//! [`RelaxedController::step`]: greencell_core::RelaxedController::step
 
+use greencell_core::RelaxedController;
 use greencell_sim::{Scenario, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,12 +75,15 @@ fn steady_state_city_slot_allocates_nothing() {
     // Pre-draw every observation: the observation sampler legitimately
     // allocates its per-slot vectors; the audit targets the solve path.
     let observations: Vec<_> = (0..s.horizon).map(|_| sim.next_observation()).collect();
+    // The lower bound, tracked on the controller's own partition.
+    let mut relaxed = RelaxedController::for_controller(sim.controller());
     let controller = sim.controller_mut();
 
     // Warm-up: grow every per-cluster buffer, the S1/S4 warm kernels,
     // and the global arena to their steady-state footprint.
     let warmup = 30;
     for obs in &observations[..warmup] {
+        relaxed.step(obs);
         let report = controller.step(obs).expect("warm-up slot steps");
         assert!(report.degradation.is_empty(), "warm-up must stay clean");
     }
@@ -86,6 +92,7 @@ fn steady_state_city_slot_allocates_nothing() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for obs in &observations[warmup..] {
         let at = ALLOCATIONS.load(Ordering::Relaxed);
+        relaxed.step(obs);
         let report = controller.step(obs).expect("steady-state slot steps");
         per_slot.push(ALLOCATIONS.load(Ordering::Relaxed) - at);
         assert!(

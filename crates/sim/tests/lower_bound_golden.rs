@@ -4,13 +4,15 @@
 //! the tiny scenario, the four fault archetypes, BS sleep with energy
 //! cooperation (with and without BS outages), and eight points shaped like
 //! the `sweep_lb` benchmark grid (`Scenario::paper` at derived seeds × the
-//! four V values, 25 slots). Each line records, in plain text so a
-//! divergence names what moved, the relaxed time-averaged cost, the relaxed
-//! admitted average and the bound, plus an FNV-1a fingerprint of the whole
-//! relaxed cost series. The exact controller's outputs ride along as one
-//! fingerprint: a change to the relaxed controller must never move them.
+//! four V values, 25 slots), and a pruned city whose controllers are
+//! partitioned by its interference clusters. Each line records, in plain
+//! text so a divergence names what moved, the relaxed time-averaged cost,
+//! the relaxed admitted average and the bound, plus an FNV-1a fingerprint
+//! of the whole relaxed cost series. The exact controller's outputs ride
+//! along as one fingerprint: a change to the relaxed controller must never
+//! move them.
 //!
-//! A second test steps the same battery slot by slot and checks the
+//! A second test steps the dense battery slot by slot and checks the
 //! relaxed S1 against the dense simplex: it rebuilds each slot's candidate
 //! set from the exported virtual queues and the observation with its own
 //! weight formula, solves today's LP, and demands that the controller's
@@ -83,10 +85,21 @@ fn battery() -> Vec<(String, Scenario)> {
     out
 }
 
+/// Runs that are fingerprinted but not stepped against the dense simplex:
+/// a pruned city, so P̄3 runs on the controller's parts.
+fn partitioned() -> Vec<(String, Scenario)> {
+    let city = Scenario::city(120, 3, Scenario::default_city_area(3), 61);
+    vec![("city_partitioned".to_string(), tracked(city, 20))]
+}
+
 fn fingerprint() -> String {
     let mut lines = Vec::new();
-    for (label, scenario) in battery() {
+    let dense = battery().into_iter().map(|run| (run, false));
+    let pruned = partitioned().into_iter().map(|run| (run, true));
+    for ((label, scenario), partitioned) in dense.chain(pruned) {
         let mut sim = Simulator::new(&scenario).expect("scenario builds");
+        let parts = sim.controller().part_count();
+        assert_eq!(parts > 1, partitioned, "{label}: {parts} parts");
         let metrics = sim.run().expect("run completes").clone();
         let bound = metrics.lower_bound().expect("bound tracked");
         let relaxed = metrics.relaxed_cost_series();

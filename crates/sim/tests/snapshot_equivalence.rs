@@ -116,10 +116,11 @@ fn city_scenario_snapshots_roundtrip_on_the_dense_path() {
     }
 }
 
-/// A pruned city — several interference clusters, so the controller is
-/// partitioned and the snapshot carries each part's queues in part order —
-/// with BS sleeping, energy cooperation and BS outages all live resumes
-/// bit-identically, mid-run and mid-sleep-cycle alike.
+/// A pruned city — several interference clusters, so the controller and
+/// the relaxed lower-bound controller are partitioned and the snapshot
+/// carries each part's queues in part order — with BS sleeping, energy
+/// cooperation, BS outages and the bound all live resumes bit-identically,
+/// mid-run and mid-sleep-cycle alike.
 #[test]
 fn partitioned_city_with_sleep_coop_and_outages_resumes_bit_identically() {
     let mut s = Scenario::city(120, 3, Scenario::default_city_area(3), 61);
@@ -132,6 +133,7 @@ fn partitioned_city_with_sleep_coop_and_outages_resumes_bit_identically() {
     });
     s.energy_coop = Some(s.default_coop_policy());
     s.faults = Some(FaultSpec::bs_outage());
+    s.track_lower_bound = true;
     let sim = Simulator::new(&s).expect("partitioned city builds");
     assert!(sim.controller().part_count() > 1, "want a partitioned run");
     for snap_at in [0, 5, 9, s.horizon - 1] {
