@@ -43,8 +43,9 @@ echo "== slot driver golden gate =="
 # chaos, every policy axis, the unpruned city cells, energy-starved runs
 # and a 48-case grid of controller configurations must reproduce byte for
 # byte, and every rung of the degradation ladder (shed, grid-only
-# fallback, drop schedule, safe mode, strict abort) must fire. The
-# zero-alloc audit pins the steady-state arena discipline.
+# fallback, drop schedule, safe mode) must fire, as must the strict
+# policy's abort. The zero-alloc audit pins the steady-state arena
+# discipline.
 cargo test -p greencell-sim --test driver_golden -q $CARGO_FLAGS
 cargo test -p greencell-core --test s1_zero_alloc -q $CARGO_FLAGS
 
@@ -180,6 +181,26 @@ echo "== city run smoke (release binary, n = 10^4) =="
   --track-lower-bound >/dev/null)
 echo "city smoke: 10^4 users stepped, with and without the lower bound"
 
+echo "== argv never panics (release binary) =="
+# Settings the simulator cannot run (V = 0 with the lower bound tracked, a
+# NaN tariff multiplier) are typed configuration errors: each command
+# exits non-zero with an `error:` line on stderr and never panics. Run in a
+# scratch dir so nothing lands under the checked-in results/.
+GREENCELL_BIN="$PWD/target/release/greencell"
+ARGV_DIR=$(mktemp -d)
+for args in "run --v 0 --horizon 3 --track-lower-bound" \
+  "fig2a --tiny --horizon 3 --v-values 0" "run --tou nan" "serve --tiny --tou nan"; do
+  if (cd "$ARGV_DIR" && "$GREENCELL_BIN" $args </dev/null >/dev/null 2>err.txt); then
+    echo "greencell $args: expected a non-zero exit" >&2; exit 1
+  fi
+  if grep -q 'panicked' "$ARGV_DIR/err.txt" || ! grep -q '^error:' "$ARGV_DIR/err.txt"; then
+    echo "greencell $args: expected a typed error, got:" >&2
+    cat "$ARGV_DIR/err.txt" >&2; exit 1
+  fi
+done
+rm -rf "$ARGV_DIR"
+echo "argv smoke: unrunnable settings are typed errors"
+
 echo "== criterion benches compile =="
 cargo bench --workspace --no-run -q $CARGO_FLAGS
 
@@ -214,7 +235,6 @@ echo "== figure run-smoke (release binary) =="
 # under --out and the sweep telemetry under results/ of the working
 # directory (a scratch dir here, so the checked-in telemetry is untouched).
 FIG_DIR=$(mktemp -d)
-GREENCELL_BIN="$PWD/target/release/greencell"
 (cd "$FIG_DIR" && "$GREENCELL_BIN" fig2a --tiny --horizon 5 --v-values 1e5,2e5 \
   --out "$FIG_DIR" >/dev/null)
 test -s "$FIG_DIR/fig2a.csv"
@@ -242,7 +262,7 @@ echo "== cargo clippy (no unwrap in core/sim/trace/phy library code) =="
 # Library and binary targets only: test code may unwrap freely, the
 # controller/simulator/tracing/power-control production path must not.
 # greencell-core's audit covers every module on the per-slot control path:
-# controller, pipeline (stage registry + fallback ladder), s1–s4, dpp
+# controller, pipeline (S4 energy stages + fallback ladder rungs), s1–s4, dpp
 # (drift constants), netstate (the sleep/cooperation machine), and
 # lower_bound (the relaxed P̄3 controller).
 cargo clippy -p greencell-core -p greencell-sim -p greencell-trace \

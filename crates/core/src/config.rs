@@ -2,6 +2,7 @@
 //! hardware.
 
 use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
+use greencell_net::{Network, NodeId};
 use greencell_units::{Bandwidth, Energy, PacketSize, Packets, Power, TimeDelta};
 
 /// Which S1 link-scheduling algorithm the controller runs.
@@ -21,8 +22,7 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// The stage-registry key this kind resolves to (see
-    /// [`crate::pipeline::schedule_stage`]).
+    /// This kind's one spelling, as manifests and golden labels write it.
     #[must_use]
     pub fn key(self) -> &'static str {
         match self {
@@ -48,13 +48,22 @@ pub enum RelayPolicy {
 }
 
 impl RelayPolicy {
-    /// The stage-registry key this policy resolves to (see
-    /// [`crate::pipeline::relay_stage`]).
+    /// This policy's one spelling, as golden labels write it.
     #[must_use]
     pub fn key(self) -> &'static str {
         match self {
             Self::MultiHop => "multi_hop",
             Self::OneHop => "one_hop",
+        }
+    }
+
+    /// Whether `node` may transmit and carry routed flow under this
+    /// policy: any node under multi-hop, only base stations under one-hop.
+    #[must_use]
+    pub fn may_relay(self, net: &Network, node: NodeId) -> bool {
+        match self {
+            Self::MultiHop => true,
+            Self::OneHop => net.topology().node(node).kind().is_base_station(),
         }
     }
 }
@@ -74,8 +83,8 @@ pub enum EnergyPolicy {
 }
 
 impl EnergyPolicy {
-    /// The stage-registry key this policy resolves to (see
-    /// [`crate::pipeline::energy_stage`]).
+    /// This policy's one spelling, as manifests and golden labels write
+    /// it.
     #[must_use]
     pub fn key(self) -> &'static str {
         match self {
@@ -130,10 +139,11 @@ pub struct ControllerConfig {
     pub w_max: Bandwidth,
     /// What to do when S4 stays infeasible after shedding (fault handling).
     pub degradation: DegradationPolicy,
-    /// Dynamic BS sleeping (the `bs_sleep` schedule stage); `None` keeps
-    /// every BS awake and the controller bit-identical to the paper.
+    /// Dynamic BS sleeping (the sleep machine the driver runs before S1);
+    /// `None` keeps every BS awake and the controller bit-identical to the
+    /// paper.
     pub bs_sleep: Option<crate::netstate::SleepPolicy>,
-    /// Inter-BS energy cooperation (the `energy_coop` energy stage);
+    /// Inter-BS energy cooperation ([`crate::pipeline::EnergyCoopStage`]);
     /// `None` keeps S4 per-node-independent as in the paper.
     pub energy_coop: Option<crate::netstate::CoopPolicy>,
 }

@@ -1,9 +1,10 @@
 //! The per-slot control driver (problem P3, §IV-C).
 //!
-//! The controller is a *thin driver* over [`crate::pipeline`]: S1/S3/S4
-//! run behind stage traits resolved once at construction, and the
-//! degradation ladder is a chain of [`crate::pipeline::FallbackStage`]
-//! rungs. It owns a partition of the network into [`Part`]s — one part
+//! The controller is a *thin driver* over [`crate::pipeline`]: the config
+//! enums pick S1 and the relay rule directly, S4 runs behind the
+//! [`crate::pipeline::EnergyStage`] picked at construction, and the
+//! degradation ladder is a list of [`crate::pipeline::FallbackRung`]
+//! functions. It owns a partition of the network into [`Part`]s — one part
 //! covering every node for the dense [`Controller::new`], one per
 //! interference cluster for [`Controller::partitioned`] — and each slot it
 //! runs the BS sleep machine once, S1–S3 per part (on scoped threads when
@@ -15,12 +16,12 @@
 
 use crate::partition::{for_each_part, PartInputs};
 use crate::pipeline::{
-    self, EnergyStage, FallbackCx, FallbackOutcome, FallbackStage, RelayStage, ScheduleStage,
-    SlotContext, StageClock,
+    self, EnergyCoopStage, EnergyStage, FallbackCx, FallbackOutcome, GridOnlyStage,
+    MarginalPriceStage, SlotContext, StageClock,
 };
 use crate::{
     dpp, ClusterSet, ControllerConfig, EnergyConfig, EnergyManagementError, EnergyManagementInput,
-    NetworkState, Part, PartSpec, SlotObservation,
+    EnergyPolicy, NetworkState, Part, PartSpec, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
@@ -294,12 +295,8 @@ pub struct Controller {
     uncovered: Vec<usize>,
     pub(crate) bands: usize,
     pub(crate) workers: usize,
-    // The resolved pipeline: stage objects looked up from the registry at
-    // construction, so the hot path carries no `match` on config enums.
-    schedule_stage: &'static dyn ScheduleStage,
-    pub(crate) relay_stage: &'static dyn RelayStage,
+    /// The S4 stage the config picked (tests may swap it).
     energy_stage: &'static dyn EnergyStage,
-    ladder: &'static [&'static dyn FallbackStage],
     ctx: SlotContext,
 }
 
@@ -394,18 +391,12 @@ impl Controller {
             .into_iter()
             .map(|spec| Part::new(spec, &max_powers, &models, beta, whole))
             .collect();
-        let energy_key = if config.energy_coop.is_some() {
-            "energy_coop"
-        } else {
-            config.energy_policy.key()
-        };
-        let schedule_stage = pipeline::schedule_stage(config.scheduler.key())
-            .expect("built-in scheduler stage is registered");
-        let relay_stage =
-            pipeline::relay_stage(config.relay.key()).expect("built-in relay stage is registered");
-        let energy_stage =
-            pipeline::energy_stage(energy_key).expect("built-in energy stage is registered");
-        let ladder = pipeline::fallback_ladder(config.degradation);
+        let energy_stage: &'static dyn EnergyStage =
+            match (config.energy_coop, config.energy_policy) {
+                (Some(_), _) => &EnergyCoopStage,
+                (None, EnergyPolicy::MarginalPrice) => &MarginalPriceStage,
+                (None, EnergyPolicy::GridOnly) => &GridOnlyStage,
+            };
         let ctx = Self::fresh_arena(&config, &is_bs);
         Ok(Self {
             batteries,
@@ -428,10 +419,7 @@ impl Controller {
             uncovered,
             bands,
             workers: workers.max(1),
-            schedule_stage,
-            relay_stage,
             energy_stage,
-            ladder,
             ctx,
         })
     }
@@ -729,21 +717,13 @@ impl Controller {
         self.timings = StageTimings::default();
     }
 
-    /// Swaps the S4 stage for any object registered through the
-    /// [`crate::pipeline`] seam (e.g.
-    /// `pipeline::energy_stage("grid_only")`), overriding what
-    /// [`crate::EnergyPolicy::key`] resolved at construction. Ablation
-    /// hook: lets a custom or baseline energy policy run under the full
-    /// driver (timing, tracing, degradation ladder) without a config enum
-    /// variant.
+    /// Swaps the S4 stage for any [`EnergyStage`] (e.g.
+    /// [`crate::pipeline::GridOnlyStage`], or a test's cold oracle),
+    /// overriding the one the config picked at construction. Lets a
+    /// custom or baseline energy policy run under the full driver (timing,
+    /// tracing, degradation ladder) without a config enum variant.
     pub fn set_energy_stage(&mut self, stage: &'static dyn EnergyStage) {
         self.energy_stage = stage;
-    }
-
-    /// The registry key of the S4 stage currently in force.
-    #[must_use]
-    pub fn energy_stage_key(&self) -> &'static str {
-        self.energy_stage.key()
     }
 
     /// The shifted battery level `z_i(t)` in kWh.
@@ -869,13 +849,12 @@ impl Controller {
             } else {
                 &obs.node_available
             },
-            relay: self.relay_stage,
             beta_cap: Packets::new(self.beta.floor() as u64),
             batteries: &self.batteries,
             grid_limits: &self.grid_limits,
         };
-        let (stage, workers) = (self.schedule_stage, self.workers);
-        for_each_part(parts, workers, &|p| p.schedule(stage, &cx));
+        let workers = self.workers;
+        for_each_part(parts, workers, &|p| p.schedule(&cx));
         clock.stop(&mut self.timings.s1, self.slot, Stage::S1, traced, sink);
 
         // S2 — source selection and admission control.
@@ -890,10 +869,9 @@ impl Controller {
 
         // S4, with the fallback ladder in case S4 reports a deficit the
         // worst-case precheck missed (or a fault made the observation
-        // inconsistent). The ladder is the resolved
-        // `pipeline::fallback_ladder` chain: graceful descends shed →
-        // grid-only → drop schedule → safe mode; strict aborts after
-        // shedding.
+        // inconsistent). The ladder is `pipeline::fallback_ladder`'s list:
+        // graceful descends shed → grid-only → drop schedule → safe mode;
+        // strict aborts when shedding cannot help.
         let mut shed = 0usize;
         let mut degradation: Vec<DegradationEvent> = Vec::new();
         // Time-of-use pricing: this slot the provider pays `m·f(P)`, which
@@ -958,8 +936,8 @@ impl Controller {
                 sink: &mut *sink,
             };
             let mut decision = FallbackOutcome::Pass;
-            for rung in self.ladder {
-                decision = rung.attempt(&err, &mut cx);
+            for rung in pipeline::fallback_ladder(self.config.degradation) {
+                decision = rung(&err, &mut cx);
                 if decision != FallbackOutcome::Pass {
                     break;
                 }
@@ -967,7 +945,7 @@ impl Controller {
             match decision {
                 FallbackOutcome::Retry => continue,
                 FallbackOutcome::Resolved => break,
-                FallbackOutcome::Pass | FallbackOutcome::Abort => return Err(err.into()),
+                FallbackOutcome::Pass => return Err(err.into()),
             }
         }
 

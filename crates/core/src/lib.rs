@@ -109,7 +109,7 @@ pub use controller::{
 pub use lower_bound::{LowerBoundSeries, RelaxedController, RelaxedState};
 pub use netstate::{CoopPolicy, NetworkState, SleepPolicy};
 pub use partition::{ClusterSet, Part, PartSpec};
-pub use pipeline::{SlotContext, UnknownStageKey};
+pub use pipeline::SlotContext;
 pub use s1::{
     greedy_schedule, greedy_schedule_reference, greedy_schedule_with, sequential_fix_schedule,
     sequential_fix_schedule_reference, sequential_fix_schedule_with, S1Inputs, S1Scratch,

@@ -43,11 +43,11 @@
 //! steady-state step allocates nothing.
 
 use crate::partition::for_each_part;
-use crate::pipeline::{self, RelayStage};
+use crate::pipeline;
 use crate::s2::min_backlog_source;
 use crate::{
     dpp, Controller, ControllerConfig, EnergyConfig, EnergyManagementInput, EnergyOutcome, Part,
-    S4Workspace, SlotObservation,
+    RelayPolicy, S4Workspace, SlotObservation,
 };
 use greencell_energy::Battery;
 use greencell_lp::{max_weight_fractional_matching_into, MatchingWorkspace};
@@ -136,7 +136,7 @@ struct Link {
     i: usize,
     j: usize,
     bands: BandSet,
-    /// Whether the relay stage lets `i` transmit, so S3 may route on it.
+    /// Whether the relay policy lets `i` transmit, so S3 may route on it.
     routable: bool,
 }
 
@@ -237,7 +237,6 @@ struct SlotInputs<'a> {
     energy: &'a EnergyConfig,
     config: &'a ControllerConfig,
     beta: f64,
-    relay: &'a dyn RelayStage,
     /// This slot's `c_m` per band.
     band_rate: &'a [DataRate],
 }
@@ -248,7 +247,7 @@ impl RelaxedPart {
     /// steady-state size over the first slots, while a cluster part
     /// reserves its scratch at the structural per-slot maxima, so none of a
     /// city's many parts grows after construction.
-    fn new(part: &Part, relay: &dyn RelayStage) -> Self {
+    fn new(part: &Part, relay: RelayPolicy) -> Self {
         let (n, s) = (part.nodes.len(), part.sessions.len());
         let mut scratch = PartScratch::default();
         let links = (!part.whole).then(|| {
@@ -280,7 +279,7 @@ impl RelaxedPart {
     /// queue and virtual-queue advance (none of which reads S4).
     fn step(&mut self, cx: &SlotInputs<'_>) {
         if self.links.is_none() {
-            self.links = Some(band_sharing_links(&self.net, cx.relay));
+            self.links = Some(band_sharing_links(&self.net, cx.config.relay));
         }
         // Taken out for the step so `&self` helpers stay callable.
         let mut sc = std::mem::take(&mut self.scratch);
@@ -481,7 +480,7 @@ impl RelaxedPart {
 
 /// The ordered pairs of `net` sharing at least one band, in
 /// `ordered_pairs()` order.
-fn band_sharing_links(net: &Network, relay: &dyn RelayStage) -> Vec<Link> {
+fn band_sharing_links(net: &Network, relay: RelayPolicy) -> Vec<Link> {
     net.topology()
         .ordered_pairs()
         .filter_map(|(i, j)| {
@@ -532,7 +531,6 @@ pub struct RelaxedController {
     // Slot-invariant constants.
     grid_limits: Vec<Energy>,
     is_bs: Vec<bool>,
-    relay_stage: &'static dyn RelayStage,
     scratch: RelaxedScratch,
 }
 
@@ -560,7 +558,7 @@ impl RelaxedController {
     /// Builds the relaxed controller on `controller`'s partition, with
     /// empty queues and the configured initial battery levels: one relaxed
     /// part per part, stepped on the controller's worker count. `β`,
-    /// `γ_max`, `B` and the relay stage are the controller's.
+    /// `γ_max`, `B` and the relay policy are the controller's.
     #[must_use]
     pub fn for_controller(controller: &Controller) -> Self {
         let energy = controller.energy.clone();
@@ -574,7 +572,7 @@ impl RelaxedController {
             parts: controller
                 .parts
                 .iter()
-                .map(|p| RelaxedPart::new(p, controller.relay_stage))
+                .map(|p| RelaxedPart::new(p, config.relay))
                 .collect(),
             levels,
             series: LowerBoundSeries::new(controller.penalty_b(), config.v),
@@ -590,7 +588,6 @@ impl RelaxedController {
             slot: 0,
             grid_limits: controller.grid_limits.clone(),
             is_bs: controller.is_bs.clone(),
-            relay_stage: controller.relay_stage,
             scratch: RelaxedScratch::default(),
         }
     }
@@ -717,7 +714,6 @@ impl RelaxedController {
             energy: &self.energy,
             config: &self.config,
             beta: self.beta,
-            relay: self.relay_stage,
             band_rate: &sc.band_rate,
         };
         for_each_part(&mut self.parts, self.workers, &|p| p.step(&cx));

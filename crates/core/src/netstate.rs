@@ -10,8 +10,9 @@
 //! carries this per-slot mutable state: it lives in the controller's
 //! [`crate::pipeline::SlotContext`] arena, the driver runs its sleep
 //! machine once per slot before S1 (over the whole network, whatever the
-//! partition), the [`crate::pipeline::EnergyStage`] trait threads it into
-//! S4, and the simulator's snapshot codec serializes it.
+//! partition), S4's [`crate::pipeline::EnergyStage`] receives it (the
+//! cooperation stage records its transfers there), and the simulator's
+//! snapshot codec serializes it.
 //!
 //! When both policies are disabled ([`NetworkState::dynamic`] is false)
 //! the state is inert: no stage reads it, no driver branch fires, and the

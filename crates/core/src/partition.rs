@@ -10,10 +10,10 @@
 //! controller is the one-part case: its part is the whole network with
 //! identical node and session ids.
 
-use crate::pipeline::{RelayStage, ScheduleStage};
 use crate::{
-    resource_allocation_masked_into, route_flows_into, Admission, ControllerConfig, NetworkState,
-    S1Inputs, S1Scratch, S3Scratch, ScheduleOutcome, SlotObservation,
+    greedy_schedule_with, resource_allocation_masked_into, route_flows_into,
+    sequential_fix_schedule_with, Admission, ControllerConfig, NetworkState, RelayPolicy, S1Inputs,
+    S1Scratch, S3Scratch, ScheduleOutcome, SchedulerKind, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
@@ -202,7 +202,6 @@ pub(crate) struct PartInputs<'a> {
     pub dynamic: bool,
     /// The S1 availability mask over global node ids (empty = all up).
     pub s1_mask: &'a [bool],
-    pub relay: &'a dyn RelayStage,
     pub beta_cap: Packets,
     pub batteries: &'a [Battery],
     pub grid_limits: &'a [Energy],
@@ -279,8 +278,8 @@ impl Part {
 
     /// S1: this slot's energy admission budgets — what each node could
     /// source for traffic on top of its fixed overhead — then link
-    /// scheduling with minimal powers through the resolved stage.
-    pub(crate) fn schedule(&mut self, stage: &dyn ScheduleStage, cx: &PartInputs<'_>) {
+    /// scheduling with minimal powers by the configured scheduler.
+    pub(crate) fn schedule(&mut self, cx: &PartInputs<'_>) {
         let obs = cx.obs;
         self.traffic_budget.clear();
         self.traffic_budget
@@ -314,7 +313,12 @@ impl Part {
             slot: cx.config.slot,
             packet_size: cx.config.packet_size,
         };
-        stage.schedule(&inputs, &mut self.s1, &mut self.outcome);
+        match cx.config.scheduler {
+            SchedulerKind::Greedy => greedy_schedule_with(&inputs, &mut self.s1, &mut self.outcome),
+            SchedulerKind::SequentialFix => {
+                sequential_fix_schedule_with(&inputs, &mut self.s1, &mut self.outcome);
+            }
+        }
     }
 
     /// S2: source selection and admission control. A down source BS
@@ -364,7 +368,7 @@ impl Part {
                 cx.obs.is_node_available(g)
             }
         };
-        self.update_routing_caps(up, cx.relay, cx.beta_cap);
+        self.update_routing_caps(up, cx.config.relay, cx.beta_cap);
         self.refresh_link_service(&cx.obs.spectrum, cx.phy, cx.config);
         let demand: &[Packets] = if self.whole {
             &cx.obs.session_demand
@@ -388,13 +392,13 @@ impl Part {
 
     /// Brings the routing caps up to date for this slot's up-mask (`up`
     /// over global node ids). Besides the mask, the caps read only the
-    /// static band table, the relay stage and β, all fixed at
+    /// static band table, the relay policy and β, all fixed at
     /// construction, so they are rebuilt only on a slot whose mask differs
     /// from the one they were built for.
     fn update_routing_caps(
         &mut self,
         up: impl Fn(usize) -> bool,
-        relay: &dyn RelayStage,
+        relay: RelayPolicy,
         beta_cap: Packets,
     ) {
         let nodes = &self.nodes;
@@ -524,7 +528,6 @@ pub(crate) fn for_each_part<P: Send>(parts: &mut [P], workers: usize, f: &(dyn F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{MultiHopStage, OneHopStage};
     use greencell_net::{BandId, BandSet, NetworkBuilder, PathLossModel, Point};
     use greencell_units::DataRate;
 
@@ -568,7 +571,7 @@ mod tests {
     fn fresh_caps(
         part: &Part,
         mask: &[bool],
-        relay: &dyn RelayStage,
+        relay: RelayPolicy,
         cap: Packets,
     ) -> Vec<(NodeId, NodeId, Packets)> {
         let net = &part.net;
@@ -582,7 +585,7 @@ mod tests {
     }
 
     /// The caps kept across slots equal a fresh rebuild after a node goes
-    /// down and after it comes back up, under both relay stages.
+    /// down and after it comes back up, under both relay policies.
     #[test]
     fn cached_routing_caps_match_a_fresh_rebuild() {
         let cap = Packets::new(7);
@@ -591,8 +594,7 @@ mod tests {
         bs_down[1] = false;
         let mut user_down = all_up.clone();
         user_down[3] = false;
-        let relays: [&dyn RelayStage; 2] = [&MultiHopStage, &OneHopStage];
-        for relay in relays {
+        for relay in [RelayPolicy::MultiHop, RelayPolicy::OneHop] {
             let mut part = cap_fixture_part();
             let mut previous = Vec::new();
             for mask in [&all_up, &all_up, &bs_down, &all_up, &user_down, &all_up] {

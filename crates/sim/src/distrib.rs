@@ -71,12 +71,10 @@ use crate::snapshot::{
     arr, bool_of, f64_of, fingerprint_debug, get, hex_f64, hex_u64, metrics_json, metrics_of,
     u64_of, usize_of,
 };
-use crate::sweep::{
-    json_escape, run_point, PointOutcome, RunTelemetry, SweepOptions, SweepPoint, SweepReport,
-};
+use crate::sweep::{run_point, PointOutcome, RunTelemetry, SweepOptions, SweepPoint, SweepReport};
 use crate::{Architecture, Scenario, SimError};
 use greencell_core::{DegradationPolicy, EnergyPolicy, SchedulerKind, StageTimings};
-use greencell_trace::json::{parse, Value};
+use greencell_trace::json::{json_escape, parse, Value};
 use greencell_units::{DataRate, Energy, PacketSize, Packets, Power, TimeDelta};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -293,10 +291,7 @@ fn faults_json(spec: &FaultSpec) -> String {
 /// Encodes a [`Scenario`] exactly (bit-for-bit round trip).
 #[must_use]
 pub fn scenario_json(s: &Scenario) -> String {
-    let scheduler = match s.scheduler {
-        SchedulerKind::Greedy => "greedy",
-        SchedulerKind::SequentialFix => "sequential_fix",
-    };
+    let scheduler = s.scheduler.key();
     let architecture = match s.architecture {
         Architecture::Proposed => "proposed",
         Architecture::MultiHopNoRenewable => "mh_no_re",
@@ -332,10 +327,7 @@ pub fn scenario_json(s: &Scenario) -> String {
             hex_f64(peak_multiplier)
         ),
     };
-    let energy_policy = match s.energy_policy {
-        EnergyPolicy::MarginalPrice => "marginal_price",
-        EnergyPolicy::GridOnly => "grid_only",
-    };
+    let energy_policy = s.energy_policy.key();
     let degradation = match s.degradation {
         DegradationPolicy::Graceful => "graceful",
         DegradationPolicy::Strict => "strict",

@@ -1,7 +1,7 @@
 //! The time-slotted simulation engine.
 
 use crate::faults::{FaultPlan, SlotFaults, StabilityWatchdog};
-use crate::{scale, GridModel, RunMetrics, Scenario};
+use crate::{scale, GridModel, RunMetrics, Scenario, TouPricing};
 use greencell_core::{Controller, ControllerError, RelaxedController, SlotObservation};
 use greencell_net::{Network, NetworkError, NodeId, SessionId};
 use greencell_phy::SpectrumState;
@@ -167,6 +167,22 @@ fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
         // NaN fails every comparison, so `ok` is false for it too.
         if !ok {
             return invalid(format!("{field}: out of range, got {value}"));
+        }
+    }
+    if s.track_lower_bound && s.v <= 0.0 {
+        return invalid(format!(
+            "v: the lower bound's B/V gap needs V > 0, got {}",
+            s.v
+        ));
+    }
+    if let TouPricing::Periodic {
+        peak_multiplier, ..
+    } = s.pricing
+    {
+        if !peak_multiplier.is_finite() || peak_multiplier < 0.0 {
+            return invalid(format!(
+                "pricing: the peak multiplier must be finite and non-negative, got {peak_multiplier}"
+            ));
         }
     }
     Ok(())
@@ -785,6 +801,14 @@ mod tests {
     use super::*;
     use crate::Architecture;
 
+    fn peak(peak_multiplier: f64) -> TouPricing {
+        TouPricing::Periodic {
+            period_slots: 4,
+            peak_slots: 2,
+            peak_multiplier,
+        }
+    }
+
     fn rejected_field(s: &Scenario) -> String {
         match Simulator::new(s) {
             Err(SimError::InvalidConfig { detail }) => detail,
@@ -795,7 +819,7 @@ mod tests {
     #[test]
     fn invalid_scenarios_are_typed_errors_naming_the_field() {
         type Edit = fn(&mut Scenario);
-        let cases: [(&str, Edit); 14] = [
+        let cases: [(&str, Edit); 18] = [
             ("users", |s| s.users = 0),
             ("bs_positions", |s| s.bs_positions.clear()),
             ("bs_positions", |s| s.bs_positions[0].0 = f64::NAN),
@@ -810,6 +834,13 @@ mod tests {
             ("v", |s| s.v = -1.0),
             ("v", |s| s.v = f64::NAN),
             ("lambda", |s| s.lambda = f64::NAN),
+            ("v", |s| {
+                s.v = 0.0;
+                s.track_lower_bound = true;
+            }),
+            ("pricing", |s| s.pricing = peak(f64::NAN)),
+            ("pricing", |s| s.pricing = peak(-5.0)),
+            ("pricing", |s| s.pricing = peak(f64::INFINITY)),
         ];
         for (field, edit) in cases {
             let mut s = Scenario::tiny(3);
@@ -824,6 +855,12 @@ mod tests {
         let mut s = Scenario::tiny(3);
         s.users = 0;
         s.sessions = 0;
+        assert!(Simulator::new(&s).is_ok());
+        // V = 0 is valid when no lower bound needs B/V, and so is a free
+        // peak.
+        let mut s = Scenario::tiny(3);
+        s.v = 0.0;
+        s.pricing = peak(0.0);
         assert!(Simulator::new(&s).is_ok());
     }
 

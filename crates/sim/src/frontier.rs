@@ -21,8 +21,9 @@
 
 use crate::distrib::{run_sweep_distributed, DistribOptions};
 use crate::snapshot::fingerprint_debug;
-use crate::sweep::{json_f64, run_sweep, PointOutcome, SweepOptions, SweepPoint};
+use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint};
 use crate::{Scenario, SimError};
+use greencell_trace::json::{json_escape, json_f64};
 use std::path::PathBuf;
 
 /// Frontier-search knobs. Validated up front: a bad knob is a
@@ -159,7 +160,7 @@ impl FrontierMap {
                 format!(
                     "{{\"v\": {}, \"label\": \"{}\", \"avg_cost\": {}, \"avg_backlog\": {}, \"round\": {}}}",
                     json_f64(p.v),
-                    crate::sweep::json_escape(&p.label),
+                    json_escape(&p.label),
                     json_f64(p.avg_cost),
                     json_f64(p.avg_backlog),
                     p.round

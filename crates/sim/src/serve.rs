@@ -36,7 +36,7 @@
 use crate::{Scenario, SimError, SimSnapshot, Simulator};
 use greencell_core::SlotObservation;
 use greencell_phy::SpectrumState;
-use greencell_trace::json::{parse, Value};
+use greencell_trace::json::{json_escape, json_f64, parse, Value};
 use greencell_units::{Bandwidth, Packets, Power};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -302,12 +302,12 @@ fn status_line(sim: &Simulator) -> String {
     format!(
         "{{\"event\":\"status\",\"slot\":{},\"avg_cost\":{},\"delivered\":{},\"total_backlog\":{},\"peak_backlog\":{},\"battery_floor_kwh\":{},\"trailing_slope\":{},\"divergent_slots\":{},\"stable\":{}}}",
         sim.slots_run(),
-        crate::sweep::json_f64(sim.metrics().average_cost()),
+        json_f64(sim.metrics().average_cost()),
         sim.delivered().count(),
-        crate::sweep::json_f64(w.final_backlog),
-        crate::sweep::json_f64(w.peak_backlog),
-        crate::sweep::json_f64(w.battery_floor_kwh),
-        crate::sweep::json_f64(w.trailing_slope),
+        json_f64(w.final_backlog),
+        json_f64(w.peak_backlog),
+        json_f64(w.battery_floor_kwh),
+        json_f64(w.trailing_slope),
         w.divergent_slots,
         w.stable,
     )
@@ -341,7 +341,7 @@ pub fn run_serve<R: BufRead, W: Write>(
             output,
             &format!(
                 "{{\"event\":\"quarantine\",\"path\":\"{}\"}}",
-                crate::sweep::json_escape(&q.display().to_string())
+                json_escape(&q.display().to_string())
             ),
         )?;
     }
@@ -386,7 +386,7 @@ pub fn run_serve<R: BufRead, W: Write>(
             &format!(
                 "{{\"event\":\"snapshot\",\"slot\":{},\"path\":\"{}\"}}",
                 sim.slots_run(),
-                crate::sweep::json_escape(&path.display().to_string())
+                json_escape(&path.display().to_string())
             ),
         )
     };
@@ -404,7 +404,7 @@ pub fn run_serve<R: BufRead, W: Write>(
                 &format!(
                     "{{\"event\":\"reject\",\"line\":{},\"reason\":\"{}\"}}",
                     line_no + 1,
-                    crate::sweep::json_escape(reason)
+                    json_escape(reason)
                 ),
             )
         };

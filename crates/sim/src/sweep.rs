@@ -22,6 +22,7 @@
 use crate::faults::WatchdogReport;
 use crate::{RunMetrics, Scenario, SimError, Simulator};
 use greencell_core::StageTimings;
+use greencell_trace::json::{json_escape, json_f64};
 use greencell_trace::{RingSink, TraceBundle, Track};
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -386,31 +387,6 @@ pub fn run_sweep_reseeded(
 // ---------------------------------------------------------------------------
 // Telemetry serialization (hand-rolled: the workspace is dependency-free).
 // ---------------------------------------------------------------------------
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes a finite f64 for JSON (JSON has no NaN/Inf literals).
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 impl SweepReport {
     /// The telemetry rows as JSON (one object per point under `"points"`).

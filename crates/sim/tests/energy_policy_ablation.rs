@@ -68,10 +68,10 @@ fn both_policies_deliver_the_same_traffic() {
 
 #[test]
 fn grid_only_stage_swapped_through_the_seam_matches_the_config_path() {
-    // The stage registry is the single seam for energy policies: a
+    // `Controller::set_energy_stage` is the seam for energy policies: a
     // controller configured with `EnergyPolicy::MarginalPrice` but flipped
-    // to the registered `grid_only` stage must reproduce, bit for bit,
-    // a run configured with `EnergyPolicy::GridOnly` from the start.
+    // to the `GridOnlyStage` must reproduce, bit for bit, a run
+    // configured with `EnergyPolicy::GridOnly` from the start.
     let mut configured = Scenario::tiny(4242);
     configured.energy_policy = greencell_core::EnergyPolicy::GridOnly;
     let mut via_config = greencell_sim::Simulator::new(&configured).expect("build");
@@ -83,10 +83,9 @@ fn grid_only_stage_swapped_through_the_seam_matches_the_config_path() {
         "fixture must start on the paper's default policy"
     );
     let mut via_seam = greencell_sim::Simulator::new(&swapped).expect("build");
-    let stage =
-        greencell_core::pipeline::energy_stage("grid_only").expect("grid_only is registered");
-    via_seam.controller_mut().set_energy_stage(stage);
-    assert_eq!(via_seam.controller().energy_stage_key(), "grid_only");
+    via_seam
+        .controller_mut()
+        .set_energy_stage(&greencell_core::pipeline::GridOnlyStage);
 
     for slot in 0..configured.horizon {
         let a = via_config.step_with_report().expect("config path runs");

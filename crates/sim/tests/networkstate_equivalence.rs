@@ -1,6 +1,6 @@
 //! Equivalence gate for the dynamic network-state layer.
 //!
-//! The BS-sleeping schedule stage and the inter-BS energy-cooperation
+//! The BS sleep machine and the inter-BS energy-cooperation
 //! stage must be **provably inert** at their neutral settings: a sleep
 //! policy that can never trigger (negative backlog threshold) and a
 //! cooperation policy with zero transfer efficiency must replay the

@@ -14,7 +14,7 @@
 //!   policies, the one-hop architecture, grid-only, and a `V = 0`
 //!   pure-stability run) recorded from the pre-kernel controller;
 //! * an in-process lockstep: two simulators per scenario, one with the
-//!   oracle installed as its S4 stage through the public pipeline seam
+//!   oracle installed as its S4 stage through the public energy-stage seam
 //!   ([`ColdOracleStage`]), stepped slot by slot with bit-equality
 //!   asserted on every [`SlotReport`](greencell_core::SlotReport).
 //!
@@ -41,10 +41,6 @@ const GOLDEN: &str = "golden/s4_kernel_ab.fp";
 struct ColdOracleStage;
 
 impl EnergyStage for ColdOracleStage {
-    fn key(&self) -> &'static str {
-        "cold_oracle"
-    }
-
     fn solve(
         &self,
         input: &EnergyManagementInput<'_>,
@@ -57,16 +53,6 @@ impl EnergyStage for ColdOracleStage {
 }
 
 static COLD_ORACLE: ColdOracleStage = ColdOracleStage;
-
-/// The oracle lives only here: the shipped registry no longer resolves
-/// the key it was once registered under.
-#[test]
-fn the_oracle_is_not_a_shipped_stage() {
-    let err = greencell_core::pipeline::energy_stage("marginal_price_reference")
-        .expect_err("the cold oracle is test-only");
-    assert_eq!(err.kind, "energy");
-    assert_eq!(err.valid, ["marginal_price", "grid_only", "energy_coop"]);
-}
 
 /// The pinned scenario battery: the s1-gate battery (tiny + paper seeds
 /// under both schedulers, the four fault scenarios) extended with the

@@ -2,6 +2,7 @@
 //! CSV time series, a byte-stable deterministic event dump, and a
 //! human-readable histogram summary.
 
+use crate::json::{json_escape, json_f64};
 use crate::{LogHistogram, Stage, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -75,32 +76,6 @@ impl Track {
 pub struct TraceBundle {
     /// The tracks, in merge order.
     pub tracks: Vec<Track>,
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TraceBundle {

@@ -1,16 +1,16 @@
-//! A minimal JSON parser for validating and round-tripping exported
-//! artifacts.
+//! Minimal JSON: the string and number writers every exporter shares,
+//! and a parser for validating and round-tripping exported artifacts.
 //!
-//! The workspace is dependency-free, but the trace/telemetry exporters
-//! hand-roll JSON — so tests and the `greencell trace --check` gate need an
-//! independent reader to prove the bytes actually parse and carry the
-//! right values. This is a strict recursive-descent parser for the JSON
-//! the exporters emit (no comments, no trailing commas); numbers are
-//! parsed as `f64`.
+//! The workspace is dependency-free, so the trace, telemetry and manifest
+//! exporters hand-roll JSON around [`json_escape`] and [`json_f64`] — and
+//! tests and the `greencell trace --check` gate need an independent reader
+//! to prove the bytes actually parse and carry the right values. [`parse`]
+//! is a strict recursive-descent parser for the JSON the exporters emit
+//! (no comments, no trailing commas); numbers are parsed as `f64`.
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +115,38 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
         return Err(p.err("trailing characters after top-level value"));
     }
     Ok(v)
+}
+
+/// Escapes `s` for use between the quotes of a JSON string.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Formats a finite `f64` as a JSON number (shortest round-trip form);
+/// NaN and the infinities become `null`, since JSON has no literal for
+/// them.
+#[must_use]
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
 }
 
 struct Parser<'a> {
@@ -328,6 +360,19 @@ mod tests {
             parse("\"a\\nb\\u0041\"").unwrap(),
             Value::String("a\nbA".into())
         );
+    }
+
+    #[test]
+    fn written_strings_and_numbers_parse_back() {
+        let s = "q\"b\\n\nr\rt\tc\u{1}é";
+        let quoted = format!("\"{}\"", json_escape(s));
+        assert_eq!(parse(&quoted).unwrap(), Value::String(s.into()));
+        assert_eq!(json_escape("\u{1f}"), "\\u001f");
+        assert_eq!(parse(&json_f64(0.1)).unwrap(), Value::Number(0.1));
+        assert_eq!(json_f64(-3.0), "-3");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_f64(x), "null");
+        }
     }
 
     #[test]
