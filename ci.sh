@@ -74,8 +74,8 @@ echo "== snapshot equivalence gate =="
 # all four fault archetypes and both schedulers, and on a partitioned city
 # with sleep, cooperation and outages live; corrupt/mismatched snapshot
 # files must surface as typed errors. The fsio unit tests open damaged
-# images of every container format (snapshot, sweep manifest, sweep
-# result) and demand a typed rejection each time.
+# images of every container format (snapshot, sweep result) and demand a
+# typed rejection each time.
 cargo test -p greencell-sim --test snapshot_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-sim --lib fsio -q $CARGO_FLAGS
 # One container: the two-line header is formatted only in fsio.rs.
@@ -96,27 +96,20 @@ echo "== policy ablation gate =="
 cargo test -p greencell-sim --test policy_ablation -q $CARGO_FLAGS
 
 echo "== sweep resume gate =="
-# Resumable sweeps run the distrib work-dir protocol on worker threads:
-# interrupt after k points, resume the same work dir at 1, 2 and 4
-# threads, byte-compare the deterministic stability report against a
-# one-shot sweep. A corrupt or edited point's result is quarantined and
-# only that point recomputed; a failing sweep reports the first failure
-# by submission order.
+# Checkpointed sweeps persist each point's result as it lands: interrupt
+# after k points, resume the same work dir at 1, 2 and 4 threads,
+# byte-compare the deterministic stability report against a one-shot
+# sweep. A corrupt or edited point's result is quarantined and only that
+# point recomputed; a failing sweep reports the first failure by
+# submission order; a finished work dir, including one written by the
+# earlier work-queue driver, resumes without recomputing anything.
 cargo test -p greencell-sim --test sweep_resume -q $CARGO_FLAGS
-
-echo "== distributed sweep gate =="
-# Multi-process work-stealing driver: the merged stability report must be
-# byte-identical to the in-process engine at 1 and 3 worker processes,
-# including after a worker is killed mid-sweep (its stale claim is stolen
-# and the point recomputed); claim races admit exactly one owner and
-# corrupt results are quarantined, requeued, and never re-read.
-cargo test -p greencell-sim --test distrib_equivalence -q $CARGO_FLAGS
 
 echo "== adaptive frontier gate =="
 # The adaptive V-frontier search must reproduce a dense fixed-grid
 # frontier within its max-gap tolerance using at most half the points,
-# stay deterministic, and produce byte-identical maps through the
-# in-process and distributed evaluation engines.
+# stay deterministic, and produce byte-identical maps at 1 and 3 sweep
+# threads.
 cargo test -p greencell-sim --test frontier -q $CARGO_FLAGS
 
 echo "== city equivalence gate =="
@@ -183,13 +176,16 @@ echo "city smoke: 10^4 users stepped, with and without the lower bound"
 
 echo "== argv never panics (release binary) =="
 # Settings the simulator cannot run (V = 0 with the lower bound tracked, a
-# NaN tariff multiplier) are typed configuration errors: each command
+# NaN tariff multiplier, an infinite V or λ) are typed configuration
+# errors: each command
 # exits non-zero with an `error:` line on stderr and never panics. Run in a
 # scratch dir so nothing lands under the checked-in results/.
 GREENCELL_BIN="$PWD/target/release/greencell"
 ARGV_DIR=$(mktemp -d)
 for args in "run --v 0 --horizon 3 --track-lower-bound" \
-  "fig2a --tiny --horizon 3 --v-values 0" "run --tou nan" "serve --tiny --tou nan"; do
+  "fig2a --tiny --horizon 3 --v-values 0" "run --tou nan" "serve --tiny --tou nan" \
+  "run --v inf --horizon 3" "fig2a --tiny --horizon 3 --v-values inf" \
+  "run --lambda inf --horizon 3"; do
   if (cd "$ARGV_DIR" && "$GREENCELL_BIN" $args </dev/null >/dev/null 2>err.txt); then
     echo "greencell $args: expected a non-zero exit" >&2; exit 1
   fi
@@ -217,13 +213,12 @@ CITY_SCALE_SMOKE=1 cargo bench -p greencell-bench --bench city_scale -q $CARGO_F
 
 echo "== frontier run-smoke (release binary) =="
 # One-command frontier map on the tiny scenario through the release
-# binary, evaluated by 2 worker processes (the same binary re-invoked in
-# its hidden sweep-worker mode): the run must converge and emit both
-# artifacts.
+# binary, its rounds fanned across 2 sweep threads: the run must converge
+# and emit both artifacts.
 FRONTIER_DIR=$(mktemp -d)
-./target/release/greencell frontier --tiny --horizon 10 \
+GREENCELL_THREADS=2 ./target/release/greencell frontier --tiny --horizon 10 \
   --v-min 1e4 --v-max 1e6 --max-gap 0.6 --budget 10 --init-points 3 \
-  --procs 2 --out "$FRONTIER_DIR" >/dev/null
+  --out "$FRONTIER_DIR" >/dev/null
 test -s "$FRONTIER_DIR/frontier.json"
 test -s "$FRONTIER_DIR/frontier.csv"
 grep -q '"converged": true' "$FRONTIER_DIR/frontier.json"
@@ -255,8 +250,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q $CARGO_FLAGS
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace $CARGO_FLAGS -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
 echo "== cargo clippy (no unwrap in core/sim/trace/phy library code) =="
 # Library and binary targets only: test code may unwrap freely, the

@@ -45,6 +45,15 @@ pub enum EnergyManagementError {
     },
     /// A produced decision failed validation (internal invariant).
     Invalid(EnergyDecisionError),
+    /// The equilibrium price search has no finite bracket: `V·f'(·)` at
+    /// the base stations' largest possible draw overflows (an extreme
+    /// grid price or Lyapunov weight).
+    PriceOverflow {
+        /// The bracket's lower end, `V·f'(0)`.
+        lo: f64,
+        /// The bracket's upper end, `V·f'(P_max) + 1`.
+        hi: f64,
+    },
 }
 
 impl fmt::Display for EnergyManagementError {
@@ -54,6 +63,9 @@ impl fmt::Display for EnergyManagementError {
                 write!(f, "node {node} cannot source its demand of {demand}")
             }
             Self::Invalid(e) => write!(f, "internal: produced invalid decision: {e}"),
+            Self::PriceOverflow { lo, hi } => {
+                write!(f, "equilibrium price bracket [{lo}, {hi}] is not finite")
+            }
         }
     }
 }
@@ -636,8 +648,7 @@ pub fn solve_energy_management_into(
     };
 
     // Equilibrium price p* = V·f'(P(p*)) over the base stations.
-    let price_lo = v * input.cost.marginal(Energy::ZERO);
-    let price_hi = v * input.cost.marginal(Energy::from_kilowatt_hours(p_ub)) + 1.0;
+    let (price_lo, price_hi) = price_bracket(input, p_ub)?;
     let p_star = bisect_increasing(
         |p| {
             p - v * input
@@ -663,6 +674,22 @@ pub fn solve_energy_management_into(
 
     fractional_fill(input, envs, bs_indices, solutions, p_star);
     assemble_outcome(input, envs, solutions, p_star, out)
+}
+
+/// The equilibrium price search's bracket `[V·f'(0), V·f'(p_ub) + 1]`,
+/// shared by the oracle and the warm kernel so both fail alike when it
+/// overflows.
+fn price_bracket(
+    input: &EnergyManagementInput<'_>,
+    p_ub: f64,
+) -> Result<(f64, f64), EnergyManagementError> {
+    let lo = input.v * input.cost.marginal(Energy::ZERO);
+    let hi = input.v * input.cost.marginal(Energy::from_kilowatt_hours(p_ub)) + 1.0;
+    if lo.is_finite() && hi.is_finite() {
+        Ok((lo, hi))
+    } else {
+        Err(EnergyManagementError::PriceOverflow { lo, hi })
+    }
 }
 
 /// Whether a node's closed-form response is discontinuous at `p_star` —
@@ -930,8 +957,7 @@ pub fn solve_energy_management_warm_into(
         (price - piece, piece)
     };
 
-    let price_lo = v * input.cost.marginal(Energy::ZERO);
-    let price_hi = v * input.cost.marginal(Energy::from_kilowatt_hours(p_ub)) + 1.0;
+    let (price_lo, price_hi) = price_bracket(input, p_ub)?;
     // Mirror the oracle's endpoint clamps, then find the sign threshold
     // and replay the bisection arithmetic.
     let (g_lo, seed_lo) = eval(price_lo);
@@ -1589,6 +1615,25 @@ mod tests {
             solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap_err(),
             solve_energy_management(&f.input()).unwrap_err()
         );
+    }
+
+    #[test]
+    fn overflowing_price_bracket_is_a_typed_error_in_both_solvers() {
+        // A 1e308 price multiplier on the paper's tariff at V = 10⁵.
+        let mut f = one_bs(-10.0, 0.05, 0.0);
+        f.cost = QuadraticCost::new(0.8e308, 0.2e308, 0.0);
+        f.v = 1e5;
+        let oracle = solve_energy_management(&f.input()).unwrap_err();
+        assert!(
+            matches!(oracle, EnergyManagementError::PriceOverflow { hi, .. } if hi.is_infinite()),
+            "got {oracle:?}"
+        );
+        let mut ws = S4Workspace::new();
+        let mut out = EnergyOutcome::empty();
+        let warm = solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap_err();
+        assert_eq!(warm, oracle);
+        // The storage-oblivious fallback never searches a price.
+        assert!(solve_grid_only(&f.input()).is_ok());
     }
 
     #[test]

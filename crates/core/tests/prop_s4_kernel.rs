@@ -74,15 +74,15 @@ fn battery_at(level: f64, eta: f64) -> Battery {
 /// bracket) on even seeds, occasional `V = 0` and disconnected nodes.
 fn random_instance(seed: u64, nodes: usize) -> Instance {
     let mut rng = Rng::seed_from(seed);
-    let city = seed % 2 == 0;
-    let v = if seed % 17 == 0 {
+    let city = seed.is_multiple_of(2);
+    let v = if seed.is_multiple_of(17) {
         0.0
     } else if city {
         1e5
     } else {
         rng.range_f64(0.3, 10.0)
     };
-    let eta = if seed % 3 == 0 {
+    let eta = if seed.is_multiple_of(3) {
         rng.range_f64(0.7, 1.0)
     } else {
         1.0

@@ -357,7 +357,8 @@ mod tests {
     #[test]
     fn replay_matches_direct_bisection_bitwise() {
         // Continuous, step, and flat-region cases across assorted brackets.
-        let cases: [(fn(f64) -> f64, f64, f64); 4] = [
+        type Case = (fn(f64) -> f64, f64, f64);
+        let cases: [Case; 4] = [
             (|x| x - 1.25, 0.0, 2.0),
             (|x| if x < 2.0 { -1.0 } else { 1.0 }, 0.0, 4.0),
             (
@@ -440,7 +441,7 @@ mod tests {
         let window = 64.0 * t0 * f64::EPSILON;
         let f = move |x: f64| {
             if (x - t0).abs() <= window {
-                if x.to_bits() % 3 == 0 {
+                if x.to_bits().is_multiple_of(3) {
                     -1.0
                 } else {
                     1.0

@@ -131,9 +131,9 @@ impl From<std::io::Error> for SimError {
 
 /// Rejects a scenario the layout, path-loss, PHY or controller
 /// constructors would panic on: sessions without users, no base station,
-/// `C ≤ 0`, `γ < 0`, `Γ ≤ 0`, `η < 0`, `V < 0`, `λ < 0`, or NaN in any
-/// of these. A sweep point or a decoded distrib manifest can carry any
-/// scenario, so these are typed errors rather than panics.
+/// `C ≤ 0`, `γ < 0`, `Γ ≤ 0`, `η < 0`, `V < 0` or infinite, `λ < 0` or
+/// infinite, or NaN in any of these. A sweep point or a CLI flag can
+/// carry any scenario, so these are typed errors rather than panics.
 fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
     let invalid = |detail: String| Err(SimError::InvalidConfig { detail });
     if s.users == 0 && s.sessions > 0 {
@@ -161,8 +161,8 @@ fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
         ),
         ("sinr_threshold", s.sinr_threshold, s.sinr_threshold > 0.0),
         ("noise_density", s.noise_density, s.noise_density >= 0.0),
-        ("v", s.v, s.v >= 0.0),
-        ("lambda", s.lambda, s.lambda >= 0.0),
+        ("v", s.v, s.v.is_finite() && s.v >= 0.0),
+        ("lambda", s.lambda, s.lambda.is_finite() && s.lambda >= 0.0),
     ] {
         // NaN fails every comparison, so `ok` is false for it too.
         if !ok {
@@ -819,7 +819,7 @@ mod tests {
     #[test]
     fn invalid_scenarios_are_typed_errors_naming_the_field() {
         type Edit = fn(&mut Scenario);
-        let cases: [(&str, Edit); 18] = [
+        let cases: [(&str, Edit); 21] = [
             ("users", |s| s.users = 0),
             ("bs_positions", |s| s.bs_positions.clear()),
             ("bs_positions", |s| s.bs_positions[0].0 = f64::NAN),
@@ -833,7 +833,10 @@ mod tests {
             ("noise_density", |s| s.noise_density = f64::NAN),
             ("v", |s| s.v = -1.0),
             ("v", |s| s.v = f64::NAN),
+            ("v", |s| s.v = f64::INFINITY),
             ("lambda", |s| s.lambda = f64::NAN),
+            ("lambda", |s| s.lambda = f64::INFINITY),
+            ("lambda", |s| s.lambda = f64::NEG_INFINITY),
             ("v", |s| {
                 s.v = 0.0;
                 s.track_lower_bound = true;

@@ -1,7 +1,7 @@
 //! One runner per paper figure. Each returns the exact series/rows the
 //! paper plots; the `fig2*` binaries print them via [`crate::report`].
 
-use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint as EnginePoint, SweepReport};
+use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint, SweepReport};
 use crate::{Architecture, RunMetrics, Scenario, SimError, Simulator};
 use greencell_stochastic::Series;
 
@@ -45,13 +45,13 @@ pub fn fig2a_with(
     v_values: &[f64],
     opts: &SweepOptions,
 ) -> Result<(Vec<BoundsRow>, SweepReport), SimError> {
-    let points: Vec<EnginePoint> = v_values
+    let points: Vec<SweepPoint> = v_values
         .iter()
         .map(|&v| {
             let mut scenario = base.clone();
             scenario.v = v;
             scenario.track_lower_bound = true;
-            EnginePoint::new(format!("V={v:e}"), scenario)
+            SweepPoint::new(format!("V={v:e}"), scenario)
         })
         .collect();
     let report = run_sweep(&points, opts)?;
@@ -123,13 +123,13 @@ pub fn fig2bc_with(
 }
 
 /// One engine point per `V` value (shared by the Fig. 2 time-series runs).
-fn v_points(base: &Scenario, v_values: &[f64]) -> Vec<EnginePoint> {
+fn v_points(base: &Scenario, v_values: &[f64]) -> Vec<SweepPoint> {
     v_values
         .iter()
         .map(|&v| {
             let mut scenario = base.clone();
             scenario.v = v;
-            EnginePoint::new(format!("V={v:e}"), scenario)
+            SweepPoint::new(format!("V={v:e}"), scenario)
         })
         .collect()
 }
@@ -214,7 +214,7 @@ pub fn fig2f_with(
             let mut scenario = base.clone();
             scenario.v = v;
             scenario.architecture = architecture;
-            points.push(EnginePoint::new(
+            points.push(SweepPoint::new(
                 format!("{architecture:?}/V={v:e}"),
                 scenario,
             ));
@@ -278,12 +278,12 @@ pub fn replicate_with(
     opts: &SweepOptions,
 ) -> Result<(Replication, SweepReport), SimError> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let points: Vec<EnginePoint> = seeds
+    let points: Vec<SweepPoint> = seeds
         .iter()
         .map(|&seed| {
             let mut scenario = base.clone();
             scenario.seed = seed;
-            EnginePoint::new(format!("seed={seed}"), scenario)
+            SweepPoint::new(format!("seed={seed}"), scenario)
         })
         .collect();
     let report = run_sweep(&points, opts)?;
@@ -307,9 +307,10 @@ pub fn replicate_with(
     Ok((replication, report))
 }
 
-/// One point of a structural sweep (user count, session count, …).
+/// One row of a structural sweep (user count, session count, …): the
+/// swept value and the summary of its run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
+pub struct StructuralRow {
     /// The swept value.
     pub x: f64,
     /// Time-averaged energy cost.
@@ -322,8 +323,8 @@ pub struct SweepPoint {
     pub mean_scheduled: f64,
 }
 
-fn sweep_point_from(x: f64, o: &PointOutcome) -> SweepPoint {
-    SweepPoint {
+fn structural_row(x: f64, o: &PointOutcome) -> StructuralRow {
+    StructuralRow {
         x,
         avg_cost: o.metrics.average_cost(),
         delivered: o.metrics.delivered(),
@@ -338,16 +339,16 @@ fn structural_sweep(
     label: &str,
     specs: Vec<(f64, Scenario)>,
     opts: &SweepOptions,
-) -> Result<(Vec<SweepPoint>, SweepReport), SimError> {
-    let points: Vec<EnginePoint> = specs
+) -> Result<(Vec<StructuralRow>, SweepReport), SimError> {
+    let points: Vec<SweepPoint> = specs
         .iter()
-        .map(|(x, scenario)| EnginePoint::new(format!("{label}={x}"), scenario.clone()))
+        .map(|(x, scenario)| SweepPoint::new(format!("{label}={x}"), scenario.clone()))
         .collect();
     let report = run_sweep(&points, opts)?;
     let rows = specs
         .iter()
         .zip(&report.outcomes)
-        .map(|(&(x, _), o)| sweep_point_from(x, o))
+        .map(|(&(x, _), o)| structural_row(x, o))
         .collect();
     Ok((rows, report))
 }
@@ -363,7 +364,7 @@ pub fn sweep_users_with(
     base: &Scenario,
     counts: &[usize],
     opts: &SweepOptions,
-) -> Result<(Vec<SweepPoint>, SweepReport), SimError> {
+) -> Result<(Vec<StructuralRow>, SweepReport), SimError> {
     let specs = counts
         .iter()
         .map(|&users| {
@@ -385,7 +386,7 @@ pub fn sweep_sessions_with(
     base: &Scenario,
     counts: &[usize],
     opts: &SweepOptions,
-) -> Result<(Vec<SweepPoint>, SweepReport), SimError> {
+) -> Result<(Vec<StructuralRow>, SweepReport), SimError> {
     let specs = counts
         .iter()
         .map(|&sessions| {
@@ -486,7 +487,7 @@ pub fn sweep_bands_with(
     base: &Scenario,
     extra_bands: &[usize],
     opts: &SweepOptions,
-) -> Result<(Vec<SweepPoint>, SweepReport), SimError> {
+) -> Result<(Vec<StructuralRow>, SweepReport), SimError> {
     let specs = extra_bands
         .iter()
         .map(|&extra| {

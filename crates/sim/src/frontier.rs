@@ -14,17 +14,14 @@
 //! Every point runs under common random numbers (the base scenario's seed
 //! is reused, `V` is the only change), so the frontier is the paper's
 //! controlled comparison, and the whole search is deterministic: same
-//! scenario + options → same points, same JSON/CSV bytes. Points can be
-//! evaluated in-process ([`FrontierEngine::InProcess`]) or by the
-//! multi-process work-stealing driver ([`FrontierEngine::Distributed`],
-//! see [`crate::distrib`]) — the two produce identical maps.
+//! scenario + options → same points, same JSON/CSV bytes. Each round's
+//! points run through [`crate::sweep::run_sweep`], whose outcomes do not
+//! depend on [`SweepOptions::threads`], so neither does the map.
 
-use crate::distrib::{run_sweep_distributed, DistribOptions};
 use crate::snapshot::fingerprint_debug;
 use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint};
 use crate::{Scenario, SimError};
 use greencell_trace::json::{json_escape, json_f64};
-use std::path::PathBuf;
 
 /// Frontier-search knobs. Validated up front: a bad knob is a
 /// [`SimError::InvalidConfig`], never a silently degenerate search.
@@ -91,21 +88,6 @@ impl FrontierOptions {
         }
         Ok(())
     }
-}
-
-/// How frontier points are simulated.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrontierEngine {
-    /// [`crate::sweep::run_sweep`] in this process.
-    InProcess(SweepOptions),
-    /// The multi-process work-stealing driver; each refinement round uses
-    /// `work_dir/round<k>` as its work queue.
-    Distributed {
-        /// Worker-fleet configuration.
-        opts: DistribOptions,
-        /// Parent directory for the per-round work queues.
-        work_dir: PathBuf,
-    },
 }
 
 /// One evaluated point on the cost-vs-backlog frontier.
@@ -298,8 +280,7 @@ fn refine_candidates(coords: &[(f64, f64, f64)], max_gap: f64, budget_left: usiz
 fn evaluate(
     base: &Scenario,
     vs: &[f64],
-    engine: &FrontierEngine,
-    round: usize,
+    opts: &SweepOptions,
 ) -> Result<Vec<PointOutcome>, SimError> {
     let points: Vec<SweepPoint> = vs
         .iter()
@@ -309,13 +290,7 @@ fn evaluate(
             SweepPoint::new(format!("V={v:e}"), scenario)
         })
         .collect();
-    let report = match engine {
-        FrontierEngine::InProcess(opts) => run_sweep(&points, opts)?,
-        FrontierEngine::Distributed { opts, work_dir } => {
-            run_sweep_distributed(&points, opts, &work_dir.join(format!("round{round}")))?
-        }
-    };
-    Ok(report.outcomes)
+    Ok(run_sweep(&points, opts)?.outcomes)
 }
 
 fn frontier_point(v: f64, outcome: &PointOutcome, round: usize) -> FrontierPoint {
@@ -335,19 +310,18 @@ fn frontier_point(v: f64, outcome: &PointOutcome, round: usize) -> FrontierPoint
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for invalid options, and
-/// propagates simulation or (for the distributed engine) work-queue
-/// failures.
+/// propagates simulation failures.
 pub fn run_frontier(
     base: &Scenario,
     options: &FrontierOptions,
-    engine: &FrontierEngine,
+    opts: &SweepOptions,
 ) -> Result<FrontierMap, SimError> {
     options.validate()?;
     let mut points: Vec<FrontierPoint> = Vec::new();
     let mut rounds = 0usize;
 
     let grid = log_grid(options.v_min, options.v_max, options.init_points);
-    for (v, outcome) in grid.iter().zip(evaluate(base, &grid, engine, 0)?.iter()) {
+    for (v, outcome) in grid.iter().zip(evaluate(base, &grid, opts)?.iter()) {
         points.push(frontier_point(*v, outcome, 0));
     }
 
@@ -367,7 +341,7 @@ pub fn run_frontier(
         }
         let vs = refine_candidates(&coords, options.max_gap, budget_left);
         rounds += 1;
-        for (v, outcome) in vs.iter().zip(evaluate(base, &vs, engine, rounds)?.iter()) {
+        for (v, outcome) in vs.iter().zip(evaluate(base, &vs, opts)?.iter()) {
             points.push(frontier_point(*v, outcome, rounds));
         }
     };
@@ -463,7 +437,6 @@ mod tests {
     #[test]
     fn bad_options_are_typed_errors() {
         let base = crate::Scenario::tiny(1);
-        let engine = FrontierEngine::InProcess(SweepOptions::serial());
         for (opts, needle) in [
             (FrontierOptions::new(0.0, 1e6), "v_min"),
             (FrontierOptions::new(1e6, 1e4), "inverted"),
@@ -489,7 +462,8 @@ mod tests {
                 "budget",
             ),
         ] {
-            let err = run_frontier(&base, &opts, &engine).expect_err("must be rejected");
+            let err =
+                run_frontier(&base, &opts, &SweepOptions::serial()).expect_err("must be rejected");
             match err {
                 SimError::InvalidConfig { detail } => {
                     assert!(detail.contains(needle), "`{detail}` should name `{needle}`");

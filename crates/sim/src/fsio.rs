@@ -1,12 +1,12 @@
 //! Crash-safe file output and the one checksummed file container.
 //!
 //! Every artifact the workspace persists — sweep telemetry, trace
-//! bundles, snapshots, sweep manifests and results — goes through
+//! bundles, snapshots, resumable-sweep results — goes through
 //! [`write_text_atomic`], so a crash mid-write can never leave a
 //! half-written file at the destination path: readers either see the old
 //! contents or the complete new contents, never a torn prefix.
 //!
-//! Snapshots and the distributed-sweep manifest and result files share one
+//! Snapshots and the per-point result files of resumable sweeps share one
 //! two-line container, built by [`seal`] and validated by [`open`]:
 //!
 //! ```text
@@ -128,7 +128,7 @@ pub fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
 }
 
 /// Distinguishes concurrent writers targeting the same destination from
-/// within one process (parallel sweep workers); the process id separates
+/// within one process (parallel sweep threads); the process id separates
 /// processes.
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -168,7 +168,7 @@ pub fn write_text_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distrib::{DISTRIB_VERSION, MANIFEST_FORMAT, RESULT_FORMAT};
+    use crate::resume::{RESULT_FORMAT, RESULT_VERSION};
     use crate::{Scenario, Simulator, SweepPoint, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -221,16 +221,15 @@ mod tests {
 
         let dir = temp_dir("images");
         let points = [SweepPoint::new("p0", scenario)];
-        let report = crate::run_sweep_checkpointed(&points, &crate::SweepOptions::serial(), &dir)
-            .expect("one-point sweep");
+        let (report, _) =
+            crate::run_sweep_checkpointed(&points, &crate::SweepOptions::serial(), &dir)
+                .expect("one-point sweep");
         assert_eq!(report.outcomes.len(), 1);
-        let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
         let result = fs::read_to_string(dir.join("results").join("p0.json")).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         vec![
             (SNAPSHOT_FORMAT, SNAPSHOT_VERSION, snapshot),
-            (MANIFEST_FORMAT, DISTRIB_VERSION, manifest),
-            (RESULT_FORMAT, DISTRIB_VERSION, result),
+            (RESULT_FORMAT, RESULT_VERSION, result),
         ]
     }
 

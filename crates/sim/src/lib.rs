@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod arch;
-pub mod distrib;
 mod engine;
 pub mod experiments;
 pub mod faults;
@@ -39,6 +38,7 @@ pub mod frontier;
 pub mod fsio;
 mod metrics;
 pub mod report;
+mod resume;
 pub mod scale;
 mod scenario;
 pub mod serve;
@@ -47,16 +47,9 @@ pub mod sweep;
 pub mod trace;
 
 pub use arch::Architecture;
-pub use distrib::{
-    prepare_work_dir, run_sweep_checkpointed, run_sweep_checkpointed_stats, run_sweep_distributed,
-    run_sweep_distributed_stats, run_worker, DistribOptions, DistribStats, WorkerCommand,
-    WorkerStats,
-};
 pub use engine::{SimError, Simulator};
 pub use faults::{FaultPlan, FaultSpec, StabilityWatchdog, WatchdogReport, WatchdogState};
-pub use frontier::{
-    run_frontier, FrontierEngine, FrontierMap, FrontierOptions, FrontierPoint, FrontierStats,
-};
+pub use frontier::{run_frontier, FrontierMap, FrontierOptions, FrontierPoint, FrontierStats};
 pub use fsio::{fnv1a_64, write_text_atomic};
 pub use greencell_core::ClusterSet;
 pub use metrics::RunMetrics;
@@ -67,8 +60,8 @@ pub use scenario::{
 pub use serve::{run_serve, ServeConfig, ServeSummary, StopReason, SNAP_LATEST, SNAP_PREV};
 pub use snapshot::{SimSnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use sweep::{
-    derive_point_seed, run_point, run_point_traced, run_sweep, run_sweep_reseeded,
-    run_sweep_traced, write_telemetry, PointOutcome, RunTelemetry, SweepOptions, SweepPoint,
-    SweepReport,
+    derive_point_seed, run_point, run_point_traced, run_sweep, run_sweep_checkpointed,
+    run_sweep_reseeded, run_sweep_traced, write_telemetry, PointOutcome, ResumeCounts,
+    RunTelemetry, SweepOptions, SweepPoint, SweepReport,
 };
 pub use trace::{check_trace_determinism, trace_points, write_trace_artifacts, TracedRun};

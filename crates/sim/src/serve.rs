@@ -499,7 +499,13 @@ mod tests {
     fn obs_line(nodes: usize, sessions: usize, t: usize) -> String {
         let renew: Vec<String> = (0..nodes).map(|i| format!("{}.0", (i + t) % 4)).collect();
         let grid: Vec<&str> = (0..nodes)
-            .map(|i| if (i + t) % 3 == 0 { "false" } else { "true" })
+            .map(|i| {
+                if (i + t).is_multiple_of(3) {
+                    "false"
+                } else {
+                    "true"
+                }
+            })
             .collect();
         let demand: Vec<String> = (0..sessions)
             .map(|s| format!("{}", 1 + (s + t) % 3))
@@ -642,5 +648,24 @@ mod tests {
         assert!(events.contains("\"event\":\"quarantine\""));
         assert!(dir.join(format!("{SNAP_LATEST}.corrupt")).exists());
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn an_overflowing_price_degrades_the_slot_and_the_session_goes_on() {
+        let s = scenario();
+        let (nodes, sessions) = dims(&s);
+        // V·price·f' overflows S4's equilibrium price bracket: a typed S4
+        // failure the degradation ladder absorbs, not a panic.
+        let huge = obs_line(nodes, sessions, 0).replace('}', ",\"price\":1e308}");
+        let input = format!("{huge}\n{}\n", obs_line(nodes, sessions, 1));
+        let cfg = ServeConfig {
+            status_every: 1,
+            ..ServeConfig::default()
+        };
+        let (summary, events) = serve(&s, &cfg, &input);
+        assert_eq!(summary.rejected_lines, 0);
+        assert_eq!(summary.slots_stepped, 2);
+        assert_eq!(summary.stop_reason, StopReason::InputClosed);
+        assert!(last_status(&events).contains("\"slot\":2"), "{events}");
     }
 }

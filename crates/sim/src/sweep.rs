@@ -14,12 +14,20 @@
 //! * outcomes are collected into slots indexed by submission order, so the
 //!   returned vector never depends on completion order.
 //!
+//! [`run_sweep`], [`run_sweep_traced`] and [`run_sweep_checkpointed`] are
+//! entry points over one body; they differ only in what each point does.
+//! The checkpointed sweep salvages a point's valid result file from its
+//! work dir or runs the point and writes the file as it lands, so a
+//! restarted sweep runs only what is missing (the file format is in the
+//! private `resume` module).
+//!
 //! Per-run telemetry (wall-clock, slots/sec, S1–S4 controller-stage
 //! timings, final queue/battery summaries) rides along with each point and
 //! serializes to JSON or CSV under `results/` via
 //! [`SweepReport::write_json`] / [`SweepReport::write_csv`].
 
 use crate::faults::WatchdogReport;
+use crate::resume::{results_dir, salvage_or_run, Provenance};
 use crate::{RunMetrics, Scenario, SimError, Simulator};
 use greencell_core::StageTimings;
 use greencell_trace::json::{json_escape, json_f64};
@@ -249,27 +257,20 @@ fn package_outcome(
 /// returning the results in submission order.
 ///
 /// Work is claimed through an atomic cursor, so load-imbalanced points
-/// never idle a worker; each result lands in its submission-index slot, so
-/// the output order is independent of completion order.
-pub(crate) fn parallel_map_ordered<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+/// never idle a worker and each index is handed out exactly once; each
+/// result lands in its submission-index slot, so the output order is
+/// independent of completion order.
+fn parallel_map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = threads.max(1).min(n);
-    if workers == 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -279,12 +280,7 @@ where
                 if i >= n {
                     break;
                 }
-                let item = work[i]
-                    .lock()
-                    .expect("work mutex poisoned")
-                    .take()
-                    .expect("each index claimed once");
-                let result = f(i, item);
+                let result = f(i, &items[i]);
                 *slots[i].lock().expect("slot mutex poisoned") = Some(result);
             });
         }
@@ -299,6 +295,25 @@ where
         .collect()
 }
 
+/// The one sweep body behind every entry point: runs `run` on each point
+/// across `opts.threads` workers and returns the results in submission
+/// order with the sweep's wall-clock, or the first failure by submission
+/// order (every point still runs).
+fn run_points<R, F>(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    run: F,
+) -> Result<(Vec<R>, Duration), SimError>
+where
+    R: Send,
+    F: Fn(usize, &SweepPoint) -> Result<R, SimError> + Sync,
+{
+    let start = Instant::now();
+    let results = parallel_map_ordered(points, opts.threads, run);
+    let results = results.into_iter().collect::<Result<Vec<R>, SimError>>()?;
+    Ok((results, start.elapsed()))
+}
+
 /// Runs every point, fanning across `opts.threads` workers.
 ///
 /// Outcomes are returned in submission order and are bit-identical across
@@ -309,18 +324,11 @@ where
 ///
 /// Returns the first (by submission order) point failure.
 pub fn run_sweep(points: &[SweepPoint], opts: &SweepOptions) -> Result<SweepReport, SimError> {
-    let start = Instant::now();
-    let results = parallel_map_ordered(points.to_vec(), opts.threads, |_, point| {
-        run_point(&point.label, &point.scenario)
-    });
-    let mut outcomes = Vec::with_capacity(results.len());
-    for result in results {
-        outcomes.push(result?);
-    }
+    let (outcomes, total_wall) = run_points(points, opts, |_, p| run_point(&p.label, &p.scenario))?;
     Ok(SweepReport {
         outcomes,
         threads: opts.threads,
-        total_wall: start.elapsed(),
+        total_wall,
     })
 }
 
@@ -339,24 +347,84 @@ pub fn run_sweep_traced(
     opts: &SweepOptions,
     capacity: usize,
 ) -> Result<(SweepReport, TraceBundle), SimError> {
-    let start = Instant::now();
-    let results = parallel_map_ordered(points.to_vec(), opts.threads, |_, point| {
-        run_point_traced(&point.label, &point.scenario, capacity)
-    });
-    let mut outcomes = Vec::with_capacity(results.len());
+    let (results, total_wall) = run_points(points, opts, |_, p| {
+        run_point_traced(&p.label, &p.scenario, capacity)
+    })?;
     let mut bundle = TraceBundle::new();
-    for result in results {
-        let (outcome, track) = result?;
-        outcomes.push(outcome);
-        bundle.push(track);
-    }
+    let outcomes = results
+        .into_iter()
+        .map(|(outcome, track)| {
+            bundle.push(track);
+            outcome
+        })
+        .collect();
     Ok((
         SweepReport {
             outcomes,
             threads: opts.threads,
-            total_wall: start.elapsed(),
+            total_wall,
         },
         bundle,
+    ))
+}
+
+/// How a checkpointed sweep obtained its points.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumeCounts {
+    /// Points whose valid result file was reused.
+    pub salvaged: usize,
+    /// Points simulated by this run (the quarantined ones included).
+    pub computed: usize,
+    /// Result files that failed validation, were renamed to
+    /// `<name>.corrupt`, and whose points were simulated again.
+    pub quarantined: usize,
+}
+
+/// [`run_sweep`] with crash-safe resume: every completed point persists
+/// to `work_dir/results/p<i>.json` as it lands, and a point whose result
+/// file is already there (same label, seed and scenario fingerprint) is
+/// salvaged instead of run. A restart after a crash therefore runs only
+/// the missing points, and the report is byte-identical to a
+/// never-interrupted sweep at any worker count. A result file that fails
+/// validation is quarantined and its point recomputed; see
+/// [`crate::fsio`] for the container.
+///
+/// # Errors
+///
+/// Returns the first point failure by submission order, or an I/O error
+/// on the work dir. A corrupt or stale result file is not an error.
+pub fn run_sweep_checkpointed(
+    points: &[SweepPoint],
+    opts: &SweepOptions,
+    work_dir: &Path,
+) -> Result<(SweepReport, ResumeCounts), SimError> {
+    let dir = results_dir(work_dir);
+    std::fs::create_dir_all(&dir).map_err(|e| SimError::Io(format!("{}: {e}", dir.display())))?;
+    let (results, total_wall) = run_points(points, opts, |idx, point| {
+        salvage_or_run(work_dir, idx, point)
+    })?;
+    let mut counts = ResumeCounts::default();
+    let outcomes = results
+        .into_iter()
+        .map(|(outcome, provenance)| {
+            match provenance {
+                Provenance::Salvaged => counts.salvaged += 1,
+                Provenance::Computed => counts.computed += 1,
+                Provenance::Recomputed => {
+                    counts.computed += 1;
+                    counts.quarantined += 1;
+                }
+            }
+            outcome
+        })
+        .collect();
+    Ok((
+        SweepReport {
+            outcomes,
+            threads: opts.threads,
+            total_wall,
+        },
+        counts,
     ))
 }
 

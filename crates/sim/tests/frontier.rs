@@ -3,24 +3,11 @@
 //! The headline contract (ISSUE 9): on the paper scenario, the adaptive
 //! search reproduces a dense fixed-grid frontier within its configured
 //! max-gap tolerance using **at most half** the simulation points, and
-//! the search is deterministic and engine-independent (in-process vs
-//! distributed evaluation produce identical bytes).
+//! the search is deterministic and independent of the sweep's worker
+//! count (1 and 3 threads produce identical bytes).
 
-use greencell_sim::frontier::{run_frontier, FrontierEngine, FrontierMap, FrontierOptions};
-use greencell_sim::{
-    run_sweep, DistribOptions, Scenario, SimError, SweepOptions, SweepPoint, WorkerCommand,
-};
-use std::path::PathBuf;
-use std::time::Duration;
-
-const WORKER_BIN: &str = env!("CARGO_BIN_EXE_sweep_worker");
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("greencell-frontier-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
+use greencell_sim::frontier::{run_frontier, FrontierMap, FrontierOptions};
+use greencell_sim::{run_sweep, Scenario, SimError, SweepOptions, SweepPoint};
 
 /// The paper scenario, shortened so a debug-build test stays fast. The
 /// topology, load, and energy model are §VI's; only the horizon shrinks.
@@ -96,12 +83,7 @@ fn adaptive_frontier_reproduces_dense_grid_with_at_most_half_the_points() {
         budget: 8,
         init_points: 4,
     };
-    let map = run_frontier(
-        &base,
-        &options,
-        &FrontierEngine::InProcess(SweepOptions::serial()),
-    )
-    .expect("adaptive frontier");
+    let map = run_frontier(&base, &options, &SweepOptions::serial()).expect("adaptive frontier");
 
     assert!(
         map.stats.sims_run * 2 <= dense.len(),
@@ -154,16 +136,16 @@ fn frontier_search_is_deterministic() {
         budget: 7,
         init_points: 3,
     };
-    let engine = FrontierEngine::InProcess(SweepOptions::serial());
-    let a = run_frontier(&base, &options, &engine).expect("first run");
-    let b = run_frontier(&base, &options, &engine).expect("second run");
+    let opts = SweepOptions::serial();
+    let a = run_frontier(&base, &options, &opts).expect("first run");
+    let b = run_frontier(&base, &options, &opts).expect("second run");
     assert_eq!(a.json(), b.json(), "frontier artifact must be reproducible");
     assert_eq!(a.csv(), b.csv());
     assert_eq!(a, b);
 }
 
 #[test]
-fn distributed_frontier_is_byte_identical_to_in_process() {
+fn frontier_map_is_byte_identical_at_one_and_three_threads() {
     let mut base = Scenario::tiny(19);
     base.horizon = 10;
     let options = FrontierOptions {
@@ -173,33 +155,16 @@ fn distributed_frontier_is_byte_identical_to_in_process() {
         budget: 6,
         init_points: 3,
     };
-    let local = run_frontier(
-        &base,
-        &options,
-        &FrontierEngine::InProcess(SweepOptions::serial()),
-    )
-    .expect("in-process frontier");
-
-    let work_dir = temp_dir("dist");
-    let mut opts = DistribOptions::new(2, WorkerCommand::new(WORKER_BIN, vec![]));
-    opts.poll = Duration::from_millis(5);
-    let dist = run_frontier(
-        &base,
-        &options,
-        &FrontierEngine::Distributed {
-            opts,
-            work_dir: work_dir.clone(),
-        },
-    )
-    .expect("distributed frontier");
-
+    let serial = run_frontier(&base, &options, &SweepOptions::serial()).expect("1 thread");
+    let threaded =
+        run_frontier(&base, &options, &SweepOptions::with_threads(3)).expect("3 threads");
     assert_eq!(
-        local.json(),
-        dist.json(),
-        "engines must agree byte for byte"
+        serial.json(),
+        threaded.json(),
+        "worker count changed the map"
     );
-    assert_eq!(local.points, dist.points);
-    std::fs::remove_dir_all(&work_dir).expect("cleanup");
+    assert_eq!(serial.csv(), threaded.csv());
+    assert_eq!(serial.points, threaded.points);
 }
 
 #[test]
@@ -213,12 +178,8 @@ fn exhausted_budget_is_reported_not_hidden() {
         budget: 3,
         init_points: 3,
     };
-    let map = run_frontier(
-        &base,
-        &options,
-        &FrontierEngine::InProcess(SweepOptions::serial()),
-    )
-    .expect("budget-capped frontier");
+    let map =
+        run_frontier(&base, &options, &SweepOptions::serial()).expect("budget-capped frontier");
     assert!(!map.stats.converged, "an unmet tolerance must be reported");
     assert_eq!(map.stats.sims_run, 3, "the budget is a hard ceiling");
     assert!(map.stats.worst_gap > options.max_gap);
@@ -227,8 +188,8 @@ fn exhausted_budget_is_reported_not_hidden() {
 #[test]
 fn frontier_rejects_bad_ranges_with_typed_errors() {
     let base = Scenario::tiny(1);
-    let engine = FrontierEngine::InProcess(SweepOptions::serial());
-    let err = run_frontier(&base, &FrontierOptions::new(5e5, 1e5), &engine)
+    let opts = SweepOptions::serial();
+    let err = run_frontier(&base, &FrontierOptions::new(5e5, 1e5), &opts)
         .expect_err("inverted range must fail");
     assert!(matches!(err, SimError::InvalidConfig { .. }), "got {err:?}");
 }

@@ -161,7 +161,9 @@ fn bs_sleep_reduces_energy_at_low_load() {
 /// interplay (no harvest ⇒ no transfers) compose without divergence.
 #[test]
 fn both_policies_are_watchdog_stable_under_all_fault_archetypes() {
-    let archetypes: [(&str, fn(usize) -> FaultSpec); 4] = [
+    /// A fault archetype sized to the horizon.
+    type Archetype = fn(usize) -> FaultSpec;
+    let archetypes: [(&str, Archetype); 4] = [
         ("bs-outage", |_| FaultSpec::bs_outage()),
         ("band-loss", |_| FaultSpec::band_loss()),
         ("drought", |h| FaultSpec::renewable_drought(h / 4, h / 2)),

@@ -285,8 +285,8 @@ fn misfitting_controller_state_is_a_typed_rejection() {
         .snapshot()
         .to_file_string();
     // One well-formed entry per node in all four network-state vectors.
-    let zeros = format!("[{}]", vec!["\"0x0000000000000000\""; 5].join(","));
-    let awake = format!("\"awake\":[{}]", vec!["true"; 5].join(","));
+    let zeros = format!("[{}]", ["\"0x0000000000000000\""; 5].join(","));
+    let awake = format!("\"awake\":[{}]", ["true"; 5].join(","));
     let (idle, ramp, assoc) = (
         format!("\"idle\":{zeros}"),
         format!("\"ramp\":{zeros}"),

@@ -3,15 +3,16 @@
 //! **byte-identical** to a never-interrupted sweep — at any interruption
 //! point and any worker count. A corrupt or stale result costs exactly its
 //! own point: it is quarantined and recomputed, never trusted and never
-//! fatal.
+//! fatal. A work dir written by an earlier build of the result format
+//! resumes without recomputing anything.
 
 use greencell_core::DegradationPolicy;
 use greencell_sim::{
-    derive_point_seed, run_point, run_sweep, run_sweep_checkpointed, run_sweep_checkpointed_stats,
-    Scenario, SweepOptions, SweepPoint,
+    derive_point_seed, run_point, run_sweep, run_sweep_checkpointed, Scenario, SweepOptions,
+    SweepPoint,
 };
 use greencell_units::{Energy, Power};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("greencell-resume-{tag}-{}", std::process::id()));
@@ -47,12 +48,11 @@ fn interrupt_then_resume(completed: usize, resume_threads: usize) {
         .expect("interrupted sweep");
 
     let (resumed, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::with_threads(resume_threads), &dir)
+        run_sweep_checkpointed(&all, &SweepOptions::with_threads(resume_threads), &dir)
             .expect("resumed sweep");
     assert_eq!(stats.salvaged, completed, "salvage count");
     assert_eq!(stats.computed, all.len() - completed, "recompute count");
-    assert_eq!(stats.requeued, 0);
-    assert_eq!(stats.worker_failures, 0);
+    assert_eq!(stats.quarantined, 0);
 
     // The deterministic artifact is byte-identical; the full outcome
     // set (metrics included) matches point-for-point.
@@ -99,8 +99,11 @@ fn corrupt_result_is_quarantined_and_only_its_point_recomputes() {
     std::fs::write(&p1, bytes).expect("corrupt result");
 
     let (resumed, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("resumed sweep");
-    assert_eq!(stats.requeued, 1, "only the flipped result is requeued");
+        run_sweep_checkpointed(&all, &SweepOptions::serial(), &dir).expect("resumed sweep");
+    assert_eq!(
+        stats.quarantined, 1,
+        "only the flipped result is quarantined"
+    );
     assert_eq!(stats.salvaged, 2, "p0 and p2 are salvaged");
     assert_eq!(stats.computed, all.len() - 2);
     assert!(dir.join("results").join("p1.json.corrupt").exists());
@@ -118,9 +121,9 @@ fn edited_point_is_the_only_one_requeued() {
     all[1].scenario.horizon += 5;
     let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
     let (resumed, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("second sweep");
+        run_sweep_checkpointed(&all, &SweepOptions::serial(), &dir).expect("second sweep");
     assert_eq!(stats.salvaged, all.len() - 1);
-    assert_eq!(stats.requeued, 1);
+    assert_eq!(stats.quarantined, 1);
     assert_eq!(stats.computed, 1);
     assert_eq!(resumed.outcomes[1].metrics.cost_series().len(), 17);
     assert_eq!(resumed.stability_json(), reference.stability_json());
@@ -131,10 +134,10 @@ fn edited_point_is_the_only_one_requeued() {
 fn finished_work_dir_resumes_to_identical_reports_without_rerunning() {
     let dir = temp_dir("finished");
     let all = points();
-    let first =
+    let (first, _) =
         run_sweep_checkpointed(&all, &SweepOptions::with_threads(3), &dir).expect("first sweep");
     let (second, stats) =
-        run_sweep_checkpointed_stats(&all, &SweepOptions::serial(), &dir).expect("second sweep");
+        run_sweep_checkpointed(&all, &SweepOptions::serial(), &dir).expect("second sweep");
     assert_eq!(stats.computed, 0);
     assert_eq!(stats.salvaged, all.len());
     // Everything per-point — metrics *and* wall-clock telemetry — is the
@@ -174,4 +177,42 @@ fn first_failing_point_by_submission_order_is_reported() {
         assert_eq!(err, p1_error, "{threads} threads");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create dir");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).expect("copy file");
+        }
+    }
+}
+
+/// `golden/resume_v1` is a finished work dir of [`points`] as the
+/// multi-process work-queue driver left it: a manifest, claim and stats
+/// files beside `results/p<i>.json`. The result format is unchanged, so
+/// every point is salvaged and the other files are ignored. (A change to
+/// `Scenario` or its `Debug` form changes the fingerprints and makes
+/// every point recompute; the fixture is then rewritten by running
+/// [`run_sweep_checkpointed`] over [`points`] into it.)
+#[test]
+fn work_dir_from_the_work_queue_driver_resumes_without_recomputing() {
+    let dir = temp_dir("v1");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/resume_v1");
+    copy_dir(&golden, &dir);
+    let all = points();
+    let reference = run_sweep(&all, &SweepOptions::serial()).expect("reference sweep");
+    for threads in [1, 2] {
+        let (resumed, stats) =
+            run_sweep_checkpointed(&all, &SweepOptions::with_threads(threads), &dir)
+                .expect("resumed sweep");
+        assert_eq!(stats.computed, 0, "{threads} threads");
+        assert_eq!(stats.salvaged, all.len());
+        assert_eq!(resumed.stability_json(), reference.stability_json());
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

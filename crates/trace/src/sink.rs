@@ -1,7 +1,7 @@
 //! Trace sinks: where instrumented code writes its events.
 //!
 //! The design is lock-free-per-worker: a sink is owned by exactly one
-//! thread (each sweep worker builds its own [`RingSink`] per point), so
+//! thread (each sweep thread builds its own [`RingSink`] per point), so
 //! recording is a plain `Vec` write with no atomics or locks. Merging
 //! across workers happens after the fact, in deterministic point order.
 

@@ -28,8 +28,6 @@ pub struct Command {
     pub serve: ServeFlags,
     /// Frontier-search tunables (meaningful for [`Action::Frontier`] only).
     pub frontier: FrontierFlags,
-    /// Work-queue tunables (meaningful for [`Action::SweepWorker`] only).
-    pub worker: WorkerFlags,
 }
 
 /// The CLI's subcommands.
@@ -55,9 +53,6 @@ pub enum Action {
     /// Adaptive V-frontier search: one-command Fig. 2(e)/(f)-style
     /// cost-vs-backlog frontier map (JSON + CSV).
     Frontier,
-    /// Hidden: distributed-sweep worker process (spawned by the driver,
-    /// not meant for interactive use; absent from the usage text).
-    SweepWorker,
     /// Print usage.
     Help,
 }
@@ -89,7 +84,7 @@ impl Default for ServeFlags {
 }
 
 /// Tunables for the `frontier` action (mirrors
-/// `greencell_sim::FrontierOptions` plus process-fleet knobs).
+/// `greencell_sim::FrontierOptions`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierFlags {
     /// `--v-min X` — smallest Lyapunov weight.
@@ -102,10 +97,6 @@ pub struct FrontierFlags {
     pub budget: usize,
     /// `--init-points N` — initial log-spaced grid size.
     pub init_points: usize,
-    /// `--procs N` — worker processes; 0 = evaluate in-process.
-    pub procs: usize,
-    /// `--work-dir DIR` — work-queue directory for `--procs ≥ 1`.
-    pub work_dir: Option<String>,
 }
 
 impl Default for FrontierFlags {
@@ -116,32 +107,6 @@ impl Default for FrontierFlags {
             max_gap: 0.25,
             budget: 32,
             init_points: 5,
-            procs: 0,
-            work_dir: None,
-        }
-    }
-}
-
-/// Tunables for the hidden `sweep-worker` action.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerFlags {
-    /// `--dir DIR` — the work-queue directory (required).
-    pub dir: Option<String>,
-    /// `--id NAME` — this worker's identity in claims and stats.
-    pub id: String,
-    /// `--stale-after-ms N` — claim staleness threshold.
-    pub stale_after_ms: u64,
-    /// `--poll-ms N` — idle rescan period.
-    pub poll_ms: u64,
-}
-
-impl Default for WorkerFlags {
-    fn default() -> Self {
-        Self {
-            dir: None,
-            id: "worker".to_string(),
-            stale_after_ms: 30_000,
-            poll_ms: 25,
         }
     }
 }
@@ -187,8 +152,8 @@ ACTIONS:
     frontier adaptive V-frontier search: bisects in log-V space wherever
              the cost-vs-backlog curve bends, and writes a Fig. 2(e)/(f)-
              style frontier map (frontier.json + frontier.csv via --out);
-             --procs N evaluates points with N worker processes through
-             the distributed work-stealing driver
+             each round's points fan across GREENCELL_THREADS workers,
+             and the map is byte-identical at any worker count
     help     this text
 
 FLAGS (all optional):
@@ -233,8 +198,6 @@ FRONTIER FLAGS:
     --max-gap X         normalized refinement tolerance [0.25]
     --budget N          simulation-point ceiling        [32]
     --init-points N     initial log-spaced grid size    [5]
-    --procs N           worker processes, 0 = in-process [0]
-    --work-dir DIR      work-queue dir for --procs >= 1 [<out>/frontier_work]
 ";
 
 fn parse_flag_value<T: std::str::FromStr>(key: &str, value: Option<&str>) -> Result<T, ParseError> {
@@ -262,7 +225,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         Some("trace") => Action::Trace,
         Some("serve") => Action::Serve,
         Some("frontier") => Action::Frontier,
-        Some("sweep-worker") => Action::SweepWorker,
         Some(other) => return Err(ParseError(format!("unknown action: {other}"))),
     };
 
@@ -279,7 +241,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut v_values = None;
     let mut serve = ServeFlags::default();
     let mut frontier = FrontierFlags::default();
-    let mut worker = WorkerFlags::default();
 
     while let Some(flag) = it.next() {
         match flag {
@@ -288,24 +249,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "--max-gap" => frontier.max_gap = parse_flag_value(flag, it.next())?,
             "--budget" => frontier.budget = parse_flag_value(flag, it.next())?,
             "--init-points" => frontier.init_points = parse_flag_value(flag, it.next())?,
-            "--procs" => frontier.procs = parse_flag_value(flag, it.next())?,
-            "--work-dir" => {
-                frontier.work_dir = Some(
-                    it.next()
-                        .ok_or_else(|| ParseError("--work-dir needs a directory".into()))?
-                        .to_string(),
-                );
-            }
-            "--dir" => {
-                worker.dir = Some(
-                    it.next()
-                        .ok_or_else(|| ParseError("--dir needs a directory".into()))?
-                        .to_string(),
-                );
-            }
-            "--id" => worker.id = parse_flag_value(flag, it.next())?,
-            "--stale-after-ms" => worker.stale_after_ms = parse_flag_value(flag, it.next())?,
-            "--poll-ms" => worker.poll_ms = parse_flag_value(flag, it.next())?,
             "--snapshot-every" => serve.snapshot_every = parse_flag_value(flag, it.next())?,
             "--status-every" => serve.status_every = parse_flag_value(flag, it.next())?,
             "--error-budget" => serve.error_budget = parse_flag_value(flag, it.next())?,
@@ -396,7 +339,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         out_dir,
         serve,
         frontier,
-        worker,
     })
 }
 
@@ -588,7 +530,7 @@ mod tests {
     fn frontier_flags() {
         let cmd = parse(&argv(
             "frontier --tiny --v-min 1e4 --v-max 1e6 --max-gap 0.1 --budget 16 \
-             --init-points 4 --procs 3 --work-dir wq",
+             --init-points 4",
         ))
         .unwrap();
         assert_eq!(cmd.action, Action::Frontier);
@@ -597,29 +539,10 @@ mod tests {
         assert_eq!(cmd.frontier.max_gap, 0.1);
         assert_eq!(cmd.frontier.budget, 16);
         assert_eq!(cmd.frontier.init_points, 4);
-        assert_eq!(cmd.frontier.procs, 3);
-        assert_eq!(cmd.frontier.work_dir.as_deref(), Some("wq"));
         // Defaults hold when unspecified.
         assert_eq!(
             parse(&argv("frontier")).unwrap().frontier,
             FrontierFlags::default()
-        );
-    }
-
-    #[test]
-    fn sweep_worker_is_parseable_but_hidden() {
-        let cmd = parse(&argv(
-            "sweep-worker --dir wq --id w7 --stale-after-ms 500 --poll-ms 10",
-        ))
-        .unwrap();
-        assert_eq!(cmd.action, Action::SweepWorker);
-        assert_eq!(cmd.worker.dir.as_deref(), Some("wq"));
-        assert_eq!(cmd.worker.id, "w7");
-        assert_eq!(cmd.worker.stale_after_ms, 500);
-        assert_eq!(cmd.worker.poll_ms, 10);
-        assert!(
-            !USAGE.contains("sweep-worker"),
-            "the worker mode is internal plumbing and stays out of the usage text"
         );
     }
 

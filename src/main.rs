@@ -39,12 +39,11 @@ fn dispatch(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         Action::Trace => trace(cmd),
         Action::Serve => serve(cmd),
         Action::Frontier => frontier(cmd),
-        Action::SweepWorker => sweep_worker(cmd),
     }
 }
 
 fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    use greencell::sim::{DistribOptions, FrontierEngine, FrontierOptions, WorkerCommand};
+    use greencell::sim::FrontierOptions;
     let options = FrontierOptions {
         v_min: cmd.frontier.v_min,
         v_max: cmd.frontier.v_max,
@@ -52,22 +51,7 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         budget: cmd.frontier.budget,
         init_points: cmd.frontier.init_points,
     };
-    let engine = if cmd.frontier.procs == 0 {
-        FrontierEngine::InProcess(SweepOptions::from_env())
-    } else {
-        let work_dir = cmd.frontier.work_dir.clone().unwrap_or_else(|| {
-            let base = cmd.out_dir.clone().unwrap_or_else(|| "results".into());
-            format!("{base}/frontier_work")
-        });
-        // Workers are this same binary re-invoked in its hidden
-        // sweep-worker mode.
-        let worker = WorkerCommand::current_exe(vec!["sweep-worker".into()])?;
-        FrontierEngine::Distributed {
-            opts: DistribOptions::new(cmd.frontier.procs, worker),
-            work_dir: std::path::PathBuf::from(work_dir),
-        }
-    };
-    let map = greencell_sim::run_frontier(&cmd.scenario, &options, &engine)?;
+    let map = greencell_sim::run_frontier(&cmd.scenario, &options, &SweepOptions::from_env())?;
     println!(
         "# frontier — avg energy cost vs avg total backlog across V \
          ({} point(s), {} refinement round(s), {}, worst gap {:.4})",
@@ -94,25 +78,6 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         cmd,
         &[("frontier.json", &map.json()), ("frontier.csv", &map.csv())],
     )
-}
-
-fn sweep_worker(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = cmd
-        .worker
-        .dir
-        .as_ref()
-        .ok_or("sweep-worker needs --dir <work_dir>")?;
-    let stats = greencell_sim::run_worker(
-        std::path::Path::new(dir),
-        &cmd.worker.id,
-        std::time::Duration::from_millis(cmd.worker.stale_after_ms),
-        std::time::Duration::from_millis(cmd.worker.poll_ms),
-    )?;
-    eprintln!(
-        "sweep-worker {}: claimed {} computed {} steals {} requeued {}",
-        cmd.worker.id, stats.claimed, stats.computed, stats.steals, stats.requeued
-    );
-    Ok(())
 }
 
 fn serve(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
