@@ -22,9 +22,11 @@ echo "== chaos tests (fault injection) =="
 cargo test -p greencell-sim --test chaos -q $CARGO_FLAGS
 
 echo "== s1 kernel equivalence gate =="
-# The incremental S1 power-control kernel must match the cold-start
-# reference bit-for-bit: golden fingerprints over the seed scenario plus
-# fault scenarios, and property tests probing random instances.
+# The incremental S1 power-control kernel, fed by the per-link key merge,
+# must match the cold-start, fully sorted reference bit-for-bit: golden
+# fingerprints over the seed scenario plus fault scenarios, and property
+# tests probing random instances with 2-5 bands, repeated bandwidths and
+# backlogs (id tiebreaks), some of which schedule a link off its best band.
 cargo test -p greencell-sim --test s1_kernel_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
 
@@ -163,6 +165,18 @@ printf '%s\n' '{"cmd":"status"}' '{"cmd":"stop"}' \
 grep -q '"event":"start","slot":2,"restored":true' "$SERVE_DIR/events2.jsonl"
 rm -rf "$SERVE_DIR"
 echo "serve smoke: restore-on-startup verified"
+
+echo "== serve stdin never panics (release binary) =="
+# One stdin line nested 50 000 levels deep is a typed reject, not a stack
+# overflow: the JSON parser caps nesting, so the session exits 0.
+DEEP_DIR=$(mktemp -d)
+{ head -c 50000 /dev/zero | tr '\0' '['; head -c 50000 /dev/zero | tr '\0' ']'; echo; } \
+  | ./target/release/greencell serve --tiny --state-dir "$DEEP_DIR/state" \
+      > "$DEEP_DIR/events.jsonl" 2> "$DEEP_DIR/err.txt"
+grep -q '"event":"reject"' "$DEEP_DIR/events.jsonl"
+if grep -q 'panicked' "$DEEP_DIR/err.txt"; then cat "$DEEP_DIR/err.txt" >&2; exit 1; fi
+rm -rf "$DEEP_DIR"
+echo "serve stdin smoke: a deeply nested line is rejected"
 
 echo "== city run smoke (release binary, n = 10^4) =="
 # A 10 000-user city is partitioned by its interference clusters, and the

@@ -235,13 +235,13 @@ impl Part {
         let mut s3 = S3Scratch::default();
         let (mut link_slots, mut schedule_bound) = (0, 0);
         if !whole {
-            let pairs = || net.topology().ordered_pairs();
-            link_slots = pairs()
+            link_slots = net
+                .topology()
+                .ordered_pairs()
                 .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
                 .count();
-            let candidate_bound = pairs().map(|(i, j)| net.link_bands(i, j).len()).sum();
             schedule_bound = n / 2 + 1;
-            s1.reserve(n, net.band_count(), candidate_bound);
+            s1.reserve(n, net.band_count(), link_slots);
             outcome.reserve(schedule_bound);
             s3.reserve(n, s, link_slots);
         }

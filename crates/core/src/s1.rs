@@ -19,6 +19,13 @@
 //! activating it cannot reduce `Ψ̂₁`). An additional *energy admission*
 //! check — worst-case transmit/receive energy must fit within the node's
 //! maximum same-slot supply — keeps S4 feasible later in the pipeline.
+//!
+//! The scheduling paths never sort the full `(i, j, m)` candidate list.
+//! They sort one packed key per admissible link (its best band) and merge
+//! lazily: a link whose head is rejected offers its next band, a link with
+//! a busy endpoint is dropped. That yields the full sort's candidates in
+//! the same order wherever the outcome can depend on them; the reference
+//! implementations keep the full sort as the oracle.
 
 use greencell_energy::NodeEnergyModel;
 use greencell_lp::{LinearProgram, Relation};
@@ -63,7 +70,7 @@ impl ScheduleOutcome {
     }
 }
 
-/// Reusable S1 buffers: the candidate list, the per-band
+/// Reusable S1 buffers: the sorted per-link candidate keys, the per-band
 /// `packets_per_slot` memo, the per-node energy-admission memos, and the
 /// incremental [`PowerControlWorkspace`] used to probe candidate
 /// feasibility. Thread one of these through
@@ -71,7 +78,10 @@ impl ScheduleOutcome {
 /// slots and the steady-state greedy path performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct S1Scratch {
-    candidates: Vec<Candidate>,
+    /// One packed `Candidate` key per backlogged, admissible link: the
+    /// link's best band not yet probed. `heads[pos..]` stays sorted while
+    /// the schedulers consume it (see `pop_head`).
+    heads: Vec<u128>,
     /// `packets_per_slot(potential_capacity(W_m))` memo, indexed by band —
     /// capacity depends only on the band's bandwidth, so it is computed
     /// once per band per slot instead of once per candidate.
@@ -97,13 +107,14 @@ impl S1Scratch {
         Self::default()
     }
 
-    /// Grows every buffer for a `nodes`-node, `bands`-band network whose
-    /// per-slot candidate list never exceeds `max_candidates` (a static
-    /// bound is `Σ_{(i,j)} |ℳ_i ∩ ℳ_j|` over ordered pairs). After this,
+    /// Grows every buffer for a `nodes`-node, `bands`-band network with at
+    /// most `max_links` ordered pairs sharing a band (the static bound on
+    /// the per-slot key list: one key per link, not per band). After this,
     /// scheduling allocates nothing even when traffic hits a new peak.
-    pub fn reserve(&mut self, nodes: usize, bands: usize, max_candidates: usize) {
-        self.candidates.reserve(max_candidates);
-        self.active.reserve(max_candidates.min(MAX_SF_CANDIDATES));
+    pub fn reserve(&mut self, nodes: usize, bands: usize, max_links: usize) {
+        self.heads.reserve(max_links);
+        self.active
+            .reserve(max_links.saturating_mul(bands).min(MAX_SF_CANDIDATES));
         self.pkts_per_band.reserve(bands);
         self.tx_ok.reserve(nodes);
         self.rx_ok.reserve(nodes);
@@ -119,6 +130,32 @@ struct Candidate {
     rx: NodeId,
     band: BandId,
     weight: f64,
+}
+
+/// Low 21 bits: the width of the `rx` and `band` fields of a packed key.
+const FIELD: u128 = (1 << 21) - 1;
+
+impl Candidate {
+    /// Packs the candidate into one integer whose ascending order is the
+    /// scheduling order: weight descending, then tx, rx, band. Every
+    /// weight is positive and finite, so its complemented bits sort
+    /// descending by value and set the key's top bit (every key exceeds 0).
+    fn key(tx: NodeId, rx: NodeId, band: BandId, weight: f64) -> u128 {
+        (u128::from(!weight.to_bits()) << 64)
+            | ((tx.index() as u128) << 42)
+            | ((rx.index() as u128) << 21)
+            | band.index() as u128
+    }
+
+    /// The exact inverse of [`Candidate::key`], weight bits included.
+    fn from_key(key: u128) -> Self {
+        Self {
+            tx: NodeId::from_index(((key >> 42) & ((1 << 22) - 1)) as usize),
+            rx: NodeId::from_index(((key >> 21) & FIELD) as usize),
+            band: BandId::from_index((key & FIELD) as usize),
+            weight: f64::from_bits(!((key >> 64) as u64)),
+        }
+    }
 }
 
 /// Shared inputs of both S1 algorithms.
@@ -147,13 +184,9 @@ pub struct S1Inputs<'a> {
     pub packet_size: PacketSize,
 }
 
-/// Fills `scratch.candidates` (sorted, deterministic) for this slot,
-/// refreshing the per-band capacity memo and the per-node energy-admission
-/// memos first. Zero heap allocation once the buffers have grown.
-fn candidates_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
-    let topo = inp.net.topology();
-    let up = |node: NodeId| inp.available.get(node.index()).copied().unwrap_or(true);
-
+/// Refreshes the per-band capacity memo and the per-node energy-admission
+/// memos for this slot. Zero heap allocation once the buffers have grown.
+fn refresh_memos(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     // Per-band memo: `c^m = potential_capacity(W_m)` depends only on the
     // band's bandwidth, never on the candidate pair, so quantize it once
     // per band instead of once per (i, j, m).
@@ -175,63 +208,114 @@ fn candidates_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     // per node per slot instead of once per ordered pair.
     scratch.tx_ok.clear();
     scratch.rx_ok.clear();
-    for i in 0..topo.len() {
+    for i in 0..inp.net.topology().len() {
         let budget = inp.traffic_budget[i].as_joules();
         let tx_worst = inp.max_powers[i] * inp.slot;
         let rx_worst = inp.energy_models[i].recv_power() * inp.slot;
         scratch.tx_ok.push(tx_worst.as_joules() <= budget);
         scratch.rx_ok.push(rx_worst.as_joules() <= budget);
     }
-
-    scratch.candidates.clear();
-    // Scan only the backlogged links: the paper fixes α to 0 wherever
-    // `H_ij(t) = 0`, so the empty queues — the vast majority of the
-    // `O(n²)` ordered pairs in steady state — can never yield a
-    // candidate. `backlogs()` walks the queue bank in the same row-major
-    // order as `ordered_pairs()`, so the candidate list (and hence the
-    // sorted order) is identical to the full scan's.
-    let beta = inp.links.beta();
-    for (i, j, g) in inp.links.backlogs() {
-        let h = beta * g.count_f64();
-        if h <= 0.0 {
-            continue; // β = 0 weights every link to zero
-        }
-        if !up(i) || !up(j) {
-            continue; // fault injection: a down node never transmits/receives
-        }
-        if !scratch.tx_ok[i.index()] || !scratch.rx_ok[j.index()] {
-            continue;
-        }
-        for m in inp.net.link_bands(i, j).iter() {
-            let weight = h * scratch.pkts_per_band[m.index()];
-            if weight > 0.0 {
-                scratch.candidates.push(Candidate {
-                    tx: i,
-                    rx: j,
-                    band: m,
-                    weight,
-                });
-            }
-        }
-    }
-    // Deterministic order: weight desc, then ids. Unstable sort is exact
-    // here — the id tiebreak makes the key injective — and avoids the
-    // stable merge sort's scratch allocation. The packed integer key
-    // orders identically to the old `total_cmp` comparator chain: every
-    // pushed weight is positive and finite, so descending `to_bits()` is
-    // descending value, and the id fields pack most-significant-first.
-    scratch.candidates.sort_unstable_by_key(|c| {
-        (
-            std::cmp::Reverse(c.weight.to_bits()),
-            ((c.tx.index() as u64) << 42) | ((c.rx.index() as u64) << 21) | c.band.index() as u64,
-        )
-    });
 }
 
+/// The links that may carry a candidate this slot, with their `H_ij(t)`,
+/// in row-major order.
+///
+/// Only the backlogged links are scanned: the paper fixes α to 0 wherever
+/// `H_ij(t) = 0`, so the empty queues — the vast majority of the `O(n²)`
+/// ordered pairs in steady state — can never yield a candidate.
+fn admissible_links<'s>(
+    inp: &'s S1Inputs<'_>,
+    scratch: &'s S1Scratch,
+) -> impl Iterator<Item = (NodeId, NodeId, f64)> + 's {
+    let up = |node: NodeId| inp.available.get(node.index()).copied().unwrap_or(true);
+    let beta = inp.links.beta();
+    inp.links.backlogs().filter_map(move |(i, j, g)| {
+        let h = beta * g.count_f64();
+        // β = 0 weights every link to zero; a down node (fault injection)
+        // never transmits or receives; the energy memos gate the rest.
+        (h > 0.0 && up(i) && up(j) && scratch.tx_ok[i.index()] && scratch.rx_ok[j.index()])
+            .then_some((i, j, h))
+    })
+}
+
+/// The keys of link `(tx, rx)`'s candidates: one per shared band with a
+/// positive weight `H_ij·c^m`.
+fn link_keys<'p>(
+    inp: &S1Inputs<'_>,
+    pkts_per_band: &'p [f64],
+    tx: NodeId,
+    rx: NodeId,
+    h: f64,
+) -> impl Iterator<Item = u128> + 'p {
+    inp.net.link_bands(tx, rx).iter().filter_map(move |m| {
+        let weight = h * pkts_per_band[m.index()];
+        (weight > 0.0).then(|| Candidate::key(tx, rx, m, weight))
+    })
+}
+
+/// Fills `scratch.heads` with each admissible link's best candidate key,
+/// sorted. Zero heap allocation once the buffers have grown.
+///
+/// Each link's candidates, in key order, form one sorted list, and the
+/// full candidate order is the merge of those lists. The heads are that
+/// merge's frontier: [`pop_head`] advances it one candidate at a time.
+fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
+    refresh_memos(inp, scratch);
+    let mut heads = std::mem::take(&mut scratch.heads);
+    heads.clear();
+    heads.extend(
+        admissible_links(inp, scratch)
+            .filter_map(|(i, j, h)| link_keys(inp, &scratch.pkts_per_band, i, j, h).min()),
+    );
+    heads.sort_unstable();
+    scratch.heads = heads;
+}
+
+/// Consumes the smallest key `heads[*pos]` — the next candidate in full
+/// order. With `keep_link`, the link's next band (its smallest key above
+/// the consumed one) takes its place, shifted into sorted position, so
+/// `heads[*pos..]` yields exactly the candidates a full sort would list
+/// next. Without it, the link is dropped: the greedy loop drops a link
+/// once an endpoint is busy, and a busy node stays busy, so every later
+/// band of the link would be skipped anyway.
+fn pop_head(
+    inp: &S1Inputs<'_>,
+    pkts_per_band: &[f64],
+    heads: &mut [u128],
+    pos: &mut usize,
+    keep_link: bool,
+) {
+    let key = heads[*pos];
+    let next = if keep_link {
+        let c = Candidate::from_key(key);
+        let h = inp.links.h(c.tx, c.rx);
+        link_keys(inp, pkts_per_band, c.tx, c.rx, h)
+            .filter(|&k| k > key)
+            .min()
+    } else {
+        None
+    };
+    match next {
+        Some(next) => {
+            let rest = *pos + 1;
+            let shift = heads[rest..].partition_point(|&k| k < next);
+            heads.copy_within(rest..rest + shift, *pos);
+            heads[*pos + shift] = next;
+        }
+        None => *pos += 1,
+    }
+}
+
+/// The full candidate list in scheduling order (weight desc, then ids) —
+/// the references' own generator, one full sort over every `(i, j, m)`.
 fn candidates(inp: &S1Inputs<'_>) -> Vec<Candidate> {
     let mut scratch = S1Scratch::new();
-    candidates_into(inp, &mut scratch);
-    scratch.candidates
+    refresh_memos(inp, &mut scratch);
+    let mut keys: Vec<u128> = admissible_links(inp, &scratch)
+        .flat_map(|(i, j, h)| link_keys(inp, &scratch.pkts_per_band, i, j, h))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(Candidate::from_key).collect()
 }
 
 /// Weight-greedy S1 (see [`crate::SchedulerKind::Greedy`]).
@@ -249,47 +333,62 @@ pub fn greedy_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
 /// Weight-greedy S1 over reusable buffers, probing candidate feasibility
 /// with the incremental warm-start kernel.
 ///
-/// Each admitted prefix's Foschini–Miljanic fixed point warm-starts the
-/// next probe ([`PowerControlWorkspace`]); a rejected candidate is undone
-/// in `O(n)`. **Determinism contract:** the warm solves only decide
-/// accept/reject; the final accepted schedule gets one cold-start
-/// `min_power_assignment`, so `out` is bit-identical to the cold-probing
-/// reference ([`greedy_schedule_reference`]).
+/// Candidates come from the per-link key merge in the reference's
+/// full-sort order: a link whose head is rejected offers its
+/// next band, a link with a busy endpoint is dropped. Each admitted
+/// prefix's Foschini–Miljanic fixed point warm-starts the next probe
+/// ([`PowerControlWorkspace`]); a rejected candidate is undone in `O(n)`.
+/// **Determinism contract:** the warm solves only decide accept/reject;
+/// the final accepted schedule gets one cold-start `min_power_assignment`,
+/// so `out` is bit-identical to the cold-probing reference
+/// ([`greedy_schedule_reference`]).
 pub fn greedy_schedule_with(
     inp: &S1Inputs<'_>,
     scratch: &mut S1Scratch,
     out: &mut ScheduleOutcome,
 ) {
-    candidates_into(inp, scratch);
+    heads_into(inp, scratch);
     out.clear();
     scratch.ws.clear();
     scratch.busy.clear();
     scratch.busy.resize(inp.net.topology().len(), false);
-    for k in 0..scratch.candidates.len() {
-        let cand = scratch.candidates[k];
-        if scratch.busy[cand.tx.index()] || scratch.busy[cand.rx.index()] {
-            continue;
+    let mut pos = 0;
+    while pos < scratch.heads.len() {
+        let cand = Candidate::from_key(scratch.heads[pos]);
+        let free = !scratch.busy[cand.tx.index()] && !scratch.busy[cand.rx.index()];
+        let mut accepted = false;
+        if free {
+            let t = Transmission::new(cand.tx, cand.rx, cand.band);
+            if let Ok(idx) = out.schedule.try_add(inp.net, t) {
+                if scratch
+                    .ws
+                    .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
+                    .is_err()
+                {
+                    out.schedule.remove(idx);
+                } else {
+                    scratch.busy[cand.tx.index()] = true;
+                    scratch.busy[cand.rx.index()] = true;
+                    accepted = true;
+                }
+            }
         }
-        let t = Transmission::new(cand.tx, cand.rx, cand.band);
-        let idx = match out.schedule.try_add(inp.net, t) {
-            Ok(idx) => idx,
-            Err(_) => continue,
-        };
-        if scratch
-            .ws
-            .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
-            .is_err()
-        {
-            out.schedule.remove(idx);
-        } else {
-            scratch.busy[cand.tx.index()] = true;
-            scratch.busy[cand.rx.index()] = true;
-        }
+        let keep_link = free && !accepted;
+        pop_head(
+            inp,
+            &scratch.pkts_per_band,
+            &mut scratch.heads,
+            &mut pos,
+            keep_link,
+        );
     }
     if finalize_powers(inp, scratch, out).is_err() {
-        // Unreachable in practice: every accepted prefix was verified
-        // feasible. Kept as a deterministic safety net — fall back to the
-        // cold-probing reference so schedule and powers stay consistent.
+        // Reachable, if rarely: the probes decide feasibility with a
+        // direct M-matrix solve, but this cold Foschini–Miljanic run
+        // converges linearly in the spectral radius ρ of the accepted
+        // links and can exhaust its iteration cap when ρ is close to 1.
+        // The cold-probing reference then decides every candidate again,
+        // so schedule and powers stay consistent and deterministic.
         *out = greedy_schedule_reference(inp);
     }
 }
@@ -373,14 +472,23 @@ pub fn sequential_fix_schedule_with(
     scratch: &mut S1Scratch,
     out: &mut ScheduleOutcome,
 ) {
-    candidates_into(inp, scratch);
+    heads_into(inp, scratch);
     out.clear();
     scratch.ws.clear();
-    let pool = scratch.candidates.len().min(MAX_SF_CANDIDATES);
+    // The pool is the first `MAX_SF_CANDIDATES` of the full candidate
+    // order: pop every head in turn, each link offering its next band.
     scratch.active.clear();
-    scratch
-        .active
-        .extend_from_slice(&scratch.candidates[..pool]);
+    let mut pos = 0;
+    while pos < scratch.heads.len() && scratch.active.len() < MAX_SF_CANDIDATES {
+        scratch.active.push(Candidate::from_key(scratch.heads[pos]));
+        pop_head(
+            inp,
+            &scratch.pkts_per_band,
+            &mut scratch.heads,
+            &mut pos,
+            true,
+        );
+    }
 
     while !scratch.active.is_empty() {
         // Drop candidates conflicting with the fixed set (single radio).
@@ -426,7 +534,9 @@ pub fn sequential_fix_schedule_with(
         }
     }
     if finalize_powers(inp, scratch, out).is_err() {
-        // Same deterministic safety net as the greedy path.
+        // Reachable, as on the greedy path: a fixing the direct probe
+        // accepted can leave ρ so close to 1 that the cold final solve
+        // exhausts its iteration cap. The cold-probing reference decides.
         *out = sequential_fix_schedule_reference(inp);
     }
 }
@@ -791,6 +901,57 @@ mod tests {
         let spectrum = spectrum2();
         let out = greedy_schedule(&inputs(&f, &spectrum, &phy));
         assert!(out.schedule.is_empty());
+    }
+
+    /// Two BS→user links on one band whose coupling sits just under the
+    /// feasibility edge (spectral radius 1 − 10⁻³): the direct probes
+    /// admit both, but the cold final solve runs out of iterations, so
+    /// the greedy path must fall back to the reference.
+    #[test]
+    fn non_convergent_final_solve_falls_back_to_the_reference() {
+        let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 1);
+        let a = b.add_base_station(Point::new(0.0, 0.0));
+        let x = b.add_user(Point::new(100.0, 0.0));
+        let c = b.add_base_station(Point::new(2200.0, 0.0));
+        let y = b.add_user(Point::new(2300.0, 0.0));
+        let net = b.build().unwrap();
+        let topo = net.topology();
+        let coupling =
+            (topo.gain(c, x) * topo.gain(a, y) / (topo.gain(a, x) * topo.gain(c, y))).sqrt();
+        let phy = PhyConfig::new((1.0 - 1e-3) / coupling, 1e-20);
+        let mut links = LinkQueueBank::new(4, 100.0);
+        let mut plan = FlowPlan::new(4, 1);
+        for (tx, rx, pkts) in [(a, x, 50), (c, y, 40)] {
+            plan.set(SessionId::from_index(0), tx, rx, Packets::new(pkts));
+        }
+        links.advance(&plan, &[]);
+        let f = Fixture {
+            net,
+            links,
+            max_powers: vec![Power::from_watts(20.0); 4],
+            models: vec![NodeEnergyModel::new(Energy::ZERO, Energy::ZERO, Power::ZERO); 4],
+            budget: vec![Energy::from_kilowatt_hours(1.0); 4],
+        };
+        let spectrum = SpectrumState::new(vec![Bandwidth::from_megahertz(1.0)]);
+        let inp = inputs(&f, &spectrum, &phy);
+
+        let mut ws = PowerControlWorkspace::default();
+        let both =
+            [(a, x), (c, y)].map(|(tx, rx)| Transmission::new(tx, rx, BandId::from_index(0)));
+        let mut schedule = Schedule::new();
+        for t in both {
+            ws.probe(&f.net, &spectrum, &phy, &f.max_powers, t)
+                .expect("the warm probe admits the link");
+            schedule.try_add(&f.net, t).unwrap();
+        }
+        assert_eq!(
+            min_power_assignment(&f.net, &schedule, &spectrum, &phy, &f.max_powers),
+            Err(greencell_phy::PowerControlError::NonConvergent)
+        );
+
+        let reference = greedy_schedule_reference(&inp);
+        assert_eq!(reference.schedule.len(), 1);
+        assert_eq!(greedy_schedule(&inp), reference);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for the incremental S1 kernel: the warm-start probing
-//! path must make exactly the accept/reject decisions of the cold-start
-//! reference, and hence produce identical schedules and bit-identical
-//! powers, across random topologies, band sets, backlogs, tight energy
+//! path, fed by the per-link key merge, must make exactly the
+//! accept/reject decisions of the cold-start, fully sorted reference, and
+//! hence produce identical schedules and bit-identical powers, across
+//! random topologies, 2–5 bands with per-node band subsets, repeated
+//! bandwidths and backlogs (weight ties fall to the ids), tight energy
 //! budgets, and fault masks (down-node candidates included).
 
 use greencell_core::{
@@ -9,8 +11,10 @@ use greencell_core::{
     sequential_fix_schedule_with, S1Inputs, S1Scratch, ScheduleOutcome,
 };
 use greencell_energy::NodeEnergyModel;
-use greencell_net::{Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
-use greencell_phy::{PhyConfig, SpectrumState};
+use greencell_net::{
+    BandId, BandSet, Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId,
+};
+use greencell_phy::{packets_per_slot, potential_capacity, PhyConfig, SpectrumState};
 use greencell_queue::{FlowPlan, LinkQueueBank};
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Energy, PacketSize, Packets, Power, TimeDelta};
@@ -26,22 +30,36 @@ struct Instance {
     available: Vec<bool>,
 }
 
-/// A random 5–8-node network (1–2 BS + users scattered on a disc), 2
-/// bands, random backlogs, occasionally-tight traffic budgets, and a
-/// random availability mask (each node down with probability ~1/8).
+/// A random 5–8-node network (1–2 BS + users scattered on a disc), 2–5
+/// bands drawn from four bandwidths, each node holding a random non-empty
+/// subset of them, backlogs drawn from a short list (so equal weights are
+/// common and the id tiebreak decides), occasionally-tight traffic
+/// budgets, and a random availability mask (each node down with
+/// probability ~1/8).
 fn instance(seed: u64) -> Instance {
     let mut rng = Rng::seed_from(seed);
     let n = 5 + rng.index(4);
     let bs_count = 1 + rng.index(2);
-    let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 2);
+    let bands = 2 + rng.index(4);
+    let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
     for k in 0..n {
         let angle = k as f64 * std::f64::consts::TAU / n as f64 + rng.range_f64(0.0, 0.5);
         let radius = rng.range_f64(150.0, 900.0);
         let p = Point::new(1000.0 + radius * angle.cos(), 1000.0 + radius * angle.sin());
-        if k < bs_count {
-            b.add_base_station(p);
+        let node = if k < bs_count {
+            b.add_base_station(p)
         } else {
-            b.add_user(p);
+            b.add_user(p)
+        };
+        if rng.index(3) == 0 {
+            let mut subset = BandSet::empty();
+            subset.insert(BandId::from_index(rng.index(bands)));
+            for m in 0..bands {
+                if rng.index(2) == 0 {
+                    subset.insert(BandId::from_index(m));
+                }
+            }
+            b.set_bands(node, subset);
         }
     }
     let net = b.build().expect("valid network");
@@ -54,14 +72,15 @@ fn instance(seed: u64) -> Instance {
             SessionId::from_index(0),
             NodeId::from_index(i),
             NodeId::from_index(j),
-            Packets::new(rng.below(300)),
+            Packets::new([0, 40, 40, 120, 250][rng.index(5)]),
         );
     }
     links.advance(&plan, &[]);
-    let spectrum = SpectrumState::new(vec![
-        Bandwidth::from_megahertz(rng.range_f64(0.5, 2.5)),
-        Bandwidth::from_megahertz(rng.range_f64(0.5, 2.5)),
-    ]);
+    let spectrum = SpectrumState::new(
+        (0..bands)
+            .map(|_| Bandwidth::from_megahertz([0.5, 1.0, 1.0, 2.5][rng.index(4)]))
+            .collect(),
+    );
     let max_powers = net
         .topology()
         .nodes()
@@ -113,6 +132,45 @@ fn inputs<'a>(inst: &'a Instance, phy: &'a PhyConfig) -> S1Inputs<'a> {
         slot: TimeDelta::from_minutes(1.0),
         packet_size: PacketSize::from_bits(10_000),
     }
+}
+
+/// The band the full sort lists first for link `(tx, rx)`: the most
+/// packets per slot, ties to the lowest band index.
+fn best_band(inp: &S1Inputs<'_>, tx: NodeId, rx: NodeId) -> BandId {
+    let pkts = |m: BandId| {
+        let c = potential_capacity(inp.spectrum.bandwidth(m), inp.phy);
+        packets_per_slot(c, inp.packet_size, inp.slot).count()
+    };
+    inp.net
+        .link_bands(tx, rx)
+        .iter()
+        .min_by_key(|&m| (std::cmp::Reverse(pkts(m)), m.index()))
+        .expect("a scheduled link shares a band")
+}
+
+/// The instances reach the merge's re-insert path: in some of them a
+/// link runs on a band other than its best, so its best band's probe was
+/// rejected and the link's next band took its place.
+#[test]
+fn some_links_run_on_a_band_other_than_their_best() {
+    let phy = PhyConfig::new(1.0, 1e-20);
+    let mut scratch = S1Scratch::new();
+    let mut out = ScheduleOutcome::empty();
+    let off_best = (0..200u64)
+        .filter(|&seed| {
+            let inst = instance(seed);
+            let inp = inputs(&inst, &phy);
+            greedy_schedule_with(&inp, &mut scratch, &mut out);
+            out.schedule
+                .transmissions()
+                .iter()
+                .any(|t| t.band() != best_band(&inp, t.tx(), t.rx()))
+        })
+        .count();
+    assert!(
+        off_best > 0,
+        "no instance scheduled a link off its best band"
+    );
 }
 
 proptest! {

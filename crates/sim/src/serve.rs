@@ -583,6 +583,23 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_rejected_and_the_next_line_steps() {
+        let s = scenario();
+        let (nodes, sessions) = dims(&s);
+        let deep = "[".repeat(50_000) + &"]".repeat(50_000);
+        let input = format!("{deep}\n{}\n", obs_line(nodes, sessions, 0));
+        let (summary, events) = serve(&s, &ServeConfig::default(), &input);
+        assert_eq!(summary.rejected_lines, 1);
+        assert_eq!(summary.slots_stepped, 1);
+        assert_eq!(summary.stop_reason, StopReason::InputClosed);
+        assert!(
+            events.contains("\"event\":\"reject\",\"line\":1,"),
+            "{events}"
+        );
+        assert!(events.contains("nesting deeper than"), "{events}");
+    }
+
+    #[test]
     fn restart_restores_and_matches_an_uninterrupted_session() {
         let s = scenario();
         let (nodes, sessions) = dims(&s);

@@ -98,15 +98,23 @@ impl fmt::Display for JsonError {
 
 impl Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of
+/// `[[[…` overflow the stack; everything the program writes nests a few
+/// levels deep, far below this.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] with the failing byte offset on malformed input.
+/// Returns [`JsonError`] with the failing byte offset on malformed input,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -152,6 +160,8 @@ pub fn json_f64(x: f64) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects enclosing the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -192,8 +202,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -201,6 +211,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -407,6 +432,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_cap).is_ok());
+        let e = parse(&format!("{{\"a\":{at_cap}}}")).unwrap_err();
+        assert_eq!(e.offset, 5 + MAX_DEPTH - 1);
+        let e = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
     }
 
     #[test]
