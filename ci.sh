@@ -30,14 +30,18 @@ echo "== s1 kernel equivalence gate =="
 cargo test -p greencell-sim --test s1_kernel_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
 
-echo "== s4 kernel equivalence gate =="
-# The warm-started S4 energy kernel must match the cold-bisection oracle
-# bit-for-bit: golden fingerprints plus an in-process lockstep over the
-# scenario battery (faults, degradation policies, policy axes, V = 0),
-# and lockstep property tests dragging stale warm state across random
-# instances.
-cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS
-cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS
+echo "== s4 sweep lockstep gate =="
+# The S4 breakpoint sweep and the bisection reference run on the same
+# input on every S4 solve: through the live pipeline over the scenario
+# battery (faults, strict degradation, one-hop, grid-only, V = 0), and on
+# random instances (unit and paper scale, lossy batteries, deficits,
+# V = 0). Errors must be identical, grid draw and objective within 1e-9
+# relative, and per-node modes equal wherever the reference's two mode
+# objectives differ by more than EPS.
+cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS \
+  sweep_matches_reference_in_lockstep_on_every_scenario
+cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS \
+  sweep_matches_reference_in_lockstep
 
 echo "== slot driver golden gate =="
 # Fingerprints recorded in lockstep with the pre-pipeline controller: seed

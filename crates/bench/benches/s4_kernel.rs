@@ -1,18 +1,16 @@
-//! Cold-bisection oracle vs. warm-started threshold-replay S4 kernel, at
-//! three synthetic sizes and on the warmed paper setup.
+//! The S4 bisection reference vs the breakpoint sweep, at three synthetic
+//! sizes and on the warmed paper setup.
 //!
-//! `s4_energy_cold_*` runs the frozen reference (`solve_energy_management_into`:
-//! 100 blind bisection steps, each an O(BS) sweep); `s4_energy_kernel_*`
-//! runs `solve_energy_management_warm_into` on a reused workspace, so
-//! after the first iteration every solve takes the warm path (verify the
-//! cached threshold, finish the sign search, replay the bisection
-//! arithmetic). Both produce bit-identical outcomes (see `prop_s4_kernel`
-//! and `s4_kernel_equivalence`); only the evaluation count differs.
+//! `s4_energy_reference_*` runs `solve_energy_management_reference` (100
+//! blind bisection steps, each an O(BS) pass); `s4_energy_sweep_*` runs the
+//! shipped `solve_energy_management_into` on a reused workspace (one sort
+//! of the breakpoints, one pass over them). The two agree within the
+//! lockstep tolerances (see `prop_s4_kernel` and `s4_kernel_equivalence`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use greencell_bench::S4Fixture;
 use greencell_core::{
-    solve_energy_management_into, solve_energy_management_warm_into, EnergyOutcome, S4Workspace,
+    solve_energy_management_into, solve_energy_management_reference, EnergyOutcome, S4Workspace,
 };
 use std::hint::black_box;
 
@@ -20,19 +18,17 @@ const SIZES: [usize; 3] = [8, 16, 32];
 
 fn bench_fixture(c: &mut Criterion, label: &str, fixture: &S4Fixture) {
     let input = fixture.input();
-    let mut ws = S4Workspace::new();
-    let mut out = EnergyOutcome::empty();
-    c.bench_function(&format!("s4_energy_cold_{label}"), |b| {
+    c.bench_function(&format!("s4_energy_reference_{label}"), |b| {
         b.iter(|| {
-            solve_energy_management_into(&input, &mut ws, &mut out).expect("feasible fixture");
+            let out = solve_energy_management_reference(&input).expect("feasible fixture");
             black_box(out.grid_draw);
         });
     });
-    let mut warm_ws = S4Workspace::new();
-    c.bench_function(&format!("s4_energy_kernel_{label}"), |b| {
+    let mut ws = S4Workspace::new();
+    let mut out = EnergyOutcome::empty();
+    c.bench_function(&format!("s4_energy_sweep_{label}"), |b| {
         b.iter(|| {
-            solve_energy_management_warm_into(&input, &mut warm_ws, &mut out)
-                .expect("feasible fixture");
+            solve_energy_management_into(&input, &mut ws, &mut out).expect("feasible fixture");
             black_box(out.grid_draw);
         });
     });

@@ -239,7 +239,7 @@ impl S4Fixture {
     /// paper cost curve) with `nodes` nodes, every other one a base
     /// station. Backlogs are drawn so the per-node mode-flip prices `−z`
     /// and `−z·η` land on both sides of the equilibrium bracket — the
-    /// breakpoint structure the kernel's cold-start search walks.
+    /// breakpoints the S4 sweep walks.
     ///
     /// # Panics
     ///

@@ -603,9 +603,9 @@ impl Controller {
     ///
     /// Derived constants (`β`, `γ_max`, `B`), the resolved pipeline stages,
     /// and the per-slot scratch are *not* captured: they are pure functions
-    /// of the construction inputs, and the S1/S4 warm-kernel equivalence
-    /// gates prove the pipeline's decisions are bit-identical whether its
-    /// workspaces are warm or freshly defaulted.
+    /// of the construction inputs: the S1 kernel equivalence gate proves
+    /// S1's decisions are bit-identical whether its workspaces are warm or
+    /// freshly defaulted, and the S4 sweep keeps nothing across slots.
     #[must_use]
     pub fn export_state(&self) -> ControllerState {
         let ns = &self.ctx.net_state;
@@ -677,9 +677,9 @@ impl Controller {
     }
 
     /// Overwrites the evolving state from a captured [`ControllerState`],
-    /// resetting the per-slot scratch and stage timings (warm kernels
-    /// restart cold — provably without affecting decisions, wall-clock
-    /// restarts from zero by design).
+    /// resetting the per-slot scratch and stage timings (the warm S1
+    /// kernel restarts cold — provably without affecting decisions,
+    /// wall-clock restarts from zero by design).
     ///
     /// # Panics
     ///
@@ -718,7 +718,7 @@ impl Controller {
     }
 
     /// Swaps the S4 stage for any [`EnergyStage`] (e.g.
-    /// [`crate::pipeline::GridOnlyStage`], or a test's cold oracle),
+    /// [`crate::pipeline::GridOnlyStage`], or a test's lockstep stage),
     /// overriding the one the config picked at construction. Lets a
     /// custom or baseline energy policy run under the full driver (timing,
     /// tracing, degradation ladder) without a config enum variant.
@@ -917,8 +917,6 @@ impl Controller {
             let solved = self.energy_stage.solve(&input, net_state, s4, energy);
             clock.stop(&mut self.timings.s4, self.slot, Stage::S4, traced, sink);
             let Err(err) = solved else { break };
-            #[cfg(feature = "shed-debug")]
-            eprintln!("slot {}: S4 error {err:?}", self.slot);
             let mut cx = FallbackCx {
                 parts: &mut *parts,
                 node_part: &self.node_part,

@@ -18,8 +18,8 @@
 //! * S3 relaxed — same per-link winner-take-all structure over fractional
 //!   capacities and real-valued queues.
 //! * S4 — the marginal-price solver is exact for the relaxed problem too
-//!   (the mutual-exclusion constraint is slack at any optimum); it runs on
-//!   the warm kernel, bit-identical to the cold solver.
+//!   (the mutual-exclusion constraint is slack at any optimum); it runs
+//!   the same breakpoint sweep.
 //!
 //! Every constraint of the true system is weakly relaxed, so the relaxed
 //! system's achieved time-averaged cost estimates `ψ*_P̄3` from below the
@@ -496,7 +496,7 @@ fn band_sharing_links(net: &Network, relay: RelayPolicy) -> Vec<Link> {
 }
 
 /// The global per-slot buffers: S4's inputs and outcome. Scratch, not
-/// state — the S4 kernel's warm start is bit-identical to a cold solve.
+/// state — the S4 sweep keeps nothing across slots.
 #[derive(Debug, Clone, Default)]
 struct RelaxedScratch {
     /// This slot's `c_m` per band.

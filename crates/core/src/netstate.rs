@@ -345,10 +345,10 @@ impl NetworkState {
     /// exporting BSs against renewable deficits at importing BSs,
     /// importers and exporters both in ascending node order. Fills the
     /// adjusted renewable vector the `energy_coop` stage hands to the
-    /// marginal-price kernel.
+    /// marginal-price solver.
     ///
     /// With `η_x ≤ 0` the adjusted vector is a verbatim copy, so the
-    /// downstream solve is bit-identical to the per-node oracle.
+    /// downstream solve is bit-identical to the per-node solve.
     pub(crate) fn compute_transfers(&mut self, input: &EnergyManagementInput<'_>) {
         self.r_adj.clear();
         self.r_adj.extend_from_slice(input.renewable);
@@ -366,7 +366,7 @@ impl NetworkState {
             let s = if input.is_base_station[i] && up(i) {
                 let demand = input.demand[i].as_kilowatt_hours();
                 let renewable = self.r_adj[i].as_kilowatt_hours();
-                // Charge room mirrors the kernel's `NodeEnv` exactly: a BS
+                // Charge room mirrors S4's `NodeEnv` exactly: a BS
                 // that can still bank its surplus in its own battery has
                 // nothing to export.
                 let c_room = input.batteries[i].max_charge_now().as_kilowatt_hours();

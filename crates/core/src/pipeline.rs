@@ -7,8 +7,8 @@
 //! variation, so it stays a trait: [`EnergyStage`], with the paper's
 //! [`MarginalPriceStage`], the [`GridOnlyStage`] ablation and the coupled
 //! [`EnergyCoopStage`]. The controller picks one from the config at
-//! construction, and tests swap in a fake (the cold S4 oracle) through
-//! [`crate::Controller::set_energy_stage`].
+//! construction, and tests swap in a fake (a stage that checks the sweep
+//! against the S4 reference) through [`crate::Controller::set_energy_stage`].
 //!
 //! The degradation ladder (shed → grid-only → drop schedule → safe mode)
 //! is a list of [`FallbackRung`] functions picked by [`fallback_ladder`];
@@ -29,7 +29,7 @@
 
 use crate::netstate::NetworkState;
 use crate::{
-    solve_energy_management_warm_into, solve_grid_only_into, solve_safe_mode, ControllerConfig,
+    solve_energy_management_into, solve_grid_only_into, solve_safe_mode, ControllerConfig,
     DegradationEvent, DegradationPolicy, EnergyManagementError, EnergyManagementInput,
     EnergyOutcome, Part, S4Workspace, ScheduleOutcome,
 };
@@ -62,11 +62,9 @@ pub trait EnergyStage: fmt::Debug + Sync {
     ) -> Result<(), EnergyManagementError>;
 }
 
-/// Built-in S4 stage: the exact marginal-price equilibrium, solved by the
-/// warm-started threshold-replay kernel
-/// ([`crate::solve_energy_management_warm_into`]) — bit-identical to the
-/// cold-bisection oracle [`crate::solve_energy_management_into`], with the
-/// warm state living in the slot arena's [`S4Workspace`].
+/// Built-in S4 stage: the exact marginal-price equilibrium, found by the
+/// breakpoint sweep [`crate::solve_energy_management_into`] in the slot
+/// arena's [`S4Workspace`].
 #[derive(Debug, Clone, Copy)]
 pub struct MarginalPriceStage;
 
@@ -78,7 +76,7 @@ impl EnergyStage for MarginalPriceStage {
         ws: &mut S4Workspace,
         out: &mut EnergyOutcome,
     ) -> Result<(), EnergyManagementError> {
-        solve_energy_management_warm_into(input, ws, out)
+        solve_energy_management_into(input, ws, out)
     }
 }
 
@@ -103,9 +101,9 @@ impl EnergyStage for GridOnlyStage {
 /// Coupled multi-node S4 stage: computes this slot's
 /// lossy inter-BS renewable transfers (efficiency `η_x`) in the
 /// [`NetworkState`], then solves the marginal-price problem on the
-/// transfer-adjusted renewable vector with the same warm kernel as
+/// transfer-adjusted renewable vector with the same sweep as
 /// [`MarginalPriceStage`]. At `η_x = 0` the adjusted vector is a verbatim
-/// copy and the stage is bit-identical to the per-node oracle — the
+/// copy and the stage is bit-identical to [`MarginalPriceStage`] — the
 /// standing equivalence reference.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyCoopStage;
@@ -130,7 +128,7 @@ impl EnergyStage for EnergyCoopStage {
             cost: input.cost,
             v: input.v,
         };
-        solve_energy_management_warm_into(&adjusted, ws, out)
+        solve_energy_management_into(&adjusted, ws, out)
     }
 }
 
@@ -307,8 +305,8 @@ pub fn fallback_ladder(policy: DegradationPolicy) -> &'static [FallbackRung] {
     }
 }
 
-/// The relaxed controller's S4 chain: marginal price (the warm kernel, in
-/// the caller's workspace), else grid-only, else safe mode (never fails).
+/// The relaxed controller's S4 chain: marginal price (the sweep, in the
+/// caller's workspace), else grid-only, else safe mode (never fails).
 /// Shared with [`crate::RelaxedController`] so the lower bound cannot
 /// drift from the online ladder's solver order.
 pub fn solve_energy_with_fallbacks_into(
@@ -316,7 +314,7 @@ pub fn solve_energy_with_fallbacks_into(
     ws: &mut S4Workspace,
     out: &mut EnergyOutcome,
 ) {
-    if solve_energy_management_warm_into(input, ws, out).is_err()
+    if solve_energy_management_into(input, ws, out).is_err()
         && solve_grid_only_into(input, out).is_err()
     {
         *out = solve_safe_mode(input).outcome;

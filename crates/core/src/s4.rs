@@ -14,18 +14,20 @@
 //!   `−z` and grid at unit cost `p`, cheaper source first) and keep the
 //!   better — the mutual-exclusion constraint (9) makes the two modes the
 //!   only candidates, and within each mode the optimum is bang-bang.
-//! * The only coupling is `V·f(P)` with `f` convex: each node's draw is
-//!   non-increasing in `p`, so the equilibrium price solves the monotone
-//!   one-dimensional fixed point `p = V·f'(P(p))` by bisection, after
-//!   which the price-tied nodes' continuous knobs (grid-charge amounts and
-//!   battery/grid demand splits) are filled fractionally to land `P`
-//!   exactly on `f'⁻¹(p*/V)`.
+//! * The only coupling is `V·f(P)` with `f` convex: each node's draw is a
+//!   non-increasing step function of `p` whose steps sit at its mode-flip
+//!   prices `−z` and `−z·η` (and `0`, below the price bracket), so the
+//!   equilibrium price solving the monotone fixed point `p = V·f'(P(p))`
+//!   is found exactly by one sweep over the sorted flip prices (see
+//!   [`solve_energy_management_into`]), after which the price-tied nodes'
+//!   continuous knobs (grid-charge amounts and battery/grid demand splits)
+//!   are filled fractionally to land `P` exactly on `f'⁻¹(p*/V)`.
 
 use greencell_energy::CostFn;
 use greencell_energy::{
     Battery, EnergyDecision, EnergyDecisionError, GridConnection, QuadraticCost, RenewableSplit,
 };
-use greencell_lp::{bisect_increasing, bisect_replay_guarded, piecewise_sign_threshold};
+use greencell_lp::bisect_increasing;
 use greencell_units::Energy;
 use std::error::Error;
 use std::fmt;
@@ -139,61 +141,21 @@ impl Default for EnergyOutcome {
     }
 }
 
-/// Retained workspace for [`solve_energy_management_into`] and
-/// [`solve_energy_management_warm_into`]: the per-node environments, the
-/// base-station index list, the per-node candidate solutions, and the warm
-/// kernel's persistent state. Cleared and refilled each call; buffers never
-/// shrink, so the steady-state solve performs zero heap allocations.
+/// Retained workspace for [`solve_energy_management_into`]: the per-node
+/// environments, the base-station index list, the per-node solutions, and
+/// the sorted price breakpoints. Cleared and refilled each call; buffers
+/// never shrink, so the steady-state solve performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct S4Workspace {
     envs: Vec<NodeEnv>,
     bs_indices: Vec<usize>,
     solutions: Vec<NodeSolution>,
-    kernel: S4KernelState,
+    /// `(price, base station)` for every mode flip inside the price bracket.
+    breakpoints: Vec<(f64, usize)>,
 }
 
 impl S4Workspace {
     /// Creates an empty workspace; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Warm-start state carried across slots by
-/// [`solve_energy_management_warm_into`].
-///
-/// The cached sign threshold is a *hint only*: every solve re-verifies it
-/// against the current slot's residual before use (two O(BS) probes), so a
-/// stale value after an arbitrary input change costs speed, never
-/// correctness. The breakpoint scratch holds the per-node mode-flip prices
-/// (`−z` and `−z·η`) used to tighten the bracket on a cold or invalidated
-/// start; both buffers retain capacity so the warm path never allocates.
-#[derive(Debug, Clone)]
-pub struct S4KernelState {
-    /// Last solve's verified sign threshold of `g(p) = p − V·f'(P(p))`
-    /// (`NaN` until the first unclamped solve).
-    t_prev: f64,
-    /// Sorted per-node mode-flip prices, rebuilt on cold starts.
-    breakpoints: Vec<f64>,
-    /// Each node's price-0 response from the feasibility pass, reused as
-    /// the mobile users' final solutions (bitwise the same call the oracle
-    /// makes twice).
-    zero_solutions: Vec<NodeSolution>,
-}
-
-impl Default for S4KernelState {
-    fn default() -> Self {
-        Self {
-            t_prev: f64::NAN,
-            breakpoints: Vec::new(),
-            zero_solutions: Vec::new(),
-        }
-    }
-}
-
-impl S4KernelState {
-    /// Creates an empty (cold) kernel state.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -376,8 +338,10 @@ fn node_at_price(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
         (None, None) => None,
         (Some(s), None) | (None, Some(s)) => Some(s),
         (Some(a), Some(b)) => {
-            // Ties go to the charge mode (deterministic).
-            if a.objective(env.z, price, env.eta) < b.objective(env.z, price, env.eta) - EPS {
+            // Ties go to the charge mode. No slack: one would move a
+            // node's discharge flip off `−z` by `slack/d`, a price the
+            // breakpoint sweep does not know about.
+            if a.objective(env.z, price, env.eta) < b.objective(env.z, price, env.eta) {
                 Some(a)
             } else {
                 Some(b)
@@ -603,6 +567,27 @@ pub fn solve_energy_management(
 /// the pipeline's allocation-free path. The outcome is cleared first; on
 /// `Err` its contents are unspecified.
 ///
+/// The equilibrium price comes from one exact sweep, with no search. Each
+/// base station's draw is a non-increasing step function of the price:
+///
+/// * in discharge mode the source order (renewable at 0, battery at `−z`,
+///   grid at `p`) changes only at `p = 0` and `p = −z`;
+/// * in charge mode the renewable-shift and grid-charge choices change
+///   only at `p = −z·η`;
+/// * for `z < 0` the discharge-vs-charge comparison flips at `−z`, and for
+///   `z ≥ 0` it never flips, so the mode choice adds no breakpoint.
+///
+/// So `g(p) = p − V·f'(P(p))` rises by `1` per unit price inside each
+/// piece between breakpoints and jumps up at them. The sweep sorts the
+/// breakpoints inside the price bracket once, then walks the pieces
+/// upwards with a running draw `P`, re-evaluating at each breakpoint only
+/// the base stations that own it, at a price inside the next piece. It
+/// stops at the first piece whose candidate `V·f'(P)` is not above the
+/// piece's upper end: the candidate is `p*` when it lies inside the piece,
+/// and otherwise the root sits on the jump at the piece's lower end, where
+/// the fractional fill absorbs the jump. O(B log B) over the B base
+/// stations, with no state carried across slots.
+///
 /// # Errors
 ///
 /// Same as [`solve_energy_management`].
@@ -611,80 +596,230 @@ pub fn solve_energy_management_into(
     ws: &mut S4Workspace,
     out: &mut EnergyOutcome,
 ) -> Result<(), EnergyManagementError> {
-    let n = input.z.len();
-    assert_eq!(input.demand.len(), n, "one demand per node");
-    let v = input.v;
     let S4Workspace {
         envs,
         bs_indices,
         solutions,
-        ..
+        breakpoints,
     } = ws;
+    let (lo, hi) = prepare(input, envs, bs_indices, solutions)?;
+    let p_star = sweep_equilibrium(input, envs, bs_indices, solutions, breakpoints, lo, hi);
+    finish(input, envs, bs_indices, solutions, p_star, out)
+}
 
+/// The reference S4 solver, kept as the test oracle for the sweep: the
+/// same closed forms, fill and assembly, but the equilibrium price comes
+/// from 100 blind bisection steps of `g(p) = p − V·f'(P(p))`, each
+/// evaluating every base station.
+///
+/// # Errors
+///
+/// Same as [`solve_energy_management`].
+pub fn solve_energy_management_reference(
+    input: &EnergyManagementInput<'_>,
+) -> Result<EnergyOutcome, EnergyManagementError> {
+    let (mut envs, mut bs_indices, mut solutions) = (Vec::new(), Vec::new(), Vec::new());
+    let (lo, hi) = prepare(input, &mut envs, &mut bs_indices, &mut solutions)?;
+    let total_bs_draw = |price: f64| -> f64 {
+        bs_indices
+            .iter()
+            .map(|&i| respond(&envs[i], price).draw())
+            .sum()
+    };
+    let p_star = bisect_increasing(|p| p - marginal_price(input, total_bs_draw(p)), lo, hi, 100);
+    let mut out = EnergyOutcome::empty();
+    finish(input, &envs, &bs_indices, &mut solutions, p_star, &mut out)?;
+    Ok(out)
+}
+
+/// The sweep-vs-reference lockstep check on one input: `got` (the sweep's
+/// result) must match `reference` ([`solve_energy_management_reference`]
+/// on the same input) with identical errors; `grid_draw`, `objective` and
+/// the equilibrium price within 10⁻⁹ relative (of at least `EPS`: at
+/// `V = 0` the bisection stops at 2⁻¹⁰¹, not 0); and the same per-node
+/// mode — discharging, charging, or neither — wherever the reference's
+/// two mode objectives at its price differ by more than `EPS`. Returns the
+/// first divergence, described, or `None`.
+pub fn energy_lockstep_divergence(
+    input: &EnergyManagementInput<'_>,
+    got: Result<&EnergyOutcome, &EnergyManagementError>,
+    reference: Result<&EnergyOutcome, &EnergyManagementError>,
+) -> Option<String> {
+    let (got, reference) = match (got, reference) {
+        (Ok(g), Ok(r)) => (g, r),
+        (Err(g), Err(r)) if g == r => return None,
+        (g, r) => return Some(format!("got {g:?}, reference {r:?}")),
+    };
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(EPS);
+    let (g_draw, r_draw) = (got.grid_draw, reference.grid_draw);
+    if !close(g_draw.as_kilowatt_hours(), r_draw.as_kilowatt_hours()) {
+        return Some(format!("grid draw {g_draw}, reference {r_draw}"));
+    }
+    if !close(got.objective, reference.objective) {
+        let (g, r) = (got.objective, reference.objective);
+        return Some(format!("objective {g}, reference {r}"));
+    }
+    let (p_got, p_ref) = (got.equilibrium_price, reference.equilibrium_price);
+    let (Some(p_got), Some(p_ref)) = (p_got, p_ref) else {
+        return Some(format!("price {p_got:?}, reference {p_ref:?}"));
+    };
+    if !close(p_got, p_ref) {
+        return Some(format!("price {p_got}, reference {p_ref}"));
+    }
+    let mode = |d: &EnergyDecision| {
+        (
+            d.discharge() > Energy::ZERO,
+            d.charge_total() > Energy::ZERO,
+        )
+    };
+    for (i, (g, r)) in got.decisions.iter().zip(&reference.decisions).enumerate() {
+        let env = NodeEnv::from_input(input, i);
+        let price = if input.is_base_station[i] { p_ref } else { 0.0 };
+        let gap = match (mode_discharge(&env, price), mode_charge(&env, price)) {
+            (Some(d), Some(c)) => {
+                (d.objective(env.z, price, env.eta) - c.objective(env.z, price, env.eta)).abs()
+            }
+            _ => f64::INFINITY,
+        };
+        if gap > EPS && mode(g) != mode(r) {
+            return Some(format!("node {i}: decision {g:?}, reference {r:?}"));
+        }
+    }
+    None
+}
+
+/// Fills the per-node environments, checks every node's feasibility and
+/// stores its price-0 response (the mobile users' final solutions: their
+/// draws are not billed), lists the base stations, and returns the price
+/// bracket.
+fn prepare(
+    input: &EnergyManagementInput<'_>,
+    envs: &mut Vec<NodeEnv>,
+    bs_indices: &mut Vec<usize>,
+    solutions: &mut Vec<NodeSolution>,
+) -> Result<(f64, f64), EnergyManagementError> {
+    let n = input.z.len();
+    assert_eq!(input.demand.len(), n, "one demand per node");
     envs.clear();
     envs.extend((0..n).map(|i| NodeEnv::from_input(input, i)));
     // Feasibility is price-independent (some mode exists or none does).
+    solutions.clear();
     for (i, env) in envs.iter().enumerate() {
-        if node_at_price(env, 0.0).is_none() {
+        let Some(sol) = node_at_price(env, 0.0) else {
             return Err(EnergyManagementError::Deficit {
                 node: i,
                 demand: input.demand[i],
             });
-        }
+        };
+        solutions.push(sol);
     }
-
     bs_indices.clear();
     bs_indices.extend((0..n).filter(|&i| input.is_base_station[i]));
     let p_ub: f64 = bs_indices.iter().map(|&i| envs[i].g_max).sum();
-    let total_bs_draw = |price: f64| -> f64 {
-        bs_indices
+    price_bracket(input, p_ub)
+}
+
+/// A feasible node's response to `price`.
+fn respond(env: &NodeEnv, price: f64) -> NodeSolution {
+    node_at_price(env, price).expect("feasibility checked")
+}
+
+/// `V·f'(P)` at a base-station draw of `draw` kWh.
+fn marginal_price(input: &EnergyManagementInput<'_>, draw: f64) -> f64 {
+    input.v * input.cost.marginal(Energy::from_kilowatt_hours(draw))
+}
+
+/// The equilibrium price by the breakpoint sweep described at
+/// [`solve_energy_management_into`]. Leaves the base stations' entries of
+/// `solutions` at their responses inside the last piece visited.
+fn sweep_equilibrium(
+    input: &EnergyManagementInput<'_>,
+    envs: &[NodeEnv],
+    bs_indices: &[usize],
+    solutions: &mut [NodeSolution],
+    breakpoints: &mut Vec<(f64, usize)>,
+    lo: f64,
+    hi: f64,
+) -> f64 {
+    // The discharge order's other flip, p = 0, never lies inside: the
+    // bracket starts at V·f'(0) ≥ 0.
+    breakpoints.clear();
+    for &i in bs_indices {
+        let env = &envs[i];
+        for price in [-env.z, -(env.z * env.eta)] {
+            if lo < price && price < hi {
+                breakpoints.push((price, i));
+            }
+        }
+    }
+    breakpoints.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    // A node whose flips coincide (η = 1, or z = 0) owns the price once.
+    breakpoints.dedup();
+
+    let inside = |a: f64, b: f64| 0.5 * a + 0.5 * b;
+    let mut lower = lo;
+    let mut upper = breakpoints.first().map_or(hi, |b| b.0);
+    let mut draw = 0.0;
+    for &i in bs_indices {
+        solutions[i] = respond(&envs[i], inside(lower, upper));
+        draw += solutions[i].draw();
+    }
+    let mut next = 0;
+    while next < breakpoints.len() && marginal_price(input, draw) > upper {
+        lower = upper;
+        let owners = breakpoints[next..]
             .iter()
-            .map(|&i| {
-                node_at_price(&envs[i], price)
-                    .expect("feasibility checked")
-                    .draw()
-            })
-            .sum()
-    };
+            .take_while(|b| b.0 == lower)
+            .count();
+        let end = next + owners;
+        upper = breakpoints.get(end).map_or(hi, |b| b.0);
+        let price = inside(lower, upper);
+        for &(_, i) in &breakpoints[next..end] {
+            draw -= solutions[i].draw();
+            solutions[i] = respond(&envs[i], price);
+            draw += solutions[i].draw();
+        }
+        next = end;
+    }
+    // Re-sum the piece's draw in base-station order: the running total has
+    // picked up rounding from every update on the way.
+    let draw: f64 = bs_indices.iter().map(|&i| solutions[i].draw()).sum();
+    let candidate = marginal_price(input, draw);
+    // The re-summed candidate may sit an ulp past the piece the running
+    // total stopped in; the clamp keeps `p*` inside it.
+    if candidate > lower {
+        candidate.min(upper)
+    } else {
+        lower
+    }
+}
 
-    // Equilibrium price p* = V·f'(P(p*)) over the base stations.
-    let (price_lo, price_hi) = price_bracket(input, p_ub)?;
-    let p_star = bisect_increasing(
-        |p| {
-            p - v * input
-                .cost
-                .marginal(Energy::from_kilowatt_hours(total_bs_draw(p)))
-        },
-        price_lo,
-        price_hi,
-        100,
-    );
-
-    // Per-node solutions: users respond to price 0 (their draws are not
-    // billed), base stations to the equilibrium price.
-    solutions.clear();
-    solutions.extend((0..n).map(|i| {
-        let price = if input.is_base_station[i] {
-            p_star
-        } else {
-            0.0
-        };
-        node_at_price(&envs[i], price).expect("feasibility checked")
-    }));
-
+/// Sets the base stations' responses to `p_star`, runs the fractional
+/// fill, and assembles the outcome — shared by the sweep and the
+/// reference.
+fn finish(
+    input: &EnergyManagementInput<'_>,
+    envs: &[NodeEnv],
+    bs_indices: &[usize],
+    solutions: &mut [NodeSolution],
+    p_star: f64,
+    out: &mut EnergyOutcome,
+) -> Result<(), EnergyManagementError> {
+    for &i in bs_indices {
+        solutions[i] = respond(&envs[i], p_star);
+    }
     fractional_fill(input, envs, bs_indices, solutions, p_star);
     assemble_outcome(input, envs, solutions, p_star, out)
 }
 
-/// The equilibrium price search's bracket `[V·f'(0), V·f'(p_ub) + 1]`,
-/// shared by the oracle and the warm kernel so both fail alike when it
-/// overflows.
+/// The equilibrium price's bracket `[V·f'(0), V·f'(p_ub) + 1]`, shared by
+/// the sweep and the reference so both fail alike when it overflows.
 fn price_bracket(
     input: &EnergyManagementInput<'_>,
     p_ub: f64,
 ) -> Result<(f64, f64), EnergyManagementError> {
-    let lo = input.v * input.cost.marginal(Energy::ZERO);
-    let hi = input.v * input.cost.marginal(Energy::from_kilowatt_hours(p_ub)) + 1.0;
+    let lo = marginal_price(input, 0.0);
+    let hi = marginal_price(input, p_ub) + 1.0;
     if lo.is_finite() && hi.is_finite() {
         Ok((lo, hi))
     } else {
@@ -712,8 +847,8 @@ fn price_tied(env: &NodeEnv, p_star: f64) -> bool {
         || discharge_flip.abs() <= TIE_REL * (1.0 + p_star.abs() + env.z.abs())
 }
 
-/// The fractional fill at the equilibrium price, shared verbatim by the
-/// oracle and the warm kernel: price-tied continuous knobs are adjusted to
+/// The fractional fill at the equilibrium price, shared by the sweep and
+/// the reference: price-tied continuous knobs are adjusted to
 /// land the total base-station draw exactly on `f'⁻¹(p*/V)`.
 fn fractional_fill(
     input: &EnergyManagementInput<'_>,
@@ -812,7 +947,7 @@ fn fractional_fill(
 }
 
 /// Assembles, validates, and prices the final per-node solutions into
-/// `out` — shared verbatim by the oracle and the warm kernel.
+/// `out`.
 fn assemble_outcome(
     input: &EnergyManagementInput<'_>,
     envs: &[NodeEnv],
@@ -846,17 +981,7 @@ fn assemble_outcome(
         let grid = GridConnection::new(input.grid_connected[i], input.grid_limits[i]);
         decision
             .validate(input.demand[i], &input.batteries[i], &grid)
-            .map_err(|e| {
-                #[cfg(feature = "shed-debug")]
-                eprintln!(
-                    "S4 invalid at node {i}: {e:?}; sol={sol:?} env demand={} renewable={} connected={} level={}",
-                    input.demand[i],
-                    input.renewable[i],
-                    input.grid_connected[i],
-                    input.batteries[i].level(),
-                );
-                EnergyManagementError::Invalid(e)
-            })?;
+            .map_err(EnergyManagementError::Invalid)?;
         if input.is_base_station[i] {
             grid_draw += decision.grid_total();
         }
@@ -872,178 +997,6 @@ fn assemble_outcome(
     out.objective = z_terms + input.v * cost;
     out.equilibrium_price = Some(p_star);
     Ok(())
-}
-
-/// [`solve_energy_management`] by the **warm-started threshold-replay
-/// kernel** — bit-identical output to [`solve_energy_management_into`]
-/// (the frozen oracle) at a fraction of the evaluations.
-///
-/// The oracle runs 100 blind bisection steps of the equilibrium residual
-/// `g(p) = p − V·f'(P(p))`, each sweeping every base station. But the
-/// bisection's trajectory depends only on the *sign* of `g` at each
-/// midpoint, and `g` is weakly non-decreasing, so the largest double `t`
-/// with `g(t) ≤ 0` determines every branch. The kernel finds that sign
-/// threshold directly — seeded by last slot's cached `t` (verified in two
-/// O(BS) probes before use; see [`S4KernelState`]), tightened on cold
-/// starts by binary search over the per-node mode-flip prices, finished by
-/// [`piecewise_sign_threshold`] with the closed-form per-piece threshold
-/// `V·f'(P(probe))` as its parametric guess — then replays the bisection
-/// arithmetic with [`bisect_replay_guarded`], reproducing the oracle's
-/// `p*` bit for bit. The per-node closed forms, fractional fill, and
-/// assembly are the very same code the oracle runs.
-///
-/// The computed residual's sign is monotone in `p` everywhere *except*
-/// within a few ulps of a node's mode-flip price, where the EPS-slack
-/// comparison between two rounded mode objectives can flicker. The
-/// guarded replay therefore spends a handful of honest O(BS) evaluations
-/// on midpoints inside a narrow band around the threshold — exactly the
-/// region where prediction is unsafe — and replays everything else for
-/// free; the lockstep proptests and the s4-kernel equivalence gates pin
-/// the bit-identity across every scenario axis.
-///
-/// # Errors
-///
-/// Same as [`solve_energy_management`].
-pub fn solve_energy_management_warm_into(
-    input: &EnergyManagementInput<'_>,
-    ws: &mut S4Workspace,
-    out: &mut EnergyOutcome,
-) -> Result<(), EnergyManagementError> {
-    let n = input.z.len();
-    assert_eq!(input.demand.len(), n, "one demand per node");
-    let v = input.v;
-    let S4Workspace {
-        envs,
-        bs_indices,
-        solutions,
-        kernel,
-    } = ws;
-
-    envs.clear();
-    envs.extend((0..n).map(|i| NodeEnv::from_input(input, i)));
-    // Feasibility is price-independent; the price-0 responses it computes
-    // are exactly the mobile users' final solutions, so cache them.
-    kernel.zero_solutions.clear();
-    for (i, env) in envs.iter().enumerate() {
-        match node_at_price(env, 0.0) {
-            Some(sol) => kernel.zero_solutions.push(sol),
-            None => {
-                return Err(EnergyManagementError::Deficit {
-                    node: i,
-                    demand: input.demand[i],
-                })
-            }
-        }
-    }
-
-    bs_indices.clear();
-    bs_indices.extend((0..n).filter(|&i| input.is_base_station[i]));
-    let p_ub: f64 = bs_indices.iter().map(|&i| envs[i].g_max).sum();
-    // The residual g(p) and the closed-form threshold of the piece the
-    // probe landed on: P(·) is piecewise constant in p, so on the piece
-    // containing `price` the residual is `p − piece` and its sign flips
-    // exactly at `piece`. The draw sum must mirror the oracle's expression
-    // term for term so probe signs agree bitwise.
-    let mut eval = |price: f64| -> (f64, f64) {
-        let draw: f64 = bs_indices
-            .iter()
-            .map(|&i| {
-                node_at_price(&envs[i], price)
-                    .expect("feasibility checked")
-                    .draw()
-            })
-            .sum();
-        let piece = v * input.cost.marginal(Energy::from_kilowatt_hours(draw));
-        (price - piece, piece)
-    };
-
-    let (price_lo, price_hi) = price_bracket(input, p_ub)?;
-    // Mirror the oracle's endpoint clamps, then find the sign threshold
-    // and replay the bisection arithmetic.
-    let (g_lo, seed_lo) = eval(price_lo);
-    let p_star = if g_lo > 0.0 {
-        kernel.t_prev = f64::NAN;
-        price_lo
-    } else {
-        let (g_hi, _) = eval(price_hi);
-        if g_hi < 0.0 {
-            kernel.t_prev = f64::NAN;
-            price_hi
-        } else if g_hi == 0.0 {
-            // Degenerate: the residual is zero at the bracket top, so the
-            // threshold sits exactly on an endpoint and sign prediction
-            // has no margin. Measure-zero in practice — just pay the
-            // oracle's own bisection (identical closure, identical result).
-            kernel.t_prev = f64::NAN;
-            bisect_increasing(|p| eval(p).0, price_lo, price_hi, 100)
-        } else {
-            let mut a = price_lo;
-            let mut b = price_hi;
-            let mut seed = seed_lo;
-            let hint = kernel.t_prev;
-            let warm = hint.is_finite() && hint > a && hint < b;
-            if !warm {
-                // Cold start: tighten the bracket by binary search over
-                // the sorted per-node mode-flip prices — the only places
-                // total_bs_draw(p) can jump, hence the only candidate
-                // pieces for the threshold (O(k log k) on k = 2·|BS|
-                // breakpoints, log k of which cost a real O(BS) probe).
-                let bps = &mut kernel.breakpoints;
-                bps.clear();
-                for &i in bs_indices.iter() {
-                    let env = &envs[i];
-                    bps.push(-(env.z * env.eta));
-                    bps.push(-env.z);
-                }
-                bps.retain(|p| *p > a && *p < b);
-                bps.sort_unstable_by(f64::total_cmp);
-                let mut lo_i = 0usize;
-                let mut hi_i = bps.len();
-                while lo_i < hi_i {
-                    let m = usize::midpoint(lo_i, hi_i);
-                    let (gm, piece) = eval(bps[m]);
-                    if gm <= 0.0 {
-                        a = bps[m];
-                        seed = piece;
-                        lo_i = m + 1;
-                    } else {
-                        b = bps[m];
-                        hi_i = m;
-                    }
-                }
-            }
-            let t = piecewise_sign_threshold(&mut eval, a, b, Some(if warm { hint } else { seed }));
-            kernel.t_prev = t;
-            // Guard band for the replay: the residual's computed sign can
-            // flicker where a mode comparison's two rounded objectives sit
-            // within a few ulps of each other, a window whose width in
-            // price scales with the objectives' magnitude (≈ |z|·c) over
-            // the draw jump at the flip. 4096 ulps of the larger of the
-            // threshold and the queue-backlog scale covers every flip with
-            // a non-vanishing draw jump; midpoints inside it get a real
-            // evaluation, capped so edge-pinned thresholds stay cheap.
-            let z_scale = bs_indices
-                .iter()
-                .map(|&i| envs[i].z.abs())
-                .fold(0.0, f64::max);
-            let band = 4096.0 * f64::EPSILON * t.abs().max(z_scale);
-            bisect_replay_guarded(|p| eval(p).0, price_lo, price_hi, t, band, 24, 100)
-        }
-    };
-
-    // Per-node solutions: users respond to price 0 (cached from the
-    // feasibility pass), base stations to the equilibrium price.
-    solutions.clear();
-    solutions.extend((0..n).map(|i| {
-        if input.is_base_station[i] {
-            node_at_price(&envs[i], p_star).expect("feasibility checked")
-        } else {
-            kernel.zero_solutions[i]
-        }
-    }));
-
-    fractional_fill(input, envs, bs_indices, solutions, p_star);
-    assemble_outcome(input, envs, solutions, p_star, out)
 }
 
 #[cfg(test)]
@@ -1525,7 +1478,25 @@ mod tests {
         assert!(!price_tied(&env(-84_000.05, 1.0), 84_000.0));
     }
 
-    /// Every fixture in this module, for oracle-vs-kernel sweeps.
+    /// Runs the sweep and the reference on the same input, asserts the
+    /// lockstep tolerances, and returns the sweep's result.
+    fn sweep_vs_reference(f: &Fixture) -> Result<EnergyOutcome, EnergyManagementError> {
+        let input = f.input();
+        let mut ws = S4Workspace::new();
+        let mut out = EnergyOutcome::empty();
+        let got = solve_energy_management_into(&input, &mut ws, &mut out);
+        let reference = solve_energy_management_reference(&input);
+        let divergence =
+            energy_lockstep_divergence(&input, got.as_ref().map(|()| &out), reference.as_ref());
+        assert_eq!(divergence, None, "sweep diverged from the reference");
+        got.map(|()| out)
+    }
+
+    fn price(out: &EnergyOutcome) -> f64 {
+        out.equilibrium_price.expect("marginal-price outcome")
+    }
+
+    /// Every fixture in this module.
     fn all_fixtures() -> Vec<Fixture> {
         let mut fs = vec![
             one_bs(-10.0, 0.05, 0.2),
@@ -1535,6 +1506,9 @@ mod tests {
             one_bs(-0.1, 0.0, 0.0),
             one_bs(-10.0, 0.25, 0.0),
             tied_pair(),
+            interior_pair(),
+            lossy(1.0),
+            lossy(2.0),
         ];
         let mut expensive = one_bs(-0.1, 0.08, 0.0);
         expensive.v = 10.0;
@@ -1561,44 +1535,111 @@ mod tests {
     }
 
     #[test]
-    fn warm_kernel_is_bit_identical_to_the_oracle() {
+    fn sweep_matches_the_reference_on_every_fixture() {
         for (k, f) in all_fixtures().iter().enumerate() {
-            let oracle = solve_energy_management(&f.input()).unwrap();
+            let out = sweep_vs_reference(f).unwrap_or_else(|e| panic!("fixture #{k}: {e}"));
+            // The sweep is stateless: a reused workspace gives the same
+            // outcome bit for bit.
             let mut ws = S4Workspace::new();
-            let mut out = EnergyOutcome::empty();
-            // Cold, then twice warm (the second verifies the cached
-            // threshold on its exact-hit path).
-            for round in 0..3 {
-                solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap();
-                assert_eq!(out, oracle, "fixture #{k} round {round}");
-                assert_eq!(
-                    out.equilibrium_price
-                        .expect("marginal-price outcome")
-                        .to_bits(),
-                    oracle.equilibrium_price.expect("oracle price").to_bits(),
-                    "fixture #{k} round {round}: p* must match bitwise"
-                );
+            let mut again = EnergyOutcome::empty();
+            for g in all_fixtures().iter().take(k) {
+                let _ = solve_energy_management_into(&g.input(), &mut ws, &mut again);
             }
+            solve_energy_management_into(&f.input(), &mut ws, &mut again).unwrap();
+            assert_eq!(again, out, "fixture #{k} after a reused workspace");
+        }
+    }
+
+    /// Two BSs: an empty-battery one that always buys its demand plus a
+    /// full charge (z = −10 puts its flips above the bracket), and one
+    /// that grid-charges only below its flip at 0.3. Below 0.3 the draw
+    /// is 0.3 kWh (candidate 0.68); above it 0.2 kWh, whose candidate
+    /// `V·f'(0.2) = 0.52` lies inside the piece.
+    fn interior_pair() -> Fixture {
+        Fixture {
+            z: vec![-10.0, -0.3],
+            demand: vec![kwh(0.1), Energy::ZERO],
+            renewable: vec![Energy::ZERO, Energy::ZERO],
+            batteries: vec![
+                Battery::new(kwh(1.0), kwh(0.1), kwh(0.1)),
+                Battery::with_level(kwh(1.0), kwh(0.1), kwh(0.1), kwh(0.5)),
+            ],
+            grid_connected: vec![true, true],
+            grid_limits: vec![kwh(0.2), kwh(0.2)],
+            is_bs: vec![true, true],
+            cost: QuadraticCost::paper_default(),
+            v: 1.0,
         }
     }
 
     #[test]
-    fn warm_kernel_survives_arbitrary_input_swaps() {
-        // One workspace dragged across *every* fixture in sequence: each
-        // solve starts from the previous fixture's (now stale) threshold
-        // and must still match a fresh oracle bitwise.
-        let mut ws = S4Workspace::new();
-        let mut out = EnergyOutcome::empty();
-        for (k, f) in all_fixtures().iter().enumerate() {
-            let oracle = solve_energy_management(&f.input()).unwrap();
-            solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap();
-            assert_eq!(out, oracle, "fixture #{k} after stale warm state");
-        }
+    fn interior_root_is_the_piece_candidate() {
+        let out = sweep_vs_reference(&interior_pair()).unwrap();
+        let p_star = price(&out);
+        assert_eq!(p_star, QuadraticCost::paper_default().marginal(kwh(0.2)));
+        assert!((p_star - 0.52).abs() < 1e-12, "p* {p_star}");
+        assert!((out.grid_draw.as_kilowatt_hours() - 0.2).abs() < 1e-12);
     }
 
     #[test]
-    fn warm_kernel_reports_deficits_like_the_oracle() {
-        let f = Fixture {
+    fn root_on_a_discharge_flip_is_absorbed_by_the_fill() {
+        // The tied pair jumps from 0.6 kWh (candidate 1.16) below its
+        // discharge flip −z = 0.4 to 0 kWh (candidate 0.2) above it: the
+        // root sits on the jump and the fill lands the draw on f'⁻¹(0.4).
+        let out = sweep_vs_reference(&tied_pair()).unwrap();
+        assert_eq!(price(&out), 0.4);
+        assert!((out.grid_draw.as_kilowatt_hours() - 0.125).abs() < 1e-12);
+    }
+
+    /// One BS with a lossy battery (η = 0.8) at z = −0.5, so its charge
+    /// flip `−z·η = 0.4` and its discharge flip `−z = 0.5` are distinct
+    /// breakpoints. Draw: 0.15 kWh below 0.4 (demand plus a full grid
+    /// charge), 0.05 kWh between the flips, 0 above 0.5 (discharge).
+    fn lossy(v: f64) -> Fixture {
+        let mut f = one_bs(-0.5, 0.05, 0.0);
+        f.batteries = vec![Battery::from_parts(
+            kwh(1.0),
+            kwh(0.1),
+            kwh(0.1),
+            0.8,
+            kwh(0.5),
+            false,
+        )];
+        f.v = v;
+        f
+    }
+
+    #[test]
+    fn lossy_battery_flips_at_two_distinct_prices() {
+        // V = 1: candidates 0.44 below 0.4 and 0.28 above, so the root is
+        // the charge flip and the fill tops the grid charge up to 0.125.
+        let out = sweep_vs_reference(&lossy(1.0)).unwrap();
+        assert_eq!(price(&out), -(-0.5f64 * 0.8));
+        assert!((out.grid_draw.as_kilowatt_hours() - 0.125).abs() < 1e-12);
+        assert!(out.decisions[0].grid_to_battery() > Energy::ZERO);
+        // V = 2: candidate 0.56 between the flips passes 0.5, and 0.4
+        // above it falls short, so the root is the discharge flip and the
+        // fill swings discharge in for grid to reach f'⁻¹(0.25) = 0.03125.
+        let out = sweep_vs_reference(&lossy(2.0)).unwrap();
+        assert_eq!(price(&out), 0.5);
+        assert!((out.grid_draw.as_kilowatt_hours() - 0.031_25).abs() < 1e-12);
+        assert!(out.decisions[0].discharge() > Energy::ZERO);
+    }
+
+    #[test]
+    fn v_zero_prices_at_the_bracket_floor() {
+        // p = 0·f'(P) has the root p* = 0 whatever the draw.
+        let mut f = one_bs(-1e-7, 0.1, 0.0);
+        f.v = 0.0;
+        let out = sweep_vs_reference(&f).unwrap();
+        assert_eq!(price(&out), 0.0);
+        assert_eq!(out.decisions[0].grid_to_battery(), kwh(0.1));
+    }
+
+    #[test]
+    fn errors_match_the_reference() {
+        // Deficit: a disconnected node with an empty battery.
+        let deficit = Fixture {
             z: vec![0.0],
             demand: vec![kwh(0.5)],
             renewable: vec![Energy::ZERO],
@@ -1609,31 +1650,23 @@ mod tests {
             cost: QuadraticCost::paper_default(),
             v: 1.0,
         };
-        let mut ws = S4Workspace::new();
-        let mut out = EnergyOutcome::empty();
-        assert_eq!(
-            solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap_err(),
-            solve_energy_management(&f.input()).unwrap_err()
-        );
-    }
-
-    #[test]
-    fn overflowing_price_bracket_is_a_typed_error_in_both_solvers() {
-        // A 1e308 price multiplier on the paper's tariff at V = 10⁵.
-        let mut f = one_bs(-10.0, 0.05, 0.0);
-        f.cost = QuadraticCost::new(0.8e308, 0.2e308, 0.0);
-        f.v = 1e5;
-        let oracle = solve_energy_management(&f.input()).unwrap_err();
+        let err = sweep_vs_reference(&deficit).unwrap_err();
+        assert!(matches!(
+            err,
+            EnergyManagementError::Deficit { node: 0, .. }
+        ));
+        // PriceOverflow: a 1e308 price multiplier on the paper's tariff at
+        // V = 10⁵.
+        let mut overflow = one_bs(-10.0, 0.05, 0.0);
+        overflow.cost = QuadraticCost::new(0.8e308, 0.2e308, 0.0);
+        overflow.v = 1e5;
+        let err = sweep_vs_reference(&overflow).unwrap_err();
         assert!(
-            matches!(oracle, EnergyManagementError::PriceOverflow { hi, .. } if hi.is_infinite()),
-            "got {oracle:?}"
+            matches!(err, EnergyManagementError::PriceOverflow { hi, .. } if hi.is_infinite()),
+            "got {err:?}"
         );
-        let mut ws = S4Workspace::new();
-        let mut out = EnergyOutcome::empty();
-        let warm = solve_energy_management_warm_into(&f.input(), &mut ws, &mut out).unwrap_err();
-        assert_eq!(warm, oracle);
         // The storage-oblivious fallback never searches a price.
-        assert!(solve_grid_only(&f.input()).is_ok());
+        assert!(solve_grid_only(&overflow.input()).is_ok());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Steady-state allocation audit for the per-slot control path.
 //!
 //! A counting global allocator wraps `System`. Five serial sections: first
-//! the greedy S1 kernel alone, then the warm-started S4 energy kernel alone
-//! (threshold search + guarded replay on a drifting instance), then the
+//! the greedy S1 kernel alone, then the S4 breakpoint sweep alone (its
+//! retained breakpoint buffer refilled on a drifting instance), then the
 //! **full pipeline slot** — once a warm-up has grown every buffer in the
 //! [`greencell_core::SlotContext`] arena, repeated [`Controller::step`]
 //! calls across S1–S4, the state advance, and report assembly must perform
@@ -16,10 +16,10 @@
 //! starts, which on a single-core box races into the measured window.
 
 use greencell_core::{
-    greedy_schedule_with, solve_energy_management_warm_into, Controller, ControllerConfig,
-    CoopPolicy, DegradationPolicy, EnergyConfig, EnergyManagementInput, EnergyOutcome,
-    EnergyPolicy, NodeEnergyConfig, RelaxedController, RelayPolicy, S1Inputs, S1Scratch,
-    S4Workspace, ScheduleOutcome, SchedulerKind, SleepPolicy, SlotObservation,
+    greedy_schedule_with, solve_energy_management_into, Controller, ControllerConfig, CoopPolicy,
+    DegradationPolicy, EnergyConfig, EnergyManagementInput, EnergyOutcome, EnergyPolicy,
+    NodeEnergyConfig, RelaxedController, RelayPolicy, S1Inputs, S1Scratch, S4Workspace,
+    ScheduleOutcome, SchedulerKind, SleepPolicy, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
 use greencell_net::{Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
@@ -71,16 +71,15 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn steady_state_slot_allocates_nothing() {
     AUDITED.with(|f| f.set(true));
     steady_state_greedy_s1_section();
-    steady_state_warm_s4_section();
+    steady_state_s4_sweep_section();
     steady_state_full_pipeline_section();
     steady_state_dynamic_policies_section();
     steady_state_relaxed_step_section();
 }
 
-fn steady_state_warm_s4_section() {
+fn steady_state_s4_sweep_section() {
     // Paper-scale 8-node instance, 4 base stations. One backlog drifts
-    // each slot so the kernel re-verifies (and occasionally re-brackets)
-    // its cached threshold instead of coasting on the exact-hit path.
+    // each slot, so its flip prices move through the sorted breakpoints.
     let n = 8;
     let kwh = Energy::from_kilowatt_hours;
     let mut z: Vec<f64> = (0..n).map(|i| -(60_000.0 + 3_000.0 * i as f64)).collect();
@@ -108,11 +107,11 @@ fn steady_state_warm_s4_section() {
             cost: &cost,
             v: 1e5,
         };
-        solve_energy_management_warm_into(&input, ws, out).expect("feasible instance");
+        solve_energy_management_into(&input, ws, out).expect("feasible instance");
     };
 
-    // Warm-up: one cold solve grows every workspace buffer (envs,
-    // solutions, cached user responses, breakpoints), then a warm one.
+    // Warm-up: the first solve grows every workspace buffer (envs, base
+    // stations, solutions, breakpoints).
     for _ in 0..2 {
         solve(&z, &mut ws, &mut out);
     }
@@ -130,7 +129,7 @@ fn steady_state_warm_s4_section() {
     assert_eq!(
         after - before,
         0,
-        "steady-state warm S4 kernel performed {} heap allocations over 50 slots",
+        "steady-state S4 sweep performed {} heap allocations over 50 slots",
         after - before
     );
 }

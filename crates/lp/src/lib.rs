@@ -1,5 +1,5 @@
 //! Optimization substrate: a dense two-phase simplex LP solver, an exact
-//! fractional matching solver, and scalar search routines.
+//! fractional matching solver, and a scalar bisection.
 //!
 //! The paper solves its per-slot subproblems with CPLEX 12.4 (§VI). This
 //! workspace has no external solver, so this crate hand-rolls the
@@ -12,14 +12,8 @@
 //!   controller `P̄3`'s S1: the LP with only single-radio rows is a
 //!   fractional matching, solved exactly and without a tableau as an
 //!   assignment on the bipartite double cover (half-integral optimum);
-//! * [`bisect_increasing`] / [`golden_section_min`] — scalar searches used
-//!   by the S4 marginal-price solver;
-//! * [`bisect_replay`] / [`bisect_replay_guarded`] /
-//!   [`piecewise_sign_threshold`] — the threshold-replay machinery behind
-//!   the warm-started S4 kernel: find the sign threshold of the equilibrium
-//!   residual in O(1) probes, then replay the cold bisection's arithmetic
-//!   bit-for-bit, spending real evaluations only on midpoints inside a
-//!   guard band where the computed sign may flicker.
+//! * [`bisect_increasing`] — monotone root bracketing by bisection, used
+//!   by the S4 reference solver that tests hold the breakpoint sweep to.
 //!
 //! The simplex is tuned for *correctness and reproducibility*, not raw
 //! speed: Dantzig pricing with an automatic switch to Bland's rule after a
@@ -54,8 +48,5 @@ mod simplex;
 pub use matching::{
     max_weight_fractional_matching, max_weight_fractional_matching_into, MatchingWorkspace,
 };
-pub use search::{
-    bisect_increasing, bisect_replay, bisect_replay_guarded, golden_section_min,
-    piecewise_sign_threshold,
-};
+pub use search::bisect_increasing;
 pub use simplex::{LinearProgram, LpError, Relation, Solution, VarId};

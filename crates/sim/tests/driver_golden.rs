@@ -209,6 +209,11 @@ fn simulator_battery() -> Vec<(String, Scenario)> {
     city.horizon = 25;
     out.push(("city_unpruned".into(), city));
     out.extend(city_fault_cells());
+    // V = 0: pure stability pricing, where S4's price bracket starts at 0.
+    let mut v_zero = Scenario::paper(42);
+    v_zero.horizon = 30;
+    v_zero.v = 0.0;
+    out.push(("paper_v_zero".into(), v_zero));
     out
 }
 
@@ -263,11 +268,7 @@ fn build_controller(config: ControllerConfig, knobs: Knobs) -> Controller {
             let kwh = Energy::from_kilowatt_hours;
             let g = knobs.grid_limit_kwh;
             NodeEnergyConfig {
-                battery: if knobs.oversized {
-                    Battery::new(kwh(3.0 * g), kwh(g), kwh(g))
-                } else {
-                    Battery::new(kwh(if is_bs { 1.0 } else { 0.5 }), kwh(0.1), kwh(0.1))
-                },
+                battery: Battery::new(kwh(if is_bs { 1.0 } else { 0.5 }), kwh(0.1), kwh(0.1)),
                 energy_model: NodeEnergyModel::new(
                     Energy::from_joules(10.0),
                     Energy::from_joules(5.0),
@@ -299,9 +300,9 @@ struct Knobs {
     demand: u64,
     grid_limit_kwh: f64,
     disconnect_mask: u32,
-    /// Batteries sized to the grid limit and every node unavailable; see
-    /// [`oversized_case`].
-    oversized: bool,
+    /// An overflowing tariff and every node unavailable; see
+    /// [`tariff_overflow_case`].
+    tariff_overflow: bool,
 }
 
 impl Knobs {
@@ -316,7 +317,7 @@ impl Knobs {
             demand: [0, 600, 1200][level(3)],
             grid_limit_kwh: [0.01, 0.1, 0.2][level(4)],
             disconnect_mask: [0, 0b10_1010, 0b11_1111][level(5)],
-            oversized: false,
+            tariff_overflow: false,
         }
     }
 }
@@ -346,13 +347,13 @@ fn grid_config(
 
 /// The grid-only fallback rung catches *internal* marginal-price failures:
 /// the two solvers share one feasibility test, so no energy shortage
-/// reaches it. A 10⁷ kWh grid limit with batteries of matching charge
-/// room puts every node at ~10¹³ J, where the solver's grid-charging
-/// decision exceeds the limit by more than the validator's absolute
-/// 10⁻⁶ J slack. Every node is unavailable, so the schedule is empty, the
-/// shed rung has nothing to drop, and only the grid-only rung (which never
-/// charges) resolves the slot.
-fn oversized_case() -> (String, ControllerConfig, Knobs) {
+/// reaches it. A 10³⁰⁰ tariff multiplier on a 10⁷ kWh grid limit makes
+/// `V·f'(·)` at the base stations' largest draw overflow, so the
+/// marginal-price solver has no finite price bracket and returns
+/// `PriceOverflow` on every slot. Every node is unavailable, so the
+/// schedule is empty, the shed rung has nothing to drop, and only the
+/// grid-only rung (which never searches a price) resolves the slot.
+fn tariff_overflow_case() -> (String, ControllerConfig, Knobs) {
     let knobs = Knobs {
         v: 1e3,
         lambda: 0.2,
@@ -360,7 +361,7 @@ fn oversized_case() -> (String, ControllerConfig, Knobs) {
         demand: 0,
         grid_limit_kwh: 1e7,
         disconnect_mask: 0,
-        oversized: true,
+        tariff_overflow: true,
     };
     let config = grid_config(
         knobs,
@@ -369,7 +370,7 @@ fn oversized_case() -> (String, ControllerConfig, Knobs) {
         EnergyPolicy::MarginalPrice,
         DegradationPolicy::Graceful,
     );
-    ("oversized/Graceful".into(), config, knobs)
+    ("tariff_overflow/Graceful".into(), config, knobs)
 }
 
 /// Every `(scheduler, relay, energy, degradation)` combination at three
@@ -429,8 +430,12 @@ fn controller_line(
             renewable: vec![Energy::from_joules(harvest); n],
             grid_connected,
             session_demand: vec![Packets::new(knobs.demand); sessions],
-            price_multiplier: 1.0 + slot as f64 * 0.3,
-            node_available: if knobs.oversized {
+            price_multiplier: if knobs.tariff_overflow {
+                1e300
+            } else {
+                1.0 + slot as f64 * 0.3
+            },
+            node_available: if knobs.tariff_overflow {
                 vec![false; n]
             } else {
                 Vec::new()
@@ -454,7 +459,10 @@ fn fingerprint() -> String {
         .iter()
         .map(|(label, scenario)| simulator_line(label, scenario, &mut rungs))
         .collect();
-    for (label, config, knobs) in controller_grid().into_iter().chain([oversized_case()]) {
+    for (label, config, knobs) in controller_grid()
+        .into_iter()
+        .chain([tariff_overflow_case()])
+    {
         lines.push(controller_line(&label, config, knobs, &mut rungs));
     }
     for (rung, total) in [

@@ -1,46 +1,41 @@
-//! A/B regression gate for the warm-started S4 energy kernel.
+//! Same-input lockstep gate for the S4 breakpoint sweep.
 //!
-//! The kernel contract: `solve_energy_management_warm_into` (threshold
-//! search + guarded bisection replay, warm-started from last slot's
-//! equilibrium) must be **bit-identical** to the frozen cold-bisection
-//! oracle `solve_energy_management_into` — same decisions, draws, costs,
-//! objectives, equilibrium prices, and errors, on every slot of every
-//! scenario.
+//! Every scenario of the battery runs through the live pipeline with a
+//! [`LockstepStage`] installed as its S4 stage. On every S4 solve of every
+//! slot, the stage runs the sweep (`solve_energy_management_into`) and the
+//! bisection reference (`solve_energy_management_reference`) on the *same*
+//! input, demands that they agree within the lockstep tolerances of
+//! `energy_lockstep_divergence` — identical errors, `grid_draw` and
+//! `objective` within 10⁻⁹ relative, the same per-node mode wherever the
+//! reference's two mode objectives differ by more than `EPS` — and hands
+//! the sweep's outcome on, so the run is the shipped controller's run.
 //!
-//! Two gates pin that promise:
-//!
-//! * a golden fingerprint of the full scenario battery (seed scenarios,
-//!   both S1 schedulers, all four fault scenarios, both degradation
-//!   policies, the one-hop architecture, grid-only, and a `V = 0`
-//!   pure-stability run) recorded from the pre-kernel controller;
-//! * an in-process lockstep: two simulators per scenario, one with the
-//!   oracle installed as its S4 stage through the public energy-stage seam
-//!   ([`ColdOracleStage`]), stepped slot by slot with bit-equality
-//!   asserted on every [`SlotReport`](greencell_core::SlotReport).
-//!
-//! To re-bless after an *intentional* behavior change:
-//!
-//! ```text
-//! GREENCELL_BLESS=1 cargo test -p greencell-sim --test s4_kernel_equivalence
-//! ```
+//! The battery: tiny and paper seeds under both S1 schedulers, the four
+//! fault scenarios, strict degradation, one-hop relaying, the grid-only
+//! stage (a control: it never reaches the marginal-price solver), and a
+//! `V = 0` pure-stability run.
 
 use greencell_core::pipeline::EnergyStage;
 use greencell_core::{
-    solve_energy_management_into, DegradationPolicy, EnergyManagementError, EnergyManagementInput,
-    EnergyOutcome, EnergyPolicy, NetworkState, S4Workspace, SchedulerKind,
+    energy_lockstep_divergence, solve_energy_management_into, solve_energy_management_reference,
+    DegradationPolicy, EnergyManagementError, EnergyManagementInput, EnergyOutcome, EnergyPolicy,
+    NetworkState, S4Workspace, SchedulerKind,
 };
 use greencell_sim::faults::FaultSpec;
-use greencell_sim::{run_sweep, Architecture, Scenario, Simulator, SweepOptions, SweepPoint};
-use std::path::PathBuf;
+use greencell_sim::{Architecture, Scenario, Simulator};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-const GOLDEN: &str = "golden/s4_kernel_ab.fp";
+/// Runs the sweep and the reference on the same input, records the first
+/// divergence, and returns the sweep's result. Counts its solves so a
+/// scenario that never reached it is caught.
+#[derive(Debug, Default)]
+struct LockstepStage {
+    solves: AtomicUsize,
+    divergence: Mutex<Option<String>>,
+}
 
-/// The cold-bisection oracle as an S4 stage: what the warm kernel must
-/// reproduce bit for bit, installed with `Controller::set_energy_stage`.
-#[derive(Debug)]
-struct ColdOracleStage;
-
-impl EnergyStage for ColdOracleStage {
+impl EnergyStage for LockstepStage {
     fn solve(
         &self,
         input: &EnergyManagementInput<'_>,
@@ -48,11 +43,17 @@ impl EnergyStage for ColdOracleStage {
         ws: &mut S4Workspace,
         out: &mut EnergyOutcome,
     ) -> Result<(), EnergyManagementError> {
-        solve_energy_management_into(input, ws, out)
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        let got = solve_energy_management_into(input, ws, out);
+        let reference = solve_energy_management_reference(input);
+        if let Some(d) =
+            energy_lockstep_divergence(input, got.as_ref().map(|()| &*out), reference.as_ref())
+        {
+            self.divergence.lock().expect("lock").get_or_insert(d);
+        }
+        got
     }
 }
-
-static COLD_ORACLE: ColdOracleStage = ColdOracleStage;
 
 /// The pinned scenario battery: the s1-gate battery (tiny + paper seeds
 /// under both schedulers, the four fault scenarios) extended with the
@@ -103,98 +104,35 @@ fn battery() -> Vec<(String, Scenario)> {
     pts
 }
 
-/// Everything decision-derived from one run, rendered exactly.
-fn fingerprint() -> String {
-    let points: Vec<SweepPoint> = battery()
-        .into_iter()
-        .map(|(label, scenario)| SweepPoint::new(label, scenario))
-        .collect();
-    let report = run_sweep(&points, &SweepOptions::with_threads(2)).expect("sweep runs");
-    report
-        .outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{}|seed={}|degraded={}|events={}|stable={}|{:?}",
-                o.label,
-                o.seed,
-                o.telemetry.degraded_slots,
-                o.telemetry.degradation_events,
-                o.telemetry.watchdog.stable,
-                o.metrics,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join(GOLDEN)
-}
-
+/// Sweep vs reference through the live pipeline seam, on every S4 solve
+/// of every slot of every scenario. Grid-only keeps its own stage, so it
+/// runs as a control.
 #[test]
-fn kernel_matches_pre_kernel_controller_bit_exactly() {
-    let actual = fingerprint();
-    let path = golden_path();
-    if std::env::var_os("GREENCELL_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &actual).expect("write golden");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); re-bless", path.display()));
-    for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
-        let label = e.split('|').next().unwrap_or("?");
-        assert_eq!(
-            a, e,
-            "scenario #{i} ({label}): run diverged from the pre-kernel controller"
-        );
-    }
-    assert_eq!(
-        actual.lines().count(),
-        expected.lines().count(),
-        "scenario battery size changed; re-bless deliberately"
-    );
-}
-
-/// Kernel vs oracle through the live pipeline seam: every slot report,
-/// the final metrics, and the watchdog verdict must agree bit for bit.
-/// Grid-only scenarios skip the stage swap (both arms already run the
-/// same stage) but still ride through the lockstep as a control.
-#[test]
-fn kernel_matches_oracle_in_lockstep_on_every_scenario() {
+fn sweep_matches_reference_in_lockstep_on_every_scenario() {
     for (label, scenario) in battery() {
-        let mut kernel = Simulator::new(&scenario).expect("scenario builds");
-        let mut oracle = Simulator::new(&scenario).expect("scenario builds");
-        if scenario.energy_policy != EnergyPolicy::GridOnly {
-            oracle.controller_mut().set_energy_stage(&COLD_ORACLE);
+        // Leaked so the stage outlives the simulator that borrows it.
+        let stage: &'static LockstepStage = Box::leak(Box::default());
+        let mut sim = Simulator::new(&scenario).expect("scenario builds");
+        let marginal_price = scenario.energy_policy != EnergyPolicy::GridOnly;
+        if marginal_price {
+            sim.controller_mut().set_energy_stage(stage);
         }
-        let mut aborted = false;
         for slot in 0..scenario.horizon {
-            let a = kernel.step_with_report();
-            let b = oracle.step_with_report();
-            assert_eq!(a, b, "{label}: slot {slot} diverged");
-            if a.is_err() {
-                // Both arms aborted with the identical error (strict
-                // policy); neither advanced past this slot.
-                aborted = true;
+            let step = sim.step_with_report();
+            if let Some(d) = stage.divergence.lock().expect("lock").take() {
+                panic!("{label}: slot {slot}: {d}");
+            }
+            if step.is_err() {
+                // The strict policy aborted the slot; the lockstep held
+                // up to and including the failing solve.
                 break;
             }
         }
-        if !aborted {
-            assert_eq!(
-                kernel.metrics(),
-                oracle.metrics(),
-                "{label}: final metrics diverged"
-            );
-            assert_eq!(
-                kernel.watchdog().report(),
-                oracle.watchdog().report(),
-                "{label}: watchdog verdicts diverged"
-            );
-        }
+        let solves = stage.solves.load(Ordering::Relaxed);
+        assert_eq!(
+            solves > 0,
+            marginal_price,
+            "{label}: {solves} lockstep solves"
+        );
     }
 }
