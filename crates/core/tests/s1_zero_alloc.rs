@@ -377,7 +377,7 @@ fn steady_state_dynamic_policies_section() {
 fn steady_state_relaxed_step_section() {
     // The relaxed P̄3 controller on the pipeline fixture: once the virtual
     // queues fill, every slot builds S1 candidates, solves the fractional
-    // matching, routes, and runs the warm S4 kernel — all out of buffers
+    // matching, routes, and runs the S4 sweep — all out of buffers
     // kept on the controller.
     let (net, energy, config, obs) = pipeline_fixture(None, None);
     let phy = PhyConfig::new(1.0, 1e-20);

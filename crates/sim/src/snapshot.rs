@@ -14,11 +14,11 @@
 //!   scenario, and fingerprints verify the rebuild landed on the same
 //!   values (most importantly, the regenerated [`crate::FaultPlan`] must
 //!   match the one the snapshotted run was following).
-//! * The controller's warm-kernel state (S1 power-control workspace, S4
-//!   incremental solver): the kernels are proven bit-identical to their
-//!   frozen oracles *regardless of warm state* by the standing
-//!   equivalence gates, so a restore restarts them cold without
-//!   perturbing a single decision.
+//! * The controller's warm-kernel state (the S1 power-control
+//!   workspace): the kernel is proven bit-identical to its frozen oracle
+//!   *regardless of warm state* by the standing equivalence gate, so a
+//!   restore restarts it cold without perturbing a single decision. The
+//!   S4 sweep keeps no state across slots.
 //! * Wall-clock ([`greencell_core::StageTimings`]): timings restart from
 //!   zero by design — they are observability, not state.
 //!

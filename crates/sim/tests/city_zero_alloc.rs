@@ -79,7 +79,7 @@ fn steady_state_city_slot_allocates_nothing() {
     let mut relaxed = RelaxedController::for_controller(sim.controller());
     let controller = sim.controller_mut();
 
-    // Warm-up: grow every per-cluster buffer, the S1/S4 warm kernels,
+    // Warm-up: grow every per-cluster buffer, the S1 warm kernel, S4,
     // and the global arena to their steady-state footprint.
     let warmup = 30;
     for obs in &observations[..warmup] {
