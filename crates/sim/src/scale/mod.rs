@@ -51,15 +51,6 @@ pub struct CitySim {
 }
 
 impl CitySim {
-    /// Single-threaded construction; see [`CitySim::with_workers`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::with_workers`].
-    pub fn new(scenario: &Scenario) -> Result<Self, SimError> {
-        Self::with_workers(scenario, 1)
-    }
-
     /// Builds the simulator, solving clusters on up to `workers` threads
     /// per slot. Worker count does not affect results, only wall-clock.
     ///
@@ -87,23 +78,6 @@ impl CitySim {
         self.sim.step_with_report()
     }
 
-    /// Runs the scenario's full horizon, collecting every slot report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CitySim::step`] error.
-    pub fn run(&mut self) -> Result<Vec<SlotReport>, SimError> {
-        (0..self.sim.scenario().horizon)
-            .map(|_| self.step())
-            .collect()
-    }
-
-    /// The scenario this simulation runs.
-    #[must_use]
-    pub fn scenario(&self) -> &Scenario {
-        self.sim.scenario()
-    }
-
     /// The controller.
     #[must_use]
     pub fn controller(&self) -> &Controller {
@@ -114,11 +88,5 @@ impl CitySim {
     /// observations with [`CitySim::next_observation`].
     pub fn controller_mut(&mut self) -> &mut Controller {
         self.sim.controller_mut()
-    }
-
-    /// Slots stepped (or observed) so far.
-    #[must_use]
-    pub fn slots_run(&self) -> usize {
-        self.sim.slots_run()
     }
 }

@@ -15,7 +15,7 @@
 //! ```
 
 use greencell_core::{CoopPolicy, SchedulerKind, SleepPolicy, SlotReport};
-use greencell_sim::{fnv1a_64, CitySim, FaultSpec, Scenario, Simulator};
+use greencell_sim::{fnv1a_64, FaultSpec, Scenario, Simulator};
 use std::path::PathBuf;
 
 const GOLDEN: &str = "golden/one_driver.fp";
@@ -88,13 +88,23 @@ fn reports_line(reports: &[SlotReport]) -> String {
     )
 }
 
+/// Steps `sim` through its scenario's horizon, collecting every report.
+fn run(sim: &mut Simulator) -> Vec<SlotReport> {
+    let horizon = sim.scenario().horizon;
+    let mut reports = Vec::with_capacity(horizon);
+    while sim.slots_run() < horizon {
+        reports.push(sim.step_with_report().expect("slot steps"));
+    }
+    reports
+}
+
 fn fingerprint() -> String {
     let mut lines = Vec::new();
     for (label, scenario) in city_battery() {
         for workers in [1usize, 2] {
-            let mut sim = CitySim::with_workers(&scenario, workers).expect("city path builds");
+            let mut sim = Simulator::with_workers(&scenario, workers).expect("city path builds");
             let clusters = sim.controller().decomposition().len();
-            let reports = sim.run().expect("city run completes");
+            let reports = run(&mut sim);
             let transitions = sim
                 .controller()
                 .network_state()
@@ -109,10 +119,7 @@ fn fingerprint() -> String {
     }
     for (label, scenario) in paper_battery() {
         let mut sim = Simulator::new(&scenario).expect("paper scenario builds");
-        let mut reports = Vec::with_capacity(scenario.horizon);
-        while sim.slots_run() < scenario.horizon {
-            reports.push(sim.step_with_report().expect("slot steps"));
-        }
+        let reports = run(&mut sim);
         let ns = sim
             .controller()
             .network_state()
