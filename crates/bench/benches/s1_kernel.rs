@@ -1,12 +1,12 @@
-//! Cold-start vs. incremental S1 kernel, greedy and sequential-fix, at
-//! three network sizes.
+//! Reference vs. kernel S1, greedy and sequential-fix, at three network
+//! sizes and on the paper scenario.
 //!
-//! `*_cold` runs the pre-kernel reference (a fresh cold-start
-//! Foschini–Miljanic solve per probed candidate); `*_kernel` runs the
-//! warm-start incremental workspace with reused buffers. Both produce
-//! identical schedules and bit-identical powers (see the
-//! `prop_s1_kernel` and `s1_kernel_equivalence` tests); only the probing
-//! strategy differs.
+//! `*_cold` runs the reference (full candidate sort, a fresh
+//! Foschini–Miljanic iteration per probed candidate); `*_kernel` runs the
+//! per-link key merge with one exact M-matrix solve per probe in reused
+//! buffers. The `prop_s1_kernel` lockstep holds the two to the same
+//! schedules and powers within 1e-9 relative, wherever the iteration
+//! converges.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use greencell_bench::S1Fixture;

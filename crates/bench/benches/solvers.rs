@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the hand-rolled numerical substrates: the simplex
-//! LP solver, the Foschini–Miljanic power iteration, the S4 marginal-price
+//! LP solver, the direct power-control solve, the S4 marginal-price
 //! solver, queue-bank updates, and one full controller step.
 
 use criterion::{criterion_group, criterion_main, Criterion};

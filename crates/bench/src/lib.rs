@@ -5,7 +5,7 @@
 //! * `figures` — one benchmark per paper figure (2(a)–2(f)), each running
 //!   the corresponding experiment on a horizon-reduced paper scenario;
 //! * `solvers` — micro-benchmarks of the hand-rolled substrates (simplex,
-//!   S4 marginal-price solver, Foschini–Miljanic power control, queue
+//!   S4 marginal-price solver, direct power control, queue
 //!   updates, one full controller step);
 //! * `ablation` — design-choice ablations called out in DESIGN.md
 //!   (greedy vs. sequential-fix S1; marginal-price vs. grid-only S4).

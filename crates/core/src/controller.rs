@@ -603,9 +603,8 @@ impl Controller {
     ///
     /// Derived constants (`β`, `γ_max`, `B`), the resolved pipeline stages,
     /// and the per-slot scratch are *not* captured: they are pure functions
-    /// of the construction inputs: the S1 kernel equivalence gate proves
-    /// S1's decisions are bit-identical whether its workspaces are warm or
-    /// freshly defaulted, and the S4 sweep keeps nothing across slots.
+    /// of the construction inputs, and every S1 and S4 call clears its
+    /// scratch before use.
     #[must_use]
     pub fn export_state(&self) -> ControllerState {
         let ns = &self.ctx.net_state;
@@ -677,9 +676,8 @@ impl Controller {
     }
 
     /// Overwrites the evolving state from a captured [`ControllerState`],
-    /// resetting the per-slot scratch and stage timings (the warm S1
-    /// kernel restarts cold — provably without affecting decisions,
-    /// wall-clock restarts from zero by design).
+    /// resetting the per-slot scratch (cleared before use anyway) and the
+    /// stage timings (wall-clock restarts from zero by design).
     ///
     /// # Panics
     ///

@@ -270,8 +270,8 @@ impl Part {
         }
     }
 
-    /// Restarts the warm S1 kernel cold (snapshot restore): decisions do
-    /// not depend on warm state, so this only drops reused capacity.
+    /// Drops the S1 scratch (snapshot restore): every S1 call clears it
+    /// before use, so this only drops reused capacity.
     pub(crate) fn reset_scratch(&mut self) {
         self.s1 = S1Scratch::default();
     }

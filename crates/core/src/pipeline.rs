@@ -323,6 +323,12 @@ pub fn solve_energy_with_fallbacks_into(
 
 /// Rebuilds the schedule without any transmission touching `node`, then
 /// recomputes minimal powers.
+///
+/// Any subset of a power-feasible schedule is power-feasible: a principal
+/// submatrix of a non-singular M-matrix is one, and its least powers lie
+/// below the superset's. So the solve fails only when `outcome` itself was
+/// infeasible, and the result is then the empty outcome: never a schedule
+/// without its powers.
 pub fn shed_node(
     net: &Network,
     outcome: &ScheduleOutcome,
@@ -339,13 +345,10 @@ pub fn shed_node(
                 .expect("subset of a valid schedule stays valid");
         }
     }
-    let powers = if schedule.is_empty() {
-        Vec::new()
-    } else {
-        greencell_phy::min_power_assignment(net, &schedule, spectrum, phy, max_powers)
-            .unwrap_or_default()
-    };
-    ScheduleOutcome { schedule, powers }
+    match greencell_phy::min_power_assignment(net, &schedule, spectrum, phy, max_powers) {
+        Ok(powers) => ScheduleOutcome { schedule, powers },
+        Err(_) => ScheduleOutcome::empty(),
+    }
 }
 
 /// The global per-slot arena: the whole-network buffers S4 and the state
@@ -415,5 +418,58 @@ impl StageClock {
                 elapsed,
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greencell_net::{BandId, NetworkBuilder, PathLossModel, Point};
+    use greencell_phy::{
+        min_power_assignment, min_power_assignment_reference, sinr_matrix, PowerControlError,
+        Transmission,
+    };
+    use greencell_units::Bandwidth;
+
+    /// Shedding one node of a three-link schedule whose remaining pair sits
+    /// at spectral radius 1 − 10⁻³ keeps both links with their powers,
+    /// which satisfy (24). (The reference iteration cannot settle on that
+    /// pair.)
+    #[test]
+    fn shed_near_singular_pair_keeps_its_powers() {
+        let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 1);
+        let a = b.add_base_station(Point::new(0.0, 0.0));
+        let x = b.add_user(Point::new(100.0, 0.0));
+        let c = b.add_base_station(Point::new(2200.0, 0.0));
+        let y = b.add_user(Point::new(2300.0, 0.0));
+        let d = b.add_base_station(Point::new(40_000.0, 0.0));
+        let z = b.add_user(Point::new(40_100.0, 0.0));
+        let net = b.build().unwrap();
+        let topo = net.topology();
+        let coupling =
+            (topo.gain(c, x) * topo.gain(a, y) / (topo.gain(a, x) * topo.gain(c, y))).sqrt();
+        let phy = PhyConfig::new((1.0 - 1e-3) / coupling, 1e-20);
+        let spectrum = SpectrumState::new(vec![Bandwidth::from_megahertz(1.0)]);
+        let caps = vec![Power::from_watts(20.0); 6];
+        let band = BandId::from_index(0);
+        let mut schedule = Schedule::new();
+        for (tx, rx) in [(a, x), (c, y), (d, z)] {
+            schedule
+                .try_add(&net, Transmission::new(tx, rx, band))
+                .unwrap();
+        }
+        let powers = min_power_assignment(&net, &schedule, &spectrum, &phy, &caps).unwrap();
+        let outcome = ScheduleOutcome { schedule, powers };
+
+        let reduced = shed_node(&net, &outcome, d, &spectrum, &phy, &caps);
+        assert_eq!(reduced.schedule.len(), 2);
+        assert_eq!(reduced.powers.len(), reduced.schedule.len());
+        for sinr in sinr_matrix(&net, &reduced.schedule, &spectrum, &phy, &reduced.powers) {
+            assert!(sinr >= phy.sinr_threshold() * (1.0 - 1e-9), "SINR {sinr}");
+        }
+        assert_eq!(
+            min_power_assignment_reference(&net, &reduced.schedule, &spectrum, &phy, &caps),
+            Err(PowerControlError::NonConvergent)
+        );
     }
 }

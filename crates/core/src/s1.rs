@@ -1,7 +1,7 @@
 //! S1 — link scheduling: choose the activations `α^m_ij(t)` minimizing
 //! `Ψ̂₁(t) = −(β/δ)·Σ_ij H_ij(t)·Σ_m c^m_ij(t)·α^m_ij(t)·Δt` (§IV-C1).
 //!
-//! Two algorithms share candidate generation and the final power check:
+//! Two algorithms share candidate generation and the power probe:
 //!
 //! * [`greedy_schedule`] — admit candidates in decreasing
 //!   `H_ij(t)·c^m_ij(t)` order, keeping (22) and (24) feasible throughout;
@@ -10,9 +10,11 @@
 //!   standard `q = P·α` product substitution of Hou et al.), round the
 //!   largest fractional activation to one, and repeat.
 //!
-//! Both run the Foschini–Miljanic minimal-power assignment on the final
-//! schedule: S4's objective is non-decreasing in every node's demand, so
-//! minimal transmit powers are optimal for a fixed schedule.
+//! Both probe each candidate with one exact solve of (24) for the least
+//! powers of the schedule so far ([`PowerControlWorkspace`]), and the last
+//! accepted probe's solution is the slot's power vector: S4's objective is
+//! non-decreasing in every node's demand, so minimal transmit powers are
+//! optimal for a fixed schedule.
 //!
 //! Candidates are pruned exactly as the paper prescribes: `α^m_ij` is fixed
 //! to zero wherever `H_ij(t) = 0` (nothing buffered for the link means
@@ -24,15 +26,16 @@
 //! They sort one packed key per admissible link (its best band) and merge
 //! lazily: a link whose head is rejected offers its next band, a link with
 //! a busy endpoint is dropped. That yields the full sort's candidates in
-//! the same order wherever the outcome can depend on them; the reference
-//! implementations keep the full sort as the oracle.
+//! the same order wherever the outcome can depend on them. The reference
+//! implementations keep the full sort and the Foschini–Miljanic iteration
+//! ([`min_power_assignment_reference`]) as the oracle.
 
 use greencell_energy::NodeEnergyModel;
 use greencell_lp::{LinearProgram, Relation};
 use greencell_net::{BandId, Network, NodeId};
 use greencell_phy::{
-    min_power_assignment, packets_per_slot, potential_capacity, PhyConfig, PowerControlWorkspace,
-    Schedule, SpectrumState, Transmission,
+    min_power_assignment_reference, packets_per_slot, potential_capacity, sinr_into, PhyConfig,
+    PowerControlWorkspace, Schedule, SpectrumState, Transmission,
 };
 use greencell_queue::LinkQueueBank;
 use greencell_units::{Energy, PacketSize, Power, TimeDelta};
@@ -72,8 +75,8 @@ impl ScheduleOutcome {
 
 /// Reusable S1 buffers: the sorted per-link candidate keys, the per-band
 /// `packets_per_slot` memo, the per-node energy-admission memos, and the
-/// incremental [`PowerControlWorkspace`] used to probe candidate
-/// feasibility. Thread one of these through
+/// [`PowerControlWorkspace`] that probes candidate feasibility and holds
+/// the slot's powers. Thread one of these through
 /// [`greedy_schedule_with`] / [`sequential_fix_schedule_with`] across
 /// slots and the steady-state greedy path performs no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -90,7 +93,8 @@ pub struct S1Scratch {
     tx_ok: Vec<bool>,
     /// Per-node worst-case receive-energy admission, once per slot.
     rx_ok: Vec<bool>,
-    /// Incremental warm-start power-control solver for candidate probing.
+    /// Per-slot power-control system: cleared at the start of each call,
+    /// it holds the accepted schedule after the last probe.
     ws: PowerControlWorkspace,
     /// Sequential-fix working set (the still-unfixed candidates).
     active: Vec<Candidate>,
@@ -98,6 +102,9 @@ pub struct S1Scratch {
     /// transmission — the same predicate as `Schedule::is_busy`, without
     /// the per-candidate schedule scan.
     busy: Vec<bool>,
+    /// Per-link SINR at the returned powers, for the debug-build check of
+    /// constraint (24).
+    sinr: Vec<f64>,
 }
 
 impl S1Scratch {
@@ -120,6 +127,7 @@ impl S1Scratch {
         self.rx_ok.reserve(nodes);
         self.busy.reserve(nodes);
         self.ws.reserve(nodes / 2 + 1);
+        self.sinr.reserve(nodes / 2);
     }
 }
 
@@ -330,18 +338,15 @@ pub fn greedy_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
     out
 }
 
-/// Weight-greedy S1 over reusable buffers, probing candidate feasibility
-/// with the incremental warm-start kernel.
+/// Weight-greedy S1 over reusable buffers.
 ///
 /// Candidates come from the per-link key merge in the reference's
 /// full-sort order: a link whose head is rejected offers its
-/// next band, a link with a busy endpoint is dropped. Each admitted
-/// prefix's Foschini–Miljanic fixed point warm-starts the next probe
+/// next band, a link with a busy endpoint is dropped. Each probe solves
+/// (24) exactly for the accepted links plus the candidate
 /// ([`PowerControlWorkspace`]); a rejected candidate is undone in `O(n)`.
-/// **Determinism contract:** the warm solves only decide accept/reject;
-/// the final accepted schedule gets one cold-start `min_power_assignment`,
-/// so `out` is bit-identical to the cold-probing reference
-/// ([`greedy_schedule_reference`]).
+/// After the last probe the workspace holds exactly the schedule, and its
+/// solution is `out.powers`.
 pub fn greedy_schedule_with(
     inp: &S1Inputs<'_>,
     scratch: &mut S1Scratch,
@@ -382,38 +387,65 @@ pub fn greedy_schedule_with(
             keep_link,
         );
     }
-    if finalize_powers(inp, scratch, out).is_err() {
-        // Reachable, if rarely: the probes decide feasibility with a
-        // direct M-matrix solve, but this cold Foschini–Miljanic run
-        // converges linearly in the spectral radius ρ of the accepted
-        // links and can exhaust its iteration cap when ρ is close to 1.
-        // The cold-probing reference then decides every candidate again,
-        // so schedule and powers stay consistent and deterministic.
-        *out = greedy_schedule_reference(inp);
+    read_powers(inp, scratch, out);
+}
+
+/// Copies the workspace's solution into `out.powers` and, in debug
+/// builds, checks constraint (24) and the caps on every scheduled link.
+fn read_powers(inp: &S1Inputs<'_>, scratch: &mut S1Scratch, out: &mut ScheduleOutcome) {
+    out.powers.clear();
+    let powers = scratch.ws.powers_watts().iter();
+    out.powers.extend(powers.copied().map(Power::from_watts));
+    if cfg!(debug_assertions) {
+        let violation = first_sinr_violation(inp, out, &mut scratch.sinr);
+        debug_assert!(
+            violation.is_none(),
+            "S1 link #{} violates constraint (24) or its cap: schedule {:?}, \
+             powers {:?}, SINR {:?}",
+            violation.unwrap_or_default(),
+            out.schedule.transmissions(),
+            out.powers,
+            scratch.sinr
+        );
     }
 }
 
-/// The determinism-contract final solve: one cold-start
-/// `min_power_assignment` over the accepted schedule, reusing the
-/// workspace's cold buffers.
-fn finalize_powers(
+/// The first scheduled link of `outcome` whose SINR at `outcome.powers`
+/// falls below `Γ·(1 − 10⁻⁹)`, or whose power exceeds its transmitter's
+/// cap; `None` when every link satisfies constraint (24). A link at zero
+/// power with zero noise and zero interference (SINR `0/0`) satisfies it
+/// as `0 ≥ 0`. `sinr` is scratch.
+///
+/// # Panics
+///
+/// Panics if `outcome.powers.len()` differs from the schedule length.
+#[must_use]
+pub fn first_sinr_violation(
     inp: &S1Inputs<'_>,
-    scratch: &mut S1Scratch,
-    out: &mut ScheduleOutcome,
-) -> Result<(), greencell_phy::PowerControlError> {
-    scratch.ws.assign_final(
+    outcome: &ScheduleOutcome,
+    sinr: &mut Vec<f64>,
+) -> Option<usize> {
+    sinr_into(
         inp.net,
-        &out.schedule,
+        &outcome.schedule,
         inp.spectrum,
         inp.phy,
-        inp.max_powers,
-        &mut out.powers,
-    )
+        &outcome.powers,
+        sinr,
+    );
+    let target = inp.phy.sinr_threshold() * (1.0 - 1e-9);
+    let txs = outcome.schedule.transmissions();
+    (0..txs.len()).find(|&k| {
+        let (s, p) = (sinr[k], outcome.powers[k]);
+        let meets = s >= target || (s.is_nan() && p == Power::ZERO);
+        !meets || p > inp.max_powers[txs[k].tx().index()]
+    })
 }
 
-/// Pre-kernel reference implementation of [`greedy_schedule`]: probes
-/// every candidate with a cold-start `min_power_assignment`. Kept as the
-/// A/B oracle for the equivalence tests and benches.
+/// Reference implementation of [`greedy_schedule`]: the full candidate
+/// sort, and one [`min_power_assignment_reference`] iteration over the
+/// whole schedule per probed candidate. The test oracle of
+/// [`greedy_schedule_with`].
 #[must_use]
 pub fn greedy_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome {
     let mut schedule = Schedule::new();
@@ -427,7 +459,13 @@ pub fn greedy_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome {
             Ok(idx) => idx,
             Err(_) => continue,
         };
-        match min_power_assignment(inp.net, &schedule, inp.spectrum, inp.phy, inp.max_powers) {
+        match min_power_assignment_reference(
+            inp.net,
+            &schedule,
+            inp.spectrum,
+            inp.phy,
+            inp.max_powers,
+        ) {
             Ok(p) => powers = p,
             Err(_) => {
                 schedule.remove(idx);
@@ -461,12 +499,11 @@ pub fn sequential_fix_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
     out
 }
 
-/// Sequential-fix S1 over reusable buffers, probing exact power
-/// feasibility of each fixing with the incremental warm-start kernel
-/// instead of a cold-start solve per round. The LP relaxations themselves
-/// still allocate (simplex tableaus); only the probing path is
-/// incremental. Same determinism contract as [`greedy_schedule_with`]:
-/// the final schedule gets one cold-start `min_power_assignment`.
+/// Sequential-fix S1 over reusable buffers, probing the exact power
+/// feasibility of each fixing in the [`PowerControlWorkspace`], whose
+/// solution after the last probe is `out.powers`, as in
+/// [`greedy_schedule_with`]. The LP relaxations themselves still allocate
+/// (simplex tableaus).
 pub fn sequential_fix_schedule_with(
     inp: &S1Inputs<'_>,
     scratch: &mut S1Scratch,
@@ -533,17 +570,12 @@ pub fn sequential_fix_schedule_with(
             }
         }
     }
-    if finalize_powers(inp, scratch, out).is_err() {
-        // Reachable, as on the greedy path: a fixing the direct probe
-        // accepted can leave ρ so close to 1 that the cold final solve
-        // exhausts its iteration cap. The cold-probing reference decides.
-        *out = sequential_fix_schedule_reference(inp);
-    }
+    read_powers(inp, scratch, out);
 }
 
-/// Pre-kernel reference implementation of [`sequential_fix_schedule`]:
-/// cold-start power probe per fixing. Kept as the A/B oracle for the
-/// equivalence tests and benches.
+/// Reference implementation of [`sequential_fix_schedule`]: the full
+/// candidate sort, and one [`min_power_assignment_reference`] iteration
+/// per fixing. The test oracle of [`sequential_fix_schedule_with`].
 #[must_use]
 pub fn sequential_fix_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome {
     let mut active = candidates(inp);
@@ -577,7 +609,13 @@ pub fn sequential_fix_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome 
         let cand = active.swap_remove(best_idx);
         let t = Transmission::new(cand.tx, cand.rx, cand.band);
         if let Ok(idx) = schedule.try_add(inp.net, t) {
-            match min_power_assignment(inp.net, &schedule, inp.spectrum, inp.phy, inp.max_powers) {
+            match min_power_assignment_reference(
+                inp.net,
+                &schedule,
+                inp.spectrum,
+                inp.phy,
+                inp.max_powers,
+            ) {
                 Ok(p) => powers = p,
                 Err(_) => {
                     schedule.remove(idx); // fix to 0 instead
@@ -904,11 +942,11 @@ mod tests {
     }
 
     /// Two BS→user links on one band whose coupling sits just under the
-    /// feasibility edge (spectral radius 1 − 10⁻³): the direct probes
-    /// admit both, but the cold final solve runs out of iterations, so
-    /// the greedy path must fall back to the reference.
+    /// feasibility edge (spectral radius 1 − 10⁻³). The exact probe
+    /// schedules both, with powers that satisfy (24); the reference's
+    /// iteration runs out of sweeps on the pair and keeps one link.
     #[test]
-    fn non_convergent_final_solve_falls_back_to_the_reference() {
+    fn near_singular_pair_keeps_both_links() {
         let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 1);
         let a = b.add_base_station(Point::new(0.0, 0.0));
         let x = b.add_user(Point::new(100.0, 0.0));
@@ -935,23 +973,45 @@ mod tests {
         let spectrum = SpectrumState::new(vec![Bandwidth::from_megahertz(1.0)]);
         let inp = inputs(&f, &spectrum, &phy);
 
-        let mut ws = PowerControlWorkspace::default();
-        let both =
-            [(a, x), (c, y)].map(|(tx, rx)| Transmission::new(tx, rx, BandId::from_index(0)));
-        let mut schedule = Schedule::new();
-        for t in both {
-            ws.probe(&f.net, &spectrum, &phy, &f.max_powers, t)
-                .expect("the warm probe admits the link");
-            schedule.try_add(&f.net, t).unwrap();
+        for out in [greedy_schedule(&inp), sequential_fix_schedule(&inp)] {
+            assert_eq!(out.schedule.len(), 2);
+            assert_eq!(first_sinr_violation(&inp, &out, &mut Vec::new()), None);
+            assert_eq!(
+                min_power_assignment_reference(
+                    &f.net,
+                    &out.schedule,
+                    &spectrum,
+                    &phy,
+                    &f.max_powers
+                ),
+                Err(greencell_phy::PowerControlError::NonConvergent)
+            );
         }
-        assert_eq!(
-            min_power_assignment(&f.net, &schedule, &spectrum, &phy, &f.max_powers),
-            Err(greencell_phy::PowerControlError::NonConvergent)
-        );
+        assert_eq!(greedy_schedule_reference(&inp).schedule.len(), 1);
+    }
 
-        let reference = greedy_schedule_reference(&inp);
-        assert_eq!(reference.schedule.len(), 1);
-        assert_eq!(greedy_schedule(&inp), reference);
+    /// The (24) check fails on powers scaled 0.1 % below the solution and
+    /// on a power above its cap, and passes the zero-noise `0/0` links.
+    #[test]
+    fn sinr_check_catches_short_and_capped_powers() {
+        let f = fixture(&[(0, 1, 50)]);
+        let spectrum = spectrum2();
+        let phy = PhyConfig::new(1.0, 1e-20);
+        let inp = inputs(&f, &spectrum, &phy);
+        let mut out = greedy_schedule(&inp);
+        let mut sinr = Vec::new();
+        assert_eq!(first_sinr_violation(&inp, &out, &mut sinr), None);
+        let exact = out.powers[0];
+        out.powers[0] = exact * 0.999;
+        assert_eq!(first_sinr_violation(&inp, &out, &mut sinr), Some(0));
+        out.powers[0] = f.max_powers[0] * 1.5;
+        assert_eq!(first_sinr_violation(&inp, &out, &mut sinr), Some(0));
+
+        let silent = PhyConfig::new(1.0, 0.0);
+        let inp = inputs(&f, &spectrum, &silent);
+        let out = greedy_schedule(&inp);
+        assert_eq!(out.powers, vec![Power::ZERO]);
+        assert_eq!(first_sinr_violation(&inp, &out, &mut sinr), None);
     }
 
     #[test]
@@ -964,9 +1024,15 @@ mod tests {
             sequential_fix_schedule(&inputs(&f, &spectrum, &phy)),
         ] {
             if !out.schedule.is_empty() {
-                let p = min_power_assignment(&f.net, &out.schedule, &spectrum, &phy, &f.max_powers)
-                    .expect("final schedule must be power feasible");
-                assert_eq!(p.len(), out.schedule.len());
+                let p = greencell_phy::min_power_assignment(
+                    &f.net,
+                    &out.schedule,
+                    &spectrum,
+                    &phy,
+                    &f.max_powers,
+                )
+                .expect("final schedule must be power feasible");
+                assert_eq!(p, out.powers);
             }
         }
     }

@@ -18,8 +18,11 @@
 //! * capacity helpers ([`potential_capacity`], [`packets_per_slot`]) — the
 //!   `c^m_ij(t)` of Eq. (1) and its packets-per-slot form `⌊c·Δt/δ⌋`;
 //! * [`min_power_assignment`] — the least transmit powers that satisfy
-//!   constraint (24) for a whole schedule (Foschini–Miljanic fixed point),
-//!   or proof that no powers within the per-node caps do.
+//!   constraint (24) for a whole schedule (one direct solve of the linear
+//!   system `(I − A)·p = b`), or proof that no powers within the per-node
+//!   caps do;
+//! * [`PowerControlWorkspace`] — the same solve, one candidate at a time,
+//!   for the S1 schedulers' probes.
 //!
 //! # Examples
 //!
@@ -55,9 +58,7 @@ mod spectrum_state;
 mod workspace;
 
 pub use capacity::{packets_per_slot, potential_capacity, scheduled_link_capacity};
-pub use power_control::{
-    min_power_assignment, min_power_assignment_into, ColdStartBuffers, PowerControlError,
-};
+pub use power_control::{min_power_assignment, min_power_assignment_reference, PowerControlError};
 pub use schedule::{Schedule, ScheduleError, Transmission};
 pub use sinr::{sinr_into, sinr_matrix, sinr_of};
 pub use spectrum_state::SpectrumState;

@@ -3,37 +3,41 @@
 //! Given a schedule, the controller wants every activated link to clear the
 //! SINR threshold *with the least energy* — transmit power feeds straight
 //! into the per-slot energy demand `E^TX_i(t)` of Eq. (23) that the S4
-//! subproblem must then source. The classical tool is the
-//! Foschini–Miljanic iteration: per band, the map
+//! subproblem must then source. Constraint (24) is linear in the powers:
+//! with `A_kl = Γ·g_{tx_l → rx_k}/g_{tx_k → rx_k}` on co-channel pairs and
+//! `b_k = Γ·η W_m/g_{tx_k → rx_k}`, the least feasible powers solve
 //!
 //! ```text
-//! P_k ← Γ · (η W_m + Σ_{l ≠ k} g_{tx_l → rx_k} P_l) / g_{tx_k → rx_k}
+//! (I − A)·p = b
 //! ```
 //!
-//! is monotone and, started from the noise-only lower bound, converges to
-//! the component-wise *minimal* feasible power vector whenever one exists.
-//! If the minimal solution violates a node's power cap `P^i_max`, no
-//! feasible assignment exists and the schedule must shed a link.
+//! which has a non-negative solution exactly when `I − A` is a non-singular
+//! M-matrix (`ρ(A) < 1`). [`min_power_assignment`] solves it directly (see
+//! [`crate::PowerControlWorkspace`]); if the solution violates a node's
+//! power cap `P^i_max`, no feasible assignment exists and the schedule must
+//! shed a link. [`min_power_assignment_reference`] keeps the classical
+//! Foschini–Miljanic iteration as the test oracle.
 
-use crate::{PhyConfig, Schedule, SpectrumState};
+use crate::{PhyConfig, PowerControlWorkspace, Schedule, SpectrumState};
 use greencell_net::Network;
 use greencell_units::Power;
 use std::error::Error;
 use std::fmt;
 
-/// Error from [`min_power_assignment`].
+/// Error from [`min_power_assignment`] and
+/// [`min_power_assignment_reference`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PowerControlError {
     /// No power vector within the caps satisfies constraint (24); the
-    /// reported transmission is the first whose minimal power exceeded its
-    /// transmitter's cap.
+    /// reported transmission is one whose minimal power exceeds its
+    /// transmitter's cap, or the last one when `ρ(A) ≥ 1`.
     Infeasible {
         /// Index into `schedule.transmissions()`.
         transmission_index: usize,
     },
-    /// The iteration failed to settle within the internal iteration budget
-    /// while staying under the caps — numerically on the feasibility
-    /// boundary. Treated as infeasible by callers.
+    /// The reference iteration failed to settle within its iteration
+    /// budget while staying under the caps — numerically on the
+    /// feasibility boundary. The direct solve never returns it.
     NonConvergent,
 }
 
@@ -51,33 +55,10 @@ impl fmt::Display for PowerControlError {
 
 impl Error for PowerControlError {}
 
-pub(crate) const MAX_ITERATIONS: usize = 10_000;
-pub(crate) const RELATIVE_TOLERANCE: f64 = 1e-12;
-
-/// Reusable buffers for the cold-start solve, so the hot path can run
-/// [`min_power_assignment_into`] once per slot with zero heap allocations
-/// in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct ColdStartBuffers {
-    direct_gain: Vec<f64>,
-    noise: Vec<f64>,
-    cap: Vec<f64>,
-    cross: Vec<f64>,
-    p: Vec<f64>,
-}
-
-impl ColdStartBuffers {
-    /// Pre-allocates for a solve over `entries` transmissions (the dense
-    /// cross-gain matrix is `entries²`), so a later solve at or below that
-    /// size performs no heap allocation.
-    pub fn reserve(&mut self, entries: usize) {
-        self.direct_gain.reserve(entries);
-        self.noise.reserve(entries);
-        self.cap.reserve(entries);
-        self.cross.reserve(entries * entries);
-        self.p.reserve(entries);
-    }
-}
+/// Sweep budget of [`min_power_assignment_reference`].
+const MAX_ITERATIONS: usize = 10_000;
+/// Per-sweep relative change below which the reference has converged.
+const RELATIVE_TOLERANCE: f64 = 1e-12;
 
 /// Computes the component-wise minimal transmit powers under which every
 /// transmission in `schedule` achieves `SINR ≥ Γ`, or proves that none
@@ -87,7 +68,9 @@ impl ColdStartBuffers {
 /// `P^i_max` (1 W for users, 20 W for base stations in the evaluation).
 ///
 /// Returns one power per transmission, in schedule order. An empty schedule
-/// yields an empty vector.
+/// yields an empty vector. The powers are the exact solution of
+/// `(I − A)·p = b`, found by one elimination in a fresh
+/// [`PowerControlWorkspace`].
 ///
 /// # Examples
 ///
@@ -116,8 +99,8 @@ impl ColdStartBuffers {
 ///
 /// # Errors
 ///
-/// * [`PowerControlError::Infeasible`] — the minimal solution exceeds a cap;
-/// * [`PowerControlError::NonConvergent`] — iteration budget exhausted.
+/// [`PowerControlError::Infeasible`] — the minimal solution exceeds a cap,
+/// or none exists (`ρ(A) ≥ 1`).
 ///
 /// # Panics
 ///
@@ -129,78 +112,68 @@ pub fn min_power_assignment(
     phy: &PhyConfig,
     max_powers: &[Power],
 ) -> Result<Vec<Power>, PowerControlError> {
-    let mut buffers = ColdStartBuffers::default();
-    let mut out = Vec::new();
-    min_power_assignment_into(
-        net,
-        schedule,
-        spectrum,
-        phy,
-        max_powers,
-        &mut buffers,
-        &mut out,
-    )?;
-    Ok(out)
+    assert_caps(net, max_powers);
+    let mut ws = PowerControlWorkspace::new();
+    for &t in schedule.transmissions() {
+        ws.push_candidate(net, spectrum, phy, max_powers, t)?;
+    }
+    ws.solve(phy)?;
+    Ok(ws
+        .powers_watts()
+        .iter()
+        .copied()
+        .map(Power::from_watts)
+        .collect())
 }
 
-/// Buffer-reusing form of [`min_power_assignment`]: identical computation
-/// (same constants, same Gauss–Seidel update order, bit-identical powers),
-/// but every intermediate lives in `buffers` and the result is written into
-/// `out`, so repeated calls allocate nothing once the buffers have grown to
-/// the schedule size.
+/// The Foschini–Miljanic iteration: per band, the monotone map
 ///
-/// `out` is cleared first; on success it holds one power per transmission
-/// in schedule order.
+/// ```text
+/// P_k ← Γ · (η W_m + Σ_{l ≠ k} g_{tx_l → rx_k} P_l) / g_{tx_k → rx_k}
+/// ```
+///
+/// run Gauss–Seidel from the noise-only lower bound until no power rises
+/// by more than a relative `10⁻¹²` in a sweep. It converges to the same
+/// minimal vector as [`min_power_assignment`], linearly at rate `ρ(A)`, so
+/// it gives up with [`PowerControlError::NonConvergent`] after 10 000
+/// sweeps when `ρ(A)` is close to 1. Allocating; the test oracle of the
+/// direct solve.
 ///
 /// # Errors
 ///
-/// Same as [`min_power_assignment`].
+/// * [`PowerControlError::Infeasible`] — an iterate exceeds a cap;
+/// * [`PowerControlError::NonConvergent`] — iteration budget exhausted.
 ///
 /// # Panics
 ///
 /// Panics if `max_powers.len()` differs from the node count.
-pub fn min_power_assignment_into(
+pub fn min_power_assignment_reference(
     net: &Network,
     schedule: &Schedule,
     spectrum: &SpectrumState,
     phy: &PhyConfig,
     max_powers: &[Power],
-    buffers: &mut ColdStartBuffers,
-    out: &mut Vec<Power>,
-) -> Result<(), PowerControlError> {
+) -> Result<Vec<Power>, PowerControlError> {
+    assert_caps(net, max_powers);
     let topo = net.topology();
-    assert_eq!(
-        max_powers.len(),
-        topo.len(),
-        "one power cap per node required"
-    );
-    out.clear();
     let txs = schedule.transmissions();
     let n = txs.len();
-    if n == 0 {
-        return Ok(());
-    }
     let gamma = phy.sinr_threshold();
-
-    // Precompute per-transmission constants.
-    let direct_gain = &mut buffers.direct_gain;
-    direct_gain.clear();
-    direct_gain.extend(txs.iter().map(|t| topo.gain(t.tx(), t.rx())));
-    let noise = &mut buffers.noise;
-    noise.clear();
-    noise.extend(txs.iter().map(|t| {
-        spectrum
-            .bandwidth(t.band())
-            .noise_power_watts(phy.noise_density())
-    }));
-    let cap = &mut buffers.cap;
-    cap.clear();
-    cap.extend(txs.iter().map(|t| max_powers[t.tx().index()].as_watts()));
-
+    let direct_gain: Vec<f64> = txs.iter().map(|t| topo.gain(t.tx(), t.rx())).collect();
+    let noise: Vec<f64> = txs
+        .iter()
+        .map(|t| {
+            spectrum
+                .bandwidth(t.band())
+                .noise_power_watts(phy.noise_density())
+        })
+        .collect();
+    let cap: Vec<f64> = txs
+        .iter()
+        .map(|t| max_powers[t.tx().index()].as_watts())
+        .collect();
     // Cross gains between co-channel transmissions; 0 across bands.
-    let cross = &mut buffers.cross;
-    cross.clear();
-    cross.resize(n * n, 0.0);
+    let mut cross = vec![0.0; n * n];
     for k in 0..n {
         for l in 0..n {
             if k != l && txs[k].band() == txs[l].band() {
@@ -210,15 +183,11 @@ pub fn min_power_assignment_into(
     }
 
     // Start from the noise-only lower bound and iterate the monotone map.
-    let p = &mut buffers.p;
-    p.clear();
-    p.extend((0..n).map(|k| gamma * noise[k] / direct_gain[k]));
-    for k in 0..n {
-        if p[k] > cap[k] {
-            return Err(PowerControlError::Infeasible {
-                transmission_index: k,
-            });
-        }
+    let mut p: Vec<f64> = (0..n).map(|k| gamma * noise[k] / direct_gain[k]).collect();
+    if let Some(k) = (0..n).find(|&k| p[k] > cap[k]) {
+        return Err(PowerControlError::Infeasible {
+            transmission_index: k,
+        });
     }
     for _ in 0..MAX_ITERATIONS {
         let mut converged = true;
@@ -237,11 +206,18 @@ pub fn min_power_assignment_into(
             p[k] = required.max(p[k]);
         }
         if converged {
-            out.extend(p.iter().copied().map(Power::from_watts));
-            return Ok(());
+            return Ok(p.into_iter().map(Power::from_watts).collect());
         }
     }
     Err(PowerControlError::NonConvergent)
+}
+
+fn assert_caps(net: &Network, max_powers: &[Power]) {
+    assert_eq!(
+        max_powers.len(),
+        net.topology().len(),
+        "one power cap per node required"
+    );
 }
 
 #[cfg(test)]

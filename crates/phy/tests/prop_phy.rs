@@ -1,27 +1,32 @@
-//! Property tests: the power-control solution is feasible, minimal, and
-//! respects caps on randomly generated networks and schedules.
+//! Property tests: the power-control solution is feasible, minimal,
+//! respects caps, and agrees with the reference iteration on randomly
+//! generated networks and schedules.
 
 use greencell_net::{BandId, NetworkBuilder, PathLossModel, Point};
 use greencell_phy::{
-    min_power_assignment, sinr_matrix, PhyConfig, Schedule, SpectrumState, Transmission,
+    min_power_assignment, min_power_assignment_reference, sinr_matrix, PhyConfig,
+    PowerControlError, Schedule, SpectrumState, Transmission,
 };
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Power};
 use proptest::prelude::*;
 
+type Instance = (greencell_net::Network, Schedule, SpectrumState, Vec<Power>);
+
 /// Builds a random network of `pairs` well-separated transmitter/receiver
 /// pairs and schedules each pair on a random band.
-fn random_instance(
-    seed: u64,
-    pairs: usize,
-    bands: usize,
-) -> (greencell_net::Network, Schedule, SpectrumState, Vec<Power>) {
+fn random_instance(seed: u64, pairs: usize, bands: usize) -> Instance {
+    // Clusters far apart so co-channel instances stay feasible.
+    spaced_instance(seed, pairs, bands, 3000.0)
+}
+
+/// [`random_instance`] with the pairs `spacing` metres apart.
+fn spaced_instance(seed: u64, pairs: usize, bands: usize, spacing: f64) -> Instance {
     let mut rng = Rng::seed_from(seed);
     let mut builder = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
     let mut endpoints = Vec::new();
     for k in 0..pairs {
-        // Clusters far apart so co-channel instances stay feasible.
-        let cx = 3000.0 * k as f64;
+        let cx = spacing * k as f64;
         let cy = rng.range_f64(0.0, 500.0);
         let tx = builder.add_base_station(Point::new(cx, cy));
         let rx = builder.add_user(Point::new(cx + rng.range_f64(50.0, 300.0), cy));
@@ -53,6 +58,29 @@ fn random_instance(
         })
         .collect();
     (net, schedule, spectrum, caps)
+}
+
+/// The lockstep's instance space straddles the feasibility boundary: both
+/// verdicts occur, so the property compares powers and rejections alike.
+#[test]
+fn lockstep_instances_straddle_the_boundary() {
+    let mut rng = Rng::seed_from(11);
+    let (mut solved, mut infeasible) = (0, 0);
+    for seed in 0..200 {
+        let pairs = 2 + rng.index(4);
+        let (net, schedule, spectrum, caps) =
+            spaced_instance(seed, pairs, 1 + rng.index(2), rng.range_f64(200.0, 800.0));
+        let phy = PhyConfig::new(rng.range_f64(1.0, 16.0), 1e-20);
+        match min_power_assignment_reference(&net, &schedule, &spectrum, &phy, &caps) {
+            Ok(_) => solved += 1,
+            Err(PowerControlError::Infeasible { .. }) => infeasible += 1,
+            Err(PowerControlError::NonConvergent) => {}
+        }
+    }
+    assert!(
+        solved > 20 && infeasible > 20,
+        "{solved} solved, {infeasible} infeasible"
+    );
 }
 
 proptest! {
@@ -87,6 +115,37 @@ proptest! {
         let sinrs = sinr_matrix(&net, &schedule, &spectrum, &phy, &shrunk);
         prop_assert!(sinrs.iter().any(|&s| s < 1.0),
             "5% shrink should break the binding constraint");
+    }
+
+    /// The direct solve agrees with the reference iteration wherever the
+    /// iteration converges: the same verdict, and every power within 1e-9
+    /// relative. Pairs 200–800 m apart at SINR thresholds up to 16 straddle
+    /// the feasibility boundary; where the iteration proves a set
+    /// infeasible the direct solve rejects it too.
+    #[test]
+    fn direct_solve_matches_the_reference(
+        seed in 0u64..10_000,
+        pairs in 2usize..6,
+        bands in 1usize..3,
+        spacing in 200.0f64..800.0,
+        gamma in 1.0f64..16.0,
+    ) {
+        let (net, schedule, spectrum, caps) = spaced_instance(seed, pairs, bands, spacing);
+        let phy = PhyConfig::new(gamma, 1e-20);
+        let direct = min_power_assignment(&net, &schedule, &spectrum, &phy, &caps);
+        match min_power_assignment_reference(&net, &schedule, &spectrum, &phy, &caps) {
+            Ok(reference) => {
+                let direct = direct.expect("a set the reference solves is feasible");
+                for (d, r) in direct.iter().zip(&reference) {
+                    let (d, r) = (d.as_watts(), r.as_watts());
+                    prop_assert!((d - r).abs() <= 1e-9 * r, "direct {d} vs reference {r}");
+                }
+            }
+            Err(PowerControlError::Infeasible { .. }) => {
+                prop_assert!(direct.is_err(), "direct solve accepted an infeasible set");
+            }
+            Err(PowerControlError::NonConvergent) => {}
+        }
     }
 
     /// Power control is deterministic: same instance, same answer.

@@ -14,11 +14,10 @@
 //!   scenario, and fingerprints verify the rebuild landed on the same
 //!   values (most importantly, the regenerated [`crate::FaultPlan`] must
 //!   match the one the snapshotted run was following).
-//! * The controller's warm-kernel state (the S1 power-control
-//!   workspace): the kernel is proven bit-identical to its frozen oracle
-//!   *regardless of warm state* by the standing equivalence gate, so a
-//!   restore restarts it cold without perturbing a single decision. The
-//!   S4 sweep keeps no state across slots.
+//! * The controller's per-slot scratch (the S1 power-control workspace,
+//!   the S4 sweep's buffers): each S1 call clears its workspace before the
+//!   first probe and the S4 sweep keeps nothing across slots, so a restore
+//!   starts them empty without perturbing a single decision.
 //! * Wall-clock ([`greencell_core::StageTimings`]): timings restart from
 //!   zero by design — they are observability, not state.
 //!
