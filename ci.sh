@@ -46,6 +46,16 @@ cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS \
 cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS \
   sweep_matches_reference_in_lockstep
 
+echo "== s3 routing lockstep gate =="
+# The S3 kernel (destination in-links in phase 1, backlogged senders only
+# in phase 2, candidates sorted sender by sender) and the reference (every
+# link per session in phase 1, one global candidate sort) run on the same
+# random instances: 1-6 sessions, often two with one destination, tied
+# coefficients, senders the greedy runs dry, phase-1 deliveries that
+# exhaust a cap, down nodes under both relay policies. The kernel's flows
+# must equal the reference's non-zero entries exactly.
+cargo test -p greencell-core --test prop_s3_kernel -q $CARGO_FLAGS
+
 echo "== slot driver golden gate =="
 # Fingerprints recorded in lockstep with the pre-pipeline controller: seed
 # scenarios, all four fault scenarios under both degradation policies,

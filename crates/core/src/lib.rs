@@ -118,7 +118,7 @@ pub use s1::{
 pub use s2::{
     admission_valve_open, resource_allocation, resource_allocation_masked_into, Admission,
 };
-pub use s3::{route_flows, route_flows_into, S3Scratch};
+pub use s3::{route_flows, route_flows_into, route_flows_reference, RoutingTable, S3Scratch};
 pub use s4::{
     energy_lockstep_divergence, solve_energy_management, solve_energy_management_into,
     solve_energy_management_reference, solve_grid_only, solve_grid_only_into, solve_safe_mode,

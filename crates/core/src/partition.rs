@@ -12,8 +12,8 @@
 
 use crate::{
     greedy_schedule_with, resource_allocation_masked_into, route_flows_into,
-    sequential_fix_schedule_with, Admission, ControllerConfig, NetworkState, RelayPolicy, S1Inputs,
-    S1Scratch, S3Scratch, ScheduleOutcome, SchedulerKind, SlotObservation,
+    sequential_fix_schedule_with, Admission, ControllerConfig, NetworkState, RelayPolicy,
+    RoutingTable, S1Inputs, S1Scratch, S3Scratch, ScheduleOutcome, SchedulerKind, SlotObservation,
 };
 use greencell_energy::{Battery, NodeEnergyModel};
 use greencell_net::{Network, NodeId, SessionId};
@@ -166,15 +166,22 @@ pub struct Part {
     s1: S1Scratch,
     pub(crate) outcome: ScheduleOutcome,
     pub(crate) admissions: Vec<Admission>,
-    /// Kept across slots: rebuilt only when the up-mask changes.
-    routing_caps: Vec<(NodeId, NodeId, Packets)>,
-    /// The local up-mask `routing_caps` was built for (empty before the
-    /// first build).
+    /// The routable links and their caps, with per-sender offsets and
+    /// per-receiver in-link lists. Kept across slots: rebuilt only when
+    /// the up-mask changes.
+    routing: RoutingTable,
+    /// The local up-mask `routing` was built for (empty before the first
+    /// build).
     caps_mask: Vec<bool>,
     pub(crate) link_service: Vec<(NodeId, NodeId, Packets)>,
     s3: S3Scratch,
     pub(crate) flows: FlowPlan,
     admission_triples: Vec<(SessionId, NodeId, Packets)>,
+    /// Debug builds: the data-queue (`s·n + i`) and link-queue (`i·n + j`)
+    /// indices the slot's flows, admissions and service name, for the
+    /// queue-law check in [`Part::advance`]. Empty between slots.
+    law_data: Vec<usize>,
+    law_links: Vec<usize>,
     /// What the last [`Part::advance`] measured, for the driver's
     /// part-order reductions.
     pub(crate) advanced: PartAdvance,
@@ -214,8 +221,9 @@ impl Part {
     /// scratch at the structural per-slot maxima instead, so none of a
     /// city's many parts grows after construction: candidate `(i, j, m)`
     /// triples are bounded by the shared-band count over ordered pairs,
-    /// routable links by the pairs with any shared band, schedules by the
-    /// single-radio limit `⌊n/2⌋`.
+    /// routable links by the pairs with any shared band, flows by those
+    /// links plus one delivery per session, schedules by the single-radio
+    /// limit `⌊n/2⌋`.
     pub(crate) fn new(
         spec: PartSpec,
         max_powers: &[Power],
@@ -228,11 +236,11 @@ impl Part {
             nodes,
             sessions,
         } = spec;
-        let (n, s) = (nodes.len(), sessions.len());
+        let n = nodes.len();
         let destinations: Vec<NodeId> = net.sessions().iter().map(|x| x.destination()).collect();
         let mut s1 = S1Scratch::default();
         let mut outcome = ScheduleOutcome::empty();
-        let mut s3 = S3Scratch::default();
+        let mut routing = RoutingTable::default();
         let (mut link_slots, mut schedule_bound) = (0, 0);
         if !whole {
             link_slots = net
@@ -243,9 +251,9 @@ impl Part {
             schedule_bound = n / 2 + 1;
             s1.reserve(n, net.band_count(), link_slots);
             outcome.reserve(schedule_bound);
-            s3.reserve(n, s, link_slots);
+            routing.reserve(n, link_slots);
         }
-        Self {
+        let mut part = Self {
             data: DataQueueBank::new(n, &destinations),
             links: LinkQueueBank::new(n, beta),
             max_powers: nodes.iter().map(|&g| max_powers[g]).collect(),
@@ -257,16 +265,37 @@ impl Part {
             s1,
             outcome,
             admissions: Vec::new(),
-            routing_caps: Vec::with_capacity(link_slots),
+            routing,
             caps_mask: Vec::with_capacity(n),
             link_service: Vec::with_capacity(schedule_bound),
-            s3,
+            s3: S3Scratch::default(),
             flows: FlowPlan::default(),
             admission_triples: Vec::new(),
+            law_data: Vec::new(),
+            law_links: Vec::new(),
             advanced: PartAdvance::default(),
             net,
             nodes,
             sessions,
+        };
+        if !whole {
+            part.reserve_routing(link_slots);
+        }
+        part
+    }
+
+    /// Grows the S3 scratch, the flow plan and the debug queue-law scratch
+    /// for `links` routable links (in all, so repeating a bound is free):
+    /// S3 routes at most one flow per session into its destination and one
+    /// per link after that.
+    fn reserve_routing(&mut self, links: usize) {
+        let (n, s) = (self.nodes.len(), self.sessions.len());
+        self.s3.reserve(n, s, links);
+        self.flows.reserve(s + links);
+        if cfg!(debug_assertions) {
+            // Both lists are empty between slots, so this reserves in all.
+            self.law_data.reserve(2 * (s + links) + s);
+            self.law_links.reserve(s + links + n);
         }
     }
 
@@ -382,7 +411,7 @@ impl Part {
             &self.net,
             &self.data,
             &self.links,
-            &self.routing_caps,
+            &self.routing,
             &self.admissions,
             demand,
             &mut self.s3,
@@ -390,11 +419,13 @@ impl Part {
         );
     }
 
-    /// Brings the routing caps up to date for this slot's up-mask (`up`
+    /// Brings the routing table up to date for this slot's up-mask (`up`
     /// over global node ids). Besides the mask, the caps read only the
     /// static band table, the relay policy and β, all fixed at
-    /// construction, so they are rebuilt only on a slot whose mask differs
-    /// from the one they were built for.
+    /// construction, so the table is rebuilt only on a slot whose mask
+    /// differs from the one it was built for. A rebuild also grows the
+    /// routing scratch to the new link count, so no later slot on this
+    /// table allocates.
     fn update_routing_caps(
         &mut self,
         up: impl Fn(usize) -> bool,
@@ -410,8 +441,8 @@ impl Part {
         self.caps_mask.clear();
         self.caps_mask.extend(nodes.iter().map(|&g| up(g)));
         let (net, mask) = (&self.net, &self.caps_mask);
-        self.routing_caps.clear();
-        self.routing_caps.extend(
+        self.routing.rebuild(
+            nodes.len(),
             net.topology()
                 .ordered_pairs()
                 .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
@@ -419,6 +450,7 @@ impl Part {
                 .filter(|&(i, _)| relay.may_relay(net, i))
                 .map(|(i, j)| (i, j, beta_cap)),
         );
+        self.reserve_routing(self.routing.caps().len());
     }
 
     /// Recomputes the link service from the (possibly shed) schedule —
@@ -455,6 +487,11 @@ impl Part {
     /// [`Part::advanced`], with this part's Lyapunov term before the
     /// advance (from the slot's shifted levels `z`) and after it (from the
     /// post-slot levels `z_after`); both are indexed by global node.
+    ///
+    /// Debug builds also check the queue laws (15) and (28) as
+    /// conservation over the queues the slot names:
+    /// `ΣQ(t+1) + delivered(t) = ΣQ(t) + admitted(t) + phantom(t)` and
+    /// `ΣG(t+1) = ΣG(t) + routed(t) − useful service(t)`.
     pub(crate) fn advance(&mut self, z: &[f64], z_after: &[f64]) {
         let lyapunov =
             |p: &Self, z: &[f64]| lyapunov_value(&p.data, &p.links, p.nodes.iter().map(|&g| z[g]));
@@ -472,8 +509,12 @@ impl Part {
             .map(|&(_, _, k)| k.count())
             .sum();
         let routed = self.flows.total().count();
+        let law = cfg!(debug_assertions).then(|| self.queue_law_terms());
         self.data.advance(&self.flows, &self.admission_triples);
         self.links.advance(&self.flows, &self.link_service);
+        if let Some(before) = law {
+            self.check_queue_laws(before, admitted, routed);
+        }
         self.advanced = PartAdvance {
             lyapunov_before,
             lyapunov_after: lyapunov(self, z_after),
@@ -482,6 +523,92 @@ impl Part {
             scheduled_links: self.outcome.schedule.len(),
         };
     }
+
+    /// Collects the queues this slot's flows, admissions and service name
+    /// and reads their queue-law terms before the advance.
+    fn queue_law_terms(&mut self) -> LawTerms {
+        let n = self.nodes.len();
+        let (data, links) = (&mut self.law_data, &mut self.law_links);
+        for (s, i, j, _) in self.flows.iter_nonzero() {
+            data.extend([s.index() * n + i.index(), s.index() * n + j.index()]);
+            links.push(i.index() * n + j.index());
+        }
+        data.extend(
+            self.admission_triples
+                .iter()
+                .map(|&(s, i, _)| s.index() * n + i.index()),
+        );
+        links.extend(
+            self.link_service
+                .iter()
+                .map(|&(i, j, _)| i.index() * n + j.index()),
+        );
+        for keys in [data, links] {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        let mut terms = self.law_terms();
+        terms.useful_service = self
+            .link_service
+            .iter()
+            .map(|&(i, j, b)| self.links.g(i, j).min(b).count())
+            .sum();
+        terms
+    }
+
+    /// The queue-law terms of the collected queues as they stand.
+    fn law_terms(&self) -> LawTerms {
+        let n = self.nodes.len();
+        let node = NodeId::from_index;
+        let total = |v: &[Packets]| v.iter().map(|p| p.count()).sum();
+        LawTerms {
+            data: (self.law_data.iter())
+                .map(|&k| {
+                    let s = SessionId::from_index(k / n);
+                    self.data.backlog(node(k % n), s).count()
+                })
+                .sum(),
+            links: (self.law_links.iter())
+                .map(|&k| self.links.g(node(k / n), node(k % n)).count())
+                .sum(),
+            delivered: total(self.data.delivered_per_session()),
+            phantom: total(self.data.phantom_per_session()),
+            useful_service: 0,
+        }
+    }
+
+    /// Compares the terms after the advance with `before`.
+    fn check_queue_laws(&mut self, before: LawTerms, admitted: u64, routed: u64) {
+        let after = self.law_terms();
+        let (first, n) = (
+            self.nodes.first().copied().unwrap_or_default(),
+            self.nodes.len(),
+        );
+        debug_assert_eq!(
+            after.data + (after.delivered - before.delivered),
+            before.data + admitted + (after.phantom - before.phantom),
+            "part from global node {first} ({n} nodes): queue law (15) does not conserve packets"
+        );
+        debug_assert_eq!(
+            after.links,
+            before.links + routed - before.useful_service,
+            "part from global node {first} ({n} nodes): queue law (28) does not conserve packets"
+        );
+        self.law_data.clear();
+        self.law_links.clear();
+    }
+}
+
+/// The queue-law terms over the queues a slot names: their data and link
+/// backlogs, the part's delivered and phantom totals, and (before the
+/// advance) the service the schedule can actually use, `Σ min(G_ij, b_ij)`.
+#[derive(Debug, Clone, Copy)]
+struct LawTerms {
+    data: u64,
+    links: u64,
+    delivered: u64,
+    phantom: u64,
+    useful_service: u64,
 }
 
 /// Realized per-link service in packets for the scheduled links, written
@@ -600,7 +727,20 @@ mod tests {
             for mask in [&all_up, &all_up, &bs_down, &all_up, &user_down, &all_up] {
                 part.update_routing_caps(|g| mask[g], relay, cap);
                 let fresh = fresh_caps(&part, mask, relay, cap);
-                assert_eq!(part.routing_caps, fresh, "{}: {mask:?}", relay.key());
+                let table = &part.routing;
+                assert_eq!(table.caps(), fresh, "{}: {mask:?}", relay.key());
+                // Sender offsets and in-link lists index exactly the fresh
+                // caps of each node, in cap order.
+                for k in 0..6 {
+                    let node = NodeId::from_index(k);
+                    let out: Vec<usize> =
+                        (0..fresh.len()).filter(|&x| fresh[x].0 == node).collect();
+                    let into: Vec<usize> =
+                        (0..fresh.len()).filter(|&x| fresh[x].1 == node).collect();
+                    assert_eq!(table.out_links(node).collect::<Vec<_>>(), out, "{mask:?}");
+                    assert_eq!(table.in_links(node).collect::<Vec<_>>(), into, "{mask:?}");
+                }
+                assert_eq!(table, &RoutingTable::new(6, fresh.iter().copied()));
                 assert!(!fresh.is_empty());
                 if mask != &all_up {
                     assert_ne!(

@@ -28,22 +28,160 @@
 //! actual backlog (the paper's `max{·,0}` tolerates phantom packets; we
 //! do not manufacture them), and each link carries at most one session per
 //! slot (the paper's winner-take-all, applied after delivery flows).
+//!
+//! ## The sparse kernel
+//!
+//! A slot's backlog sits at a few senders: an average `city` part holds
+//! about 6 non-empty data queues among 52 and routes about 7 flows over
+//! some 2 600 routable links. [`route_flows_into`] therefore works from a
+//! [`RoutingTable`] — the caps grouped by sender, with per-sender offsets
+//! and per-destination in-link lists, rebuilt only when a part's up-mask
+//! changes — and touches only what can move packets: phase 1 scans each
+//! destination's in-links, phase 2 the out-links of senders with backlog
+//! left. The global greedy over `(w, s, link)` splits exactly by sender,
+//! because a candidate's outcome reads only its link's cap and use and
+//! its sender's backlog, all of which belong to the sender; so each
+//! sender's candidates are sorted by the same comparator and run in turn.
+//! Remaining caps live in retained scratch, and a call resets just the
+//! links it spent. [`route_flows_reference`], the dense original, is the
+//! oracle of the lockstep test `crates/core/tests/prop_s3_kernel.rs`.
 
 use crate::Admission;
 use greencell_net::{Network, NodeId, SessionId};
 use greencell_queue::{DataQueueBank, FlowPlan, LinkQueueBank};
 use greencell_units::Packets;
+use std::ops::Range;
 
-/// Retained scratch for [`route_flows_into`]: remaining link capacities,
-/// per-node backlogs, the phase-2 candidate heap, and the one-session-per-
-/// link marker. All buffers are cleared and refilled each slot; none shrink,
-/// so steady-state routing performs zero heap allocations.
+/// The links routing may use, with their per-slot flow caps in packets,
+/// grouped by sender, plus per-sender offsets into the list and
+/// per-receiver lists of in-links — what lets S3 visit only the links of
+/// backlogged senders and of destinations. A controller rebuilds it only
+/// when a part's up-mask changes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoutingTable {
+    caps: Vec<(NodeId, NodeId, Packets)>,
+    /// `caps[out_start[i]..out_start[i + 1]]` are node `i`'s out-links.
+    out_start: Vec<usize>,
+    /// `in_links[in_start[j]..in_start[j + 1]]` index node `j`'s in-links
+    /// into `caps`, ascending.
+    in_start: Vec<usize>,
+    in_links: Vec<u32>,
+}
+
+impl RoutingTable {
+    /// The table over `nodes` nodes for `caps`; see
+    /// [`RoutingTable::rebuild`].
+    ///
+    /// # Panics
+    ///
+    /// As [`RoutingTable::rebuild`].
+    #[must_use]
+    pub(crate) fn new(
+        nodes: usize,
+        caps: impl IntoIterator<Item = (NodeId, NodeId, Packets)>,
+    ) -> Self {
+        let mut table = Self::default();
+        table.rebuild(nodes, caps);
+        table
+    }
+
+    /// Grows the buffers for `nodes` nodes and `links` links, so rebuilding
+    /// within those bounds allocates nothing.
+    pub(crate) fn reserve(&mut self, nodes: usize, links: usize) {
+        reserve_total(&mut self.caps, links);
+        reserve_total(&mut self.out_start, nodes + 1);
+        reserve_total(&mut self.in_start, nodes + 1);
+        reserve_total(&mut self.in_links, links);
+    }
+
+    /// Replaces the links with `caps`, `(i, j, cap)` triples over `nodes`
+    /// nodes, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the triples are not grouped by ascending sender (the order
+    /// of `Topology::ordered_pairs`), or a link is a self-loop or names a
+    /// node out of range.
+    pub fn rebuild(
+        &mut self,
+        nodes: usize,
+        caps: impl IntoIterator<Item = (NodeId, NodeId, Packets)>,
+    ) {
+        self.caps.clear();
+        self.caps.extend(caps);
+        assert!(
+            self.caps.windows(2).all(|w| w[0].0 <= w[1].0),
+            "routing caps must be grouped by ascending sender"
+        );
+        self.out_start.clear();
+        self.out_start.resize(nodes + 1, 0);
+        self.in_start.clear();
+        self.in_start.resize(nodes + 1, 0);
+        for &(i, j, _) in &self.caps {
+            assert!(
+                i != j && i.index() < nodes && j.index() < nodes,
+                "routing link {i} → {j} is a self-loop or out of range"
+            );
+            self.out_start[i.index() + 1] += 1;
+            self.in_start[j.index() + 1] += 1;
+        }
+        for k in 0..nodes {
+            self.out_start[k + 1] += self.out_start[k];
+            self.in_start[k + 1] += self.in_start[k];
+        }
+        // A counting sort by receiver: `in_start[j]` serves as receiver
+        // `j`'s write cursor, which leaves it at `j`'s end — the start of
+        // `j + 1` — so one shift restores the starts.
+        assert!(u32::try_from(self.caps.len()).is_ok(), "too many links");
+        self.in_links.clear();
+        self.in_links.resize(self.caps.len(), 0);
+        for (idx, &(_, j, _)) in self.caps.iter().enumerate() {
+            let at = &mut self.in_start[j.index()];
+            self.in_links[*at] = idx as u32;
+            *at += 1;
+        }
+        self.in_start.copy_within(0..nodes, 1);
+        self.in_start[0] = 0;
+    }
+
+    /// Every routable link with its cap, grouped by ascending sender.
+    #[must_use]
+    pub(crate) fn caps(&self) -> &[(NodeId, NodeId, Packets)] {
+        &self.caps
+    }
+
+    /// The positions in [`RoutingTable::caps`] of node `i`'s out-links.
+    #[must_use]
+    pub(crate) fn out_links(&self, i: NodeId) -> Range<usize> {
+        self.out_start[i.index()]..self.out_start[i.index() + 1]
+    }
+
+    /// The positions in [`RoutingTable::caps`] of node `j`'s in-links,
+    /// ascending.
+    pub(crate) fn in_links(&self, j: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let range = self.in_start[j.index()]..self.in_start[j.index() + 1];
+        self.in_links[range].iter().map(|&idx| idx as usize)
+    }
+}
+
+/// Retained scratch for [`route_flows_into`]. Between calls every link's
+/// spent cap is zero; a call resets just the links it touched. No buffer
+/// shrinks, so steady-state routing performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct S3Scratch {
-    cap: Vec<(NodeId, NodeId, Packets)>,
-    backlog: Vec<Packets>,
-    combos: Vec<(f64, SessionId, usize)>,
-    link_used: Vec<bool>,
+    /// Packets of each link's cap spent so far this call. Phase 2 hands a
+    /// link to one session only, so it marks the link's whole cap spent.
+    spent: Vec<Packets>,
+    /// Each session's chosen source `s_s(t)`, if admitted.
+    source: Vec<Option<NodeId>>,
+    /// Each session's phase-1 link and the packets it delivered.
+    delivery: Vec<Option<(usize, Packets)>>,
+    /// Phase 2's `(sender, session, unspent backlog)`, by sender, then
+    /// session.
+    senders: Vec<(NodeId, SessionId, Packets)>,
+    /// One sender's negative-coefficient candidates `(w, s, link, k)`,
+    /// where `k` is the candidate's place in the sender's `senders` run.
+    combos: Vec<(f64, SessionId, usize, usize)>,
 }
 
 impl S3Scratch {
@@ -54,14 +192,24 @@ impl S3Scratch {
     }
 
     /// Grows the buffers for `nodes` nodes, `sessions` sessions, and up to
-    /// `links` routable links, so a steady-state slot allocates nothing
-    /// even when the backpressure candidate set hits a new peak.
+    /// `links` routable links (in all: reserving the same bounds twice
+    /// grows nothing), so a steady-state slot allocates nothing
+    /// even when the backpressure candidate set hits a new peak: one
+    /// sender offers at most `nodes − 1` links to each of `sessions`
+    /// sessions.
     pub fn reserve(&mut self, nodes: usize, sessions: usize, links: usize) {
-        self.cap.reserve(links);
-        self.backlog.reserve(nodes * sessions);
-        self.combos.reserve(links * sessions);
-        self.link_used.reserve(links);
+        reserve_total(&mut self.spent, links);
+        reserve_total(&mut self.source, sessions);
+        reserve_total(&mut self.delivery, sessions);
+        reserve_total(&mut self.senders, nodes * sessions);
+        reserve_total(&mut self.combos, nodes * sessions);
     }
+}
+
+/// Makes room for `total` elements in all (not in addition to the
+/// present ones), so reserving the same bounds again is free.
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    v.reserve(total.saturating_sub(v.len()));
 }
 
 /// Runs S3.
@@ -73,7 +221,9 @@ impl S3Scratch {
 ///
 /// # Panics
 ///
-/// Panics if `session_demand.len()` differs from the session count.
+/// Panics if `session_demand.len()` differs from the session count, or
+/// `routing_caps` is not grouped by ascending sender (see
+/// [`RoutingTable::rebuild`]).
 #[must_use]
 pub fn route_flows(
     net: &Network,
@@ -83,13 +233,14 @@ pub fn route_flows(
     admissions: &[Admission],
     session_demand: &[Packets],
 ) -> FlowPlan {
+    let table = RoutingTable::new(net.topology().len(), routing_caps.iter().copied());
     let mut scratch = S3Scratch::new();
     let mut plan = FlowPlan::new(net.topology().len(), net.session_count());
     route_flows_into(
         net,
         data,
         links,
-        routing_caps,
+        &table,
         admissions,
         session_demand,
         &mut scratch,
@@ -98,9 +249,21 @@ pub fn route_flows(
     plan
 }
 
-/// [`route_flows`] into caller-owned scratch and plan — the pipeline's
-/// allocation-free path. The plan is reset to the network's dimensions
-/// (retaining its buffer); decisions are identical to [`route_flows`].
+/// [`route_flows`] over a prebuilt [`RoutingTable`], into caller-owned
+/// scratch and plan — the pipeline's allocation-free path. The plan is
+/// reset to the network's dimensions (retaining its buffer).
+///
+/// The work is proportional to the links of the destinations and of the
+/// backlogged senders:
+/// * phase 1 scans each destination's in-links only;
+/// * phase 2 visits only `(session, sender)` pairs with backlog left
+///   after phase 1. Every input to a candidate's outcome — its link's
+///   remaining cap, whether the link is used, the sender's backlog —
+///   belongs to the link's sender, so sorting each sender's candidates by
+///   the global comparator `(w, s, link)` and running the greedy sender by
+///   sender reproduces the global greedy exactly.
+///
+/// Decisions are identical to [`route_flows_reference`].
 ///
 /// # Panics
 ///
@@ -110,7 +273,7 @@ pub fn route_flows_into(
     net: &Network,
     data: &DataQueueBank,
     links: &LinkQueueBank,
-    routing_caps: &[(NodeId, NodeId, Packets)],
+    table: &RoutingTable,
     admissions: &[Admission],
     session_demand: &[Packets],
     scratch: &mut S3Scratch,
@@ -118,16 +281,156 @@ pub fn route_flows_into(
 ) {
     let sessions = net.session_count();
     assert_eq!(session_demand.len(), sessions, "one demand per session");
+    let beta = links.beta();
+    plan.reset(net.topology().len(), sessions);
+    let caps = table.caps();
+    let S3Scratch {
+        spent,
+        source,
+        delivery,
+        senders,
+        combos,
+    } = scratch;
+    spent.resize(caps.len(), Packets::ZERO);
+    // The first admission of a session names its source.
+    source.clear();
+    source.resize(sessions, None);
+    for a in admissions.iter().rev() {
+        if let Some(slot) = source.get_mut(a.session.index()) {
+            *slot = Some(a.source);
+        }
+    }
+    let coeff = |s: SessionId, i: NodeId, j: NodeId| -> f64 {
+        -data.backlog(i, s).count_f64() + data.backlog(j, s).count_f64() + beta * links.h(i, j)
+    };
+
+    // Phase 1: destination delivery per (18), over the destination's
+    // in-links only.
+    delivery.clear();
+    delivery.resize(sessions, None);
+    for session in net.sessions() {
+        let s = session.id();
+        let dest = session.destination();
+        let want = session_demand[s.index()];
+        if want == Packets::ZERO {
+            continue;
+        }
+        // Cheapest link into the destination with spare capacity and actual
+        // backlog at the sender.
+        let best = table
+            .in_links(dest)
+            .filter(|&idx| {
+                let (i, _, c) = caps[idx];
+                c.saturating_sub(spent[idx]) > Packets::ZERO
+                    && i != dest
+                    && data.backlog(i, s) > Packets::ZERO
+            })
+            .min_by(|&a, &b| {
+                let ((i1, j1, _), (i2, j2, _)) = (caps[a], caps[b]);
+                coeff(s, i1, j1)
+                    .total_cmp(&coeff(s, i2, j2))
+                    .then(i1.cmp(&i2))
+            });
+        if let Some(idx) = best {
+            let (i, j, c) = caps[idx];
+            let amount = want
+                .min(c.saturating_sub(spent[idx]))
+                .min(data.backlog(i, s));
+            plan.set(s, i, j, amount);
+            spent[idx] += amount;
+            delivery[s.index()] = Some((idx, amount));
+        }
+    }
+
+    // Phase 2: backpressure — greedy over (session, link) pairs with
+    // negative coefficients, one session per link, sender by sender. Only
+    // a sender with backlog can have a negative coefficient, and one whose
+    // backlog phase 1 spent moves nothing.
+    senders.clear();
+    senders.extend(data.nonempty_backlogs().filter_map(|(i, s, q)| {
+        let taken = match delivery[s.index()] {
+            Some((idx, amount)) if caps[idx].0 == i => amount,
+            _ => Packets::ZERO,
+        };
+        let left = q.saturating_sub(taken);
+        (left > Packets::ZERO).then_some((i, s, left))
+    }));
+    senders.sort_unstable_by_key(|&(i, s, _)| (i, s));
+    for run in senders.chunk_by_mut(|a, b| a.0 == b.0) {
+        let i = run[0].0;
+        combos.clear();
+        for (k, &(_, s, _)) in run.iter().enumerate() {
+            let dest = net.session(s).destination();
+            if i == dest {
+                continue; // (17)
+            }
+            for idx in table.out_links(i) {
+                let (_, j, c) = caps[idx];
+                if c.saturating_sub(spent[idx]) == Packets::ZERO
+                    || Some(j) == source[s.index()] // (16)
+                    || j == dest
+                // dest inflow handled in phase 1
+                {
+                    continue;
+                }
+                let w = coeff(s, i, j);
+                if w < 0.0 {
+                    combos.push((w, s, idx, k));
+                }
+            }
+        }
+        // Unstable sort is in-place (no merge buffer) and — because the
+        // `(session, link)` pair makes every candidate distinct under this
+        // comparator — yields exactly the order a stable sort would.
+        combos.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        for &(_, s, idx, k) in combos.iter() {
+            // A used link has its whole cap spent, so it moves nothing.
+            let (_, j, c) = caps[idx];
+            let amount = c.saturating_sub(spent[idx]).min(run[k].2);
+            if amount == Packets::ZERO {
+                continue;
+            }
+            let already = plan.get(s, i, j);
+            plan.set(s, i, j, already + amount);
+            spent[idx] = c;
+            run[k].2 = run[k].2.saturating_sub(amount);
+        }
+        // No later sender reads this sender's links.
+        for &(_, _, idx, _) in combos.iter() {
+            spent[idx] = Packets::ZERO;
+        }
+    }
+    for &(idx, _) in delivery.iter().flatten() {
+        spent[idx] = Packets::ZERO;
+    }
+}
+
+/// Reference implementation of [`route_flows`]: phase 1 scans every link
+/// once per session, phase 2 sorts every negative `(session, link)`
+/// candidate of the slot in one global list, over dense copies of the caps
+/// and backlogs. The test oracle of [`route_flows_into`].
+///
+/// # Panics
+///
+/// Panics if `session_demand.len()` differs from the session count.
+#[must_use]
+pub fn route_flows_reference(
+    net: &Network,
+    data: &DataQueueBank,
+    links: &LinkQueueBank,
+    routing_caps: &[(NodeId, NodeId, Packets)],
+    admissions: &[Admission],
+    session_demand: &[Packets],
+) -> FlowPlan {
+    let sessions = net.session_count();
+    assert_eq!(session_demand.len(), sessions, "one demand per session");
     let nodes = net.topology().len();
     let beta = links.beta();
-    plan.reset(nodes, sessions);
+    let mut plan = FlowPlan::new(nodes, sessions);
 
     // Remaining link capacity and remaining sender backlog (anti-phantom).
-    let cap = &mut scratch.cap;
-    cap.clear();
-    cap.extend_from_slice(routing_caps);
-    let backlog = &mut scratch.backlog;
-    backlog.clear();
+    let mut cap = routing_caps.to_vec();
+    let mut backlog = Vec::with_capacity(nodes * sessions);
     for s in 0..sessions {
         for i in 0..nodes {
             backlog.push(data.backlog(NodeId::from_index(i), SessionId::from_index(s)));
@@ -182,8 +485,7 @@ pub fn route_flows_into(
 
     // Phase 2: backpressure — globally greedy over (session, link) pairs
     // with negative coefficients, one session per link.
-    let combos = &mut scratch.combos;
-    combos.clear();
+    let mut combos = Vec::new();
     for (idx, &(i, j, c)) in cap.iter().enumerate() {
         if c == Packets::ZERO {
             continue;
@@ -203,14 +505,9 @@ pub fn route_flows_into(
             }
         }
     }
-    // Unstable sort is in-place (no merge buffer) and — because the
-    // `(session, link)` pair makes every triple distinct under this
-    // comparator — yields exactly the order a stable sort would.
     combos.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let link_used = &mut scratch.link_used;
-    link_used.clear();
-    link_used.resize(cap.len(), false);
-    for &(_, s, idx) in combos.iter() {
+    let mut link_used = vec![false; cap.len()];
+    for &(_, s, idx) in &combos {
         if link_used[idx] {
             continue;
         }
@@ -226,6 +523,7 @@ pub fn route_flows_into(
         backlog[bi] = backlog[bi].saturating_sub(amount);
         link_used[idx] = true;
     }
+    plan
 }
 
 #[cfg(test)]

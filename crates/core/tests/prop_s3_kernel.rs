@@ -1,0 +1,344 @@
+//! Lockstep property tests for the S3 kernel: [`route_flows_into`], which
+//! scans only each destination's in-links and each backlogged sender's
+//! out-links and sorts the candidates sender by sender, against
+//! [`route_flows_reference`], which scans every link and sorts every
+//! candidate of the slot in one list, on the same input.
+//!
+//! Over random 4–9-node networks with 1–6 sessions (often two with the
+//! same destination), per-node band subsets (so some pairs cannot route),
+//! down nodes under both relay policies, backlogs, link queues and caps
+//! drawn from short lists (so coefficients tie, caps bind and senders run
+//! dry), the kernel's flow list must equal the reference's non-zero
+//! entries exactly.
+
+use greencell_core::{
+    route_flows_into, route_flows_reference, Admission, RelayPolicy, RoutingTable, S3Scratch,
+};
+use greencell_net::{
+    BandId, BandSet, Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId,
+};
+use greencell_queue::{DataQueueBank, FlowPlan, LinkQueueBank};
+use greencell_stochastic::Rng;
+use greencell_units::{DataRate, Packets};
+use proptest::prelude::*;
+
+struct Instance {
+    net: Network,
+    data: DataQueueBank,
+    links: LinkQueueBank,
+    relay: RelayPolicy,
+    up: Vec<bool>,
+    caps: Vec<(NodeId, NodeId, Packets)>,
+    admissions: Vec<Admission>,
+    demand: Vec<Packets>,
+}
+
+fn pick<T: Copy>(rng: &mut Rng, options: &[T]) -> T {
+    options[rng.index(options.len())]
+}
+
+/// One random S3 input, built the way a controller part builds it: caps
+/// over the ordered pairs that share a band, with both ends up and a
+/// sender the relay policy lets transmit.
+fn instance(seed: u64) -> Instance {
+    let mut rng = Rng::seed_from(seed);
+    let n = 4 + rng.index(6);
+    let bs_count = 1 + rng.index(2);
+    let bands = 1 + rng.index(2);
+    let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
+    for k in 0..n {
+        let p = Point::new(rng.range_f64(0.0, 1500.0), rng.range_f64(0.0, 1500.0));
+        let node = if k < bs_count {
+            b.add_base_station(p)
+        } else {
+            b.add_user(p)
+        };
+        if bands > 1 && rng.index(3) == 0 {
+            b.set_bands(
+                node,
+                BandSet::from_iter([BandId::from_index(rng.index(bands))]),
+            );
+        }
+    }
+    let sessions = 1 + rng.index(6);
+    let mut destinations = Vec::with_capacity(sessions);
+    for s in 0..sessions {
+        let dest = if s > 0 && rng.index(3) == 0 {
+            destinations[rng.index(s)]
+        } else {
+            NodeId::from_index(bs_count + rng.index(n - bs_count))
+        };
+        destinations.push(dest);
+        b.add_session(dest, DataRate::from_kilobits_per_second(100.0));
+    }
+    let net = b.build().expect("valid network");
+
+    let mut data = DataQueueBank::new(n, &destinations);
+    let mut fill = Vec::new();
+    for (s, &dest) in destinations.iter().enumerate() {
+        for i in (0..n).filter(|&i| i != dest.index()) {
+            let k = pick(&mut rng, &[0, 0, 0, 5, 40, 40, 120, 300]);
+            if k > 0 {
+                fill.push((
+                    SessionId::from_index(s),
+                    NodeId::from_index(i),
+                    Packets::new(k),
+                ));
+            }
+        }
+    }
+    data.advance(&FlowPlan::new(n, sessions), &fill);
+
+    let beta = pick(&mut rng, &[0.5, 1.0, 2.0]);
+    let mut links = LinkQueueBank::new(n, beta);
+    let mut plan = FlowPlan::new(n, 1);
+    for _ in 0..n {
+        let i = rng.index(n);
+        let j = (i + 1 + rng.index(n - 1)) % n;
+        let g = pick(&mut rng, &[0, 1, 10, 40]);
+        plan.set(
+            SessionId::from_index(0),
+            NodeId::from_index(i),
+            NodeId::from_index(j),
+            Packets::new(g),
+        );
+    }
+    links.advance(&plan, &[]);
+
+    let relay = pick(&mut rng, &[RelayPolicy::MultiHop, RelayPolicy::OneHop]);
+    let up: Vec<bool> = (0..n).map(|_| rng.index(6) != 0).collect();
+    let caps = net
+        .topology()
+        .ordered_pairs()
+        .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
+        .filter(|&(i, j)| up[i.index()] && up[j.index()])
+        .filter(|&(i, _)| relay.may_relay(&net, i))
+        .map(|(i, j)| {
+            (
+                i,
+                j,
+                Packets::new(pick(&mut rng, &[0, 3, 30, 30, 100, 1000])),
+            )
+        })
+        .collect();
+
+    let mut admissions = Vec::new();
+    for (s, &dest) in destinations.iter().enumerate() {
+        if rng.index(4) == 0 {
+            continue;
+        }
+        let source = if rng.index(4) == 0 {
+            (0..n)
+                .map(NodeId::from_index)
+                .find(|&i| i != dest)
+                .expect("n ≥ 4")
+        } else {
+            NodeId::from_index(rng.index(bs_count))
+        };
+        admissions.push(Admission {
+            session: SessionId::from_index(s),
+            source,
+            packets: Packets::new(pick(&mut rng, &[0, 10])),
+        });
+    }
+    let demand = (0..sessions)
+        .map(|_| Packets::new(pick(&mut rng, &[0, 0, 5, 30, 200])))
+        .collect();
+    Instance {
+        net,
+        data,
+        links,
+        relay,
+        up,
+        caps,
+        admissions,
+        demand,
+    }
+}
+
+type Flows = Vec<(SessionId, NodeId, NodeId, Packets)>;
+
+fn reference_flows(inst: &Instance) -> Flows {
+    route_flows_reference(
+        &inst.net,
+        &inst.data,
+        &inst.links,
+        &inst.caps,
+        &inst.admissions,
+        &inst.demand,
+    )
+    .iter_nonzero()
+    .collect()
+}
+
+/// The kernel's flow list, through a table and scratch reused across
+/// instances (so resets between calls and table rebuilds are exercised).
+fn kernel_flows(
+    inst: &Instance,
+    table: &mut RoutingTable,
+    scratch: &mut S3Scratch,
+    plan: &mut FlowPlan,
+) -> Flows {
+    table.rebuild(inst.net.topology().len(), inst.caps.iter().copied());
+    route_flows_into(
+        &inst.net,
+        &inst.data,
+        &inst.links,
+        table,
+        &inst.admissions,
+        &inst.demand,
+        scratch,
+        plan,
+    );
+    plan.iter_nonzero().collect()
+}
+
+/// The backpressure coefficient `−Q^s_i + Q^s_j + β·H_ij`.
+fn coeff(inst: &Instance, s: SessionId, i: NodeId, j: NodeId) -> f64 {
+    -inst.data.backlog(i, s).count_f64()
+        + inst.data.backlog(j, s).count_f64()
+        + inst.links.beta() * inst.links.h(i, j)
+}
+
+/// What one instance exercises, read off the input and the reference's
+/// flows.
+#[derive(Default)]
+struct Coverage {
+    shared_destination: usize,
+    coefficient_ties: usize,
+    spent_senders: usize,
+    phase1_exhausts_a_cap: usize,
+    down_nodes: usize,
+    one_hop: usize,
+}
+
+fn coverage(inst: &Instance, flows: &Flows, cov: &mut Coverage) {
+    let sessions = inst.net.sessions();
+    let dest = |s: SessionId| sessions[s.index()].destination();
+    let source = |s: SessionId| {
+        inst.admissions
+            .iter()
+            .find(|a| a.session == s)
+            .map(|a| a.source)
+    };
+    let routing = |s: SessionId| {
+        inst.demand[s.index()] > Packets::ZERO && flows.iter().any(|f| f.0 == s && f.2 == dest(s))
+    };
+    let delivering: Vec<SessionId> = sessions
+        .iter()
+        .map(|x| x.id())
+        .filter(|&s| routing(s))
+        .collect();
+    if delivering
+        .iter()
+        .enumerate()
+        .any(|(a, &s)| delivering[..a].iter().any(|&t| dest(t) == dest(s)))
+    {
+        cov.shared_destination += 1;
+    }
+    // Negative phase-2 candidates per sender.
+    let mut candidates = Vec::new();
+    for &(i, j, c) in &inst.caps {
+        for x in sessions {
+            let s = x.id();
+            if c > Packets::ZERO && Some(j) != source(s) && i != dest(s) && j != dest(s) {
+                let w = coeff(inst, s, i, j);
+                if w < 0.0 {
+                    candidates.push((i, s, w));
+                }
+            }
+        }
+    }
+    if candidates
+        .iter()
+        .enumerate()
+        .any(|(a, x)| candidates[..a].iter().any(|y| y.0 == x.0 && y.2 == x.2))
+    {
+        cov.coefficient_ties += 1;
+    }
+    // A sender whose backlog ran out with negative candidates left over.
+    let spent = candidates.iter().any(|&(i, s, _)| {
+        let out: u64 = flows
+            .iter()
+            .filter(|f| f.0 == s && f.1 == i)
+            .map(|f| f.3.count())
+            .sum();
+        let used = flows
+            .iter()
+            .filter(|f| f.0 == s && f.1 == i && f.2 != dest(s))
+            .count();
+        let offered = candidates.iter().filter(|y| y.0 == i && y.1 == s).count();
+        out == inst.data.backlog(i, s).count() && used < offered
+    });
+    if spent {
+        cov.spent_senders += 1;
+    }
+    let exhausts = flows.iter().any(|&(s, i, j, l)| {
+        j == dest(s)
+            && inst
+                .caps
+                .iter()
+                .any(|&(a, b, c)| (a, b) == (i, j) && c == l)
+    });
+    if exhausts {
+        cov.phase1_exhausts_a_cap += 1;
+    }
+    if inst.up.iter().any(|&u| !u) {
+        cov.down_nodes += 1;
+    }
+    if inst.relay == RelayPolicy::OneHop {
+        cov.one_hop += 1;
+    }
+}
+
+/// The instance family reaches every case the kernel's exactness argument
+/// rests on, and routes something in most instances.
+#[test]
+fn instances_cover_ties_spent_senders_and_shared_destinations() {
+    let mut cov = Coverage::default();
+    let mut routed = 0;
+    let cases = 300;
+    for seed in 0..cases {
+        let inst = instance(seed);
+        let flows = reference_flows(&inst);
+        routed += usize::from(!flows.is_empty());
+        coverage(&inst, &flows, &mut cov);
+    }
+    for (what, count) in [
+        (
+            "two delivering sessions with one destination",
+            cov.shared_destination,
+        ),
+        ("tied coefficients at one sender", cov.coefficient_ties),
+        ("spent senders", cov.spent_senders),
+        (
+            "phase-1 deliveries that exhaust a cap",
+            cov.phase1_exhausts_a_cap,
+        ),
+        ("down nodes", cov.down_nodes),
+        ("one-hop relaying", cov.one_hop),
+    ] {
+        assert!(count >= 10, "only {count} of {cases} instances have {what}");
+    }
+    assert!(
+        routed * 2 > cases as usize,
+        "only {routed} of {cases} instances route"
+    );
+}
+
+proptest! {
+    /// The kernel's flows equal the reference's non-zero entries, with one
+    /// table, scratch and plan reused across the cases.
+    #[test]
+    fn kernel_matches_reference_in_lockstep(seed in any::<u64>()) {
+        let mut table = RoutingTable::default();
+        let mut scratch = S3Scratch::new();
+        let mut plan = FlowPlan::empty();
+        for case in 0..8u64 {
+            let inst = instance(seed.wrapping_add(case));
+            let kernel = kernel_flows(&inst, &mut table, &mut scratch, &mut plan);
+            let reference = reference_flows(&inst);
+            prop_assert_eq!(kernel, reference);
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! The network-layer data queues `Q^s_i(t)` of Eq. (15).
 
-use crate::{FlowPlan, PacketQueue};
+use crate::{queue::NonEmpty, FlowPlan, PacketQueue};
 use greencell_net::{NodeId, SessionId};
 use greencell_units::Packets;
 
@@ -43,6 +43,8 @@ pub struct DataQueueBank {
     destinations: Vec<NodeId>,
     /// `queues[s·n + i]`.
     queues: Vec<PacketQueue>,
+    /// The indices of the non-empty `queues`, ascending.
+    nonempty: NonEmpty,
     delivered: Vec<Packets>,
     phantom_forwarded: Vec<Packets>,
 }
@@ -60,10 +62,12 @@ impl DataQueueBank {
             destinations.iter().all(|d| d.index() < nodes),
             "destination out of range"
         );
+        let queues = vec![PacketQueue::new(); destinations.len() * nodes];
         Self {
             nodes,
             destinations: destinations.to_vec(),
-            queues: vec![PacketQueue::new(); destinations.len() * nodes],
+            nonempty: NonEmpty::empty(queues.len()),
+            queues,
             delivered: vec![Packets::ZERO; destinations.len()],
             phantom_forwarded: vec![Packets::ZERO; destinations.len()],
         }
@@ -103,10 +107,10 @@ impl DataQueueBank {
             .sum()
     }
 
-    /// Sum of all backlogs in the bank.
+    /// Sum of all backlogs in the bank, O(non-empty queues).
     #[must_use]
     pub fn total_backlog(&self) -> Packets {
-        self.queues.iter().map(PacketQueue::backlog).sum()
+        self.nonempty_backlogs().map(|(_, _, q)| q).sum()
     }
 
     /// Packets delivered to session `s`'s destination so far.
@@ -124,6 +128,18 @@ impl DataQueueBank {
                 let session = SessionId::from_index(s);
                 (node, session, self.backlog(node, session))
             })
+        })
+    }
+
+    /// Iterates over the non-empty queues as `(node, session, backlog)`,
+    /// in the order of [`DataQueueBank::backlogs`], O(non-empty queues).
+    pub fn nonempty_backlogs(&self) -> impl Iterator<Item = (NodeId, SessionId, Packets)> + '_ {
+        self.nonempty.iter().map(move |k| {
+            (
+                NodeId::from_index(k % self.nodes),
+                SessionId::from_index(k / self.nodes),
+                self.queues[k].backlog(),
+            )
         })
     }
 
@@ -171,6 +187,7 @@ impl DataQueueBank {
             "session mismatch"
         );
         self.queues.copy_from_slice(queues);
+        self.nonempty.rebuild(&self.queues);
         self.delivered.copy_from_slice(delivered);
         self.phantom_forwarded.copy_from_slice(phantom);
     }
@@ -179,6 +196,14 @@ impl DataQueueBank {
     ///
     /// `admissions` lists `(s, s_s(t), k_s(t))` — the packets the chosen
     /// source base station accepts from the Internet for each session.
+    ///
+    /// Only the queues the plan and the admissions name are touched: every
+    /// flow first serves its sender, then every flow arrives at its
+    /// receiver (or is delivered there), then admissions join. Splitting a
+    /// queue's slot this way is exact, because `max{Q − b, 0} + a` applied
+    /// as all services followed by all arrivals gives the same backlog and
+    /// the same offered and wasted totals; a queue nothing names keeps its
+    /// state, as under `max{Q − 0, 0} + 0`.
     ///
     /// # Panics
     ///
@@ -191,22 +216,24 @@ impl DataQueueBank {
             self.destinations.len(),
             "plan/bank session mismatch"
         );
-        for s_idx in 0..self.destinations.len() {
-            let s = SessionId::from_index(s_idx);
-            let dest = self.destinations[s_idx];
-            for i_idx in 0..self.nodes {
-                let i = NodeId::from_index(i_idx);
-                let arrivals = plan.inflow(s, i);
-                if i == dest {
-                    // Delivered straight to the upper layers; no queue.
-                    self.delivered[s_idx] += arrivals;
-                    continue;
-                }
-                let service = plan.outflow(s, i);
-                let q = &mut self.queues[s_idx * self.nodes + i_idx];
-                let wasted_before = q.total_wasted();
-                q.advance(arrivals, service);
-                self.phantom_forwarded[s_idx] += Packets::new(q.total_wasted() - wasted_before);
+        let n = self.nodes;
+        for (s, i, _, l) in plan.iter_nonzero() {
+            // The destination holds no queue for its own session, so
+            // nothing it forwards for it is served from one.
+            if i == self.destinations[s.index()] {
+                continue;
+            }
+            let q = &mut self.queues[s.index() * n + i.index()];
+            let wasted_before = q.total_wasted();
+            q.advance(Packets::ZERO, l);
+            self.phantom_forwarded[s.index()] += Packets::new(q.total_wasted() - wasted_before);
+        }
+        for (s, _, j, l) in plan.iter_nonzero() {
+            if j == self.destinations[s.index()] {
+                // Delivered straight to the upper layers; no queue.
+                self.delivered[s.index()] += l;
+            } else {
+                self.queues[s.index() * n + j.index()].advance(l, Packets::ZERO);
             }
         }
         for &(s, source, k) in admissions {
@@ -218,6 +245,14 @@ impl DataQueueBank {
             let idx = self.idx(source, s);
             // Admission joins *after* service, same as the +k_s term.
             self.queues[idx].advance(k, Packets::ZERO);
+        }
+        let touched = plan
+            .iter_nonzero()
+            .flat_map(|(s, i, j, _)| [(s, i), (s, j)])
+            .chain(admissions.iter().map(|&(s, source, _)| (s, source)));
+        for (s, i) in touched {
+            let k = s.index() * n + i.index();
+            self.nonempty.update(k, &self.queues[k]);
         }
     }
 }

@@ -3,12 +3,17 @@
 use greencell_net::{NodeId, SessionId};
 use greencell_units::Packets;
 
-/// A dense per-slot routing decision: `l^s_ij(t)` packets of session `s`
+/// A per-slot routing decision: `l^s_ij(t)` packets of session `s`
 /// forwarded from node `i` to node `j`.
 ///
 /// Produced by the S3 routing subproblem and consumed by both queue banks:
 /// `Σ_j l^s_ij` is the service of data queue `Q^s_i`, `Σ_j l^s_ji` its
 /// arrivals, and `Σ_s l^s_ij` the arrivals of virtual link queue `G_ij`.
+///
+/// The plan is sparse: it stores only its non-zero entries, sorted by
+/// `(s, i, j)` with at most one per key, so a slot that routes a handful
+/// of flows costs a handful of entries whatever the node count. Reading a
+/// key the plan does not hold gives zero.
 ///
 /// # Examples
 ///
@@ -28,8 +33,9 @@ use greencell_units::Packets;
 pub struct FlowPlan {
     nodes: usize,
     sessions: usize,
-    /// `flows[s·n² + i·n + j]`.
-    flows: Vec<Packets>,
+    /// The non-zero `l^s_ij` keyed `s·n² + i·n + j`, ascending — the
+    /// order of `(s, i, j)`.
+    entries: Vec<(usize, Packets)>,
 }
 
 impl FlowPlan {
@@ -39,20 +45,26 @@ impl FlowPlan {
         Self {
             nodes,
             sessions,
-            flows: vec![Packets::ZERO; sessions * nodes * nodes],
+            entries: Vec::new(),
         }
     }
 
-    /// Re-dimensions the plan to `nodes` × `sessions` and zeroes every
+    /// Re-dimensions the plan to `nodes` × `sessions` and drops every
     /// entry, retaining the backing allocation. The result is
     /// indistinguishable from [`FlowPlan::new`] with the same dimensions;
-    /// this is the per-slot arena's reuse path (no heap traffic once the
-    /// buffer has reached its steady-state size).
+    /// this is the per-slot arena's reuse path, O(entries).
     pub fn reset(&mut self, nodes: usize, sessions: usize) {
         self.nodes = nodes;
         self.sessions = sessions;
-        self.flows.clear();
-        self.flows.resize(sessions * nodes * nodes, Packets::ZERO);
+        self.entries.clear();
+    }
+
+    /// Makes room for `entries` non-zero entries in all, so a plan that
+    /// never holds more allocates nothing. S3 sets at most one entry per
+    /// session in its delivery phase and one per routable link after it.
+    pub fn reserve(&mut self, entries: usize) {
+        self.entries
+            .reserve(entries.saturating_sub(self.entries.len()));
     }
 
     /// The empty 0×0 plan — the state a retained arena plan starts from
@@ -62,13 +74,18 @@ impl FlowPlan {
         Self::new(0, 0)
     }
 
-    fn idx(&self, s: SessionId, i: NodeId, j: NodeId) -> usize {
+    fn key(&self, s: SessionId, i: NodeId, j: NodeId) -> usize {
         debug_assert!(s.index() < self.sessions, "session out of range");
         debug_assert!(
             i.index() < self.nodes && j.index() < self.nodes,
             "node out of range"
         );
-        s.index() * self.nodes * self.nodes + i.index() * self.nodes + j.index()
+        (s.index() * self.nodes + i.index()) * self.nodes + j.index()
+    }
+
+    fn find(&self, s: SessionId, i: NodeId, j: NodeId) -> Result<usize, usize> {
+        let key = self.key(s, i, j);
+        self.entries.binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// Number of nodes this plan spans.
@@ -83,38 +100,49 @@ impl FlowPlan {
         self.sessions
     }
 
-    /// Sets `l^s_ij`.
+    /// Sets `l^s_ij`; setting zero removes the entry.
     ///
     /// # Panics
     ///
     /// Panics if `i == j` (no self-loops) or any index is out of range.
     pub fn set(&mut self, s: SessionId, i: NodeId, j: NodeId, packets: Packets) {
         assert!(i != j, "self-loop flow {i} → {j}");
-        let idx = self.idx(s, i, j);
-        self.flows[idx] = packets;
+        assert!(
+            s.index() < self.sessions && i.index() < self.nodes && j.index() < self.nodes,
+            "flow index out of range"
+        );
+        match (self.find(s, i, j), packets == Packets::ZERO) {
+            (Ok(at), false) => self.entries[at].1 = packets,
+            (Ok(at), true) => {
+                self.entries.remove(at);
+            }
+            (Err(at), false) => self.entries.insert(at, (self.key(s, i, j), packets)),
+            (Err(_), true) => {}
+        }
     }
 
     /// Reads `l^s_ij`.
     #[must_use]
     pub fn get(&self, s: SessionId, i: NodeId, j: NodeId) -> Packets {
-        self.flows[self.idx(s, i, j)]
+        self.find(s, i, j)
+            .map_or(Packets::ZERO, |at| self.entries[at].1)
     }
 
     /// Total session-`s` packets leaving node `i`: `Σ_j l^s_ij`.
     #[must_use]
     pub fn outflow(&self, s: SessionId, i: NodeId) -> Packets {
-        (0..self.nodes)
-            .filter(|&j| j != i.index())
-            .map(|j| self.get(s, i, NodeId::from_index(j)))
+        self.iter_nonzero()
+            .filter(|&(es, ei, _, _)| es == s && ei == i)
+            .map(|e| e.3)
             .sum()
     }
 
     /// Total session-`s` packets entering node `i`: `Σ_j l^s_ji`.
     #[must_use]
     pub fn inflow(&self, s: SessionId, i: NodeId) -> Packets {
-        (0..self.nodes)
-            .filter(|&j| j != i.index())
-            .map(|j| self.get(s, NodeId::from_index(j), i))
+        self.iter_nonzero()
+            .filter(|&(es, _, ej, _)| es == s && ej == i)
+            .map(|e| e.3)
             .sum()
     }
 
@@ -122,35 +150,30 @@ impl FlowPlan {
     /// virtual queue `G_ij`.
     #[must_use]
     pub fn link_total(&self, i: NodeId, j: NodeId) -> Packets {
-        (0..self.sessions)
-            .map(|s| self.get(SessionId::from_index(s), i, j))
+        self.iter_nonzero()
+            .filter(|&(_, ei, ej, _)| ei == i && ej == j)
+            .map(|e| e.3)
             .sum()
     }
 
-    /// Iterates over all non-zero entries as `(s, i, j, packets)`.
+    /// Iterates over all non-zero entries as `(s, i, j, packets)`,
+    /// ascending by `(s, i, j)`.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (SessionId, NodeId, NodeId, Packets)> + '_ {
         let n = self.nodes;
-        self.flows.iter().enumerate().filter_map(move |(idx, &p)| {
-            if p == Packets::ZERO {
-                None
-            } else {
-                let s = idx / (n * n);
-                let i = (idx / n) % n;
-                let j = idx % n;
-                Some((
-                    SessionId::from_index(s),
-                    NodeId::from_index(i),
-                    NodeId::from_index(j),
-                    p,
-                ))
-            }
+        self.entries.iter().map(move |&(key, p)| {
+            (
+                SessionId::from_index(key / (n * n)),
+                NodeId::from_index(key / n % n),
+                NodeId::from_index(key % n),
+                p,
+            )
         })
     }
 
     /// Total packets moved anywhere this slot.
     #[must_use]
     pub fn total(&self) -> Packets {
-        self.flows.iter().copied().sum()
+        self.entries.iter().map(|&(_, p)| p).sum()
     }
 }
 
@@ -204,6 +227,30 @@ mod tests {
         p.set(SessionId::from_index(0), ids(1), ids(2), Packets::new(2));
         p.reset(4, 2);
         assert_eq!(p, FlowPlan::new(4, 2));
+    }
+
+    #[test]
+    fn entries_stay_sorted_and_zero_removes() {
+        let (s0, s1) = (SessionId::from_index(0), SessionId::from_index(1));
+        let mut p = FlowPlan::new(4, 2);
+        p.set(s1, ids(0), ids(1), Packets::new(1));
+        p.set(s0, ids(3), ids(2), Packets::new(2));
+        p.set(s0, ids(0), ids(3), Packets::new(3));
+        p.set(s0, ids(0), ids(2), Packets::new(4));
+        p.set(s0, ids(0), ids(3), Packets::new(5)); // overwrite
+        let keys: Vec<_> = p
+            .iter_nonzero()
+            .map(|(s, i, j, l)| (s.index(), i.index(), j.index(), l.count()))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![(0, 0, 2, 4), (0, 0, 3, 5), (0, 3, 2, 2), (1, 0, 1, 1)]
+        );
+        p.set(s0, ids(0), ids(3), Packets::ZERO);
+        p.set(s0, ids(1), ids(3), Packets::ZERO);
+        assert_eq!(p.iter_nonzero().count(), 3);
+        assert_eq!(p.get(s0, ids(0), ids(3)), Packets::ZERO);
+        assert_eq!(p.total().count(), 7);
     }
 
     #[test]

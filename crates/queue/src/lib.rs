@@ -18,6 +18,13 @@
 //! * [`StabilityEstimator`] — finite-horizon estimates of Definition 2's
 //!   rate and strong stability.
 //!
+//! The per-slot state is sparse where the traffic is: a [`FlowPlan`]
+//! stores only its non-zero flows, each bank keeps the indices of its
+//! non-empty queues current, an advance touches only the queues the
+//! slot's flows, admissions and service name, and [`lyapunov_value`] sums
+//! over the non-empty queues alone — bit-identical to the dense sum, since
+//! an empty queue only ever adds `+0.0`.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,6 +1,6 @@
 //! The virtual link-layer queues `G_ij(t)` / `H_ij(t)` of Eqs. (28)–(30).
 
-use crate::{FlowPlan, PacketQueue};
+use crate::{queue::NonEmpty, FlowPlan, PacketQueue};
 use greencell_net::NodeId;
 use greencell_units::Packets;
 
@@ -41,6 +41,8 @@ pub struct LinkQueueBank {
     beta: f64,
     /// `queues[i·n + j]`; diagonal entries stay empty forever.
     queues: Vec<PacketQueue>,
+    /// The indices of the non-empty `queues`, ascending.
+    nonempty: NonEmpty,
 }
 
 impl LinkQueueBank {
@@ -57,10 +59,12 @@ impl LinkQueueBank {
             beta > 0.0 && beta.is_finite(),
             "β must be positive and finite, got {beta}"
         );
+        let queues = vec![PacketQueue::new(); nodes * nodes];
         Self {
             nodes,
             beta,
-            queues: vec![PacketQueue::new(); nodes * nodes],
+            nonempty: NonEmpty::empty(queues.len()),
+            queues,
         }
     }
 
@@ -93,10 +97,10 @@ impl LinkQueueBank {
         self.beta * self.g(i, j).count_f64()
     }
 
-    /// Sum of `G_ij(t)` over all links.
+    /// Sum of `G_ij(t)` over all links, O(non-empty queues).
     #[must_use]
     pub fn total_backlog(&self) -> Packets {
-        self.queues.iter().map(PacketQueue::backlog).sum()
+        self.backlogs().map(|(_, _, g)| g).sum()
     }
 
     /// Every link queue in the bank, laid out `queues[i·n + j]` (diagonal
@@ -116,25 +120,29 @@ impl LinkQueueBank {
     pub fn restore(&mut self, queues: &[PacketQueue]) {
         assert_eq!(queues.len(), self.queues.len(), "queue count mismatch");
         self.queues.copy_from_slice(queues);
+        self.nonempty.rebuild(&self.queues);
     }
 
-    /// Iterates over the non-empty link queues as `(i, j, G_ij)`.
+    /// Iterates over the non-empty link queues as `(i, j, G_ij)`, ascending
+    /// by `(i, j)`, O(non-empty queues).
     pub fn backlogs(&self) -> impl Iterator<Item = (NodeId, NodeId, Packets)> + '_ {
-        (0..self.nodes).flat_map(move |i| {
-            (0..self.nodes).filter_map(move |j| {
-                if i == j {
-                    return None;
-                }
-                let (a, b) = (NodeId::from_index(i), NodeId::from_index(j));
-                let g = self.g(a, b);
-                (g > Packets::ZERO).then_some((a, b, g))
-            })
+        self.nonempty.iter().map(move |k| {
+            (
+                NodeId::from_index(k / self.nodes),
+                NodeId::from_index(k % self.nodes),
+                self.queues[k].backlog(),
+            )
         })
     }
 
     /// Applies one slot of Eq. (28): service from the realized schedule
     /// (sparse `(i, j, packets)` triples — unscheduled links serve zero),
     /// arrivals from the routing plan.
+    ///
+    /// Only the links the service list and the plan name are touched:
+    /// every service applies first, then every flow arrives, which is
+    /// exactly `max{G − b, 0} + Σ_s l^s_ij` per link (see
+    /// [`crate::DataQueueBank::advance`]).
     ///
     /// # Panics
     ///
@@ -152,22 +160,26 @@ impl LinkQueueBank {
                 !service[..k].iter().any(|&(a, b, _)| a == i && b == j),
                 "duplicate service entry for link {i} → {j}"
             );
-            debug_assert!(i.index() < self.nodes && j.index() < self.nodes);
+            assert!(
+                i.index() < self.nodes && j.index() < self.nodes,
+                "service link {i} → {j} out of range"
+            );
         }
-        for i_idx in 0..self.nodes {
-            for j_idx in 0..self.nodes {
-                if i_idx == j_idx {
-                    continue;
-                }
-                let (i, j) = (NodeId::from_index(i_idx), NodeId::from_index(j_idx));
-                let idx = self.idx(i, j);
-                let arrivals = plan.link_total(i, j);
-                let served = service
-                    .iter()
-                    .find(|&&(a, b, _)| a == i && b == j)
-                    .map_or(Packets::ZERO, |&(_, _, pkts)| pkts);
-                self.queues[idx].advance(arrivals, served);
-            }
+        for &(i, j, served) in service {
+            let idx = self.idx(i, j);
+            self.queues[idx].advance(Packets::ZERO, served);
+        }
+        for (_, i, j, l) in plan.iter_nonzero() {
+            let idx = self.idx(i, j);
+            self.queues[idx].advance(l, Packets::ZERO);
+        }
+        let touched = service
+            .iter()
+            .map(|&(i, j, _)| (i, j))
+            .chain(plan.iter_nonzero().map(|(_, i, j, _)| (i, j)));
+        for (i, j) in touched {
+            let idx = self.idx(i, j);
+            self.nonempty.update(idx, &self.queues[idx]);
         }
     }
 }

@@ -14,6 +14,10 @@ use greencell_stochastic::Series;
 /// order (they can be negative — that is the point of the shift); a
 /// partitioned controller passes each part's levels gathered from the
 /// global vector, so no per-part copy is needed.
+///
+/// The queue sums run over the non-empty queues only, in index order: an
+/// empty queue adds `+0.0` to a non-negative running sum, which changes
+/// nothing, so the value is bit-identical to the sum over every queue.
 #[must_use]
 pub fn lyapunov_value(
     data: &DataQueueBank,
@@ -21,28 +25,13 @@ pub fn lyapunov_value(
     shifted_energy: impl IntoIterator<Item = f64>,
 ) -> f64 {
     let mut total = 0.0;
-    for s in 0..data.session_count() {
-        for i in 0..data.node_count() {
-            let q = data
-                .backlog(
-                    greencell_net::NodeId::from_index(i),
-                    greencell_net::SessionId::from_index(s),
-                )
-                .count_f64();
-            total += q * q;
-        }
+    for (_, _, q) in data.nonempty_backlogs() {
+        let q = q.count_f64();
+        total += q * q;
     }
-    let n = links.node_count();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let h = links.h(
-                    greencell_net::NodeId::from_index(i),
-                    greencell_net::NodeId::from_index(j),
-                );
-                total += h * h;
-            }
-        }
+    for (_, _, g) in links.backlogs() {
+        let h = links.beta() * g.count_f64(); // `LinkQueueBank::h`
+        total += h * h;
     }
     for z in shifted_energy {
         total += z * z;

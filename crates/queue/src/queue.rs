@@ -128,6 +128,61 @@ impl PacketQueue {
     }
 }
 
+/// The ascending indices of a bank's non-empty queues, so the Lyapunov
+/// value and the backlog scans cost O(non-empty) rather than O(queues).
+///
+/// The owning bank calls [`NonEmpty::update`] on every queue an advance
+/// touched and [`NonEmpty::rebuild`] after a restore; the index holds
+/// `u32`s and reserves one slot per queue up front, so keeping it current
+/// never allocates.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct NonEmpty(Vec<u32>);
+
+/// A clone keeps the reserved capacity, so a cloned bank's advance does
+/// not allocate either.
+impl Clone for NonEmpty {
+    fn clone(&self) -> Self {
+        let mut index = Vec::with_capacity(self.0.capacity());
+        index.extend_from_slice(&self.0);
+        Self(index)
+    }
+}
+
+impl NonEmpty {
+    /// The index of a bank of `queues` empty queues.
+    pub(crate) fn empty(queues: usize) -> Self {
+        assert!(u32::try_from(queues).is_ok(), "bank too large");
+        Self(Vec::with_capacity(queues))
+    }
+
+    /// Recomputes the index from scratch, O(queues).
+    pub(crate) fn rebuild(&mut self, queues: &[PacketQueue]) {
+        self.0.clear();
+        self.0.reserve(queues.len());
+        self.0.extend(
+            (0..queues.len() as u32).filter(|&k| queues[k as usize].backlog() > Packets::ZERO),
+        );
+    }
+
+    /// Brings queue `k`'s membership up to date with its backlog,
+    /// O(log non-empty) plus the shift of an insert or a removal.
+    pub(crate) fn update(&mut self, k: usize, queue: &PacketQueue) {
+        let key = k as u32;
+        match (self.0.binary_search(&key), queue.backlog() > Packets::ZERO) {
+            (Err(at), true) => self.0.insert(at, key),
+            (Ok(at), false) => {
+                self.0.remove(at);
+            }
+            _ => {}
+        }
+    }
+
+    /// The non-empty queue indices, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|&k| k as usize)
+    }
+}
+
 impl core::fmt::Display for PacketQueue {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "Q={}", self.backlog)
