@@ -141,13 +141,17 @@ cargo test -p greencell-sim --test city_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 
 echo "== city determinism gate =="
-# Partitioned city runs are bit-identical at 1, 2, 3 and 4 workers (3
-# over a part count it does not divide, so the per-part S1–S3 solves and
-# the per-part queue advance and Lyapunov terms run on uneven chunks), and
-# seeds reproduce byte-identical layouts; the steady-state partitioned
-# slot allocates nothing at one worker.
+# Partitioned city runs are bit-identical at 1, 2, 3 and 4 workers and at
+# 5 workers on a city with fewer parts than that (the fan-out caps its
+# threads at the part count for the per-part S1–S3 pass and the per-part
+# queue advance), and seeds reproduce byte-identical layouts; the
+# steady-state partitioned slot allocates nothing at one worker.
 cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
+# One fan-out: scoped threads start only in `fan_out` in partition.rs.
+if grep -rn 'thread::scope' crates/*/src src | grep -v '^crates/core/src/partition.rs:'; then
+  echo "thread::scope outside the fan-out in crates/core/src/partition.rs" >&2; exit 1
+fi
 
 echo "== faults x city gate =="
 # Every fault archetype, the chaos preset and a Markov grid chain run on a

@@ -7,17 +7,17 @@
 //! functions. It owns a partition of the network into [`Part`]s — one part
 //! covering every node for the dense [`Controller::new`], one per
 //! interference cluster for [`Controller::partitioned`] — and each slot it
-//! runs the BS sleep machine once, S1–S3 per part (on scoped threads when
-//! there are several parts and workers), then S4 and the ladder once over
-//! the whole network, applies the batteries, and advances each part's
-//! queues and takes its Lyapunov terms per part, on the same threads.
+//! runs the BS sleep machine once, then one pass that solves each part's
+//! S1, S2 and S3 ([`crate::fan_out`] over the parts), then S4 and the
+//! ladder once over the whole network, applies the batteries, and in a
+//! second pass advances each part's queues and takes its Lyapunov terms.
 //! Every global reduction runs in part order on one thread, so results
 //! never depend on the worker count.
 
-use crate::partition::{for_each_part, PartInputs};
+use crate::partition::{fan_out, PartInputs};
 use crate::pipeline::{
     self, EnergyCoopStage, EnergyStage, FallbackCx, FallbackOutcome, GridOnlyStage,
-    MarginalPriceStage, SlotContext, StageClock,
+    MarginalPriceStage, SlotContext,
 };
 use crate::{
     dpp, ClusterSet, ControllerConfig, EnergyConfig, EnergyManagementError, EnergyManagementInput,
@@ -165,14 +165,16 @@ impl SlotReport {
 }
 
 /// Cumulative wall-clock spent in each stage of the S1→S4 pipeline,
-/// accumulated across every [`Controller::step`] call by the driver's
-/// [`crate::pipeline::StageClock`] (one capture site, not per-stage
-/// hand-wired reads).
+/// accumulated across every [`Controller::step`] call.
+///
+/// S1–S3 are each part's own times for its stages, summed in part order:
+/// wall-clock at one worker, summed part time (which can exceed the pass's
+/// wall-clock) at more than one. S1 includes the BS sleep machine. S4 runs
+/// inside the shedding retry loop, so its total includes any retries.
 ///
 /// Kept on the controller (not in [`SlotReport`]) so slot reports stay
 /// comparable across runs: wall-clock is nondeterministic, decisions are
-/// not. S4 runs inside the shedding retry loop, so its total includes any
-/// retries; S1 includes the BS sleep machine.
+/// not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Time in S1 link scheduling (greedy or sequential-fix).
@@ -819,10 +821,10 @@ impl Controller {
         z.clear();
         z.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
 
-        // S1 — the BS sleep machine, once over the whole network (a gain
-        // between different parts is exactly zero), then link scheduling
-        // (+ minimal powers) per part over the resulting active set.
-        let clock = StageClock::start();
+        // The BS sleep machine, once over the whole network (a gain between
+        // different parts is exactly zero), timed into S1.
+        let start_nanos = traced.then(|| sink.now_nanos());
+        let sleep_start = Instant::now();
         let sleeping = self.config.bs_sleep.is_some();
         if sleeping {
             let (node_part, node_local) = (&self.node_part, &self.node_local);
@@ -851,19 +853,28 @@ impl Controller {
             batteries: &self.batteries,
             grid_limits: &self.grid_limits,
         };
-        let workers = self.workers;
-        for_each_part(parts, workers, &|p| p.schedule(&cx));
-        clock.stop(&mut self.timings.s1, self.slot, Stage::S1, traced, sink);
+        let mut spent = [sleep_start.elapsed(), Duration::ZERO, Duration::ZERO];
 
-        // S2 — source selection and admission control.
-        let clock = StageClock::start();
-        for_each_part(parts, workers, &|p| p.admit(&cx));
-        clock.stop(&mut self.timings.s2, self.slot, Stage::S2, traced, sink);
-
-        // S3 — routing caps, link service and flows.
-        let clock = StageClock::start();
-        for_each_part(parts, workers, &|p| p.route(&cx));
-        clock.stop(&mut self.timings.s3, self.slot, Stage::S3, traced, sink);
+        // S1 link scheduling (+ minimal powers) over the active set, S2
+        // admission and S3 routing: one pass over the parts, each timing
+        // its stages. Times sum in part order; the spans run end to end
+        // from the start of the sleep machine (see `StageTimings`).
+        fan_out(parts, self.workers, &|p| p.solve(&cx));
+        for p in parts.iter() {
+            for (total, t) in spent.iter_mut().zip(p.solve_time) {
+                *total += t;
+            }
+        }
+        let [s1, s2, s3] = spent;
+        self.timings.s1 += s1;
+        self.timings.s2 += s2;
+        self.timings.s3 += s3;
+        if let Some(mut end) = start_nanos {
+            for (stage, dur) in [(Stage::S1, s1), (Stage::S2, s2), (Stage::S3, s3)] {
+                end = end.saturating_add(u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX));
+                sink.record(TraceEvent::span_ended(self.slot, stage, end, dur));
+            }
+        }
 
         // S4, with the fallback ladder in case S4 reports a deficit the
         // worst-case precheck missed (or a fault made the observation
@@ -911,9 +922,18 @@ impl Controller {
                 cost: &scaled_cost,
                 v: self.config.v,
             };
-            let clock = StageClock::start();
+            let s4_start = Instant::now();
             let solved = self.energy_stage.solve(&input, net_state, s4, energy);
-            clock.stop(&mut self.timings.s4, self.slot, Stage::S4, traced, sink);
+            let elapsed = s4_start.elapsed();
+            self.timings.s4 += elapsed;
+            if traced {
+                sink.record(TraceEvent::span_ended(
+                    self.slot,
+                    Stage::S4,
+                    sink.now_nanos(),
+                    elapsed,
+                ));
+            }
             let Err(err) = solved else { break };
             let mut cx = FallbackCx {
                 parts: &mut *parts,
@@ -990,7 +1010,7 @@ impl Controller {
         z_after.clear();
         z_after.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
         let (z, z_after) = (&*z, &*z_after);
-        for_each_part(parts, workers, &|p| p.advance(z, z_after));
+        fan_out(parts, self.workers, &|p| p.advance(z, z_after));
 
         // `L = Σ_parts L_part + ½·Σ_{uncovered} z²`: the Lyapunov value
         // decomposes over parts because every queue lives inside one part

@@ -108,7 +108,7 @@ pub use controller::{
 };
 pub use lower_bound::{LowerBoundSeries, RelaxedController, RelaxedState};
 pub use netstate::{CoopPolicy, NetworkState, SleepPolicy};
-pub use partition::{ClusterSet, Part, PartSpec};
+pub use partition::{fan_out, ClusterSet, Part, PartSpec};
 pub use pipeline::SlotContext;
 pub use s1::{
     first_sinr_violation, greedy_schedule, greedy_schedule_reference, greedy_schedule_with,

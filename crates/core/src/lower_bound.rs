@@ -42,7 +42,7 @@
 //! service. Its per-slot buffers are kept on the controller, so a
 //! steady-state step allocates nothing.
 
-use crate::partition::for_each_part;
+use crate::partition::fan_out;
 use crate::pipeline;
 use crate::s2::min_backlog_source;
 use crate::{
@@ -716,7 +716,7 @@ impl RelaxedController {
             beta: self.beta,
             band_rate: &sc.band_rate,
         };
-        for_each_part(&mut self.parts, self.workers, &|p| p.step(&cx));
+        fan_out(&mut self.parts, self.workers, &|p| p.step(&cx));
         let cost = self.source_energy(obs, &mut sc);
         for (lvl, d) in self.levels.iter_mut().zip(&sc.energy.decisions) {
             *lvl += d.charge_total().as_kilowatt_hours() - d.discharge().as_kilowatt_hours();

@@ -20,6 +20,8 @@ use greencell_net::{Network, NodeId, SessionId};
 use greencell_phy::{packets_per_slot, potential_capacity, PhyConfig, SpectrumState};
 use greencell_queue::{lyapunov_value, DataQueueBank, FlowPlan, LinkQueueBank};
 use greencell_units::{Energy, Packets, Power};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// A partition of a network's nodes into interference clusters.
 ///
@@ -182,6 +184,9 @@ pub struct Part {
     /// queue-law check in [`Part::advance`]. Empty between slots.
     law_data: Vec<usize>,
     law_links: Vec<usize>,
+    /// Wall-clock the last [`Part::solve`] spent in S1, S2 and S3, for
+    /// the driver's part-order timing sums.
+    pub(crate) solve_time: [Duration; 3],
     /// What the last [`Part::advance`] measured, for the driver's
     /// part-order reductions.
     pub(crate) advanced: PartAdvance,
@@ -273,6 +278,7 @@ impl Part {
             admission_triples: Vec::new(),
             law_data: Vec::new(),
             law_links: Vec::new(),
+            solve_time: [Duration::ZERO; 3],
             advanced: PartAdvance::default(),
             net,
             nodes,
@@ -305,10 +311,25 @@ impl Part {
         self.s1 = S1Scratch::default();
     }
 
+    /// Solves this part's S1, S2 and S3 for the slot and times each into
+    /// [`Part::solve_time`]. The three stage methods are never inlined, so
+    /// the compiler cannot move one stage's work across another's clock
+    /// reads.
+    pub(crate) fn solve(&mut self, cx: &PartInputs<'_>) {
+        let start = Instant::now();
+        self.schedule(cx);
+        let scheduled = Instant::now();
+        self.admit(cx);
+        let admitted = Instant::now();
+        self.route(cx);
+        self.solve_time = [scheduled - start, admitted - scheduled, admitted.elapsed()];
+    }
+
     /// S1: this slot's energy admission budgets — what each node could
     /// source for traffic on top of its fixed overhead — then link
     /// scheduling with minimal powers by the configured scheduler.
-    pub(crate) fn schedule(&mut self, cx: &PartInputs<'_>) {
+    #[inline(never)]
+    fn schedule(&mut self, cx: &PartInputs<'_>) {
         let obs = cx.obs;
         self.traffic_budget.clear();
         self.traffic_budget
@@ -357,7 +378,8 @@ impl Part {
     /// selection skips it (and mid-ramp BSs, which cannot serve yet
     /// either) — outaged BSs stay selectable so fault behaviour is
     /// unchanged by an inert sleep policy.
-    pub(crate) fn admit(&mut self, cx: &PartInputs<'_>) {
+    #[inline(never)]
+    fn admit(&mut self, cx: &PartInputs<'_>) {
         let (config, nodes) = (cx.config, &self.nodes);
         let ns = cx.net_state;
         let selectable = |b: NodeId| {
@@ -389,7 +411,8 @@ impl Part {
     /// Caps cover this part's pairs only: a cross-part gain is exactly
     /// zero, so such a link can never be scheduled and flow routed onto it
     /// would queue forever.
-    pub(crate) fn route(&mut self, cx: &PartInputs<'_>) {
+    #[inline(never)]
+    fn route(&mut self, cx: &PartInputs<'_>) {
         let up = |g: usize| {
             if cx.dynamic {
                 cx.net_state.active()[g]
@@ -633,22 +656,36 @@ pub(crate) fn link_service_into(
     }));
 }
 
-/// Runs `f` on every part: in order on the calling thread, or in
-/// contiguous chunks on up to `workers` scoped threads. A part touches
-/// only its own state, so results never depend on `workers`. Generic over
-/// the part type: the exact controller's [`Part`]s and the relaxed
-/// controller's parts share this one fan-out.
-pub(crate) fn for_each_part<P: Send>(parts: &mut [P], workers: usize, f: &(dyn Fn(&mut P) + Sync)) {
-    let workers = workers.min(parts.len());
+/// Runs `f` once on every item of `items` on up to `workers` threads: in
+/// order on the calling thread when `workers ≤ 1` or there is at most one
+/// item, otherwise on the calling thread plus `workers − 1` scoped threads
+/// that claim items one at a time, so one slow item never idles the rest.
+/// An item touches only its own state, so results never depend on
+/// `workers`.
+///
+/// This is the workspace's one thread fan-out: the exact controller's
+/// [`Part`]s, the relaxed controller's parts and the sweep engine's point
+/// slots all run through it.
+pub fn fan_out<T: Send>(items: &mut [T], workers: usize, f: &(dyn Fn(&mut T) + Sync)) {
+    let workers = workers.min(items.len());
     if workers <= 1 {
-        parts.iter_mut().for_each(f);
+        items.iter_mut().for_each(f);
         return;
     }
-    let chunk = parts.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for chunk in parts.chunks_mut(chunk) {
-            scope.spawn(move || chunk.iter_mut().for_each(f));
+    let queue = Mutex::new(items.iter_mut());
+    // The lock is held only to claim the next item, never while `f` runs,
+    // so a panicking `f` cannot poison it.
+    let claim = || queue.lock().expect("claiming never panics").next();
+    let work = || {
+        while let Some(item) = claim() {
+            f(item);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -751,6 +788,19 @@ mod tests {
                     );
                 }
                 previous = fresh;
+            }
+        }
+    }
+
+    /// Every item is visited exactly once at any worker count, including
+    /// none, one, and more workers than items.
+    #[test]
+    fn fan_out_visits_every_item_exactly_once() {
+        for len in [0, 1, 7] {
+            for workers in [0, 1, 2, 3, len, len + 4] {
+                let mut items = vec![0u32; len];
+                fan_out(&mut items, workers, &|x| *x += 1);
+                assert_eq!(items, vec![1; len], "{len} items, {workers} workers");
             }
         }
     }

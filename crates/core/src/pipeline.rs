@@ -20,8 +20,7 @@
 //! parts' schedules through [`FallbackCx::parts`]. All per-slot scratch
 //! lives in the parts and the global [`SlotContext`] arena, retained
 //! across slots, so a steady-state slot touches the heap zero times
-//! (audited in `crates/core/tests/s1_zero_alloc.rs`), and [`StageClock`]
-//! gives every stage boundary the same timing + span treatment.
+//! (audited in `crates/core/tests/s1_zero_alloc.rs`).
 //!
 //! The `driver_golden` fingerprints in `greencell-sim`, recorded in
 //! lockstep with the original monolithic controller, pin every decision
@@ -35,10 +34,9 @@ use crate::{
 };
 use greencell_net::{Network, NodeId};
 use greencell_phy::{PhyConfig, Schedule, SpectrumState};
-use greencell_trace::{Sink, Stage, TraceEvent};
+use greencell_trace::{Sink, TraceEvent};
 use greencell_units::{Energy, Power};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// An S4 energy-management stage: solves the slot's sourcing problem into
 /// a caller-retained workspace and outcome.
@@ -373,51 +371,6 @@ impl SlotContext {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Uniform stage-boundary instrumentation: accumulates the stage's
-/// wall-clock into the matching [`crate::StageTimings`] field *always*
-/// (the sweep engine reads timings from untraced runs) and emits the
-/// stage span only when the sink is enabled. Replaces the hand-wired
-/// `Instant` pairs the monolithic `step_traced` carried per stage; with
-/// [`greencell_trace::NoopSink`] the only per-slot wall-clock reads are
-/// the four S1–S4 pairs — exactly the monolith's set (the Slot/Advance
-/// spans stay gated behind `enabled()` in the driver).
-#[derive(Debug)]
-pub struct StageClock {
-    start: Instant,
-}
-
-impl StageClock {
-    /// Starts timing a stage.
-    #[must_use]
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-
-    /// Stops timing: accumulates into `acc` and, when `traced`, emits the
-    /// stage's span into `sink`.
-    pub fn stop(
-        self,
-        acc: &mut Duration,
-        slot: u64,
-        stage: Stage,
-        traced: bool,
-        sink: &mut dyn Sink,
-    ) {
-        let elapsed = self.start.elapsed();
-        *acc += elapsed;
-        if traced {
-            sink.record(TraceEvent::span_ended(
-                slot,
-                stage,
-                sink.now_nanos(),
-                elapsed,
-            ));
-        }
     }
 }
 

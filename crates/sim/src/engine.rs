@@ -403,17 +403,6 @@ impl Simulator {
         &self.scenario
     }
 
-    /// Runs the remaining horizon and finalizes — identical to
-    /// [`Simulator::run`], which already continues from `slots_run`; the
-    /// alias exists so restore-and-resume call sites read as what they do.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecoverable controller errors.
-    pub fn resume(&mut self) -> Result<&RunMetrics, SimError> {
-        self.run()
-    }
-
     /// Draws the next slot's observation and advances the slot cursor
     /// without stepping, for callers that step
     /// [`Simulator::controller_mut`] themselves (e.g. to pre-draw

@@ -2,9 +2,9 @@
 //!
 //! Every figure reproduction and structural sweep is an embarrassingly
 //! parallel set of independent scenario points. This module fans those
-//! points across [`std::thread::scope`] workers (std-only, no external
-//! dependencies) while keeping results *bit-identical* regardless of
-//! thread count or scheduling order:
+//! points across the workers of [`fan_out`], the workspace's one thread
+//! fan-out (std-only, no external dependencies), while keeping results
+//! *bit-identical* regardless of thread count or scheduling order:
 //!
 //! * each point owns a self-contained [`Scenario`] whose seed fully
 //!   determines its random streams — workers share no mutable state;
@@ -29,13 +29,11 @@
 use crate::faults::WatchdogReport;
 use crate::resume::{results_dir, salvage_or_run, Provenance};
 use crate::{RunMetrics, Scenario, SimError, Simulator};
-use greencell_core::StageTimings;
+use greencell_core::{fan_out, StageTimings};
 use greencell_trace::json::{json_escape, json_f64};
 use greencell_trace::{RingSink, TraceBundle, Track};
 use std::num::NonZeroUsize;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One point of a sweep: a label for reports plus the scenario to run.
@@ -253,65 +251,35 @@ fn package_outcome(
     }
 }
 
-/// Fans `items` across `threads` scoped workers, applying `f` to each and
-/// returning the results in submission order.
-///
-/// Work is claimed through an atomic cursor, so load-imbalanced points
-/// never idle a worker and each index is handed out exactly once; each
-/// result lands in its submission-index slot, so the output order is
-/// independent of completion order.
-fn parallel_map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.max(1).min(n);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                *slots[i].lock().expect("slot mutex poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot mutex poisoned")
-                .expect("all slots filled inside the scope")
-        })
-        .collect()
-}
-
 /// The one sweep body behind every entry point: runs `run` on each point
-/// across `opts.threads` workers and returns the results in submission
-/// order with the sweep's wall-clock, or the first failure by submission
-/// order (every point still runs).
-fn run_points<R, F>(
+/// across `opts.threads` workers of [`fan_out`], each result landing in
+/// its point's slot, and returns the report with each point's extra
+/// output in submission order, or the first failure by submission order
+/// (every point still runs).
+fn run_points<X, F>(
     points: &[SweepPoint],
     opts: &SweepOptions,
     run: F,
-) -> Result<(Vec<R>, Duration), SimError>
+) -> Result<(SweepReport, Vec<X>), SimError>
 where
-    R: Send,
-    F: Fn(usize, &SweepPoint) -> Result<R, SimError> + Sync,
+    X: Send,
+    F: Fn(usize, &SweepPoint) -> Result<(PointOutcome, X), SimError> + Sync,
 {
     let start = Instant::now();
-    let results = parallel_map_ordered(points, opts.threads, run);
-    let results = results.into_iter().collect::<Result<Vec<R>, SimError>>()?;
-    Ok((results, start.elapsed()))
+    let mut slots: Vec<_> = points.iter().enumerate().map(|p| (p, None)).collect();
+    fan_out(&mut slots, opts.threads, &|((i, point), result)| {
+        *result = Some(run(*i, point));
+    });
+    let (outcomes, extras) = slots
+        .into_iter()
+        .map(|(_, result)| result.expect("fan_out runs every slot"))
+        .collect::<Result<_, SimError>>()?;
+    let report = SweepReport {
+        outcomes,
+        threads: opts.threads,
+        total_wall: start.elapsed(),
+    };
+    Ok((report, extras))
 }
 
 /// Runs every point, fanning across `opts.threads` workers.
@@ -324,12 +292,8 @@ where
 ///
 /// Returns the first (by submission order) point failure.
 pub fn run_sweep(points: &[SweepPoint], opts: &SweepOptions) -> Result<SweepReport, SimError> {
-    let (outcomes, total_wall) = run_points(points, opts, |_, p| run_point(&p.label, &p.scenario))?;
-    Ok(SweepReport {
-        outcomes,
-        threads: opts.threads,
-        total_wall,
-    })
+    let run = |_, p: &SweepPoint| Ok((run_point(&p.label, &p.scenario)?, ()));
+    Ok(run_points(points, opts, run)?.0)
 }
 
 /// Like [`run_sweep`], but every worker traces its points into its own
@@ -347,25 +311,10 @@ pub fn run_sweep_traced(
     opts: &SweepOptions,
     capacity: usize,
 ) -> Result<(SweepReport, TraceBundle), SimError> {
-    let (results, total_wall) = run_points(points, opts, |_, p| {
+    let (report, tracks) = run_points(points, opts, |_, p| {
         run_point_traced(&p.label, &p.scenario, capacity)
     })?;
-    let mut bundle = TraceBundle::new();
-    let outcomes = results
-        .into_iter()
-        .map(|(outcome, track)| {
-            bundle.push(track);
-            outcome
-        })
-        .collect();
-    Ok((
-        SweepReport {
-            outcomes,
-            threads: opts.threads,
-            total_wall,
-        },
-        bundle,
-    ))
+    Ok((report, TraceBundle { tracks }))
 }
 
 /// How a checkpointed sweep obtained its points.
@@ -400,32 +349,21 @@ pub fn run_sweep_checkpointed(
 ) -> Result<(SweepReport, ResumeCounts), SimError> {
     let dir = results_dir(work_dir);
     std::fs::create_dir_all(&dir).map_err(|e| SimError::Io(format!("{}: {e}", dir.display())))?;
-    let (results, total_wall) = run_points(points, opts, |idx, point| {
+    let (report, provenances) = run_points(points, opts, |idx, point| {
         salvage_or_run(work_dir, idx, point)
     })?;
     let mut counts = ResumeCounts::default();
-    let outcomes = results
-        .into_iter()
-        .map(|(outcome, provenance)| {
-            match provenance {
-                Provenance::Salvaged => counts.salvaged += 1,
-                Provenance::Computed => counts.computed += 1,
-                Provenance::Recomputed => {
-                    counts.computed += 1;
-                    counts.quarantined += 1;
-                }
+    for provenance in provenances {
+        match provenance {
+            Provenance::Salvaged => counts.salvaged += 1,
+            Provenance::Computed => counts.computed += 1,
+            Provenance::Recomputed => {
+                counts.computed += 1;
+                counts.quarantined += 1;
             }
-            outcome
-        })
-        .collect();
-    Ok((
-        SweepReport {
-            outcomes,
-            threads: opts.threads,
-            total_wall,
-        },
-        counts,
-    ))
+        }
+    }
+    Ok((report, counts))
 }
 
 /// Like [`run_sweep`], but first reseeds each point with

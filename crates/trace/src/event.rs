@@ -9,13 +9,20 @@ use std::time::Duration;
 /// covers everything after S4, including the state update that applies the
 /// chosen decisions to queues and batteries; [`Stage::Slot`] spans one
 /// whole `Controller::step`.
+///
+/// S1–S3 run in one pass over the controller's parts, each part timing its
+/// own stages. Their spans are laid end to end from the start of the pass,
+/// each as long as its stage's part times summed: wall-clock at one worker,
+/// summed part time at more than one, where they can run past the pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// S1 — link scheduling (`Ψ̂₁`).
+    /// S1 — link scheduling (`Ψ̂₁`), including the BS sleep machine;
+    /// summed part time at more than one worker.
     S1,
-    /// S2 — source selection and admission control (`Ψ̂₂`).
+    /// S2 — source selection and admission control (`Ψ̂₂`); summed part
+    /// time at more than one worker.
     S2,
-    /// S3 — routing (`Ψ̂₃`).
+    /// S3 — routing (`Ψ̂₃`); summed part time at more than one worker.
     S3,
     /// S4 — energy management (`Ψ̂₄`), including degraded-mode retries.
     S4,
