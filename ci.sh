@@ -22,16 +22,23 @@ echo "== chaos tests (fault injection) =="
 cargo test -p greencell-sim --test chaos -q $CARGO_FLAGS
 
 echo "== s1 power lockstep gate =="
-# The S1 kernels (per-link key merge, one exact M-matrix solve per probe)
-# and the references (full sort, Foschini-Miljanic iteration per probe)
-# run on the same random instances with 2-5 bands, repeated bandwidths and
-# backlogs (id tiebreaks), fault masks and zero noise, some of which
-# schedule a link off its best band: identical schedules wherever no
-# reference probe ran out of sweeps, powers within 1e-9 relative, and
-# constraint (24) with the caps on every kernel outcome. The direct solve
-# must match the iteration wherever the iteration converges.
+# The S1 kernels and the references (full sort, Foschini-Miljanic
+# iteration per probe) run on the same random instances with 2-5 bands,
+# repeated bandwidths and backlogs (id tiebreaks), fault masks and zero
+# noise. The kernels take their candidates from a lazily ordered frontier
+# (one unsorted key per link; only a chunk of the smallest keys is
+# sorted at a time, and keys with a busy endpoint are dropped before each
+# refill), and crowded instances must refill that chunk and re-offer a
+# band beyond it. They probe with one exact M-matrix solve whose LU
+# factors of the accepted links are bordered by one row and column per
+# probe. Identical schedules wherever no reference probe ran out of
+# sweeps, powers within 1e-9 relative, and constraint (24) with the caps
+# on every kernel outcome; the direct solve must match the iteration
+# wherever the iteration converges. The phy unit tests hold the bordered
+# factors, verdicts and powers bit-equal to a from-scratch elimination.
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_phy -q $CARGO_FLAGS
+cargo test -p greencell-phy --lib workspace -q $CARGO_FLAGS
 
 echo "== s4 sweep lockstep gate =="
 # The S4 breakpoint sweep and the bisection reference run on the same

@@ -399,7 +399,7 @@ impl Controller {
                 (None, EnergyPolicy::MarginalPrice) => &MarginalPriceStage,
                 (None, EnergyPolicy::GridOnly) => &GridOnlyStage,
             };
-        let ctx = Self::fresh_arena(&config, &is_bs);
+        let ctx = Self::fresh_arena(&config, &is_bs, &node_part);
         Ok(Self {
             batteries,
             phy,
@@ -428,9 +428,9 @@ impl Controller {
 
     /// A cold global arena whose [`NetworkState`] carries the config's
     /// dynamic-policy knobs (inert when both are `None`).
-    fn fresh_arena(config: &ControllerConfig, is_bs: &[bool]) -> SlotContext {
+    fn fresh_arena(config: &ControllerConfig, is_bs: &[bool], node_part: &[usize]) -> SlotContext {
         SlotContext {
-            net_state: NetworkState::new(is_bs, config.bs_sleep, config.energy_coop),
+            net_state: NetworkState::new(is_bs, node_part, config.bs_sleep, config.energy_coop),
             ..SlotContext::default()
         }
     }
@@ -702,7 +702,7 @@ impl Controller {
             p.reset_scratch();
             (q, s, l) = (q + pn * ps, s + ps, l + pn * pn);
         }
-        self.ctx = Self::fresh_arena(&self.config, &self.is_bs);
+        self.ctx = Self::fresh_arena(&self.config, &self.is_bs, &self.node_part);
         if !state.awake.is_empty() {
             self.ctx.net_state.restore(
                 &state.awake,
@@ -821,20 +821,20 @@ impl Controller {
         z.clear();
         z.extend((0..nodes).map(|i| self.shifted_level(NodeId::from_index(i))));
 
-        // The BS sleep machine, once over the whole network (a gain between
-        // different parts is exactly zero), timed into S1.
+        // The BS sleep machine, once over the whole network, timed into S1.
+        // It asks only for gains within a part: a gain between different
+        // parts is exactly zero.
         let start_nanos = traced.then(|| sink.now_nanos());
         let sleep_start = Instant::now();
         let sleeping = self.config.bs_sleep.is_some();
         if sleeping {
             let (node_part, node_local) = (&self.node_part, &self.node_local);
             let solved: &[Part] = parts;
-            let gain = |u: usize, b: usize| match solved.get(node_part[u]) {
-                Some(p) if node_part[u] == node_part[b] => p.net.topology().gain(
+            let gain = |u: usize, b: usize| {
+                solved[node_part[u]].net.topology().gain(
                     NodeId::from_index(node_local[u]),
                     NodeId::from_index(node_local[b]),
-                ),
-                _ => 0.0,
+                )
             };
             net_state.step_sleep(&gain);
         }

@@ -9,10 +9,11 @@
 //! BS offset grid draw at another. [`NetworkState`] is the seam that
 //! carries this per-slot mutable state: it lives in the controller's
 //! [`crate::pipeline::SlotContext`] arena, the driver runs its sleep
-//! machine once per slot before S1 (over the whole network, whatever the
-//! partition), S4's [`crate::pipeline::EnergyStage`] receives it (the
-//! cooperation stage records its transfers there), and the simulator's
-//! snapshot codec serializes it.
+//! machine once per slot before S1 (over the whole network, each user
+//! scanning only its own part's base stations), S4's
+//! [`crate::pipeline::EnergyStage`] receives it (the cooperation stage
+//! records its transfers there), and the simulator's snapshot codec
+//! serializes it.
 //!
 //! When both policies are disabled ([`NetworkState::dynamic`] is false)
 //! the state is inert: no stage reads it, no driver branch fires, and the
@@ -80,6 +81,14 @@ pub struct CoopPolicy {
 pub struct NetworkState {
     n: usize,
     is_bs: Vec<bool>,
+    /// Every base station, in ascending node order: the sleep machine's
+    /// global rules run over this list.
+    bs: Vec<usize>,
+    /// Each node's part (`usize::MAX` for a node no part covers).
+    node_part: Vec<usize>,
+    /// Each part's base stations, in ascending node order: the only ones
+    /// a user of that part can hear.
+    part_bs: Vec<Vec<usize>>,
     /// Per-BS awake flag (users are always "awake").
     awake: Vec<bool>,
     /// Consecutive idle slots counted toward the sleep threshold.
@@ -114,25 +123,52 @@ impl Default for NetworkState {
     /// The inert zero-node state: [`NetworkState::dynamic`] is false and
     /// nothing reads it.
     fn default() -> Self {
-        Self::new(&[], None, None)
+        Self::new(&[], &[], None, None)
     }
 }
 
 impl NetworkState {
-    /// Builds the state for a network whose node kinds are `is_bs`, with
-    /// every BS awake. Without either policy the state is inert, nothing
-    /// reads it, and it tracks no nodes.
+    /// Builds the state for a network whose node kinds are `is_bs` and
+    /// whose nodes sit in the parts `node_part` (`usize::MAX` for a node
+    /// no part covers; a gain between two parts is zero), with every BS
+    /// awake. Without either policy the state is inert, nothing reads it,
+    /// and it tracks no nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_part` and `is_bs` differ in length.
     #[must_use]
-    pub fn new(is_bs: &[bool], sleep: Option<SleepPolicy>, coop: Option<CoopPolicy>) -> Self {
-        let is_bs = if sleep.is_some() || coop.is_some() {
-            is_bs
+    pub fn new(
+        is_bs: &[bool],
+        node_part: &[usize],
+        sleep: Option<SleepPolicy>,
+        coop: Option<CoopPolicy>,
+    ) -> Self {
+        let (is_bs, node_part) = if sleep.is_some() || coop.is_some() {
+            (is_bs, node_part)
         } else {
-            &[]
+            (&[][..], &[][..])
         };
+        assert_eq!(is_bs.len(), node_part.len(), "one part per node");
         let n = is_bs.len();
+        let bs: Vec<usize> = (0..n).filter(|&i| is_bs[i]).collect();
+        let parts = node_part
+            .iter()
+            .filter(|&&k| k != usize::MAX)
+            .max()
+            .map_or(0, |&k| k + 1);
+        let mut part_bs = vec![Vec::new(); parts];
+        for &b in &bs {
+            if let Some(list) = part_bs.get_mut(node_part[b]) {
+                list.push(b);
+            }
+        }
         Self {
             n,
             is_bs: is_bs.to_vec(),
+            bs,
+            node_part: node_part.to_vec(),
+            part_bs,
             awake: vec![true; n],
             idle_slots: vec![0; n],
             ramp_remaining: vec![0; n],
@@ -213,16 +249,20 @@ impl NetworkState {
     }
 
     /// Runs one slot of the hysteresis sleep machine. `gain` is the
-    /// channel gain lookup `(node, node) → H` over global node ids used for
-    /// wake triggers and re-association (the controller reads each part's
-    /// gain table, with cross-part pairs at exactly zero). Returns whether
-    /// the awake set changed.
+    /// channel gain lookup `(user, bs) → H` over global node ids used for
+    /// wake triggers and re-association; it is asked only for a user and
+    /// a base station of the same part (the controller reads that part's
+    /// gain table). A gain between two parts is exactly zero, and a zero
+    /// gain never wins the strict `>` that picks the best base station,
+    /// so scanning only the user's own part is exact. Returns whether the
+    /// awake set changed.
     ///
     /// Per-slot order: outage interplay, ramp countdown, hysteresis sleep
     /// entry (ascending node order, never the last awake BS), backlog-
     /// triggered wake-up, re-association + active-mask refresh. The ramp
     /// countdown precedes wake-up, so a freshly woken BS stays inactive
-    /// for the full `ramp_slots` window.
+    /// for the full `ramp_slots` window. The global rules run serially
+    /// over the base-station list.
     pub fn step_sleep(&mut self, gain: &dyn Fn(usize, usize) -> f64) -> bool {
         let Some(p) = self.sleep else {
             return false;
@@ -231,8 +271,8 @@ impl NetworkState {
         // 1. Fault interplay: an outaged BS is not asleep-by-choice — its
         //    timers reset and it re-enters service as a normal awake BS
         //    the moment the outage lifts.
-        for i in 0..self.n {
-            if self.is_bs[i] && !self.avail[i] {
+        for &i in &self.bs {
+            if !self.avail[i] {
                 if !self.awake[i] {
                     self.awake[i] = true;
                     changed = true;
@@ -247,11 +287,13 @@ impl NetworkState {
         }
         // 3. Hysteresis sleep entry, ascending node order; the last awake
         //    available BS never sleeps.
-        let mut awake_avail = (0..self.n)
-            .filter(|&i| self.is_bs[i] && self.awake[i] && self.avail[i])
+        let mut awake_avail = self
+            .bs
+            .iter()
+            .filter(|&&i| self.awake[i] && self.avail[i])
             .count();
-        for i in 0..self.n {
-            if !(self.is_bs[i] && self.avail[i] && self.awake[i]) {
+        for &i in &self.bs {
+            if !(self.avail[i] && self.awake[i]) {
                 continue;
             }
             if self.ramp_remaining[i] > 0 {
@@ -279,18 +321,7 @@ impl NetworkState {
             if self.is_bs[u] || !self.avail[u] || self.node_backlog[u] < p.wake_threshold_pkts {
                 continue;
             }
-            let mut best = usize::MAX;
-            let mut best_gain = 0.0;
-            for b in 0..self.n {
-                if !(self.is_bs[b] && self.avail[b]) {
-                    continue;
-                }
-                let g = gain(u, b);
-                if g > best_gain {
-                    best_gain = g;
-                    best = b;
-                }
-            }
+            let best = self.best_bs(u, gain, |b| self.avail[b]);
             if best != usize::MAX && !self.awake[best] {
                 self.awake[best] = true;
                 self.ramp_remaining[best] = p.ramp_slots;
@@ -301,9 +332,9 @@ impl NetworkState {
             }
         }
         // Safety net: never leave the network without a serving BS.
-        if !(0..self.n).any(|i| self.is_bs[i] && self.awake[i] && self.avail[i]) {
-            for i in 0..self.n {
-                if self.is_bs[i] && self.avail[i] && !self.awake[i] {
+        if !self.bs.iter().any(|&i| self.awake[i] && self.avail[i]) {
+            for &i in &self.bs {
+                if self.avail[i] && !self.awake[i] {
                     self.awake[i] = true;
                     self.ramp_remaining[i] = p.ramp_slots;
                     self.wake_transitions += 1;
@@ -315,29 +346,44 @@ impl NetworkState {
         // 5. Re-associate users to their best awake BS and refresh the
         //    active mask the scheduling/admission/routing stages read.
         for u in 0..self.n {
-            if self.is_bs[u] {
-                self.association[u] = usize::MAX;
-                continue;
-            }
-            let mut best = usize::MAX;
-            let mut best_gain = 0.0;
-            for b in 0..self.n {
-                if !(self.is_bs[b] && self.avail[b] && self.awake[b]) {
-                    continue;
-                }
-                let g = gain(u, b);
-                if g > best_gain {
-                    best_gain = g;
-                    best = b;
-                }
-            }
-            self.association[u] = best;
+            self.association[u] = if self.is_bs[u] {
+                usize::MAX
+            } else {
+                self.best_bs(u, gain, |b| self.avail[b] && self.awake[b])
+            };
         }
         for i in 0..self.n {
             self.active[i] =
                 self.avail[i] && (!self.is_bs[i] || (self.awake[i] && self.ramp_remaining[i] == 0));
         }
         changed
+    }
+
+    /// The base station of user `u`'s part with the strictly largest gain
+    /// to `u` among those `eligible`, the lowest id on a tie;
+    /// `usize::MAX` when none has a positive gain.
+    fn best_bs(
+        &self,
+        u: usize,
+        gain: &dyn Fn(usize, usize) -> f64,
+        eligible: impl Fn(usize) -> bool,
+    ) -> usize {
+        let Some(list) = self.part_bs.get(self.node_part[u]) else {
+            return usize::MAX;
+        };
+        let mut best = usize::MAX;
+        let mut best_gain = 0.0;
+        for &b in list {
+            if !eligible(b) {
+                continue;
+            }
+            let g = gain(u, b);
+            if g > best_gain {
+                best_gain = g;
+                best = b;
+            }
+        }
+        best
     }
 
     /// Computes this slot's inter-BS transfers: greedy lossy matching of
@@ -446,9 +492,7 @@ impl NetworkState {
     /// Number of base stations currently asleep.
     #[must_use]
     pub fn asleep_bs_count(&self) -> usize {
-        (0..self.n)
-            .filter(|&i| self.is_bs[i] && !self.awake[i])
-            .count()
+        self.bs.iter().filter(|&&i| !self.awake[i]).count()
     }
 
     /// Cumulative sleep transitions over the run.
@@ -562,7 +606,7 @@ mod tests {
     }
 
     fn state(sleep: Option<SleepPolicy>) -> NetworkState {
-        NetworkState::new(&[true, true, false, false], sleep, None)
+        NetworkState::new(&[true, true, false, false], &[0; 4], sleep, None)
     }
 
     #[test]
@@ -688,7 +732,7 @@ mod tests {
             cost: &cost,
             v: 1e5,
         };
-        let mut s = NetworkState::new(&is_bs, None, Some(CoopPolicy { eta_x: 0.5 }));
+        let mut s = NetworkState::new(&is_bs, &[0, 0], None, Some(CoopPolicy { eta_x: 0.5 }));
         s.begin_slot(&[]);
         s.compute_transfers(&input);
         let adj = s.adjusted_renewable();
@@ -697,7 +741,7 @@ mod tests {
         assert!((adj[1].as_kilowatt_hours() - 0.4).abs() < 1e-12, "{adj:?}");
         assert!((s.slot_transferred_kwh() - 0.4).abs() < 1e-12);
 
-        let mut z0 = NetworkState::new(&is_bs, None, Some(CoopPolicy { eta_x: 0.0 }));
+        let mut z0 = NetworkState::new(&is_bs, &[0, 0], None, Some(CoopPolicy { eta_x: 0.0 }));
         z0.begin_slot(&[]);
         z0.compute_transfers(&input);
         let adj0 = z0.adjusted_renewable();

@@ -11,10 +11,11 @@
 //!   largest fractional activation to one, and repeat.
 //!
 //! Both probe each candidate with one exact solve of (24) for the least
-//! powers of the schedule so far ([`PowerControlWorkspace`]), and the last
-//! accepted probe's solution is the slot's power vector: S4's objective is
-//! non-decreasing in every node's demand, so minimal transmit powers are
-//! optimal for a fixed schedule.
+//! powers of the schedule so far ([`PowerControlWorkspace`], whose factors
+//! of the accepted links survive across probes, so a probe costs `O(k²)`
+//! in the `k` links held), and the last accepted probe's solution is the
+//! slot's power vector: S4's objective is non-decreasing in every node's
+//! demand, so minimal transmit powers are optimal for a fixed schedule.
 //!
 //! Candidates are pruned exactly as the paper prescribes: `α^m_ij` is fixed
 //! to zero wherever `H_ij(t) = 0` (nothing buffered for the link means
@@ -23,12 +24,15 @@
 //! maximum same-slot supply — keeps S4 feasible later in the pipeline.
 //!
 //! The scheduling paths never sort the full `(i, j, m)` candidate list.
-//! They sort one packed key per admissible link (its best band) and merge
-//! lazily: a link whose head is rejected offers its next band, a link with
-//! a busy endpoint is dropped. That yields the full sort's candidates in
-//! the same order wherever the outcome can depend on them. The reference
-//! implementations keep the full sort and the Foschini–Miljanic iteration
-//! ([`min_power_assignment_reference`]) as the oracle.
+//! They hold one packed key per admissible link (its best band) in a lazy
+//! frontier and merge: a link whose head is rejected offers its next band,
+//! a link with a busy endpoint is dropped. The frontier sorts only the
+//! chunk of smallest keys the loop is about to reach, and drops the keys
+//! with a busy endpoint before it picks the next chunk. That yields the
+//! full sort's candidates in the same order wherever the outcome can
+//! depend on them. The reference implementations keep the full sort and
+//! the Foschini–Miljanic iteration ([`min_power_assignment_reference`])
+//! as the oracle.
 
 use greencell_energy::NodeEnergyModel;
 use greencell_lp::{LinearProgram, Relation};
@@ -73,7 +77,7 @@ impl ScheduleOutcome {
     }
 }
 
-/// Reusable S1 buffers: the sorted per-link candidate keys, the per-band
+/// Reusable S1 buffers: the per-link candidate frontier, the per-band
 /// `packets_per_slot` memo, the per-node energy-admission memos, and the
 /// [`PowerControlWorkspace`] that probes candidate feasibility and holds
 /// the slot's powers. Thread one of these through
@@ -82,9 +86,8 @@ impl ScheduleOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct S1Scratch {
     /// One packed `Candidate` key per backlogged, admissible link: the
-    /// link's best band not yet probed. `heads[pos..]` stays sorted while
-    /// the schedulers consume it (see `pop_head`).
-    heads: Vec<u128>,
+    /// link's best band not yet probed.
+    frontier: Frontier,
     /// `packets_per_slot(potential_capacity(W_m))` memo, indexed by band —
     /// capacity depends only on the band's bandwidth, so it is computed
     /// once per band per slot instead of once per candidate.
@@ -119,7 +122,8 @@ impl S1Scratch {
     /// the per-slot key list: one key per link, not per band). After this,
     /// scheduling allocates nothing even when traffic hits a new peak.
     pub fn reserve(&mut self, nodes: usize, bands: usize, max_links: usize) {
-        self.heads.reserve(max_links);
+        self.frontier.rest.reserve(max_links);
+        self.frontier.chunk.reserve(CHUNK);
         self.active
             .reserve(max_links.saturating_mul(bands).min(MAX_SF_CANDIDATES));
         self.pkts_per_band.reserve(bands);
@@ -261,57 +265,95 @@ fn link_keys<'p>(
     })
 }
 
-/// Fills `scratch.heads` with each admissible link's best candidate key,
-/// sorted. Zero heap allocation once the buffers have grown.
+/// Fills the frontier with each admissible link's best candidate key,
+/// unsorted. Zero heap allocation once the buffers have grown.
 ///
 /// Each link's candidates, in key order, form one sorted list, and the
 /// full candidate order is the merge of those lists. The heads are that
-/// merge's frontier: [`pop_head`] advances it one candidate at a time.
+/// merge's frontier: [`Frontier::advance`] moves it one candidate on.
 fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     refresh_memos(inp, scratch);
-    let mut heads = std::mem::take(&mut scratch.heads);
+    let mut heads = std::mem::take(&mut scratch.frontier.rest);
     heads.clear();
     heads.extend(
         admissible_links(inp, scratch)
             .filter_map(|(i, j, h)| link_keys(inp, &scratch.pkts_per_band, i, j, h).min()),
     );
-    heads.sort_unstable();
-    scratch.heads = heads;
+    scratch.frontier.rest = heads;
+    scratch.frontier.chunk.clear();
+    scratch.frontier.pos = 0;
 }
 
-/// Consumes the smallest key `heads[*pos]` — the next candidate in full
-/// order. With `keep_link`, the link's next band (its smallest key above
-/// the consumed one) takes its place, shifted into sorted position, so
-/// `heads[*pos..]` yields exactly the candidates a full sort would list
-/// next. Without it, the link is dropped: the greedy loop drops a link
-/// once an endpoint is busy, and a busy node stays busy, so every later
-/// band of the link would be skipped anyway.
-fn pop_head(
-    inp: &S1Inputs<'_>,
-    pkts_per_band: &[f64],
-    heads: &mut [u128],
-    pos: &mut usize,
-    keep_link: bool,
-) {
-    let key = heads[*pos];
-    let next = if keep_link {
-        let c = Candidate::from_key(key);
-        let h = inp.links.h(c.tx, c.rx);
-        link_keys(inp, pkts_per_band, c.tx, c.rx, h)
-            .filter(|&k| k > key)
-            .min()
-    } else {
-        None
-    };
-    match next {
-        Some(next) => {
-            let rest = *pos + 1;
-            let shift = heads[rest..].partition_point(|&k| k < next);
-            heads.copy_within(rest..rest + shift, *pos);
-            heads[*pos + shift] = next;
+/// Keys the frontier sorts at a time.
+const CHUNK: usize = 32;
+
+/// The heads of the per-link merge, ordered lazily: `chunk[pos..]` holds
+/// the smallest keys, sorted, and `rest` every other key, unsorted and
+/// above `chunk`'s last. Only the keys the loop reaches get sorted.
+#[derive(Debug, Clone, Default)]
+struct Frontier {
+    /// The sorted chunk; `chunk[..pos]` is consumed.
+    chunk: Vec<u128>,
+    /// The next key to consume in `chunk`.
+    pos: usize,
+    /// The unsorted heads beyond the chunk.
+    rest: Vec<u128>,
+}
+
+impl Frontier {
+    /// The smallest key, or `None` once every link is consumed. An empty
+    /// chunk refills from `rest`: the keys with a `busy` endpoint go first
+    /// (a busy node stays busy, so the loop would drop them unprobed),
+    /// then the `CHUNK` smallest survivors are selected and sorted.
+    fn peek(&mut self, busy: &[bool]) -> Option<u128> {
+        if self.pos == self.chunk.len() {
+            self.rest.retain(|&key| {
+                let c = Candidate::from_key(key);
+                !busy[c.tx.index()] && !busy[c.rx.index()]
+            });
+            let at = self.rest.len().saturating_sub(CHUNK);
+            if at > 0 {
+                // Descending, so the smallest keys end up in the tail.
+                self.rest.select_nth_unstable_by(at, |a, b| b.cmp(a));
+            }
+            self.chunk.clear();
+            self.chunk.extend(self.rest.drain(at..));
+            self.chunk.sort_unstable();
+            self.pos = 0;
         }
-        None => *pos += 1,
+        self.chunk.get(self.pos).copied()
     }
+
+    /// Consumes the key [`Frontier::peek`] returned. `next`, the link's
+    /// next band (its smallest key above the consumed one), takes the
+    /// consumed key's place: shifted into sorted position when it falls
+    /// below the chunk's last key, into `rest` otherwise. `None` drops the
+    /// link.
+    fn advance(&mut self, next: Option<u128>) {
+        match next {
+            Some(next) if self.chunk.last().is_some_and(|&last| next < last) => {
+                let after = self.pos + 1;
+                let shift = self.chunk[after..].partition_point(|&k| k < next);
+                self.chunk.copy_within(after..after + shift, self.pos);
+                self.chunk[self.pos + shift] = next;
+            }
+            Some(next) => {
+                self.rest.push(next);
+                self.pos += 1;
+            }
+            None => self.pos += 1,
+        }
+    }
+}
+
+/// The key of the consumed candidate `key`'s link on its next band: the
+/// link's smallest key above `key`.
+fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u128> {
+    let c = Candidate::from_key(key);
+    let h = inp.links.h(c.tx, c.rx);
+    link_keys(inp, pkts_per_band, c.tx, c.rx, h)
+        .filter(|&k| k > key)
+        .min()
 }
 
 /// The full candidate list in scheduling order (weight desc, then ids) —
@@ -344,8 +386,9 @@ pub fn greedy_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
 /// full-sort order: a link whose head is rejected offers its
 /// next band, a link with a busy endpoint is dropped. Each probe solves
 /// (24) exactly for the accepted links plus the candidate
-/// ([`PowerControlWorkspace`]); a rejected candidate is undone in `O(n)`.
-/// After the last probe the workspace holds exactly the schedule, and its
+/// ([`PowerControlWorkspace`]), extending the accepted links' factors by
+/// one row and column; a rejected candidate is undone in `O(n)`. After
+/// the last probe the workspace holds exactly the schedule, and its
 /// solution is `out.powers`.
 pub fn greedy_schedule_with(
     inp: &S1Inputs<'_>,
@@ -357,9 +400,8 @@ pub fn greedy_schedule_with(
     scratch.ws.clear();
     scratch.busy.clear();
     scratch.busy.resize(inp.net.topology().len(), false);
-    let mut pos = 0;
-    while pos < scratch.heads.len() {
-        let cand = Candidate::from_key(scratch.heads[pos]);
+    while let Some(key) = scratch.frontier.peek(&scratch.busy) {
+        let cand = Candidate::from_key(key);
         let free = !scratch.busy[cand.tx.index()] && !scratch.busy[cand.rx.index()];
         let mut accepted = false;
         if free {
@@ -378,14 +420,12 @@ pub fn greedy_schedule_with(
                 }
             }
         }
-        let keep_link = free && !accepted;
-        pop_head(
-            inp,
-            &scratch.pkts_per_band,
-            &mut scratch.heads,
-            &mut pos,
-            keep_link,
-        );
+        let next = if free && !accepted {
+            next_band(inp, &scratch.pkts_per_band, key)
+        } else {
+            None
+        };
+        scratch.frontier.advance(next);
     }
     read_powers(inp, scratch, out);
 }
@@ -512,19 +552,18 @@ pub fn sequential_fix_schedule_with(
     heads_into(inp, scratch);
     out.clear();
     scratch.ws.clear();
+    scratch.busy.clear();
+    scratch.busy.resize(inp.net.topology().len(), false);
     // The pool is the first `MAX_SF_CANDIDATES` of the full candidate
-    // order: pop every head in turn, each link offering its next band.
+    // order: consume every head in turn, each link offering its next band.
     scratch.active.clear();
-    let mut pos = 0;
-    while pos < scratch.heads.len() && scratch.active.len() < MAX_SF_CANDIDATES {
-        scratch.active.push(Candidate::from_key(scratch.heads[pos]));
-        pop_head(
-            inp,
-            &scratch.pkts_per_band,
-            &mut scratch.heads,
-            &mut pos,
-            true,
-        );
+    while scratch.active.len() < MAX_SF_CANDIDATES {
+        let Some(key) = scratch.frontier.peek(&scratch.busy) else {
+            break;
+        };
+        scratch.active.push(Candidate::from_key(key));
+        let next = next_band(inp, &scratch.pkts_per_band, key);
+        scratch.frontier.advance(next);
     }
 
     while !scratch.active.is_empty() {

@@ -1,9 +1,12 @@
 //! Lockstep property tests for the S1 kernels: the exact-probe path, fed
-//! by the per-link key merge, against the fully sorted reference that
-//! probes with the Foschini–Miljanic iteration, on the same input. Across
-//! random topologies, 2–5 bands with per-node band subsets, repeated
-//! bandwidths and backlogs (weight ties fall to the ids), tight energy
-//! budgets, and fault masks (down-node candidates included):
+//! by the per-link key merge through its lazily sorted frontier, against
+//! the fully sorted reference that probes with the Foschini–Miljanic
+//! iteration, on the same input. Across random topologies — small ones,
+//! and crowded ones with at least 64 backlogged links, which run the
+//! frontier past its first sorted chunk — 2–5 bands with per-node band
+//! subsets, repeated bandwidths and backlogs (weight ties fall to the
+//! ids), tight energy budgets, and fault masks (down-node candidates
+//! included):
 //!
 //! * the schedules are identical wherever no reference probe returned
 //!   `NonConvergent`;
@@ -28,6 +31,7 @@ use greencell_queue::{FlowPlan, LinkQueueBank};
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Energy, PacketSize, Packets, Power, TimeDelta};
 use proptest::prelude::*;
+use std::cmp::Reverse;
 
 struct Instance {
     net: Network,
@@ -46,14 +50,28 @@ struct Instance {
 /// budgets, and a random availability mask (each node down with
 /// probability ~1/8).
 fn instance(seed: u64) -> Instance {
+    instance_of(seed, false)
+}
+
+/// A crowded instance of the same family: 32–48 nodes (2–4 BS) on a
+/// wider disc, and at least 64 backlogged links, so the candidate
+/// frontier holds more heads than it sorts at a time.
+fn large_instance(seed: u64) -> Instance {
+    instance_of(seed, true)
+}
+
+fn instance_of(seed: u64, large: bool) -> Instance {
     let mut rng = Rng::seed_from(seed);
-    let n = 5 + rng.index(4);
-    let bs_count = 1 + rng.index(2);
+    let (n, bs_count) = if large {
+        (32 + rng.index(17), 2 + rng.index(3))
+    } else {
+        (5 + rng.index(4), 1 + rng.index(2))
+    };
     let bands = 2 + rng.index(4);
     let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
     for k in 0..n {
         let angle = k as f64 * std::f64::consts::TAU / n as f64 + rng.range_f64(0.0, 0.5);
-        let radius = rng.range_f64(150.0, 900.0);
+        let radius = rng.range_f64(150.0, if large { 1500.0 } else { 900.0 });
         let p = Point::new(1000.0 + radius * angle.cos(), 1000.0 + radius * angle.sin());
         let node = if k < bs_count {
             b.add_base_station(p)
@@ -74,14 +92,29 @@ fn instance(seed: u64) -> Instance {
     let net = b.build().expect("valid network");
     let mut links = LinkQueueBank::new(n, 100.0);
     let mut plan = FlowPlan::new(n, 1);
-    for _ in 0..(n + 3) {
+    let mut backlogged = std::collections::BTreeSet::new();
+    let mut draws = 0;
+    while if large {
+        backlogged.len() < 64
+    } else {
+        draws < n + 3
+    } {
+        draws += 1;
         let i = rng.index(n);
         let j = (i + 1 + rng.index(n - 1)) % n;
+        let pkts = if large {
+            [40, 40, 120, 250, 600][rng.index(5)]
+        } else {
+            [0, 40, 40, 120, 250][rng.index(5)]
+        };
+        if pkts > 0 {
+            backlogged.insert((i, j));
+        }
         plan.set(
             SessionId::from_index(0),
             NodeId::from_index(i),
             NodeId::from_index(j),
-            Packets::new([0, 40, 40, 120, 250][rng.index(5)]),
+            Packets::new(pkts),
         );
     }
     links.advance(&plan, &[]);
@@ -182,6 +215,115 @@ fn some_links_run_on_a_band_other_than_their_best() {
     );
 }
 
+/// Keys the kernel's candidate frontier sorts at a time (`CHUNK` in
+/// `s1.rs`).
+const CHUNK: usize = 32;
+
+/// Link `(tx, rx)`'s candidates in scheduling order, as sortable keys:
+/// weight descending, then tx, rx, band — the kernel's packed key order.
+/// Weights are positive, so their bits order as their values.
+fn link_keys(
+    inp: &S1Inputs<'_>,
+    tx: NodeId,
+    rx: NodeId,
+) -> Vec<(Reverse<u64>, usize, usize, usize)> {
+    let h = inp.links.h(tx, rx);
+    let mut keys: Vec<_> = inp
+        .net
+        .link_bands(tx, rx)
+        .iter()
+        .filter_map(|m| {
+            let c = potential_capacity(inp.spectrum.bandwidth(m), inp.phy);
+            let weight = h * packets_per_slot(c, inp.packet_size, inp.slot).count_f64();
+            (weight > 0.0).then_some((Reverse(weight.to_bits()), tx.index(), rx.index(), m.index()))
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Every link S1 may schedule this slot, as S1 prunes them: backlogged,
+/// both endpoints up, and both worst-case energies within budget.
+fn admissible(inp: &S1Inputs<'_>) -> Vec<(NodeId, NodeId)> {
+    let up = |x: NodeId| inp.available.get(x.index()).copied().unwrap_or(true);
+    let budget = |x: NodeId| inp.traffic_budget[x.index()].as_joules();
+    let tx_ok = |x: NodeId| (inp.max_powers[x.index()] * inp.slot).as_joules() <= budget(x);
+    let rx_ok =
+        |x: NodeId| (inp.energy_models[x.index()].recv_power() * inp.slot).as_joules() <= budget(x);
+    inp.links
+        .backlogs()
+        .map(|(i, j, _)| (i, j))
+        .filter(|&(i, j)| up(i) && up(j) && tx_ok(i) && rx_ok(j))
+        .collect()
+}
+
+/// What the greedy kernel's frontier did on one instance, read off its
+/// input and schedule: whether a link from beyond the first sorted chunk
+/// was probed — scheduled, or left with both endpoints free, which the
+/// loop only does to a link it probed and rejected — so a refilled chunk
+/// fed the loop; and whether a link of the first chunk runs on a band
+/// whose key lies beyond that chunk, so its rejected best band
+/// re-offered the next one into the unsorted rest.
+fn frontier_coverage(inp: &S1Inputs<'_>, out: &ScheduleOutcome) -> (bool, bool) {
+    let mut heads: Vec<_> = admissible(inp)
+        .into_iter()
+        .filter_map(|(i, j)| link_keys(inp, i, j).first().copied())
+        .collect();
+    heads.sort_unstable();
+    let Some(&chunk_last) = heads.get(CHUNK - 1) else {
+        return (false, false);
+    };
+    let rank = |tx: NodeId, rx: NodeId| {
+        heads
+            .iter()
+            .position(|k| (k.1, k.2) == (tx.index(), rx.index()))
+            .expect("a scheduled link is admissible")
+    };
+    let txs = out.schedule.transmissions();
+    let busy = |x: usize| {
+        txs.iter()
+            .any(|t| t.tx().index() == x || t.rx().index() == x)
+    };
+    let refilled = heads[CHUNK..].iter().any(|k| {
+        let scheduled = txs
+            .iter()
+            .any(|t| (t.tx().index(), t.rx().index()) == (k.1, k.2));
+        scheduled || (!busy(k.1) && !busy(k.2))
+    });
+    let beyond = txs.iter().any(|t| {
+        let keys = link_keys(inp, t.tx(), t.rx());
+        rank(t.tx(), t.rx()) < CHUNK && keys[0].3 != t.band().index() && keys[1] > chunk_last
+    });
+    (refilled, beyond)
+}
+
+/// The crowded instances drive the frontier past its first chunk: in at
+/// least 10 of them a chunk refill feeds the schedule, and in at least 10
+/// a link of the first chunk, rejected on its best band, runs on a band
+/// re-offered beyond the chunk.
+#[test]
+fn large_instances_refill_the_chunk_and_reoffer_beyond_it() {
+    let phy = PhyConfig::new(1.0, 1e-20);
+    let mut scratch = S1Scratch::new();
+    let mut out = ScheduleOutcome::empty();
+    let cases = 100;
+    let (mut refilled, mut beyond) = (0, 0);
+    for seed in 0..cases {
+        let inst = large_instance(seed);
+        let inp = inputs(&inst, &phy);
+        greedy_schedule_with(&inp, &mut scratch, &mut out);
+        let (r, b) = frontier_coverage(&inp, &out);
+        refilled += usize::from(r);
+        beyond += usize::from(b);
+    }
+    for (what, count) in [
+        ("a chunk refill", refilled),
+        ("a band re-offered beyond the chunk", beyond),
+    ] {
+        assert!(count >= 10, "only {count} of {cases} instances have {what}");
+    }
+}
+
 /// The lockstep of one kernel outcome with its reference on the same
 /// input, as the module docs state it. Both schedulers keep their
 /// schedule in probe order, and their state before each probe is the
@@ -277,5 +419,39 @@ proptest! {
         sequential_fix_schedule_with(&inp, &mut scratch, &mut out);
         let verdict = lockstep(&inp, &out, &sequential_fix_schedule_reference(&inp));
         prop_assert!(verdict.is_ok(), "sequential fix: {verdict:?}");
+    }
+}
+
+proptest! {
+    // The crowded instances cost the reference far more per case.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Greedy on the crowded instances, one scratch reused across them.
+    #[test]
+    fn greedy_kernel_matches_reference_on_large_instances(seed in any::<u64>()) {
+        let mut scratch = S1Scratch::new();
+        let mut out = ScheduleOutcome::empty();
+        for case in 0..2u64 {
+            let inst = large_instance(seed.wrapping_add(case));
+            let phy = PhyConfig::new(1.0, 1e-20);
+            let inp = inputs(&inst, &phy);
+            greedy_schedule_with(&inp, &mut scratch, &mut out);
+            let verdict = lockstep(&inp, &out, &greedy_schedule_reference(&inp));
+            prop_assert!(verdict.is_ok(), "{verdict:?}");
+        }
+    }
+
+    /// Sequential-fix on a crowded instance: its 40-candidate pool spans
+    /// two chunks of the frontier wherever more than 32 links are heads.
+    #[test]
+    fn sequential_fix_kernel_matches_reference_on_large_instances(seed in any::<u64>()) {
+        let mut scratch = S1Scratch::new();
+        let mut out = ScheduleOutcome::empty();
+        let inst = large_instance(seed);
+        let phy = PhyConfig::new(1.0, 1e-20);
+        let inp = inputs(&inst, &phy);
+        sequential_fix_schedule_with(&inp, &mut scratch, &mut out);
+        let verdict = lockstep(&inp, &out, &sequential_fix_schedule_reference(&inp));
+        prop_assert!(verdict.is_ok(), "{verdict:?}");
     }
 }

@@ -22,7 +22,8 @@
 //!   system `(I − A)·p = b`), or proof that no powers within the per-node
 //!   caps do;
 //! * [`PowerControlWorkspace`] — the same solve, one candidate at a time,
-//!   for the S1 schedulers' probes.
+//!   for the S1 schedulers' probes: the accepted candidates' factors are
+//!   kept, and each probe borders them with one row and one column.
 //!
 //! # Examples
 //!

@@ -13,23 +13,35 @@
 //!   `(I − A)·p = b` whose matrix is a Z-matrix. It is a non-singular
 //!   M-matrix — equivalently `ρ(A) < 1`, equivalently a finite minimal
 //!   power vector exists — exactly when Gaussian elimination without
-//!   pivoting keeps every pivot positive (Fiedler–Pták). One `O(n³)`
-//!   elimination on an `n ≤ schedule-size` system gives the exact vector,
-//!   however close `ρ(A)` is to 1. A zero-noise entry (a zero-bandwidth
-//!   band, or zero noise density) gets the identity row and `b_k = 0`:
-//!   noise is `η·W_m` per band, so such entries interfere only with each
-//!   other, and their least powers are 0;
+//!   pivoting keeps every pivot positive (Fiedler–Pták). The elimination
+//!   gives the exact vector however close `ρ(A)` is to 1. A zero-noise
+//!   entry (a zero-bandwidth band, or zero noise density) gets the
+//!   identity row and `b_k = 0`: noise is `η·W_m` per band, so such
+//!   entries interfere only with each other, and their least powers are 0;
+//! * the elimination is **bordered**: the no-pivot LU factors and the
+//!   forward-eliminated right-hand side of the held entries survive
+//!   across probes, and a new entry extends them by one column of `U`,
+//!   one row of multipliers, one pivot and one right-hand-side entry, in
+//!   `O(n²)`. Appending a row and a column never changes the leading
+//!   block, and every new element gets the operations a from-scratch
+//!   elimination gives it, in the same order (the skip on a zero
+//!   multiplier included), so the factors are bit-identical to a full
+//!   re-elimination. The held entries' pivots are already positive, so
+//!   only the new pivot can reject; back substitution then yields the
+//!   powers for the caps check, also in `O(n²)`;
 //! * a **row-sum spectral-radius bound** rejects provably infeasible sets
 //!   before eliminating: for the non-negative iteration matrix
 //!   `A_kl = Γ·g_kl/g_k`, `min_k Σ_l A_kl ≤ ρ(A)`, and `ρ(A) ≥ 1` with
 //!   positive noise admits no finite power vector. The bound only ever
 //!   rejects sets the elimination would also reject, never a feasible one;
-//! * [`PowerControlWorkspace::pop_candidate`] undoes the last push and
-//!   restores the previous solution, so a rejected probe costs `O(n)`.
+//! * [`PowerControlWorkspace::pop_candidate`] undoes the last push — its
+//!   cross-gain row and column, and its factor row and column — and
+//!   restores the previous solution, so a rejected probe costs `O(n)`
+//!   beyond its elimination.
 //!
 //! After the last probe the workspace holds exactly the accepted
 //! schedule, and [`PowerControlWorkspace::powers_watts`] is its power
-//! vector. All buffers — including the recycled cross-gain rows — survive
+//! vector. All buffers — including the recycled matrix rows — survive
 //! [`PowerControlWorkspace::clear`], so a workspace reused across slots
 //! performs no heap allocation in steady state.
 
@@ -83,12 +95,18 @@ pub struct PowerControlWorkspace {
     p: Vec<f64>,
     /// The solution saved before the outstanding probe.
     p_saved: Vec<f64>,
-    /// Recycled cross rows.
+    /// Recycled matrix rows, shared by `cross` and `lu`.
     spare_rows: Vec<Vec<f64>>,
-    /// Row-major `I − A` scratch for the elimination.
-    lu: Vec<f64>,
-    /// Right-hand side / solution scratch for the elimination.
-    rhs: Vec<f64>,
+    /// No-pivot LU factors of `I − A` over the first `lu.len()` entries,
+    /// one row per entry: `lu[i][j]` is the multiplier `l_ij` for `j < i`
+    /// and `U_ij` for `j ≥ i`. Every factored pivot is positive (or NaN,
+    /// which the elimination lets through as it always has).
+    lu: Vec<Vec<f64>>,
+    /// The forward-eliminated right-hand side `L⁻¹·b`, one per factored
+    /// entry.
+    fwd: Vec<f64>,
+    /// Back-substitution scratch: the solution of the last solve.
+    x: Vec<f64>,
 }
 
 impl PowerControlWorkspace {
@@ -129,14 +147,14 @@ impl PowerControlWorkspace {
         self.row_sum.clear();
         self.p.clear();
         self.p_saved.clear();
-        while let Some(mut row) = self.cross.pop() {
+        self.fwd.clear();
+        while let Some(mut row) = self.cross.pop().or_else(|| self.lu.pop()) {
             row.clear();
             self.spare_rows.push(row);
         }
     }
 
-    /// Grows every internal buffer — including the elimination scratch —
-    /// to hold `entries` concurrent transmissions without further
+    /// Grows every internal buffer — including the factors — to hold `entries` concurrent transmissions without further
     /// allocation. The single-radio constraint caps schedules at `⌊n/2⌋`
     /// entries; pass that plus one (for the outstanding probe) and
     /// steady-state scheduling allocates nothing no matter how traffic
@@ -149,16 +167,22 @@ impl PowerControlWorkspace {
         self.row_sum.reserve(entries);
         self.p.reserve(entries);
         self.p_saved.reserve(entries);
-        self.lu.reserve(entries * entries);
-        self.rhs.reserve(entries);
-        // Both spines need room: rows migrate between `spare_rows` and
-        // `cross` as candidates come and go.
+        self.fwd.reserve(entries);
+        self.x.reserve(entries);
+        // Every spine needs room: rows migrate between `spare_rows`,
+        // `cross` and `lu` as candidates come and go.
         self.cross.reserve(entries);
-        self.spare_rows.reserve(entries);
-        while self.cross.len() + self.spare_rows.len() < entries {
+        self.lu.reserve(entries);
+        self.spare_rows.reserve(2 * entries);
+        while self.cross.len() + self.lu.len() + self.spare_rows.len() < 2 * entries {
             self.spare_rows.push(Vec::new());
         }
-        for row in self.cross.iter_mut().chain(&mut self.spare_rows) {
+        for row in self
+            .cross
+            .iter_mut()
+            .chain(&mut self.lu)
+            .chain(&mut self.spare_rows)
+        {
             row.reserve(entries);
         }
     }
@@ -230,7 +254,8 @@ impl PowerControlWorkspace {
     }
 
     /// Undoes the most recent [`PowerControlWorkspace::push_candidate`]
-    /// and restores the solution saved by it. Only the last push can be
+    /// — and, if a solve factored it, its factor row and column — and
+    /// restores the solution saved by it. Only the last push can be
     /// undone, and only before the next one.
     ///
     /// # Panics
@@ -238,6 +263,15 @@ impl PowerControlWorkspace {
     /// Panics if the workspace is empty.
     pub fn pop_candidate(&mut self) {
         assert!(!self.txs.is_empty(), "nothing to pop");
+        if self.lu.len() == self.txs.len() {
+            let mut row = self.lu.pop().unwrap_or_default();
+            row.clear();
+            self.spare_rows.push(row);
+            for r in &mut self.lu {
+                r.pop();
+            }
+            self.fwd.pop();
+        }
         self.txs.pop();
         self.direct_gain.pop();
         self.noise.pop();
@@ -285,10 +319,15 @@ impl PowerControlWorkspace {
     /// The matrix is a Z-matrix with unit diagonal; elimination without
     /// pivoting keeps every pivot positive iff it is a non-singular
     /// M-matrix, i.e. iff `ρ(A) < 1` and a finite minimal power vector
-    /// exists. A non-positive pivot therefore proves infeasibility, and
-    /// otherwise back-substitution yields the minimal vector, which is
-    /// then checked against the transmitter caps. Zero-noise entries get
-    /// the identity row and `b_k = 0` (see the module docs).
+    /// exists. The factors of the entries a previous solve factored are
+    /// kept; each entry pushed since extends them by one bordering row
+    /// and column (see the module docs). A non-positive pivot proves
+    /// infeasibility, and otherwise back-substitution yields the minimal
+    /// vector, which is then checked against the transmitter caps.
+    /// Zero-noise entries get the identity row and `b_k = 0`.
+    ///
+    /// Every solve between two clears must pass the same `phy`: the kept
+    /// factors were eliminated under its SINR target.
     ///
     /// On `Err` [`PowerControlWorkspace::powers_watts`] is stale for the
     /// rejected entry set; callers must
@@ -308,56 +347,97 @@ impl PowerControlWorkspace {
             return Err(infeasible);
         }
         let gamma = phy.sinr_threshold();
-        self.lu.clear();
-        self.rhs.clear();
-        for k in 0..n {
-            // A zero-noise entry gets the identity row and `b_k = 0`.
-            let scale = if self.noise[k] > 0.0 {
-                gamma / self.direct_gain[k]
-            } else {
-                0.0
-            };
-            let row = &self.cross[k];
-            self.lu.extend(
-                row.iter()
-                    .enumerate()
-                    .map(|(l, &g)| if l == k { 1.0 } else { -scale * g }),
-            );
-            self.rhs.push(scale * self.noise[k]);
-        }
-        for j in 0..n {
-            let pivot = self.lu[j * n + j];
-            if pivot <= 0.0 {
+        while self.lu.len() < n {
+            if !self.factor_next(gamma) {
                 return Err(infeasible);
             }
-            for i in (j + 1)..n {
-                let factor = self.lu[i * n + j] / pivot;
-                // Cross-band couplings are exact zeros; skipping them
-                // keeps elimination near-linear on band-disjoint sets.
-                if factor == 0.0 {
-                    continue;
-                }
-                for l in (j + 1)..n {
-                    self.lu[i * n + l] -= factor * self.lu[j * n + l];
-                }
-                self.rhs[i] -= factor * self.rhs[j];
-            }
         }
+        self.x.clear();
+        self.x.resize(n, 0.0);
         for k in (0..n).rev() {
-            let mut acc = self.rhs[k];
-            for l in (k + 1)..n {
-                acc -= self.lu[k * n + l] * self.rhs[l];
+            let row = &self.lu[k];
+            let mut acc = self.fwd[k];
+            for (u, x) in row[k + 1..].iter().zip(&self.x[k + 1..]) {
+                acc -= u * x;
             }
-            self.rhs[k] = acc / self.lu[k * n + k];
+            self.x[k] = acc / row[k];
         }
-        if let Some(k) = (0..n).find(|&k| self.rhs[k] > self.cap[k]) {
+        if let Some(k) = (0..n).find(|&k| self.x[k] > self.cap[k]) {
             return Err(PowerControlError::Infeasible {
                 transmission_index: k,
             });
         }
         self.p.clear();
-        self.p.extend_from_slice(&self.rhs);
+        self.p.extend_from_slice(&self.x);
         Ok(())
+    }
+
+    /// Row `k`'s scale `Γ/g_k` in `I − A`; 0 for a zero-noise entry, whose
+    /// row is the identity.
+    fn scale(&self, gamma: f64, k: usize) -> f64 {
+        if self.noise[k] > 0.0 {
+            gamma / self.direct_gain[k]
+        } else {
+            0.0
+        }
+    }
+
+    /// Extends the factors by the first unfactored entry `m`: `U`'s new
+    /// column `m` by forward substitution with the stored multipliers,
+    /// then row `m`'s multipliers by forward substitution against `U`,
+    /// its pivot and its forward-eliminated right-hand side. Each element
+    /// gets the right-looking elimination's operations in its order:
+    /// step `j` updates it by `l·U_j` unless the multiplier `l` is 0.
+    /// Returns `false`, with the factors as before, if the pivot is not
+    /// positive.
+    fn factor_next(&mut self, gamma: f64) -> bool {
+        let m = self.lu.len();
+        for i in 0..m {
+            let row = &self.lu[i];
+            let mut u = -self.scale(gamma, i) * self.cross[i][m];
+            for (&l, above) in row[..i].iter().zip(&self.lu) {
+                if l == 0.0 {
+                    continue;
+                }
+                u -= l * above[m];
+            }
+            self.lu[i].push(u);
+        }
+        let scale = self.scale(gamma, m);
+        let mut row = self.spare_rows.pop().unwrap_or_default();
+        row.clear();
+        row.extend(self.cross[m][..=m].iter().enumerate().map(|(l, &g)| {
+            if l == m {
+                1.0
+            } else {
+                -scale * g
+            }
+        }));
+        let mut rhs = scale * self.noise[m];
+        for (j, u) in self.lu.iter().enumerate() {
+            let l = row[j] / u[j];
+            row[j] = l;
+            // Cross-band couplings are exact zeros; skipping them keeps
+            // the elimination near-linear on band-disjoint sets.
+            if l == 0.0 {
+                continue;
+            }
+            for (r, &u) in row[j + 1..].iter_mut().zip(&u[j + 1..]) {
+                *r -= l * u;
+            }
+            rhs -= l * self.fwd[j];
+        }
+        if row[m] <= 0.0 {
+            row.clear();
+            self.spare_rows.push(row);
+            for r in &mut self.lu {
+                r.pop();
+            }
+            return false;
+        }
+        self.lu.push(row);
+        self.fwd.push(rhs);
+        true
     }
 
     /// Pushes `t`, solves, and pops automatically on failure — the
@@ -561,6 +641,292 @@ mod tests {
         ws.probe(&net, &spectrum, &phy, &caps, Transmission::new(c, y, band))
             .expect("re-probe succeeds");
         assert_eq!(ws.len(), 2);
+    }
+
+    /// Where a from-scratch elimination of the held system stops.
+    struct Oracle {
+        /// The verdict, with the powers on success.
+        verdict: Result<Vec<f64>, PowerControlError>,
+        /// Entries factored: all of them, or those before the first
+        /// non-positive pivot.
+        factored: usize,
+        /// Row-major `n × n` factors, multipliers stored below the
+        /// diagonal.
+        lu: Vec<f64>,
+        /// The forward-eliminated right-hand side.
+        fwd: Vec<f64>,
+    }
+
+    /// The oracle: a right-looking elimination of the whole `(I − A)·p = b`
+    /// from the workspace's raw cross gains, as `solve` computed it before
+    /// its factors were kept across probes.
+    fn from_scratch(ws: &PowerControlWorkspace, phy: &PhyConfig) -> Oracle {
+        let n = ws.txs.len();
+        let gamma = phy.sinr_threshold();
+        let mut lu = Vec::with_capacity(n * n);
+        let mut fwd = Vec::with_capacity(n);
+        for k in 0..n {
+            let scale = if ws.noise[k] > 0.0 {
+                gamma / ws.direct_gain[k]
+            } else {
+                0.0
+            };
+            lu.extend(
+                ws.cross[k]
+                    .iter()
+                    .enumerate()
+                    .map(|(l, &g)| if l == k { 1.0 } else { -scale * g }),
+            );
+            fwd.push(scale * ws.noise[k]);
+        }
+        let reject = |k| PowerControlError::Infeasible {
+            transmission_index: k,
+        };
+        for j in 0..n {
+            let pivot = lu[j * n + j];
+            if pivot <= 0.0 {
+                return Oracle {
+                    verdict: Err(reject(n - 1)),
+                    factored: j,
+                    lu,
+                    fwd,
+                };
+            }
+            for i in (j + 1)..n {
+                let factor = lu[i * n + j] / pivot;
+                lu[i * n + j] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for l in (j + 1)..n {
+                    lu[i * n + l] -= factor * lu[j * n + l];
+                }
+                fwd[i] -= factor * fwd[j];
+            }
+        }
+        let mut x = fwd.clone();
+        for k in (0..n).rev() {
+            let mut acc = x[k];
+            for l in (k + 1)..n {
+                acc -= lu[k * n + l] * x[l];
+            }
+            x[k] = acc / lu[k * n + k];
+        }
+        let verdict = match (0..n).find(|&k| x[k] > ws.cap[k]) {
+            Some(k) => Err(reject(k)),
+            None => Ok(x),
+        };
+        Oracle {
+            verdict,
+            factored: n,
+            lu,
+            fwd,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Everything a rejected probe must leave as it found it.
+    type State = (
+        Vec<Transmission>,
+        Vec<Vec<u64>>,
+        Vec<u64>,
+        Vec<Vec<u64>>,
+        Vec<u64>,
+    );
+
+    fn state(ws: &PowerControlWorkspace) -> State {
+        (
+            ws.txs.clone(),
+            ws.cross.iter().map(|r| bits(r)).collect(),
+            bits(&ws.p),
+            ws.lu.iter().map(|r| bits(r)).collect(),
+            bits(&ws.fwd),
+        )
+    }
+
+    /// What the lockstep saw, so the test can show it reached every case.
+    #[derive(Debug, Default)]
+    struct Seen {
+        accepted: usize,
+        cap: usize,
+        pivot: usize,
+        spectral: usize,
+        zero_noise_accepted: usize,
+        multi_push: usize,
+        pops_after_accept: usize,
+    }
+
+    /// Checks a `solve` that just returned `got` against the oracle, bit
+    /// for bit: the verdict, the powers on success, and the kept factors
+    /// with their forward-eliminated right-hand side.
+    fn check_solve(
+        ws: &PowerControlWorkspace,
+        phy: &PhyConfig,
+        spectral: bool,
+        got: &Result<(), PowerControlError>,
+        seen: &mut Seen,
+    ) {
+        let n = ws.len();
+        if spectral {
+            let want = PowerControlError::Infeasible {
+                transmission_index: n - 1,
+            };
+            assert_eq!(*got, Err(want));
+            seen.spectral += 1;
+            return;
+        }
+        let oracle = from_scratch(ws, phy);
+        let k = oracle.factored;
+        assert_eq!(ws.lu.len(), k, "factored entries");
+        for (i, row) in ws.lu.iter().enumerate() {
+            assert_eq!(bits(row), bits(&oracle.lu[i * n..i * n + k]), "row {i}");
+        }
+        assert_eq!(bits(&ws.fwd), bits(&oracle.fwd[..k]), "forward rhs");
+        match &oracle.verdict {
+            Ok(x) => {
+                assert_eq!(*got, Ok(()));
+                assert_eq!(bits(ws.powers_watts()), bits(x), "powers");
+                seen.accepted += 1;
+                if ws.noise.iter().any(|&e| e <= 0.0) {
+                    seen.zero_noise_accepted += 1;
+                }
+            }
+            Err(e) => {
+                assert_eq!(got.as_ref().err(), Some(e));
+                if oracle.factored < n {
+                    seen.pivot += 1;
+                } else {
+                    seen.cap += 1;
+                }
+            }
+        }
+    }
+
+    /// The bordered factors in lockstep with a from-scratch elimination
+    /// over random probe, push-push-solve, pop and clear sequences on
+    /// crowded geometries: bit-equal verdicts, powers and factors, zero
+    /// noise, cap, pivot and spectral rejects all reached, and a rejected
+    /// probe leaves the workspace exactly as it found it.
+    #[test]
+    fn bordered_factors_match_a_from_scratch_elimination() {
+        let spectrum = SpectrumState::new(vec![
+            Bandwidth::from_megahertz(1.0),
+            Bandwidth::from_megahertz(2.0),
+            Bandwidth::from_megahertz(0.0),
+        ]);
+        let mut rng = Rng::seed_from(11);
+        let mut seen = Seen::default();
+        let mut ws = PowerControlWorkspace::new();
+        for _ in 0..60 {
+            let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 3);
+            let n = 16 + rng.index(9);
+            let ids: Vec<NodeId> = (0..n)
+                .map(|k| {
+                    let p = Point::new(rng.range_f64(0.0, 3000.0), rng.range_f64(0.0, 3000.0));
+                    if k % 4 == 0 {
+                        b.add_base_station(p)
+                    } else {
+                        b.add_user(p)
+                    }
+                })
+                .collect();
+            let net = b.build().expect("valid");
+            let phy = PhyConfig::new([0.25, 1.0, 4.0][rng.index(3)], 1e-20);
+            let caps: Vec<Power> = (0..n)
+                .map(|_| Power::from_watts([20.0, 1.0, 1e-3][rng.index(3)]))
+                .collect();
+            // A transmission between two nodes no held entry uses.
+            let fresh = |ws: &PowerControlWorkspace, rng: &mut Rng| {
+                let used = |id: NodeId| ws.txs.iter().any(|t| t.tx() == id || t.rx() == id);
+                let free: Vec<NodeId> = ids.iter().copied().filter(|&id| !used(id)).collect();
+                (free.len() >= 2).then(|| {
+                    let tx = free[rng.index(free.len())];
+                    let rx = loop {
+                        let rx = free[rng.index(free.len())];
+                        if rx != tx {
+                            break rx;
+                        }
+                    };
+                    Transmission::new(tx, rx, BandId::from_index(rng.index(3)))
+                })
+            };
+            // A new network and SINR target: the kept factors belong to the
+            // old ones. The buffers carry over.
+            ws.clear();
+            for _ in 0..24 {
+                match rng.index(6) {
+                    // One probe: push, solve, pop on a reject.
+                    0..=2 => {
+                        let Some(t) = fresh(&ws, &mut rng) else { break };
+                        let before = state(&ws);
+                        if ws.push_candidate(&net, &spectrum, &phy, &caps, t).is_err() {
+                            assert_eq!(state(&ws), before, "a floor reject pushes nothing");
+                            continue;
+                        }
+                        let spectral = ws.provably_infeasible(&phy);
+                        let got = ws.solve(&phy);
+                        check_solve(&ws, &phy, spectral, &got, &mut seen);
+                        if got.is_err() {
+                            ws.pop_candidate();
+                            assert_eq!(state(&ws), before, "a rejected probe restores");
+                        }
+                    }
+                    // Two pushes, one solve: the factors grow twice.
+                    3 => {
+                        let Some(t) = fresh(&ws, &mut rng) else { break };
+                        if ws.push_candidate(&net, &spectrum, &phy, &caps, t).is_err() {
+                            continue;
+                        }
+                        let pushed = fresh(&ws, &mut rng)
+                            .map(|u| ws.push_candidate(&net, &spectrum, &phy, &caps, u));
+                        if !matches!(pushed, Some(Ok(()))) {
+                            ws.pop_candidate();
+                            continue;
+                        }
+                        seen.multi_push += 1;
+                        let spectral = ws.provably_infeasible(&phy);
+                        let got = ws.solve(&phy);
+                        check_solve(&ws, &phy, spectral, &got, &mut seen);
+                        if got.is_err() {
+                            ws.pop_candidate();
+                            ws.pop_candidate();
+                        }
+                    }
+                    // Undo an accepted entry, then re-solve what is left.
+                    4 if !ws.is_empty() => {
+                        let factored = ws.lu.len() == ws.len();
+                        ws.pop_candidate();
+                        seen.pops_after_accept += usize::from(factored);
+                        if !ws.is_empty() {
+                            let spectral = ws.provably_infeasible(&phy);
+                            let got = ws.solve(&phy);
+                            check_solve(&ws, &phy, spectral, &got, &mut seen);
+                            if got.is_err() {
+                                ws.clear();
+                            }
+                        }
+                    }
+                    _ => ws.clear(),
+                }
+            }
+        }
+        for (what, count) in [
+            ("accepted solves", seen.accepted),
+            ("cap rejects", seen.cap),
+            ("pivot rejects", seen.pivot),
+            ("spectral rejects", seen.spectral),
+            (
+                "accepted sets with zero-noise entries",
+                seen.zero_noise_accepted,
+            ),
+            ("two-push solves", seen.multi_push),
+            ("pops of a factored entry", seen.pops_after_accept),
+        ] {
+            assert!(count >= 10, "only {count} {what}: {seen:?}");
+        }
     }
 
     /// A zero-bandwidth band beside a positive one: the zero-noise
