@@ -99,11 +99,19 @@ echo "== snapshot equivalence gate =="
 # watchdog verdicts must be bit-identical to the uninterrupted run across
 # all four fault archetypes and both schedulers, and on a partitioned city
 # with sleep, cooperation and outages live; corrupt/mismatched snapshot
-# files must surface as typed errors. The fsio unit tests open damaged
-# images of every container format (snapshot, sweep result) and demand a
-# typed rejection each time.
+# files, and checksummed ones with impossible battery fields, must surface
+# as typed errors. Byte identity: the one-pass encoder must reproduce the
+# golden images under crates/sim/tests/golden/snapshot_v2/ (a tiny run with
+# every payload section, a partitioned city) byte for byte, fresh and after
+# parse -> restore -> snapshot (the resume unit tests, run with the
+# workspace above, re-encode each checked-in sweep result under
+# golden/resume_v1/results to its exact bytes). The fsio unit tests open
+# damaged images of every container format (snapshot, sweep result) and
+# demand a typed rejection each time; the JSON reader's run-scanning string
+# reader must give its per-character oracle's exact value or error.
 cargo test -p greencell-sim --test snapshot_equivalence -q $CARGO_FLAGS
 cargo test -p greencell-sim --lib fsio -q $CARGO_FLAGS
+cargo test -p greencell-trace --lib json -q $CARGO_FLAGS
 # One container: the two-line header is formatted only in fsio.rs.
 if grep -rnF --exclude=fsio.rs '\"checksum\":\"0x' crates/sim/src; then echo "container header formatted outside fsio.rs" >&2; exit 1; fi
 

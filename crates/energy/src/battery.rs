@@ -171,7 +171,8 @@ impl Battery {
     ///
     /// # Panics
     ///
-    /// As [`Battery::with_efficiency`], plus if `level ∉ [0, capacity]`.
+    /// As [`Battery::with_efficiency`], plus if `level ∉ [0, capacity]`;
+    /// [`Battery::try_from_parts`] returns each of these as an error.
     #[must_use]
     pub fn from_parts(
         capacity: Energy,
@@ -181,14 +182,59 @@ impl Battery {
         level: Energy,
         charge_blocked: bool,
     ) -> Self {
-        let mut b = Self::with_efficiency(capacity, charge_limit, discharge_limit, efficiency);
-        assert!(
-            level.is_non_negative() && level.as_joules() <= capacity.as_joules() + EPS_JOULES,
-            "level outside [0, x^max]"
-        );
-        b.level = level;
-        b.charge_blocked = charge_blocked;
-        b
+        Self::try_from_parts(
+            capacity,
+            charge_limit,
+            discharge_limit,
+            efficiency,
+            level,
+            charge_blocked,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Battery::from_parts`] for state read from outside the process (a
+    /// snapshot file): every condition the constructors assert is checked
+    /// instead, in the same order and with the same message.
+    ///
+    /// # Errors
+    ///
+    /// The first violated condition: `efficiency ∉ (0, 1]`, a negative
+    /// (or NaN) capacity or limit, `c^max + d^max > x^max` (constraint
+    /// (13)), or `level ∉ [0, x^max]`.
+    pub fn try_from_parts(
+        capacity: Energy,
+        charge_limit: Energy,
+        discharge_limit: Energy,
+        efficiency: f64,
+        level: Energy,
+        charge_blocked: bool,
+    ) -> Result<Self, String> {
+        if !(efficiency > 0.0 && efficiency <= 1.0) {
+            return Err(format!("charge efficiency {efficiency} outside (0, 1]"));
+        }
+        if !(capacity.is_non_negative()
+            && charge_limit.is_non_negative()
+            && discharge_limit.is_non_negative())
+        {
+            return Err("battery parameters must be non-negative".to_string());
+        }
+        if (charge_limit + discharge_limit).as_joules() > capacity.as_joules() + EPS_JOULES {
+            return Err(
+                "constraint (13) violated: c^max + d^max must not exceed x^max".to_string(),
+            );
+        }
+        if !(level.is_non_negative() && level.as_joules() <= capacity.as_joules() + EPS_JOULES) {
+            return Err("level outside [0, x^max]".to_string());
+        }
+        Ok(Self {
+            level,
+            capacity,
+            charge_limit,
+            discharge_limit,
+            charge_efficiency: efficiency,
+            charge_blocked,
+        })
     }
 
     /// The current level `x_i(t)`.
@@ -428,6 +474,39 @@ mod tests {
     #[should_panic(expected = "level outside")]
     fn from_parts_rejects_overfull_level() {
         let _ = Battery::from_parts(kwh(1.0), kwh(0.1), kwh(0.06), 1.0, kwh(1.5), false);
+    }
+
+    /// Every condition `from_parts` asserts is an error here, never a
+    /// panic, and a valid state rebuilds the same battery.
+    #[test]
+    fn try_from_parts_rejects_what_from_parts_asserts() {
+        let parts = |cap: f64, c: f64, d: f64, eta: f64, level: f64| {
+            Battery::try_from_parts(kwh(cap), kwh(c), kwh(d), eta, kwh(level), false)
+        };
+        assert_eq!(
+            parts(1.0, 0.1, 0.06, 0.9, 0.5),
+            Ok(Battery::from_parts(
+                kwh(1.0),
+                kwh(0.1),
+                kwh(0.06),
+                0.9,
+                kwh(0.5),
+                false
+            ))
+        );
+        for (bad, message) in [
+            (parts(1.0, 0.1, 0.06, 2.0, 0.5), "outside (0, 1]"),
+            (parts(1.0, 0.1, 0.06, 0.0, 0.5), "outside (0, 1]"),
+            (parts(1.0, 0.1, 0.06, f64::NAN, 0.5), "outside (0, 1]"),
+            (parts(1.0, -0.1, 0.06, 1.0, 0.5), "non-negative"),
+            (parts(1.0, 0.1, f64::NAN, 1.0, 0.5), "non-negative"),
+            (parts(1.0, 0.6, 0.6, 1.0, 0.5), "constraint (13)"),
+            (parts(1.0, 0.1, 0.06, 1.0, 1.5), "level outside"),
+            (parts(1.0, 0.1, 0.06, 1.0, -0.5), "level outside"),
+        ] {
+            let e = bad.expect_err(message);
+            assert!(e.contains(message), "{e}");
+        }
     }
 
     #[test]

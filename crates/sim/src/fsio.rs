@@ -7,7 +7,9 @@
 //! contents or the complete new contents, never a torn prefix.
 //!
 //! Snapshots and the per-point result files of resumable sweeps share one
-//! two-line container, built by [`seal`] and validated by [`open`]:
+//! two-line container, built by [`seal`] (or written straight to disk by
+//! [`write_sealed_atomic`], which never joins header and payload in
+//! memory) and validated by [`open`]:
 //!
 //! ```text
 //! {"format":"<tag>","version":<u32>,"checksum":"0x<fnv1a64>"}
@@ -38,15 +40,43 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The container's first line, newline included: `format`, `version` and
+/// the checksum of `payload`. The one place the header is formatted.
+fn header_line(format: &str, version: u32, payload: &str) -> String {
+    let checksum = fnv1a_64(payload.as_bytes());
+    format!(
+        "{{\"format\":\"{format}\",\"version\":{version},\"checksum\":\"0x{checksum:016x}\"}}\n"
+    )
+}
+
 /// Seals `payload` (one line of JSON) into the two-line container image:
 /// a header carrying `format`, `version` and the payload checksum, then
 /// the payload itself.
 #[must_use]
 pub fn seal(format: &str, version: u32, payload: &str) -> String {
-    let checksum = fnv1a_64(payload.as_bytes());
-    format!(
-        "{{\"format\":\"{format}\",\"version\":{version},\"checksum\":\"0x{checksum:016x}\"}}\n{payload}\n"
-    )
+    let header = header_line(format, version, payload);
+    let mut image = String::with_capacity(header.len() + payload.len() + 1);
+    image.push_str(&header);
+    image.push_str(payload);
+    image.push('\n');
+    image
+}
+
+/// Writes the image [`seal`] would build to `path`, atomically as
+/// [`write_text_atomic`] does, without first copying the payload behind
+/// the header in memory.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error (create, write, sync, or rename).
+pub fn write_sealed_atomic(
+    path: &Path,
+    format: &str,
+    version: u32,
+    payload: &str,
+) -> std::io::Result<()> {
+    let header = header_line(format, version, payload);
+    write_atomic(path, &[header.as_bytes(), payload.as_bytes(), b"\n"])
 }
 
 /// Opens a container image, checking in order the line structure, the
@@ -151,10 +181,17 @@ fn temp_sibling(path: &Path) -> PathBuf {
 ///
 /// Propagates the underlying I/O error (create, write, sync, or rename).
 pub fn write_text_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    write_atomic(path, &[text.as_bytes()])
+}
+
+/// [`write_text_atomic`] for a file made of `parts`, written in order.
+fn write_atomic(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     let tmp = temp_sibling(path);
     let result = (|| {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
         fs::rename(&tmp, path)
     })();
@@ -201,6 +238,20 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files leaked: {leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The streamed write lands the exact bytes of the sealed image.
+    #[test]
+    fn sealed_write_matches_the_sealed_image() {
+        let dir = temp_dir("sealed");
+        let path = dir.join("image.json");
+        for payload in ["{}", "{\"a\":[\"0x0000000000000001\"]}"] {
+            write_sealed_atomic(&path, "greencell-test", 3, payload).unwrap();
+            let text = fs::read_to_string(&path).unwrap();
+            assert_eq!(text, seal("greencell-test", 3, payload));
+            assert!(open(&text, "greencell-test", 3, "<sealed>").is_ok());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,8 +35,13 @@
 //! The payload encodes every `u64` (RNG words, counters) and every exact
 //! `f64` (queue levels, series samples — as `f64::to_bits`) as
 //! `"0x%016x"` hex strings, because the JSON parser reads plain numbers
-//! as `f64` and would silently round anything above 2⁵³. Files are
-//! written atomically (temp sibling + rename); validation failures
+//! as `f64` and would silently round anything above 2⁵³. The encoder
+//! writes the payload in one pass into one buffer reserved from the
+//! state's dimensions (no per-value strings), and [`SimSnapshot::write`]
+//! streams the header and that buffer into the file without joining
+//! them, so a write costs the encode, one FNV-1a pass and the `fsync`.
+//! Files are written atomically (temp sibling + `fsync` + rename);
+//! validation failures — including battery fields no battery can hold —
 //! surface as typed [`SimError::CorruptSnapshot`] /
 //! [`SimError::SnapshotVersionMismatch`] — never a panic — so callers can
 //! quarantine the file and fall back.
@@ -51,7 +56,6 @@ use greencell_stochastic::{MarkovOnOff, Rng, Series};
 use greencell_trace::json::Value;
 use greencell_units::{Energy, Packets};
 use std::fmt::Debug;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// The `format` tag every snapshot header carries.
@@ -72,24 +76,61 @@ pub(crate) fn fingerprint_debug<T: Debug>(value: &T) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-value JSON encoding: u64 and f64 as "0x%016x" hex strings.
+// Exact-value JSON encoding: u64 and f64 as "0x%016x" hex strings, written
+// in one pass into one `String`.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn hex_u64(x: u64) -> String {
-    format!("\"0x{x:016x}\"")
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Bytes of one encoded value and the comma after it: `"0x`, 16 digits,
+/// `"`, `,`. Payload capacities are reserved in these units.
+pub(crate) const HEX_SLOT: usize = 21;
+
+/// Appends `x` as the JSON string `"0x%016x"`.
+pub(crate) fn push_hex(out: &mut String, x: u64) {
+    let mut buf = *b"\"0x0000000000000000\"";
+    for (i, digit) in buf[3..19].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[((x >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
 }
 
-pub(crate) fn hex_f64(x: f64) -> String {
-    hex_u64(x.to_bits())
+/// Appends `x` as [`push_hex`] does, or `null`.
+pub(crate) fn push_hex_or_null(out: &mut String, x: Option<u64>) {
+    match x {
+        Some(x) => push_hex(out, x),
+        None => out.push_str("null"),
+    }
 }
 
-pub(crate) fn hex_u64_list<I: IntoIterator<Item = u64>>(xs: I) -> String {
-    let body: Vec<String> = xs.into_iter().map(hex_u64).collect();
-    format!("[{}]", body.join(","))
+/// Appends `[item,item,…]`, each item written by `item`.
+fn push_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
-pub(crate) fn hex_f64_list(xs: &[f64]) -> String {
-    hex_u64_list(xs.iter().map(|x| x.to_bits()))
+/// Appends a JSON array of [`push_hex`] values.
+pub(crate) fn push_hex_list(out: &mut String, xs: impl IntoIterator<Item = u64>) {
+    push_list(out, xs, push_hex);
+}
+
+/// Appends a JSON array of exact `f64`s (their bits, as [`push_hex`]).
+fn push_f64_list(out: &mut String, xs: &[f64]) {
+    push_hex_list(out, xs.iter().map(|x| x.to_bits()));
+}
+
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
 pub(crate) fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -143,16 +184,20 @@ fn rng_state_of(v: &Value) -> Result<[u64; 4], String> {
 // Component codecs.
 // ---------------------------------------------------------------------------
 
-fn battery_json(b: &Battery) -> String {
-    format!(
-        "[{},{},{},{},{},{}]",
-        hex_f64(b.capacity().as_joules()),
-        hex_f64(b.charge_limit().as_joules()),
-        hex_f64(b.discharge_limit().as_joules()),
-        hex_f64(b.charge_efficiency()),
-        hex_f64(b.level().as_joules()),
-        b.charge_blocked(),
-    )
+fn battery_into(out: &mut String, b: &Battery) {
+    out.push('[');
+    for x in [
+        b.capacity().as_joules(),
+        b.charge_limit().as_joules(),
+        b.discharge_limit().as_joules(),
+        b.charge_efficiency(),
+        b.level().as_joules(),
+    ] {
+        push_hex(out, x.to_bits());
+        out.push(',');
+    }
+    push_bool(out, b.charge_blocked());
+    out.push(']');
 }
 
 fn battery_of(v: &Value) -> Result<Battery, String> {
@@ -165,24 +210,27 @@ fn battery_of(v: &Value) -> Result<Battery, String> {
     if !(level.is_finite() && capacity.is_finite()) {
         return Err("battery level/capacity must be finite".to_string());
     }
-    Ok(Battery::from_parts(
+    Battery::try_from_parts(
         Energy::from_joules(capacity),
         Energy::from_joules(f64_of(&a[1])?),
         Energy::from_joules(f64_of(&a[2])?),
         f64_of(&a[3])?,
         Energy::from_joules(level),
         bool_of(&a[5])?,
-    ))
+    )
+    .map_err(|e| format!("battery: {e}"))
 }
 
-fn queue_json(q: &PacketQueue) -> String {
-    format!(
-        "[{},{},{},{}]",
-        hex_u64(q.backlog().count()),
-        hex_u64(q.total_arrivals()),
-        hex_u64(q.total_offered()),
-        hex_u64(q.total_wasted()),
-    )
+fn queue_into(out: &mut String, q: &PacketQueue) {
+    push_hex_list(
+        out,
+        [
+            q.backlog().count(),
+            q.total_arrivals(),
+            q.total_offered(),
+            q.total_wasted(),
+        ],
+    );
 }
 
 fn queue_of(v: &Value) -> Result<PacketQueue, String> {
@@ -202,18 +250,12 @@ fn queue_of(v: &Value) -> Result<PacketQueue, String> {
     ))
 }
 
-fn queues_json(qs: &[PacketQueue]) -> String {
-    let body: Vec<String> = qs.iter().map(queue_json).collect();
-    format!("[{}]", body.join(","))
+fn queues_into(out: &mut String, qs: &[PacketQueue]) {
+    push_list(out, qs, queue_into);
 }
 
 fn queues_of(v: &Value) -> Result<Vec<PacketQueue>, String> {
     arr(v)?.iter().map(queue_of).collect()
-}
-
-fn bool_list_json(xs: &[bool]) -> String {
-    let body: Vec<String> = xs.iter().map(bool::to_string).collect();
-    format!("[{}]", body.join(","))
 }
 
 fn bool_list_of(v: &Value) -> Result<Vec<bool>, String> {
@@ -242,30 +284,52 @@ fn assoc_list_of(v: &Value) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-fn controller_json(c: &ControllerState) -> String {
-    let batteries: Vec<String> = c.batteries.iter().map(battery_json).collect();
-    format!(
-        "{{\"slot\":{},\"batteries\":[{}],\"data_queues\":{},\"delivered\":{},\"phantom\":{},\"link_queues\":{},\"awake\":{},\"idle\":{},\"ramp\":{},\"assoc\":{},\"sleep_tr\":{},\"wake_tr\":{},\"transferred\":{}}}",
-        hex_u64(c.slot),
-        batteries.join(","),
-        queues_json(&c.data_queues),
-        hex_u64_list(c.delivered.iter().map(|p| p.count())),
-        hex_u64_list(c.phantom.iter().map(|p| p.count())),
-        queues_json(&c.link_queues),
-        bool_list_json(&c.awake),
-        hex_u64_list(c.idle_slots.iter().map(|&x| u64::from(x))),
-        hex_u64_list(c.ramp_remaining.iter().map(|&x| u64::from(x))),
-        hex_u64_list(c.association.iter().map(|&a| {
-            if a == usize::MAX {
-                u64::MAX
-            } else {
-                a as u64
-            }
-        })),
-        hex_u64(c.sleep_transitions),
-        hex_u64(c.wake_transitions),
-        hex_f64(c.transferred_kwh),
-    )
+fn controller_into(out: &mut String, c: &ControllerState) {
+    out.push_str("{\"slot\":");
+    push_hex(out, c.slot);
+    out.push_str(",\"batteries\":");
+    push_list(out, &c.batteries, battery_into);
+    out.push_str(",\"data_queues\":");
+    queues_into(out, &c.data_queues);
+    out.push_str(",\"delivered\":");
+    push_hex_list(out, c.delivered.iter().map(|p| p.count()));
+    out.push_str(",\"phantom\":");
+    push_hex_list(out, c.phantom.iter().map(|p| p.count()));
+    out.push_str(",\"link_queues\":");
+    queues_into(out, &c.link_queues);
+    out.push_str(",\"awake\":");
+    push_list(out, c.awake.iter().copied(), push_bool);
+    out.push_str(",\"idle\":");
+    push_hex_list(out, c.idle_slots.iter().map(|&x| u64::from(x)));
+    out.push_str(",\"ramp\":");
+    push_hex_list(out, c.ramp_remaining.iter().map(|&x| u64::from(x)));
+    out.push_str(",\"assoc\":");
+    push_hex_list(
+        out,
+        c.association
+            .iter()
+            .map(|&a| if a == usize::MAX { u64::MAX } else { a as u64 }),
+    );
+    out.push_str(",\"sleep_tr\":");
+    push_hex(out, c.sleep_transitions);
+    out.push_str(",\"wake_tr\":");
+    push_hex(out, c.wake_transitions);
+    out.push_str(",\"transferred\":");
+    push_hex(out, c.transferred_kwh.to_bits());
+    out.push('}');
+}
+
+/// Values a [`controller_into`] image holds, counting each `bool` as one.
+fn controller_values(c: &ControllerState) -> usize {
+    6 * c.batteries.len()
+        + 4 * (c.data_queues.len() + c.link_queues.len())
+        + c.delivered.len()
+        + c.phantom.len()
+        + c.awake.len()
+        + c.idle_slots.len()
+        + c.ramp_remaining.len()
+        + c.association.len()
+        + 4
 }
 
 fn controller_of(v: &Value) -> Result<ControllerState, String> {
@@ -294,18 +358,24 @@ fn controller_of(v: &Value) -> Result<ControllerState, String> {
     })
 }
 
-fn relaxed_json(r: &RelaxedState) -> String {
-    format!(
-        "{{\"slot\":{},\"levels\":{},\"q\":{},\"g\":{},\"cost_sum\":{},\"cost_count\":{},\"admitted_sum\":{},\"admitted_count\":{}}}",
-        hex_u64(r.slot),
-        hex_f64_list(&r.levels),
-        hex_f64_list(&r.q),
-        hex_f64_list(&r.g),
-        hex_f64(r.cost_sum),
-        hex_u64(r.cost_count),
-        hex_f64(r.admitted_sum),
-        hex_u64(r.admitted_count),
-    )
+fn relaxed_into(out: &mut String, r: &RelaxedState) {
+    out.push_str("{\"slot\":");
+    push_hex(out, r.slot);
+    out.push_str(",\"levels\":");
+    push_f64_list(out, &r.levels);
+    out.push_str(",\"q\":");
+    push_f64_list(out, &r.q);
+    out.push_str(",\"g\":");
+    push_f64_list(out, &r.g);
+    out.push_str(",\"cost_sum\":");
+    push_hex(out, r.cost_sum.to_bits());
+    out.push_str(",\"cost_count\":");
+    push_hex(out, r.cost_count);
+    out.push_str(",\"admitted_sum\":");
+    push_hex(out, r.admitted_sum.to_bits());
+    out.push_str(",\"admitted_count\":");
+    push_hex(out, r.admitted_count);
+    out.push('}');
 }
 
 fn relaxed_of(v: &Value) -> Result<RelaxedState, String> {
@@ -321,15 +391,18 @@ fn relaxed_of(v: &Value) -> Result<RelaxedState, String> {
     })
 }
 
-fn watchdog_json(w: &WatchdogState) -> String {
-    format!(
-        "{{\"tail\":{},\"slots\":{},\"peak\":{},\"floor\":{},\"divergent\":{}}}",
-        hex_f64_list(&w.tail),
-        hex_u64(w.slots as u64),
-        hex_f64(w.peak_backlog),
-        hex_f64(w.battery_floor_kwh),
-        hex_u64(w.divergent_slots as u64),
-    )
+fn watchdog_into(out: &mut String, w: &WatchdogState) {
+    out.push_str("{\"tail\":");
+    push_f64_list(out, &w.tail);
+    out.push_str(",\"slots\":");
+    push_hex(out, w.slots as u64);
+    out.push_str(",\"peak\":");
+    push_hex(out, w.peak_backlog.to_bits());
+    out.push_str(",\"floor\":");
+    push_hex(out, w.battery_floor_kwh.to_bits());
+    out.push_str(",\"divergent\":");
+    push_hex(out, w.divergent_slots as u64);
+    out.push('}');
 }
 
 fn watchdog_of(v: &Value) -> Result<WatchdogState, String> {
@@ -342,8 +415,9 @@ fn watchdog_of(v: &Value) -> Result<WatchdogState, String> {
     })
 }
 
-pub(crate) fn metrics_json(m: &RunMetrics) -> String {
-    let series = [
+/// The per-slot series of a [`RunMetrics`], in their on-disk order.
+fn metric_series(m: &RunMetrics) -> [(&'static str, &Series); 11] {
+    [
         ("cost", &m.cost),
         ("grid_kwh", &m.grid_kwh),
         ("backlog_bs", &m.backlog_bs),
@@ -355,22 +429,36 @@ pub(crate) fn metrics_json(m: &RunMetrics) -> String {
         ("scheduled_links", &m.scheduled_links),
         ("relaxed_cost", &m.relaxed_cost),
         ("lyapunov", &m.lyapunov),
-    ];
-    let mut out = String::from("{");
-    for (name, s) in series {
-        let _ = write!(out, "\"{name}\":{},", hex_f64_list(s.values()));
+    ]
+}
+
+pub(crate) fn metrics_into(out: &mut String, m: &RunMetrics) {
+    out.push('{');
+    for (name, s) in metric_series(m) {
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        push_f64_list(out, s.values());
+        out.push(',');
     }
-    let _ = write!(
-        out,
-        "\"delivered_total\":{},\"delivered_per_session\":{},\"shed\":{},\"degraded_slots\":{},\"degradation_events\":{},\"lower_bound\":{}}}",
-        hex_u64(m.delivered_total),
-        hex_u64_list(m.delivered_per_session.iter().copied()),
-        hex_u64(m.shed_total),
-        hex_u64(m.degraded_slots),
-        hex_u64(m.degradation_events),
-        m.lower_bound.map_or_else(|| "null".to_string(), hex_f64),
-    );
-    out
+    out.push_str("\"delivered_total\":");
+    push_hex(out, m.delivered_total);
+    out.push_str(",\"delivered_per_session\":");
+    push_hex_list(out, m.delivered_per_session.iter().copied());
+    out.push_str(",\"shed\":");
+    push_hex(out, m.shed_total);
+    out.push_str(",\"degraded_slots\":");
+    push_hex(out, m.degraded_slots);
+    out.push_str(",\"degradation_events\":");
+    push_hex(out, m.degradation_events);
+    out.push_str(",\"lower_bound\":");
+    push_hex_or_null(out, m.lower_bound.map(f64::to_bits));
+    out.push('}');
+}
+
+/// Values a [`metrics_into`] image holds.
+pub(crate) fn metrics_values(m: &RunMetrics) -> usize {
+    metric_series(m).iter().map(|(_, s)| s.len()).sum::<usize>() + m.delivered_per_session.len() + 5
 }
 
 pub(crate) fn metrics_of(v: &Value) -> Result<RunMetrics, String> {
@@ -445,36 +533,64 @@ impl SimSnapshot {
         self.slots_run
     }
 
-    /// The payload line (line 2 of the file format).
-    fn payload_json(&self) -> String {
-        let chains: Vec<String> = self
-            .grid_chains
-            .iter()
-            .map(|(state, s)| {
-                format!(
-                    "[{state},{}]",
-                    s.iter().map(|&w| hex_u64(w)).collect::<Vec<_>>().join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"scenario_fp\":{},\"fault_plan_fp\":{},\"slots_run\":{},\"rngs\":{{\"band\":{},\"renewable\":{},\"grid\":{},\"demand\":{}}},\"grid_chains\":[{}],\"controller\":{},\"relaxed\":{},\"watchdog\":{},\"metrics\":{}}}",
-            hex_u64(self.scenario_fp),
-            self.fault_plan_fp
-                .map_or_else(|| "null".to_string(), hex_u64),
-            hex_u64(self.slots_run as u64),
-            hex_u64_list(self.band_rng),
-            hex_u64_list(self.renewable_rng),
-            hex_u64_list(self.grid_rng),
-            hex_u64_list(self.demand_rng),
-            chains.join(","),
-            controller_json(&self.controller),
-            self.relaxed
+    /// The bytes [`SimSnapshot::payload`] reserves: [`HEX_SLOT`] per
+    /// value, from the state's dimensions, plus 1 KiB for the keys and
+    /// brackets.
+    fn payload_capacity(&self) -> usize {
+        let values = 23
+            + 5 * self.grid_chains.len()
+            + controller_values(&self.controller)
+            + self
+                .relaxed
                 .as_ref()
-                .map_or_else(|| "null".to_string(), relaxed_json),
-            watchdog_json(&self.watchdog),
-            metrics_json(&self.metrics),
-        )
+                .map_or(0, |r| r.levels.len() + r.q.len() + r.g.len() + 5)
+            + self.watchdog.tail.len()
+            + 4
+            + metrics_values(&self.metrics);
+        HEX_SLOT * values + 1024
+    }
+
+    /// The payload line (line 2 of the file format), encoded in one pass
+    /// into one buffer.
+    fn payload(&self) -> String {
+        let mut out = String::with_capacity(self.payload_capacity());
+        out.push_str("{\"scenario_fp\":");
+        push_hex(&mut out, self.scenario_fp);
+        out.push_str(",\"fault_plan_fp\":");
+        push_hex_or_null(&mut out, self.fault_plan_fp);
+        out.push_str(",\"slots_run\":");
+        push_hex(&mut out, self.slots_run as u64);
+        out.push_str(",\"rngs\":{\"band\":");
+        push_hex_list(&mut out, self.band_rng);
+        out.push_str(",\"renewable\":");
+        push_hex_list(&mut out, self.renewable_rng);
+        out.push_str(",\"grid\":");
+        push_hex_list(&mut out, self.grid_rng);
+        out.push_str(",\"demand\":");
+        push_hex_list(&mut out, self.demand_rng);
+        out.push_str("},\"grid_chains\":");
+        push_list(&mut out, &self.grid_chains, |out, (state, words)| {
+            out.push('[');
+            push_bool(out, *state);
+            for &w in words {
+                out.push(',');
+                push_hex(out, w);
+            }
+            out.push(']');
+        });
+        out.push_str(",\"controller\":");
+        controller_into(&mut out, &self.controller);
+        out.push_str(",\"relaxed\":");
+        match &self.relaxed {
+            Some(r) => relaxed_into(&mut out, r),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"watchdog\":");
+        watchdog_into(&mut out, &self.watchdog);
+        out.push_str(",\"metrics\":");
+        metrics_into(&mut out, &self.metrics);
+        out.push('}');
+        out
     }
 
     fn from_payload(v: &Value) -> Result<Self, String> {
@@ -521,7 +637,7 @@ impl SimSnapshot {
     /// The complete two-line file image (header + checksummed payload).
     #[must_use]
     pub fn to_file_string(&self) -> String {
-        crate::fsio::seal(SNAPSHOT_FORMAT, SNAPSHOT_VERSION, &self.payload_json())
+        crate::fsio::seal(SNAPSHOT_FORMAT, SNAPSHOT_VERSION, &self.payload())
     }
 
     /// Parses a snapshot file image, verifying format, version, and
@@ -550,7 +666,7 @@ impl SimSnapshot {
     ///
     /// [`SimError::Io`] on any filesystem failure.
     pub fn write(&self, path: &Path) -> Result<(), SimError> {
-        crate::fsio::write_text_atomic(path, &self.to_file_string())
+        crate::fsio::write_sealed_atomic(path, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, &self.payload())
             .map_err(|e| SimError::Io(format!("{}: {e}", path.display())))
     }
 
@@ -696,12 +812,43 @@ mod tests {
     #[test]
     fn hex_roundtrip_is_exact() {
         use greencell_trace::json::parse;
+        let hex = |x: u64| {
+            let mut out = String::new();
+            push_hex(&mut out, x);
+            assert_eq!(out, format!("\"0x{x:016x}\""));
+            assert_eq!(out.len() + 1, HEX_SLOT);
+            parse(&out).unwrap()
+        };
         for x in [0.0_f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
-            let v = parse(&hex_f64(x)).unwrap();
-            assert_eq!(f64_of(&v).unwrap().to_bits(), x.to_bits());
+            assert_eq!(f64_of(&hex(x.to_bits())).unwrap().to_bits(), x.to_bits());
         }
-        let v = parse(&hex_u64(u64::MAX)).unwrap();
-        assert_eq!(u64_of(&v).unwrap(), u64::MAX);
+        for x in [0, 1, 0xdead_beef, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(u64_of(&hex(x)).unwrap(), x);
+        }
+    }
+
+    /// The reserved capacity covers the whole payload (the encoder never
+    /// grows its buffer) without reserving much more than it writes.
+    #[test]
+    fn payload_fits_its_reserved_capacity() {
+        let mut scenario = Scenario::tiny(29);
+        scenario.horizon = 40;
+        scenario.track_lower_bound = true;
+        scenario.grid_model = GridModel::Markov {
+            stay_on: 0.9,
+            stay_off: 0.7,
+        };
+        let mut sim = Simulator::new(&scenario).unwrap();
+        for _ in 0..40 {
+            sim.step().unwrap();
+            let snap = sim.snapshot();
+            let payload = snap.payload();
+            assert!(payload.len() <= snap.payload_capacity(), "under-reserved");
+            assert!(
+                snap.payload_capacity() <= payload.len() * 5 / 4 + 1024,
+                "over-reserved"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! confidence reporting, [`Ewma`] provides smoothed trend lines, and
 //! [`Series`] stores whole trajectories for the Fig. 2(b)–(e) plots.
 
+use std::fmt;
+
 /// Plain time average `(1/T) Σ x_t` with an exact running sum.
 ///
 /// # Examples
@@ -229,10 +231,33 @@ pub fn jain_fairness(values: &[f64]) -> f64 {
 /// A stored trajectory `x_0, x_1, …` (one value per slot).
 ///
 /// Backs the over-time plots of Fig. 2(b)–(e); keeps both the raw series
-/// and summary statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// and summary statistics. A running sum makes [`Series::mean`] O(1): it
+/// adds the values left to right from `-0.0`, the order and start of
+/// `iter().sum::<f64>()`, so the mean is bit-identical to summing the
+/// stored values.
+#[derive(Clone, PartialEq)]
 pub struct Series {
     values: Vec<f64>,
+    sum: f64,
+}
+
+/// The stored values only: the sum follows from them, and `Debug`
+/// fingerprints of recorded runs hash this form.
+impl fmt::Debug for Series {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Series")
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+impl Default for Series {
+    fn default() -> Self {
+        Self {
+            values: Vec::new(),
+            sum: -0.0,
+        }
+    }
 }
 
 impl Series {
@@ -245,6 +270,7 @@ impl Series {
     /// Appends the next slot's value.
     pub fn push(&mut self, x: f64) {
         self.values.push(x);
+        self.sum += x;
     }
 
     /// The stored values.
@@ -271,7 +297,7 @@ impl Series {
         if self.values.is_empty() {
             0.0
         } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
+            self.sum / self.values.len() as f64
         }
     }
 
@@ -337,15 +363,19 @@ impl Series {
 
 impl FromIterator<f64> for Series {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Self {
-            values: iter.into_iter().collect(),
-        }
+        let values: Vec<f64> = iter.into_iter().collect();
+        let sum = values.iter().sum();
+        Self { values, sum }
     }
 }
 
 impl Extend<f64> for Series {
     fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
+        let start = self.values.len();
         self.values.extend(iter);
+        for &x in &self.values[start..] {
+            self.sum += x;
+        }
     }
 }
 
@@ -457,10 +487,54 @@ mod tests {
         let _ = jain_fairness(&[-1.0]);
     }
 
+    /// The running sum is the left-to-right fold `iter().sum()` computes,
+    /// bit for bit: the empty series, signed zeros, cancellation and
+    /// values whose sum depends on the order of the additions.
+    #[test]
+    fn series_mean_is_bit_identical_to_the_fold() {
+        let fold_mean = |v: &[f64]| {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            }
+        };
+        let cases: [&[f64]; 6] = [
+            &[],
+            &[-0.0],
+            &[-0.0, -0.0, -0.0],
+            &[0.0, -0.0],
+            &[1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3],
+            &[0.1; 37],
+        ];
+        let mut rng = crate::Rng::seed_from(9);
+        let random: Vec<f64> = (0..2_000)
+            .map(|_| (rng.next_f64() - 0.5) * 10f64.powi((rng.next_f64() * 12.0) as i32))
+            .collect();
+        for v in cases.into_iter().chain([random.as_slice()]) {
+            let mut pushed = Series::new();
+            for &x in v {
+                pushed.push(x);
+                let now = pushed.values();
+                assert_eq!(pushed.mean().to_bits(), fold_mean(now).to_bits(), "{now:?}");
+            }
+            let collected: Series = v.iter().copied().collect();
+            let mut extended = Series::new();
+            extended.extend(v.iter().copied());
+            for s in [&pushed, &collected, &extended] {
+                assert_eq!(s.values(), v);
+                assert_eq!(s.mean().to_bits(), fold_mean(v).to_bits(), "{v:?}");
+                assert_eq!(s.sum.to_bits(), v.iter().sum::<f64>().to_bits(), "{v:?}");
+            }
+        }
+    }
+
     #[test]
     fn series_extend() {
         let mut s = Series::new();
         s.extend([1.0, 2.0]);
         assert_eq!(s.values(), &[1.0, 2.0]);
+        // Recorded run fingerprints hash this form: the sum stays out.
+        assert_eq!(format!("{s:?}"), "Series { values: [1.0, 2.0] }");
     }
 }

@@ -111,24 +111,28 @@ pub const MAX_DEPTH: usize = 128;
 /// Returns [`JsonError`] with the failing byte offset on malformed input,
 /// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after top-level value"));
-    }
-    Ok(v)
+    Parser::new(input).document()
+}
+
+/// [`parse`] with the per-character string reader the run-scanning one
+/// must match: the lockstep oracle of the tests.
+#[cfg(test)]
+fn parse_per_char(input: &str) -> Result<Value, JsonError> {
+    let mut p = Parser::new(input);
+    p.per_char_strings = true;
+    p.document()
 }
 
 /// Escapes `s` for use between the quotes of a JSON string.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// Appends [`json_escape`]`(s)` to `out`.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -142,7 +146,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats a finite `f64` as a JSON number (shortest round-trip form);
@@ -158,13 +161,40 @@ pub fn json_f64(x: f64) -> String {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Open arrays and objects enclosing the current position.
     depth: usize,
+    /// Read strings with [`Parser::string_per_char`], the oracle.
+    #[cfg(test)]
+    per_char_strings: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            per_char_strings: false,
+        }
+    }
+
+    /// One complete document: a value, optionally surrounded by
+    /// whitespace, and nothing else.
+    fn document(&mut self) -> Result<Value, JsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after top-level value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -281,7 +311,110 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads a string. Each run of plain bytes up to the next `"`, `\` or
+    /// control byte is copied as one slice; every stop byte is ASCII, so
+    /// each run starts and ends on a character boundary of the input.
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.per_char_strings {
+            return self.string_per_char();
+        }
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let chunk = self
+                .input
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+            out.push_str(chunk);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("raw control character in string")),
+            }
+        }
+    }
+
+    /// Decodes the escape at the current `\` into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                self.pos += 4;
+                // Exporters only escape control characters, so surrogate
+                // pairs never appear.
+                let ch = char::from_u32(code)
+                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                out.push(ch);
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans ASCII bytes");
+        text.parse::<f64>()
+            .map(Value::Number)
+            .map_err(|_| self.err("invalid number"))
+    }
+}
+
+#[cfg(test)]
+impl Parser<'_> {
+    /// The oracle of [`Parser::string`]: the same reader, one character
+    /// at a time.
+    fn string_per_char(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -339,36 +472,6 @@ impl Parser<'_> {
                 }
             }
         }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans ASCII bytes");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -443,6 +546,62 @@ mod tests {
         let e = parse(&"[".repeat(1_000_000)).unwrap_err();
         assert_eq!(e.offset, MAX_DEPTH);
         assert!(e.message.contains("nesting"), "{e}");
+    }
+
+    /// The run-scanning string reader gives the per-character oracle's
+    /// exact `Value` or exact `JsonError` (offset and message) on random
+    /// documents built from escapes (valid, unknown, truncated, `\u` of
+    /// non-scalars), raw control bytes, 1–4-byte UTF-8 and structure,
+    /// as values and as keys, terminated or not.
+    #[test]
+    fn string_runs_match_the_per_char_oracle() {
+        const PIECES: &[&str] = &[
+            "a", "xyz", "0x00ff", " ", "é", "€", "😀", "λ=", "\"", "\\", "\\\"", "\\\\", "\\/",
+            "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\u20AC", "\\ud800", "\\u12",
+            "\\uzz", "\\x", "\u{1}", "\u{1f}", "\t", "\n", "\u{7f}", ":", ",", "{", "}", "[", "]",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut pick = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut errors = BTreeMap::<String, usize>::new();
+        let mut non_ascii_strings = 0;
+        for _ in 0..20_000 {
+            let body: String = (0..pick(8)).map(|_| PIECES[pick(PIECES.len())]).collect();
+            let doc = match pick(6) {
+                0 => format!("\"{body}\""),
+                1 => format!("\"{body}"),
+                2 => format!("{{\"{body}\":1}}"),
+                3 => format!("{{\"{body}\""),
+                4 => format!("[\"{body}\",\"{}\"]", PIECES[pick(PIECES.len())]),
+                _ => body,
+            };
+            let got = parse(&doc);
+            assert_eq!(got, parse_per_char(&doc), "{doc:?}");
+            match got {
+                Ok(v) => non_ascii_strings += usize::from(!format!("{v:?}").is_ascii()),
+                Err(e) => *errors.entry(e.message).or_default() += 1,
+            }
+        }
+        assert!(
+            non_ascii_strings >= 100,
+            "{non_ascii_strings} non-ASCII strings"
+        );
+        for message in [
+            "unterminated string",
+            "unterminated escape",
+            "raw control character in string",
+            "unknown escape",
+            "truncated \\u escape",
+            "invalid \\u escape",
+            "\\u escape is not a scalar value",
+        ] {
+            let seen = errors.get(message).copied().unwrap_or(0);
+            assert!(seen >= 20, "`{message}` seen {seen} times: {errors:?}");
+        }
     }
 
     #[test]
