@@ -1,64 +1,18 @@
-//! Shared fixtures for the Criterion benchmarks in `benches/`.
+//! Deterministic S1 and S4 kernel fixtures for the `perfbench/` harness.
 //!
-//! Three bench binaries cover the reproduction:
-//!
-//! * `figures` — one benchmark per paper figure (2(a)–2(f)), each running
-//!   the corresponding experiment on a horizon-reduced paper scenario;
-//! * `solvers` — micro-benchmarks of the hand-rolled substrates (simplex,
-//!   S4 marginal-price solver, direct power control, queue
-//!   updates, one full controller step);
-//! * `ablation` — design-choice ablations called out in DESIGN.md
-//!   (greedy vs. sequential-fix S1; marginal-price vs. grid-only S4).
+//! perfbench's `probe.s1_cluster` and `probe.s4_city` time the S1 greedy
+//! and the S4 breakpoint sweep on these instances, sized like the city's
+//! largest cluster and its node count.
 
 #![forbid(unsafe_code)]
 
-use greencell_core::{Controller, EnergyManagementInput, S1Inputs, SlotObservation};
+use greencell_core::{EnergyManagementInput, S1Inputs};
 use greencell_energy::{Battery, NodeEnergyModel, QuadraticCost};
 use greencell_net::{Network, NetworkBuilder, NodeId, PathLossModel, Point, SessionId};
 use greencell_phy::{PhyConfig, SpectrumState};
 use greencell_queue::{FlowPlan, LinkQueueBank};
-use greencell_sim::{Scenario, Simulator};
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Energy, PacketSize, Packets, Power, TimeDelta};
-
-/// The paper scenario with a bench-friendly horizon.
-pub fn bench_scenario(horizon: usize) -> Scenario {
-    let mut s = Scenario::paper(42);
-    s.horizon = horizon;
-    s
-}
-
-/// A controller warmed up on `warmup` slots of the paper scenario, plus a
-/// fixed observation to feed it, for single-step benchmarks.
-pub fn warmed_controller(warmup: usize) -> (Controller, SlotObservation) {
-    let scenario = bench_scenario(warmup.max(1));
-    let mut sim = Simulator::new(&scenario).expect("scenario builds");
-    sim.run().expect("warmup runs");
-    let controller = sim.controller().clone();
-    let net = controller.network();
-    let mut rng = Rng::seed_from(7);
-    let bandwidths = (0..net.band_count())
-        .map(|i| {
-            if i == 0 {
-                Bandwidth::from_megahertz(1.0)
-            } else {
-                Bandwidth::from_megahertz(rng.range_f64(1.0, 2.0))
-            }
-        })
-        .collect();
-    let nodes = net.topology().len();
-    let obs = SlotObservation {
-        spectrum: SpectrumState::new(bandwidths),
-        renewable: (0..nodes)
-            .map(|_| Energy::from_joules(rng.range_f64(0.0, 300.0)))
-            .collect(),
-        grid_connected: vec![true; nodes],
-        session_demand: vec![Packets::new(600); net.session_count()],
-        price_multiplier: 1.0,
-        node_available: vec![],
-    };
-    (controller, obs)
-}
 
 /// An owned S1 scheduling instance (network, backlogs, spectrum, energy
 /// state) for benchmarking the S1 kernel at a chosen scale. Borrow the
@@ -146,61 +100,6 @@ impl S1Fixture {
         }
     }
 
-    /// The paper setup (§VI): the `Scenario::paper` network with the link
-    /// backlogs of a controller warmed up for `warmup` slots, the paper's
-    /// SINR threshold, noise density, power caps, and slot/packet
-    /// constants, and nominal bandwidths (the cellular band plus each
-    /// random band's range midpoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails to build or the warm-up run fails.
-    #[must_use]
-    pub fn paper(warmup: usize) -> Self {
-        let mut scenario = Scenario::paper(42);
-        scenario.horizon = warmup.max(1);
-        let mut sim = Simulator::new(&scenario).expect("paper scenario builds");
-        sim.run().expect("paper warmup runs");
-        let controller = sim.controller();
-        let net = controller.network().clone();
-        let links = controller.links().clone();
-        let nodes = net.topology().len();
-        let max_powers = net
-            .topology()
-            .nodes()
-            .iter()
-            .map(|n| {
-                if n.kind().is_base_station() {
-                    scenario.bs_max_power
-                } else {
-                    scenario.user_max_power
-                }
-            })
-            .collect();
-        let mut bandwidths = vec![Bandwidth::from_megahertz(scenario.cellular_band_mhz)];
-        bandwidths.extend(
-            scenario
-                .random_bands
-                .iter()
-                .map(|&(lo, hi)| Bandwidth::from_megahertz((lo + hi) / 2.0)),
-        );
-        bandwidths.truncate(net.band_count());
-        Self {
-            net,
-            links,
-            spectrum: SpectrumState::new(bandwidths),
-            phy: PhyConfig::new(scenario.sinr_threshold, scenario.noise_density),
-            max_powers,
-            models: vec![
-                NodeEnergyModel::new(Energy::ZERO, Energy::ZERO, scenario.recv_power);
-                nodes
-            ],
-            budget: vec![Energy::from_kilowatt_hours(1.0); nodes],
-            slot: scenario.slot,
-            packet_size: scenario.packet_size,
-        }
-    }
-
     /// The borrowed S1 input view of this fixture.
     #[must_use]
     pub fn inputs(&self) -> S1Inputs<'_> {
@@ -266,52 +165,6 @@ impl S4Fixture {
         }
     }
 
-    /// The paper setup (§VI): backlogs (`z = Z − θ`) and battery states
-    /// lifted from a controller warmed up for `warmup` slots of
-    /// `Scenario::paper`, with the scenario's cost curve, `V`, and grid
-    /// limits, and joule-scale demands/renewables like the live pipeline
-    /// feeds S4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails to build or the warm-up run fails.
-    #[must_use]
-    pub fn paper(warmup: usize) -> Self {
-        let mut scenario = Scenario::paper(42);
-        scenario.horizon = warmup.max(1);
-        let mut sim = Simulator::new(&scenario).expect("paper scenario builds");
-        sim.run().expect("paper warmup runs");
-        let controller = sim.controller();
-        let net = controller.network();
-        let nodes = net.topology().len();
-        let mut rng = Rng::seed_from(7);
-        let (a, b, c) = scenario.cost;
-        Self {
-            z: (0..nodes)
-                .map(|i| controller.shifted_level(NodeId::from_index(i)))
-                .collect(),
-            demand: (0..nodes)
-                .map(|_| Energy::from_joules(rng.range_f64(0.0, 4.0e5)))
-                .collect(),
-            renewable: (0..nodes)
-                .map(|_| Energy::from_joules(rng.range_f64(0.0, 3.0e5)))
-                .collect(),
-            batteries: (0..nodes)
-                .map(|i| *controller.battery(NodeId::from_index(i)))
-                .collect(),
-            grid_connected: vec![true; nodes],
-            grid_limits: vec![scenario.grid_limit; nodes],
-            is_bs: net
-                .topology()
-                .nodes()
-                .iter()
-                .map(|n| n.kind().is_base_station())
-                .collect(),
-            cost: QuadraticCost::new(a, b, c),
-            v: scenario.v,
-        }
-    }
-
     /// The borrowed S4 input view of this fixture.
     #[must_use]
     pub fn input(&self) -> EnergyManagementInput<'_> {
@@ -326,5 +179,36 @@ impl S4Fixture {
             cost: &self.cost,
             v: self.v,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greencell_core::{first_sinr_violation, greedy_schedule, solve_energy_management};
+
+    // The sizes perfbench's layer pass probes at, seed 7: its city's largest
+    // cluster (73 nodes) and its node count (10 000 users + 200 BSs).
+
+    #[test]
+    fn s1_fixture_schedules_a_feasible_link_at_cluster_size() {
+        let fixture = S1Fixture::new(73, 7);
+        let inputs = fixture.inputs();
+        let outcome = greedy_schedule(&inputs);
+        assert!(
+            !outcome.schedule.is_empty(),
+            "the probe must time a non-idle slot"
+        );
+        assert_eq!(
+            first_sinr_violation(&inputs, &outcome, &mut Vec::new()),
+            None
+        );
+    }
+
+    #[test]
+    fn s4_fixture_solves_at_city_size() {
+        let fixture = S4Fixture::new(10_200, 7);
+        let outcome = solve_energy_management(&fixture.input()).expect("S4 solves");
+        assert_eq!(outcome.decisions.len(), 10_200);
     }
 }

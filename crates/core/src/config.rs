@@ -17,7 +17,7 @@ pub enum SchedulerKind {
     /// `H_ij(t)·c^m_ij(t)` and admit each if the single-radio constraint
     /// (22) and the SINR feasibility check (24) still hold. Polynomial,
     /// no LPs; within a constant factor of sequential-fix in practice (see
-    /// the `s1_ablation` bench).
+    /// the `scheduler_ablation` test).
     Greedy,
 }
 

@@ -359,8 +359,9 @@ impl RelaxedPart {
 
     /// Relaxed S3: winner-take-all per routable link at the `β` bound (the
     /// same two-layer reading as the exact controller — see `s3`), over
-    /// real-valued queues. Flows land in `sc.flows`, sorted by (session,
-    /// link).
+    /// real-valued queues. `β²·g` is the exact `β·H` with `H = β·g`; why
+    /// that and the cap `β` keep P̄3 a relaxation of P3 is in DESIGN.md
+    /// ("P̄3's S3"). Flows land in `sc.flows`, sorted by (session, link).
     fn route(&self, cx: &SlotInputs<'_>, sc: &mut PartScratch) {
         let (n, links, beta) = (self.n(), self.links(), cx.beta);
         let (q, g) = (&self.q, &self.g);

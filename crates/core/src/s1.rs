@@ -543,7 +543,9 @@ pub fn sequential_fix_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
 /// feasibility of each fixing in the [`PowerControlWorkspace`], whose
 /// solution after the last probe is `out.powers`, as in
 /// [`greedy_schedule_with`]. The LP relaxations themselves still allocate
-/// (simplex tableaus).
+/// (one simplex tableau per fixing round): the zero-alloc audits exempt
+/// sequential-fix, for the reasons DESIGN.md gives under "Zero
+/// steady-state allocations".
 pub fn sequential_fix_schedule_with(
     inp: &S1Inputs<'_>,
     scratch: &mut S1Scratch,

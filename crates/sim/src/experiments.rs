@@ -413,8 +413,8 @@ pub struct SchedulerComparison {
 }
 
 /// Runs the greedy and sequential-fix S1 algorithms over an identical
-/// observation trace and compares cost and throughput — the `s1_ablation`
-/// companion experiment (wall-clock lives in the Criterion benches).
+/// observation trace and compares cost and throughput — the S1 ablation
+/// that the `scheduler_ablation` test checks.
 ///
 /// # Errors
 ///

@@ -758,7 +758,7 @@ impl ScenarioLayout {
     /// The index of the base station nearest to node `idx` (ties broken
     /// toward the lower index), or `None` if the layout has no BSs.
     /// The paper has no cell association — this is the "cell" used by
-    /// diurnal traffic profiles and bench reporting only.
+    /// diurnal traffic profiles only.
     #[must_use]
     pub fn nearest_bs(&self, idx: usize) -> Option<usize> {
         let p = self.positions[idx];
