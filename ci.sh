@@ -91,9 +91,14 @@ echo "== lower bound gate =="
 # points must reproduce (the exact controller's outputs ride along), and
 # on every slot of that battery the relaxed S1's activations must reach
 # the dense simplex's objective. The fractional matching solver must match
-# the simplex on random multigraphs and return half-integral vertices.
+# the simplex on random multigraphs, small and paper-sized (22 nodes,
+# 200-350 edges), and return half-integral vertices. Its single-scan
+# Hungarian (one scan of the off-tree columns per step, the previous
+# step's minv reduction folded in) and one-pass collapse must give the
+# two-pass oracle's assignments, potentials and activations bit for bit.
 cargo test -p greencell-sim --test lower_bound_golden -q $CARGO_FLAGS
 cargo test -p greencell-lp --test prop_matching -q $CARGO_FLAGS
+cargo test -p greencell-lp --lib matching -q $CARGO_FLAGS
 
 echo "== snapshot equivalence gate =="
 # Crash-safe restore: snapshot at any slot boundary, round-trip through

@@ -19,7 +19,10 @@
 //!
 //! 1. **Collapse.** Parallel edges (either direction) share both endpoint
 //!    rows, so only one max-weight edge per unordered pair can ever help.
-//!    Ties go to the earliest edge in input order.
+//!    Ties go to the earliest edge in input order. One pass over the edges
+//!    keeps a slot per unordered pair; the order of the kept edges never
+//!    reaches the result, because components are numbered by their
+//!    smallest node and exactly one kept edge writes each cost entry.
 //! 2. **Split.** The program separates over connected components of the
 //!    collapsed graph; each is solved alone, so the cost is `Σ c_k³`.
 //! 3. **Assign.** Each component's double cover is a symmetric `c × c`
@@ -29,27 +32,25 @@
 //! 4. **Read off** `α_uv = (y_uv + y_vu)/2`.
 //!
 //! The solver cannot fail: every input has a finite optimum, and each
-//! Hungarian phase marks a new column, so it terminates after `O(c²)`
-//! column scans per row.
+//! Hungarian step moves one column onto the augmenting tree, so a row
+//! takes at most `c` steps of one `O(c)` scan each.
 
 /// Reusable buffers for [`max_weight_fractional_matching_into`]; after the
 /// first call on a given problem shape, further calls allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MatchingWorkspace {
-    /// Positive edges bucketed by lower endpoint (offsets in
-    /// `bucket_start`).
-    bucketed: Vec<usize>,
-    bucket_start: Vec<usize>,
-    /// Within one bucket: where the kept edge to each upper endpoint sits
-    /// in `order` (`NONE` outside the bucket being collapsed).
-    kept_at: Vec<usize>,
-    /// Kept edge indices, one per unordered pair.
+    /// Kept edge indices, one per unordered pair, in order of first
+    /// appearance.
     order: Vec<usize>,
+    /// Where each unordered pair's kept edge sits in `order`, in the
+    /// upper-triangle layout of [`pair_index`]; `NO_SLOT` outside a call.
+    pair_slot: Vec<u32>,
     /// Union-find parents over nodes.
     parent: Vec<usize>,
     /// Component of each node (`NONE` until it touches a kept edge).
     comp: Vec<usize>,
-    /// Index of each node within its component.
+    /// Index of each node within its component; in debug builds, reused
+    /// afterwards for the per-node load of the result check.
     local: Vec<usize>,
     /// Node count per component.
     comp_size: Vec<usize>,
@@ -72,14 +73,14 @@ impl MatchingWorkspace {
 
     /// Reserves every buffer for problems of up to `nodes` nodes and
     /// `edges` edges, so no later call on such a problem allocates. The
-    /// assignment matrices of one component take `nodes²` entries each.
+    /// assignment matrices of one component take `nodes²` entries each,
+    /// the collapse's pair table `nodes²/2` 4-byte entries.
     pub fn reserve(&mut self, nodes: usize, edges: usize) {
-        for buf in [&mut self.bucketed, &mut self.order, &mut self.comp_edges] {
+        for buf in [&mut self.order, &mut self.comp_edges] {
             buf.reserve(edges);
         }
+        self.pair_slot.reserve(nodes * nodes.saturating_sub(1) / 2);
         for buf in [
-            &mut self.bucket_start,
-            &mut self.kept_at,
             &mut self.parent,
             &mut self.comp,
             &mut self.local,
@@ -95,6 +96,7 @@ impl MatchingWorkspace {
 }
 
 const NONE: usize = usize::MAX;
+const NO_SLOT: u32 = u32::MAX;
 
 /// Solves the fractional matching program (see the module docs) on `n`
 /// nodes and the multigraph `edges = [(u, v, w)]`; returns one
@@ -134,49 +136,72 @@ pub fn max_weight_fractional_matching_into(
         assert!(u < n && v < n, "edge endpoint out of range");
         assert_ne!(u, v, "self-loops are not matchable");
     }
-    let pair = |e: usize| {
-        let (u, v, _) = edges[e];
-        (u.min(v), u.max(v))
-    };
-
-    // 1. Collapse parallel edges to the heaviest per unordered pair, the
-    // earliest on ties: bucket the positive edges by their lower endpoint,
-    // then keep a best edge per upper endpoint within each bucket. O(E + n),
-    // no comparison sort.
-    let positive = |e: usize| edges[e].2 > 0.0 && edges[e].2.is_finite();
-    group_by_key(
-        (0..edges.len()).filter(|&e| positive(e)),
-        n,
-        |e| pair(e).0,
-        &mut ws.bucket_start,
-        &mut ws.bucketed,
+    collapse(n, edges, ws);
+    assign_components(n, edges, ws, alpha, Hungarian::solve);
+    let vertex = !cfg!(debug_assertions) || is_half_integral_vertex(n, edges, alpha, ws);
+    for &e in &ws.order {
+        let (lo, hi) = pair(edges, e);
+        ws.pair_slot[pair_index(n, lo, hi)] = NO_SLOT;
+    }
+    debug_assert!(
+        vertex,
+        "fractional matching violates the single-radio rows (22)"
     );
+}
+
+/// The unordered pair `(lo, hi)` of edge `e`.
+fn pair(edges: &[(usize, usize, f64)], e: usize) -> (usize, usize) {
+    let (u, v, _) = edges[e];
+    (u.min(v), u.max(v))
+}
+
+/// Index of the unordered pair `lo < hi < n` in an upper-triangle table
+/// of `n·(n − 1)/2` entries.
+fn pair_index(n: usize, lo: usize, hi: usize) -> usize {
+    lo * (2 * n - lo - 1) / 2 + hi - lo - 1
+}
+
+/// Step 1: keeps the heaviest positive finite edge per unordered pair in
+/// `ws.order`, the earliest on ties (a strict `>` replaces a kept edge).
+/// One pass; it leaves `ws.pair_slot` filled for the kept pairs, and the
+/// caller resets those entries.
+fn collapse(n: usize, edges: &[(usize, usize, f64)], ws: &mut MatchingWorkspace) {
     ws.order.clear();
-    ws.kept_at.clear();
-    ws.kept_at.resize(n, NONE);
-    for lo in 0..n {
-        let first = ws.order.len();
-        for &e in &ws.bucketed[ws.bucket_start[lo]..ws.bucket_start[lo + 1]] {
-            let hi = pair(e).1;
-            match ws.kept_at[hi] {
-                NONE => {
-                    ws.kept_at[hi] = ws.order.len();
-                    ws.order.push(e);
-                }
-                at if edges[e].2 > edges[ws.order[at]].2 => ws.order[at] = e,
-                _ => {}
-            }
+    let pairs = n * n.saturating_sub(1) / 2;
+    if ws.pair_slot.len() < pairs {
+        ws.pair_slot.resize(pairs, NO_SLOT);
+    }
+    for (e, &(_, _, w)) in edges.iter().enumerate() {
+        if !(w > 0.0 && w.is_finite()) {
+            continue;
         }
-        for &e in &ws.order[first..] {
-            ws.kept_at[pair(e).1] = NONE;
+        let (lo, hi) = pair(edges, e);
+        let slot = &mut ws.pair_slot[pair_index(n, lo, hi)];
+        if *slot == NO_SLOT {
+            *slot = u32::try_from(ws.order.len()).expect("fewer than 2³² node pairs");
+            ws.order.push(e);
+        } else if w > edges[ws.order[*slot as usize]].2 {
+            ws.order[*slot as usize] = e;
         }
     }
+}
 
+/// Steps 2–4: splits the kept edges of `ws.order` into connected
+/// components, assigns each component's double cover with `solve` (the
+/// unit tests pass the two-pass oracle here), and adds the halves to
+/// `alpha`.
+fn assign_components(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    ws: &mut MatchingWorkspace,
+    alpha: &mut [f64],
+    solve: impl Fn(&mut Hungarian, usize, &[f64]),
+) {
     // 2. Connected components, numbered by their smallest node.
     ws.parent.clear();
     ws.parent.extend(0..n);
     for &e in &ws.order {
-        let (u, v) = pair(e);
+        let (u, v) = pair(edges, e);
         let (ru, rv) = (find(&mut ws.parent, u), find(&mut ws.parent, v));
         if ru != rv {
             ws.parent[ru.max(rv)] = ru.min(rv);
@@ -188,7 +213,7 @@ pub fn max_weight_fractional_matching_into(
     ws.local.resize(n, 0);
     ws.comp_size.clear();
     for &e in &ws.order {
-        let (u, v) = pair(e);
+        let (u, v) = pair(edges, e);
         for node in [u, v] {
             ws.comp[node] = 0; // touched; numbered below
         }
@@ -213,7 +238,7 @@ pub fn max_weight_fractional_matching_into(
     group_by_key(
         ws.order.iter().copied(),
         comps,
-        |e| comp[pair(e).0],
+        |e| comp[pair(edges, e).0],
         &mut ws.comp_start,
         &mut ws.comp_edges,
     );
@@ -226,14 +251,14 @@ pub fn max_weight_fractional_matching_into(
         ws.edge_at.clear();
         ws.edge_at.resize(c * c, NONE);
         for &e in &ws.comp_edges[ws.comp_start[k]..ws.comp_start[k + 1]] {
-            let (u, v) = pair(e);
+            let (u, v) = pair(edges, e);
             let (a, b) = (ws.local[u], ws.local[v]);
             for (r, col) in [(a, b), (b, a)] {
                 ws.cost[r * c + col] = -edges[e].2;
                 ws.edge_at[r * c + col] = e;
             }
         }
-        ws.hungarian.solve(c, &ws.cost);
+        solve(&mut ws.hungarian, c, &ws.cost);
         for (r, &col) in ws.hungarian.row_to_col().iter().enumerate() {
             let e = ws.edge_at[r * c + col];
             if e != NONE {
@@ -241,6 +266,43 @@ pub fn max_weight_fractional_matching_into(
             }
         }
     }
+}
+
+/// Constraint (22) on a result, plus its vertex shape: every `α` is 0, ½
+/// or 1, every node's `Σ α` is at most 1, and at most one edge per
+/// unordered pair is active. Allocation-free: the node loads (in halves)
+/// reuse `ws.local`, and an active edge must be its pair's kept edge in
+/// the collapse's (still filled) pair table.
+fn is_half_integral_vertex(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    alpha: &[f64],
+    ws: &mut MatchingWorkspace,
+) -> bool {
+    let load = &mut ws.local;
+    load.clear();
+    load.resize(n, 0);
+    for (e, &a) in alpha.iter().enumerate() {
+        let halves = match a {
+            0.0 => continue,
+            0.5 => 1,
+            1.0 => 2,
+            _ => return false,
+        };
+        let (lo, hi) = pair(edges, e);
+        load[lo] += halves;
+        load[hi] += halves;
+        if load[lo] > 2 || load[hi] > 2 {
+            return false;
+        }
+        // The active edge must be its pair's kept edge: then no other edge
+        // of the pair can be active too.
+        let slot = ws.pair_slot[pair_index(n, lo, hi)];
+        if slot == NO_SLOT || ws.order[slot as usize] != e {
+            return false;
+        }
+    }
+    true
 }
 
 /// Stable counting sort: groups `items` by `key(item) < buckets` into
@@ -287,6 +349,20 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 /// with dual potentials (the Kuhn–Munkres method in its `O(c³)` form).
 /// Rows are inserted in index order and ties go to the lowest column, so
 /// the result is a deterministic function of the matrix.
+///
+/// Each step of a row's search makes one scan over the columns not yet on
+/// its tree, kept as an ascending list, and one pass over the tree's
+/// columns. The textbook form makes two passes over all `c + 1` columns:
+/// a scan of the off-tree ones, then `u[p[j]] += δ; v[j] −= δ` on the tree
+/// and `minv[j] −= δ` off it. Here the scan applies the previous step's
+/// `minv[j] −= δ` just before it compares `cur < minv[j]`. The two forms
+/// give bit-equal assignments and potentials:
+/// - every off-tree column sees the same operations in the same order, and
+///   the column that joins the tree never reads `minv` again;
+/// - the list stays ascending, so `minv[j] < δ` still breaks ties at the
+///   lowest column;
+/// - the tree's rows `p[j]` are distinct, so the order of its `u`/`v`
+///   updates does not matter.
 #[derive(Debug, Clone, Default)]
 struct Hungarian {
     /// Row potentials (1-based; entry 0 is the virtual row).
@@ -298,7 +374,10 @@ struct Hungarian {
     /// Predecessor column on the current augmenting path.
     way: Vec<usize>,
     minv: Vec<f64>,
-    used: Vec<bool>,
+    /// The current row's off-tree columns, ascending.
+    off_tree: Vec<usize>,
+    /// Its tree's columns, the virtual column 0 first.
+    tree: Vec<usize>,
     /// The 0-based assignment, row → column.
     assignment: Vec<usize>,
 }
@@ -308,10 +387,14 @@ impl Hungarian {
         for buf in [&mut self.u, &mut self.v, &mut self.minv] {
             buf.reserve(c + 1);
         }
-        for buf in [&mut self.p, &mut self.way] {
+        for buf in [
+            &mut self.p,
+            &mut self.way,
+            &mut self.off_tree,
+            &mut self.tree,
+        ] {
             buf.reserve(c + 1);
         }
-        self.used.reserve(c + 1);
         self.assignment.reserve(c);
     }
 
@@ -322,7 +405,8 @@ impl Hungarian {
             p,
             way,
             minv,
-            used,
+            off_tree,
+            tree,
             assignment,
         } = self;
         for buf in [&mut *u, &mut *v, &mut *minv] {
@@ -333,42 +417,42 @@ impl Hungarian {
             buf.clear();
             buf.resize(c + 1, 0);
         }
-        used.clear();
-        used.resize(c + 1, false);
         for i in 1..=c {
             p[0] = i;
             let mut j0 = 0;
             minv.fill(f64::INFINITY);
-            used.fill(false);
+            off_tree.clear();
+            off_tree.extend(1..=c);
+            tree.clear();
+            tree.push(0);
+            // The previous step's `minv[j] -= delta`, not yet applied to
+            // the off-tree columns (x − 0 = x for every x).
+            let mut pending = 0.0;
             loop {
-                used[j0] = true;
                 let i0 = p[j0];
                 let (row, ui0) = (&cost[(i0 - 1) * c..i0 * c], u[i0]);
                 let mut delta = f64::INFINITY;
-                let mut j1 = 0;
-                for j in 1..=c {
-                    if used[j] {
-                        continue;
-                    }
+                let mut k1 = 0;
+                for (k, &j) in off_tree.iter().enumerate() {
+                    let mut m = minv[j] - pending;
                     let cur = row[j - 1] - ui0 - v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
+                    if cur < m {
+                        m = cur;
                         way[j] = j0;
                     }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
+                    minv[j] = m;
+                    if m < delta {
+                        delta = m;
+                        k1 = k;
                     }
                 }
-                for j in 0..=c {
-                    if used[j] {
-                        u[p[j]] += delta;
-                        v[j] -= delta;
-                    } else {
-                        minv[j] -= delta;
-                    }
+                for &j in tree.iter() {
+                    u[p[j]] += delta;
+                    v[j] -= delta;
                 }
-                j0 = j1;
+                pending = delta;
+                j0 = off_tree.remove(k1);
+                tree.push(j0);
                 if p[j0] == 0 {
                     break;
                 }
@@ -460,6 +544,236 @@ mod tests {
         for edges in [&a[..], &b[..], &a[..]] {
             max_weight_fractional_matching_into(3, edges, &mut ws, &mut alpha);
             assert_eq!(alpha, max_weight_fractional_matching(3, edges));
+        }
+    }
+
+    /// The two-pass forms this module replaced: the bucket-sort collapse
+    /// and the textbook Hungarian step. Kept as the lockstep oracle.
+    mod oracle {
+        use super::super::{
+            assign_components, group_by_key, pair, Hungarian, MatchingWorkspace, NONE,
+        };
+
+        /// The fractional matching with both oracle steps.
+        pub fn matching(n: usize, edges: &[(usize, usize, f64)]) -> Vec<f64> {
+            let mut ws = MatchingWorkspace::new();
+            let mut alpha = vec![0.0; edges.len()];
+            collapse(n, edges, &mut ws);
+            assign_components(n, edges, &mut ws, &mut alpha, solve);
+            alpha
+        }
+
+        /// Buckets the positive edges by lower endpoint, then keeps a best
+        /// edge per upper endpoint within each bucket.
+        pub fn collapse(n: usize, edges: &[(usize, usize, f64)], ws: &mut MatchingWorkspace) {
+            let positive = |e: usize| edges[e].2 > 0.0 && edges[e].2.is_finite();
+            let (mut bucket_start, mut bucketed) = (Vec::new(), Vec::new());
+            group_by_key(
+                (0..edges.len()).filter(|&e| positive(e)),
+                n,
+                |e| pair(edges, e).0,
+                &mut bucket_start,
+                &mut bucketed,
+            );
+            ws.order.clear();
+            let mut kept_at = vec![NONE; n];
+            for lo in 0..n {
+                let first = ws.order.len();
+                for &e in &bucketed[bucket_start[lo]..bucket_start[lo + 1]] {
+                    let hi = pair(edges, e).1;
+                    match kept_at[hi] {
+                        NONE => {
+                            kept_at[hi] = ws.order.len();
+                            ws.order.push(e);
+                        }
+                        at if edges[e].2 > edges[ws.order[at]].2 => ws.order[at] = e,
+                        _ => {}
+                    }
+                }
+                for &e in &ws.order[first..] {
+                    kept_at[pair(edges, e).1] = NONE;
+                }
+            }
+        }
+
+        /// The Hungarian step as two passes over all `c + 1` columns.
+        pub fn solve(h: &mut Hungarian, c: usize, cost: &[f64]) {
+            let Hungarian {
+                u,
+                v,
+                p,
+                way,
+                minv,
+                assignment,
+                ..
+            } = h;
+            for buf in [&mut *u, &mut *v, &mut *minv] {
+                buf.clear();
+                buf.resize(c + 1, 0.0);
+            }
+            for buf in [&mut *p, &mut *way] {
+                buf.clear();
+                buf.resize(c + 1, 0);
+            }
+            let mut used = vec![false; c + 1];
+            for i in 1..=c {
+                p[0] = i;
+                let mut j0 = 0;
+                minv.fill(f64::INFINITY);
+                used.fill(false);
+                loop {
+                    used[j0] = true;
+                    let i0 = p[j0];
+                    let (row, ui0) = (&cost[(i0 - 1) * c..i0 * c], u[i0]);
+                    let mut delta = f64::INFINITY;
+                    let mut j1 = 0;
+                    for j in 1..=c {
+                        if used[j] {
+                            continue;
+                        }
+                        let cur = row[j - 1] - ui0 - v[j];
+                        if cur < minv[j] {
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                        if minv[j] < delta {
+                            delta = minv[j];
+                            j1 = j;
+                        }
+                    }
+                    for j in 0..=c {
+                        if used[j] {
+                            u[p[j]] += delta;
+                            v[j] -= delta;
+                        } else {
+                            minv[j] -= delta;
+                        }
+                    }
+                    j0 = j1;
+                    if p[j0] == 0 {
+                        break;
+                    }
+                }
+                while j0 != 0 {
+                    let j1 = way[j0];
+                    p[j0] = p[j1];
+                    j0 = j1;
+                }
+            }
+            assignment.clear();
+            assignment.resize(c, 0);
+            for j in 1..=c {
+                assignment[p[j] - 1] = j - 1;
+            }
+        }
+    }
+
+    /// SplitMix64: a dependency-free, seedable draw for the lockstep tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A weight in the candidate range 1e3–1e14, one of two shared
+        /// tie values, or (with `degenerate` set) zero, negative or NaN.
+        fn weight(&mut self, degenerate: bool) -> f64 {
+            match self.below(if degenerate { 8 } else { 5 }) {
+                0 => 2.5e9,
+                1 => 4.0e11,
+                5 => 0.0,
+                6 => -1.0,
+                7 => f64::NAN,
+                _ => (1.0 + 9.0 * self.unit()) * 10f64.powf(3.0 + 11.0 * self.unit()),
+            }
+        }
+    }
+
+    #[test]
+    fn hungarian_matches_the_two_pass_oracle_bit_for_bit() {
+        let mut rng = Rng(0x5eed_0001);
+        let (mut ours, mut oracle) = (Hungarian::default(), Hungarian::default());
+        for case in 0..600 {
+            let c = 1 + case % 48;
+            let zero_row_odds = 2 + rng.below(6);
+            let density = 0.2 + 0.8 * rng.unit();
+            let mut cost = vec![0.0; c * c];
+            let isolated: Vec<bool> = (0..c).map(|_| rng.below(zero_row_odds) == 0).collect();
+            for a in 0..c {
+                for b in a + 1..c {
+                    if isolated[a] || isolated[b] || rng.unit() > density {
+                        continue;
+                    }
+                    let w = rng.weight(false);
+                    cost[a * c + b] = -w;
+                    cost[b * c + a] = -w;
+                }
+            }
+            ours.solve(c, &cost);
+            oracle::solve(&mut oracle, c, &cost);
+            assert_eq!(
+                ours.row_to_col(),
+                oracle.row_to_col(),
+                "case {case}, c = {c}"
+            );
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&ours.u),
+                bits(&oracle.u),
+                "row potentials, case {case}"
+            );
+            assert_eq!(
+                bits(&ours.v),
+                bits(&oracle.v),
+                "column potentials, case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn matching_matches_the_oracle_bit_for_bit() {
+        let mut rng = Rng(0x5eed_0002);
+        let mut ws = MatchingWorkspace::new();
+        let mut alpha = Vec::new();
+        for case in 0..400 {
+            let n = 2 + rng.below(30);
+            let m = rng.below(12 * n);
+            // Few distinct pairs at times, so parallel edges abound.
+            let pairs = 1 + rng.below(n * (n - 1) / 2);
+            let pool: Vec<(usize, usize)> = (0..pairs)
+                .map(|_| {
+                    let u = rng.below(n);
+                    (u, (u + 1 + rng.below(n - 1)) % n)
+                })
+                .collect();
+            let edges: Vec<_> = (0..m)
+                .map(|_| {
+                    let (u, v) = pool[rng.below(pairs)];
+                    let (u, v) = if rng.below(2) == 0 { (u, v) } else { (v, u) };
+                    (u, v, rng.weight(true))
+                })
+                .collect();
+            max_weight_fractional_matching_into(n, &edges, &mut ws, &mut alpha);
+            let expected = oracle::matching(n, &edges);
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&alpha),
+                bits(&expected),
+                "case {case}: n = {n}, {m} edges"
+            );
         }
     }
 

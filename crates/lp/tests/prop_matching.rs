@@ -4,7 +4,11 @@
 //!
 //! The multigraphs carry parallel and both-direction edges, zero weights,
 //! exact ties and isolated nodes; positive weights spread over 1e3–1e14,
-//! the range of the relaxed controller's `β·g·c` candidate weights.
+//! the range of the relaxed controller's `β·g·c` candidate weights. Small
+//! instances (up to 11 nodes) cover the corner cases; paper-sized ones (22
+//! nodes, 200–350 candidate edges, as in the relaxed controller's S1 on the
+//! paper scenario) give one component of about 20 nodes, where a Hungarian
+//! row's search chains through many columns.
 
 use greencell_lp::{max_weight_fractional_matching, LinearProgram, Relation};
 use proptest::prelude::*;
@@ -26,6 +30,34 @@ fn raw_edges() -> impl Strategy<Value = Vec<RawEdge>> {
         ),
         0..28,
     )
+}
+
+/// Node count of the paper scenario's network.
+const PAPER_NODES: usize = 22;
+
+/// One paper-sized edge draw: a tail, an offset to the head (never a
+/// loop), a weight mode, and magnitude parts.
+fn paper_edges() -> impl Strategy<Value = Vec<RawEdge>> {
+    prop::collection::vec(
+        (
+            0..PAPER_NODES,
+            1..PAPER_NODES,
+            0u32..6,
+            1.0..10.0f64,
+            3.0..14.0f64,
+        ),
+        200..=350,
+    )
+}
+
+/// Maps paper-sized draws onto a loop-free multigraph on [`PAPER_NODES`]
+/// nodes, with the weight modes of [`multigraph`].
+fn paper_multigraph(raw: &[RawEdge]) -> Vec<(usize, usize, f64)> {
+    let shifted: Vec<RawEdge> = raw
+        .iter()
+        .map(|&(u, d, mode, m, e)| (u, (u + d) % PAPER_NODES, mode, m, e))
+        .collect();
+    multigraph(PAPER_NODES, &shifted)
 }
 
 /// Maps raw draws onto a loop-free multigraph on `n` nodes. Mode 0 is a
@@ -109,6 +141,21 @@ proptest! {
                 prop_assert!(!(same && alpha[x] > 0.0 && alpha[y] > 0.0));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn paper_sized_instances_match_the_simplex_optimum(raw in paper_edges()) {
+        let edges = paper_multigraph(&raw);
+        prop_assert_eq!(edges.len(), raw.len());
+        let alpha = max_weight_fractional_matching(PAPER_NODES, &edges);
+        prop_assert!(alpha.iter().all(|&a| a == 0.0 || a == 0.5 || a == 1.0));
+        let ours: f64 = edges.iter().zip(&alpha).map(|(e, a)| e.2 * a).sum();
+        let oracle = simplex_optimum(PAPER_NODES, &edges);
+        prop_assert!(close(ours, oracle), "objective {ours} vs simplex {oracle}");
     }
 }
 
