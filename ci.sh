@@ -28,17 +28,22 @@ echo "== s1 power lockstep gate =="
 # iteration per probe) run on the same random instances with 2-5 bands,
 # repeated bandwidths and backlogs (id tiebreaks), fault masks and zero
 # noise. The kernels take their candidates from a lazily ordered frontier
-# (one unsorted key per link; only a chunk of the smallest keys is
-# sorted at a time, and keys with a busy endpoint are dropped before each
-# refill), and crowded instances must refill that chunk and re-offer a
-# band beyond it. They probe with one exact M-matrix solve whose LU
-# factors of the accepted links are bordered by one row and column per
-# probe. Identical schedules wherever no reference probe ran out of
-# sweeps, powers within 1e-9 relative, and constraint (24) with the caps
-# on every kernel outcome; the direct solve must match the iteration
-# wherever the iteration converges. The phy unit tests hold the bordered
-# factors, verdicts and powers bit-equal to a from-scratch elimination.
+# (one unsorted key per link, built for the link's best band alone; only
+# a chunk of the smallest keys is sorted at a time, and keys with a busy
+# endpoint are dropped before a refill, a filter skipped while no node
+# turned busy since the last one), and crowded instances must refill that
+# chunk and re-offer a band beyond it. They probe with one exact M-matrix
+# solve whose LU factors of the accepted links are bordered by one row and
+# column per probe, in flat row-major buffers. Identical schedules
+# wherever no reference probe ran out of sweeps, powers within 1e-9
+# relative, and constraint (24) with the caps on every kernel outcome; the
+# direct solve must match the iteration wherever the iteration converges.
+# The phy unit tests hold the bordered flat factors, verdicts and powers
+# bit-equal to a from-scratch elimination; the s1 unit tests hold the
+# one-key heads bit-equal to the per-band minimum (tied and infinite
+# weights) and check which refills filter.
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
+cargo test -p greencell-core --lib s1:: -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_phy -q $CARGO_FLAGS
 cargo test -p greencell-phy --lib workspace -q $CARGO_FLAGS
 
@@ -49,20 +54,28 @@ echo "== s4 sweep lockstep gate =="
 # random instances (unit and paper scale, lossy batteries, deficits,
 # V = 0). Errors must be identical, grid draw and objective within 1e-9
 # relative, and per-node modes equal wherever the reference's two mode
-# objectives differ by more than EPS.
+# objectives differ by more than EPS. The per-node modes (three
+# compare-exchanges for the discharge order, one objective evaluation per
+# charge candidate) must give their sort_by/min_by oracles' solutions bit
+# for bit, with z = ±0, lossy batteries, zero demand or g_max, and ties.
 cargo test -p greencell-sim --test s4_kernel_equivalence -q $CARGO_FLAGS \
   sweep_matches_reference_in_lockstep_on_every_scenario
 cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS \
   sweep_matches_reference_in_lockstep
+cargo test -p greencell-core --lib s4::tests::modes_match -q $CARGO_FLAGS
 
 echo "== s3 routing lockstep gate =="
 # The S3 kernel (destination in-links in phase 1, backlogged senders only
-# in phase 2, candidates sorted sender by sender) and the reference (every
-# link per session in phase 1, one global candidate sort) run on the same
-# random instances: 1-6 sessions, often two with one destination, tied
-# coefficients, senders the greedy runs dry, phase-1 deliveries that
-# exhaust a cap, down nodes under both relay policies. The kernel's flows
-# must equal the reference's non-zero entries exactly.
+# in phase 2, candidates sorted sender by sender, a link skipped exactly
+# when -q_max + beta*H_ij >= 0) and the reference (every link per session
+# in phase 1, one global candidate sort) run on the same random instances:
+# 1-6 sessions, often two with one destination, tied coefficients, senders
+# the greedy runs dry, phase-1 deliveries that exhaust a cap, down nodes
+# under both relay policies, and a family at the prune's edge (beta*H_ij
+# one ulp below, at or above a sender's largest backlog, or infinite, at
+# senders with sessions of unequal backlog). The kernel's flows must equal
+# the reference's non-zero entries exactly; debug builds also check that
+# no pruned link had a negative coefficient.
 cargo test -p greencell-core --test prop_s3_kernel -q $CARGO_FLAGS
 
 echo "== slot driver golden gate =="

@@ -26,17 +26,29 @@
 //! The scheduling paths never sort the full `(i, j, m)` candidate list.
 //! They hold one packed key per admissible link (its best band) in a lazy
 //! frontier and merge: a link whose head is rejected offers its next band,
-//! a link with a busy endpoint is dropped. The frontier sorts only the
-//! chunk of smallest keys the loop is about to reach, and drops the keys
-//! with a busy endpoint before it picks the next chunk. That yields the
-//! full sort's candidates in the same order wherever the outcome can
-//! depend on them. The reference implementations keep the full sort and
-//! the Foschini–Miljanic iteration ([`min_power_assignment_reference`])
-//! as the oracle.
+//! a link with a busy endpoint is dropped. That yields the full sort's
+//! candidates in the same order wherever the outcome can depend on them,
+//! and it wastes no work on keys the merge never reaches:
+//!
+//! * a link's head is built as one key, not as the minimum of one key per
+//!   band. Its `tx` and `rx` are fixed, so its keys order by weight
+//!   descending, then band ascending (a `+∞` weight first); scanning the
+//!   bands in ascending order and keeping a weight only when it is
+//!   strictly larger than the best so far picks the same band;
+//! * the frontier sorts only the chunk of smallest keys the loop is about
+//!   to reach, and drops the keys with a busy endpoint before it picks the
+//!   next chunk. A busy node stays busy, so that filter removes nothing
+//!   unless a node turned busy since it last ran: it is skipped while the
+//!   busy count has not grown, which covers every slot's first refill and
+//!   every refill of sequential-fix's pool.
+//!
+//! The reference implementations keep the full sort and the
+//! Foschini–Miljanic iteration ([`min_power_assignment_reference`]) as
+//! the oracle.
 
 use greencell_energy::NodeEnergyModel;
 use greencell_lp::{LinearProgram, Relation};
-use greencell_net::{BandId, Network, NodeId};
+use greencell_net::{BandId, BandSet, Network, NodeId};
 use greencell_phy::{
     min_power_assignment_reference, packets_per_slot, potential_capacity, sinr_into, PhyConfig,
     PowerControlWorkspace, Schedule, SpectrumState, Transmission,
@@ -105,6 +117,8 @@ pub struct S1Scratch {
     /// transmission — the same predicate as `Schedule::is_busy`, without
     /// the per-candidate schedule scan.
     busy: Vec<bool>,
+    /// The number of `true` entries in `busy`.
+    busy_count: usize,
     /// Per-link SINR at the returned powers, for the debug-build check of
     /// constraint (24).
     sinr: Vec<f64>,
@@ -250,19 +264,36 @@ fn admissible_links<'s>(
     })
 }
 
-/// The keys of link `(tx, rx)`'s candidates: one per shared band with a
-/// positive weight `H_ij·c^m`.
-fn link_keys<'p>(
-    inp: &S1Inputs<'_>,
-    pkts_per_band: &'p [f64],
+/// The keys of link `(tx, rx)`'s candidates on its shared `bands`: one
+/// per band with a positive weight `H_ij·c^m`.
+fn link_keys(
+    bands: BandSet,
+    pkts_per_band: &[f64],
     tx: NodeId,
     rx: NodeId,
     h: f64,
-) -> impl Iterator<Item = u128> + 'p {
-    inp.net.link_bands(tx, rx).iter().filter_map(move |m| {
+) -> impl Iterator<Item = u128> + '_ {
+    bands.iter().filter_map(move |m| {
         let weight = h * pkts_per_band[m.index()];
         (weight > 0.0).then(|| Candidate::key(tx, rx, m, weight))
     })
+}
+
+/// The smallest of [`link_keys`], built as one key: the band with the
+/// largest positive weight, the lowest such band on ties. Positive
+/// weights compare as their bits do (`+∞` above every finite one), and a
+/// NaN weight passes neither this `>` nor `link_keys`' filter.
+fn head_key(bands: BandSet, pkts_per_band: &[f64], tx: NodeId, rx: NodeId, h: f64) -> Option<u128> {
+    let mut best = None;
+    let mut best_weight = 0.0;
+    for m in bands.iter() {
+        let weight = h * pkts_per_band[m.index()];
+        if weight > best_weight {
+            best_weight = weight;
+            best = Some(m);
+        }
+    }
+    best.map(|m| Candidate::key(tx, rx, m, best_weight))
 }
 
 /// Fills the frontier with each admissible link's best candidate key,
@@ -275,13 +306,13 @@ fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     refresh_memos(inp, scratch);
     let mut heads = std::mem::take(&mut scratch.frontier.rest);
     heads.clear();
-    heads.extend(
-        admissible_links(inp, scratch)
-            .filter_map(|(i, j, h)| link_keys(inp, &scratch.pkts_per_band, i, j, h).min()),
-    );
+    heads.extend(admissible_links(inp, scratch).filter_map(|(i, j, h)| {
+        head_key(inp.net.link_bands(i, j), &scratch.pkts_per_band, i, j, h)
+    }));
     scratch.frontier.rest = heads;
     scratch.frontier.chunk.clear();
     scratch.frontier.pos = 0;
+    scratch.frontier.filtered_at = 0;
 }
 
 /// Keys the frontier sorts at a time.
@@ -298,6 +329,9 @@ struct Frontier {
     pos: usize,
     /// The unsorted heads beyond the chunk.
     rest: Vec<u128>,
+    /// The busy count when `rest` was last filtered: no key in `rest` has
+    /// an endpoint that was busy then.
+    filtered_at: usize,
 }
 
 impl Frontier {
@@ -305,12 +339,18 @@ impl Frontier {
     /// chunk refills from `rest`: the keys with a `busy` endpoint go first
     /// (a busy node stays busy, so the loop would drop them unprobed),
     /// then the `CHUNK` smallest survivors are selected and sorted.
-    fn peek(&mut self, busy: &[bool]) -> Option<u128> {
+    /// `busy_count` counts the busy nodes; while it equals the count at
+    /// the last filter, no node turned busy since, and the filter is
+    /// skipped: it would remove nothing.
+    fn peek(&mut self, busy: &[bool], busy_count: usize) -> Option<u128> {
         if self.pos == self.chunk.len() {
-            self.rest.retain(|&key| {
-                let c = Candidate::from_key(key);
-                !busy[c.tx.index()] && !busy[c.rx.index()]
-            });
+            if busy_count != self.filtered_at {
+                self.rest.retain(|&key| {
+                    let c = Candidate::from_key(key);
+                    !busy[c.tx.index()] && !busy[c.rx.index()]
+                });
+                self.filtered_at = busy_count;
+            }
             let at = self.rest.len().saturating_sub(CHUNK);
             if at > 0 {
                 // Descending, so the smallest keys end up in the tail.
@@ -351,7 +391,7 @@ impl Frontier {
 fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u128> {
     let c = Candidate::from_key(key);
     let h = inp.links.h(c.tx, c.rx);
-    link_keys(inp, pkts_per_band, c.tx, c.rx, h)
+    link_keys(inp.net.link_bands(c.tx, c.rx), pkts_per_band, c.tx, c.rx, h)
         .filter(|&k| k > key)
         .min()
 }
@@ -362,7 +402,7 @@ fn candidates(inp: &S1Inputs<'_>) -> Vec<Candidate> {
     let mut scratch = S1Scratch::new();
     refresh_memos(inp, &mut scratch);
     let mut keys: Vec<u128> = admissible_links(inp, &scratch)
-        .flat_map(|(i, j, h)| link_keys(inp, &scratch.pkts_per_band, i, j, h))
+        .flat_map(|(i, j, h)| link_keys(inp.net.link_bands(i, j), &scratch.pkts_per_band, i, j, h))
         .collect();
     keys.sort_unstable();
     keys.into_iter().map(Candidate::from_key).collect()
@@ -400,7 +440,8 @@ pub fn greedy_schedule_with(
     scratch.ws.clear();
     scratch.busy.clear();
     scratch.busy.resize(inp.net.topology().len(), false);
-    while let Some(key) = scratch.frontier.peek(&scratch.busy) {
+    scratch.busy_count = 0;
+    while let Some(key) = scratch.frontier.peek(&scratch.busy, scratch.busy_count) {
         let cand = Candidate::from_key(key);
         let free = !scratch.busy[cand.tx.index()] && !scratch.busy[cand.rx.index()];
         let mut accepted = false;
@@ -416,6 +457,7 @@ pub fn greedy_schedule_with(
                 } else {
                     scratch.busy[cand.tx.index()] = true;
                     scratch.busy[cand.rx.index()] = true;
+                    scratch.busy_count += 2;
                     accepted = true;
                 }
             }
@@ -558,9 +600,10 @@ pub fn sequential_fix_schedule_with(
     scratch.busy.resize(inp.net.topology().len(), false);
     // The pool is the first `MAX_SF_CANDIDATES` of the full candidate
     // order: consume every head in turn, each link offering its next band.
+    // No node is busy, so no refill filters.
     scratch.active.clear();
     while scratch.active.len() < MAX_SF_CANDIDATES {
-        let Some(key) = scratch.frontier.peek(&scratch.busy) else {
+        let Some(key) = scratch.frontier.peek(&scratch.busy, 0) else {
             break;
         };
         scratch.active.push(Candidate::from_key(key));
@@ -856,6 +899,93 @@ mod tests {
             Bandwidth::from_megahertz(1.0),
             Bandwidth::from_megahertz(2.0),
         ])
+    }
+
+    /// The per-band heads builder `head_key` replaced: one key per band
+    /// with a positive weight, then the smallest.
+    fn head_key_reference(
+        bands: BandSet,
+        pkts_per_band: &[f64],
+        tx: NodeId,
+        rx: NodeId,
+        h: f64,
+    ) -> Option<u128> {
+        link_keys(bands, pkts_per_band, tx, rx, h).min()
+    }
+
+    /// `head_key` gives the per-band builder's key bit for bit on random
+    /// band sets, with weights tied across bands, `+∞` weights (from an
+    /// infinite `h` or band capacity), zero and NaN weights.
+    #[test]
+    fn head_key_matches_the_per_band_minimum() {
+        let mut rng = greencell_stochastic::Rng::seed_from(3);
+        let pkts_values = [0.0, 1.0, 2.0, 2.0, 7.5, 1e308, f64::INFINITY, f64::NAN];
+        let h_values = [0.0, 1.0, 2.5, 1e300, f64::INFINITY];
+        let (mut ties, mut infinite) = (0, 0);
+        for _ in 0..20_000 {
+            let bands: BandSet = (0..8)
+                .filter(|_| rng.chance(0.5))
+                .map(BandId::from_index)
+                .collect();
+            let pkts: Vec<f64> = (0..8)
+                .map(|_| pkts_values[rng.index(pkts_values.len())])
+                .collect();
+            let h = h_values[rng.index(h_values.len())];
+            let (tx, rx) = (
+                NodeId::from_index(rng.index(50)),
+                NodeId::from_index(rng.index(50)),
+            );
+            let want = head_key_reference(bands, &pkts, tx, rx, h);
+            assert_eq!(head_key(bands, &pkts, tx, rx, h), want, "{pkts:?} h={h}");
+            let weights: Vec<f64> = bands.iter().map(|m| h * pkts[m.index()]).collect();
+            if let Some(key) = want {
+                let best = Candidate::from_key(key).weight;
+                ties += usize::from(weights.iter().filter(|&&w| w == best).count() > 1);
+                infinite += usize::from(best == f64::INFINITY);
+            }
+        }
+        assert!(
+            ties > 1000 && infinite > 1000,
+            "{ties} ties, {infinite} infinite"
+        );
+    }
+
+    /// A refill filters out the keys with a busy endpoint once the busy
+    /// count has grown, and skips the filter while it has not.
+    #[test]
+    fn frontier_filters_only_after_a_node_turns_busy() {
+        let key = |k: usize| {
+            let (tx, rx) = (NodeId::from_index(2 * k), NodeId::from_index(2 * k + 1));
+            Candidate::key(tx, rx, BandId::from_index(0), 1.0 + k as f64)
+        };
+        let mut frontier = Frontier {
+            rest: (0..CHUNK + 8).map(key).collect(),
+            ..Frontier::default()
+        };
+        let mut busy = vec![false; 2 * (CHUNK + 8)];
+        let endpoints = |f: &Frontier| -> Vec<usize> {
+            f.chunk[f.pos..]
+                .iter()
+                .chain(&f.rest)
+                .map(|&k| Candidate::from_key(k).tx.index())
+                .collect()
+        };
+        assert_eq!(frontier.peek(&busy, 0), Some(key(CHUNK + 7)));
+        assert_eq!(endpoints(&frontier).len(), CHUNK + 8);
+        // Nodes 0 and 3 turn busy: the next refill drops links 0 and 1.
+        busy[0] = true;
+        busy[3] = true;
+        frontier.pos = frontier.chunk.len();
+        assert_eq!(frontier.peek(&busy, 2), Some(key(7)));
+        let mut left = endpoints(&frontier);
+        left.sort_unstable();
+        assert_eq!(left, vec![4, 6, 8, 10, 12, 14]);
+        // The count has not grown since: the refill filters nothing.
+        busy[4] = true;
+        frontier.rest = vec![key(2), key(3)];
+        frontier.pos = frontier.chunk.len();
+        assert_eq!(frontier.peek(&busy, 2), Some(key(3)));
+        assert_eq!(endpoints(&frontier), vec![6, 4]);
     }
 
     #[test]

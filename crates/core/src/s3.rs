@@ -42,6 +42,20 @@
 //! because a candidate's outcome reads only its link's cap and use and
 //! its sender's backlog, all of which belong to the sender; so each
 //! sender's candidates are sorted by the same comparator and run in turn.
+//! The comparator `(w, s, link)` orders them totally, so the order they
+//! are pushed in does not matter.
+//!
+//! Phase 2 scans a sender's out-links in the outer loop and its sessions
+//! in the inner one, and prunes exactly: with `bh = β·H_ij` computed once
+//! per link and `q_max` the largest `Q^s_i` over the sender's sessions
+//! that may leave it (`i ≠ d_s`), a link with `−q_max + bh ≥ 0` is
+//! skipped. IEEE addition is monotone in each argument and `Q^s_j ≥ 0`,
+//! so every session's coefficient `(−Q^s_i + Q^s_j) + bh` is at least
+//! `fl(−q_max + bh) ≥ 0`, and none is a candidate (a `+∞` `bh` prunes,
+//! a NaN one does not). On the paper scenario `β·H_ij = β²·G_ij` dwarfs
+//! every backlog once `G_ij ≥ 1`, so most links go without a session
+//! loop. Debug builds check every pruned link's coefficients.
+//!
 //! Remaining caps live in retained scratch, and a call resets just the
 //! links it spent. [`route_flows_reference`], the dense original, is the
 //! oracle of the lockstep test `crates/core/tests/prop_s3_kernel.rs`.
@@ -300,8 +314,9 @@ pub fn route_flows_into(
             *slot = Some(a.source);
         }
     }
-    let coeff = |s: SessionId, i: NodeId, j: NodeId| -> f64 {
-        -data.backlog(i, s).count_f64() + data.backlog(j, s).count_f64() + beta * links.h(i, j)
+    // The coefficient `−Q^s_i + Q^s_j + β·H_ij`, given `bh = β·H_ij`.
+    let coeff = |s: SessionId, i: NodeId, j: NodeId, bh: f64| -> f64 {
+        -data.backlog(i, s).count_f64() + data.backlog(j, s).count_f64() + bh
     };
 
     // Phase 1: destination delivery per (18), over the destination's
@@ -316,22 +331,23 @@ pub fn route_flows_into(
             continue;
         }
         // Cheapest link into the destination with spare capacity and actual
-        // backlog at the sender.
-        let best = table
-            .in_links(dest)
-            .filter(|&idx| {
-                let (i, _, c) = caps[idx];
-                c.saturating_sub(spent[idx]) > Packets::ZERO
-                    && i != dest
-                    && data.backlog(i, s) > Packets::ZERO
-            })
-            .min_by(|&a, &b| {
-                let ((i1, j1, _), (i2, j2, _)) = (caps[a], caps[b]);
-                coeff(s, i1, j1)
-                    .total_cmp(&coeff(s, i2, j2))
-                    .then(i1.cmp(&i2))
-            });
-        if let Some(idx) = best {
+        // backlog at the sender: the first minimum of `(coefficient, i)`,
+        // each in-link's coefficient computed once.
+        let mut best: Option<(f64, NodeId, usize)> = None;
+        for idx in table.in_links(dest) {
+            let (i, j, c) = caps[idx];
+            if c.saturating_sub(spent[idx]) == Packets::ZERO
+                || i == dest
+                || data.backlog(i, s) == Packets::ZERO
+            {
+                continue;
+            }
+            let w = coeff(s, i, j, beta * links.h(i, j));
+            if best.is_none_or(|(bw, bi, _)| w.total_cmp(&bw).then(i.cmp(&bi)).is_lt()) {
+                best = Some((w, i, idx));
+            }
+        }
+        if let Some((_, _, idx)) = best {
             let (i, j, c) = caps[idx];
             let amount = want
                 .min(c.saturating_sub(spent[idx]))
@@ -345,7 +361,9 @@ pub fn route_flows_into(
     // Phase 2: backpressure — greedy over (session, link) pairs with
     // negative coefficients, one session per link, sender by sender. Only
     // a sender with backlog can have a negative coefficient, and one whose
-    // backlog phase 1 spent moves nothing.
+    // backlog phase 1 spent moves nothing. A link whose coefficient at the
+    // sender's largest backlog `q_max` is not negative has no negative
+    // coefficient at all (see "The sparse kernel").
     senders.clear();
     senders.extend(data.nonempty_backlogs().filter_map(|(i, s, q)| {
         let taken = match delivery[s.index()] {
@@ -358,22 +376,41 @@ pub fn route_flows_into(
     senders.sort_unstable_by_key(|&(i, s, _)| (i, s));
     for run in senders.chunk_by_mut(|a, b| a.0 == b.0) {
         let i = run[0].0;
+        // The sessions that may leave `i` at all: (17).
+        let may_leave = |s: SessionId| i != net.session(s).destination();
+        let Some(q_max) = run
+            .iter()
+            .filter(|&&(_, s, _)| may_leave(s))
+            .map(|&(_, s, _)| data.backlog(i, s).count_f64())
+            .reduce(f64::max)
+        else {
+            continue;
+        };
         combos.clear();
-        for (k, &(_, s, _)) in run.iter().enumerate() {
-            let dest = net.session(s).destination();
-            if i == dest {
-                continue; // (17)
+        for idx in table.out_links(i) {
+            let (_, j, c) = caps[idx];
+            if c.saturating_sub(spent[idx]) == Packets::ZERO {
+                continue;
             }
-            for idx in table.out_links(i) {
-                let (_, j, c) = caps[idx];
-                if c.saturating_sub(spent[idx]) == Packets::ZERO
+            let bh = beta * links.h(i, j);
+            if -q_max + bh >= 0.0 {
+                debug_assert!(
+                    run.iter()
+                        .all(|&(_, s, _)| !may_leave(s) || coeff(s, i, j, bh) >= 0.0),
+                    "S3 pruned link {i} → {j} with a negative coefficient"
+                );
+                continue;
+            }
+            for (k, &(_, s, _)) in run.iter().enumerate() {
+                let dest = net.session(s).destination();
+                if i == dest
                     || Some(j) == source[s.index()] // (16)
                     || j == dest
                 // dest inflow handled in phase 1
                 {
                     continue;
                 }
-                let w = coeff(s, i, j);
+                let w = coeff(s, i, j, bh);
                 if w < 0.0 {
                     combos.push((w, s, idx, k));
                 }
@@ -381,7 +418,8 @@ pub fn route_flows_into(
         }
         // Unstable sort is in-place (no merge buffer) and — because the
         // `(session, link)` pair makes every candidate distinct under this
-        // comparator — yields exactly the order a stable sort would.
+        // comparator — yields exactly the order a stable sort would, from
+        // any push order.
         combos.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         for &(_, s, idx, k) in combos.iter() {
             // A used link has its whole cap spent, so it moves nothing.

@@ -231,13 +231,20 @@ const FEAS_EPS: f64 = 1e-11;
 /// mode's job).
 fn mode_discharge(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
     // (cost, source) with deterministic tie order renewable < battery <
-    // grid at equal cost.
+    // grid at equal cost. The three keys are distinct, so three
+    // compare-exchanges give the one sorted order.
     let mut sources = [
         (0.0, 0u8, env.renewable),
         (-env.z, 1u8, env.d_max),
         (price, 2u8, env.g_max),
     ];
-    sources.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let after =
+        |a: &(f64, u8, f64), b: &(f64, u8, f64)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_gt();
+    for (a, b) in [(0, 1), (1, 2), (0, 1)] {
+        if after(&sources[a], &sources[b]) {
+            sources.swap(a, b);
+        }
+    }
     let mut need = env.demand;
     let mut taken = [0.0f64; 3];
     for &(_, which, cap) in &sources {
@@ -304,7 +311,7 @@ fn mode_charge(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
     // room and the connection limit. At most four candidates, held in a
     // fixed array (this is the hot inner loop of the price bisection; it
     // must not touch the heap). The order [u_min, u_max, saturation, flip]
-    // is load-bearing: `min_by` keeps the *first* minimum at exact ties.
+    // is load-bearing: the scan keeps the *first* minimum at exact ties.
     let mut candidates = [u_min, u_max, 0.0, 0.0];
     let mut count = 2;
     let saturation = env.renewable - env.c_room;
@@ -320,14 +327,17 @@ fn mode_charge(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
         candidates[count] = flip;
         count += 1;
     }
-    candidates[..count]
-        .iter()
-        .copied()
-        .map(build)
-        .min_by(|a, b| {
-            a.objective(env.z, price, env.eta)
-                .total_cmp(&b.objective(env.z, price, env.eta))
-        })
+    // The first strict minimum under `total_cmp`, as `min_by` returns it,
+    // with each candidate's objective evaluated once.
+    let mut best: Option<(f64, NodeSolution)> = None;
+    for &u in &candidates[..count] {
+        let sol = build(u);
+        let value = sol.objective(env.z, price, env.eta);
+        if best.is_none_or(|(b, _)| value.total_cmp(&b).is_lt()) {
+            best = Some((value, sol));
+        }
+    }
+    best.map(|(_, sol)| sol)
 }
 
 /// The node's optimal response to `price`; `None` if no mode is feasible.
@@ -1048,6 +1058,149 @@ mod tests {
             cost: QuadraticCost::paper_default(),
             v: 1.0,
         }
+    }
+
+    /// `mode_discharge` as it was: a `sort_by` of the three sources.
+    fn mode_discharge_reference(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
+        let mut sources = [
+            (0.0, 0u8, env.renewable),
+            (-env.z, 1u8, env.d_max),
+            (price, 2u8, env.g_max),
+        ];
+        sources.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut need = env.demand;
+        let mut taken = [0.0f64; 3];
+        for &(_, which, cap) in &sources {
+            let amount = need.min(cap);
+            taken[which as usize] = amount;
+            need -= amount;
+            if need <= EPS {
+                break;
+            }
+        }
+        if need > FEAS_EPS {
+            return None;
+        }
+        Some(NodeSolution {
+            grid_to_demand: taken[2],
+            grid_to_battery: 0.0,
+            renewable_to_demand: taken[0],
+            renewable_to_battery: 0.0,
+            discharge: taken[1],
+        })
+    }
+
+    /// `mode_charge` as it was: `min_by` over the candidates, evaluating
+    /// both objectives per comparison.
+    fn mode_charge_reference(env: &NodeEnv, price: f64) -> Option<NodeSolution> {
+        let u_max = env.renewable.min(env.demand);
+        let u_min = (env.demand - env.g_max).max(0.0);
+        if u_min > u_max + FEAS_EPS {
+            return None;
+        }
+        let u_min = u_min.min(u_max);
+        let build = |u: f64| -> NodeSolution {
+            let g = (env.demand - u).max(0.0);
+            let leftover = env.renewable - u;
+            let cr = if env.z < 0.0 {
+                leftover.min(env.c_room)
+            } else {
+                0.0
+            };
+            let cg = if env.z * env.eta + price < 0.0 {
+                (env.c_room - cr).min(env.g_max - g).max(0.0)
+            } else {
+                0.0
+            };
+            NodeSolution {
+                grid_to_demand: g,
+                grid_to_battery: cg,
+                renewable_to_demand: u,
+                renewable_to_battery: cr,
+                discharge: 0.0,
+            }
+        };
+        let mut candidates = [u_min, u_max, 0.0, 0.0];
+        let mut count = 2;
+        let saturation = env.renewable - env.c_room;
+        if saturation > u_min && saturation < u_max {
+            candidates[count] = saturation;
+            count += 1;
+        }
+        let flip = env.demand - env.g_max + env.c_room;
+        if flip > u_min && flip < u_max {
+            candidates[count] = flip;
+            count += 1;
+        }
+        candidates[..count]
+            .iter()
+            .copied()
+            .map(build)
+            .min_by(|a, b| {
+                a.objective(env.z, price, env.eta)
+                    .total_cmp(&b.objective(env.z, price, env.eta))
+            })
+    }
+
+    fn solution_bits(sol: Option<NodeSolution>) -> Option<[u64; 5]> {
+        sol.map(|s| {
+            [
+                s.grid_to_demand,
+                s.grid_to_battery,
+                s.renewable_to_demand,
+                s.renewable_to_battery,
+                s.discharge,
+            ]
+            .map(f64::to_bits)
+        })
+    }
+
+    /// Both modes give their former `sort_by`/`min_by` answers bit for
+    /// bit on random environments drawn from short lists: `z = ±0`,
+    /// lossless and lossy batteries, zero demand, zero `g_max`, and prices
+    /// at which discharge costs tie or every charge candidate's objective
+    /// is zero.
+    #[test]
+    fn modes_match_their_sort_and_min_by_oracles() {
+        let mut rng = greencell_stochastic::Rng::seed_from(5);
+        let mut pick = |options: &[f64]| options[rng.index(options.len())];
+        let mut seen = [0usize; 6];
+        for _ in 0..50_000 {
+            let env = NodeEnv {
+                z: pick(&[0.0, -0.0, 1.0, -1.0, -2.5, 3.0, -1e-9]),
+                demand: pick(&[0.0, 0.05, 0.1, 0.3]),
+                renewable: pick(&[0.0, 0.05, 0.2]),
+                g_max: pick(&[0.0, 0.1, 0.2]),
+                d_max: pick(&[0.0, 0.1, 0.05]),
+                c_room: pick(&[0.0, 0.1, 0.5, 0.15]),
+                eta: pick(&[1.0, 0.9]),
+            };
+            let price = pick(&[0.0, -0.0, 0.5, 1.0, 2.5, 3.0, 2.25]);
+            assert_eq!(
+                solution_bits(mode_discharge(&env, price)),
+                solution_bits(mode_discharge_reference(&env, price)),
+                "discharge {env:?} at {price}"
+            );
+            assert_eq!(
+                solution_bits(mode_charge(&env, price)),
+                solution_bits(mode_charge_reference(&env, price)),
+                "charge {env:?} at {price}"
+            );
+            for (k, hit) in [
+                env.z == 0.0,
+                env.eta < 1.0,
+                env.demand == 0.0,
+                env.g_max == 0.0,
+                -env.z == price,
+                env.z == 0.0 && price == 0.0,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                seen[k] += usize::from(hit);
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! down nodes under both relay policies, backlogs, link queues and caps
 //! drawn from short lists (so coefficients tie, caps bind and senders run
 //! dry), the kernel's flow list must equal the reference's non-zero
-//! entries exactly.
+//! entries exactly. A second family sits at the edge of phase 2's exact
+//! prune: `β` and the link queues are tuned so that `β·H_ij` lands on a
+//! backlog the senders hold, one ulp either side of it, or at `+∞`.
 
 use greencell_core::{
     route_flows_into, route_flows_reference, Admission, RelayPolicy, RoutingTable, S3Scratch,
@@ -37,10 +39,35 @@ fn pick<T: Copy>(rng: &mut Rng, options: &[T]) -> T {
     options[rng.index(options.len())]
 }
 
+/// A `β` and a link-queue length `G` with `β·(β·G) = target` exactly (the
+/// kernel's `β·H_ij`, where `H_ij = β·G_ij`), searched near
+/// `√(target/G)`.
+fn beta_hitting(target: f64) -> Option<(f64, u64)> {
+    (1..=64u64).find_map(|g| {
+        let mut beta = (target / g as f64).sqrt();
+        for _ in 0..8 {
+            beta = beta.next_down();
+        }
+        (0..17).find_map(|_| {
+            let hit = beta * (beta * g as f64) == target;
+            let found = hit.then_some((beta, g));
+            beta = beta.next_up();
+            found
+        })
+    })
+}
+
 /// One random S3 input, built the way a controller part builds it: caps
 /// over the ordered pairs that share a band, with both ends up and a
 /// sender the relay policy lets transmit.
 fn instance(seed: u64) -> Instance {
+    instance_with(seed, false)
+}
+
+/// [`instance`], or with `boundary` its prune-edge twin: `β·H_ij` on most
+/// queued links equals one of the backlogs, or its neighbour one ulp
+/// below or above, or is `+∞`.
+fn instance_with(seed: u64, boundary: bool) -> Instance {
     let mut rng = Rng::seed_from(seed);
     let n = 4 + rng.index(6);
     let bs_count = 1 + rng.index(2);
@@ -89,13 +116,27 @@ fn instance(seed: u64) -> Instance {
     }
     data.advance(&FlowPlan::new(n, sessions), &fill);
 
-    let beta = pick(&mut rng, &[0.5, 1.0, 2.0]);
+    let (beta, edge_g) = if boundary {
+        let q = pick(&mut rng, &[5, 40, 120, 300]) as f64;
+        let target = pick(&mut rng, &[q.next_down(), q, q.next_up(), f64::INFINITY]);
+        if target.is_infinite() {
+            (1e200, 1)
+        } else {
+            beta_hitting(target).expect("a β for every target")
+        }
+    } else {
+        (pick(&mut rng, &[0.5, 1.0, 2.0]), 0)
+    };
     let mut links = LinkQueueBank::new(n, beta);
     let mut plan = FlowPlan::new(n, 1);
-    for _ in 0..n {
+    for _ in 0..if boundary { 2 * n } else { n } {
         let i = rng.index(n);
         let j = (i + 1 + rng.index(n - 1)) % n;
-        let g = pick(&mut rng, &[0, 1, 10, 40]);
+        let g = if boundary {
+            pick(&mut rng, &[0, edge_g, edge_g, edge_g, 40])
+        } else {
+            pick(&mut rng, &[0, 1, 10, 40])
+        };
         plan.set(
             SessionId::from_index(0),
             NodeId::from_index(i),
@@ -326,6 +367,49 @@ fn instances_cover_ties_spent_senders_and_shared_destinations() {
     );
 }
 
+/// The prune-edge family reaches what the prune's exactness rests on: a
+/// routable link of a sender holding several sessions of unequal backlog
+/// whose `−q_max + β·H_ij` is one ulp below zero (kept), zero or one ulp
+/// above (pruned), and links with `β·H_ij = +∞`.
+#[test]
+fn boundary_instances_reach_the_prune_edge() {
+    let (mut below, mut at_or_above, mut infinite) = (0, 0, 0);
+    let cases = 300;
+    for seed in 0..cases {
+        let inst = instance_with(seed, true);
+        let sessions = inst.net.sessions();
+        let mut seen = [false; 3];
+        for &(i, j, c) in &inst.caps {
+            let backlogs: Vec<f64> = sessions
+                .iter()
+                .filter(|x| x.destination() != i)
+                .map(|x| inst.data.backlog(i, x.id()).count_f64())
+                .filter(|&q| q > 0.0)
+                .collect();
+            let q_max = backlogs.iter().copied().fold(0.0, f64::max);
+            let unequal = backlogs.iter().any(|&q| q != q_max);
+            let bh = inst.links.beta() * inst.links.h(i, j);
+            if c == Packets::ZERO || !unequal {
+                continue;
+            }
+            let edge = -q_max + bh;
+            seen[0] |= edge < 0.0 && bh == q_max.next_down();
+            seen[1] |= edge >= 0.0 && (bh == q_max || bh == q_max.next_up());
+            seen[2] |= bh == f64::INFINITY;
+        }
+        below += usize::from(seen[0]);
+        at_or_above += usize::from(seen[1]);
+        infinite += usize::from(seen[2]);
+    }
+    for (what, count) in [
+        ("links one ulp below the prune", below),
+        ("links at or one ulp above the prune", at_or_above),
+        ("links with an infinite β·H", infinite),
+    ] {
+        assert!(count >= 10, "only {count} of {cases} instances have {what}");
+    }
+}
+
 proptest! {
     /// The kernel's flows equal the reference's non-zero entries, with one
     /// table, scratch and plan reused across the cases.
@@ -336,6 +420,20 @@ proptest! {
         let mut plan = FlowPlan::empty();
         for case in 0..8u64 {
             let inst = instance(seed.wrapping_add(case));
+            let kernel = kernel_flows(&inst, &mut table, &mut scratch, &mut plan);
+            let reference = reference_flows(&inst);
+            prop_assert_eq!(kernel, reference);
+        }
+    }
+
+    /// The same lockstep on the prune-edge family.
+    #[test]
+    fn kernel_matches_reference_at_the_prune_boundary(seed in any::<u64>()) {
+        let mut table = RoutingTable::default();
+        let mut scratch = S3Scratch::new();
+        let mut plan = FlowPlan::empty();
+        for case in 0..8u64 {
+            let inst = instance_with(seed.wrapping_add(case), true);
             let kernel = kernel_flows(&inst, &mut table, &mut scratch, &mut plan);
             let reference = reference_flows(&inst);
             prop_assert_eq!(kernel, reference);

@@ -39,11 +39,18 @@
 //!   restores the previous solution, so a rejected probe costs `O(n)`
 //!   beyond its elimination.
 //!
+//! The cross gains and the factors are each one flat row-major buffer
+//! with a fixed row stride, the entry count they have room for. A push
+//! writes its row and column in place and a pop only shortens the live
+//! extent; a push past the stride re-lays both buffers out at a larger
+//! one. The layout changes where each element lives, not the operations
+//! it gets or their order.
+//!
 //! After the last probe the workspace holds exactly the accepted
 //! schedule, and [`PowerControlWorkspace::powers_watts`] is its power
-//! vector. All buffers — including the recycled matrix rows — survive
-//! [`PowerControlWorkspace::clear`], so a workspace reused across slots
-//! performs no heap allocation in steady state.
+//! vector. All buffers survive [`PowerControlWorkspace::clear`], so a
+//! workspace reused across slots performs no heap allocation in steady
+//! state.
 
 use crate::{PhyConfig, PowerControlError, SpectrumState, Transmission};
 use greencell_net::Network;
@@ -83,11 +90,11 @@ pub struct PowerControlWorkspace {
     noise: Vec<f64>,
     /// Transmitter cap `P^tx_max` in watts per entry.
     cap: Vec<f64>,
-    /// Cross gains: `cross[k][l]` = gain from `tx_l` to `rx_k` when the
-    /// two entries share a band, else 0. One row per entry; rows are
-    /// recycled through `spare_rows` so steady state allocates nothing.
-    cross: Vec<Vec<f64>>,
-    /// Raw interference row sums `Σ_l cross[k][l]`, maintained
+    /// Cross gains, row-major with row stride `stride`: `cross[k·stride
+    /// + l]` is the gain from `tx_l` to `rx_k` when the two entries share
+    /// a band, else 0, for `k, l < len()`.
+    cross: Vec<f64>,
+    /// Raw interference row sums `Σ_l cross_kl`, maintained
     /// incrementally for the spectral-radius early reject.
     row_sum: Vec<f64>,
     /// The solution of the last successful solve, watts; a pushed entry
@@ -95,16 +102,18 @@ pub struct PowerControlWorkspace {
     p: Vec<f64>,
     /// The solution saved before the outstanding probe.
     p_saved: Vec<f64>,
-    /// Recycled matrix rows, shared by `cross` and `lu`.
-    spare_rows: Vec<Vec<f64>>,
-    /// No-pivot LU factors of `I − A` over the first `lu.len()` entries,
-    /// one row per entry: `lu[i][j]` is the multiplier `l_ij` for `j < i`
-    /// and `U_ij` for `j ≥ i`. Every factored pivot is positive (or NaN,
-    /// which the elimination lets through as it always has).
-    lu: Vec<Vec<f64>>,
+    /// No-pivot LU factors of `I − A` over the first `fwd.len()` entries,
+    /// row-major with row stride `stride`: `lu[i·stride + j]` is the
+    /// multiplier `l_ij` for `j < i` and `U_ij` for `j ≥ i`. Every
+    /// factored pivot is positive (or NaN, which the elimination lets
+    /// through as it always has).
+    lu: Vec<f64>,
     /// The forward-eliminated right-hand side `L⁻¹·b`, one per factored
-    /// entry.
+    /// entry; its length is the factored entry count.
     fwd: Vec<f64>,
+    /// The row stride of `cross` and `lu`, each `stride²` long: the
+    /// entries they have room for.
+    stride: usize,
     /// Back-substitution scratch: the solution of the last solve.
     x: Vec<f64>,
 }
@@ -148,10 +157,6 @@ impl PowerControlWorkspace {
         self.p.clear();
         self.p_saved.clear();
         self.fwd.clear();
-        while let Some(mut row) = self.cross.pop().or_else(|| self.lu.pop()) {
-            row.clear();
-            self.spare_rows.push(row);
-        }
     }
 
     /// Grows every internal buffer — including the factors — to hold `entries` concurrent transmissions without further
@@ -169,22 +174,28 @@ impl PowerControlWorkspace {
         self.p_saved.reserve(entries);
         self.fwd.reserve(entries);
         self.x.reserve(entries);
-        // Every spine needs room: rows migrate between `spare_rows`,
-        // `cross` and `lu` as candidates come and go.
-        self.cross.reserve(entries);
-        self.lu.reserve(entries);
-        self.spare_rows.reserve(2 * entries);
-        while self.cross.len() + self.lu.len() + self.spare_rows.len() < 2 * entries {
-            self.spare_rows.push(Vec::new());
+        if entries > self.stride {
+            self.relayout(entries);
         }
-        for row in self
-            .cross
-            .iter_mut()
-            .chain(&mut self.lu)
-            .chain(&mut self.spare_rows)
-        {
-            row.reserve(entries);
+    }
+
+    /// Moves `cross` and `lu` to row stride `stride` (at least the
+    /// current one), keeping every element.
+    fn relayout(&mut self, stride: usize) {
+        let old = self.stride;
+        for buf in [&mut self.cross, &mut self.lu] {
+            let mut grown = vec![0.0; stride * stride];
+            for k in 0..old {
+                grown[k * stride..k * stride + old].copy_from_slice(&buf[k * old..(k + 1) * old]);
+            }
+            *buf = grown;
         }
+        self.stride = stride;
+    }
+
+    /// The factored entry count.
+    fn factored(&self) -> usize {
+        self.fwd.len()
     }
 
     /// Appends `t` to the interference system: one new row (gains from
@@ -226,23 +237,26 @@ impl PowerControlWorkspace {
         self.p_saved.clear();
         self.p_saved.extend_from_slice(&self.p);
 
-        // New column: t's transmitter interfering with existing receivers.
+        let n = self.txs.len();
+        if n == self.stride {
+            self.relayout((n + 1).max(2 * n));
+        }
+        let stride = self.stride;
+        // New column: t's transmitter interfering with existing receivers;
+        // new row: existing transmitters interfering with t's receiver.
         let mut new_row_sum = 0.0;
-        let mut new_row = self.spare_rows.pop().unwrap_or_default();
-        new_row.clear();
         for (k, other) in self.txs.iter().enumerate() {
             let (col, row) = if other.band() == t.band() {
                 (topo.gain(t.tx(), other.rx()), topo.gain(other.tx(), t.rx()))
             } else {
                 (0.0, 0.0)
             };
-            self.cross[k].push(col);
+            self.cross[k * stride + n] = col;
             self.row_sum[k] += col;
-            new_row.push(row);
+            self.cross[n * stride + k] = row;
             new_row_sum += row;
         }
-        new_row.push(0.0); // diagonal
-        self.cross.push(new_row);
+        self.cross[n * stride + n] = 0.0; // diagonal
         self.row_sum.push(new_row_sum);
 
         self.txs.push(t);
@@ -263,13 +277,7 @@ impl PowerControlWorkspace {
     /// Panics if the workspace is empty.
     pub fn pop_candidate(&mut self) {
         assert!(!self.txs.is_empty(), "nothing to pop");
-        if self.lu.len() == self.txs.len() {
-            let mut row = self.lu.pop().unwrap_or_default();
-            row.clear();
-            self.spare_rows.push(row);
-            for r in &mut self.lu {
-                r.pop();
-            }
+        if self.factored() == self.txs.len() {
             self.fwd.pop();
         }
         self.txs.pop();
@@ -277,12 +285,9 @@ impl PowerControlWorkspace {
         self.noise.pop();
         self.cap.pop();
         self.row_sum.pop();
-        let mut row = self.cross.pop().unwrap_or_default();
-        row.clear();
-        self.spare_rows.push(row);
-        for (k, r) in self.cross.iter_mut().enumerate() {
-            let col = r.pop().unwrap_or(0.0);
-            self.row_sum[k] -= col;
+        let (n, stride) = (self.txs.len(), self.stride);
+        for (k, sum) in self.row_sum.iter_mut().enumerate() {
+            *sum -= self.cross[k * stride + n];
         }
         self.p.clear();
         self.p.extend_from_slice(&self.p_saved);
@@ -347,7 +352,7 @@ impl PowerControlWorkspace {
             return Err(infeasible);
         }
         let gamma = phy.sinr_threshold();
-        while self.lu.len() < n {
+        while self.factored() < n {
             if !self.factor_next(gamma) {
                 return Err(infeasible);
             }
@@ -355,7 +360,7 @@ impl PowerControlWorkspace {
         self.x.clear();
         self.x.resize(n, 0.0);
         for k in (0..n).rev() {
-            let row = &self.lu[k];
+            let row = &self.lu[k * self.stride..k * self.stride + n];
             let mut acc = self.fwd[k];
             for (u, x) in row[k + 1..].iter().zip(&self.x[k + 1..]) {
                 acc -= u * x;
@@ -391,30 +396,27 @@ impl PowerControlWorkspace {
     /// Returns `false`, with the factors as before, if the pivot is not
     /// positive.
     fn factor_next(&mut self, gamma: f64) -> bool {
-        let m = self.lu.len();
+        let (m, stride) = (self.factored(), self.stride);
         for i in 0..m {
-            let row = &self.lu[i];
-            let mut u = -self.scale(gamma, i) * self.cross[i][m];
-            for (&l, above) in row[..i].iter().zip(&self.lu) {
+            let mut u = -self.scale(gamma, i) * self.cross[i * stride + m];
+            // Row `i`'s multipliers against column `m` of the rows above.
+            let column = self.lu[m..].iter().step_by(stride);
+            for (&l, &above) in self.lu[i * stride..i * stride + i].iter().zip(column) {
                 if l == 0.0 {
                     continue;
                 }
-                u -= l * above[m];
+                u -= l * above;
             }
-            self.lu[i].push(u);
+            self.lu[i * stride + m] = u;
         }
         let scale = self.scale(gamma, m);
-        let mut row = self.spare_rows.pop().unwrap_or_default();
-        row.clear();
-        row.extend(self.cross[m][..=m].iter().enumerate().map(|(l, &g)| {
-            if l == m {
-                1.0
-            } else {
-                -scale * g
-            }
-        }));
+        let (above, below) = self.lu.split_at_mut(m * stride);
+        let row = &mut below[..=m];
+        for (l, (r, &g)) in row.iter_mut().zip(&self.cross[m * stride..]).enumerate() {
+            *r = if l == m { 1.0 } else { -scale * g };
+        }
         let mut rhs = scale * self.noise[m];
-        for (j, u) in self.lu.iter().enumerate() {
+        for (j, u) in above.chunks_exact(stride).enumerate() {
             let l = row[j] / u[j];
             row[j] = l;
             // Cross-band couplings are exact zeros; skipping them keeps
@@ -422,20 +424,16 @@ impl PowerControlWorkspace {
             if l == 0.0 {
                 continue;
             }
-            for (r, &u) in row[j + 1..].iter_mut().zip(&u[j + 1..]) {
+            for (r, &u) in row[j + 1..].iter_mut().zip(&u[j + 1..=m]) {
                 *r -= l * u;
             }
             rhs -= l * self.fwd[j];
         }
+        // A rejected pivot leaves row `m` and column `m` as scratch beyond
+        // the factored extent.
         if row[m] <= 0.0 {
-            row.clear();
-            self.spare_rows.push(row);
-            for r in &mut self.lu {
-                r.pop();
-            }
             return false;
         }
-        self.lu.push(row);
         self.fwd.push(rhs);
         true
     }
@@ -643,6 +641,18 @@ mod tests {
         assert_eq!(ws.len(), 2);
     }
 
+    impl PowerControlWorkspace {
+        /// Row `k` of the cross gains, over the held entries.
+        fn cross_row(&self, k: usize) -> &[f64] {
+            &self.cross[k * self.stride..k * self.stride + self.len()]
+        }
+
+        /// Row `i` of the factors, over the factored entries.
+        fn lu_row(&self, i: usize) -> &[f64] {
+            &self.lu[i * self.stride..i * self.stride + self.factored()]
+        }
+    }
+
     /// Where a from-scratch elimination of the held system stops.
     struct Oracle {
         /// The verdict, with the powers on success.
@@ -671,12 +681,13 @@ mod tests {
             } else {
                 0.0
             };
-            lu.extend(
-                ws.cross[k]
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &g)| if l == k { 1.0 } else { -scale * g }),
-            );
+            lu.extend(ws.cross_row(k).iter().enumerate().map(|(l, &g)| {
+                if l == k {
+                    1.0
+                } else {
+                    -scale * g
+                }
+            }));
             fwd.push(scale * ws.noise[k]);
         }
         let reject = |k| PowerControlError::Infeasible {
@@ -740,9 +751,9 @@ mod tests {
     fn state(ws: &PowerControlWorkspace) -> State {
         (
             ws.txs.clone(),
-            ws.cross.iter().map(|r| bits(r)).collect(),
+            (0..ws.len()).map(|k| bits(ws.cross_row(k))).collect(),
             bits(&ws.p),
-            ws.lu.iter().map(|r| bits(r)).collect(),
+            (0..ws.factored()).map(|i| bits(ws.lu_row(i))).collect(),
             bits(&ws.fwd),
         )
     }
@@ -780,9 +791,13 @@ mod tests {
         }
         let oracle = from_scratch(ws, phy);
         let k = oracle.factored;
-        assert_eq!(ws.lu.len(), k, "factored entries");
-        for (i, row) in ws.lu.iter().enumerate() {
-            assert_eq!(bits(row), bits(&oracle.lu[i * n..i * n + k]), "row {i}");
+        assert_eq!(ws.factored(), k, "factored entries");
+        for i in 0..k {
+            assert_eq!(
+                bits(ws.lu_row(i)),
+                bits(&oracle.lu[i * n..i * n + k]),
+                "row {i}"
+            );
         }
         assert_eq!(bits(&ws.fwd), bits(&oracle.fwd[..k]), "forward rhs");
         match &oracle.verdict {
@@ -897,7 +912,7 @@ mod tests {
                     }
                     // Undo an accepted entry, then re-solve what is left.
                     4 if !ws.is_empty() => {
-                        let factored = ws.lu.len() == ws.len();
+                        let factored = ws.factored() == ws.len();
                         ws.pop_candidate();
                         seen.pops_after_accept += usize::from(factored);
                         if !ws.is_empty() {

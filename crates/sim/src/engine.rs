@@ -10,6 +10,7 @@ use greencell_trace::{names, NoopSink, Sink, TraceEvent};
 use greencell_units::{Bandwidth, Energy, Packets};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error constructing or running a [`Simulator`], or persisting its
 /// results.
@@ -220,6 +221,10 @@ pub struct Simulator {
     pub(crate) grid_chains: Vec<MarkovOnOff>,
     /// The pre-expanded fault schedule, when the scenario injects faults.
     pub(crate) fault_plan: Option<FaultPlan>,
+    /// Fingerprints of `scenario` and `fault_plan`, which never change
+    /// after construction: taken by the first snapshot or restore and read
+    /// by every later one (see `Simulator::fingerprints`).
+    pub(crate) fingerprints: OnceLock<(u64, Option<u64>)>,
     pub(crate) watchdog: StabilityWatchdog,
     pub(crate) metrics: RunMetrics,
     pub(crate) slots_run: usize,
@@ -324,6 +329,7 @@ impl Simulator {
             .collect();
         Ok(Self {
             scenario: scenario.clone(),
+            fingerprints: OnceLock::new(),
             controller,
             relaxed,
             band_rng,
@@ -606,20 +612,23 @@ impl Simulator {
         }
         let report = self.controller.step_traced(obs, sink)?;
 
-        let (c, is_bs) = (&self.controller, &self.is_bs);
-        let ids = |bs: bool| {
-            (0..is_bs.len())
-                .filter(move |&i| is_bs[i] == bs)
-                .map(NodeId::from_index)
-        };
-        let backlog_bs: f64 = ids(true).map(|i| c.node_backlog(i).count_f64()).sum();
-        let backlog_users: f64 = ids(false).map(|i| c.node_backlog(i).count_f64()).sum();
-        let buffer_bs_kwh: f64 = ids(true)
-            .map(|i| c.battery(i).level().as_kilowatt_hours())
-            .sum();
-        let buffer_users_wh: f64 = ids(false)
-            .map(|i| c.battery(i).level().as_watt_hours())
-            .sum();
+        // One pass in node order: each class's sum gets its terms in the
+        // order a filtered `sum` would, from the same start (`-0.0`).
+        let c = &self.controller;
+        let (mut backlog_bs, mut backlog_users) = (-0.0, -0.0);
+        let (mut buffer_bs_kwh, mut buffer_users_wh) = (-0.0, -0.0);
+        for (i, &bs) in self.is_bs.iter().enumerate() {
+            let node = NodeId::from_index(i);
+            let backlog = c.node_backlog(node).count_f64();
+            let level = c.battery(node).level();
+            if bs {
+                backlog_bs += backlog;
+                buffer_bs_kwh += level.as_kilowatt_hours();
+            } else {
+                backlog_users += backlog;
+                buffer_users_wh += level.as_watt_hours();
+            }
+        }
         self.watchdog.record(
             backlog_bs + backlog_users,
             buffer_bs_kwh + buffer_users_wh / 1000.0,

@@ -685,15 +685,29 @@ impl SimSnapshot {
 }
 
 impl Simulator {
+    /// The fingerprints of the scenario and of the expanded fault plan.
+    /// Neither changes after construction, so each is hashed once, on
+    /// first use: a long fault plan's `Debug` text costs milliseconds, and
+    /// a run that never snapshots never pays for it.
+    fn fingerprints(&self) -> (u64, Option<u64>) {
+        *self.fingerprints.get_or_init(|| {
+            (
+                fingerprint_debug(&self.scenario),
+                self.fault_plan.as_ref().map(fingerprint_debug),
+            )
+        })
+    }
+
     /// Captures the run's full evolving state at the current slot
     /// boundary. Restoring via [`Simulator::restore`] and running the
     /// remainder is bit-identical to never having stopped.
     #[must_use]
     pub fn snapshot(&self) -> SimSnapshot {
+        let (scenario_fp, fault_plan_fp) = self.fingerprints();
         SimSnapshot {
             origin: "<memory>".to_string(),
-            scenario_fp: fingerprint_debug(&self.scenario),
-            fault_plan_fp: self.fault_plan.as_ref().map(fingerprint_debug),
+            scenario_fp,
+            fault_plan_fp,
             slots_run: self.slots_run,
             band_rng: self.band_rng.state(),
             renewable_rng: self.renewable_rng.state(),
@@ -728,14 +742,13 @@ impl Simulator {
             path: snap.origin.clone(),
             detail,
         };
-        let scenario_fp = fingerprint_debug(scenario);
+        let (scenario_fp, plan_fp) = sim.fingerprints();
         if scenario_fp != snap.scenario_fp {
             return Err(corrupt(format!(
                 "scenario fingerprint mismatch: snapshot 0x{:016x}, scenario 0x{scenario_fp:016x}",
                 snap.scenario_fp
             )));
         }
-        let plan_fp = sim.fault_plan.as_ref().map(fingerprint_debug);
         if plan_fp != snap.fault_plan_fp {
             return Err(corrupt(format!(
                 "fault-plan fingerprint mismatch: snapshot {:?}, regenerated {plan_fp:?}",
@@ -848,6 +861,29 @@ mod tests {
                 snap.payload_capacity() <= payload.len() * 5 / 4 + 1024,
                 "over-reserved"
             );
+        }
+    }
+
+    /// The fingerprints a simulator keeps after its first snapshot are the
+    /// ones a snapshot gets by hashing the scenario and the expanded fault
+    /// plan again: a faulted run's images are the same bytes, at the first
+    /// snapshot and at later ones.
+    #[test]
+    fn stored_fingerprints_give_the_recomputed_image() {
+        let mut scenario = Scenario::tiny(31);
+        scenario.horizon = 30;
+        scenario.faults = Some(crate::FaultSpec::chaos(30));
+        let mut sim = Simulator::new(&scenario).unwrap();
+        for _ in 0..3 {
+            for _ in 0..5 {
+                sim.step().unwrap();
+            }
+            let snap = sim.snapshot();
+            assert!(snap.fault_plan_fp.is_some(), "want a faulted run");
+            let mut recomputed = snap.clone();
+            recomputed.scenario_fp = fingerprint_debug(sim.scenario());
+            recomputed.fault_plan_fp = sim.fault_plan().map(fingerprint_debug);
+            assert_eq!(snap.to_file_string(), recomputed.to_file_string());
         }
     }
 
