@@ -27,25 +27,35 @@ echo "== s1 power lockstep gate =="
 # The S1 kernels and the references (full sort, Foschini-Miljanic
 # iteration per probe) run on the same random instances with 2-5 bands,
 # repeated bandwidths and backlogs (id tiebreaks), fault masks and zero
-# noise. The kernels take their candidates from a lazily ordered frontier
-# (one unsorted key per link, built for the link's best band alone; only
-# a chunk of the smallest keys is sorted at a time, and keys with a busy
-# endpoint are dropped before a refill, a filter skipped while no node
-# turned busy since the last one), and crowded instances must refill that
-# chunk and re-offer a band beyond it. They probe with one exact M-matrix
-# solve whose LU factors of the accepted links are bordered by one row and
-# column per probe, in flat row-major buffers. Identical schedules
-# wherever no reference probe ran out of sweeps, powers within 1e-9
-# relative, and constraint (24) with the caps on every kernel outcome; the
-# direct solve must match the iteration wherever the iteration converges.
-# The phy unit tests hold the bordered flat factors, verdicts and powers
-# bit-equal to a from-scratch elimination; the s1 unit tests hold the
-# one-key heads bit-equal to the per-band minimum (tied and infinite
-# weights) and check which refills filter.
+# noise, and on crowded ones with 6-64 bands. The kernels take their
+# candidates from one frontier grouped by transmitter: one key per link,
+# built for the link's head band, which a per-slot memo keyed by the
+# link's whole band mask supplies (64 entries, direct-mapped; a link whose
+# H_ij or a slot whose packet counts fall outside the memo's exactness
+# range scans its bands instead). Each transmitter's keys are one range
+# and a heap orders the ranges' minima; a group whose transmitter turned
+# busy leaves whole, a key whose receiver turned busy is dropped when its
+# group is rescanned, and a rejected link's next band (one scan of its
+# bands) takes its key's place. Crowded instances must drop a key for a
+# busy receiver, re-offer a band behind its group's minimum and empty a
+# group through a link with no band left, and the many-band ones must
+# overflow the memo. They probe with one exact M-matrix solve whose LU
+# factors of the accepted links are bordered by one row and column per
+# probe, in flat row-major buffers. Identical schedules wherever no
+# reference probe ran out of sweeps, powers within 1e-9 relative, and
+# constraint (24) with the caps on every kernel outcome; the direct solve
+# must match the iteration wherever the iteration converges. The phy unit
+# tests hold the bordered flat factors, verdicts and powers bit-equal to
+# a from-scratch elimination; the s1 unit tests hold the memo head
+# bit-equal to the band scan and the scan to the per-band minimum, the
+# one-scan next band bit-equal to a filter-and-min over the link's keys,
+# and the frontier's pops equal to a full sort filtered by random busy
+# marks. The net unit tests cover the band-mask bits the memo keys on.
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
 cargo test -p greencell-core --lib s1:: -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_phy -q $CARGO_FLAGS
 cargo test -p greencell-phy --lib workspace -q $CARGO_FLAGS
+cargo test -p greencell-net --lib spectrum -q $CARGO_FLAGS
 
 echo "== s4 sweep lockstep gate =="
 # The S4 breakpoint sweep and the bisection reference run on the same

@@ -113,7 +113,7 @@ pub use pipeline::SlotContext;
 pub use s1::{
     first_sinr_violation, greedy_schedule, greedy_schedule_reference, greedy_schedule_with,
     sequential_fix_schedule, sequential_fix_schedule_reference, sequential_fix_schedule_with,
-    S1Inputs, S1Scratch, ScheduleOutcome,
+    FrontierCounts, S1Inputs, S1Scratch, ScheduleOutcome,
 };
 pub use s2::{
     admission_valve_open, resource_allocation, resource_allocation_masked_into, Admission,

@@ -24,23 +24,30 @@
 //! maximum same-slot supply — keeps S4 feasible later in the pipeline.
 //!
 //! The scheduling paths never sort the full `(i, j, m)` candidate list.
-//! They hold one packed key per admissible link (its best band) in a lazy
-//! frontier and merge: a link whose head is rejected offers its next band,
+//! They hold one packed key per admissible link (its best band not yet
+//! probed) and merge: a link whose head is rejected offers its next band,
 //! a link with a busy endpoint is dropped. That yields the full sort's
 //! candidates in the same order wherever the outcome can depend on them,
-//! and it wastes no work on keys the merge never reaches:
+//! with O(1) work per link plus the work around each probe:
 //!
-//! * a link's head is built as one key, not as the minimum of one key per
-//!   band. Its `tx` and `rx` are fixed, so its keys order by weight
-//!   descending, then band ascending (a `+∞` weight first); scanning the
-//!   bands in ascending order and keeping a weight only when it is
-//!   strictly larger than the best so far picks the same band;
-//! * the frontier sorts only the chunk of smallest keys the loop is about
-//!   to reach, and drops the keys with a busy endpoint before it picks the
-//!   next chunk. A busy node stays busy, so that filter removes nothing
-//!   unless a node turned busy since it last ran: it is skipped while the
-//!   busy count has not grown, which covers every slot's first refill and
-//!   every refill of sequential-fix's pool.
+//! * a link's head band is the band of `ℳ_i ∩ ℳ_j` with the most packets
+//!   per slot, the lowest on ties. The packet counts are integers below
+//!   2⁵², and for a finite `H_ij > 0` whose products with them stay normal
+//!   and finite, `H_ij·a > H_ij·b` holds exactly when `a > b`. So the band
+//!   depends on the band mask and this slot's counts alone, and it is
+//!   memoised by mask for the slot; the key keeps the weight `H_ij·c^m`
+//!   bit for bit. A link whose `H_ij` falls outside that range, and every
+//!   link of a slot whose counts are not such integers, scans its bands;
+//! * the frontier groups the heads by transmitter. They arrive row-major,
+//!   so each transmitter's keys form one range, and a heap orders the
+//!   ranges' minima. A group whose transmitter turned busy leaves the heap
+//!   whole when it reaches the top; a key whose receiver turned busy is
+//!   dropped when its group is rescanned. Every pop is therefore the
+//!   smallest key with both endpoints free, which is the full sort's next
+//!   candidate the loop would probe;
+//! * a rejected link's next band is found in one scan of its bands: the
+//!   largest weight after the consumed `(weight, band)`, the lowest band
+//!   on ties.
 //!
 //! The reference implementations keep the full sort and the
 //! Foschini–Miljanic iteration ([`min_power_assignment_reference`]) as
@@ -55,6 +62,8 @@ use greencell_phy::{
 };
 use greencell_queue::LinkQueueBank;
 use greencell_units::{Energy, PacketSize, Power, TimeDelta};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The result of S1: a feasible schedule plus its minimal power vector
 /// (one power per transmission, in schedule order).
@@ -90,9 +99,9 @@ impl ScheduleOutcome {
 }
 
 /// Reusable S1 buffers: the per-link candidate frontier, the per-band
-/// `packets_per_slot` memo, the per-node energy-admission memos, and the
-/// [`PowerControlWorkspace`] that probes candidate feasibility and holds
-/// the slot's powers. Thread one of these through
+/// `packets_per_slot` memo and the head-band memo, the per-node admission
+/// memos, and the [`PowerControlWorkspace`] that probes candidate
+/// feasibility and holds the slot's powers. Thread one of these through
 /// [`greedy_schedule_with`] / [`sequential_fix_schedule_with`] across
 /// slots and the steady-state greedy path performs no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -104,21 +113,27 @@ pub struct S1Scratch {
     /// capacity depends only on the band's bandwidth, so it is computed
     /// once per band per slot instead of once per candidate.
     pkts_per_band: Vec<f64>,
-    /// Per-node worst-case transmit-energy admission, once per slot.
+    /// Each link's head band by its band mask, for this slot.
+    head_bands: BandMemo,
+    /// Per-node admission as a transmitter, once per slot: up, and the
+    /// worst-case transmit energy within budget.
     tx_ok: Vec<bool>,
-    /// Per-node worst-case receive-energy admission, once per slot.
+    /// Per-node admission as a receiver, once per slot: up, and the
+    /// worst-case receive energy within budget.
     rx_ok: Vec<bool>,
     /// Per-slot power-control system: cleared at the start of each call,
     /// it holds the accepted schedule after the last probe.
     ws: PowerControlWorkspace,
-    /// Sequential-fix working set (the still-unfixed candidates).
-    active: Vec<Candidate>,
+    /// Sequential-fix working set: the still-unfixed candidates, each with
+    /// its row's [`worst_interference`].
+    active: Vec<(Candidate, f64)>,
+    /// Sequential-fix: [`worst_interference`] per fixed transmission, in
+    /// schedule order.
+    fixed_interference: Vec<f64>,
     /// Greedy-loop busy mask: `busy[n]` ⇔ node `n` appears in an accepted
     /// transmission — the same predicate as `Schedule::is_busy`, without
     /// the per-candidate schedule scan.
     busy: Vec<bool>,
-    /// The number of `true` entries in `busy`.
-    busy_count: usize,
     /// Per-link SINR at the returned powers, for the debug-build check of
     /// constraint (24).
     sinr: Vec<f64>,
@@ -136,8 +151,9 @@ impl S1Scratch {
     /// the per-slot key list: one key per link, not per band). After this,
     /// scheduling allocates nothing even when traffic hits a new peak.
     pub fn reserve(&mut self, nodes: usize, bands: usize, max_links: usize) {
-        self.frontier.rest.reserve(max_links);
-        self.frontier.chunk.reserve(CHUNK);
+        self.frontier.keys.reserve(max_links);
+        self.frontier.groups.reserve(nodes);
+        self.frontier.minima.reserve(nodes);
         self.active
             .reserve(max_links.saturating_mul(bands).min(MAX_SF_CANDIDATES));
         self.pkts_per_band.reserve(bands);
@@ -147,6 +163,24 @@ impl S1Scratch {
         self.ws.reserve(nodes / 2 + 1);
         self.sinr.reserve(nodes / 2);
     }
+
+    /// What the candidate frontier did in the last greedy or
+    /// sequential-fix call.
+    #[must_use]
+    pub fn frontier_counts(&self) -> FrontierCounts {
+        self.frontier.counts
+    }
+}
+
+/// Counts of the candidate frontier's rarer paths in one S1 call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontierCounts {
+    /// Keys dropped unprobed because their receiver had turned busy.
+    pub receiver_busy: usize,
+    /// Re-offered bands that did not become their group's smallest key.
+    pub reoffered_behind: usize,
+    /// Groups emptied by a rejected link that had no band left.
+    pub exhausted: usize,
 }
 
 /// A candidate activation with its `Ψ̂₁` weight.
@@ -176,12 +210,22 @@ impl Candidate {
     /// The exact inverse of [`Candidate::key`], weight bits included.
     fn from_key(key: u128) -> Self {
         Self {
-            tx: NodeId::from_index(((key >> 42) & ((1 << 22) - 1)) as usize),
-            rx: NodeId::from_index(((key >> 21) & FIELD) as usize),
+            tx: NodeId::from_index(tx_of(key)),
+            rx: NodeId::from_index(rx_of(key)),
             band: BandId::from_index((key & FIELD) as usize),
             weight: f64::from_bits(!((key >> 64) as u64)),
         }
     }
+}
+
+/// The transmitter index of a packed key.
+fn tx_of(key: u128) -> usize {
+    ((key >> 42) & ((1 << 22) - 1)) as usize
+}
+
+/// The receiver index of a packed key.
+fn rx_of(key: u128) -> usize {
+    ((key >> 21) & FIELD) as usize
 }
 
 /// Shared inputs of both S1 algorithms.
@@ -210,8 +254,9 @@ pub struct S1Inputs<'a> {
     pub packet_size: PacketSize,
 }
 
-/// Refreshes the per-band capacity memo and the per-node energy-admission
-/// memos for this slot. Zero heap allocation once the buffers have grown.
+/// Refreshes the per-band capacity memo, the head-band memo and the
+/// per-node admission memos for this slot. Zero heap allocation once the
+/// buffers have grown.
 fn refresh_memos(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     // Per-band memo: `c^m = potential_capacity(W_m)` depends only on the
     // band's bandwidth, never on the candidate pair, so quantize it once
@@ -227,41 +272,35 @@ fn refresh_memos(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
             // single-best-activation guarantee only holds for the former.
             packets_per_slot(c, inp.packet_size, inp.slot).count_f64()
         }));
+    scratch.head_bands.refresh(&scratch.pkts_per_band);
 
-    // Per-node memo of the worst-case energy admission: transmitting at
-    // `P_max` (resp. receiving) must fit in the node's traffic budget for
-    // this slot. Both sides depend on one node only, so compute each once
-    // per node per slot instead of once per ordered pair.
+    // Per-node memo of the admission: a down node (fault injection) never
+    // transmits or receives, and transmitting at `P_max` (resp. receiving)
+    // must fit in the node's traffic budget for this slot. Both sides
+    // depend on one node only, so compute each once per node per slot
+    // instead of once per ordered pair.
     scratch.tx_ok.clear();
     scratch.rx_ok.clear();
     for i in 0..inp.net.topology().len() {
+        let up = inp.available.get(i).copied().unwrap_or(true);
         let budget = inp.traffic_budget[i].as_joules();
         let tx_worst = inp.max_powers[i] * inp.slot;
         let rx_worst = inp.energy_models[i].recv_power() * inp.slot;
-        scratch.tx_ok.push(tx_worst.as_joules() <= budget);
-        scratch.rx_ok.push(rx_worst.as_joules() <= budget);
+        scratch.tx_ok.push(up && tx_worst.as_joules() <= budget);
+        scratch.rx_ok.push(up && rx_worst.as_joules() <= budget);
     }
 }
 
-/// The links that may carry a candidate this slot, with their `H_ij(t)`,
-/// in row-major order.
+/// Whether backlogged link `(i, j)`, weighted `h = H_ij(t)`, may carry a
+/// candidate this slot: β = 0 weights every link to zero, and the
+/// admission memos gate the rest. The `&`s do not short-circuit, so the
+/// test is one branch.
 ///
-/// Only the backlogged links are scanned: the paper fixes α to 0 wherever
-/// `H_ij(t) = 0`, so the empty queues — the vast majority of the `O(n²)`
-/// ordered pairs in steady state — can never yield a candidate.
-fn admissible_links<'s>(
-    inp: &'s S1Inputs<'_>,
-    scratch: &'s S1Scratch,
-) -> impl Iterator<Item = (NodeId, NodeId, f64)> + 's {
-    let up = |node: NodeId| inp.available.get(node.index()).copied().unwrap_or(true);
-    let beta = inp.links.beta();
-    inp.links.backlogs().filter_map(move |(i, j, g)| {
-        let h = beta * g.count_f64();
-        // β = 0 weights every link to zero; a down node (fault injection)
-        // never transmits or receives; the energy memos gate the rest.
-        (h > 0.0 && up(i) && up(j) && scratch.tx_ok[i.index()] && scratch.rx_ok[j.index()])
-            .then_some((i, j, h))
-    })
+/// Callers scan only the backlogged links: the paper fixes α to 0
+/// wherever `H_ij(t) = 0`, so the empty queues — the vast majority of the
+/// `O(n²)` ordered pairs in steady state — can never yield a candidate.
+fn admissible(tx_ok: &[bool], rx_ok: &[bool], i: NodeId, j: NodeId, h: f64) -> bool {
+    (h > 0.0) & tx_ok[i.index()] & rx_ok[j.index()]
 }
 
 /// The keys of link `(tx, rx)`'s candidates on its shared `bands`: one
@@ -279,11 +318,11 @@ fn link_keys(
     })
 }
 
-/// The smallest of [`link_keys`], built as one key: the band with the
-/// largest positive weight, the lowest such band on ties. Positive
-/// weights compare as their bits do (`+∞` above every finite one), and a
-/// NaN weight passes neither this `>` nor `link_keys`' filter.
-fn head_key(bands: BandSet, pkts_per_band: &[f64], tx: NodeId, rx: NodeId, h: f64) -> Option<u128> {
+/// The band of `bands` with the largest positive weight `h·pkts[m]`, the
+/// lowest such band on ties, and that weight. Positive weights compare as
+/// their bits do (`+∞` above every finite one), and a NaN weight never
+/// passes the `>`.
+fn best_band(bands: BandSet, pkts_per_band: &[f64], h: f64) -> Option<(BandId, f64)> {
     let mut best = None;
     let mut best_weight = 0.0;
     for m in bands.iter() {
@@ -293,107 +332,355 @@ fn head_key(bands: BandSet, pkts_per_band: &[f64], tx: NodeId, rx: NodeId, h: f6
             best = Some(m);
         }
     }
-    best.map(|m| Candidate::key(tx, rx, m, best_weight))
+    best.map(|m| (m, best_weight))
 }
 
-/// Fills the frontier with each admissible link's best candidate key,
-/// unsorted. Zero heap allocation once the buffers have grown.
+/// The smallest of [`link_keys`], built as one key. With `tx` and `rx`
+/// fixed, a link's keys order by weight descending, then band ascending,
+/// which is [`best_band`]'s choice.
+fn head_key(bands: BandSet, pkts_per_band: &[f64], tx: NodeId, rx: NodeId, h: f64) -> Option<u128> {
+    best_band(bands, pkts_per_band, h).map(|(m, weight)| Candidate::key(tx, rx, m, weight))
+}
+
+/// The smallest of [`link_keys`] above `key`, a key of the same link,
+/// found in one scan: the largest weight strictly after the consumed
+/// `(weight, band)` — a smaller weight, or the same weight on a higher
+/// band — keeping the lowest band on ties.
+fn next_key(bands: BandSet, pkts_per_band: &[f64], h: f64, key: u128) -> Option<u128> {
+    let c = Candidate::from_key(key);
+    let mut best = None;
+    let mut best_weight = 0.0;
+    for m in bands.iter() {
+        let weight = h * pkts_per_band[m.index()];
+        let after = weight < c.weight || (weight == c.weight && m > c.band);
+        if after && weight > best_weight {
+            best_weight = weight;
+            best = Some(m);
+        }
+    }
+    best.map(|m| Candidate::key(c.tx, c.rx, m, best_weight))
+}
+
+/// The key of the consumed candidate `key`'s link on its next band.
+fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u128> {
+    let (tx, rx) = (
+        NodeId::from_index(tx_of(key)),
+        NodeId::from_index(rx_of(key)),
+    );
+    next_key(
+        inp.net.link_bands(tx, rx),
+        pkts_per_band,
+        inp.links.h(tx, rx),
+        key,
+    )
+}
+
+/// Entries of the head-band memo.
+const MEMO_ENTRIES: usize = 64;
+
+/// A memo entry's band when the mask has no band with a positive count.
+const NO_BAND: u8 = u8::MAX;
+
+/// Packet counts at or above this are not all exact integers in `f64`
+/// steps of one, so the memo's exactness argument does not cover them.
+const MAX_EXACT_PKTS: f64 = 4_503_599_627_370_496.0; // 2⁵²
+
+/// The memo serves a link only where every product `H_ij·c^m` of a
+/// positive count lies in `[PRODUCT_FLOOR, PRODUCT_CEIL]`: normal and
+/// finite, with a wide margin for the rounding of the bounds themselves.
+const PRODUCT_FLOOR: f64 = 1e-280;
+/// See [`PRODUCT_FLOOR`].
+const PRODUCT_CEIL: f64 = 1e280;
+
+/// Each link's head band by its band mask, for one slot.
+///
+/// For a finite `h > 0`, integer counts `a > b` below 2⁵² differ by at
+/// least one part in 2⁵², more than the rounding of a normal product can
+/// close, so `h·a > h·b` exactly when `a > b`, and equal counts give equal
+/// products. The band with the largest weight `h·c^m` (the lowest on
+/// ties) is then the band with the most packets per slot, whatever `h`.
+#[derive(Debug, Clone)]
+struct BandMemo {
+    /// Direct-mapped by a hash of the mask: `(mask, band)`. The empty mask
+    /// has no band in any slot, so `(0, NO_BAND)` is always a valid entry.
+    entries: [(u64, u8); MEMO_ENTRIES],
+    /// The `H_ij` range `[h_lo, h_hi]` the memo serves this slot; empty
+    /// when a count is not an integer below 2⁵².
+    h_lo: f64,
+    /// See `h_lo`.
+    h_hi: f64,
+}
+
+impl Default for BandMemo {
+    fn default() -> Self {
+        Self {
+            entries: [(0, NO_BAND); MEMO_ENTRIES],
+            h_lo: f64::INFINITY,
+            h_hi: 0.0,
+        }
+    }
+}
+
+impl BandMemo {
+    /// Forgets every band and sets the `H_ij` range for this slot's
+    /// counts. With no positive count every mask has no band, for every
+    /// `h`, and the range is `[0, ∞]`.
+    fn refresh(&mut self, pkts_per_band: &[f64]) {
+        self.entries = [(0, NO_BAND); MEMO_ENTRIES];
+        let exact = pkts_per_band
+            .iter()
+            .all(|&p| (0.0..MAX_EXACT_PKTS).contains(&p) && p.fract() == 0.0);
+        let (lo, hi) = pkts_per_band
+            .iter()
+            .filter(|&&p| p > 0.0)
+            .fold((f64::INFINITY, 0.0_f64), |(lo, hi), &p| {
+                (lo.min(p), hi.max(p))
+            });
+        (self.h_lo, self.h_hi) = if exact {
+            (PRODUCT_FLOOR / lo, PRODUCT_CEIL / hi)
+        } else {
+            (f64::INFINITY, 0.0)
+        };
+    }
+
+    /// [`head_key`]'s key for link `(tx, rx)`, bit for bit: from the memo
+    /// where its argument holds, from the scan elsewhere.
+    fn head(
+        &mut self,
+        bands: BandSet,
+        pkts_per_band: &[f64],
+        tx: NodeId,
+        rx: NodeId,
+        h: f64,
+    ) -> Option<u128> {
+        if !(self.h_lo <= h && h <= self.h_hi) {
+            return head_key(bands, pkts_per_band, tx, rx, h);
+        }
+        let mask = bands.bits();
+        let entry = &mut self.entries[memo_slot(mask)];
+        if entry.0 != mask {
+            let band =
+                best_band(bands, pkts_per_band, 1.0).map_or(NO_BAND, |(m, _)| m.index() as u8);
+            *entry = (mask, band);
+        }
+        (entry.1 != NO_BAND).then(|| {
+            let m = BandId::from_index(usize::from(entry.1));
+            Candidate::key(tx, rx, m, h * pkts_per_band[m.index()])
+        })
+    }
+}
+
+/// The memo entry of band mask `mask`: Fibonacci hashing, the top six
+/// bits of the product.
+fn memo_slot(mask: u64) -> usize {
+    (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
+}
+
+/// Fills the frontier with each admissible link's head key. Zero heap
+/// allocation once the buffers have grown.
 ///
 /// Each link's candidates, in key order, form one sorted list, and the
 /// full candidate order is the merge of those lists. The heads are that
 /// merge's frontier: [`Frontier::advance`] moves it one candidate on.
 fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
     refresh_memos(inp, scratch);
-    let mut heads = std::mem::take(&mut scratch.frontier.rest);
-    heads.clear();
-    heads.extend(admissible_links(inp, scratch).filter_map(|(i, j, h)| {
-        head_key(inp.net.link_bands(i, j), &scratch.pkts_per_band, i, j, h)
-    }));
-    scratch.frontier.rest = heads;
-    scratch.frontier.chunk.clear();
-    scratch.frontier.pos = 0;
-    scratch.frontier.filtered_at = 0;
+    let S1Scratch {
+        frontier,
+        pkts_per_band,
+        head_bands,
+        tx_ok,
+        rx_ok,
+        ..
+    } = scratch;
+    // A plain loop over the backlogs: the same pass written as a
+    // `filter_map` chain measured half again as slow on the paper scenario.
+    let beta = inp.links.beta();
+    frontier.clear(inp.net.topology().len());
+    let mut open = OpenGroup::default();
+    for (i, j, g) in inp.links.backlogs() {
+        let h = beta * g.count_f64();
+        if admissible(tx_ok, rx_ok, i, j, h) {
+            if let Some(key) = head_bands.head(inp.net.link_bands(i, j), pkts_per_band, i, j, h) {
+                frontier.push(&mut open, key);
+            }
+        }
+    }
+    frontier.close(open);
 }
 
-/// Keys the frontier sorts at a time.
-const CHUNK: usize = 32;
+/// One transmitter's keys in [`Frontier::keys`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Group {
+    /// The first key.
+    start: usize,
+    /// One past the last key.
+    end: usize,
+    /// The smallest key as of the group's last rescan.
+    min_at: usize,
+}
 
-/// The heads of the per-link merge, ordered lazily: `chunk[pos..]` holds
-/// the smallest keys, sorted, and `rest` every other key, unsorted and
-/// above `chunk`'s last. Only the keys the loop reaches get sorted.
+/// The heads of the per-link merge, grouped by transmitter: each group's
+/// keys lie in one range of `keys`, and a heap holds each live group's
+/// smallest key. A group leaves the heap when its transmitter turns busy
+/// (checked when it reaches the top) or its last key goes.
 #[derive(Debug, Clone, Default)]
 struct Frontier {
-    /// The sorted chunk; `chunk[..pos]` is consumed.
-    chunk: Vec<u128>,
-    /// The next key to consume in `chunk`.
-    pos: usize,
-    /// The unsorted heads beyond the chunk.
-    rest: Vec<u128>,
-    /// The busy count when `rest` was last filtered: no key in `rest` has
-    /// an endpoint that was busy then.
-    filtered_at: usize,
+    /// The keys, each transmitter's in one contiguous range.
+    keys: Vec<u128>,
+    /// Per node, its range of `keys` as a transmitter. Only the entries of
+    /// this call's transmitters are read.
+    groups: Vec<Group>,
+    /// The groups' smallest keys, smallest on top.
+    minima: BinaryHeap<Reverse<u128>>,
+    /// What this call's merge did.
+    counts: FrontierCounts,
+}
+
+/// The transmitter group [`Frontier::push`] is filling, held by the
+/// caller so that it stays in registers.
+#[derive(Debug, Clone, Copy)]
+struct OpenGroup {
+    /// Its transmitter; `usize::MAX` before the first key.
+    tx: usize,
+    /// Its first key.
+    start: usize,
+    /// Its smallest key so far.
+    min_at: usize,
+}
+
+impl Default for OpenGroup {
+    fn default() -> Self {
+        Self {
+            tx: usize::MAX,
+            start: 0,
+            min_at: 0,
+        }
+    }
 }
 
 impl Frontier {
-    /// The smallest key, or `None` once every link is consumed. An empty
-    /// chunk refills from `rest`: the keys with a `busy` endpoint go first
-    /// (a busy node stays busy, so the loop would drop them unprobed),
-    /// then the `CHUNK` smallest survivors are selected and sorted.
-    /// `busy_count` counts the busy nodes; while it equals the count at
-    /// the last filter, no node turned busy since, and the filter is
-    /// skipped: it would remove nothing.
-    fn peek(&mut self, busy: &[bool], busy_count: usize) -> Option<u128> {
-        if self.pos == self.chunk.len() {
-            if busy_count != self.filtered_at {
-                self.rest.retain(|&key| {
-                    let c = Candidate::from_key(key);
-                    !busy[c.tx.index()] && !busy[c.rx.index()]
-                });
-                self.filtered_at = busy_count;
-            }
-            let at = self.rest.len().saturating_sub(CHUNK);
-            if at > 0 {
-                // Descending, so the smallest keys end up in the tail.
-                self.rest.select_nth_unstable_by(at, |a, b| b.cmp(a));
-            }
-            self.chunk.clear();
-            self.chunk.extend(self.rest.drain(at..));
-            self.chunk.sort_unstable();
-            self.pos = 0;
-        }
-        self.chunk.get(self.pos).copied()
+    /// Empties the frontier for a `nodes`-node network's heads.
+    fn clear(&mut self, nodes: usize) {
+        self.keys.clear();
+        self.groups.clear();
+        self.groups.resize(nodes, Group::default());
+        self.minima.clear();
+        self.counts = FrontierCounts::default();
     }
 
-    /// Consumes the key [`Frontier::peek`] returned. `next`, the link's
-    /// next band (its smallest key above the consumed one), takes the
-    /// consumed key's place: shifted into sorted position when it falls
-    /// below the chunk's last key, into `rest` otherwise. `None` drops the
-    /// link.
-    fn advance(&mut self, next: Option<u128>) {
+    /// Appends a head. The heads must come in row-major order, as
+    /// [`LinkQueueBank::backlogs`] yields them, so that each transmitter's
+    /// keys form one run: a key of a new transmitter closes `open` and
+    /// opens the next group. [`Frontier::close`] closes the last one.
+    fn push(&mut self, open: &mut OpenGroup, key: u128) {
+        let (tx, at) = (tx_of(key), self.keys.len());
+        if tx != open.tx {
+            debug_assert!(open.tx == usize::MAX || open.tx < tx, "heads not row-major");
+            self.close(*open);
+            *open = OpenGroup {
+                tx,
+                start: at,
+                min_at: at,
+            };
+        } else if key < self.keys[open.min_at] {
+            open.min_at = at;
+        }
+        self.keys.push(key);
+    }
+
+    /// Records the group `open` as one range of `keys`, ending at the last
+    /// key, and puts its smallest key on the heap. A group with no key is
+    /// skipped.
+    fn close(&mut self, open: OpenGroup) {
+        if open.start < self.keys.len() {
+            self.groups[open.tx] = Group {
+                start: open.start,
+                end: self.keys.len(),
+                min_at: open.min_at,
+            };
+            self.minima.push(Reverse(self.keys[open.min_at]));
+        }
+    }
+
+    /// The smallest key with both endpoints free, or `None` once every
+    /// group is gone. On the way, a top group whose transmitter is busy
+    /// leaves the heap, and a top key whose receiver is busy makes its
+    /// group rescan, which drops it.
+    fn peek(&mut self, busy: &[bool]) -> Option<u128> {
+        while let Some(&Reverse(top)) = self.minima.peek() {
+            if busy[tx_of(top)] {
+                self.minima.pop();
+            } else if busy[rx_of(top)] {
+                self.rescan(tx_of(top), busy);
+            } else {
+                return Some(top);
+            }
+        }
+        None
+    }
+
+    /// Consumes the key [`Frontier::peek`] returned, whose link was
+    /// probed and rejected (or taken into sequential-fix's pool). `next`,
+    /// the link's next band, takes its place; `None` drops the link.
+    fn advance(&mut self, next: Option<u128>, busy: &[bool]) {
+        let Some(&Reverse(top)) = self.minima.peek() else {
+            return;
+        };
+        let tx = tx_of(top);
+        let group = &mut self.groups[tx];
+        let at = group.min_at;
         match next {
-            Some(next) if self.chunk.last().is_some_and(|&last| next < last) => {
-                let after = self.pos + 1;
-                let shift = self.chunk[after..].partition_point(|&k| k < next);
-                self.chunk.copy_within(after..after + shift, self.pos);
-                self.chunk[self.pos + shift] = next;
+            Some(next) => self.keys[at] = next,
+            None => {
+                group.end -= 1;
+                self.keys[at] = self.keys[group.end];
             }
-            Some(next) => {
-                self.rest.push(next);
-                self.pos += 1;
-            }
-            None => self.pos += 1,
+        }
+        let min = self.rescan(tx, busy);
+        match next {
+            Some(next) if min != Some(next) => self.counts.reoffered_behind += 1,
+            None if min.is_none() => self.counts.exhausted += 1,
+            _ => {}
         }
     }
-}
 
-/// The key of the consumed candidate `key`'s link on its next band: the
-/// link's smallest key above `key`.
-fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u128> {
-    let c = Candidate::from_key(key);
-    let h = inp.links.h(c.tx, c.rx);
-    link_keys(inp.net.link_bands(c.tx, c.rx), pkts_per_band, c.tx, c.rx, h)
-        .filter(|&k| k > key)
-        .min()
+    /// Rescans the top group `tx`, dropping its keys whose receiver is
+    /// busy, and puts its new smallest key on top of the heap (sifted
+    /// down), or pops the group once it is empty. Returns that key.
+    fn rescan(&mut self, tx: usize, busy: &[bool]) -> Option<u128> {
+        // Locals, not the group's fields, in the loop: measured a few
+        // percent of the call faster.
+        let group = &mut self.groups[tx];
+        let (mut k, mut end, mut min_at) = (group.start, group.end, group.start);
+        let mut smallest = u128::MAX;
+        while k < end {
+            let key = self.keys[k];
+            if busy[rx_of(key)] {
+                end -= 1;
+                self.keys[k] = self.keys[end];
+                self.counts.receiver_busy += 1;
+            } else {
+                if key < smallest {
+                    smallest = key;
+                    min_at = k;
+                }
+                k += 1;
+            }
+        }
+        group.end = end;
+        group.min_at = min_at;
+        // No key is `u128::MAX`, which would decode to a zero weight.
+        let min = (end > group.start).then_some(smallest);
+        if let Some(mut top) = self.minima.peek_mut() {
+            match min {
+                Some(min) => *top = Reverse(min),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        min
+    }
 }
 
 /// The full candidate list in scheduling order (weight desc, then ids) —
@@ -401,9 +688,15 @@ fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u12
 fn candidates(inp: &S1Inputs<'_>) -> Vec<Candidate> {
     let mut scratch = S1Scratch::new();
     refresh_memos(inp, &mut scratch);
-    let mut keys: Vec<u128> = admissible_links(inp, &scratch)
-        .flat_map(|(i, j, h)| link_keys(inp.net.link_bands(i, j), &scratch.pkts_per_band, i, j, h))
-        .collect();
+    let beta = inp.links.beta();
+    let mut keys = Vec::new();
+    for (i, j, g) in inp.links.backlogs() {
+        let h = beta * g.count_f64();
+        if admissible(&scratch.tx_ok, &scratch.rx_ok, i, j, h) {
+            let bands = inp.net.link_bands(i, j);
+            keys.extend(link_keys(bands, &scratch.pkts_per_band, i, j, h));
+        }
+    }
     keys.sort_unstable();
     keys.into_iter().map(Candidate::from_key).collect()
 }
@@ -423,13 +716,13 @@ pub fn greedy_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
 /// Weight-greedy S1 over reusable buffers.
 ///
 /// Candidates come from the per-link key merge in the reference's
-/// full-sort order: a link whose head is rejected offers its
-/// next band, a link with a busy endpoint is dropped. Each probe solves
-/// (24) exactly for the accepted links plus the candidate
-/// ([`PowerControlWorkspace`]), extending the accepted links' factors by
-/// one row and column; a rejected candidate is undone in `O(n)`. After
-/// the last probe the workspace holds exactly the schedule, and its
-/// solution is `out.powers`.
+/// full-sort order: the frontier pops the smallest key with both
+/// endpoints free, and a link whose head is rejected offers its next
+/// band. Each probe solves (24) exactly for the accepted links plus the
+/// candidate ([`PowerControlWorkspace`]), extending the accepted links'
+/// factors by one row and column; a rejected candidate is undone in
+/// `O(n)`. After the last probe the workspace holds exactly the
+/// schedule, and its solution is `out.powers`.
 pub fn greedy_schedule_with(
     inp: &S1Inputs<'_>,
     scratch: &mut S1Scratch,
@@ -440,34 +733,25 @@ pub fn greedy_schedule_with(
     scratch.ws.clear();
     scratch.busy.clear();
     scratch.busy.resize(inp.net.topology().len(), false);
-    scratch.busy_count = 0;
-    while let Some(key) = scratch.frontier.peek(&scratch.busy, scratch.busy_count) {
+    while let Some(key) = scratch.frontier.peek(&scratch.busy) {
         let cand = Candidate::from_key(key);
-        let free = !scratch.busy[cand.tx.index()] && !scratch.busy[cand.rx.index()];
-        let mut accepted = false;
-        if free {
-            let t = Transmission::new(cand.tx, cand.rx, cand.band);
-            if let Ok(idx) = out.schedule.try_add(inp.net, t) {
-                if scratch
-                    .ws
-                    .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
-                    .is_err()
-                {
-                    out.schedule.remove(idx);
-                } else {
-                    scratch.busy[cand.tx.index()] = true;
-                    scratch.busy[cand.rx.index()] = true;
-                    scratch.busy_count += 2;
-                    accepted = true;
-                }
+        let t = Transmission::new(cand.tx, cand.rx, cand.band);
+        if let Ok(idx) = out.schedule.try_add(inp.net, t) {
+            if scratch
+                .ws
+                .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
+                .is_ok()
+            {
+                // Both endpoints' groups leave the frontier as they reach
+                // its top.
+                scratch.busy[cand.tx.index()] = true;
+                scratch.busy[cand.rx.index()] = true;
+                continue;
             }
+            out.schedule.remove(idx);
         }
-        let next = if free && !accepted {
-            next_band(inp, &scratch.pkts_per_band, key)
-        } else {
-            None
-        };
-        scratch.frontier.advance(next);
+        let next = next_band(inp, &scratch.pkts_per_band, key);
+        scratch.frontier.advance(next, &scratch.busy);
     }
     read_powers(inp, scratch, out);
 }
@@ -600,27 +884,37 @@ pub fn sequential_fix_schedule_with(
     scratch.busy.resize(inp.net.topology().len(), false);
     // The pool is the first `MAX_SF_CANDIDATES` of the full candidate
     // order: consume every head in turn, each link offering its next band.
-    // No node is busy, so no refill filters.
+    // No node is busy, so the frontier drops nothing. Each pool link's
+    // big-M constant is computed here, once per call.
     scratch.active.clear();
     while scratch.active.len() < MAX_SF_CANDIDATES {
-        let Some(key) = scratch.frontier.peek(&scratch.busy, 0) else {
+        let Some(key) = scratch.frontier.peek(&scratch.busy) else {
             break;
         };
-        scratch.active.push(Candidate::from_key(key));
+        let c = Candidate::from_key(key);
+        scratch
+            .active
+            .push((c, worst_interference(inp, c.tx, c.rx)));
         let next = next_band(inp, &scratch.pkts_per_band, key);
-        scratch.frontier.advance(next);
+        scratch.frontier.advance(next, &scratch.busy);
     }
+    scratch.fixed_interference.clear();
 
     while !scratch.active.is_empty() {
         // Drop candidates conflicting with the fixed set (single radio).
         let schedule = &out.schedule;
         scratch
             .active
-            .retain(|c| !schedule.is_busy(c.tx) && !schedule.is_busy(c.rx));
+            .retain(|(c, _)| !schedule.is_busy(c.tx) && !schedule.is_busy(c.rx));
         if scratch.active.is_empty() {
             break;
         }
-        let Some(alphas) = solve_relaxation(inp, &out.schedule, &scratch.active) else {
+        let Some(alphas) = solve_relaxation(
+            inp,
+            &out.schedule,
+            &scratch.fixed_interference,
+            &scratch.active,
+        ) else {
             break; // LP troubles: stop fixing, keep what we have.
         };
         // Choose the largest fractional activation (the paper fixes all
@@ -637,19 +931,21 @@ pub fn sequential_fix_schedule_with(
             .zip(&scratch.active)
             .enumerate()
             .filter(|(_, (&a, _))| a >= max_alpha - 1e-6)
-            .map(|(k, (_, c))| (k, c.weight))
+            .map(|(k, (_, (c, _)))| (k, c.weight))
             .max_by(|a, b| a.1.total_cmp(&b.1))
         else {
             break; // unreachable: active is non-empty
         };
-        let cand = scratch.active.swap_remove(best_idx);
+        let (cand, interference) = scratch.active.swap_remove(best_idx);
         let t = Transmission::new(cand.tx, cand.rx, cand.band);
         if let Ok(idx) = out.schedule.try_add(inp.net, t) {
             if scratch
                 .ws
                 .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
-                .is_err()
+                .is_ok()
             {
+                scratch.fixed_interference.push(interference);
+            } else {
                 out.schedule.remove(idx); // fix to 0 instead
             }
         }
@@ -673,7 +969,19 @@ pub fn sequential_fix_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome 
         if active.is_empty() {
             break;
         }
-        let Some(alphas) = solve_relaxation(inp, &schedule, &active) else {
+        // The big-M constants, recomputed every round.
+        let with_interference: Vec<(Candidate, f64)> = active
+            .iter()
+            .map(|&c| (c, worst_interference(inp, c.tx, c.rx)))
+            .collect();
+        let fixed_interference: Vec<f64> = schedule
+            .transmissions()
+            .iter()
+            .map(|t| worst_interference(inp, t.tx(), t.rx()))
+            .collect();
+        let Some(alphas) =
+            solve_relaxation(inp, &schedule, &fixed_interference, &with_interference)
+        else {
             break; // LP troubles: stop fixing, keep what we have.
         };
         let max_alpha = alphas.iter().copied().fold(f64::MIN, f64::max);
@@ -710,12 +1018,26 @@ pub fn sequential_fix_schedule_reference(inp: &S1Inputs<'_>) -> ScheduleOutcome 
     ScheduleOutcome { schedule, powers }
 }
 
+/// `Σ_{k≠tx,rx} g_k,rx·P^k_max`: the most interference `rx` can hear
+/// while `tx` sends to it, summed over the nodes in id order. It sets the
+/// big-M constant of the link's row (24).
+fn worst_interference(inp: &S1Inputs<'_>, tx: NodeId, rx: NodeId) -> f64 {
+    let topo = inp.net.topology();
+    topo.ids()
+        .filter(|&k| k != tx && k != rx)
+        .map(|k| topo.gain(k, rx) * inp.max_powers[k.index()].as_watts())
+        .sum::<f64>()
+}
+
 /// Solves the sequential-fix LP relaxation; returns `α` per active
-/// candidate, or `None` on solver failure.
+/// candidate, or `None` on solver failure. Each active candidate comes
+/// with its [`worst_interference`], and `fixed_interference` holds the
+/// fixed transmissions' in schedule order.
 fn solve_relaxation(
     inp: &S1Inputs<'_>,
     fixed: &Schedule,
-    active: &[Candidate],
+    fixed_interference: &[f64],
+    active: &[(Candidate, f64)],
 ) -> Option<Vec<f64>> {
     let topo = inp.net.topology();
     let gamma = inp.phy.sinr_threshold();
@@ -725,11 +1047,11 @@ fn solve_relaxation(
     // still a free variable in the relaxation).
     let alpha_vars: Vec<_> = active
         .iter()
-        .map(|c| lp.add_variable(-c.weight, 0.0, 1.0))
+        .map(|(c, _)| lp.add_variable(-c.weight, 0.0, 1.0))
         .collect();
     let q_active: Vec<_> = active
         .iter()
-        .map(|c| lp.add_variable(0.0, 0.0, inp.max_powers[c.tx.index()].as_watts()))
+        .map(|(c, _)| lp.add_variable(0.0, 0.0, inp.max_powers[c.tx.index()].as_watts()))
         .collect();
     let q_fixed: Vec<_> = fixed
         .transmissions()
@@ -738,7 +1060,7 @@ fn solve_relaxation(
         .collect();
 
     // q ≤ P_max·α for active candidates.
-    for (k, c) in active.iter().enumerate() {
+    for (k, (c, _)) in active.iter().enumerate() {
         lp.add_constraint(
             &[
                 (q_active[k], 1.0),
@@ -754,7 +1076,7 @@ fn solve_relaxation(
         let terms: Vec<_> = active
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.tx == node || c.rx == node)
+            .filter(|(_, (c, _))| c.tx == node || c.rx == node)
             .map(|(k, _)| (alpha_vars[k], 1.0))
             .collect();
         if terms.len() > 1 {
@@ -764,27 +1086,22 @@ fn solve_relaxation(
 
     // (24), big-M linearized, for every active candidate and every fixed
     // transmission. Interferers are the co-band q variables.
-    let mut rows: Vec<(NodeId, NodeId, BandId, Option<usize>)> = Vec::new();
-    for (k, c) in active.iter().enumerate() {
-        rows.push((c.tx, c.rx, c.band, Some(k)));
+    debug_assert_eq!(fixed.len(), fixed_interference.len());
+    let mut rows: Vec<(NodeId, NodeId, BandId, Option<usize>, f64)> = Vec::new();
+    for (k, &(c, interference)) in active.iter().enumerate() {
+        rows.push((c.tx, c.rx, c.band, Some(k), interference));
     }
-    for t in fixed.transmissions() {
-        rows.push((t.tx(), t.rx(), t.band(), None));
+    for (t, &interference) in fixed.transmissions().iter().zip(fixed_interference) {
+        rows.push((t.tx(), t.rx(), t.band(), None, interference));
     }
-    for &(tx, rx, band, alpha_idx) in &rows {
+    for &(tx, rx, band, alpha_idx, interference) in &rows {
         let g_direct = topo.gain(tx, rx);
         let noise = inp
             .spectrum
             .bandwidth(band)
             .noise_power_watts(inp.phy.noise_density());
         // M = Γ(ηW + Σ_{k≠tx} g_k,rx · P^k_max): the row is vacuous at α=0.
-        let m_big: f64 = gamma
-            * (noise
-                + topo
-                    .ids()
-                    .filter(|&k| k != tx && k != rx)
-                    .map(|k| topo.gain(k, rx) * inp.max_powers[k.index()].as_watts())
-                    .sum::<f64>());
+        let m_big: f64 = gamma * (noise + interference);
         // g·q + M(1−α) ≥ Γ(ηW + Σ co-band interferer q)
         //  ⇔ g·q − M·α − Γ·Σ g_int q_int ≥ Γ·ηW − M.
         let mut terms: Vec<(greencell_lp::VarId, f64)> = Vec::new();
@@ -809,7 +1126,7 @@ fn solve_relaxation(
                 // α fixed at 1: M(1−α) = 0.
             }
         }
-        for (k2, c2) in active.iter().enumerate() {
+        for (k2, (c2, _)) in active.iter().enumerate() {
             if c2.band == band && !(c2.tx == tx && c2.rx == rx) {
                 terms.push((q_active[k2], -gamma * topo.gain(c2.tx, rx)));
             }
@@ -950,42 +1267,207 @@ mod tests {
         );
     }
 
-    /// A refill filters out the keys with a busy endpoint once the busy
-    /// count has grown, and skips the filter while it has not.
+    /// A random band set of `bands` bands, of a random density.
+    fn random_mask(rng: &mut greencell_stochastic::Rng, bands: usize) -> BandSet {
+        let density = rng.range_f64(0.0, 1.0);
+        (0..bands)
+            .filter(|_| rng.chance(density))
+            .map(BandId::from_index)
+            .collect()
+    }
+
+    /// `H_ij = β·G` with a backlog `G` up to 2⁴⁰ and β from a list.
+    fn random_h(rng: &mut greencell_stochastic::Rng, betas: &[f64]) -> f64 {
+        betas[rng.index(betas.len())] * (1 + rng.below(1 << 40)) as f64
+    }
+
+    /// The memo's head is `head_key`'s bit for bit on 20 000 random masks
+    /// of up to 64 bands, drawn from a pool larger than the memo so that
+    /// entries hit and collide: counts tied and zero, `H_ij = β·G` with
+    /// backlogs up to 2⁴⁰ and β from 10⁻³⁰⁰ to `f64::MAX` (so some links
+    /// fall back to the scan), and every tenth slot with one count the
+    /// memo does not serve (fractional, 2⁵², huge, `+∞` or NaN).
     #[test]
-    fn frontier_filters_only_after_a_node_turns_busy() {
-        let key = |k: usize| {
-            let (tx, rx) = (NodeId::from_index(2 * k), NodeId::from_index(2 * k + 1));
-            Candidate::key(tx, rx, BandId::from_index(0), 1.0 + k as f64)
-        };
-        let mut frontier = Frontier {
-            rest: (0..CHUNK + 8).map(key).collect(),
-            ..Frontier::default()
-        };
-        let mut busy = vec![false; 2 * (CHUNK + 8)];
-        let endpoints = |f: &Frontier| -> Vec<usize> {
-            f.chunk[f.pos..]
-                .iter()
-                .chain(&f.rest)
-                .map(|&k| Candidate::from_key(k).tx.index())
-                .collect()
-        };
-        assert_eq!(frontier.peek(&busy, 0), Some(key(CHUNK + 7)));
-        assert_eq!(endpoints(&frontier).len(), CHUNK + 8);
-        // Nodes 0 and 3 turn busy: the next refill drops links 0 and 1.
-        busy[0] = true;
-        busy[3] = true;
-        frontier.pos = frontier.chunk.len();
-        assert_eq!(frontier.peek(&busy, 2), Some(key(7)));
-        let mut left = endpoints(&frontier);
-        left.sort_unstable();
-        assert_eq!(left, vec![4, 6, 8, 10, 12, 14]);
-        // The count has not grown since: the refill filters nothing.
-        busy[4] = true;
-        frontier.rest = vec![key(2), key(3)];
-        frontier.pos = frontier.chunk.len();
-        assert_eq!(frontier.peek(&busy, 2), Some(key(3)));
-        assert_eq!(endpoints(&frontier), vec![6, 4]);
+    fn memo_head_matches_head_key() {
+        let mut rng = greencell_stochastic::Rng::seed_from(5);
+        let pkts_values = [0.0, 1.0, 2.0, 2.0, 3.0, 40.0, 1e6, 1_099_511_627_776.0];
+        let bad_values = [0.5, MAX_EXACT_PKTS, 1e300, f64::INFINITY, f64::NAN];
+        let betas = [1.0, 100.0, 12_000.0, 0.37, 1e-300, 1e300, f64::MAX];
+        let mut memo = BandMemo::default();
+        let (mut hits, mut collisions, mut scans) = (0, 0, 0);
+        for slot in 0..200 {
+            let bands = 1 + rng.index(64);
+            let mut pkts: Vec<f64> = (0..bands)
+                .map(|_| pkts_values[rng.index(pkts_values.len())])
+                .collect();
+            if slot % 10 == 9 {
+                pkts[rng.index(bands)] = bad_values[rng.index(bad_values.len())];
+            }
+            memo.refresh(&pkts);
+            let pool: Vec<BandSet> = (0..150).map(|_| random_mask(&mut rng, bands)).collect();
+            for _ in 0..100 {
+                let mask = pool[rng.index(pool.len())];
+                let h = random_h(&mut rng, &betas);
+                let (tx, rx) = (
+                    NodeId::from_index(rng.index(50)),
+                    NodeId::from_index(rng.index(50)),
+                );
+                let held = memo.entries[memo_slot(mask.bits())].0;
+                if !(memo.h_lo <= h && h <= memo.h_hi) {
+                    scans += 1;
+                } else if held == mask.bits() {
+                    hits += 1;
+                } else if held != 0 {
+                    collisions += 1;
+                }
+                assert_eq!(
+                    memo.head(mask, &pkts, tx, rx, h),
+                    head_key(mask, &pkts, tx, rx, h),
+                    "{pkts:?} {mask} h={h}"
+                );
+            }
+        }
+        assert!(
+            hits > 1000 && collisions > 1000 && scans > 1000,
+            "{hits} hits, {collisions} collisions, {scans} scans"
+        );
+    }
+
+    /// The one-scan `next_key` is the filter-and-min over `link_keys` bit
+    /// for bit, along each link's whole band order from its head, on
+    /// 20 000 random masks of up to 64 bands with tied, zero and infinite
+    /// counts and `H_ij = β·G` with backlogs up to 2⁴⁰.
+    #[test]
+    fn next_key_matches_the_filter_and_min() {
+        let mut rng = greencell_stochastic::Rng::seed_from(7);
+        let pkts_values = [0.0, 1.0, 2.0, 2.0, 3.0, 40.0, 1e6, f64::INFINITY];
+        let betas = [1.0, 12_000.0, 0.37, 1e-300, 1e300];
+        let (mut steps, mut ties) = (0, 0);
+        for _ in 0..20_000 {
+            let bands = 1 + rng.index(64);
+            let pkts: Vec<f64> = (0..bands)
+                .map(|_| pkts_values[rng.index(pkts_values.len())])
+                .collect();
+            let mask = random_mask(&mut rng, bands);
+            let h = random_h(&mut rng, &betas);
+            let (tx, rx) = (
+                NodeId::from_index(rng.index(50)),
+                NodeId::from_index(rng.index(50)),
+            );
+            let mut key = head_key(mask, &pkts, tx, rx, h);
+            while let Some(at) = key {
+                let want = link_keys(mask, &pkts, tx, rx, h).filter(|&k| k > at).min();
+                key = next_key(mask, &pkts, h, at);
+                assert_eq!(key, want, "{pkts:?} {mask} h={h}");
+                steps += 1;
+                let weight = |k: u128| Candidate::from_key(k).weight;
+                ties += usize::from(key.is_some_and(|k| weight(k) == weight(at)));
+            }
+        }
+        assert!(
+            steps > 100_000 && ties > 10_000,
+            "{steps} steps, {ties} ties"
+        );
+    }
+
+    /// The grouped frontier pops exactly the keys of a full sort that has
+    /// the keys with a busy endpoint filtered out, on 2 000 random key
+    /// sets: 1–4 bands per link with tied weights, each probed key
+    /// accepted (both endpoints turn busy) or rejected (the link offers its
+    /// next key), and random nodes marked busy between pops. With nothing
+    /// accepted or marked, that is sequential-fix's pool: the whole sort.
+    #[test]
+    fn frontier_pops_match_a_filtered_full_sort() {
+        let mut rng = greencell_stochastic::Rng::seed_from(11);
+        let weights = [1.0, 2.0, 2.0, 3.0, 7.5, 1e9];
+        let mut frontier = Frontier::default();
+        let mut total = FrontierCounts::default();
+        for case in 0..2_000u64 {
+            let nodes = 2 + rng.index(40);
+            let density = rng.range_f64(0.05, 0.6);
+            let mut links: std::collections::BTreeMap<(usize, usize), Vec<u128>> =
+                std::collections::BTreeMap::new();
+            for tx in 0..nodes {
+                for rx in (0..nodes).filter(|&rx| rx != tx) {
+                    if rng.chance(density) {
+                        let mut keys: Vec<u128> = (0..1 + rng.index(4))
+                            .map(|m| {
+                                let w = weights[rng.index(weights.len())];
+                                Candidate::key(
+                                    NodeId::from_index(tx),
+                                    NodeId::from_index(rx),
+                                    BandId::from_index(m),
+                                    w,
+                                )
+                            })
+                            .collect();
+                        keys.sort_unstable();
+                        links.insert((tx, rx), keys);
+                    }
+                }
+            }
+            let accept = [0.0, 0.2, 0.5][(case % 3) as usize];
+            let mark = [0.0, 0.3][(case % 2) as usize];
+            // One probe's random outcome: maybe a node marked busy, then
+            // accepted or not.
+            let step = |rng: &mut greencell_stochastic::Rng, busy: &mut [bool]| {
+                if rng.chance(mark) {
+                    busy[rng.index(nodes)] = true;
+                }
+                rng.chance(accept)
+            };
+
+            let mut want = Vec::new();
+            let (mut draws, mut busy) = (
+                greencell_stochastic::Rng::seed_from(case),
+                vec![false; nodes],
+            );
+            let mut sorted: Vec<u128> = links.values().flatten().copied().collect();
+            sorted.sort_unstable();
+            for key in sorted {
+                let (tx, rx) = (tx_of(key), rx_of(key));
+                if busy[tx] || busy[rx] {
+                    continue;
+                }
+                want.push(key);
+                if step(&mut draws, &mut busy) {
+                    busy[tx] = true;
+                    busy[rx] = true;
+                }
+            }
+
+            let mut got = Vec::new();
+            let (mut draws, mut busy) = (
+                greencell_stochastic::Rng::seed_from(case),
+                vec![false; nodes],
+            );
+            frontier.clear(nodes);
+            let mut open = OpenGroup::default();
+            for keys in links.values() {
+                frontier.push(&mut open, keys[0]);
+            }
+            frontier.close(open);
+            while let Some(key) = frontier.peek(&busy) {
+                got.push(key);
+                let (tx, rx) = (tx_of(key), rx_of(key));
+                if step(&mut draws, &mut busy) {
+                    busy[tx] = true;
+                    busy[rx] = true;
+                } else {
+                    let next = links[&(tx, rx)].iter().copied().find(|&k| k > key);
+                    frontier.advance(next, &busy);
+                }
+            }
+            assert_eq!(got, want, "case {case}");
+            let counts = frontier.counts;
+            total.receiver_busy += counts.receiver_busy;
+            total.reoffered_behind += counts.reoffered_behind;
+            total.exhausted += counts.exhausted;
+        }
+        assert!(
+            total.receiver_busy > 100 && total.reoffered_behind > 100 && total.exhausted > 100,
+            "{total:?}"
+        );
     }
 
     #[test]

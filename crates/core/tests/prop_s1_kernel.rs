@@ -1,18 +1,22 @@
 //! Lockstep property tests for the S1 kernels: the exact-probe path, fed
-//! by the per-link key merge through its lazily sorted frontier, against
-//! the fully sorted reference that probes with the Foschini–Miljanic
-//! iteration, on the same input. Across random topologies — small ones,
-//! and crowded ones with at least 64 backlogged links, which run the
-//! frontier past its first sorted chunk — 2–5 bands with per-node band
-//! subsets, repeated bandwidths and backlogs (weight ties fall to the
-//! ids), tight energy budgets, and fault masks (down-node candidates
-//! included):
+//! by the per-link key merge through its transmitter-grouped frontier and
+//! the per-slot head-band memo, against the fully sorted reference that
+//! probes with the Foschini–Miljanic iteration, on the same input. Across
+//! random topologies — small ones, crowded ones with at least 64
+//! backlogged links, which drop keys whose receiver turned busy and
+//! re-offer bands behind their group's minimum, and crowded ones with
+//! 6–64 bands, whose link band masks overflow the 64-entry memo — with
+//! per-node band subsets, repeated bandwidths and backlogs (weight ties
+//! fall to the ids), tight energy budgets, and fault masks (down-node
+//! candidates included):
 //!
 //! * the schedules are identical wherever no reference probe returned
 //!   `NonConvergent`;
 //! * where they are, every kernel power is within 1e-9 relative of the
 //!   reference's;
-//! * every kernel outcome satisfies constraint (24) and the power caps.
+//! * every kernel outcome satisfies constraint (24) and the power caps,
+//!   and schedules only links the test's own pruning admits (backlogged,
+//!   both endpoints up, both worst-case energies within budget).
 
 use greencell_core::{
     first_sinr_violation, greedy_schedule_reference, greedy_schedule_with,
@@ -31,7 +35,6 @@ use greencell_queue::{FlowPlan, LinkQueueBank};
 use greencell_stochastic::Rng;
 use greencell_units::{Bandwidth, Energy, PacketSize, Packets, Power, TimeDelta};
 use proptest::prelude::*;
-use std::cmp::Reverse;
 
 struct Instance {
     net: Network,
@@ -50,24 +53,35 @@ struct Instance {
 /// budgets, and a random availability mask (each node down with
 /// probability ~1/8).
 fn instance(seed: u64) -> Instance {
-    instance_of(seed, false)
+    instance_of(seed, false, false)
 }
 
 /// A crowded instance of the same family: 32–48 nodes (2–4 BS) on a
-/// wider disc, and at least 64 backlogged links, so the candidate
-/// frontier holds more heads than it sorts at a time.
+/// wider disc, and at least 64 backlogged links, so the greedy loop's
+/// accepted links turn the receivers of many queued keys busy.
 fn large_instance(seed: u64) -> Instance {
-    instance_of(seed, true)
+    instance_of(seed, true, false)
 }
 
-fn instance_of(seed: u64, large: bool) -> Instance {
+/// A crowded instance with 6–64 bands, every node holding a random subset
+/// of them, and at least 160 backlogged links: its links' band masks are
+/// so many that the 64-entry head-band memo evicts.
+fn many_band_instance(seed: u64) -> Instance {
+    instance_of(seed, true, true)
+}
+
+fn instance_of(seed: u64, large: bool, many_bands: bool) -> Instance {
     let mut rng = Rng::seed_from(seed);
     let (n, bs_count) = if large {
         (32 + rng.index(17), 2 + rng.index(3))
     } else {
         (5 + rng.index(4), 1 + rng.index(2))
     };
-    let bands = 2 + rng.index(4);
+    let bands = if many_bands {
+        6 + rng.index(59)
+    } else {
+        2 + rng.index(4)
+    };
     let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
     for k in 0..n {
         let angle = k as f64 * std::f64::consts::TAU / n as f64 + rng.range_f64(0.0, 0.5);
@@ -78,7 +92,7 @@ fn instance_of(seed: u64, large: bool) -> Instance {
         } else {
             b.add_user(p)
         };
-        if rng.index(3) == 0 {
+        if many_bands || rng.index(3) == 0 {
             let mut subset = BandSet::empty();
             subset.insert(BandId::from_index(rng.index(bands)));
             for m in 0..bands {
@@ -95,7 +109,7 @@ fn instance_of(seed: u64, large: bool) -> Instance {
     let mut backlogged = std::collections::BTreeSet::new();
     let mut draws = 0;
     while if large {
-        backlogged.len() < 64
+        backlogged.len() < if many_bands { 160 } else { 64 }
     } else {
         draws < n + 3
     } {
@@ -215,31 +229,33 @@ fn some_links_run_on_a_band_other_than_their_best() {
     );
 }
 
-/// Keys the kernel's candidate frontier sorts at a time (`CHUNK` in
-/// `s1.rs`).
-const CHUNK: usize = 32;
-
-/// Link `(tx, rx)`'s candidates in scheduling order, as sortable keys:
-/// weight descending, then tx, rx, band — the kernel's packed key order.
-/// Weights are positive, so their bits order as their values.
-fn link_keys(
-    inp: &S1Inputs<'_>,
-    tx: NodeId,
-    rx: NodeId,
-) -> Vec<(Reverse<u64>, usize, usize, usize)> {
-    let h = inp.links.h(tx, rx);
-    let mut keys: Vec<_> = inp
-        .net
-        .link_bands(tx, rx)
-        .iter()
-        .filter_map(|m| {
-            let c = potential_capacity(inp.spectrum.bandwidth(m), inp.phy);
-            let weight = h * packets_per_slot(c, inp.packet_size, inp.slot).count_f64();
-            (weight > 0.0).then_some((Reverse(weight.to_bits()), tx.index(), rx.index(), m.index()))
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
+/// The crowded instances drive the frontier's rarer paths: in at least
+/// 10 of 100 each of them occurs — a key dropped because its receiver
+/// turned busy, a rejected link's next band re-offered behind its group's
+/// smallest key, and a group emptied by a link with no band left.
+#[test]
+fn large_instances_cover_the_frontier_paths() {
+    let phy = PhyConfig::new(1.0, 1e-20);
+    let mut scratch = S1Scratch::new();
+    let mut out = ScheduleOutcome::empty();
+    let cases = 100;
+    let (mut dropped, mut behind, mut exhausted) = (0, 0, 0);
+    for seed in 0..cases {
+        let inst = large_instance(seed);
+        let inp = inputs(&inst, &phy);
+        greedy_schedule_with(&inp, &mut scratch, &mut out);
+        let counts = scratch.frontier_counts();
+        dropped += usize::from(counts.receiver_busy > 0);
+        behind += usize::from(counts.reoffered_behind > 0);
+        exhausted += usize::from(counts.exhausted > 0);
+    }
+    for (what, count) in [
+        ("a key dropped for a busy receiver", dropped),
+        ("a band re-offered behind its group's minimum", behind),
+        ("a group emptied by a link with no band left", exhausted),
+    ] {
+        assert!(count >= 10, "only {count} of {cases} instances have {what}");
+    }
 }
 
 /// Every link S1 may schedule this slot, as S1 prunes them: backlogged,
@@ -257,71 +273,28 @@ fn admissible(inp: &S1Inputs<'_>) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// What the greedy kernel's frontier did on one instance, read off its
-/// input and schedule: whether a link from beyond the first sorted chunk
-/// was probed — scheduled, or left with both endpoints free, which the
-/// loop only does to a link it probed and rejected — so a refilled chunk
-/// fed the loop; and whether a link of the first chunk runs on a band
-/// whose key lies beyond that chunk, so its rejected best band
-/// re-offered the next one into the unsorted rest.
-fn frontier_coverage(inp: &S1Inputs<'_>, out: &ScheduleOutcome) -> (bool, bool) {
-    let mut heads: Vec<_> = admissible(inp)
-        .into_iter()
-        .filter_map(|(i, j)| link_keys(inp, i, j).first().copied())
-        .collect();
-    heads.sort_unstable();
-    let Some(&chunk_last) = heads.get(CHUNK - 1) else {
-        return (false, false);
-    };
-    let rank = |tx: NodeId, rx: NodeId| {
-        heads
-            .iter()
-            .position(|k| (k.1, k.2) == (tx.index(), rx.index()))
-            .expect("a scheduled link is admissible")
-    };
-    let txs = out.schedule.transmissions();
-    let busy = |x: usize| {
-        txs.iter()
-            .any(|t| t.tx().index() == x || t.rx().index() == x)
-    };
-    let refilled = heads[CHUNK..].iter().any(|k| {
-        let scheduled = txs
-            .iter()
-            .any(|t| (t.tx().index(), t.rx().index()) == (k.1, k.2));
-        scheduled || (!busy(k.1) && !busy(k.2))
-    });
-    let beyond = txs.iter().any(|t| {
-        let keys = link_keys(inp, t.tx(), t.rx());
-        rank(t.tx(), t.rx()) < CHUNK && keys[0].3 != t.band().index() && keys[1] > chunk_last
-    });
-    (refilled, beyond)
-}
-
-/// The crowded instances drive the frontier past its first chunk: in at
-/// least 10 of them a chunk refill feeds the schedule, and in at least 10
-/// a link of the first chunk, rejected on its best band, runs on a band
-/// re-offered beyond the chunk.
+/// The many-band instances overflow the head-band memo: in at least 10 of
+/// 100, the admissible links share more than 64 distinct band masks, so
+/// two of them land on one entry.
 #[test]
-fn large_instances_refill_the_chunk_and_reoffer_beyond_it() {
+fn many_band_instances_overflow_the_head_memo() {
     let phy = PhyConfig::new(1.0, 1e-20);
-    let mut scratch = S1Scratch::new();
-    let mut out = ScheduleOutcome::empty();
     let cases = 100;
-    let (mut refilled, mut beyond) = (0, 0);
-    for seed in 0..cases {
-        let inst = large_instance(seed);
-        let inp = inputs(&inst, &phy);
-        greedy_schedule_with(&inp, &mut scratch, &mut out);
-        let (r, b) = frontier_coverage(&inp, &out);
-        refilled += usize::from(r);
-        beyond += usize::from(b);
-    }
-    for (what, count) in [
-        ("a chunk refill", refilled),
-        ("a band re-offered beyond the chunk", beyond),
-    ] {
-        assert!(count >= 10, "only {count} of {cases} instances have {what}");
-    }
+    let overflowing = (0..cases)
+        .filter(|&seed| {
+            let inst = many_band_instance(seed);
+            let inp = inputs(&inst, &phy);
+            let masks: std::collections::HashSet<BandSet> = admissible(&inp)
+                .into_iter()
+                .map(|(i, j)| inp.net.link_bands(i, j))
+                .collect();
+            masks.len() > 64
+        })
+        .count();
+    assert!(
+        overflowing >= 10,
+        "only {overflowing} of {cases} instances overflow the memo"
+    );
 }
 
 /// The lockstep of one kernel outcome with its reference on the same
@@ -339,6 +312,17 @@ fn lockstep(
         return Err(format!(
             "kernel link {k} violates (24) or its cap: {kernel:?}"
         ));
+    }
+    // Checked against the test's own pruning, not the kernel's memos,
+    // which the reference shares.
+    let allowed = admissible(inp);
+    if let Some(t) = kernel
+        .schedule
+        .transmissions()
+        .iter()
+        .find(|t| !allowed.contains(&(t.tx(), t.rx())))
+    {
+        return Err(format!("kernel scheduled the inadmissible link {t:?}"));
     }
     let (ks, rs) = (
         kernel.schedule.transmissions(),
@@ -441,8 +425,8 @@ proptest! {
         }
     }
 
-    /// Sequential-fix on a crowded instance: its 40-candidate pool spans
-    /// two chunks of the frontier wherever more than 32 links are heads.
+    /// Sequential-fix on a crowded instance: its 40-candidate pool takes
+    /// several keys from one transmitter's group, and re-offered bands.
     #[test]
     fn sequential_fix_kernel_matches_reference_on_large_instances(seed in any::<u64>()) {
         let mut scratch = S1Scratch::new();
@@ -453,5 +437,27 @@ proptest! {
         sequential_fix_schedule_with(&inp, &mut scratch, &mut out);
         let verdict = lockstep(&inp, &out, &sequential_fix_schedule_reference(&inp));
         prop_assert!(verdict.is_ok(), "{verdict:?}");
+    }
+
+    /// Both kernels on the many-band instances, where the head-band memo
+    /// evicts, one scratch reused across them.
+    #[test]
+    fn kernels_match_references_on_many_bands(seed in any::<u64>()) {
+        let mut scratch = S1Scratch::new();
+        let mut out = ScheduleOutcome::empty();
+        for case in 0..2u64 {
+            let inst = many_band_instance(seed.wrapping_add(case));
+            let phy = PhyConfig::new(1.0, 1e-20);
+            let inp = inputs(&inst, &phy);
+            greedy_schedule_with(&inp, &mut scratch, &mut out);
+            let verdict = lockstep(&inp, &out, &greedy_schedule_reference(&inp));
+            prop_assert!(verdict.is_ok(), "greedy: {verdict:?}");
+        }
+        let inst = many_band_instance(seed);
+        let phy = PhyConfig::new(1.0, 1e-20);
+        let inp = inputs(&inst, &phy);
+        sequential_fix_schedule_with(&inp, &mut scratch, &mut out);
+        let verdict = lockstep(&inp, &out, &sequential_fix_schedule_reference(&inp));
+        prop_assert!(verdict.is_ok(), "sequential fix: {verdict:?}");
     }
 }

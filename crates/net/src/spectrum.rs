@@ -129,6 +129,13 @@ impl BandSet {
         self.mask == 0
     }
 
+    /// The backing bitmask: bit `m` is set exactly when band `m` is in the
+    /// set, so two sets are equal exactly when their bits are.
+    #[must_use]
+    pub fn bits(self) -> u64 {
+        self.mask
+    }
+
     /// Iterates over the contained bands in increasing index order.
     pub fn iter(self) -> impl Iterator<Item = BandId> {
         let mut mask = self.mask;
@@ -224,6 +231,8 @@ mod tests {
         let s: BandSet = [BandId(4), BandId(0), BandId(2)].into_iter().collect();
         let idx: Vec<usize> = s.iter().map(BandId::index).collect();
         assert_eq!(idx, vec![0, 2, 4]);
+        assert_eq!(s.bits(), 0b10101);
+        assert_eq!(BandSet::all(64).bits(), u64::MAX);
     }
 
     #[test]
