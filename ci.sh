@@ -360,15 +360,17 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
-echo "== cargo clippy (no unwrap in core/sim/trace/phy library code) =="
+echo "== cargo clippy (no unwrap in library code) =="
 # Library and binary targets only: test code may unwrap freely, the
-# controller/simulator/tracing/power-control production path must not.
-# greencell-core's audit covers every module on the per-slot control path:
-# controller, pipeline (S4 energy stages + fallback ladder rungs), s1–s4, dpp
-# (drift constants), netstate (the sleep/cooperation machine), and
-# lower_bound (the relaxed P̄3 controller).
+# library must not. The gate holds every library crate: the controller
+# (greencell-core: controller, pipeline with the S4 energy stages and the
+# fallback ladder rungs, s1–s4, dpp, netstate, lower_bound), the simulator,
+# tracing, power control, and the energy, LP, network, queue, stochastic
+# and units substrate under them.
 cargo clippy -p greencell-core -p greencell-sim -p greencell-trace \
-  -p greencell-phy --lib --bins $CARGO_FLAGS -- \
+  -p greencell-phy -p greencell-energy -p greencell-lp -p greencell-net \
+  -p greencell-queue -p greencell-stochastic -p greencell-units \
+  --lib --bins $CARGO_FLAGS -- \
   -D warnings -D clippy::unwrap_used
 
 echo "ci: all checks passed"

@@ -234,7 +234,7 @@ mod tests {
     #[should_panic(expected = "slot duration")]
     fn zero_slot_rejected() {
         let mut c = config();
-        c.slot = TimeDelta::from_seconds(0.0);
+        c.slot = TimeDelta::ZERO;
         c.validate();
     }
 }

@@ -189,30 +189,6 @@ pub struct StageTimings {
     pub slots: u64,
 }
 
-impl StageTimings {
-    /// Total time across all four stages.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.s1 + self.s2 + self.s3 + self.s4
-    }
-
-    /// Per-stage share of the total, as `[s1, s2, s3, s4]` fractions;
-    /// all zeros when nothing has been timed yet.
-    #[must_use]
-    pub fn shares(&self) -> [f64; 4] {
-        let total = self.total().as_secs_f64();
-        if total <= 0.0 {
-            return [0.0; 4];
-        }
-        [
-            self.s1.as_secs_f64() / total,
-            self.s2.as_secs_f64() / total,
-            self.s3.as_secs_f64() / total,
-            self.s4.as_secs_f64() / total,
-        ]
-    }
-}
-
 /// The complete evolving state of a [`Controller`] — everything that
 /// changes from slot to slot, captured by [`Controller::export_state`] and
 /// replayed by [`Controller::import_state`].
@@ -589,13 +565,6 @@ impl Controller {
     #[must_use]
     pub fn stage_timings(&self) -> StageTimings {
         self.timings
-    }
-
-    /// The next slot index [`Controller::step`] will run (0-based; equals
-    /// the number of slots stepped so far).
-    #[must_use]
-    pub fn slot(&self) -> u64 {
-        self.slot
     }
 
     /// Captures every piece of state that evolves across slots — the queue

@@ -34,7 +34,7 @@ pub fn beta(config: &ControllerConfig, phy: &PhyConfig) -> f64 {
 /// (mobile-user draws do not enter `P(t)` per §II-E). `is_bs` flags the
 /// base stations in node order.
 #[must_use]
-pub fn max_grid_draw(is_bs: &[bool], energy: &EnergyConfig) -> Energy {
+fn max_grid_draw(is_bs: &[bool], energy: &EnergyConfig) -> Energy {
     is_bs
         .iter()
         .zip(&energy.nodes)

@@ -17,7 +17,7 @@
 //! |------|-----------|------------|-------------|
 //! | `Ψ̂₁` | link activations `α^m_ij` | S1 link scheduling | [`greedy_schedule`] / [`sequential_fix_schedule`] |
 //! | `Ψ̂₂` | source BS + admissions `k_s` | S2 resource allocation | [`resource_allocation`] |
-//! | `Ψ̂₃` | routing `l^s_ij` | S3 routing | [`route_flows`] |
+//! | `Ψ̂₃` | routing `l^s_ij` | S3 routing | [`route_flows_into`] |
 //! | `Ψ̂₄` | powers + energy sourcing | S4 energy management | [`solve_energy_management`] |
 //!
 //! [`Controller`] wires the four solvers into the per-slot pipeline and
@@ -118,7 +118,7 @@ pub use s1::{
 pub use s2::{
     admission_valve_open, resource_allocation, resource_allocation_masked_into, Admission,
 };
-pub use s3::{route_flows, route_flows_into, route_flows_reference, RoutingTable, S3Scratch};
+pub use s3::{route_flows_into, route_flows_reference, RoutingTable, S3Scratch};
 pub use s4::{
     energy_lockstep_divergence, solve_energy_management, solve_energy_management_into,
     solve_energy_management_reference, solve_grid_only, solve_grid_only_into, solve_safe_mode,

@@ -85,12 +85,6 @@ impl LowerBoundSeries {
         self.avg_cost.record(cost);
     }
 
-    /// The running time-averaged relaxed cost `ψ̄`.
-    #[must_use]
-    pub fn average_cost(&self) -> f64 {
-        self.avg_cost.mean()
-    }
-
     /// The lower bound `ψ̄ − B/V` (may be negative — it is a bound, not a
     /// cost).
     #[must_use]
@@ -593,12 +587,6 @@ impl RelaxedController {
         }
     }
 
-    /// The lower-bound series accumulated so far.
-    #[must_use]
-    pub fn series(&self) -> &LowerBoundSeries {
-        &self.series
-    }
-
     /// Current Theorem 5 lower bound.
     #[must_use]
     pub fn bound(&self) -> f64 {
@@ -803,7 +791,6 @@ mod tests {
         let mut s = LowerBoundSeries::new(100.0, 50.0);
         s.record(10.0);
         s.record(20.0);
-        assert_eq!(s.average_cost(), 15.0);
         assert_eq!(s.bound(), 15.0 - 2.0);
     }
 

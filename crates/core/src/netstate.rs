@@ -197,30 +197,6 @@ impl NetworkState {
         self.sleep.is_some() || self.coop.is_some()
     }
 
-    /// The configured sleep policy, if any.
-    #[must_use]
-    pub fn sleep_policy(&self) -> Option<&SleepPolicy> {
-        self.sleep.as_ref()
-    }
-
-    /// The configured cooperation policy, if any.
-    #[must_use]
-    pub fn coop_policy(&self) -> Option<&CoopPolicy> {
-        self.coop.as_ref()
-    }
-
-    /// Number of nodes this state tracks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` for the inert zero-node state.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Starts a slot: copies the fault availability mask (empty means all
     /// nodes up) and resets the per-slot transition/transfer counters.
     /// When sleeping is disabled the active mask is the availability mask
@@ -465,12 +441,6 @@ impl NetworkState {
         &self.active
     }
 
-    /// Per-node awake flags (users are always awake).
-    #[must_use]
-    pub fn awake(&self) -> &[bool] {
-        &self.awake
-    }
-
     /// Per-user best awake BS (`usize::MAX` for BSs and uncovered users).
     #[must_use]
     pub fn association(&self) -> &[usize] {
@@ -620,11 +590,11 @@ mod tests {
             let changed = s.step_sleep(&gain);
             if slot < 1 {
                 assert!(!changed, "slot {slot}: no transition yet");
-                assert!(s.awake()[1]);
+                assert!(!s.is_asleep(1));
             }
         }
-        assert!(!s.awake()[1], "BS 1 asleep after W idle slots");
-        assert!(s.awake()[0], "loaded BS stays awake");
+        assert!(s.is_asleep(1), "BS 1 asleep after W idle slots");
+        assert!(!s.is_asleep(0), "loaded BS stays awake");
         assert_eq!(s.sleep_transitions(), 1);
         // User 3's best awake BS is now BS 0.
         assert_eq!(s.association()[3], 0);
@@ -641,14 +611,14 @@ mod tests {
             s.set_node_backlog(1, 0.0);
             s.step_sleep(&gain);
         }
-        assert!(!s.awake()[1]);
+        assert!(s.is_asleep(1));
         // User 3 piles up backlog past the wake threshold.
         s.begin_slot(&[]);
         s.set_node_backlog(0, 100.0);
         s.set_node_backlog(3, 10.0);
         let changed = s.step_sleep(&gain);
         assert!(changed);
-        assert!(s.awake()[1], "woken by user 3's backlog");
+        assert!(!s.is_asleep(1), "woken by user 3's backlog");
         assert!(!s.active()[1], "still ramping");
         assert_eq!(s.wake_transitions(), 1);
         // Next slot the ramp completes.
@@ -668,15 +638,11 @@ mod tests {
             // Both BSs idle forever.
             s.step_sleep(&gain);
         }
-        let awake: Vec<bool> = s.awake().to_vec();
-        assert_eq!(
-            awake.iter().filter(|&&a| a).count(),
-            3, // one surviving BS + the two users
-            "exactly one BS asleep: {awake:?}"
-        );
+        assert_eq!(s.asleep_bs_count(), 1, "exactly one BS asleep");
         // Sleep entry runs in ascending node order, so BS 0 powers down
         // first and BS 1 is the guaranteed survivor.
-        assert!(awake[1], "the last awake BS never sleeps");
+        assert!(s.is_asleep(0));
+        assert!(!s.is_asleep(1), "the last awake BS never sleeps");
     }
 
     #[test]
@@ -687,13 +653,13 @@ mod tests {
             s.set_node_backlog(0, 100.0);
             s.step_sleep(&gain);
         }
-        assert!(!s.awake()[1]);
+        assert!(s.is_asleep(1));
         // BS 1 is now outaged: it must be forced awake (but inactive).
         s.begin_slot(&[true, false, true, true]);
         s.set_node_backlog(0, 100.0);
         let changed = s.step_sleep(&gain);
         assert!(changed);
-        assert!(s.awake()[1], "outage overrides sleep");
+        assert!(!s.is_asleep(1), "outage overrides sleep");
         assert!(!s.active()[1], "but the outaged BS stays unavailable");
     }
 

@@ -777,7 +777,9 @@ mod tests {
                     assert_eq!(table.out_links(node).collect::<Vec<_>>(), out, "{mask:?}");
                     assert_eq!(table.in_links(node).collect::<Vec<_>>(), into, "{mask:?}");
                 }
-                assert_eq!(table, &RoutingTable::new(6, fresh.iter().copied()));
+                let mut rebuilt = RoutingTable::default();
+                rebuilt.rebuild(6, fresh.iter().copied());
+                assert_eq!(table, &rebuilt);
                 assert!(!fresh.is_empty());
                 if mask != &all_up {
                     assert_ne!(

@@ -365,15 +365,6 @@ pub struct SlotContext {
     pub(crate) net_state: NetworkState,
 }
 
-impl SlotContext {
-    /// Creates an empty arena; every buffer grows to its steady-state size
-    /// over the first slot and is retained afterwards.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -83,22 +83,6 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// The table over `nodes` nodes for `caps`; see
-    /// [`RoutingTable::rebuild`].
-    ///
-    /// # Panics
-    ///
-    /// As [`RoutingTable::rebuild`].
-    #[must_use]
-    pub(crate) fn new(
-        nodes: usize,
-        caps: impl IntoIterator<Item = (NodeId, NodeId, Packets)>,
-    ) -> Self {
-        let mut table = Self::default();
-        table.rebuild(nodes, caps);
-        table
-    }
-
     /// Grows the buffers for `nodes` nodes and `links` links, so rebuilding
     /// within those bounds allocates nothing.
     pub(crate) fn reserve(&mut self, nodes: usize, links: usize) {
@@ -199,12 +183,6 @@ pub struct S3Scratch {
 }
 
 impl S3Scratch {
-    /// Creates empty scratch; buffers grow on first use and are retained.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Grows the buffers for `nodes` nodes, `sessions` sessions, and up to
     /// `links` routable links (in all: reserving the same bounds twice
     /// grows nothing), so a steady-state slot allocates nothing
@@ -226,46 +204,14 @@ fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
     v.reserve(total.saturating_sub(v.len()));
 }
 
-/// Runs S3.
+/// Runs S3 over a prebuilt [`RoutingTable`], into caller-owned scratch and
+/// plan — the pipeline's allocation-free path. The plan is reset to the
+/// network's dimensions (retaining its buffer).
 ///
-/// `routing_caps` lists every link routing may use this slot with its flow
-/// cap in packets (the controller passes all `ℳ_i ∩ ℳ_j ≠ ∅` pairs with
-/// the `β` bound); `admissions` supplies the chosen sources `s_s(t)` (for
+/// The table lists every link routing may use this slot with its flow cap
+/// in packets (the controller passes all `ℳ_i ∩ ℳ_j ≠ ∅` pairs with the
+/// `β` bound); `admissions` supplies the chosen sources `s_s(t)` (for
 /// constraint (16)); `session_demand` supplies `v_s(t)` (for (18)).
-///
-/// # Panics
-///
-/// Panics if `session_demand.len()` differs from the session count, or
-/// `routing_caps` is not grouped by ascending sender (see
-/// [`RoutingTable::rebuild`]).
-#[must_use]
-pub fn route_flows(
-    net: &Network,
-    data: &DataQueueBank,
-    links: &LinkQueueBank,
-    routing_caps: &[(NodeId, NodeId, Packets)],
-    admissions: &[Admission],
-    session_demand: &[Packets],
-) -> FlowPlan {
-    let table = RoutingTable::new(net.topology().len(), routing_caps.iter().copied());
-    let mut scratch = S3Scratch::new();
-    let mut plan = FlowPlan::new(net.topology().len(), net.session_count());
-    route_flows_into(
-        net,
-        data,
-        links,
-        &table,
-        admissions,
-        session_demand,
-        &mut scratch,
-        &mut plan,
-    );
-    plan
-}
-
-/// [`route_flows`] over a prebuilt [`RoutingTable`], into caller-owned
-/// scratch and plan — the pipeline's allocation-free path. The plan is
-/// reset to the network's dimensions (retaining its buffer).
 ///
 /// The work is proportional to the links of the destinations and of the
 /// backlogged senders:
@@ -443,7 +389,7 @@ pub fn route_flows_into(
     }
 }
 
-/// Reference implementation of [`route_flows`]: phase 1 scans every link
+/// Reference implementation of S3: phase 1 scans every link
 /// once per session, phase 2 sorts every negative `(session, link)`
 /// candidate of the slot in one global list, over dense copies of the caps
 /// and backlogs. The test oracle of [`route_flows_into`].
@@ -581,6 +527,32 @@ mod tests {
         let data = DataQueueBank::new(3, &[u2]);
         let links = LinkQueueBank::new(3, 10.0);
         (net, data, links)
+    }
+
+    /// One S3 solve over `routing_caps` (grouped by ascending sender) with
+    /// fresh scratch and plan.
+    fn route_flows(
+        net: &Network,
+        data: &DataQueueBank,
+        links: &LinkQueueBank,
+        routing_caps: &[(NodeId, NodeId, Packets)],
+        admissions: &[Admission],
+        session_demand: &[Packets],
+    ) -> FlowPlan {
+        let mut table = RoutingTable::default();
+        table.rebuild(net.topology().len(), routing_caps.iter().copied());
+        let mut plan = FlowPlan::default();
+        route_flows_into(
+            net,
+            data,
+            links,
+            &table,
+            admissions,
+            session_demand,
+            &mut S3Scratch::default(),
+            &mut plan,
+        );
+        plan
     }
 
     fn n(i: usize) -> NodeId {

@@ -1750,14 +1750,11 @@ mod tests {
     /// charge), 0.05 kWh between the flips, 0 above 0.5 (discharge).
     fn lossy(v: f64) -> Fixture {
         let mut f = one_bs(-0.5, 0.05, 0.0);
-        f.batteries = vec![Battery::from_parts(
-            kwh(1.0),
-            kwh(0.1),
-            kwh(0.1),
-            0.8,
-            kwh(0.5),
-            false,
-        )];
+        f.batteries =
+            vec![
+                Battery::try_from_parts(kwh(1.0), kwh(0.1), kwh(0.1), 0.8, kwh(0.5), false)
+                    .expect("valid battery"),
+            ];
         f.v = v;
         f
     }

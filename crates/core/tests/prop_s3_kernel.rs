@@ -416,8 +416,8 @@ proptest! {
     #[test]
     fn kernel_matches_reference_in_lockstep(seed in any::<u64>()) {
         let mut table = RoutingTable::default();
-        let mut scratch = S3Scratch::new();
-        let mut plan = FlowPlan::empty();
+        let mut scratch = S3Scratch::default();
+        let mut plan = FlowPlan::default();
         for case in 0..8u64 {
             let inst = instance(seed.wrapping_add(case));
             let kernel = kernel_flows(&inst, &mut table, &mut scratch, &mut plan);
@@ -430,8 +430,8 @@ proptest! {
     #[test]
     fn kernel_matches_reference_at_the_prune_boundary(seed in any::<u64>()) {
         let mut table = RoutingTable::default();
-        let mut scratch = S3Scratch::new();
-        let mut plan = FlowPlan::empty();
+        let mut scratch = S3Scratch::default();
+        let mut plan = FlowPlan::default();
         for case in 0..8u64 {
             let inst = instance_with(seed.wrapping_add(case), true);
             let kernel = kernel_flows(&inst, &mut table, &mut scratch, &mut plan);

@@ -167,35 +167,10 @@ impl Battery {
     /// Rebuilds a battery from its full captured state — the restore half
     /// of snapshotting. Unlike [`Battery::new`], the capacity and limits
     /// here may already be fade-scaled (see [`Battery::fade_capacity`]),
-    /// so every runtime-mutable field is taken verbatim.
-    ///
-    /// # Panics
-    ///
-    /// As [`Battery::with_efficiency`], plus if `level ∉ [0, capacity]`;
-    /// [`Battery::try_from_parts`] returns each of these as an error.
-    #[must_use]
-    pub fn from_parts(
-        capacity: Energy,
-        charge_limit: Energy,
-        discharge_limit: Energy,
-        efficiency: f64,
-        level: Energy,
-        charge_blocked: bool,
-    ) -> Self {
-        Self::try_from_parts(
-            capacity,
-            charge_limit,
-            discharge_limit,
-            efficiency,
-            level,
-            charge_blocked,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Battery::from_parts`] for state read from outside the process (a
-    /// snapshot file): every condition the constructors assert is checked
-    /// instead, in the same order and with the same message.
+    /// so every runtime-mutable field is taken verbatim. The state is read
+    /// from outside the process (a snapshot file), so every condition the
+    /// constructors assert is checked instead, in the same order and with
+    /// the same message.
     ///
     /// # Errors
     ///
@@ -454,12 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_a_faded_blocked_battery() {
+    fn try_from_parts_roundtrips_a_faded_blocked_battery() {
         let mut b = Battery::with_efficiency(kwh(1.0), kwh(0.1), kwh(0.06), 0.9);
         b.apply(kwh(0.1), Energy::ZERO).unwrap();
         b.fade_capacity(0.7);
         b.set_charge_blocked(true);
-        let rebuilt = Battery::from_parts(
+        let rebuilt = Battery::try_from_parts(
             b.capacity(),
             b.charge_limit(),
             b.discharge_limit(),
@@ -467,33 +442,27 @@ mod tests {
             b.level(),
             b.charge_blocked(),
         );
-        assert_eq!(rebuilt, b);
+        assert_eq!(rebuilt, Ok(b));
     }
 
-    #[test]
-    #[should_panic(expected = "level outside")]
-    fn from_parts_rejects_overfull_level() {
-        let _ = Battery::from_parts(kwh(1.0), kwh(0.1), kwh(0.06), 1.0, kwh(1.5), false);
-    }
-
-    /// Every condition `from_parts` asserts is an error here, never a
+    /// Every condition the constructors assert is an error here, never a
     /// panic, and a valid state rebuilds the same battery.
     #[test]
-    fn try_from_parts_rejects_what_from_parts_asserts() {
+    fn try_from_parts_rejects_what_the_constructors_assert() {
         let parts = |cap: f64, c: f64, d: f64, eta: f64, level: f64| {
             Battery::try_from_parts(kwh(cap), kwh(c), kwh(d), eta, kwh(level), false)
         };
+        let valid = parts(1.0, 0.1, 0.06, 0.9, 0.5).expect("valid state");
         assert_eq!(
-            parts(1.0, 0.1, 0.06, 0.9, 0.5),
-            Ok(Battery::from_parts(
-                kwh(1.0),
-                kwh(0.1),
-                kwh(0.06),
-                0.9,
-                kwh(0.5),
-                false
-            ))
+            (
+                valid.capacity(),
+                valid.charge_limit(),
+                valid.discharge_limit()
+            ),
+            (kwh(1.0), kwh(0.1), kwh(0.06))
         );
+        assert_eq!((valid.charge_efficiency(), valid.level()), (0.9, kwh(0.5)));
+        assert!(!valid.charge_blocked());
         for (bad, message) in [
             (parts(1.0, 0.1, 0.06, 2.0, 0.5), "outside (0, 1]"),
             (parts(1.0, 0.1, 0.06, 0.0, 0.5), "outside (0, 1]"),

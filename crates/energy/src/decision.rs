@@ -122,18 +122,6 @@ impl EnergyDecision {
         }
     }
 
-    /// The all-zero decision for a node with zero demand and renewable
-    /// output fully curtailed.
-    #[must_use]
-    pub fn idle(renewable_output: Energy) -> Self {
-        Self {
-            grid_to_demand: Energy::ZERO,
-            grid_to_battery: Energy::ZERO,
-            renewable: RenewableSplit::all_curtailed(renewable_output),
-            discharge: Energy::ZERO,
-        }
-    }
-
     /// Grid energy serving demand, `g_i(t)`.
     #[must_use]
     pub fn grid_to_demand(&self) -> Energy {
@@ -343,7 +331,11 @@ mod tests {
     fn disconnected_node_cannot_draw() {
         let d = EnergyDecision::new(j(5.0), j(0.0), split(0.0, 0.0, 0.0, 0.0), j(0.0));
         assert!(matches!(
-            d.validate(j(5.0), &battery_half(), &GridConnection::offline()),
+            d.validate(
+                j(5.0),
+                &battery_half(),
+                &GridConnection::new(false, Energy::ZERO)
+            ),
             Err(EnergyDecisionError::Grid(GridError::Disconnected))
         ));
     }
@@ -351,15 +343,12 @@ mod tests {
     #[test]
     fn disconnected_node_lives_on_renewable_and_battery() {
         let d = EnergyDecision::new(j(0.0), j(0.0), split(12.0, 12.0, 0.0, 0.0), j(8.0));
-        d.validate(j(20.0), &battery_half(), &GridConnection::offline())
-            .unwrap();
-    }
-
-    #[test]
-    fn idle_decision_validates_with_zero_demand() {
-        let d = EnergyDecision::idle(j(7.0));
-        d.validate(j(0.0), &battery_half(), &grid_on()).unwrap();
-        assert_eq!(d.renewable().curtailed(), j(7.0));
+        d.validate(
+            j(20.0),
+            &battery_half(),
+            &GridConnection::new(false, Energy::ZERO),
+        )
+        .unwrap();
     }
 
     #[test]

@@ -128,7 +128,7 @@ mod tests {
         let d = m.tx_energy(
             Some(Power::from_watts(2.0)),
             true,
-            TimeDelta::from_seconds(30.0),
+            TimeDelta::from_minutes(0.5),
         );
         assert!((d.as_joules() - (60.0 + 3.0)).abs() < 1e-12);
     }
@@ -138,7 +138,7 @@ mod tests {
         let m = model();
         assert_eq!(m.const_energy().as_joules(), 10.0);
         assert_eq!(m.idle_energy().as_joules(), 5.0);
-        assert_eq!(m.recv_power().as_milliwatts(), 100.0);
+        assert_eq!(m.recv_power(), Power::from_milliwatts(100.0));
     }
 
     #[test]

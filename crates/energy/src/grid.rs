@@ -77,38 +77,6 @@ impl GridConnection {
         }
     }
 
-    /// A connection that is offline this slot (`ω_i(t) = 0`).
-    #[must_use]
-    pub fn offline() -> Self {
-        Self {
-            connected: false,
-            draw_limit: Energy::ZERO,
-        }
-    }
-
-    /// The indicator `ω_i(t)`.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.connected
-    }
-
-    /// The draw limit `p^max_i`; meaningful only while connected.
-    #[must_use]
-    pub fn draw_limit(&self) -> Energy {
-        self.draw_limit
-    }
-
-    /// The largest total draw available this slot: `p^max_i` when
-    /// connected, zero otherwise.
-    #[must_use]
-    pub fn max_draw_now(&self) -> Energy {
-        if self.connected {
-            self.draw_limit
-        } else {
-            Energy::ZERO
-        }
-    }
-
     /// Validates a total draw `p_i(t) = g_i(t) + c^g_i(t)` against
     /// Eq. (14).
     ///
@@ -150,7 +118,6 @@ mod tests {
         let g = GridConnection::new(true, kwh(0.2));
         assert!(g.check_draw(kwh(0.2)).is_ok());
         assert!(g.check_draw(Energy::ZERO).is_ok());
-        assert_eq!(g.max_draw_now(), kwh(0.2));
     }
 
     #[test]
@@ -164,11 +131,9 @@ mod tests {
 
     #[test]
     fn disconnected_rejects_positive_draw() {
-        let g = GridConnection::offline();
+        let g = GridConnection::new(false, kwh(0.2));
         assert_eq!(g.check_draw(kwh(0.01)), Err(GridError::Disconnected));
         assert!(g.check_draw(Energy::ZERO).is_ok());
-        assert_eq!(g.max_draw_now(), Energy::ZERO);
-        assert!(!g.is_connected());
     }
 
     #[test]

@@ -59,7 +59,6 @@ impl Error for RenewableSplitError {}
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenewableSplit {
-    output: Energy,
     to_demand: Energy,
     to_battery: Energy,
     curtailed: Energy,
@@ -91,28 +90,10 @@ impl RenewableSplit {
             return Err(RenewableSplitError::Unbalanced { output, assigned });
         }
         Ok(Self {
-            output,
             to_demand,
             to_battery,
             curtailed,
         })
-    }
-
-    /// A split that discards the whole output (battery full, demand met).
-    #[must_use]
-    pub fn all_curtailed(output: Energy) -> Self {
-        Self {
-            output,
-            to_demand: Energy::ZERO,
-            to_battery: Energy::ZERO,
-            curtailed: output,
-        }
-    }
-
-    /// The slot output `R_i(t)` being split.
-    #[must_use]
-    pub fn output(&self) -> Energy {
-        self.output
     }
 
     /// Energy serving demand directly, `r_i(t)`.
@@ -148,7 +129,6 @@ mod tests {
         assert_eq!(s.to_demand(), j(3.0));
         assert_eq!(s.to_battery(), j(5.0));
         assert_eq!(s.curtailed(), j(2.0));
-        assert_eq!(s.output(), j(10.0));
     }
 
     #[test]
@@ -165,13 +145,6 @@ mod tests {
             RenewableSplit::new(j(1.0), j(-1.0), j(2.0), j(0.0)),
             Err(RenewableSplitError::NegativeComponent)
         );
-    }
-
-    #[test]
-    fn all_curtailed_helper() {
-        let s = RenewableSplit::all_curtailed(j(7.0));
-        assert_eq!(s.curtailed(), j(7.0));
-        assert_eq!(s.to_demand(), Energy::ZERO);
     }
 
     #[test]

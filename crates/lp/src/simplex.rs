@@ -7,14 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(usize);
 
-impl VarId {
-    /// The dense index of this variable.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Direction of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
@@ -72,12 +64,6 @@ impl Solution {
     #[must_use]
     pub fn value(&self, v: VarId) -> f64 {
         self.values[v.0]
-    }
-
-    /// All variable values in creation order.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 }
 
@@ -150,36 +136,6 @@ impl LinearProgram {
             }
         }
         self.constraints.push((dense, rel, rhs));
-    }
-
-    /// Number of variables added.
-    #[must_use]
-    pub fn variable_count(&self) -> usize {
-        self.objective.len()
-    }
-
-    /// Number of constraints added.
-    #[must_use]
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Solves the program as a *maximization* of the stored objective:
-    /// convenience wrapper that negates the costs, solves, and reports the
-    /// maximized objective value.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearProgram::solve`].
-    pub fn solve_maximizing(&self) -> Result<Solution, LpError> {
-        let mut negated = self.clone();
-        for c in &mut negated.objective {
-            *c = -*c;
-        }
-        negated.solve().map(|s| Solution {
-            objective: -s.objective,
-            values: s.values,
-        })
     }
 
     /// Solves the program.
@@ -648,7 +604,6 @@ mod tests {
         let lp = LinearProgram::new();
         let s = lp.solve().unwrap();
         assert_eq!(s.objective(), 0.0);
-        assert!(s.values().is_empty());
     }
 
     #[test]
@@ -674,7 +629,7 @@ mod tests {
         let mut b = LinearProgram::new();
         let x = a.add_variable(0.0, 0.0, 1.0);
         let _y = b.add_variable(0.0, 0.0, 1.0);
-        let x2 = VarId(x.index() + 10);
+        let x2 = VarId(x.0 + 10);
         b.add_constraint(&[(x2, 1.0)], Relation::Le, 1.0);
     }
 
@@ -684,20 +639,6 @@ mod tests {
             LpError::Infeasible.to_string(),
             "linear program is infeasible"
         );
-    }
-
-    #[test]
-    fn maximization_wrapper() {
-        // max 3x + 5y st x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → 36 at (2, 6).
-        let mut lp = LinearProgram::new();
-        let x = lp.add_variable(3.0, 0.0, f64::INFINITY);
-        let y = lp.add_variable(5.0, 0.0, f64::INFINITY);
-        lp.add_constraint(&[(x, 1.0)], Relation::Le, 4.0);
-        lp.add_constraint(&[(y, 2.0)], Relation::Le, 12.0);
-        lp.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let s = lp.solve_maximizing().unwrap();
-        assert_close(s.objective(), 36.0);
-        assert_close(s.value(x), 2.0);
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl NetworkBuilder {
         id
     }
 
-    /// Number of nodes added so far.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Validates the configuration and assembles the [`Network`].
     ///
     /// # Errors
@@ -194,7 +188,7 @@ mod tests {
         let net = b.build().unwrap();
         assert_eq!(net.topology().base_station_count(), 1);
         assert_eq!(net.session_count(), 1);
-        assert_eq!(net.bands_at(bs).len(), 3);
+        assert_eq!(net.link_bands(bs, u).len(), 3);
         assert_eq!(net.session(SessionId(0)).destination(), u);
     }
 

@@ -76,39 +76,11 @@ impl GridIndex {
         idx
     }
 
-    /// Number of points inserted.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if no points have been inserted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The point with dense index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn point(&self, idx: usize) -> Point {
-        self.points[idx]
-    }
-
     /// Number of grid cells holding at least one point — the quantity
     /// per-slot city cost is expected to scale with.
     #[must_use]
     pub fn occupied_cells(&self) -> usize {
         self.buckets.iter().filter(|b| !b.is_empty()).count()
-    }
-
-    /// Total number of grid cells.
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Calls `f(index, point)` for every inserted point within Euclidean
@@ -208,8 +180,5 @@ mod tests {
         g.insert(Point::new(-5.0, 35.0));
         assert!(g.has_neighbor_within(Point::new(0.0, 30.0), 8.0));
         assert_eq!(g.occupied_cells(), 1);
-        assert_eq!(g.len(), 1);
-        assert!(!g.is_empty());
-        assert_eq!(g.point(0).x(), -5.0);
     }
 }

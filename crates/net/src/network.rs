@@ -45,16 +45,6 @@ impl Network {
         self.band_count
     }
 
-    /// The bands node `i` can access, `ℳ_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bands_at(&self, i: NodeId) -> BandSet {
-        self.availability[i.index()]
-    }
-
     /// The bands usable on directed link `(i, j)`: `ℳ_i ∩ ℳ_j`.
     ///
     /// # Panics

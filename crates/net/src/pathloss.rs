@@ -42,18 +42,6 @@ impl PathLossModel {
         Self { c, gamma }
     }
 
-    /// The antenna constant `C`.
-    #[must_use]
-    pub fn antenna_constant(&self) -> f64 {
-        self.c
-    }
-
-    /// The path-loss exponent `γ`.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.gamma
-    }
-
     /// The propagation gain `g = C · d^{-γ}` over distance `d`.
     ///
     /// # Panics
@@ -62,19 +50,6 @@ impl PathLossModel {
     #[must_use]
     pub fn gain(&self, d: Distance) -> f64 {
         self.c * d.powi_neg(self.gamma)
-    }
-
-    /// Distance at which the gain falls to `g` — the inverse of
-    /// [`PathLossModel::gain`]. Useful for sizing neighborhoods in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g <= 0` or `γ == 0` (the model is then not invertible).
-    #[must_use]
-    pub fn range_for_gain(&self, g: f64) -> Distance {
-        assert!(g > 0.0, "gain must be positive, got {g}");
-        assert!(self.gamma > 0.0, "flat path loss is not invertible");
-        Distance::from_meters((self.c / g).powf(1.0 / self.gamma))
     }
 }
 
@@ -98,14 +73,6 @@ mod tests {
         assert!(g1 > g2);
         // γ = 4: doubling distance costs 16×.
         assert!((g1 / g2 - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn range_for_gain_inverts_gain() {
-        let pl = PathLossModel::new(62.5, 4.0);
-        let d = Distance::from_meters(321.0);
-        let g = pl.gain(d);
-        assert!((pl.range_for_gain(g).as_meters() - 321.0).abs() < 1e-6);
     }
 
     #[test]

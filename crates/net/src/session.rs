@@ -34,8 +34,8 @@ impl fmt::Display for SessionId {
 /// chosen fresh every slot by the S2 resource-allocation subproblem, so it
 /// is not stored here. The required throughput `v_s(t)` is modelled as a
 /// constant demand rate in the paper's evaluation (100 kbps per session);
-/// per-slot packet requirements are derived from [`Session::demand`] by the
-/// simulator.
+/// the simulator derives per-slot packet requirements from its scenario's
+/// demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Session {
     id: SessionId,
@@ -63,12 +63,6 @@ impl Session {
     pub fn destination(&self) -> NodeId {
         self.destination
     }
-
-    /// The required throughput of the session.
-    #[must_use]
-    pub fn demand(&self) -> DataRate {
-        self.demand
-    }
 }
 
 impl fmt::Display for Session {
@@ -90,7 +84,6 @@ mod tests {
         );
         assert_eq!(s.id().index(), 1);
         assert_eq!(s.destination().index(), 7);
-        assert_eq!(s.demand().as_kilobits_per_second(), 100.0);
     }
 
     #[test]

@@ -88,13 +88,6 @@ impl BandSet {
         self.mask |= 1u64 << band.0;
     }
 
-    /// Removes a band (no-op if absent).
-    pub fn remove(&mut self, band: BandId) {
-        if band.0 < MAX_BANDS {
-            self.mask &= !(1u64 << band.0);
-        }
-    }
-
     /// `true` if the set contains `band`.
     #[must_use]
     pub fn contains(self, band: BandId) -> bool {
@@ -106,14 +99,6 @@ impl BandSet {
     pub fn intersection(self, other: Self) -> Self {
         Self {
             mask: self.mask & other.mask,
-        }
-    }
-
-    /// The union of two sets.
-    #[must_use]
-    pub fn union(self, other: Self) -> Self {
-        Self {
-            mask: self.mask | other.mask,
         }
     }
 
@@ -204,26 +189,22 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_contains() {
+    fn insert_contains() {
         let mut s = BandSet::empty();
         assert!(s.is_empty());
         s.insert(BandId(3));
         assert!(s.contains(BandId(3)));
         assert!(!s.contains(BandId(2)));
-        s.remove(BandId(3));
-        assert!(s.is_empty());
-        s.remove(BandId(3)); // idempotent
     }
 
     #[test]
-    fn intersection_and_union() {
+    fn intersection() {
         let a: BandSet = [BandId(0), BandId(1)].into_iter().collect();
         let b: BandSet = [BandId(1), BandId(2)].into_iter().collect();
         assert_eq!(
             a.intersection(b).iter().collect::<Vec<_>>(),
             vec![BandId(1)]
         );
-        assert_eq!(a.union(b).len(), 3);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Node placement and the precomputed propagation-gain matrix.
 
 use crate::{Node, NodeId, NodeKind, PathLossModel, Point};
-use greencell_units::Distance;
 
 /// The physical layout of the network: every node plus the dense gain
 /// matrix `g_ij = C · d(i,j)^{-γ}` between all ordered pairs.
@@ -12,7 +11,6 @@ use greencell_units::Distance;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<Node>,
-    path_loss: PathLossModel,
     /// Row-major `len × len`; diagonal entries are 0 (no self links).
     gains: Vec<f64>,
     /// Interference pruning floor: gains strictly below this were set to
@@ -66,7 +64,6 @@ impl Topology {
         }
         Self {
             nodes,
-            path_loss,
             gains,
             gain_floor,
         }
@@ -143,24 +140,6 @@ impl Topology {
         self.gains[i.0 * self.nodes.len() + j.0]
     }
 
-    /// Euclidean distance `d(i, j)` between two nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    #[must_use]
-    pub fn distance(&self, i: NodeId, j: NodeId) -> Distance {
-        self.nodes[i.0]
-            .position()
-            .distance_to(self.nodes[j.0].position())
-    }
-
-    /// The path-loss model the gain matrix was built with.
-    #[must_use]
-    pub fn path_loss(&self) -> PathLossModel {
-        self.path_loss
-    }
-
     /// The interference pruning floor applied at construction: every gain
     /// strictly below it was replaced by exactly `0.0`. Returns `0.0` when
     /// the matrix is unpruned.
@@ -184,6 +163,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greencell_units::Distance;
 
     fn tiny() -> Topology {
         Topology::new(
@@ -247,14 +227,5 @@ mod tests {
         // Retained entries are bit-identical, and the floor itself survives.
         assert_eq!(pruned.gain(NodeId(0), NodeId(1)), near);
         assert_eq!(plain.gain_floor(), 0.0);
-    }
-
-    #[test]
-    fn distance_lookup() {
-        let t = tiny();
-        assert_eq!(
-            t.distance(NodeId(1), NodeId(2)).as_meters(),
-            (100.0f64.powi(2) + 200.0f64.powi(2)).sqrt()
-        );
     }
 }

@@ -13,35 +13,30 @@ fn band_set(indices: &[usize]) -> BandSet {
 }
 
 proptest! {
-    /// Intersection and union obey the usual set laws.
+    /// Intersection obeys the usual set laws.
     #[test]
     fn band_set_algebra(a in prop::collection::vec(0usize..64, 0..20),
                         b in prop::collection::vec(0usize..64, 0..20)) {
         let sa = band_set(&a);
         let sb = band_set(&b);
         let inter = sa.intersection(sb);
-        let union = sa.union(sb);
         // Commutativity.
         prop_assert_eq!(inter, sb.intersection(sa));
-        prop_assert_eq!(union, sb.union(sa));
-        // Containment.
+        // Containment, both ways.
         for band in inter.iter() {
             prop_assert!(sa.contains(band) && sb.contains(band));
         }
         for band in sa.iter() {
-            prop_assert!(union.contains(band));
+            prop_assert_eq!(inter.contains(band), sb.contains(band));
         }
-        // |A| + |B| = |A∪B| + |A∩B|.
-        prop_assert_eq!(sa.len() + sb.len(), union.len() + inter.len());
-        // Idempotence and identity.
+        // Idempotence and the empty set.
         prop_assert_eq!(sa.intersection(sa), sa);
-        prop_assert_eq!(sa.union(BandSet::empty()), sa);
         prop_assert!(sa.intersection(BandSet::empty()).is_empty());
     }
 
-    /// Insert/remove round-trips and iteration order is sorted.
+    /// Inserted bands are contained and iteration order is sorted.
     #[test]
-    fn band_set_insert_remove(indices in prop::collection::vec(0usize..64, 0..30)) {
+    fn band_set_insert(indices in prop::collection::vec(0usize..64, 0..30)) {
         let mut set = BandSet::empty();
         for &i in &indices {
             set.insert(BandId::from_index(i));
@@ -52,10 +47,6 @@ proptest! {
         expected.sort_unstable();
         expected.dedup();
         prop_assert_eq!(listed, expected);
-        for &i in &indices {
-            set.remove(BandId::from_index(i));
-        }
-        prop_assert!(set.is_empty());
     }
 
     /// The topology's gain matrix equals C·d^{-γ} for every pair, is
@@ -84,7 +75,7 @@ proptest! {
                     prop_assert_eq!(topo.gain(i, j), 0.0);
                     continue;
                 }
-                let d = topo.distance(i, j);
+                let d = topo.node(i).position().distance_to(topo.node(j).position());
                 let expected = model.gain(d);
                 prop_assert!((topo.gain(i, j) / expected - 1.0).abs() < 1e-12);
                 prop_assert!((topo.gain(i, j) - topo.gain(j, i)).abs() <= f64::EPSILON * expected);
@@ -108,7 +99,6 @@ proptest! {
         prop_assert_eq!(net.topology().len(), users + 1);
         prop_assert_eq!(net.session_count(), sessions);
         prop_assert_eq!(net.band_count(), bands);
-        prop_assert_eq!(net.bands_at(bs).len(), bands);
         for (k, &u) in user_ids.iter().enumerate() {
             prop_assert_eq!(u.index(), k + 1, "ids are dense and ordered");
             prop_assert_eq!(net.link_bands(bs, u).len(), bands, "full default access");

@@ -1,6 +1,6 @@
 //! Link capacities — Eq. (1) and its per-slot packet form.
 
-use crate::{PhyConfig, Schedule, SpectrumState};
+use crate::PhyConfig;
 use greencell_units::{Bandwidth, DataRate, PacketSize, Packets, TimeDelta};
 
 /// The capacity a link *would* have on a band of bandwidth `w` if its SINR
@@ -12,37 +12,6 @@ use greencell_units::{Bandwidth, DataRate, PacketSize, Packets, TimeDelta};
 #[must_use]
 pub fn potential_capacity(w: Bandwidth, phy: &PhyConfig) -> DataRate {
     w.shannon_rate(phy.sinr_threshold())
-}
-
-/// Realized capacity of the `index`-th transmission of `schedule`: Eq. (1)
-/// evaluated with the achieved SINR.
-///
-/// # Panics
-///
-/// Panics if `index` is out of range or `achieved_sinrs.len()` differs from
-/// the schedule length.
-#[must_use]
-pub fn scheduled_link_capacity(
-    schedule: &Schedule,
-    spectrum: &SpectrumState,
-    phy: &PhyConfig,
-    achieved_sinrs: &[f64],
-    index: usize,
-) -> DataRate {
-    assert_eq!(
-        achieved_sinrs.len(),
-        schedule.len(),
-        "one SINR per scheduled transmission"
-    );
-    let t = &schedule.transmissions()[index];
-    // Guard against floating-point hair: powers produced by the min-power
-    // fixed point sit exactly on the threshold.
-    const SINR_SLACK: f64 = 1.0 - 1e-9;
-    if achieved_sinrs[index] >= phy.sinr_threshold() * SINR_SLACK {
-        potential_capacity(spectrum.bandwidth(t.band()), phy)
-    } else {
-        DataRate::ZERO
-    }
 }
 
 /// Whole packets a link can carry in one slot: `⌊c · Δt / δ⌋` — the
@@ -57,8 +26,6 @@ pub fn packets_per_slot(capacity: DataRate, delta: PacketSize, dt: TimeDelta) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Transmission;
-    use greencell_net::{BandId, NetworkBuilder, PathLossModel, Point};
 
     #[test]
     fn potential_capacity_matches_eq1() {
@@ -75,29 +42,10 @@ mod tests {
         let delta = PacketSize::from_bits(10_000);
         let dt = TimeDelta::from_minutes(1.0);
         // 1 Mbps × 60 s = 60 Mbit = 6000 packets.
-        let p = packets_per_slot(DataRate::from_megabits_per_second(1.0), delta, dt);
+        let p = packets_per_slot(DataRate::from_kilobits_per_second(1000.0), delta, dt);
         assert_eq!(p.count(), 6000);
         // 166 bit/s × 60 s = 9960 bits < 1 packet.
         let q = packets_per_slot(DataRate::from_bits_per_second(166.0), delta, dt);
         assert_eq!(q.count(), 0);
-    }
-
-    #[test]
-    fn realized_capacity_gated_by_sinr() {
-        let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 1);
-        let bs = b.add_base_station(Point::new(0.0, 0.0));
-        let u = b.add_user(Point::new(100.0, 0.0));
-        let net = b.build().unwrap();
-        let phy = PhyConfig::new(1.0, 1e-20);
-        let spectrum = SpectrumState::new(vec![Bandwidth::from_megahertz(1.5)]);
-        let mut s = Schedule::new();
-        s.try_add(&net, Transmission::new(bs, u, BandId::from_index(0)))
-            .unwrap();
-        let above = scheduled_link_capacity(&s, &spectrum, &phy, &[1.2], 0);
-        assert_eq!(above.as_bits_per_second(), 1.5e6);
-        let at = scheduled_link_capacity(&s, &spectrum, &phy, &[1.0], 0);
-        assert_eq!(at.as_bits_per_second(), 1.5e6);
-        let below = scheduled_link_capacity(&s, &spectrum, &phy, &[0.8], 0);
-        assert_eq!(below, DataRate::ZERO);
     }
 }

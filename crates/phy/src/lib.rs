@@ -13,8 +13,9 @@
 //! * [`SpectrumState`] — the slot's observed bandwidths `W_m(t)`;
 //! * [`Transmission`] / [`Schedule`] — the `α^m_ij(t) = 1` entries, with
 //!   the single-radio constraint (22) enforced structurally;
-//! * [`sinr_matrix`] — achieved SINR of every scheduled link under a given
-//!   power assignment;
+//! * [`sinr_into`] — achieved SINR of every scheduled link under a given
+//!   power assignment, into a reused buffer ([`sinr_matrix`], its
+//!   allocating form, is the tests' oracle);
 //! * capacity helpers ([`potential_capacity`], [`packets_per_slot`]) — the
 //!   `c^m_ij(t)` of Eq. (1) and its packets-per-slot form `⌊c·Δt/δ⌋`;
 //! * [`min_power_assignment`] — the least transmit powers that satisfy
@@ -58,7 +59,7 @@ mod sinr;
 mod spectrum_state;
 mod workspace;
 
-pub use capacity::{packets_per_slot, potential_capacity, scheduled_link_capacity};
+pub use capacity::{packets_per_slot, potential_capacity};
 pub use power_control::{min_power_assignment, min_power_assignment_reference, PowerControlError};
 pub use schedule::{Schedule, ScheduleError, Transmission};
 pub use sinr::{sinr_into, sinr_matrix, sinr_of};

@@ -193,15 +193,6 @@ impl Schedule {
         self.transmissions.remove(index)
     }
 
-    /// Iterates over transmissions sharing band `m` (the interferer set of
-    /// constraint (24)).
-    pub fn on_band(&self, m: BandId) -> impl Iterator<Item = (usize, &Transmission)> {
-        self.transmissions
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| t.band == m)
-    }
-
     /// The transmission (if any) whose transmitter is `node`.
     #[must_use]
     pub fn transmission_from(&self, node: NodeId) -> Option<&Transmission> {
@@ -219,19 +210,6 @@ impl Schedule {
         Iter {
             inner: self.transmissions.iter(),
         }
-    }
-
-    /// Number of transmissions active on each band, indexed by band id —
-    /// the co-channel population that drives interference.
-    #[must_use]
-    pub fn band_usage(&self, band_count: usize) -> Vec<usize> {
-        let mut usage = vec![0usize; band_count];
-        for t in &self.transmissions {
-            if t.band.index() < band_count {
-                usage[t.band.index()] += 1;
-            }
-        }
-        usage
     }
 }
 
@@ -319,7 +297,7 @@ mod tests {
             .unwrap();
         s.try_add(&net, Transmission::new(bs2, u2, BandId::from_index(0)))
             .unwrap();
-        assert_eq!(s.on_band(BandId::from_index(0)).count(), 2);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -366,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn iteration_and_band_usage() {
+    fn iteration() {
         let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 2);
         let bs = b.add_base_station(Point::new(0.0, 0.0));
         let u1 = b.add_user(Point::new(100.0, 0.0));
@@ -383,6 +361,5 @@ mod tests {
         assert_eq!(s.iter().len(), 2);
         let for_loop: usize = (&s).into_iter().count();
         assert_eq!(for_loop, 2);
-        assert_eq!(s.band_usage(2), vec![2, 0]);
     }
 }

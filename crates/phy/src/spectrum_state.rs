@@ -42,16 +42,6 @@ impl SpectrumState {
     pub fn bandwidths(&self) -> &[Bandwidth] {
         &self.bandwidths
     }
-
-    /// The largest bandwidth in the snapshot (drives the `c^max` constants
-    /// of Lemma 1); zero when there are no bands.
-    #[must_use]
-    pub fn max_bandwidth(&self) -> Bandwidth {
-        self.bandwidths
-            .iter()
-            .copied()
-            .fold(Bandwidth::ZERO, Bandwidth::max)
-    }
 }
 
 #[cfg(test)]
@@ -65,12 +55,9 @@ mod tests {
             Bandwidth::from_megahertz(1.7),
         ]);
         assert_eq!(s.band_count(), 2);
-        assert_eq!(s.bandwidth(BandId::from_index(1)).as_megahertz(), 1.7);
-        assert_eq!(s.max_bandwidth().as_megahertz(), 1.7);
-    }
-
-    #[test]
-    fn empty_state_max_is_zero() {
-        assert_eq!(SpectrumState::new(vec![]).max_bandwidth(), Bandwidth::ZERO);
+        assert_eq!(
+            s.bandwidth(BandId::from_index(1)),
+            Bandwidth::from_megahertz(1.7)
+        );
     }
 }

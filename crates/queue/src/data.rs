@@ -77,18 +77,6 @@ impl DataQueueBank {
         s.index() * self.nodes + i.index()
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of sessions.
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        self.destinations.len()
-    }
-
     /// The backlog `Q^s_i(t)`.
     ///
     /// # Panics
@@ -119,20 +107,9 @@ impl DataQueueBank {
         self.delivered[s.index()]
     }
 
-    /// Iterates over every `(node, session, backlog)` triple in the bank,
-    /// session-major (the order of `Q^s_i` in the Lyapunov sum).
-    pub fn backlogs(&self) -> impl Iterator<Item = (NodeId, SessionId, Packets)> + '_ {
-        (0..self.destinations.len()).flat_map(move |s| {
-            (0..self.nodes).map(move |i| {
-                let node = NodeId::from_index(i);
-                let session = SessionId::from_index(s);
-                (node, session, self.backlog(node, session))
-            })
-        })
-    }
-
     /// Iterates over the non-empty queues as `(node, session, backlog)`,
-    /// in the order of [`DataQueueBank::backlogs`], O(non-empty queues).
+    /// session-major (the order of `Q^s_i` in the Lyapunov sum),
+    /// O(non-empty queues).
     pub fn nonempty_backlogs(&self) -> impl Iterator<Item = (NodeId, SessionId, Packets)> + '_ {
         self.nonempty.iter().map(move |k| {
             (
@@ -141,15 +118,6 @@ impl DataQueueBank {
                 self.queues[k].backlog(),
             )
         })
-    }
-
-    /// Packets the routing plan *claimed* to forward beyond what the queue
-    /// actually held (the `max{·, 0}` truncation of Eq. (15), summed over
-    /// nodes and slots). The paper's analysis permits this; a well-behaved
-    /// controller keeps it near zero, and tests assert on it.
-    #[must_use]
-    pub fn phantom_forwarded(&self, s: SessionId) -> Packets {
-        self.phantom_forwarded[s.index()]
     }
 
     /// Every queue in the bank, laid out `queues[s·n + i]` (session-major,
@@ -313,7 +281,7 @@ mod tests {
         b.advance(&p, &[]);
         assert_eq!(b.backlog(n(1), s(0)).count(), 3);
         assert_eq!(b.delivered(s(0)).count(), 3); // phantom packets delivered
-        assert_eq!(b.phantom_forwarded(s(0)).count(), 3);
+        assert_eq!(b.phantom_per_session()[0].count(), 3);
     }
 
     #[test]
@@ -341,17 +309,6 @@ mod tests {
         p2.set(s(1), n(0), n(2), Packets::new(3));
         b.advance(&p2, &[]);
         assert_eq!(b.backlog(n(2), s(1)).count(), 3);
-    }
-
-    #[test]
-    fn backlogs_iterator_covers_every_queue() {
-        let mut b = bank();
-        b.advance(&FlowPlan::new(4, 2), &[(s(0), n(0), Packets::new(5))]);
-        let all: Vec<_> = b.backlogs().collect();
-        assert_eq!(all.len(), 8); // 4 nodes × 2 sessions
-        let total: u64 = all.iter().map(|(_, _, p)| p.count()).sum();
-        assert_eq!(total, b.total_backlog().count());
-        assert!(all.contains(&(n(0), s(0), Packets::new(5))));
     }
 
     #[test]

@@ -25,9 +25,8 @@ use greencell_units::Packets;
 /// let mut plan = FlowPlan::new(3, 1);
 /// let (s, a, b) = (SessionId::from_index(0), NodeId::from_index(0), NodeId::from_index(2));
 /// plan.set(s, a, b, Packets::new(4));
-/// assert_eq!(plan.outflow(s, a).count(), 4);
-/// assert_eq!(plan.inflow(s, b).count(), 4);
-/// assert_eq!(plan.link_total(a, b).count(), 4);
+/// assert_eq!(plan.get(s, a, b).count(), 4);
+/// assert_eq!(plan.total().count(), 4);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowPlan {
@@ -65,13 +64,6 @@ impl FlowPlan {
     pub fn reserve(&mut self, entries: usize) {
         self.entries
             .reserve(entries.saturating_sub(self.entries.len()));
-    }
-
-    /// The empty 0×0 plan — the state a retained arena plan starts from
-    /// before its first [`FlowPlan::reset`].
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::new(0, 0)
     }
 
     fn key(&self, s: SessionId, i: NodeId, j: NodeId) -> usize {
@@ -128,34 +120,6 @@ impl FlowPlan {
             .map_or(Packets::ZERO, |at| self.entries[at].1)
     }
 
-    /// Total session-`s` packets leaving node `i`: `Σ_j l^s_ij`.
-    #[must_use]
-    pub fn outflow(&self, s: SessionId, i: NodeId) -> Packets {
-        self.iter_nonzero()
-            .filter(|&(es, ei, _, _)| es == s && ei == i)
-            .map(|e| e.3)
-            .sum()
-    }
-
-    /// Total session-`s` packets entering node `i`: `Σ_j l^s_ji`.
-    #[must_use]
-    pub fn inflow(&self, s: SessionId, i: NodeId) -> Packets {
-        self.iter_nonzero()
-            .filter(|&(es, _, ej, _)| es == s && ej == i)
-            .map(|e| e.3)
-            .sum()
-    }
-
-    /// All-session packets on link `(i, j)`: `Σ_s l^s_ij` — the arrivals of
-    /// virtual queue `G_ij`.
-    #[must_use]
-    pub fn link_total(&self, i: NodeId, j: NodeId) -> Packets {
-        self.iter_nonzero()
-            .filter(|&(_, ei, ej, _)| ei == i && ej == j)
-            .map(|e| e.3)
-            .sum()
-    }
-
     /// Iterates over all non-zero entries as `(s, i, j, packets)`,
     /// ascending by `(s, i, j)`.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (SessionId, NodeId, NodeId, Packets)> + '_ {
@@ -201,9 +165,6 @@ mod tests {
         p.set(s0, ids(0), ids(1), Packets::new(2));
         p.set(s1, ids(0), ids(1), Packets::new(3));
         p.set(s0, ids(2), ids(0), Packets::new(7));
-        assert_eq!(p.outflow(s0, ids(0)).count(), 2);
-        assert_eq!(p.inflow(s0, ids(0)).count(), 7);
-        assert_eq!(p.link_total(ids(0), ids(1)).count(), 5);
         assert_eq!(p.total().count(), 12);
     }
 

@@ -13,8 +13,8 @@
 //!   and their scaled twins `H_ij(t) = β·G_ij(t)` of Eq. (30);
 //! * [`FlowPlan`] — the routing decision `l^s_ij(t)` that moves packets
 //!   between the two banks;
-//! * [`lyapunov_value`] / [`DriftTracker`] — the quadratic Lyapunov
-//!   function `L(Θ(t))` and its one-slot drift `Δ(Θ(t))` (§IV-B);
+//! * [`lyapunov_value`] — the quadratic Lyapunov function `L(Θ(t))`
+//!   (§IV-B);
 //! * [`StabilityEstimator`] — finite-horizon estimates of Definition 2's
 //!   rate and strong stability.
 //!
@@ -51,6 +51,6 @@ mod stability;
 pub use data::DataQueueBank;
 pub use flow::FlowPlan;
 pub use link::LinkQueueBank;
-pub use lyapunov::{lyapunov_value, DriftTracker};
+pub use lyapunov::lyapunov_value;
 pub use queue::PacketQueue;
-pub use stability::{theorem1_rate_stable, StabilityEstimator};
+pub use stability::StabilityEstimator;

@@ -73,12 +73,6 @@ impl LinkQueueBank {
         i.index() * self.nodes + j.index()
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// The scaling constant `β`.
     #[must_use]
     pub fn beta(&self) -> f64 {
@@ -95,12 +89,6 @@ impl LinkQueueBank {
     #[must_use]
     pub fn h(&self, i: NodeId, j: NodeId) -> f64 {
         self.beta * self.g(i, j).count_f64()
-    }
-
-    /// Sum of `G_ij(t)` over all links, O(non-empty queues).
-    #[must_use]
-    pub fn total_backlog(&self) -> Packets {
-        self.backlogs().map(|(_, _, g)| g).sum()
     }
 
     /// Every link queue in the bank, laid out `queues[i·n + j]` (diagonal
@@ -227,7 +215,6 @@ mod tests {
         plan.set(SessionId::from_index(1), n(0), n(1), Packets::new(4));
         bank.advance(&plan, &[]);
         assert_eq!(bank.g(n(0), n(1)).count(), 7);
-        assert_eq!(bank.total_backlog().count(), 7);
     }
 
     #[test]

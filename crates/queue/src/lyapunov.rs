@@ -1,7 +1,6 @@
-//! The quadratic Lyapunov function `L(Θ(t))` and its one-slot drift (§IV-B).
+//! The quadratic Lyapunov function `L(Θ(t))` (§IV-B).
 
 use crate::{DataQueueBank, LinkQueueBank};
-use greencell_stochastic::Series;
 
 /// Evaluates the paper's Lyapunov function
 ///
@@ -37,73 +36,6 @@ pub fn lyapunov_value(
         total += z * z;
     }
     0.5 * total
-}
-
-/// Records `L(Θ(t))` over time and exposes the drift series
-/// `Δ(t) = L(Θ(t+1)) − L(Θ(t))` — the sample-path version of Eq. (32) —
-/// plus the drift-plus-penalty values the controller is actually
-/// minimizing.
-///
-/// # Examples
-///
-/// ```
-/// use greencell_queue::DriftTracker;
-///
-/// let mut d = DriftTracker::new();
-/// d.record(0.0);
-/// d.record(8.0);
-/// d.record(5.0);
-/// assert_eq!(d.drifts().values(), &[8.0, -3.0]);
-/// assert_eq!(d.mean_drift(), 2.5);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DriftTracker {
-    values: Series,
-    drifts: Series,
-}
-
-impl DriftTracker {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `L(Θ(t))` for the next slot.
-    pub fn record(&mut self, lyapunov: f64) {
-        if let Some(prev) = self.values.last() {
-            self.drifts.push(lyapunov - prev);
-        }
-        self.values.push(lyapunov);
-    }
-
-    /// The recorded `L(Θ(t))` series.
-    #[must_use]
-    pub fn values(&self) -> &Series {
-        &self.values
-    }
-
-    /// The drift series `L(Θ(t+1)) − L(Θ(t))`.
-    #[must_use]
-    pub fn drifts(&self) -> &Series {
-        &self.drifts
-    }
-
-    /// Mean one-slot drift so far; `0.0` before two observations.
-    ///
-    /// A finite mean drift over a long horizon is the sample-path
-    /// fingerprint of strong stability: if `L` grew superlinearly the mean
-    /// drift would grow without bound.
-    #[must_use]
-    pub fn mean_drift(&self) -> f64 {
-        self.drifts.mean()
-    }
-
-    /// Latest recorded Lyapunov value, if any.
-    #[must_use]
-    pub fn last_value(&self) -> Option<f64> {
-        self.values.last()
-    }
 }
 
 #[cfg(test)]
@@ -143,18 +75,5 @@ mod tests {
         // Q = 3 at (0, s0); G_01 = 2 so H_01 = 4; z = [-1, 2].
         let l = lyapunov_value(&data, &links, [-1.0, 2.0]);
         assert_eq!(l, 0.5 * (9.0 + 16.0 + 1.0 + 4.0));
-    }
-
-    #[test]
-    fn drift_tracker_series() {
-        let mut d = DriftTracker::new();
-        assert_eq!(d.last_value(), None);
-        d.record(1.0);
-        assert_eq!(d.drifts().len(), 0);
-        d.record(4.0);
-        d.record(2.0);
-        assert_eq!(d.drifts().values(), &[3.0, -2.0]);
-        assert_eq!(d.mean_drift(), 0.5);
-        assert_eq!(d.last_value(), Some(2.0));
     }
 }

@@ -24,15 +24,6 @@ impl PacketQueue {
         Self::default()
     }
 
-    /// Creates a queue with a given initial backlog.
-    #[must_use]
-    pub fn with_backlog(initial: Packets) -> Self {
-        Self {
-            backlog: initial,
-            ..Self::default()
-        }
-    }
-
     /// Rebuilds a queue from its captured state — backlog plus the three
     /// lifetime counters ([`PacketQueue::total_arrivals`],
     /// [`PacketQueue::total_offered`], [`PacketQueue::total_wasted`]) — the
@@ -93,38 +84,6 @@ impl PacketQueue {
     #[must_use]
     pub fn total_wasted(&self) -> u64 {
         self.total_wasted
-    }
-
-    /// Lifetime *useful* service (offered − wasted) — packets actually
-    /// removed from the queue.
-    #[must_use]
-    pub fn total_served(&self) -> u64 {
-        self.total_offered - self.total_wasted
-    }
-
-    /// Empirical arrival rate `ā = (1/T)Σa(t)` over `slots` slots —
-    /// Theorem 1's left-hand side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0`.
-    #[must_use]
-    pub fn arrival_rate(&self, slots: u64) -> f64 {
-        assert!(slots > 0, "rate over zero slots is undefined");
-        self.total_arrivals as f64 / slots as f64
-    }
-
-    /// Empirical offered-service rate `b̄ = (1/T)Σb(t)` over `slots` slots —
-    /// Theorem 1's right-hand side. The queue is rate stable iff
-    /// `arrival_rate ≤ service_rate` in the limit (Theorem 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0`.
-    #[must_use]
-    pub fn service_rate(&self, slots: u64) -> f64 {
-        assert!(slots > 0, "rate over zero slots is undefined");
-        self.total_offered as f64 / slots as f64
     }
 }
 
@@ -219,13 +178,6 @@ mod tests {
         assert_eq!(q.total_arrivals(), 3);
         assert_eq!(q.total_offered(), 5);
         assert_eq!(q.total_wasted(), 2);
-        assert_eq!(q.total_served(), 3);
-    }
-
-    #[test]
-    fn with_backlog_starts_nonempty() {
-        let q = PacketQueue::with_backlog(Packets::new(9));
-        assert_eq!(q.backlog().count(), 9);
     }
 
     #[test]
@@ -246,25 +198,6 @@ mod tests {
     #[should_panic(expected = "exceeds offered")]
     fn from_parts_rejects_impossible_waste() {
         let _ = PacketQueue::from_parts(Packets::ZERO, 0, 1, 2);
-    }
-
-    #[test]
-    fn rates_implement_theorem1_sides() {
-        let mut q = PacketQueue::new();
-        for _ in 0..10 {
-            q.advance(Packets::new(6), Packets::new(8));
-        }
-        assert_eq!(q.arrival_rate(10), 6.0);
-        assert_eq!(q.service_rate(10), 8.0);
-        // ā ≤ b̄ and indeed the backlog is bounded by one slot's arrivals
-        // (service precedes arrival within a slot, so Q settles at a = 6).
-        assert_eq!(q.backlog().count(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero slots")]
-    fn rate_over_zero_slots_panics() {
-        let _ = PacketQueue::new().arrival_rate(0);
     }
 
     #[test]

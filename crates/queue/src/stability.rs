@@ -46,12 +46,6 @@ impl StabilityEstimator {
         self.backlog.push(backlog.abs());
     }
 
-    /// Number of recorded slots `T`.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.backlog.len()
-    }
-
     /// The running average `(1/T) Σ |Q(t)|` — the strong-stability
     /// statistic.
     #[must_use]
@@ -99,20 +93,6 @@ impl StabilityEstimator {
         }
         q4 <= q3 * (1.0 + tolerance)
     }
-
-    /// The raw backlog series (for plotting Fig. 2(b)–(e)).
-    #[must_use]
-    pub fn series(&self) -> &Series {
-        &self.backlog
-    }
-}
-
-/// Theorem 1's criterion: a queue with arrival average `a_bar` and service
-/// average `b_bar` is rate stable iff `a_bar ≤ b_bar`. Exposed as a helper
-/// so tests can state the theorem directly.
-#[must_use]
-pub fn theorem1_rate_stable(a_bar: f64, b_bar: f64) -> bool {
-    a_bar <= b_bar
 }
 
 #[cfg(test)]
@@ -159,12 +139,5 @@ mod tests {
             est.record(0.0);
         }
         assert!(!est.is_saturating(1.0));
-    }
-
-    #[test]
-    fn theorem1_helper() {
-        assert!(theorem1_rate_stable(1.0, 1.0));
-        assert!(theorem1_rate_stable(0.5, 1.0));
-        assert!(!theorem1_rate_stable(1.1, 1.0));
     }
 }

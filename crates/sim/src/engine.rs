@@ -5,7 +5,7 @@ use crate::{scale, GridModel, RunMetrics, Scenario, TouPricing};
 use greencell_core::{Controller, ControllerError, RelaxedController, SlotObservation};
 use greencell_net::{Network, NetworkError, NodeId, SessionId};
 use greencell_phy::SpectrumState;
-use greencell_stochastic::{Distribution, MarkovOnOff, Poisson, Process, Rng};
+use greencell_stochastic::{MarkovOnOff, Poisson, Rng};
 use greencell_trace::{names, NoopSink, Sink, TraceEvent};
 use greencell_units::{Bandwidth, Energy, Packets};
 use std::error::Error;

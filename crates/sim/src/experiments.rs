@@ -2,7 +2,7 @@
 //! paper plots; the `fig2*` binaries print them via [`crate::report`].
 
 use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint, SweepReport};
-use crate::{Architecture, RunMetrics, Scenario, SimError, Simulator};
+use crate::{Architecture, Scenario, SimError};
 use greencell_stochastic::Series;
 
 /// One `(V, upper, lower)` row of Fig. 2(a).
@@ -235,16 +235,6 @@ pub fn fig2f_with(
     Ok((rows, report))
 }
 
-/// Convenience: run a single scenario and return its metrics.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn single_run(scenario: &Scenario) -> Result<RunMetrics, SimError> {
-    let mut sim = Simulator::new(scenario)?;
-    Ok(sim.run()?.clone())
-}
-
 /// Multi-seed replication of one scenario: mean and standard deviation of
 /// the headline metrics across independent topologies and sample paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -396,85 +386,6 @@ pub fn sweep_sessions_with(
         })
         .collect();
     structural_sweep("sessions", specs, opts)
-}
-
-/// Head-to-head comparison of the two S1 schedulers on the *same*
-/// recorded observation trace (perfectly paired).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerComparison {
-    /// Greedy scheduler's time-averaged energy cost.
-    pub greedy_cost: f64,
-    /// Sequential-fix scheduler's time-averaged energy cost.
-    pub sequential_fix_cost: f64,
-    /// Greedy scheduler's delivered packets.
-    pub greedy_delivered: u64,
-    /// Sequential-fix scheduler's delivered packets.
-    pub sequential_fix_delivered: u64,
-}
-
-/// Runs the greedy and sequential-fix S1 algorithms over an identical
-/// observation trace and compares cost and throughput — the S1 ablation
-/// that the `scheduler_ablation` test checks.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn scheduler_comparison(base: &Scenario) -> Result<SchedulerComparison, SimError> {
-    let mut recorder = Simulator::new(base)?;
-    let (_, trace) = recorder.run_recording()?;
-
-    let mut greedy_scenario = base.clone();
-    greedy_scenario.scheduler = greencell_core::SchedulerKind::Greedy;
-    let mut greedy = Simulator::new(&greedy_scenario)?;
-    let greedy_metrics = greedy.replay(&trace)?.clone();
-
-    let mut sf_scenario = base.clone();
-    sf_scenario.scheduler = greencell_core::SchedulerKind::SequentialFix;
-    let mut sf = Simulator::new(&sf_scenario)?;
-    let sf_metrics = sf.replay(&trace)?.clone();
-
-    Ok(SchedulerComparison {
-        greedy_cost: greedy_metrics.average_cost(),
-        sequential_fix_cost: sf_metrics.average_cost(),
-        greedy_delivered: greedy_metrics.delivered(),
-        sequential_fix_delivered: sf_metrics.delivered(),
-    })
-}
-
-/// Head-to-head comparison of the marginal-price S4 against the
-/// storage-oblivious grid-only baseline on the same trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyPolicyComparison {
-    /// The paper's S4 (marginal-price equilibrium): time-averaged cost.
-    pub marginal_price_cost: f64,
-    /// The grid-only ablation baseline: time-averaged cost.
-    pub grid_only_cost: f64,
-}
-
-/// Runs both S4 policies over an identical observation trace (the
-/// storage-management ablation of DESIGN.md).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn energy_policy_comparison(base: &Scenario) -> Result<EnergyPolicyComparison, SimError> {
-    let mut recorder = Simulator::new(base)?;
-    let (_, trace) = recorder.run_recording()?;
-
-    let mut smart_scenario = base.clone();
-    smart_scenario.energy_policy = greencell_core::EnergyPolicy::MarginalPrice;
-    let mut smart = Simulator::new(&smart_scenario)?;
-    let smart_metrics = smart.replay(&trace)?.clone();
-
-    let mut naive_scenario = base.clone();
-    naive_scenario.energy_policy = greencell_core::EnergyPolicy::GridOnly;
-    let mut naive = Simulator::new(&naive_scenario)?;
-    let naive_metrics = naive.replay(&trace)?.clone();
-
-    Ok(EnergyPolicyComparison {
-        marginal_price_cost: smart_metrics.average_cost(),
-        grid_only_cost: naive_metrics.average_cost(),
-    })
 }
 
 /// Sweeps the number of extra (non-cellular) spectrum bands on the sweep

@@ -17,7 +17,7 @@
 //! strong-stability guarantee (Theorem 3) under disturbances the theory
 //! does not model.
 
-use greencell_stochastic::{MarkovOnOff, Process, Rng};
+use greencell_stochastic::{MarkovOnOff, Rng};
 
 /// Which nodes a Markov outage process can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -220,18 +220,6 @@ impl FaultSpec {
             }),
         }
     }
-
-    /// Whether the spec injects anything at all.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.node_outage.is_none()
-            && self.band_loss.is_none()
-            && self.droughts.is_empty()
-            && self.price_spikes.is_empty()
-            && self.charge_block.is_empty()
-            && self.battery_fade.is_empty()
-            && self.dropout_probability <= 0.0
-    }
 }
 
 /// The faults striking one slot (all fields healthy by default).
@@ -400,18 +388,6 @@ impl FaultPlan {
     #[must_use]
     pub fn slot(&self, t: usize) -> Option<&SlotFaults> {
         self.slots.get(t)
-    }
-
-    /// Plan length in slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the plan covers zero slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// How many slots carry at least one active fault.
@@ -645,9 +621,9 @@ mod tests {
     #[test]
     fn noop_spec_yields_clean_plan() {
         let p = plan(&FaultSpec::default(), 1, 50);
-        assert_eq!(p.len(), 50);
         assert_eq!(p.degraded_slots(), 0);
         assert!(!p.slot(0).unwrap().is_degraded());
+        assert!(p.slot(49).is_some());
         assert!(p.slot(50).is_none());
     }
 

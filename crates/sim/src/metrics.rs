@@ -159,18 +159,6 @@ impl RunMetrics {
         &self.lyapunov
     }
 
-    /// Mean one-slot Lyapunov drift over the run; `0.0` with fewer than
-    /// two slots. Strong stability shows up as this flattening toward 0
-    /// once the admission valve engages.
-    #[must_use]
-    pub fn mean_drift(&self) -> f64 {
-        let v = self.lyapunov.values();
-        if v.len() < 2 {
-            return 0.0;
-        }
-        v.windows(2).map(|w| w[1] - w[0]).sum::<f64>() / (v.len() - 1) as f64
-    }
-
     /// Theorem 5's lower bound `ψ̄ − B/V`, when tracked.
     #[must_use]
     pub fn lower_bound(&self) -> Option<f64> {

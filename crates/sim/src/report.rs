@@ -200,7 +200,7 @@ mod tests {
         assert_eq!(sparkline(&s), "▁█");
         let flat: Series = [5.0, 5.0, 5.0].into_iter().collect();
         assert_eq!(sparkline(&flat), "▁▁▁");
-        assert_eq!(sparkline(&Series::new()), "");
+        assert_eq!(sparkline(&Series::default()), "");
     }
 
     #[test]

@@ -749,12 +749,6 @@ impl ScenarioLayout {
         self.kinds.is_empty()
     }
 
-    /// Number of base stations (the leading `bs_count` dense indices).
-    #[must_use]
-    pub fn bs_count(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_base_station()).count()
-    }
-
     /// The index of the base station nearest to node `idx` (ties broken
     /// toward the lower index), or `None` if the layout has no BSs.
     /// The paper has no cell association — this is the "cell" used by
@@ -834,7 +828,7 @@ mod tests {
         assert_eq!(s.bs_positions, vec![(500.0, 500.0), (1500.0, 500.0)]);
         assert_eq!(s.users, 20);
         assert_eq!(s.band_count(), 5);
-        assert_eq!(s.session_demand.as_kilobits_per_second(), 100.0);
+        assert_eq!(s.session_demand.as_bits_per_second(), 100_000.0);
         assert_eq!(s.path_loss_c, 62.5);
         assert_eq!(s.path_loss_gamma, 4.0);
         assert_eq!(s.sinr_threshold, 1.0);
@@ -847,7 +841,7 @@ mod tests {
         assert_eq!(s.bs_charge_limit.as_kilowatt_hours(), 0.1);
         assert_eq!(s.grid_limit.as_kilowatt_hours(), 0.2);
         assert_eq!(s.cost, (0.8, 0.2, 0.0));
-        assert_eq!(s.slot.as_minutes(), 1.0);
+        assert_eq!(s.slot.as_seconds(), 60.0);
         assert_eq!(s.horizon, 100);
         // 100 kbps × 60 s / 10⁴ bits = 600 packets per slot.
         assert_eq!(s.demand_packets_per_slot().count(), 600);
@@ -886,8 +880,8 @@ mod tests {
     fn cellular_band_available_everywhere() {
         let s = Scenario::paper(4);
         let net = s.build_network().unwrap();
-        for id in net.topology().ids() {
-            assert!(net.bands_at(id).contains(BandId::from_index(0)));
+        for (i, j) in net.topology().ordered_pairs() {
+            assert!(net.link_bands(i, j).contains(BandId::from_index(0)));
         }
     }
 

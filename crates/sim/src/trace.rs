@@ -117,10 +117,10 @@ mod tests {
         let summary = run.bundle.summary();
         // Spans for every stage, one whole-slot span per slot.
         let horizon = Scenario::tiny(5).horizon as u64;
-        assert_eq!(summary.stage(Stage::Slot).unwrap().count(), horizon);
+        assert_eq!(summary.stages[&Stage::Slot].count(), horizon);
         for stage in [Stage::S1, Stage::S2, Stage::S3, Stage::S4, Stage::Advance] {
             assert!(
-                summary.stage(stage).unwrap().count() >= horizon,
+                summary.stages[&stage].count() >= horizon,
                 "missing spans for {stage}"
             );
         }

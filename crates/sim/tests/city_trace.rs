@@ -37,12 +37,9 @@ fn traced_city_run_emits_every_stage_and_engine_gauge() {
     );
     let summary = run.bundle.summary();
     let slots = (points.len() * HORIZON) as u64;
-    assert_eq!(
-        summary.stage(Stage::Slot).expect("slot spans").count(),
-        slots
-    );
+    assert_eq!(summary.stages[&Stage::Slot].count(), slots);
     for stage in Stage::ALL {
-        let count = summary.stage(stage).map_or(0, |h| h.count());
+        let count = summary.stages.get(&stage).map_or(0, |h| h.count());
         assert!(count >= slots, "{stage:?}: {count} spans");
     }
     for name in [
@@ -69,9 +66,15 @@ fn cluster_worker_count_leaves_the_deterministic_trace_unchanged() {
         let mut sim = Simulator::with_workers(&s, workers).expect("builds");
         let mut sink = RingSink::new(1 << 16);
         sim.run_traced(&mut sink).expect("traced run completes");
-        let mut bundle = TraceBundle::new();
-        bundle.push(Track::new("city", sink.into_events()));
-        bundle.deterministic_json()
+        let track = Track {
+            label: "city".into(),
+            events: sink.into_events(),
+            dropped: 0,
+        };
+        TraceBundle {
+            tracks: vec![track],
+        }
+        .deterministic_json()
     };
     assert_eq!(trace(1), trace(2));
 }

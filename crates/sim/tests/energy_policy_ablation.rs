@@ -6,7 +6,26 @@
 //! that the z-shift values storage economically rather than maximally,
 //! S4 serves demand from banked renewables and avoids peak purchases.
 
-use greencell_sim::{experiments, Scenario, TouPricing};
+use greencell_core::EnergyPolicy;
+use greencell_sim::{Scenario, Simulator, TouPricing};
+
+/// Time-averaged costs of the marginal-price S4 and the grid-only
+/// baseline, both replaying one observation trace recorded from `base`.
+fn marginal_and_grid_only_costs(base: &Scenario) -> (f64, f64) {
+    let (_, trace) = Simulator::new(base)
+        .and_then(|mut sim| sim.run_recording())
+        .expect("records");
+    let cost = |policy| {
+        let mut s = base.clone();
+        s.energy_policy = policy;
+        let mut sim = Simulator::new(&s).expect("builds");
+        sim.replay(&trace).expect("replays").average_cost()
+    };
+    (
+        cost(EnergyPolicy::MarginalPrice),
+        cost(EnergyPolicy::GridOnly),
+    )
+}
 
 #[test]
 fn marginal_price_beats_grid_only_under_tou_pricing() {
@@ -19,12 +38,10 @@ fn marginal_price_beats_grid_only_under_tou_pricing() {
         peak_slots: 6,
         peak_multiplier: 10.0,
     };
-    let c = experiments::energy_policy_comparison(&s).expect("comparison runs");
+    let (marginal, grid_only) = marginal_and_grid_only_costs(&s);
     assert!(
-        c.marginal_price_cost <= c.grid_only_cost,
-        "S4 ({}) should beat grid-only ({}) under ToU pricing at economic V",
-        c.marginal_price_cost,
-        c.grid_only_cost
+        marginal <= grid_only,
+        "S4 ({marginal}) should beat grid-only ({grid_only}) under ToU pricing at economic V"
     );
 }
 
@@ -38,12 +55,10 @@ fn large_v_overbuys_storage_relative_to_grid_only() {
     s.horizon = 150;
     s.v = 1.0;
     s.initial_battery_fraction = 0.3;
-    let c = experiments::energy_policy_comparison(&s).expect("comparison runs");
+    let (marginal, grid_only) = marginal_and_grid_only_costs(&s);
     assert!(
-        c.marginal_price_cost > c.grid_only_cost,
-        "expected the storage-buying regime at V = 1 (marginal {}, grid-only {})",
-        c.marginal_price_cost,
-        c.grid_only_cost
+        marginal > grid_only,
+        "expected the storage-buying regime at V = 1 (marginal {marginal}, grid-only {grid_only})"
     );
 }
 

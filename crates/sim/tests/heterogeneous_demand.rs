@@ -34,8 +34,8 @@ fn uniform_override_matches_default() {
     a.horizon = 20;
     let mut b = a.clone();
     b.session_demands_kbps = Some(vec![100.0, 100.0]);
-    let ma = greencell_sim::experiments::single_run(&a).expect("a");
-    let mb = greencell_sim::experiments::single_run(&b).expect("b");
+    let ma = Simulator::new(&a).expect("a").run().expect("a").clone();
+    let mb = Simulator::new(&b).expect("b").run().expect("b").clone();
     assert_eq!(ma, mb, "uniform 100 kbps override must equal the default");
 }
 
@@ -43,8 +43,15 @@ fn uniform_override_matches_default() {
 fn lyapunov_series_is_recorded() {
     let mut scenario = Scenario::tiny(5);
     scenario.horizon = 25;
-    let metrics = greencell_sim::experiments::single_run(&scenario).expect("run");
+    let metrics = Simulator::new(&scenario)
+        .expect("run")
+        .run()
+        .expect("run")
+        .clone();
     assert_eq!(metrics.lyapunov_series().len(), 25);
-    assert!(metrics.lyapunov_series().values().iter().all(|&l| l >= 0.0));
-    assert!(metrics.mean_drift().is_finite());
+    assert!(metrics
+        .lyapunov_series()
+        .values()
+        .iter()
+        .all(|&l| l.is_finite() && l >= 0.0));
 }

@@ -74,8 +74,16 @@ fn unit_multiplier_is_identity() {
         peak_slots: 2,
         peak_multiplier: 1.0,
     };
-    let a = greencell_sim::experiments::single_run(&flat).expect("flat");
-    let b = greencell_sim::experiments::single_run(&trivial).expect("trivial");
+    let a = Simulator::new(&flat)
+        .expect("flat")
+        .run()
+        .expect("flat")
+        .clone();
+    let b = Simulator::new(&trivial)
+        .expect("trivial")
+        .run()
+        .expect("trivial")
+        .clone();
     assert_eq!(a, b);
 }
 
@@ -89,8 +97,16 @@ fn lossy_batteries_draw_more_grid_energy() {
     let mut lossy = lossless.clone();
     lossy.battery_efficiency = 0.7;
 
-    let a = greencell_sim::experiments::single_run(&lossless).expect("lossless");
-    let b = greencell_sim::experiments::single_run(&lossy).expect("lossy");
+    let a = Simulator::new(&lossless)
+        .expect("lossless")
+        .run()
+        .expect("lossless")
+        .clone();
+    let b = Simulator::new(&lossy)
+        .expect("lossy")
+        .run()
+        .expect("lossy")
+        .clone();
     let drawn = |m: &greencell_sim::RunMetrics| m.grid_series().values().iter().sum::<f64>();
     assert!(
         drawn(&b) > drawn(&a),

@@ -1,6 +1,5 @@
-//! Probability distributions sampled by the per-slot processes.
+//! The error of a distribution or chain built with invalid parameters.
 
-use crate::Rng;
 use std::error::Error;
 use std::fmt;
 
@@ -30,235 +29,3 @@ impl fmt::Display for DistributionError {
 }
 
 impl Error for DistributionError {}
-
-/// A distribution that can be sampled with an [`Rng`].
-///
-/// Implemented by every primitive distribution in this crate and usable as a
-/// trait object (`Box<dyn Distribution<f64>>`) where heterogeneous sources
-/// are configured at run time.
-pub trait Distribution<T> {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut Rng) -> T;
-}
-
-/// Uniform distribution on `[lo, hi)` (degenerate at `lo` when `lo == hi`).
-///
-/// Models the paper's `W_m(t) ~ U[1, 2]` MHz bands and `R_i(t) ~ U[0, R^max]`
-/// renewable outputs.
-///
-/// # Examples
-///
-/// ```
-/// use greencell_stochastic::{UniformF64, Distribution, Rng};
-///
-/// let u = UniformF64::new(0.0, 15.0)?;
-/// let x = u.sample(&mut Rng::seed_from(1));
-/// assert!((0.0..15.0).contains(&x));
-/// # Ok::<(), greencell_stochastic::DistributionError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformF64 {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformF64 {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::InvalidInterval`] if the bounds are
-    /// inverted or not finite.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, DistributionError> {
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-            return Err(DistributionError::InvalidInterval { lo, hi });
-        }
-        Ok(Self { lo, hi })
-    }
-
-    /// The lower bound.
-    #[must_use]
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// The upper bound.
-    #[must_use]
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// The mean `(lo + hi) / 2`.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
-impl Distribution<f64> for UniformF64 {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-}
-
-/// Bernoulli distribution over `{false, true}`.
-///
-/// Models the paper's grid-connectivity indicator `ξ_i(t)` for mobile users.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::InvalidProbability`] if `p ∉ [0, 1]`.
-    pub fn new(p: f64) -> Result<Self, DistributionError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(DistributionError::InvalidProbability(p));
-        }
-        Ok(Self { p })
-    }
-
-    /// The success probability.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample(&self, rng: &mut Rng) -> bool {
-        rng.chance(self.p)
-    }
-}
-
-/// Uniform distribution on the integers `{lo, …, hi}` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiscreteUniform {
-    lo: u64,
-    hi: u64,
-}
-
-impl DiscreteUniform {
-    /// Creates a uniform distribution on `{lo, …, hi}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::InvalidInterval`] if `lo > hi`.
-    pub fn new(lo: u64, hi: u64) -> Result<Self, DistributionError> {
-        if lo > hi {
-            return Err(DistributionError::InvalidInterval {
-                lo: lo as f64,
-                hi: hi as f64,
-            });
-        }
-        Ok(Self { lo, hi })
-    }
-}
-
-impl Distribution<u64> for DiscreteUniform {
-    fn sample(&self, rng: &mut Rng) -> u64 {
-        self.lo + rng.below(self.hi - self.lo + 1)
-    }
-}
-
-/// Degenerate distribution that always yields the same value.
-///
-/// Useful for architecture ablations: replacing a renewable process with
-/// `Constant(0.0)` turns a green node into a grid-only node without touching
-/// any other code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Constant<T>(pub T);
-
-impl<T: Clone> Distribution<T> for Constant<T> {
-    fn sample(&self, _rng: &mut Rng) -> T {
-        self.0.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn uniform_rejects_bad_bounds() {
-        assert!(UniformF64::new(2.0, 1.0).is_err());
-        assert!(UniformF64::new(f64::NAN, 1.0).is_err());
-        assert!(UniformF64::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn uniform_sample_in_bounds_and_mean() {
-        let u = UniformF64::new(1.0, 2.0).unwrap();
-        let mut rng = Rng::seed_from(42);
-        let n = 50_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = u.sample(&mut rng);
-            assert!((1.0..2.0).contains(&x));
-            sum += x;
-        }
-        assert!((sum / f64::from(n) - u.mean()).abs() < 0.01);
-    }
-
-    #[test]
-    fn degenerate_uniform_is_constant() {
-        let u = UniformF64::new(3.0, 3.0).unwrap();
-        assert_eq!(u.sample(&mut Rng::seed_from(1)), 3.0);
-    }
-
-    #[test]
-    fn bernoulli_rejects_bad_probability() {
-        assert!(Bernoulli::new(-0.1).is_err());
-        assert!(Bernoulli::new(1.1).is_err());
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let b = Bernoulli::new(0.3).unwrap();
-        let mut rng = Rng::seed_from(7);
-        let n = 50_000;
-        let hits = (0..n).filter(|_| b.sample(&mut rng)).count();
-        assert!((hits as f64 / f64::from(n) - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn discrete_uniform_covers_support() {
-        let d = DiscreteUniform::new(2, 5).unwrap();
-        let mut rng = Rng::seed_from(13);
-        let mut seen = [false; 6];
-        for _ in 0..1000 {
-            let v = d.sample(&mut rng);
-            assert!((2..=5).contains(&v));
-            seen[v as usize] = true;
-        }
-        assert!(seen[2..=5].iter().all(|&s| s));
-    }
-
-    #[test]
-    fn discrete_uniform_rejects_inverted() {
-        assert!(DiscreteUniform::new(5, 2).is_err());
-    }
-
-    #[test]
-    fn constant_yields_value() {
-        let c = Constant(0.0_f64);
-        assert_eq!(c.sample(&mut Rng::seed_from(1)), 0.0);
-    }
-
-    #[test]
-    fn distribution_usable_as_trait_object() {
-        let boxed: Box<dyn Distribution<f64>> = Box::new(UniformF64::new(0.0, 1.0).unwrap());
-        let x = boxed.sample(&mut Rng::seed_from(2));
-        assert!((0.0..1.0).contains(&x));
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        let e = UniformF64::new(2.0, 1.0).unwrap_err();
-        assert!(e.to_string().contains("invalid interval"));
-    }
-}

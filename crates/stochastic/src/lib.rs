@@ -8,32 +8,32 @@
 //! * grid connectivity of mobile users `ξ_i(t) ∈ {0, 1}` (§II-D),
 //! * session demands `v_s(t)` (§II-A).
 //!
-//! This crate provides the machinery those models share:
+//! The simulator (`greencell-sim`) draws each slot's observation itself;
+//! this crate provides the pieces it draws with:
 //!
 //! * [`Rng`] — a small, fully deterministic xoshiro256\*\* generator with
 //!   SplitMix64 seeding and stream splitting, so every experiment is
-//!   reproducible bit-for-bit from a single seed across platforms;
-//! * [`Distribution`] implementations ([`UniformF64`], [`Bernoulli`],
-//!   [`DiscreteUniform`], [`Constant`]);
-//! * [`Process`] — per-slot observation of a random process, including
-//!   i.i.d. wrappers, recorded traces, and replay ([`IidProcess`],
-//!   [`TraceProcess`]);
-//! * running statistics ([`RunningMean`], [`TimeAverage`], [`Ewma`],
-//!   [`Series`]) used to estimate the paper's time averages (Definition 1).
+//!   reproducible bit-for-bit from a single seed across platforms. One
+//!   stream per subsystem is what pairs the architectures of Fig. 2(f):
+//!   runs from the same scenario seed see the same weather, spectrum and
+//!   connectivity (common random numbers);
+//! * [`Poisson`] — bursty session demands with the nominal mean;
+//! * [`MarkovOnOff`] — a two-state chain for correlated grid connectivity
+//!   and fault outages;
+//! * running statistics ([`RunningMean`], [`TimeAverage`], [`Series`]) used
+//!   to estimate the paper's time averages (Definition 1).
 //!
 //! # Examples
 //!
 //! ```
-//! use greencell_stochastic::{Rng, UniformF64, Distribution, TimeAverage};
+//! use greencell_stochastic::{Rng, TimeAverage};
 //!
 //! let mut rng = Rng::seed_from(42);
-//! let bandwidth = UniformF64::new(1.0, 2.0)?;
 //! let mut avg = TimeAverage::new();
 //! for _ in 0..1000 {
-//!     avg.record(bandwidth.sample(&mut rng));
+//!     avg.record(rng.range_f64(1.0, 2.0));
 //! }
 //! assert!((avg.mean() - 1.5).abs() < 0.05);
-//! # Ok::<(), greencell_stochastic::DistributionError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,13 +42,11 @@
 mod dist;
 mod markov;
 mod poisson;
-mod process;
 mod rng;
 mod stats;
 
-pub use dist::{Bernoulli, Constant, DiscreteUniform, Distribution, DistributionError, UniformF64};
+pub use dist::DistributionError;
 pub use markov::MarkovOnOff;
 pub use poisson::Poisson;
-pub use process::{ConstantProcess, IidProcess, Process, Recorder, TraceProcess};
 pub use rng::Rng;
-pub use stats::{jain_fairness, Ewma, MinMax, RunningMean, Series, TimeAverage};
+pub use stats::{jain_fairness, RunningMean, Series, TimeAverage};

@@ -8,14 +8,14 @@
 //! Bernoulli model is the special case `p_stay_on = p = 1 − p_stay_off`.
 //! The `greencell-sim` grid model exposes it as an extension experiment.
 
-use crate::{Process, Rng};
+use crate::Rng;
 
 /// A `{off, on}` Markov chain observed once per slot.
 ///
 /// # Examples
 ///
 /// ```
-/// use greencell_stochastic::{MarkovOnOff, Process, Rng};
+/// use greencell_stochastic::{MarkovOnOff, Rng};
 ///
 /// // Sticky connectivity: 95% chance of staying in either state.
 /// let mut grid = MarkovOnOff::new(0.95, 0.95, true, Rng::seed_from(7)).unwrap();
@@ -58,19 +58,6 @@ impl MarkovOnOff {
         })
     }
 
-    /// The stationary probability of being on,
-    /// `(1−stay_off) / (2 − stay_on − stay_off)`; `1.0` for the absorbing
-    /// all-on chain.
-    #[must_use]
-    pub fn stationary_on(&self) -> f64 {
-        let denom = 2.0 - self.stay_on - self.stay_off;
-        if denom <= f64::EPSILON {
-            // Both states absorbing: stationary distribution is the start.
-            return if self.state { 1.0 } else { 0.0 };
-        }
-        (1.0 - self.stay_off) / denom
-    }
-
     /// The current state without advancing.
     #[must_use]
     pub fn state(&self) -> bool {
@@ -85,10 +72,9 @@ impl MarkovOnOff {
     pub fn rng(&self) -> &Rng {
         &self.rng
     }
-}
 
-impl Process<bool> for MarkovOnOff {
-    fn observe(&mut self) -> bool {
+    /// Advances the chain one slot and returns the new state.
+    pub fn observe(&mut self) -> bool {
         let stay = if self.state {
             self.stay_on
         } else {
@@ -109,7 +95,6 @@ mod tests {
     fn absorbing_on_stays_on() {
         let mut p = MarkovOnOff::new(1.0, 0.0, true, Rng::seed_from(1)).unwrap();
         assert!((0..100).all(|_| p.observe()));
-        assert_eq!(p.stationary_on(), 1.0);
     }
 
     #[test]
@@ -126,7 +111,6 @@ mod tests {
         let n = 50_000;
         let on = (0..n).filter(|_| chain.observe()).count();
         assert!((on as f64 / f64::from(n) - p).abs() < 0.01);
-        assert!((chain.stationary_on() - p).abs() < 1e-12);
     }
 
     #[test]

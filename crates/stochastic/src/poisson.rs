@@ -5,7 +5,7 @@
 //! mean so the simulator can drive `v_s(t)` (and admissions) with random
 //! arrivals while preserving the paper's average load.
 
-use crate::{Distribution, DistributionError, Rng};
+use crate::{DistributionError, Rng};
 
 /// Poisson distribution with mean `λ`.
 ///
@@ -17,7 +17,7 @@ use crate::{Distribution, DistributionError, Rng};
 /// # Examples
 ///
 /// ```
-/// use greencell_stochastic::{Distribution, Poisson, Rng};
+/// use greencell_stochastic::{Poisson, Rng};
 ///
 /// let arrivals = Poisson::new(600.0)?;
 /// let mut rng = Rng::seed_from(1);
@@ -44,15 +44,8 @@ impl Poisson {
         Ok(Self { mean })
     }
 
-    /// The mean `λ`.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-impl Distribution<u64> for Poisson {
-    fn sample(&self, rng: &mut Rng) -> u64 {
+    /// Draws one count.
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
         if self.mean == 0.0 {
             return 0;
         }
@@ -122,5 +115,11 @@ mod tests {
     fn rejects_negative_mean() {
         assert!(Poisson::new(-1.0).is_err());
         assert!(Poisson::new(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn error_display_is_informative() {
+        let e = Poisson::new(-1.0).unwrap_err();
+        assert!(e.to_string().contains("invalid interval"));
     }
 }

@@ -150,15 +150,6 @@ impl Rng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of `items`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,13 +246,6 @@ mod tests {
     fn all_zero_state_is_rejected_not_absorbed() {
         let mut z = Rng::from_state([0; 4]);
         assert_ne!(z.next_u64(), 0);
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = Rng::seed_from(8);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
     }
 
     #[test]

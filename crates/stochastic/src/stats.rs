@@ -3,8 +3,8 @@
 //! Definition 1 of the paper defines the time average
 //! `ā = lim (1/T) Σ E[a(t)]`; on a finite simulated horizon we estimate it
 //! with [`TimeAverage`]. [`RunningMean`] adds Welford variance for
-//! confidence reporting, [`Ewma`] provides smoothed trend lines, and
-//! [`Series`] stores whole trajectories for the Fig. 2(b)–(e) plots.
+//! confidence reporting, and [`Series`] stores whole trajectories for the
+//! Fig. 2(b)–(e) plots.
 
 use std::fmt;
 
@@ -95,12 +95,6 @@ impl RunningMean {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// The mean; `0.0` when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -125,76 +119,6 @@ impl RunningMean {
     #[must_use]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-}
-
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA smoothing factor {alpha} outside (0, 1]"
-        );
-        Self { alpha, value: None }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// The current smoothed value, if any observation has been recorded.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-/// Running minimum and maximum.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MinMax {
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl MinMax {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    /// Smallest observation so far.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Largest observation so far.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.max
     }
 }
 
@@ -261,12 +185,6 @@ impl Default for Series {
 }
 
 impl Series {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends the next slot's value.
     pub fn push(&mut self, x: f64) {
         self.values.push(x);
@@ -321,44 +239,6 @@ impl Series {
     pub fn at(&self, t: usize) -> Option<f64> {
         self.values.get(t).copied()
     }
-
-    /// The `q`-quantile (nearest-rank) of the stored values, `q ∈ [0, 1]`;
-    /// `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in series"));
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// Mean of the final `tail` fraction of the series (e.g. `0.25` for the
-    /// last quarter) — a steady-state estimate that skips the ramp-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tail` is outside `(0, 1]`.
-    #[must_use]
-    pub fn tail_mean(&self, tail: f64) -> f64 {
-        assert!(
-            tail > 0.0 && tail <= 1.0,
-            "tail fraction {tail} outside (0, 1]"
-        );
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let start = ((self.values.len() as f64) * (1.0 - tail)).floor() as usize;
-        let slice = &self.values[start.min(self.values.len() - 1)..];
-        slice.iter().sum::<f64>() / slice.len() as f64
-    }
 }
 
 impl FromIterator<f64> for Series {
@@ -411,33 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_first_value_passthrough_then_smooths() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.record(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.record(0.0);
-        assert_eq!(e.value(), Some(5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1]")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn minmax_tracks() {
-        let mut mm = MinMax::new();
-        assert_eq!(mm.min(), None);
-        for x in [3.0, -1.0, 7.0] {
-            mm.record(x);
-        }
-        assert_eq!(mm.min(), Some(-1.0));
-        assert_eq!(mm.max(), Some(7.0));
-    }
-
-    #[test]
     fn series_statistics() {
         let s: Series = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
         assert_eq!(s.len(), 4);
@@ -446,29 +299,6 @@ mod tests {
         assert_eq!(s.last(), Some(4.0));
         assert_eq!(s.at(1), Some(2.0));
         assert_eq!(s.at(9), None);
-    }
-
-    #[test]
-    fn series_percentiles() {
-        let s: Series = [5.0, 1.0, 3.0, 2.0, 4.0].into_iter().collect();
-        assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.percentile(0.5), Some(3.0));
-        assert_eq!(s.percentile(1.0), Some(5.0));
-        assert_eq!(Series::new().percentile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn percentile_rejects_bad_quantile() {
-        let s: Series = [1.0].into_iter().collect();
-        let _ = s.percentile(1.5);
-    }
-
-    #[test]
-    fn series_tail_mean_skips_rampup() {
-        let s: Series = [100.0, 100.0, 1.0, 1.0].into_iter().collect();
-        assert_eq!(s.tail_mean(0.5), 1.0);
-        assert_eq!(s.tail_mean(1.0), 50.5);
     }
 
     #[test]
@@ -512,14 +342,14 @@ mod tests {
             .map(|_| (rng.next_f64() - 0.5) * 10f64.powi((rng.next_f64() * 12.0) as i32))
             .collect();
         for v in cases.into_iter().chain([random.as_slice()]) {
-            let mut pushed = Series::new();
+            let mut pushed = Series::default();
             for &x in v {
                 pushed.push(x);
                 let now = pushed.values();
                 assert_eq!(pushed.mean().to_bits(), fold_mean(now).to_bits(), "{now:?}");
             }
             let collected: Series = v.iter().copied().collect();
-            let mut extended = Series::new();
+            let mut extended = Series::default();
             extended.extend(v.iter().copied());
             for s in [&pushed, &collected, &extended] {
                 assert_eq!(s.values(), v);
@@ -531,7 +361,7 @@ mod tests {
 
     #[test]
     fn series_extend() {
-        let mut s = Series::new();
+        let mut s = Series::default();
         s.extend([1.0, 2.0]);
         assert_eq!(s.values(), &[1.0, 2.0]);
         // Recorded run fingerprints hash this form: the sum stays out.

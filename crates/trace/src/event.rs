@@ -137,17 +137,6 @@ impl TraceEvent {
     pub fn is_deterministic(&self) -> bool {
         !matches!(self, TraceEvent::Span { .. })
     }
-
-    /// The slot the event is attributed to.
-    #[must_use]
-    pub fn slot(&self) -> u64 {
-        match *self {
-            TraceEvent::Span { slot, .. }
-            | TraceEvent::Counter { slot, .. }
-            | TraceEvent::Gauge { slot, .. }
-            | TraceEvent::Mark { slot, .. } => slot,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +156,6 @@ mod tests {
             }
         );
         assert!(!e.is_deterministic());
-        assert_eq!(e.slot(), 3);
     }
 
     #[test]

@@ -58,18 +58,6 @@ pub struct Track {
     pub dropped: u64,
 }
 
-impl Track {
-    /// Convenience constructor for a track with no drops.
-    #[must_use]
-    pub fn new(label: impl Into<String>, events: Vec<TraceEvent>) -> Self {
-        Self {
-            label: label.into(),
-            events,
-            dropped: 0,
-        }
-    }
-}
-
 /// A set of tracks merged in a deterministic order (sweep point order),
 /// ready for export.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -79,29 +67,6 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Creates an empty bundle.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a track (merge order is export order).
-    pub fn push(&mut self, track: Track) {
-        self.tracks.push(track);
-    }
-
-    /// Total events across all tracks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tracks.iter().map(|t| t.events.len()).sum()
-    }
-
-    /// Whether every track is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The chrome://tracing JSON export (load in Perfetto or
     /// `chrome://tracing`).
     ///
@@ -310,12 +275,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// The stage-latency histogram for `stage`, if any span was recorded.
-    #[must_use]
-    pub fn stage(&self, stage: Stage) -> Option<&LogHistogram> {
-        self.stages.get(&stage)
-    }
-
     /// The human-readable summary table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -382,9 +341,17 @@ mod tests {
     use super::*;
     use crate::json;
 
+    fn track(label: &str, events: Vec<TraceEvent>) -> Track {
+        Track {
+            label: label.into(),
+            events,
+            dropped: 0,
+        }
+    }
+
     fn sample_bundle() -> TraceBundle {
-        let mut b = TraceBundle::new();
-        b.push(Track::new(
+        let mut b = TraceBundle::default();
+        b.tracks.push(track(
             "p0",
             vec![
                 TraceEvent::Span {
@@ -414,7 +381,7 @@ mod tests {
                 },
             ],
         ));
-        b.push(Track::new(
+        b.tracks.push(track(
             "p,1",
             vec![TraceEvent::Gauge {
                 slot: 3,
@@ -490,8 +457,8 @@ mod tests {
     fn summary_aggregates_histograms_and_totals() {
         let b = sample_bundle();
         let s = b.summary();
-        assert_eq!(s.stage(Stage::S1).unwrap().count(), 1);
-        assert_eq!(s.stage(Stage::S2), None);
+        assert_eq!(s.stages[&Stage::S1].count(), 1);
+        assert_eq!(s.stages.get(&Stage::S2), None);
         assert_eq!(s.gauges[names::COST].count(), 2);
         assert_eq!(s.counters["admitted"], (1, 7));
         assert_eq!(s.marks["fault_active"], 1);

@@ -31,8 +31,6 @@ pub struct LogHistogram {
     count: u64,
     min: f64,
     max: f64,
-    sum: f64,
-    nonfinite: u64,
 }
 
 impl Default for LogHistogram {
@@ -79,16 +77,13 @@ impl LogHistogram {
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum: 0.0,
-            nonfinite: 0,
         }
     }
 
-    /// Records one sample. Non-finite samples are counted separately and
-    /// excluded from the distribution.
+    /// Records one sample. Non-finite samples are excluded from the
+    /// distribution.
     pub fn record(&mut self, v: f64) {
         if !v.is_finite() {
-            self.nonfinite += 1;
             return;
         }
         if v == 0.0 {
@@ -101,7 +96,6 @@ impl LogHistogram {
         self.count += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum += v;
     }
 
     /// Records a `u64` count (e.g. nanoseconds) as a sample.
@@ -117,22 +111,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// Non-finite samples rejected.
-    #[must_use]
-    pub fn nonfinite(&self) -> u64 {
-        self.nonfinite
-    }
-
-    /// Exact minimum sample, or 0 when empty.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
     /// Exact maximum sample, or 0 when empty.
     #[must_use]
     pub fn max(&self) -> f64 {
@@ -140,18 +118,6 @@ impl LogHistogram {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Exact mean, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            let n = self.count as f64;
-            self.sum / n
         }
     }
 
@@ -205,24 +171,6 @@ impl LogHistogram {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// Merges another histogram into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.pos.iter_mut().zip(&other.pos) {
-            *a += b;
-        }
-        for (a, b) in self.neg.iter_mut().zip(&other.neg) {
-            *a += b;
-        }
-        self.zero += other.zero;
-        self.count += other.count;
-        self.nonfinite += other.nonfinite;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
 }
 
 impl fmt::Display for LogHistogram {
@@ -250,7 +198,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -269,8 +216,6 @@ mod tests {
         );
         assert!(h.p99() >= 990.0 / 1.5 && h.p99() <= 1000.0, "{}", h.p99());
         assert_eq!(h.max(), 1000.0);
-        assert_eq!(h.min(), 1.0);
-        assert!((h.mean() - 500.5).abs() < 1e-9);
     }
 
     #[test]
@@ -342,7 +287,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.p50(), 0.0);
-        assert_eq!(h.min(), -8.0);
         assert_eq!(h.max(), 8.0);
         assert!(h.quantile(0.1) < 0.0);
         assert!(h.quantile(0.95) > 0.0);
@@ -355,7 +299,6 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(1.0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.nonfinite(), 2);
         assert_eq!(h.max(), 1.0);
     }
 
@@ -367,29 +310,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert!(h.quantile(0.25) > 0.0);
         assert_eq!(h.max(), 1e30);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extrema() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for i in 1..=10u64 {
-            a.record_u64(i);
-        }
-        for i in 100..=110u64 {
-            b.record_u64(i);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 21);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 110.0);
-        assert!(a.p90() > 50.0);
-        let merged_into_empty = {
-            let mut e = LogHistogram::new();
-            e.merge(&a);
-            e
-        };
-        assert_eq!(merged_into_empty, a);
     }
 
     #[test]

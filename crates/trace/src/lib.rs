@@ -36,8 +36,9 @@
 //!                                ts_nanos: t0, dur_nanos: 1500 });
 //! sink.record(TraceEvent::Gauge { slot: 0, name: "cost", value: 0.37 });
 //!
-//! let mut bundle = TraceBundle::new();
-//! bundle.push(Track::new("run", sink.into_events()));
+//! let bundle = TraceBundle {
+//!     tracks: vec![Track { label: "run".into(), events: sink.into_events(), dropped: 0 }],
+//! };
 //! let chrome = bundle.chrome_trace_json();  // open in Perfetto
 //! assert!(greencell_trace::json::parse(&chrome).is_ok());
 //! println!("{}", bundle.summary().render());

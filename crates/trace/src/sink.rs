@@ -89,24 +89,6 @@ impl RingSink {
         self.buf
     }
 
-    /// Number of events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The fixed capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events overwritten because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -162,12 +144,9 @@ mod tests {
         for slot in 0..5 {
             s.record(mark(slot));
         }
-        assert_eq!(s.len(), 3);
         assert_eq!(s.dropped(), 2);
-        let slots: Vec<u64> = s.events().iter().map(TraceEvent::slot).collect();
-        assert_eq!(slots, [2, 3, 4]);
-        let slots: Vec<u64> = s.into_events().iter().map(TraceEvent::slot).collect();
-        assert_eq!(slots, [2, 3, 4]);
+        assert_eq!(s.events(), [mark(2), mark(3), mark(4)]);
+        assert_eq!(s.into_events(), [mark(2), mark(3), mark(4)]);
     }
 
     #[test]
@@ -177,8 +156,7 @@ mod tests {
             s.record(mark(slot));
         }
         assert_eq!(s.dropped(), 0);
-        let slots: Vec<u64> = s.events().iter().map(TraceEvent::slot).collect();
-        assert_eq!(slots, [0, 1, 2, 3]);
+        assert_eq!(s.events(), [mark(0), mark(1), mark(2), mark(3)]);
     }
 
     #[test]

@@ -21,12 +21,6 @@ use crate::{DataRate, TimeDelta};
 pub struct Bandwidth(pub(crate) f64);
 
 impl Bandwidth {
-    /// Creates a bandwidth from hertz.
-    #[must_use]
-    pub fn from_hertz(hz: f64) -> Self {
-        Self(hz)
-    }
-
     /// Creates a bandwidth from megahertz.
     #[must_use]
     pub fn from_megahertz(mhz: f64) -> Self {
@@ -37,12 +31,6 @@ impl Bandwidth {
     #[must_use]
     pub fn as_hertz(self) -> f64 {
         self.0
-    }
-
-    /// This bandwidth in megahertz.
-    #[must_use]
-    pub fn as_megahertz(self) -> f64 {
-        self.0 / 1e6
     }
 
     /// The link rate `W · log2(1 + snr_threshold)` of Eq. (1).
@@ -93,7 +81,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Bandwidth::from_megahertz(1.5).as_hertz(), 1.5e6);
-        assert_eq!(Bandwidth::from_hertz(2e6).as_megahertz(), 2.0);
     }
 
     #[test]

@@ -81,24 +81,6 @@ impl Packets {
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self(self.0.saturating_sub(rhs.0))
     }
-
-    /// The smaller of two counts.
-    #[must_use]
-    pub fn min(self, rhs: Self) -> Self {
-        Self(self.0.min(rhs.0))
-    }
-
-    /// The larger of two counts.
-    #[must_use]
-    pub fn max(self, rhs: Self) -> Self {
-        Self(self.0.max(rhs.0))
-    }
-
-    /// Total data volume of this many `delta`-sized packets.
-    #[must_use]
-    pub fn volume(self, delta: PacketSize) -> Bits {
-        Bits::new(self.0 as f64 * delta.as_bits_f64())
-    }
 }
 
 impl core::ops::Add for Packets {
@@ -199,22 +181,10 @@ impl DataRate {
         Self(kbps * 1e3)
     }
 
-    /// Creates a rate from megabits per second.
-    #[must_use]
-    pub fn from_megabits_per_second(mbps: f64) -> Self {
-        Self(mbps * 1e6)
-    }
-
     /// This rate in bits per second.
     #[must_use]
     pub fn as_bits_per_second(self) -> f64 {
         self.0
-    }
-
-    /// This rate in kilobits per second.
-    #[must_use]
-    pub fn as_kilobits_per_second(self) -> f64 {
-        self.0 / 1e3
     }
 }
 
@@ -248,8 +218,8 @@ mod tests {
 
     #[test]
     fn rate_times_time_is_bits() {
-        let b = DataRate::from_megabits_per_second(1.0) * TimeDelta::from_seconds(2.0);
-        assert_eq!(b.count(), 2e6);
+        let b = DataRate::from_kilobits_per_second(1000.0) * TimeDelta::from_minutes(2.0);
+        assert_eq!(b.count(), 1.2e8);
     }
 
     #[test]
@@ -266,14 +236,6 @@ mod tests {
         let b = Packets::new(5);
         assert_eq!(a.saturating_sub(b), Packets::ZERO);
         assert_eq!(b.saturating_sub(a).count(), 2);
-    }
-
-    #[test]
-    fn packets_volume_round_trips() {
-        let delta = PacketSize::from_bits(10_000);
-        let v = Packets::new(7).volume(delta);
-        assert_eq!(v.count(), 70_000.0);
-        assert_eq!(v.whole_packets(delta).count(), 7);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 /// use greencell_units::Distance;
 ///
 /// let d = Distance::from_meters(1500.0);
-/// assert_eq!(d.as_kilometers(), 1.5);
+/// assert_eq!(d.as_meters(), 1500.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Distance(pub(crate) f64);
@@ -23,22 +23,10 @@ impl Distance {
         Self(meters)
     }
 
-    /// Creates a distance from kilometers.
-    #[must_use]
-    pub fn from_kilometers(km: f64) -> Self {
-        Self(km * 1e3)
-    }
-
     /// This distance in meters.
     #[must_use]
     pub fn as_meters(self) -> f64 {
         self.0
-    }
-
-    /// This distance in kilometers.
-    #[must_use]
-    pub fn as_kilometers(self) -> f64 {
-        self.0 / 1e3
     }
 
     /// `d^{-γ}` — the path-loss attenuation factor for exponent `gamma`.
@@ -68,12 +56,6 @@ impl core::fmt::Display for Distance {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conversions() {
-        assert_eq!(Distance::from_kilometers(2.0).as_meters(), 2000.0);
-        assert_eq!(Distance::from_meters(500.0).as_kilometers(), 0.5);
-    }
 
     #[test]
     fn attenuation_matches_closed_form() {

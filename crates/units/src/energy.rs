@@ -1,7 +1,5 @@
 //! Amounts of energy (battery levels, per-slot demand, grid draws).
 
-use crate::{Power, TimeDelta};
-
 /// An amount of energy, stored internally in joules.
 ///
 /// Battery capacities and charge/discharge limits in the paper are given in
@@ -29,12 +27,6 @@ impl Energy {
         Self(joules)
     }
 
-    /// Creates an energy amount from watt-hours.
-    #[must_use]
-    pub fn from_watt_hours(wh: f64) -> Self {
-        Self(wh * JOULES_PER_WATT_HOUR)
-    }
-
     /// Creates an energy amount from kilowatt-hours.
     #[must_use]
     pub fn from_kilowatt_hours(kwh: f64) -> Self {
@@ -57,20 +49,6 @@ impl Energy {
     #[must_use]
     pub fn as_kilowatt_hours(self) -> f64 {
         self.0 / (1e3 * JOULES_PER_WATT_HOUR)
-    }
-
-    /// Average power if this energy is spread over `dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is zero.
-    #[must_use]
-    pub fn over(self, dt: TimeDelta) -> Power {
-        assert!(
-            dt.as_seconds() > 0.0,
-            "cannot convert energy to power over a zero interval"
-        );
-        Power::from_watts(self.0 / dt.as_seconds())
     }
 
     /// `true` if the amount is ≥ 0 (physical energy stocks are non-negative).
@@ -97,9 +75,6 @@ mod tests {
         let e = Energy::from_kilowatt_hours(0.06);
         assert!((e.as_watt_hours() - 60.0).abs() < 1e-9);
         assert!((e.as_joules() - 216_000.0).abs() < 1e-6);
-        assert!(
-            (Energy::from_watt_hours(e.as_watt_hours()).as_joules() - e.as_joules()).abs() < 1e-9
-        );
     }
 
     #[test]
@@ -119,19 +94,6 @@ mod tests {
     fn sum_of_iterator() {
         let total: Energy = (1..=4).map(|i| Energy::from_joules(f64::from(i))).sum();
         assert_eq!(total.as_joules(), 10.0);
-    }
-
-    #[test]
-    fn over_interval_gives_average_power() {
-        let e = Energy::from_watt_hours(30.0);
-        let p = e.over(TimeDelta::from_minutes(30.0));
-        assert!((p.as_watts() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero interval")]
-    fn over_zero_interval_panics() {
-        let _ = Energy::from_joules(1.0).over(TimeDelta::from_seconds(0.0));
     }
 
     #[test]

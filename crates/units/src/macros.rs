@@ -34,12 +34,6 @@ macro_rules! impl_scalar_quantity {
                 Self(self.0.clamp(lo.0, hi.0))
             }
 
-            /// `true` if the underlying value is finite (not NaN/∞).
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// The zero quantity.
             pub const ZERO: Self = Self(0.0);
         }

@@ -38,24 +38,6 @@ impl Power {
     pub fn as_watts(self) -> f64 {
         self.0
     }
-
-    /// This power in milliwatts.
-    #[must_use]
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// This power in decibel-milliwatts; `-∞` for zero power.
-    #[must_use]
-    pub fn as_dbm(self) -> f64 {
-        10.0 * (self.0 * 1e3).log10()
-    }
-
-    /// Creates a power from decibel-milliwatts.
-    #[must_use]
-    pub fn from_dbm(dbm: f64) -> Self {
-        Self(10f64.powf(dbm / 10.0) * 1e-3)
-    }
 }
 
 impl_scalar_quantity!(Power, f64);
@@ -90,22 +72,13 @@ mod tests {
     fn watt_milliwatt_round_trip() {
         let p = Power::from_milliwatts(250.0);
         assert!((p.as_watts() - 0.25).abs() < 1e-12);
-        assert!((p.as_milliwatts() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dbm_round_trip() {
-        let p = Power::from_watts(1.0);
-        assert!((p.as_dbm() - 30.0).abs() < 1e-9);
-        let q = Power::from_dbm(0.0);
-        assert!((q.as_milliwatts() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn power_times_time_is_energy() {
-        let e = Power::from_watts(20.0) * TimeDelta::from_seconds(60.0);
+        let e = Power::from_watts(20.0) * TimeDelta::from_minutes(1.0);
         assert_eq!(e.as_joules(), 1200.0);
-        let e2 = TimeDelta::from_seconds(60.0) * Power::from_watts(20.0);
+        let e2 = TimeDelta::from_minutes(1.0) * Power::from_watts(20.0);
         assert_eq!(e, e2);
     }
 

@@ -17,40 +17,16 @@
 pub struct TimeDelta(pub(crate) f64);
 
 impl TimeDelta {
-    /// Creates a duration from seconds.
-    #[must_use]
-    pub fn from_seconds(seconds: f64) -> Self {
-        Self(seconds)
-    }
-
     /// Creates a duration from minutes.
     #[must_use]
     pub fn from_minutes(minutes: f64) -> Self {
         Self(minutes * 60.0)
     }
 
-    /// Creates a duration from hours.
-    #[must_use]
-    pub fn from_hours(hours: f64) -> Self {
-        Self(hours * 3600.0)
-    }
-
     /// This duration in seconds.
     #[must_use]
     pub fn as_seconds(self) -> f64 {
         self.0
-    }
-
-    /// This duration in minutes.
-    #[must_use]
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
-    /// This duration in hours.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
     }
 }
 
@@ -69,15 +45,13 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(TimeDelta::from_minutes(2.0).as_seconds(), 120.0);
-        assert_eq!(TimeDelta::from_hours(0.5).as_minutes(), 30.0);
-        assert!((TimeDelta::from_seconds(90.0).as_minutes() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn arithmetic() {
-        let a = TimeDelta::from_seconds(10.0);
-        let b = TimeDelta::from_seconds(5.0);
-        assert_eq!((a + b).as_seconds(), 15.0);
+        let a = TimeDelta::from_minutes(10.0);
+        let b = TimeDelta::from_minutes(5.0);
+        assert_eq!((a + b).as_seconds(), 900.0);
         assert_eq!(a / b, 2.0);
     }
 }

@@ -4,7 +4,10 @@
 //! flags, small enough that explicit code is clearer than a dependency.
 
 use greencell_core::SchedulerKind;
-use greencell_sim::{Architecture, DemandModel, FaultSpec, GridModel, Scenario, TouPricing};
+use greencell_sim::{
+    Architecture, DemandModel, FaultSpec, FrontierOptions, GridModel, Scenario, ServeConfig,
+    TouPricing,
+};
 use std::fmt;
 
 /// A parsed CLI invocation.
@@ -24,10 +27,13 @@ pub struct Command {
     pub v_values: Option<Vec<f64>>,
     /// Output directory for CSV artifacts, if requested.
     pub out_dir: Option<String>,
-    /// Service-mode tunables (meaningful for [`Action::Serve`] only).
-    pub serve: ServeFlags,
-    /// Frontier-search tunables (meaningful for [`Action::Frontier`] only).
-    pub frontier: FrontierFlags,
+    /// Service-mode tunables (meaningful for [`Action::Serve`] only):
+    /// `--snapshot-every`, `--status-every`, `--error-budget` and
+    /// `--state-dir`.
+    pub serve: ServeConfig,
+    /// Frontier-search tunables (meaningful for [`Action::Frontier`] only):
+    /// `--v-min`, `--v-max`, `--max-gap`, `--budget` and `--init-points`.
+    pub frontier: FrontierOptions,
 }
 
 /// The CLI's subcommands.
@@ -55,60 +61,6 @@ pub enum Action {
     Frontier,
     /// Print usage.
     Help,
-}
-
-/// Tunables for the `serve` action (mirrors
-/// `greencell_sim::ServeConfig`, but parsed here so the CLI layer owns
-/// all flag handling).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeFlags {
-    /// `--snapshot-every N` — auto-snapshot period in slots (0 disables).
-    pub snapshot_every: usize,
-    /// `--status-every N` — status-event period in slots (0 disables).
-    pub status_every: usize,
-    /// `--error-budget N` — malformed lines tolerated before stopping.
-    pub error_budget: usize,
-    /// `--state-dir DIR` — snapshot directory (none disables persistence).
-    pub state_dir: Option<String>,
-}
-
-impl Default for ServeFlags {
-    fn default() -> Self {
-        Self {
-            snapshot_every: 50,
-            status_every: 10,
-            error_budget: 10,
-            state_dir: None,
-        }
-    }
-}
-
-/// Tunables for the `frontier` action (mirrors
-/// `greencell_sim::FrontierOptions`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierFlags {
-    /// `--v-min X` — smallest Lyapunov weight.
-    pub v_min: f64,
-    /// `--v-max X` — largest Lyapunov weight.
-    pub v_max: f64,
-    /// `--max-gap X` — normalized refinement tolerance.
-    pub max_gap: f64,
-    /// `--budget N` — total simulation-point ceiling.
-    pub budget: usize,
-    /// `--init-points N` — initial log-spaced grid size.
-    pub init_points: usize,
-}
-
-impl Default for FrontierFlags {
-    fn default() -> Self {
-        Self {
-            v_min: 1e5,
-            v_max: 1e6,
-            max_gap: 0.25,
-            budget: 32,
-            init_points: 5,
-        }
-    }
 }
 
 /// Error explaining what part of the invocation was malformed.
@@ -239,8 +191,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut check = false;
     let mut out_dir = None;
     let mut v_values = None;
-    let mut serve = ServeFlags::default();
-    let mut frontier = FrontierFlags::default();
+    let mut serve = ServeConfig::default();
+    let mut frontier = FrontierOptions::new(1e5, 1e6);
 
     while let Some(flag) = it.next() {
         match flag {
@@ -256,7 +208,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 serve.state_dir = Some(
                     it.next()
                         .ok_or_else(|| ParseError("--state-dir needs a directory".into()))?
-                        .to_string(),
+                        .into(),
                 );
             }
             "--seed" => seed = parse_flag_value(flag, it.next())?,
@@ -518,12 +470,12 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(cmd.action, Action::Serve);
-        assert_eq!(cmd.serve.state_dir.as_deref(), Some("state"));
+        assert_eq!(cmd.serve.state_dir, Some("state".into()));
         assert_eq!(cmd.serve.snapshot_every, 25);
         assert_eq!(cmd.serve.status_every, 5);
         assert_eq!(cmd.serve.error_budget, 3);
         // Defaults hold when unspecified.
-        assert_eq!(parse(&argv("serve")).unwrap().serve, ServeFlags::default());
+        assert_eq!(parse(&argv("serve")).unwrap().serve, ServeConfig::default());
     }
 
     #[test]
@@ -542,7 +494,7 @@ mod tests {
         // Defaults hold when unspecified.
         assert_eq!(
             parse(&argv("frontier")).unwrap().frontier,
-            FrontierFlags::default()
+            FrontierOptions::new(1e5, 1e6)
         );
     }
 

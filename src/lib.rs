@@ -13,10 +13,10 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`units`] | `greencell-units` | typed quantities (W, J, Hz, m, s, packets) |
-//! | [`stochastic`] | `greencell-stochastic` | seeded RNG, distributions, processes, statistics |
+//! | [`stochastic`] | `greencell-stochastic` | seeded RNG, Poisson demand, Markov on/off chains, statistics |
 //! | [`net`] | `greencell-net` | topology, path loss, spectrum, sessions |
 //! | [`phy`] | `greencell-phy` | SINR model, capacities, schedules, power control |
-//! | [`queue`] | `greencell-queue` | data/virtual/energy queues, Lyapunov function, stability |
+//! | [`queue`] | `greencell-queue` | data/virtual queues, flow plans, Lyapunov function, stability |
 //! | [`energy`] | `greencell-energy` | batteries, renewables, grid, cost functions |
 //! | [`lp`] | `greencell-lp` | two-phase simplex, scalar search |
 //! | [`core`] | `greencell-core` | **the paper's contribution**: the S1–S4 controller and bounds |

@@ -43,15 +43,7 @@ fn dispatch(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    use greencell::sim::FrontierOptions;
-    let options = FrontierOptions {
-        v_min: cmd.frontier.v_min,
-        v_max: cmd.frontier.v_max,
-        max_gap: cmd.frontier.max_gap,
-        budget: cmd.frontier.budget,
-        init_points: cmd.frontier.init_points,
-    };
-    let map = greencell_sim::run_frontier(&cmd.scenario, &options, &SweepOptions::from_env())?;
+    let map = greencell_sim::run_frontier(&cmd.scenario, &cmd.frontier, &SweepOptions::from_env())?;
     println!(
         "# frontier — avg energy cost vs avg total backlog across V \
          ({} point(s), {} refinement round(s), {}, worst gap {:.4})",
@@ -81,15 +73,9 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn serve(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    let config = greencell::sim::ServeConfig {
-        snapshot_every: cmd.serve.snapshot_every,
-        status_every: cmd.serve.status_every,
-        error_budget: cmd.serve.error_budget,
-        state_dir: cmd.serve.state_dir.as_ref().map(std::path::PathBuf::from),
-    };
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
-    let summary = greencell::sim::run_serve(&cmd.scenario, &config, stdin.lock(), &mut stdout)?;
+    let summary = greencell::sim::run_serve(&cmd.scenario, &cmd.serve, stdin.lock(), &mut stdout)?;
     eprintln!(
         "serve: {} slot(s) stepped ({} total), {} line(s) rejected, {} snapshot(s), stopped: {}",
         summary.slots_stepped,
