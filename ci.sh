@@ -39,14 +39,21 @@ echo "== s1 power lockstep gate =="
 # bands) takes its key's place. Crowded instances must drop a key for a
 # busy receiver, re-offer a band behind its group's minimum and empty a
 # group through a link with no band left, and the many-band ones must
-# overflow the memo. They probe with one exact M-matrix solve whose LU
-# factors of the accepted links are bordered by one row and column per
-# probe, in flat row-major buffers. Identical schedules wherever no
-# reference probe ran out of sweeps, powers within 1e-9 relative, and
-# constraint (24) with the caps on every kernel outcome; the direct solve
-# must match the iteration wherever the iteration converges. The phy unit
-# tests hold the bordered flat factors, verdicts and powers bit-equal to
-# a from-scratch elimination; the s1 unit tests hold the memo head
+# overflow the memo. They probe with one exact M-matrix solve held as one
+# block per band (links on different bands never interfere): each band
+# keeps an ascending list of its links, and the LU factors of its
+# accepted links are bordered by one row and column per probe on it, in
+# flat row-major buffers, so a probe walks only its band. Identical
+# schedules wherever no reference probe ran out of sweeps, powers within
+# 1e-9 relative, and constraint (24) with the caps on every kernel
+# outcome; the direct solve must match the iteration wherever the
+# iteration converges. The phy unit tests run random probe, push-push-
+# solve, pop and clear sequences on crowded instances with 6-64 bands:
+# each band's factors bit-equal to a from-scratch elimination of its
+# sub-system, verdicts and powers bit-equal to the whole-system
+# elimination, and every reject reason reached (noise floor, row sums,
+# pivot, a cap on the new link, a cap on a held one); the s1 unit tests
+# hold the memo head
 # bit-equal to the band scan and the scan to the per-band minimum, the
 # one-scan next band bit-equal to a filter-and-min over the link's keys,
 # and the frontier's pops equal to a full sort filtered by random busy
@@ -292,7 +299,11 @@ for args in "7x 5" "7 5 extra junk"; do
   fi
 done
 rm -rf "$ARGV_DIR"
-echo "argv smoke: unrunnable settings and bad fault_sweep arguments are typed errors"
+# A reader that closes stdout first (`greencell run | head -1`) ends the
+# command with status 0, no panic and no error line: `run` and `fig2a`,
+# 20 times each, with the pipe's read end closed before any write.
+cargo test --test cli_pipe -q $CARGO_FLAGS
+echo "argv smoke: unrunnable settings and bad fault_sweep arguments are typed errors; a closed stdout exits 0"
 
 echo "== benchmark harness compiles =="
 # The frozen perfbench/ harness builds against the library API, so an API

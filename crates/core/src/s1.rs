@@ -11,11 +11,13 @@
 //!   largest fractional activation to one, and repeat.
 //!
 //! Both probe each candidate with one exact solve of (24) for the least
-//! powers of the schedule so far ([`PowerControlWorkspace`], whose factors
-//! of the accepted links survive across probes, so a probe costs `O(k²)`
-//! in the `k` links held), and the last accepted probe's solution is the
-//! slot's power vector: S4's objective is non-decreasing in every node's
-//! demand, so minimal transmit powers are optimal for a fixed schedule.
+//! powers of the schedule so far ([`PowerControlWorkspace`]: links on
+//! different bands never interfere, so it holds one block per band, whose
+//! factors of the accepted links survive across probes, and a probe costs
+//! `O(k_b²)` in the `k_b` links held on its band), and the last accepted
+//! probe's solution is the slot's power vector: S4's objective is
+//! non-decreasing in every node's demand, so minimal transmit powers are
+//! optimal for a fixed schedule.
 //!
 //! Candidates are pruned exactly as the paper prescribes: `α^m_ij` is fixed
 //! to zero wherever `H_ij(t) = 0` (nothing buffered for the link means
@@ -160,7 +162,7 @@ impl S1Scratch {
         self.tx_ok.reserve(nodes);
         self.rx_ok.reserve(nodes);
         self.busy.reserve(nodes);
-        self.ws.reserve(nodes / 2 + 1);
+        self.ws.reserve(nodes / 2 + 1, bands);
         self.sinr.reserve(nodes / 2);
     }
 
@@ -718,10 +720,11 @@ pub fn greedy_schedule(inp: &S1Inputs<'_>) -> ScheduleOutcome {
 /// Candidates come from the per-link key merge in the reference's
 /// full-sort order: the frontier pops the smallest key with both
 /// endpoints free, and a link whose head is rejected offers its next
-/// band. Each probe solves (24) exactly for the accepted links plus the
-/// candidate ([`PowerControlWorkspace`]), extending the accepted links'
-/// factors by one row and column; a rejected candidate is undone in
-/// `O(n)`. After the last probe the workspace holds exactly the
+/// band. Each probe solves (24) exactly for the accepted links on the
+/// candidate's band plus the candidate ([`PowerControlWorkspace`]),
+/// extending that band's factors by one row and column; a rejected
+/// candidate is undone in `O(k_b)`. Only an accepted probe enters the
+/// schedule. After the last probe the workspace holds exactly the
 /// schedule, and its solution is `out.powers`.
 pub fn greedy_schedule_with(
     inp: &S1Inputs<'_>,
@@ -736,19 +739,25 @@ pub fn greedy_schedule_with(
     while let Some(key) = scratch.frontier.peek(&scratch.busy) {
         let cand = Candidate::from_key(key);
         let t = Transmission::new(cand.tx, cand.rx, cand.band);
-        if let Ok(idx) = out.schedule.try_add(inp.net, t) {
-            if scratch
-                .ws
-                .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
-                .is_ok()
-            {
-                // Both endpoints' groups leave the frontier as they reach
-                // its top.
-                scratch.busy[cand.tx.index()] = true;
-                scratch.busy[cand.rx.index()] = true;
+        if scratch
+            .ws
+            .probe(inp.net, inp.spectrum, inp.phy, inp.max_powers, t)
+            .is_ok()
+        {
+            // The frontier yields only links with both endpoints free on a
+            // shared band, so the schedule takes every accepted probe.
+            let added = out.schedule.try_add(inp.net, t);
+            debug_assert!(added.is_ok(), "frontier yielded {t}: {added:?}");
+            if added.is_err() {
+                scratch.ws.pop_candidate();
+                scratch.frontier.advance(None, &scratch.busy);
                 continue;
             }
-            out.schedule.remove(idx);
+            // Both endpoints' groups leave the frontier as they reach its
+            // top.
+            scratch.busy[cand.tx.index()] = true;
+            scratch.busy[cand.rx.index()] = true;
+            continue;
         }
         let next = next_band(inp, &scratch.pkts_per_band, key);
         scratch.frontier.advance(next, &scratch.busy);

@@ -5,8 +5,6 @@
 //! the admitted set's interference system and exploits that access
 //! pattern:
 //!
-//! * [`PowerControlWorkspace::push_candidate`] appends one row and one
-//!   column to the cross-gain matrix (`O(n)` gain lookups, no rebuild);
 //! * [`PowerControlWorkspace::solve`] computes the minimal power vector
 //!   **directly**: the fixed-point equation `p = A·p + b` (with
 //!   `A_kl = Γ·g_kl/g_k`, `b_k = Γ·η_k/g_k`) is a small linear system
@@ -18,31 +16,49 @@
 //!   entry (a zero-bandwidth band, or zero noise density) gets the
 //!   identity row and `b_k = 0`: noise is `η·W_m` per band, so such
 //!   entries interfere only with each other, and their least powers are 0;
-//! * the elimination is **bordered**: the no-pivot LU factors and the
-//!   forward-eliminated right-hand side of the held entries survive
-//!   across probes, and a new entry extends them by one column of `U`,
-//!   one row of multipliers, one pivot and one right-hand-side entry, in
-//!   `O(n²)`. Appending a row and a column never changes the leading
+//! * the system is held **per band**: entries on different bands never
+//!   interfere, so `I − A` is one independent block per band. Each band
+//!   keeps an ascending list of its entries, and every loop of a probe —
+//!   [`PowerControlWorkspace::push_candidate`]'s gain lookups and row
+//!   sums, the elimination, back substitution, the caps check and
+//!   [`PowerControlWorkspace::pop_candidate`]'s restore — walks only the
+//!   probed entry's band. Other bands keep their factors and powers. The
+//!   cross-band entries of `I − A` are exact zeros, which a whole-system
+//!   elimination skips as zero multipliers and adds as `±0` in back
+//!   substitution, so for finite powers each block's factors and powers
+//!   are bit-identical to the whole system's (a non-finite held power
+//!   would spread `NaN` through the whole system's zero entries, and only
+//!   then do the two differ);
+//! * the elimination is **bordered**: a band's no-pivot LU factors and
+//!   forward-eliminated right-hand side survive across probes, and a new
+//!   entry extends them by one column of `U`, one row of multipliers, one
+//!   pivot and one right-hand-side entry, in `O(k_b²)` for the band's
+//!   `k_b` entries. Appending a row and a column never changes the leading
 //!   block, and every new element gets the operations a from-scratch
 //!   elimination gives it, in the same order (the skip on a zero
 //!   multiplier included), so the factors are bit-identical to a full
 //!   re-elimination. The held entries' pivots are already positive, so
-//!   only the new pivot can reject; back substitution then yields the
-//!   powers for the caps check, also in `O(n²)`;
+//!   only the new pivot can reject; back substitution of the band then
+//!   yields its powers for the caps check, also in `O(k_b²)`. Several
+//!   pushes before one solve factor their entries in push order, each
+//!   against the band-mates pushed before it;
 //! * a **row-sum spectral-radius bound** rejects provably infeasible sets
 //!   before eliminating: for the non-negative iteration matrix
 //!   `A_kl = Γ·g_kl/g_k`, `min_k Σ_l A_kl ≤ ρ(A)`, and `ρ(A) ≥ 1` with
 //!   positive noise admits no finite power vector. The bound only ever
-//!   rejects sets the elimination would also reject, never a feasible one;
+//!   rejects sets the elimination would also reject, never a feasible one.
+//!   It takes the minimum over every entry, an `O(k)` scan;
 //! * [`PowerControlWorkspace::pop_candidate`] undoes the last push — its
-//!   cross-gain row and column, and its factor row and column — and
-//!   restores the previous solution, so a rejected probe costs `O(n)`
-//!   beyond its elimination.
+//!   cross-gain row and column, its factor row and column, and its band's
+//!   powers — so a rejected probe costs `O(k_b)` beyond its elimination.
 //!
 //! The cross gains and the factors are each one flat row-major buffer
-//! with a fixed row stride, the entry count they have room for. A push
+//! with a fixed row stride, the entry count they have room for. Row `k`
+//! belongs to entry `k`, and its columns are positions in `k`'s band
+//! list, so a band's row of factors is contiguous. The band lists share
+//! one more flat buffer, one row of the same stride per band. A push
 //! writes its row and column in place and a pop only shortens the live
-//! extent; a push past the stride re-lays both buffers out at a larger
+//! extent; a push past the stride re-lays every buffer out at a larger
 //! one. The layout changes where each element lives, not the operations
 //! it gets or their order.
 //!
@@ -88,33 +104,50 @@ pub struct PowerControlWorkspace {
     direct_gain: Vec<f64>,
     /// Receiver noise power per entry.
     noise: Vec<f64>,
+    /// The entries whose noise is not positive.
+    zero_noise: usize,
     /// Transmitter cap `P^tx_max` in watts per entry.
     cap: Vec<f64>,
-    /// Cross gains, row-major with row stride `stride`: `cross[k·stride
-    /// + l]` is the gain from `tx_l` to `rx_k` when the two entries share
-    /// a band, else 0, for `k, l < len()`.
+    /// The band lists, row-major with row stride `stride`, one row per
+    /// band: `members[b·stride + q]` is the `q`-th entry on band `b`, for
+    /// `q < band_len[b]`, in ascending (push) order.
+    members: Vec<usize>,
+    /// The entry count of each band.
+    band_len: Vec<usize>,
+    /// Cross gains, row-major with row stride `stride`:
+    /// `cross[k·stride + q]` is the gain from the transmitter of the
+    /// `q`-th entry on `k`'s band to `rx_k` (0 on the diagonal), for
+    /// `q < band_len` of that band. Entries on different bands have no
+    /// cross gain.
     cross: Vec<f64>,
     /// Raw interference row sums `Σ_l cross_kl`, maintained
     /// incrementally for the spectral-radius early reject.
     row_sum: Vec<f64>,
-    /// The solution of the last successful solve, watts; a pushed entry
-    /// holds its noise floor until the next solve.
+    /// Watts per entry: the solution of its band's block, or, on a band in
+    /// `stale`, possibly the noise floor a push seeded.
     p: Vec<f64>,
-    /// The solution saved before the outstanding probe.
+    /// The bands whose powers the next solve must recompute: those pushed
+    /// to since their last solve.
+    stale: Vec<usize>,
+    /// The pushed band's powers, in band order, saved by the outstanding
+    /// push for `pop_candidate` to restore.
     p_saved: Vec<f64>,
-    /// No-pivot LU factors of `I − A` over the first `fwd.len()` entries,
-    /// row-major with row stride `stride`: `lu[i·stride + j]` is the
-    /// multiplier `l_ij` for `j < i` and `U_ij` for `j ≥ i`. Every
-    /// factored pivot is positive (or NaN, which the elimination lets
-    /// through as it always has).
+    /// The band `p_saved` belongs to, and whether it was stale before the
+    /// push; `None` once a pop has restored it.
+    saved: Option<(usize, bool)>,
+    /// No-pivot LU factors of each band's block of `I − A` over the first
+    /// `fwd.len()` entries, in the columns of `cross`: `lu[i·stride + q]`
+    /// is the multiplier `l_iq` for `q` below `i`'s own position and `U_iq`
+    /// from it on. Every factored pivot is positive (or NaN, which the
+    /// elimination lets through as it always has).
     lu: Vec<f64>,
     /// The forward-eliminated right-hand side `L⁻¹·b`, one per factored
     /// entry; its length is the factored entry count.
     fwd: Vec<f64>,
-    /// The row stride of `cross` and `lu`, each `stride²` long: the
-    /// entries they have room for.
+    /// The row stride of `cross`, `lu` and `members`; `cross` and `lu` are
+    /// each `stride²` long: the entries they have room for.
     stride: usize,
-    /// Back-substitution scratch: the solution of the last solve.
+    /// Back-substitution scratch: the stale bands' powers, band after band.
     x: Vec<f64>,
 }
 
@@ -152,19 +185,23 @@ impl PowerControlWorkspace {
         self.txs.clear();
         self.direct_gain.clear();
         self.noise.clear();
+        self.zero_noise = 0;
         self.cap.clear();
+        self.band_len.fill(0);
         self.row_sum.clear();
         self.p.clear();
-        self.p_saved.clear();
+        self.stale.clear();
+        self.saved = None;
         self.fwd.clear();
     }
 
-    /// Grows every internal buffer — including the factors — to hold `entries` concurrent transmissions without further
-    /// allocation. The single-radio constraint caps schedules at `⌊n/2⌋`
-    /// entries; pass that plus one (for the outstanding probe) and
-    /// steady-state scheduling allocates nothing no matter how traffic
-    /// peaks evolve.
-    pub fn reserve(&mut self, entries: usize) {
+    /// Grows every internal buffer — including the factors and the band
+    /// lists — to hold `entries` concurrent transmissions on `bands` bands
+    /// without further allocation. The single-radio constraint caps
+    /// schedules at `⌊n/2⌋` entries; pass that plus one (for the
+    /// outstanding probe) and the network's band count, and steady-state
+    /// scheduling allocates nothing no matter how traffic peaks evolve.
+    pub fn reserve(&mut self, entries: usize, bands: usize) {
         self.txs.reserve(entries);
         self.direct_gain.reserve(entries);
         self.noise.reserve(entries);
@@ -174,22 +211,37 @@ impl PowerControlWorkspace {
         self.p_saved.reserve(entries);
         self.fwd.reserve(entries);
         self.x.reserve(entries);
+        self.stale.reserve(bands);
         if entries > self.stride {
             self.relayout(entries);
         }
+        self.add_bands(bands);
     }
 
-    /// Moves `cross` and `lu` to row stride `stride` (at least the
-    /// current one), keeping every element.
+    /// Grows the band lists to at least `bands` bands.
+    fn add_bands(&mut self, bands: usize) {
+        if bands > self.band_len.len() {
+            self.band_len.resize(bands, 0);
+            self.members.resize(bands * self.stride, 0);
+        }
+    }
+
+    /// Moves `cross`, `lu` and `members` to row stride `stride` (at least
+    /// the current one), keeping every element.
     fn relayout(&mut self, stride: usize) {
-        let old = self.stride;
-        for buf in [&mut self.cross, &mut self.lu] {
-            let mut grown = vec![0.0; stride * stride];
-            for k in 0..old {
-                grown[k * stride..k * stride + old].copy_from_slice(&buf[k * old..(k + 1) * old]);
+        fn restride<T: Copy + Default>(buf: &mut Vec<T>, rows: usize, old: usize, new: usize) {
+            let mut grown = vec![T::default(); rows * new];
+            if old > 0 {
+                for (to, from) in grown.chunks_exact_mut(new).zip(buf.chunks_exact(old)) {
+                    to[..old].copy_from_slice(from);
+                }
             }
             *buf = grown;
         }
+        let old = self.stride;
+        restride(&mut self.cross, stride, old, stride);
+        restride(&mut self.lu, stride, old, stride);
+        restride(&mut self.members, self.band_len.len(), old, stride);
         self.stride = stride;
     }
 
@@ -198,11 +250,22 @@ impl PowerControlWorkspace {
         self.fwd.len()
     }
 
-    /// Appends `t` to the interference system: one new row (gains from
-    /// every existing transmitter into `t`'s receiver) and one new column
-    /// (gain from `t`'s transmitter into every existing receiver), both
-    /// restricted to co-channel entries. Saves the current solution so
-    /// [`PowerControlWorkspace::pop_candidate`] can restore it, and seeds
+    /// Marks band `b` stale, or not.
+    fn set_stale(&mut self, b: usize, stale: bool) {
+        match (self.stale.iter().position(|&s| s == b), stale) {
+            (None, true) => self.stale.push(b),
+            (Some(i), false) => {
+                self.stale.swap_remove(i);
+            }
+            _ => {}
+        }
+    }
+
+    /// Appends `t` to its band's block of the interference system: one new
+    /// row (gains from every band-mate's transmitter into `t`'s receiver)
+    /// and one new column (gain from `t`'s transmitter into every
+    /// band-mate's receiver). Saves the band's current powers so
+    /// [`PowerControlWorkspace::pop_candidate`] can restore them, and seeds
     /// the new entry at its noise-only lower bound.
     ///
     /// Returns [`PowerControlError::Infeasible`] — without pushing — if
@@ -233,35 +296,39 @@ impl PowerControlWorkspace {
             });
         }
 
-        // Save the current solution for pop_candidate.
-        self.p_saved.clear();
-        self.p_saved.extend_from_slice(&self.p);
-
         let n = self.txs.len();
         if n == self.stride {
             self.relayout((n + 1).max(2 * n));
         }
-        let stride = self.stride;
-        // New column: t's transmitter interfering with existing receivers;
-        // new row: existing transmitters interfering with t's receiver.
+        let b = t.band().index();
+        self.add_bands(b + 1);
+        let (stride, q) = (self.stride, self.band_len[b]);
+        let mates = &self.members[b * stride..b * stride + q];
+        self.p_saved.clear();
+        self.p_saved.extend(mates.iter().map(|&i| self.p[i]));
+        self.saved = Some((b, self.stale.contains(&b)));
+        // New column: t's transmitter interfering with the band-mates'
+        // receivers; new row: their transmitters interfering with t's.
         let mut new_row_sum = 0.0;
-        for (k, other) in self.txs.iter().enumerate() {
-            let (col, row) = if other.band() == t.band() {
-                (topo.gain(t.tx(), other.rx()), topo.gain(other.tx(), t.rx()))
-            } else {
-                (0.0, 0.0)
-            };
-            self.cross[k * stride + n] = col;
-            self.row_sum[k] += col;
-            self.cross[n * stride + k] = row;
+        for (r, &i) in mates.iter().enumerate() {
+            let other = self.txs[i];
+            let col = topo.gain(t.tx(), other.rx());
+            self.cross[i * stride + q] = col;
+            self.row_sum[i] += col;
+            let row = topo.gain(other.tx(), t.rx());
+            self.cross[n * stride + r] = row;
             new_row_sum += row;
         }
-        self.cross[n * stride + n] = 0.0; // diagonal
+        self.cross[n * stride + q] = 0.0; // diagonal
         self.row_sum.push(new_row_sum);
+        self.members[b * stride + q] = n;
+        self.band_len[b] = q + 1;
+        self.set_stale(b, true);
 
         self.txs.push(t);
         self.direct_gain.push(g);
         self.noise.push(eta_w);
+        self.zero_noise += usize::from(eta_w <= 0.0);
         self.cap.push(cap);
         self.p.push(floor);
         Ok(())
@@ -269,28 +336,43 @@ impl PowerControlWorkspace {
 
     /// Undoes the most recent [`PowerControlWorkspace::push_candidate`]
     /// — and, if a solve factored it, its factor row and column — and
-    /// restores the solution saved by it. Only the last push can be
-    /// undone, and only before the next one.
+    /// restores its band's powers saved by it. Only the last push can be
+    /// undone, and only before the next one; a further pop leaves the
+    /// band's powers to the next solve.
     ///
     /// # Panics
     ///
     /// Panics if the workspace is empty.
     pub fn pop_candidate(&mut self) {
-        assert!(!self.txs.is_empty(), "nothing to pop");
-        if self.factored() == self.txs.len() {
+        let t = self.txs.pop().expect("nothing to pop");
+        let n = self.txs.len();
+        if self.factored() > n {
             self.fwd.pop();
         }
-        self.txs.pop();
         self.direct_gain.pop();
-        self.noise.pop();
+        let noise = self.noise.pop().unwrap_or_default();
+        self.zero_noise -= usize::from(noise <= 0.0);
         self.cap.pop();
         self.row_sum.pop();
-        let (n, stride) = (self.txs.len(), self.stride);
-        for (k, sum) in self.row_sum.iter_mut().enumerate() {
-            *sum -= self.cross[k * stride + n];
+        self.p.pop();
+        // The last entry is the last of its band.
+        let b = t.band().index();
+        let q = self.band_len[b] - 1;
+        self.band_len[b] = q;
+        let stride = self.stride;
+        let mates = &self.members[b * stride..b * stride + q];
+        for &i in mates {
+            self.row_sum[i] -= self.cross[i * stride + q];
         }
-        self.p.clear();
-        self.p.extend_from_slice(&self.p_saved);
+        match self.saved.take() {
+            Some((saved, was_stale)) if saved == b => {
+                for (&i, &w) in mates.iter().zip(&self.p_saved) {
+                    self.p[i] = w;
+                }
+                self.set_stale(b, was_stale);
+            }
+            _ => self.set_stale(b, true),
+        }
     }
 
     /// `true` if the row-sum spectral-radius bound proves the current set
@@ -305,17 +387,18 @@ impl PowerControlWorkspace {
     /// radius of their block.
     #[must_use]
     pub fn provably_infeasible(&self, phy: &PhyConfig) -> bool {
-        if self.row_sum.is_empty() || self.noise.iter().any(|&n| n <= 0.0) {
+        if self.row_sum.is_empty() || self.zero_noise > 0 {
             return false;
         }
+        // `min_k ratio_k > 1` (a NaN ratio never the minimum) exactly when
+        // no ratio is at most 1, which the first row of a feasible set
+        // usually shows.
         let gamma = phy.sinr_threshold();
-        let min_ratio = self
+        !self
             .row_sum
             .iter()
             .zip(&self.direct_gain)
-            .map(|(s, g)| gamma * s / g)
-            .fold(f64::INFINITY, f64::min);
-        min_ratio > 1.0
+            .any(|(s, g)| gamma * s / g <= 1.0)
     }
 
     /// Solves `(I − A)·p = b` for the component-wise minimal feasible
@@ -325,11 +408,12 @@ impl PowerControlWorkspace {
     /// pivoting keeps every pivot positive iff it is a non-singular
     /// M-matrix, i.e. iff `ρ(A) < 1` and a finite minimal power vector
     /// exists. The factors of the entries a previous solve factored are
-    /// kept; each entry pushed since extends them by one bordering row
-    /// and column (see the module docs). A non-positive pivot proves
-    /// infeasibility, and otherwise back-substitution yields the minimal
-    /// vector, which is then checked against the transmitter caps.
-    /// Zero-noise entries get the identity row and `b_k = 0`.
+    /// kept; each entry pushed since extends its band's factors by one
+    /// bordering row and column (see the module docs). A non-positive
+    /// pivot proves infeasibility, and otherwise back substitution of each
+    /// band pushed to since its last solve yields its minimal powers,
+    /// which are then checked against the transmitter caps. Zero-noise
+    /// entries get the identity row and `b_k = 0`.
     ///
     /// Every solve between two clears must pass the same `phy`: the kept
     /// factors were eliminated under its SINR target.
@@ -337,7 +421,7 @@ impl PowerControlWorkspace {
     /// On `Err` [`PowerControlWorkspace::powers_watts`] is stale for the
     /// rejected entry set; callers must
     /// [`PowerControlWorkspace::pop_candidate`] (which restores the saved
-    /// solution) or [`PowerControlWorkspace::clear`].
+    /// powers) or [`PowerControlWorkspace::clear`].
     ///
     /// # Errors
     ///
@@ -357,23 +441,40 @@ impl PowerControlWorkspace {
                 return Err(infeasible);
             }
         }
+        let stride = self.stride;
         self.x.clear();
-        self.x.resize(n, 0.0);
-        for k in (0..n).rev() {
-            let row = &self.lu[k * self.stride..k * self.stride + n];
-            let mut acc = self.fwd[k];
-            for (u, x) in row[k + 1..].iter().zip(&self.x[k + 1..]) {
-                acc -= u * x;
+        // The first entry over its cap, in push order: a stale band's
+        // first, as the other bands' powers passed when they were solved.
+        let mut over_cap = None;
+        for &b in &self.stale {
+            let mates = &self.members[b * stride..b * stride + self.band_len[b]];
+            let start = self.x.len();
+            self.x.resize(start + mates.len(), 0.0);
+            let x = &mut self.x[start..];
+            for (r, &k) in mates.iter().enumerate().rev() {
+                let row = &self.lu[k * stride..k * stride + mates.len()];
+                let mut acc = self.fwd[k];
+                for (u, x) in row[r + 1..].iter().zip(&x[r + 1..]) {
+                    acc -= u * x;
+                }
+                x[r] = acc / row[r];
             }
-            self.x[k] = acc / row[k];
+            if let Some((&k, _)) = mates.iter().zip(&*x).find(|(&k, &x)| x > self.cap[k]) {
+                over_cap = Some(over_cap.map_or(k, |first: usize| first.min(k)));
+            }
         }
-        if let Some(k) = (0..n).find(|&k| self.x[k] > self.cap[k]) {
+        if let Some(k) = over_cap {
             return Err(PowerControlError::Infeasible {
                 transmission_index: k,
             });
         }
-        self.p.clear();
-        self.p.extend_from_slice(&self.x);
+        let mut solved = self.x.iter();
+        for &b in &self.stale {
+            for &k in &self.members[b * stride..b * stride + self.band_len[b]] {
+                self.p[k] = solved.next().copied().unwrap_or_default();
+            }
+        }
+        self.stale.clear();
         Ok(())
     }
 
@@ -387,51 +488,57 @@ impl PowerControlWorkspace {
         }
     }
 
-    /// Extends the factors by the first unfactored entry `m`: `U`'s new
-    /// column `m` by forward substitution with the stored multipliers,
-    /// then row `m`'s multipliers by forward substitution against `U`,
-    /// its pivot and its forward-eliminated right-hand side. Each element
-    /// gets the right-looking elimination's operations in its order:
-    /// step `j` updates it by `l·U_j` unless the multiplier `l` is 0.
-    /// Returns `false`, with the factors as before, if the pivot is not
-    /// positive.
+    /// Extends the factors of its band by the first unfactored entry `m`,
+    /// at position `q` of the band: `U`'s new column `q` by forward
+    /// substitution with the band-mates' stored multipliers, then row
+    /// `m`'s multipliers by forward substitution against their `U`, its
+    /// pivot and its forward-eliminated right-hand side. Each element gets
+    /// the right-looking elimination's operations in its order: step `j`
+    /// updates it by `l·U_j` unless the multiplier `l` is 0. Returns
+    /// `false`, with the factors as before, if the pivot is not positive.
     fn factor_next(&mut self, gamma: f64) -> bool {
         let (m, stride) = (self.factored(), self.stride);
-        for i in 0..m {
-            let mut u = -self.scale(gamma, i) * self.cross[i * stride + m];
-            // Row `i`'s multipliers against column `m` of the rows above.
-            let column = self.lu[m..].iter().step_by(stride);
-            for (&l, &above) in self.lu[i * stride..i * stride + i].iter().zip(column) {
+        let b = self.txs[m].band().index();
+        let band = &self.members[b * stride..b * stride + self.band_len[b]];
+        // The band-mates pushed before `m`, every one of them factored.
+        let q = band.partition_point(|&j| j < m);
+        let mates = &band[..q];
+        for (r, &i) in mates.iter().enumerate() {
+            let mut u = -self.scale(gamma, i) * self.cross[i * stride + q];
+            // Row `i`'s multipliers against column `q` of the rows above.
+            for (&l, &j) in self.lu[i * stride..i * stride + r].iter().zip(mates) {
                 if l == 0.0 {
                     continue;
                 }
-                u -= l * above;
+                u -= l * self.lu[j * stride + q];
             }
-            self.lu[i * stride + m] = u;
+            self.lu[i * stride + q] = u;
         }
         let scale = self.scale(gamma, m);
         let (above, below) = self.lu.split_at_mut(m * stride);
-        let row = &mut below[..=m];
-        for (l, (r, &g)) in row.iter_mut().zip(&self.cross[m * stride..]).enumerate() {
-            *r = if l == m { 1.0 } else { -scale * g };
+        let row = &mut below[..=q];
+        for (r, (x, &g)) in row.iter_mut().zip(&self.cross[m * stride..]).enumerate() {
+            *x = if r == q { 1.0 } else { -scale * g };
         }
         let mut rhs = scale * self.noise[m];
-        for (j, u) in above.chunks_exact(stride).enumerate() {
-            let l = row[j] / u[j];
-            row[j] = l;
-            // Cross-band couplings are exact zeros; skipping them keeps
-            // the elimination near-linear on band-disjoint sets.
+        for (r, &j) in mates.iter().enumerate() {
+            let u = &above[j * stride..=j * stride + q];
+            let l = row[r] / u[r];
+            row[r] = l;
+            // Couplings between entries that never interfere are exact
+            // zeros; skipping them keeps the elimination near-linear on
+            // sparse blocks.
             if l == 0.0 {
                 continue;
             }
-            for (r, &u) in row[j + 1..].iter_mut().zip(&u[j + 1..=m]) {
-                *r -= l * u;
+            for (x, &u) in row[r + 1..].iter_mut().zip(&u[r + 1..]) {
+                *x -= l * u;
             }
             rhs -= l * self.fwd[j];
         }
-        // A rejected pivot leaves row `m` and column `m` as scratch beyond
+        // A rejected pivot leaves row `m` and column `q` as scratch beyond
         // the factored extent.
-        if row[m] <= 0.0 {
+        if row[q] <= 0.0 {
             return false;
         }
         self.fwd.push(rhs);
@@ -642,65 +749,79 @@ mod tests {
     }
 
     impl PowerControlWorkspace {
-        /// Row `k` of the cross gains, over the held entries.
-        fn cross_row(&self, k: usize) -> &[f64] {
-            &self.cross[k * self.stride..k * self.stride + self.len()]
+        /// Band `b`'s entries, ascending.
+        fn mates(&self, b: usize) -> &[usize] {
+            &self.members[b * self.stride..b * self.stride + self.band_len[b]]
         }
 
-        /// Row `i` of the factors, over the factored entries.
+        /// The whole system's cross gain from `tx_l` to `rx_k`: 0 on the
+        /// diagonal and between entries on different bands.
+        fn gain(&self, k: usize, l: usize) -> f64 {
+            let same = k != l && self.txs[k].band() == self.txs[l].band();
+            if same {
+                let b = self.txs[l].band().index();
+                self.cross[k * self.stride + self.mates(b).partition_point(|&j| j < l)]
+            } else {
+                0.0
+            }
+        }
+
+        /// Entry `i`'s row of its band's factors, over the factored
+        /// band-mates.
         fn lu_row(&self, i: usize) -> &[f64] {
-            &self.lu[i * self.stride..i * self.stride + self.factored()]
+            let b = self.txs[i].band().index();
+            let factored = self.mates(b).partition_point(|&j| j < self.factored());
+            &self.lu[i * self.stride..i * self.stride + factored]
         }
     }
 
-    /// Where a from-scratch elimination of the held system stops.
+    /// Where a from-scratch elimination of a set of held entries stops.
     struct Oracle {
-        /// The verdict, with the powers on success.
-        verdict: Result<Vec<f64>, PowerControlError>,
         /// Entries factored: all of them, or those before the first
         /// non-positive pivot.
         factored: usize,
-        /// Row-major `n × n` factors, multipliers stored below the
+        /// Row-major factors over the set, multipliers stored below the
         /// diagonal.
         lu: Vec<f64>,
         /// The forward-eliminated right-hand side.
         fwd: Vec<f64>,
+        /// The powers, when every pivot is positive.
+        x: Option<Vec<f64>>,
     }
 
-    /// The oracle: a right-looking elimination of the whole `(I − A)·p = b`
-    /// from the workspace's raw cross gains, as `solve` computed it before
-    /// its factors were kept across probes.
-    fn from_scratch(ws: &PowerControlWorkspace, phy: &PhyConfig) -> Oracle {
-        let n = ws.txs.len();
+    /// The oracle: a right-looking elimination of `(I − A)·p = b` over the
+    /// held `entries` (ascending) from the workspace's raw cross gains.
+    /// Over every entry it is the whole-system elimination, which the
+    /// per-band solve must match bit for bit; over one band's entries it
+    /// is that band's sub-system.
+    fn eliminate(ws: &PowerControlWorkspace, entries: &[usize], phy: &PhyConfig) -> Oracle {
+        let n = entries.len();
         let gamma = phy.sinr_threshold();
         let mut lu = Vec::with_capacity(n * n);
         let mut fwd = Vec::with_capacity(n);
-        for k in 0..n {
+        for (r, &k) in entries.iter().enumerate() {
             let scale = if ws.noise[k] > 0.0 {
                 gamma / ws.direct_gain[k]
             } else {
                 0.0
             };
-            lu.extend(ws.cross_row(k).iter().enumerate().map(|(l, &g)| {
-                if l == k {
+            lu.extend(entries.iter().enumerate().map(|(c, &l)| {
+                if c == r {
                     1.0
                 } else {
-                    -scale * g
+                    -scale * ws.gain(k, l)
                 }
             }));
             fwd.push(scale * ws.noise[k]);
         }
-        let reject = |k| PowerControlError::Infeasible {
-            transmission_index: k,
-        };
         for j in 0..n {
             let pivot = lu[j * n + j];
             if pivot <= 0.0 {
                 return Oracle {
-                    verdict: Err(reject(n - 1)),
                     factored: j,
                     lu,
                     fwd,
+                    x: None,
                 };
             }
             for i in (j + 1)..n {
@@ -723,15 +844,11 @@ mod tests {
             }
             x[k] = acc / lu[k * n + k];
         }
-        let verdict = match (0..n).find(|&k| x[k] > ws.cap[k]) {
-            Some(k) => Err(reject(k)),
-            None => Ok(x),
-        };
         Oracle {
-            verdict,
             factored: n,
             lu,
             fwd,
+            x: Some(x),
         }
     }
 
@@ -739,22 +856,36 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Everything a rejected probe must leave as it found it.
+    /// Everything a rejected probe must leave as it found it: the entries,
+    /// the band lists, the cross-gain rows, the powers, the factor rows,
+    /// the forward right-hand side and the stale bands.
     type State = (
         Vec<Transmission>,
+        Vec<Vec<usize>>,
         Vec<Vec<u64>>,
         Vec<u64>,
         Vec<Vec<u64>>,
         Vec<u64>,
+        Vec<usize>,
     );
 
     fn state(ws: &PowerControlWorkspace) -> State {
+        let bands = ws.band_len.len();
+        let mut stale = ws.stale.clone();
+        stale.sort_unstable();
         (
             ws.txs.clone(),
-            (0..ws.len()).map(|k| bits(ws.cross_row(k))).collect(),
+            (0..bands).map(|b| ws.mates(b).to_vec()).collect(),
+            (0..ws.len())
+                .map(|k| {
+                    let b = ws.txs[k].band().index();
+                    bits(&ws.cross[k * ws.stride..k * ws.stride + ws.band_len[b]])
+                })
+                .collect(),
             bits(&ws.p),
             (0..ws.factored()).map(|i| bits(ws.lu_row(i))).collect(),
             bits(&ws.fwd),
+            stale,
         )
     }
 
@@ -762,81 +893,149 @@ mod tests {
     #[derive(Debug, Default)]
     struct Seen {
         accepted: usize,
-        cap: usize,
-        pivot: usize,
+        floor: usize,
         spectral: usize,
+        pivot: usize,
+        cap_on_new: usize,
+        cap_on_held: usize,
         zero_noise_accepted: usize,
+        crowded_band: usize,
         multi_push: usize,
         pops_after_accept: usize,
     }
 
-    /// Checks a `solve` that just returned `got` against the oracle, bit
-    /// for bit: the verdict, the powers on success, and the kept factors
-    /// with their forward-eliminated right-hand side.
+    /// Checks a `solve` that just returned `got` against the oracles, bit
+    /// for bit: each band's kept factors and forward right-hand side
+    /// against that band's from-scratch elimination and against the whole
+    /// system's, and the verdict and powers against the whole system's.
+    /// The entries from `new` on were pushed since the last solve.
     fn check_solve(
         ws: &PowerControlWorkspace,
         phy: &PhyConfig,
         spectral: bool,
         got: &Result<(), PowerControlError>,
+        new: usize,
         seen: &mut Seen,
     ) {
         let n = ws.len();
+        let all: Vec<usize> = (0..n).collect();
+        let whole = eliminate(ws, &all, phy);
+        // The early reject's row sums: every band-mate's gain, to the
+        // rounding of the pops' subtractions (the absolute term is far
+        // below any gain between two nodes of the 3 km square).
+        for k in 0..n {
+            let sum: f64 = (0..n).map(|l| ws.gain(k, l)).sum();
+            let err = (ws.row_sum[k] - sum).abs();
+            assert!(
+                err <= 1e-9 * sum + 1e-15,
+                "row sum {k}: {} vs {sum}",
+                ws.row_sum[k]
+            );
+        }
+        // The early reject's verdict: the minimum ratio, folded as before
+        // the scan stopped at the first row that clears the bound.
+        let gamma = phy.sinr_threshold();
+        let min_ratio = (0..n)
+            .map(|k| gamma * ws.row_sum[k] / ws.direct_gain[k])
+            .fold(f64::INFINITY, f64::min);
+        let quiet = n == 0 || ws.noise.iter().any(|&e| e <= 0.0);
+        assert_eq!(spectral, !quiet && min_ratio > 1.0, "row-sum verdict");
         if spectral {
             let want = PowerControlError::Infeasible {
                 transmission_index: n - 1,
             };
             assert_eq!(*got, Err(want));
+            assert!(
+                whole.x.is_none(),
+                "the row-sum bound rejected a set with positive pivots"
+            );
             seen.spectral += 1;
             return;
         }
-        let oracle = from_scratch(ws, phy);
-        let k = oracle.factored;
-        assert_eq!(ws.factored(), k, "factored entries");
-        for i in 0..k {
-            assert_eq!(
-                bits(ws.lu_row(i)),
-                bits(&oracle.lu[i * n..i * n + k]),
-                "row {i}"
-            );
+        assert_eq!(ws.factored(), whole.factored, "factored entries");
+        for b in 0..ws.band_len.len() {
+            let mates = ws.mates(b);
+            let block = eliminate(ws, mates, phy);
+            let k = mates.partition_point(|&j| j < whole.factored);
+            assert!(block.factored >= k, "band {b} factored {}", block.factored);
+            for (r, &i) in mates[..k].iter().enumerate() {
+                let want = &block.lu[r * mates.len()..r * mates.len() + k];
+                assert_eq!(bits(ws.lu_row(i)), bits(want), "band {b} row {r}");
+                let whole_row: Vec<f64> = mates[..k].iter().map(|&j| whole.lu[i * n + j]).collect();
+                assert_eq!(bits(ws.lu_row(i)), bits(&whole_row), "whole row {i}");
+                assert_eq!(ws.fwd[i].to_bits(), block.fwd[r].to_bits(), "band {b} rhs");
+                assert_eq!(ws.fwd[i].to_bits(), whole.fwd[i].to_bits(), "whole rhs");
+            }
+            seen.crowded_band += usize::from(mates.len() >= 3);
         }
-        assert_eq!(bits(&ws.fwd), bits(&oracle.fwd[..k]), "forward rhs");
-        match &oracle.verdict {
-            Ok(x) => {
+        // The whole system's cross-band factors are exact zeros.
+        for i in 0..whole.factored {
+            for j in 0..whole.factored {
+                if ws.txs[i].band() != ws.txs[j].band() {
+                    assert_eq!(whole.lu[i * n + j], 0.0, "cross-band factor ({i}, {j})");
+                }
+            }
+        }
+        let Some(x) = whole.x else {
+            assert_eq!(
+                *got,
+                Err(PowerControlError::Infeasible {
+                    transmission_index: n - 1
+                })
+            );
+            seen.pivot += 1;
+            return;
+        };
+        match (0..n).find(|&k| x[k] > ws.cap[k]) {
+            Some(k) => {
+                assert_eq!(
+                    *got,
+                    Err(PowerControlError::Infeasible {
+                        transmission_index: k
+                    })
+                );
+                if k >= new {
+                    seen.cap_on_new += 1;
+                } else {
+                    seen.cap_on_held += 1;
+                }
+            }
+            None => {
                 assert_eq!(*got, Ok(()));
-                assert_eq!(bits(ws.powers_watts()), bits(x), "powers");
+                assert_eq!(bits(ws.powers_watts()), bits(&x), "powers");
                 seen.accepted += 1;
                 if ws.noise.iter().any(|&e| e <= 0.0) {
                     seen.zero_noise_accepted += 1;
                 }
             }
-            Err(e) => {
-                assert_eq!(got.as_ref().err(), Some(e));
-                if oracle.factored < n {
-                    seen.pivot += 1;
-                } else {
-                    seen.cap += 1;
-                }
-            }
         }
     }
 
-    /// The bordered factors in lockstep with a from-scratch elimination
-    /// over random probe, push-push-solve, pop and clear sequences on
-    /// crowded geometries: bit-equal verdicts, powers and factors, zero
-    /// noise, cap, pivot and spectral rejects all reached, and a rejected
-    /// probe leaves the workspace exactly as it found it.
+    /// Per-band bordered factors in lockstep with from-scratch
+    /// eliminations, over random probe, push-push-solve, pop and clear
+    /// sequences on crowded geometries with 6–64 bands, three of them
+    /// (one of zero bandwidth) drawn often enough to hold several links:
+    /// each band's factors bit-equal to its own sub-system's elimination
+    /// and to the whole system's, verdicts and powers bit-equal to the
+    /// whole system's, every reject reason reached (the noise floor, the
+    /// row-sum bound, a pivot, a cap on a new entry and a cap on a held
+    /// one), and a rejected probe leaves the workspace exactly as it found
+    /// it.
     #[test]
     fn bordered_factors_match_a_from_scratch_elimination() {
-        let spectrum = SpectrumState::new(vec![
-            Bandwidth::from_megahertz(1.0),
-            Bandwidth::from_megahertz(2.0),
-            Bandwidth::from_megahertz(0.0),
-        ]);
         let mut rng = Rng::seed_from(11);
         let mut seen = Seen::default();
         let mut ws = PowerControlWorkspace::new();
-        for _ in 0..60 {
-            let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), 3);
+        for _ in 0..200 {
+            let bands = 6 + rng.index(59);
+            let spectrum = SpectrumState::new(
+                (0..bands)
+                    .map(|m| {
+                        Bandwidth::from_megahertz(if m == 1 { 0.0 } else { 1.0 + m as f64 % 2.0 })
+                    })
+                    .collect(),
+            );
+            let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
             let n = 16 + rng.index(9);
             let ids: Vec<NodeId> = (0..n)
                 .map(|k| {
@@ -851,9 +1050,11 @@ mod tests {
             let net = b.build().expect("valid");
             let phy = PhyConfig::new([0.25, 1.0, 4.0][rng.index(3)], 1e-20);
             let caps: Vec<Power> = (0..n)
-                .map(|_| Power::from_watts([20.0, 1.0, 1e-3][rng.index(3)]))
+                .map(|_| Power::from_watts([20.0, 1.0, 0.1, 1e-2, 1e-3][rng.index(5)]))
                 .collect();
-            // A transmission between two nodes no held entry uses.
+            // A transmission between two nodes no held entry uses, on one
+            // of three crowded bands five times in eight, on the
+            // zero-bandwidth band one time in eight.
             let fresh = |ws: &PowerControlWorkspace, rng: &mut Rng| {
                 let used = |id: NodeId| ws.txs.iter().any(|t| t.tx() == id || t.rx() == id);
                 let free: Vec<NodeId> = ids.iter().copied().filter(|&id| !used(id)).collect();
@@ -865,7 +1066,12 @@ mod tests {
                             break rx;
                         }
                     };
-                    Transmission::new(tx, rx, BandId::from_index(rng.index(3)))
+                    let band = match rng.index(8) {
+                        0..=4 => [0, 2, 3][rng.index(3)],
+                        5 => 1,
+                        _ => rng.index(bands),
+                    };
+                    Transmission::new(tx, rx, BandId::from_index(band))
                 })
             };
             // A new network and SINR target: the kept factors belong to the
@@ -879,11 +1085,12 @@ mod tests {
                         let before = state(&ws);
                         if ws.push_candidate(&net, &spectrum, &phy, &caps, t).is_err() {
                             assert_eq!(state(&ws), before, "a floor reject pushes nothing");
+                            seen.floor += 1;
                             continue;
                         }
                         let spectral = ws.provably_infeasible(&phy);
                         let got = ws.solve(&phy);
-                        check_solve(&ws, &phy, spectral, &got, &mut seen);
+                        check_solve(&ws, &phy, spectral, &got, ws.len() - 1, &mut seen);
                         if got.is_err() {
                             ws.pop_candidate();
                             assert_eq!(state(&ws), before, "a rejected probe restores");
@@ -904,7 +1111,7 @@ mod tests {
                         seen.multi_push += 1;
                         let spectral = ws.provably_infeasible(&phy);
                         let got = ws.solve(&phy);
-                        check_solve(&ws, &phy, spectral, &got, &mut seen);
+                        check_solve(&ws, &phy, spectral, &got, ws.len() - 2, &mut seen);
                         if got.is_err() {
                             ws.pop_candidate();
                             ws.pop_candidate();
@@ -918,7 +1125,7 @@ mod tests {
                         if !ws.is_empty() {
                             let spectral = ws.provably_infeasible(&phy);
                             let got = ws.solve(&phy);
-                            check_solve(&ws, &phy, spectral, &got, &mut seen);
+                            check_solve(&ws, &phy, spectral, &got, ws.len(), &mut seen);
                             if got.is_err() {
                                 ws.clear();
                             }
@@ -930,13 +1137,16 @@ mod tests {
         }
         for (what, count) in [
             ("accepted solves", seen.accepted),
-            ("cap rejects", seen.cap),
+            ("floor rejects", seen.floor),
+            ("row-sum rejects", seen.spectral),
             ("pivot rejects", seen.pivot),
-            ("spectral rejects", seen.spectral),
+            ("cap rejects on a new entry", seen.cap_on_new),
+            ("cap rejects on a held entry", seen.cap_on_held),
             (
                 "accepted sets with zero-noise entries",
                 seen.zero_noise_accepted,
             ),
+            ("bands of three or more entries", seen.crowded_band),
             ("two-push solves", seen.multi_push),
             ("pops of a factored entry", seen.pops_after_accept),
         ] {

@@ -7,6 +7,7 @@ use greencell::sim::{
     experiments, report, sweep, Simulator, SweepOptions, SweepPoint, SweepReport,
 };
 use greencell_trace::RingSink;
+use std::io::{self, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,34 +18,67 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if command.action == Action::Help {
-        print!("{USAGE}");
-        return;
-    }
-    if let Err(e) = dispatch(&command) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    let mut out = Output::default();
+    let done = dispatch(&command, &mut out).and_then(|()| Ok(out.flush()?));
+    // A reader that went away (`| head`) ends the command, not as a failure.
+    if let Err(e) = done {
+        if !out.closed {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
-fn dispatch(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+/// The CLI's standard output: every command writes its report through
+/// this one writer. A write that fails because the reader closed the pipe
+/// marks it closed, so `main` can end the command quietly.
+#[derive(Default)]
+struct Output {
+    closed: bool,
+}
+
+impl Output {
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl Write for Output {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = io::stdout().write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let flushed = io::stdout().flush();
+        self.note(flushed)
+    }
+}
+
+type Out<'a> = &'a mut dyn Write;
+
+fn dispatch(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     match cmd.action {
-        Action::Help => unreachable!("handled in main"),
-        Action::Run => run_once(cmd),
-        Action::Fig2a => fig2a(cmd),
-        Action::Fig2bc => fig2bc(cmd),
-        Action::Fig2de => fig2de(cmd),
-        Action::Fig2f => fig2f(cmd),
-        Action::Sweeps => sweeps(cmd),
-        Action::Trace => trace(cmd),
-        Action::Serve => serve(cmd),
-        Action::Frontier => frontier(cmd),
+        Action::Help => Ok(write!(out, "{USAGE}")?),
+        Action::Run => run_once(cmd, out),
+        Action::Fig2a => fig2a(cmd, out),
+        Action::Fig2bc => fig2bc(cmd, out),
+        Action::Fig2de => fig2de(cmd, out),
+        Action::Fig2f => fig2f(cmd, out),
+        Action::Sweeps => sweeps(cmd, out),
+        Action::Trace => trace(cmd, out),
+        Action::Serve => serve(cmd, out),
+        Action::Frontier => frontier(cmd, out),
     }
 }
 
-fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn frontier(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let map = greencell_sim::run_frontier(&cmd.scenario, &cmd.frontier, &SweepOptions::from_env())?;
-    println!(
+    writeln!(
+        out,
         "# frontier — avg energy cost vs avg total backlog across V \
          ({} point(s), {} refinement round(s), {}, worst gap {:.4})",
         map.stats.sims_run,
@@ -55,16 +89,18 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
             "budget exhausted"
         },
         map.stats.worst_gap,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>14} {:>14} {:>16} {:>6}",
         "V", "avg cost", "avg backlog", "round"
-    );
+    )?;
     for p in &map.points {
-        println!(
+        writeln!(
+            out,
             "{:>14.6e} {:>14.6} {:>16.2} {:>6}",
             p.v, p.avg_cost, p.avg_backlog, p.round
-        );
+        )?;
     }
     write_artifacts(
         cmd,
@@ -72,10 +108,9 @@ fn frontier(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     )
 }
 
-fn serve(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    let summary = greencell::sim::run_serve(&cmd.scenario, &cmd.serve, stdin.lock(), &mut stdout)?;
+fn serve(cmd: &Command, mut out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let stdin = io::stdin();
+    let summary = greencell::sim::run_serve(&cmd.scenario, &cmd.serve, stdin.lock(), &mut out)?;
     eprintln!(
         "serve: {} slot(s) stepped ({} total), {} line(s) rejected, {} snapshot(s), stopped: {}",
         summary.slots_stepped,
@@ -90,7 +125,7 @@ fn serve(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn trace(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn trace(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     // `--check` compares one worker against this many.
     const CHECK_WORKERS: usize = 4;
     let (preset, seed) = (cmd.preset, cmd.scenario.seed);
@@ -118,58 +153,65 @@ fn trace(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     for p in &paths {
         eprintln!("wrote {}", p.display());
     }
-    println!("{}", run.bundle.summary().render());
+    writeln!(out, "{}", run.bundle.summary().render())?;
     for o in &run.report.outcomes {
-        println!(
+        writeln!(
+            out,
             "{}: avg cost {:.6}, delivered {}, {:.0} slots/s",
             o.label,
             o.metrics.average_cost(),
             o.metrics.delivered(),
             o.telemetry.slots_per_sec
-        );
+        )?;
     }
     Ok(())
 }
 
-fn run_once(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn run_once(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulator::new(&cmd.scenario)?;
     let metrics = sim.run()?.clone();
-    println!(
+    writeln!(
+        out,
         "scenario: {} nodes, {} sessions, {} slots, V={:.3e}, seed {}",
         sim.controller().node_count(),
         sim.controller().session_count(),
         cmd.scenario.horizon,
         cmd.scenario.v,
         cmd.scenario.seed,
-    );
-    println!("avg energy cost f(P): {:.6}", metrics.average_cost());
-    println!(
+    )?;
+    writeln!(out, "avg energy cost f(P): {:.6}", metrics.average_cost())?;
+    writeln!(
+        out,
         "grid drawn total:     {:.4} kWh",
         metrics.grid_series().values().iter().sum::<f64>()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "delivered:            {} packets (fairness {:.3})",
         metrics.delivered(),
         metrics.delivery_fairness()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "peak backlogs:        BS {:.0}, users {:.0} packets",
         metrics.backlog_bs_series().max().unwrap_or(0.0),
         metrics.backlog_users_series().max().unwrap_or(0.0)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cost per slot:        {}",
         report::sparkline(metrics.cost_series())
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "BS backlog:           {}",
         report::sparkline(metrics.backlog_bs_series())
-    );
+    )?;
     if let Some(bound) = metrics.lower_bound() {
-        println!("lower bound ψ̄ − B/V:  {bound:.3e}");
+        writeln!(out, "lower bound ψ̄ − B/V:  {bound:.3e}")?;
     }
     if metrics.shed() > 0 {
-        println!("WARNING: {} transmissions shed", metrics.shed());
+        writeln!(out, "WARNING: {} transmissions shed", metrics.shed())?;
     }
     Ok(())
 }
@@ -198,19 +240,22 @@ fn telemetry(report: &SweepReport, stem: &str) -> Result<(), Box<dyn std::error:
     Ok(())
 }
 
-fn fig2a(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn fig2a(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let v_values = cmd
         .v_values
         .clone()
         .unwrap_or_else(|| (1..=10).map(|k| k as f64 * 1e5).collect());
     let opts = sweep_options("fig2a", cmd);
     let (rows, report) = experiments::fig2a_with(&cmd.scenario, &v_values, &opts)?;
-    println!("# Fig 2(a) — time-averaged expected energy cost bounds vs V");
-    print!("{}", report::bounds_table(&rows));
+    writeln!(
+        out,
+        "# Fig 2(a) — time-averaged expected energy cost bounds vs V"
+    )?;
+    write!(out, "{}", report::bounds_table(&rows))?;
     let tight = rows
         .windows(2)
         .all(|w| (w[1].upper - w[1].lower) <= (w[0].upper - w[0].lower) + 1e-9);
-    println!("# gap monotonically tightening with V: {tight}");
+    writeln!(out, "# gap monotonically tightening with V: {tight}")?;
     let mut csv = String::from("v,upper_cost,lower_cost,relaxed_cost,gap,upper_psi,lower_psi\n");
     for r in &rows {
         csv.push_str(&format!(
@@ -222,7 +267,7 @@ fn fig2a(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     telemetry(&report, "fig2a")
 }
 
-fn fig2bc(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn fig2bc(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let v_values = cmd
         .v_values
         .clone()
@@ -230,27 +275,34 @@ fn fig2bc(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     let opts = sweep_options("fig2bc", cmd);
     let (rows, report) = experiments::fig2bc_with(&cmd.scenario, &v_values, &opts)?;
     let (bs, users) = report::backlog_csv(&rows)?;
-    println!("# Fig 2(b) — total data queue backlog of base stations (packets)");
-    print!("{bs}");
-    println!("# Fig 2(c) — total data queue backlog of mobile users (packets)");
-    print!("{users}");
+    writeln!(
+        out,
+        "# Fig 2(b) — total data queue backlog of base stations (packets)"
+    )?;
+    write!(out, "{bs}")?;
+    writeln!(
+        out,
+        "# Fig 2(c) — total data queue backlog of mobile users (packets)"
+    )?;
+    write!(out, "{users}")?;
     for r in &rows {
-        println!(
+        writeln!(
+            out,
             "# V={:.0e}: BS final={:.0} peak={:.0}; users final={:.0} peak={:.0}",
             r.v,
             r.bs.last().unwrap_or(0.0),
             r.bs.max().unwrap_or(0.0),
             r.users.last().unwrap_or(0.0),
             r.users.max().unwrap_or(0.0),
-        );
-        println!("#   BS    {}", report::sparkline(&r.bs));
-        println!("#   users {}", report::sparkline(&r.users));
+        )?;
+        writeln!(out, "#   BS    {}", report::sparkline(&r.bs))?;
+        writeln!(out, "#   users {}", report::sparkline(&r.users))?;
     }
     write_artifacts(cmd, &[("fig2b.csv", &bs), ("fig2c.csv", &users)])?;
     telemetry(&report, "fig2bc")
 }
 
-fn fig2de(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn fig2de(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let v_values = cmd
         .v_values
         .clone()
@@ -261,25 +313,32 @@ fn fig2de(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     let opts = sweep_options("fig2de", cmd);
     let (rows, report) = experiments::fig2de_with(&scenario, &v_values, &opts)?;
     let (bs, users) = report::buffer_csv(&rows)?;
-    println!("# Fig 2(d) — total energy buffer size of base stations (kWh)");
-    print!("{bs}");
-    println!("# Fig 2(e) — total energy buffer size of mobile users (Wh)");
-    print!("{users}");
+    writeln!(
+        out,
+        "# Fig 2(d) — total energy buffer size of base stations (kWh)"
+    )?;
+    write!(out, "{bs}")?;
+    writeln!(
+        out,
+        "# Fig 2(e) — total energy buffer size of mobile users (Wh)"
+    )?;
+    write!(out, "{users}")?;
     for r in &rows {
-        println!(
+        writeln!(
+            out,
             "# V={:.0e}: BS final={:.3} kWh; users final={:.1} Wh",
             r.v,
             r.bs_kwh.last().unwrap_or(0.0),
             r.users_wh.last().unwrap_or(0.0),
-        );
-        println!("#   BS    {}", report::sparkline(&r.bs_kwh));
-        println!("#   users {}", report::sparkline(&r.users_wh));
+        )?;
+        writeln!(out, "#   BS    {}", report::sparkline(&r.bs_kwh))?;
+        writeln!(out, "#   users {}", report::sparkline(&r.users_wh))?;
     }
     write_artifacts(cmd, &[("fig2d.csv", &bs), ("fig2e.csv", &users)])?;
     telemetry(&report, "fig2de")
 }
 
-fn fig2f(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn fig2f(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let v_values = cmd.v_values.clone().unwrap_or_else(|| vec![1e5, 3e5, 5e5]);
     // Apply the documented Fig 2(f) calibration unless the user changed
     // those fields themselves.
@@ -293,14 +352,18 @@ fn fig2f(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
     }
     let opts = sweep_options("fig2f", cmd);
     let (rows, report) = experiments::fig2f_with(&scenario, &v_values, &opts)?;
-    println!("# Fig 2(f) — time-averaged expected energy cost by architecture");
-    print!("{}", report::architecture_table(&rows, &v_values));
+    writeln!(
+        out,
+        "# Fig 2(f) — time-averaged expected energy cost by architecture"
+    )?;
+    write!(out, "{}", report::architecture_table(&rows, &v_values))?;
     let ours: f64 = rows[0].costs.iter().sum();
     let best_other = rows[1..]
         .iter()
         .map(|r| r.costs.iter().sum::<f64>())
         .fold(f64::INFINITY, f64::min);
-    println!(
+    writeln!(
+        out,
         "# proposed beats best baseline: {} ({}).",
         ours <= best_other,
         if best_other > 0.0 {
@@ -308,11 +371,11 @@ fn fig2f(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
         } else {
             "baseline cost is zero".to_string()
         }
-    );
+    )?;
     telemetry(&report, "fig2f")
 }
 
-fn sweeps(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
+fn sweeps(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let base = &cmd.scenario;
     let opts = sweep_options("sweeps", cmd);
     let mut combined = SweepReport {
@@ -337,27 +400,30 @@ fn sweeps(cmd: &Command) -> Result<(), Box<dyn std::error::Error>> {
             experiments::sweep_bands_with(base, &[0, 2, 4, 8], &opts)?,
         ),
     ] {
-        println!("# {title}");
-        println!(
+        writeln!(out, "# {title}")?;
+        writeln!(
+            out,
             "{xlabel:>10} {:>12} {:>12} {:>14} {:>10}",
             "avg cost", "delivered", "peak backlog", "links/slot"
-        );
+        )?;
         for p in &points {
-            println!(
+            writeln!(
+                out,
                 "{:>10} {:>12.6} {:>12} {:>14.0} {:>10.2}",
                 p.x, p.avg_cost, p.delivered, p.peak_backlog, p.mean_scheduled
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
         combined.outcomes.extend(report.outcomes);
         combined.total_wall += report.total_wall;
     }
     let (rep, report) = experiments::replicate_with(base, &[1, 7, 13, 42, 99], &opts)?;
-    println!("# replication across seeds {:?}", rep.seeds);
-    println!(
+    writeln!(out, "# replication across seeds {:?}", rep.seeds)?;
+    writeln!(
+        out,
         "cost {:.6} ± {:.6}; delivered {:.0}; peak backlog {:.0}",
         rep.mean_cost, rep.std_cost, rep.mean_delivered, rep.mean_peak_backlog
-    );
+    )?;
     combined.outcomes.extend(report.outcomes);
     combined.total_wall += report.total_wall;
     telemetry(&combined, "sweeps")
