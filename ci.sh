@@ -51,7 +51,8 @@ echo "== s1 power lockstep gate =="
 # solve, pop and clear sequences on crowded instances with 6-64 bands:
 # each band's factors bit-equal to a from-scratch elimination of its
 # sub-system, verdicts and powers bit-equal to the whole-system
-# elimination, and every reject reason reached (noise floor, row sums,
+# elimination, row sums bit-equal to a recount in push order after any
+# push/pop history, and every reject reason reached (noise floor, row sums,
 # pivot, a cap on the new link, a cap on a held one); the s1 unit tests
 # hold the memo head
 # bit-equal to the band scan and the scan to the per-band minimum, the
@@ -82,18 +83,28 @@ cargo test -p greencell-core --test prop_s4_kernel -q $CARGO_FLAGS \
 cargo test -p greencell-core --lib s4::tests::modes_match -q $CARGO_FLAGS
 
 echo "== s3 routing lockstep gate =="
-# The S3 kernel (destination in-links in phase 1, backlogged senders only
-# in phase 2, candidates sorted sender by sender, a link skipped exactly
-# when -q_max + beta*H_ij >= 0) and the reference (every link per session
-# in phase 1, one global candidate sort) run on the same random instances:
-# 1-6 sessions, often two with one destination, tied coefficients, senders
-# the greedy runs dry, phase-1 deliveries that exhaust a cap, down nodes
-# under both relay policies, and a family at the prune's edge (beta*H_ij
+# The S3 kernel (phase 1 from each session's backlogged senders, the link
+# into the destination found by binary search; phase 2 sender by sender,
+# candidates pushed into a heap link by link and popped while the top's
+# (w, s) is at most the floor bound B = min (-Q^s_i, s) over the sessions
+# with backlog left, B recomputed on a drain, the scan stopped when none is
+# left; a link skipped exactly when -q_max + beta*H_ij >= 0) and the
+# reference (every link per session in phase 1, one global candidate sort)
+# run on the same random instances: 1-6 sessions, often two with one
+# destination, tied coefficients, senders the greedy runs dry, phase-1
+# deliveries that exhaust a cap, down nodes under both relay policies,
+# floor candidates applied mid-scan or capped below the backlog, equal
+# floors at one sender, drains that raise B, backlogged senders with no
+# link into the destination, and a family at the prune's edge (beta*H_ij
 # one ulp below, at or above a sender's largest backlog, or infinite, at
 # senders with sessions of unequal backlog). The kernel's flows must equal
 # the reference's non-zero entries exactly; debug builds also check that
-# no pruned link had a negative coefficient.
+# no pruned link had a negative coefficient and no pushed candidate lay
+# below its floor. The s3 unit tests check the heap's pop order against a
+# sort, the binary-search lookup against a scan, and how many out-links
+# the bound lets a sender scan.
 cargo test -p greencell-core --test prop_s3_kernel -q $CARGO_FLAGS
+cargo test -p greencell-core --lib s3 -q $CARGO_FLAGS
 
 echo "== slot driver golden gate =="
 # Fingerprints recorded in lockstep with the pre-pipeline controller: seed

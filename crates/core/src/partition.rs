@@ -168,9 +168,9 @@ pub struct Part {
     s1: S1Scratch,
     pub(crate) outcome: ScheduleOutcome,
     pub(crate) admissions: Vec<Admission>,
-    /// The routable links and their caps, with per-sender offsets and
-    /// per-receiver in-link lists. Kept across slots: rebuilt only when
-    /// the up-mask changes.
+    /// The routable links and their caps, sorted by `(sender, receiver)`
+    /// with per-sender offsets. Kept across slots: rebuilt only when the
+    /// up-mask changes.
     routing: RoutingTable,
     /// The local up-mask `routing` was built for (empty before the first
     /// build).
@@ -766,16 +766,18 @@ mod tests {
                 let fresh = fresh_caps(&part, mask, relay, cap);
                 let table = &part.routing;
                 assert_eq!(table.caps(), fresh, "{}: {mask:?}", relay.key());
-                // Sender offsets and in-link lists index exactly the fresh
-                // caps of each node, in cap order.
+                // Sender offsets index exactly the fresh caps of each node,
+                // in cap order, and the lookup finds exactly the fresh links.
                 for k in 0..6 {
                     let node = NodeId::from_index(k);
                     let out: Vec<usize> =
                         (0..fresh.len()).filter(|&x| fresh[x].0 == node).collect();
-                    let into: Vec<usize> =
-                        (0..fresh.len()).filter(|&x| fresh[x].1 == node).collect();
                     assert_eq!(table.out_links(node).collect::<Vec<_>>(), out, "{mask:?}");
-                    assert_eq!(table.in_links(node).collect::<Vec<_>>(), into, "{mask:?}");
+                    for l in 0..6 {
+                        let to = NodeId::from_index(l);
+                        let at = fresh.iter().position(|&(i, j, _)| (i, j) == (node, to));
+                        assert_eq!(table.link(node, to), at, "{mask:?}");
+                    }
                 }
                 let mut rebuilt = RoutingTable::default();
                 rebuilt.rebuild(6, fresh.iter().copied());

@@ -1,15 +1,20 @@
 //! Lockstep property tests for the S3 kernel: [`route_flows_into`], which
-//! scans only each destination's in-links and each backlogged sender's
-//! out-links and sorts the candidates sender by sender, against
-//! [`route_flows_reference`], which scans every link and sorts every
-//! candidate of the slot in one list, on the same input.
+//! visits only the backlogged senders, looks up their links into the
+//! destinations by binary search, and pops each sender's candidates from a
+//! heap under a floor bound, against [`route_flows_reference`], which scans
+//! every link and sorts every candidate of the slot in one list, on the
+//! same input.
 //!
 //! Over random 4–9-node networks with 1–6 sessions (often two with the
 //! same destination), per-node band subsets (so some pairs cannot route),
 //! down nodes under both relay policies, backlogs, link queues and caps
 //! drawn from short lists (so coefficients tie, caps bind and senders run
 //! dry), the kernel's flow list must equal the reference's non-zero
-//! entries exactly. A second family sits at the edge of phase 2's exact
+//! entries exactly. The family must reach the cases the floor bound rests
+//! on: floor candidates applied before a sender's scan ends, floor
+//! candidates whose cap cannot take the backlog, equal floors at one
+//! sender, drains that raise the bound, and backlogged senders with no
+//! link into the destination. A second family sits at the edge of phase 2's exact
 //! prune: `β` and the link queues are tuned so that `β·H_ij` lands on a
 //! backlog the senders hold, one ulp either side of it, or at `+∞`.
 
@@ -251,6 +256,11 @@ struct Coverage {
     phase1_exhausts_a_cap: usize,
     down_nodes: usize,
     one_hop: usize,
+    floor_applied_mid_scan: usize,
+    floor_capped: usize,
+    equal_floors: usize,
+    drain_raises_bound: usize,
+    no_delivery_link: usize,
 }
 
 fn coverage(inst: &Instance, flows: &Flows, cov: &mut Coverage) {
@@ -330,6 +340,107 @@ fn coverage(inst: &Instance, flows: &Flows, cov: &mut Coverage) {
     if inst.relay == RelayPolicy::OneHop {
         cov.one_hop += 1;
     }
+    floor_coverage(inst, flows, cov);
+}
+
+/// The cases phase 2's floor bound rests on. A session's floor at sender
+/// `i` is `L_s = −Q^s_i`; `B` is the least `(L_s, s)` over the sessions
+/// with backlog left after phase 1.
+fn floor_coverage(inst: &Instance, flows: &Flows, cov: &mut Coverage) {
+    let sessions = inst.net.sessions();
+    let dest = |s: SessionId| sessions[s.index()].destination();
+    let source = |s: SessionId| {
+        inst.admissions
+            .iter()
+            .find(|a| a.session == s)
+            .map(|a| a.source)
+    };
+    let q = |i: NodeId, s: SessionId| inst.data.backlog(i, s);
+    let floor = |i: NodeId, s: SessionId| -q(i, s).count_f64();
+    // Backlog left after phase 1's delivery.
+    let left = |i: NodeId, s: SessionId| {
+        let delivered: u64 = flows
+            .iter()
+            .filter(|f| f.0 == s && f.1 == i && f.2 == dest(s))
+            .map(|f| f.3.count())
+            .sum();
+        q(i, s).count() - delivered
+    };
+    let phase2 = |i: NodeId, s: SessionId| {
+        flows
+            .iter()
+            .filter(move |f| f.0 == s && f.1 == i && f.2 != dest(s))
+    };
+    let at_floor = |f: &(SessionId, NodeId, NodeId, Packets)| {
+        coeff(inst, f.0, f.1, f.2).to_bits() == floor(f.1, f.0).to_bits()
+    };
+    // A routable link out of `i` after receiver `j`: the scan goes on.
+    let later_link = |i: NodeId, j: NodeId| {
+        inst.caps
+            .iter()
+            .any(|&(a, b, c)| a == i && b > j && c > Packets::ZERO)
+    };
+    let negative = |i: NodeId, s: SessionId| {
+        inst.caps.iter().any(|&(a, j, c)| {
+            a == i
+                && c > Packets::ZERO
+                && Some(j) != source(s)
+                && j != dest(s)
+                && coeff(inst, s, a, j) < 0.0
+        })
+    };
+    let nodes = inst.net.topology().len();
+    let (mut mid_scan, mut capped, mut equal, mut raised) = (false, false, false, false);
+    for i in (0..nodes).map(NodeId::from_index) {
+        let live: Vec<SessionId> = sessions
+            .iter()
+            .map(|x| x.id())
+            .filter(|&s| dest(s) != i && left(i, s) > 0)
+            .collect();
+        // The initial `B`: the largest backlog left, the lowest session
+        // on a tie.
+        let Some(&first) = live
+            .iter()
+            .min_by(|&&a, &&b| floor(i, a).total_cmp(&floor(i, b)).then(a.cmp(&b)))
+        else {
+            continue;
+        };
+        mid_scan |= phase2(i, first).any(|f| at_floor(f) && later_link(i, f.2));
+        capped |= live
+            .iter()
+            .any(|&s| phase2(i, s).any(|f| at_floor(f) && f.3.count() < left(i, s)));
+        equal |= live.iter().enumerate().any(|(a, &s)| {
+            live[..a]
+                .iter()
+                .any(|&t| q(i, t) == q(i, s) && negative(i, s) && negative(i, t))
+        });
+        // `first` drains through floor candidates with a routable link
+        // after its last one, and another session still routes.
+        let moved: u64 = phase2(i, first).map(|f| f.3.count()).sum();
+        let last = phase2(i, first).map(|f| f.2).max();
+        raised |= moved == left(i, first)
+            && phase2(i, first).all(at_floor)
+            && last.is_some_and(|j| later_link(i, j))
+            && live
+                .iter()
+                .any(|&s| s != first && phase2(i, s).next().is_some());
+    }
+    cov.floor_applied_mid_scan += usize::from(mid_scan);
+    cov.floor_capped += usize::from(capped);
+    cov.equal_floors += usize::from(equal);
+    cov.drain_raises_bound += usize::from(raised);
+    // A backlogged sender of a delivering session with no link into its
+    // destination: phase 1's lookup comes back empty.
+    let no_link = sessions.iter().any(|x| {
+        let (s, d) = (x.id(), x.destination());
+        inst.demand[s.index()] > Packets::ZERO
+            && (0..nodes).map(NodeId::from_index).any(|i| {
+                i != d
+                    && q(i, s) > Packets::ZERO
+                    && !inst.caps.iter().any(|&(a, b, _)| (a, b) == (i, d))
+            })
+    });
+    cov.no_delivery_link += usize::from(no_link);
 }
 
 /// The instance family reaches every case the kernel's exactness argument
@@ -358,6 +469,26 @@ fn instances_cover_ties_spent_senders_and_shared_destinations() {
         ),
         ("down nodes", cov.down_nodes),
         ("one-hop relaying", cov.one_hop),
+        (
+            "floor candidates applied before the scan ends",
+            cov.floor_applied_mid_scan,
+        ),
+        (
+            "floor candidates whose cap cannot take the backlog",
+            cov.floor_capped,
+        ),
+        (
+            "two sessions with equal floors at one sender",
+            cov.equal_floors,
+        ),
+        (
+            "drains that raise the floor bound mid-scan",
+            cov.drain_raises_bound,
+        ),
+        (
+            "backlogged senders with no link into the destination",
+            cov.no_delivery_link,
+        ),
     ] {
         assert!(count >= 10, "only {count} of {cases} instances have {what}");
     }

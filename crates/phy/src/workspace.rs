@@ -50,7 +50,11 @@
 //!   It takes the minimum over every entry, an `O(k)` scan;
 //! * [`PowerControlWorkspace::pop_candidate`] undoes the last push — its
 //!   cross-gain row and column, its factor row and column, and its band's
-//!   powers — so a rejected probe costs `O(k_b)` beyond its elimination.
+//!   powers and row sums, restored from the values the push saved — so a
+//!   rejected probe costs `O(k_b)` beyond its elimination. Every row sum
+//!   is the fold of its row in push order, whatever the push/pop history
+//!   (a pop with nothing saved recounts its band), so the early reject
+//!   reads a function of the held set alone.
 //!
 //! The cross gains and the factors are each one flat row-major buffer
 //! with a fixed row stride, the entry count they have room for. Row `k`
@@ -120,8 +124,9 @@ pub struct PowerControlWorkspace {
     /// `q < band_len` of that band. Entries on different bands have no
     /// cross gain.
     cross: Vec<f64>,
-    /// Raw interference row sums `Σ_l cross_kl`, maintained
-    /// incrementally for the spectral-radius early reject.
+    /// Raw interference row sums `Σ_l cross_kl` for the spectral-radius
+    /// early reject: each is the left fold from `+0.0` of its row over the
+    /// band-mates in push order, whatever the push/pop history.
     row_sum: Vec<f64>,
     /// Watts per entry: the solution of its band's block, or, on a band in
     /// `stale`, possibly the noise floor a push seeded.
@@ -129,10 +134,10 @@ pub struct PowerControlWorkspace {
     /// The bands whose powers the next solve must recompute: those pushed
     /// to since their last solve.
     stale: Vec<usize>,
-    /// The pushed band's powers, in band order, saved by the outstanding
-    /// push for `pop_candidate` to restore.
-    p_saved: Vec<f64>,
-    /// The band `p_saved` belongs to, and whether it was stale before the
+    /// The pushed band's powers and row sums, in band order, saved by the
+    /// outstanding push for `pop_candidate` to restore.
+    mates_saved: Vec<(f64, f64)>,
+    /// The band `mates_saved` belongs to, and whether it was stale before the
     /// push; `None` once a pop has restored it.
     saved: Option<(usize, bool)>,
     /// No-pivot LU factors of each band's block of `I − A` over the first
@@ -208,7 +213,7 @@ impl PowerControlWorkspace {
         self.cap.reserve(entries);
         self.row_sum.reserve(entries);
         self.p.reserve(entries);
-        self.p_saved.reserve(entries);
+        self.mates_saved.reserve(entries);
         self.fwd.reserve(entries);
         self.x.reserve(entries);
         self.stale.reserve(bands);
@@ -304,8 +309,9 @@ impl PowerControlWorkspace {
         self.add_bands(b + 1);
         let (stride, q) = (self.stride, self.band_len[b]);
         let mates = &self.members[b * stride..b * stride + q];
-        self.p_saved.clear();
-        self.p_saved.extend(mates.iter().map(|&i| self.p[i]));
+        self.mates_saved.clear();
+        self.mates_saved
+            .extend(mates.iter().map(|&i| (self.p[i], self.row_sum[i])));
         self.saved = Some((b, self.stale.contains(&b)));
         // New column: t's transmitter interfering with the band-mates'
         // receivers; new row: their transmitters interfering with t's.
@@ -336,9 +342,10 @@ impl PowerControlWorkspace {
 
     /// Undoes the most recent [`PowerControlWorkspace::push_candidate`]
     /// — and, if a solve factored it, its factor row and column — and
-    /// restores its band's powers saved by it. Only the last push can be
-    /// undone, and only before the next one; a further pop leaves the
-    /// band's powers to the next solve.
+    /// restores its band's powers and row sums saved by it. Only the last
+    /// push can be undone, and only before the next one; a further pop
+    /// leaves the band's powers to the next solve and recounts its
+    /// band-mates' row sums, so a row sum depends only on the held set.
     ///
     /// # Panics
     ///
@@ -361,17 +368,24 @@ impl PowerControlWorkspace {
         self.band_len[b] = q;
         let stride = self.stride;
         let mates = &self.members[b * stride..b * stride + q];
-        for &i in mates {
-            self.row_sum[i] -= self.cross[i * stride + q];
-        }
         match self.saved.take() {
             Some((saved, was_stale)) if saved == b => {
-                for (&i, &w) in mates.iter().zip(&self.p_saved) {
+                for (&i, &(w, sum)) in mates.iter().zip(&self.mates_saved) {
                     self.p[i] = w;
+                    self.row_sum[i] = sum;
                 }
                 self.set_stale(b, was_stale);
             }
-            _ => self.set_stale(b, true),
+            _ => {
+                // The fold the pushes built: each band-mate's gains in push
+                // order. Its `+0.0` diagonal adds nothing, since a fold
+                // from `+0.0` never reaches `−0.0`.
+                for &i in mates {
+                    let row = &self.cross[i * stride..i * stride + q];
+                    self.row_sum[i] = row.iter().fold(0.0, |sum, &g| sum + g);
+                }
+                self.set_stale(b, true);
+            }
         }
     }
 
@@ -852,17 +866,91 @@ mod tests {
         }
     }
 
+    /// Every entry's row sum recounted from its cross gains: a fold from
+    /// `+0.0` over the held entries in push order (other bands add `0.0`).
+    fn recount_row_sums(ws: &PowerControlWorkspace) -> Vec<f64> {
+        let n = ws.len();
+        (0..n)
+            .map(|k| (0..n).fold(0.0, |sum, l| sum + ws.gain(k, l)))
+            .collect()
+    }
+
+    /// After random push, pop, probe and clear sequences on crowded bands,
+    /// every row sum is bit-equal to a recount in push order: a pop that
+    /// undoes the outstanding push restores its band-mates' sums, and a
+    /// further pop recounts them, so the early reject reads a function of
+    /// the held set alone.
+    #[test]
+    fn row_sums_equal_a_recount_after_push_pop_sequences() {
+        let mut rng = Rng::seed_from(17);
+        let mut ws = PowerControlWorkspace::new();
+        let (mut restored, mut recounted) = (0, 0);
+        for _ in 0..100 {
+            let bands = 1 + rng.index(3);
+            let spectrum = SpectrumState::new(vec![Bandwidth::from_megahertz(1.0); bands]);
+            let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
+            let n = 12 + rng.index(9);
+            let ids: Vec<NodeId> = (0..n)
+                .map(|k| {
+                    let p = Point::new(rng.range_f64(0.0, 3000.0), rng.range_f64(0.0, 3000.0));
+                    if k == 0 {
+                        b.add_base_station(p)
+                    } else {
+                        b.add_user(p)
+                    }
+                })
+                .collect();
+            let net = b.build().expect("valid");
+            let phy = PhyConfig::new(0.25, 1e-20);
+            let caps = caps(n);
+            ws.clear();
+            for _ in 0..40 {
+                let free: Vec<NodeId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|&id| !ws.txs.iter().any(|t| t.tx() == id || t.rx() == id))
+                    .collect();
+                let op = rng.index(8);
+                if op < 4 && free.len() >= 2 {
+                    let tx = free[rng.index(free.len())];
+                    let rx = free[(free.iter().position(|&x| x == tx).unwrap()
+                        + 1
+                        + rng.index(free.len() - 1))
+                        % free.len()];
+                    let t = Transmission::new(tx, rx, BandId::from_index(rng.index(bands)));
+                    if op == 0 {
+                        let _ = ws.probe(&net, &spectrum, &phy, &caps, t);
+                    } else {
+                        let _ = ws.push_candidate(&net, &spectrum, &phy, &caps, t);
+                    }
+                } else if op < 7 && !ws.is_empty() {
+                    let outstanding = ws
+                        .saved
+                        .is_some_and(|(b, _)| ws.txs.last().is_some_and(|t| t.band().index() == b));
+                    ws.pop_candidate();
+                    restored += usize::from(outstanding);
+                    recounted += usize::from(!outstanding);
+                } else if op == 7 {
+                    ws.clear();
+                }
+                assert_eq!(bits(&ws.row_sum), bits(&recount_row_sums(&ws)));
+            }
+        }
+        assert!(restored >= 10 && recounted >= 10, "{restored} {recounted}");
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Everything a rejected probe must leave as it found it: the entries,
-    /// the band lists, the cross-gain rows, the powers, the factor rows,
-    /// the forward right-hand side and the stale bands.
+    /// the band lists, the cross-gain rows, the row sums, the powers, the
+    /// factor rows, the forward right-hand side and the stale bands.
     type State = (
         Vec<Transmission>,
         Vec<Vec<usize>>,
         Vec<Vec<u64>>,
+        Vec<u64>,
         Vec<u64>,
         Vec<Vec<u64>>,
         Vec<u64>,
@@ -882,6 +970,7 @@ mod tests {
                     bits(&ws.cross[k * ws.stride..k * ws.stride + ws.band_len[b]])
                 })
                 .collect(),
+            bits(&ws.row_sum),
             bits(&ws.p),
             (0..ws.factored()).map(|i| bits(ws.lu_row(i))).collect(),
             bits(&ws.fwd),
@@ -920,18 +1009,9 @@ mod tests {
         let n = ws.len();
         let all: Vec<usize> = (0..n).collect();
         let whole = eliminate(ws, &all, phy);
-        // The early reject's row sums: every band-mate's gain, to the
-        // rounding of the pops' subtractions (the absolute term is far
-        // below any gain between two nodes of the 3 km square).
-        for k in 0..n {
-            let sum: f64 = (0..n).map(|l| ws.gain(k, l)).sum();
-            let err = (ws.row_sum[k] - sum).abs();
-            assert!(
-                err <= 1e-9 * sum + 1e-15,
-                "row sum {k}: {} vs {sum}",
-                ws.row_sum[k]
-            );
-        }
+        // The early reject's row sums: every band-mate's gain, summed in
+        // push order.
+        assert_eq!(bits(&ws.row_sum), bits(&recount_row_sums(ws)));
         // The early reject's verdict: the minimum ratio, folded as before
         // the scan stopped at the first row that clears the bound.
         let gamma = phy.sinr_threshold();
