@@ -292,29 +292,30 @@ for args in "run --v 0 --horizon 3 --track-lower-bound" \
     cat "$ARGV_DIR/err.txt" >&2; exit 1
   fi
 done
-# fault_sweep's positionals: an unparseable or surplus argument is a usage
-# error (exit 64; 2 means the watchdog flagged divergence), and nothing runs.
-FAULT_SWEEP_BIN="$PWD/target/release/fault_sweep"
-for args in "7x 5" "7 5 extra junk"; do
+# `greencell faults` takes greencell's flags: an unparseable or surplus
+# argument is a usage error (exit 2), and nothing runs or is written.
+for args in "faults --seed 7x" "faults extra"; do
   status=0
-  (cd "$ARGV_DIR" && "$FAULT_SWEEP_BIN" $args </dev/null >/dev/null 2>err.txt) || status=$?
-  if [ "$status" -ne 64 ]; then
-    echo "fault_sweep $args: expected exit 64, got $status" >&2; exit 1
+  (cd "$ARGV_DIR" && "$GREENCELL_BIN" $args </dev/null >/dev/null 2>err.txt) || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "greencell $args: expected exit 2, got $status" >&2; exit 1
   fi
   if grep -q 'panicked' "$ARGV_DIR/err.txt" || ! grep -q '^error:' "$ARGV_DIR/err.txt"; then
-    echo "fault_sweep $args: expected a typed error, got:" >&2
+    echo "greencell $args: expected a typed error, got:" >&2
     cat "$ARGV_DIR/err.txt" >&2; exit 1
   fi
   if [ -e "$ARGV_DIR/results" ]; then
-    echo "fault_sweep $args: wrote results despite a usage error" >&2; exit 1
+    echo "greencell $args: wrote results despite a usage error" >&2; exit 1
   fi
 done
 rm -rf "$ARGV_DIR"
 # A reader that closes stdout first (`greencell run | head -1`) ends the
-# command with status 0, no panic and no error line: `run` and `fig2a`,
-# 20 times each, with the pipe's read end closed before any write.
+# command with status 0, no panic and no error line: `run`, `fig2a` and
+# `faults`, 20 times each, with the pipe's read end closed before any
+# write; `faults` with a plain file where results/ belongs exits 1 with an
+# `error:` line.
 cargo test --test cli_pipe -q $CARGO_FLAGS
-echo "argv smoke: unrunnable settings and bad fault_sweep arguments are typed errors; a closed stdout exits 0"
+echo "argv smoke: unrunnable settings and bad faults arguments are typed errors; a closed stdout exits 0"
 
 echo "== benchmark harness compiles =="
 # The frozen perfbench/ harness builds against the library API, so an API
@@ -355,16 +356,24 @@ rm -rf "$FRONTIER_DIR"
 echo "frontier smoke: converged map written"
 
 echo "== figure run-smoke (release binary) =="
-# A tiny Fig. 2(a) sweep through the release binary: the bounds CSV lands
-# under --out and the sweep telemetry under results/ of the working
-# directory (a scratch dir here, so the checked-in telemetry is untouched).
+# Tiny runs of every figure action and the fault sweep through the release
+# binary: the figure CSVs land under --out, the sweep telemetry and the
+# fault sweep's stability record under results/ of the working directory
+# (a scratch dir here, so the checked-in telemetry is untouched).
 FIG_DIR=$(mktemp -d)
-(cd "$FIG_DIR" && "$GREENCELL_BIN" fig2a --tiny --horizon 5 --v-values 1e5,2e5 \
-  --out "$FIG_DIR" >/dev/null)
-test -s "$FIG_DIR/fig2a.csv"
-test -s "$FIG_DIR/results/fig2a_telemetry.json"
+for action in fig2a fig2bc fig2de fig2f; do
+  (cd "$FIG_DIR" && "$GREENCELL_BIN" $action --tiny --horizon 5 --v-values 1e5,2e5 \
+    --out "$FIG_DIR" >/dev/null)
+  test -s "$FIG_DIR/results/${action}_telemetry.json"
+done
+for csv in fig2a fig2b fig2c fig2d fig2e; do
+  test -s "$FIG_DIR/$csv.csv"
+done
+test -s "$FIG_DIR/results/fig2f_telemetry.csv"
+(cd "$FIG_DIR" && "$GREENCELL_BIN" faults --tiny --horizon 5 >/dev/null)
+test -s "$FIG_DIR/results/fault_sweep_stability.json"
 rm -rf "$FIG_DIR"
-echo "figure smoke: fig2a.csv and telemetry written"
+echo "figure smoke: fig2a-e CSVs, fig2f telemetry and the fault stability record written"
 
 echo "== trace determinism gate =="
 # Short paper-scenario traced run (the scenario and its seed+1 twin).

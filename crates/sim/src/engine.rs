@@ -730,17 +730,14 @@ impl Simulator {
         Ok(&self.metrics)
     }
 
-    /// Runs the whole horizon, returning the collected metrics.
+    /// Runs the whole horizon, returning the collected metrics
+    /// ([`Simulator::run_traced`] into a [`NoopSink`]).
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable controller errors.
     pub fn run(&mut self) -> Result<&RunMetrics, SimError> {
-        while self.slots_run < self.scenario.horizon {
-            self.step()?;
-        }
-        self.finalize();
-        Ok(&self.metrics)
+        self.run_traced(&mut NoopSink)
     }
 
     /// Runs the whole horizon while recording every slot's observation for

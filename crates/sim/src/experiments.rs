@@ -1,9 +1,11 @@
-//! One runner per paper figure. Each returns the exact series/rows the
-//! paper plots; the `fig2*` binaries print them via [`crate::report`].
+//! The figure runners, each on the sweep engine: [`v_sweep`] runs one
+//! point per Lyapunov weight and its outcomes hold the Fig. 2(b)–(e)
+//! series; [`fig2a`] and [`fig2f`] reduce their sweeps to the rows the
+//! paper plots; the structural sweeps and [`replicate`] summarize runs.
+//! The `greencell` figure subcommands print them via [`crate::report`].
 
 use crate::sweep::{run_sweep, PointOutcome, SweepOptions, SweepPoint, SweepReport};
 use crate::{Architecture, Scenario, SimError};
-use greencell_stochastic::Series;
 
 /// One `(V, upper, lower)` row of Fig. 2(a).
 #[derive(Debug, Clone, PartialEq)]
@@ -25,36 +27,48 @@ pub struct BoundsRow {
     pub lower_psi: f64,
 }
 
-/// Fig. 2(a): upper and lower bounds on `ψ*_P1` versus `V`.
+/// Runs `base` once per `V` value on the sweep engine, fanning the points
+/// across `opts.threads` workers: one point labelled `V=<v>` per value,
+/// outcomes in `v_values` order. Each outcome's [`crate::RunMetrics`]
+/// holds every per-slot series Fig. 2(b)–(e) plots.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn fig2a(base: &Scenario, v_values: &[f64]) -> Result<Vec<BoundsRow>, SimError> {
-    fig2a_with(base, v_values, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`fig2a`] on the sweep engine: fans the `V` points across
-/// `opts.threads` workers and also returns the engine's telemetry report.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2a_with(
+pub fn v_sweep(
     base: &Scenario,
     v_values: &[f64],
     opts: &SweepOptions,
-) -> Result<(Vec<BoundsRow>, SweepReport), SimError> {
-    let points: Vec<SweepPoint> = v_values
+) -> Result<SweepReport, SimError> {
+    run_sweep(&v_points(base, v_values, ""), opts)
+}
+
+/// One engine point per `V` value, each label prefixed by `prefix`.
+fn v_points(base: &Scenario, v_values: &[f64], prefix: &str) -> Vec<SweepPoint> {
+    v_values
         .iter()
         .map(|&v| {
             let mut scenario = base.clone();
             scenario.v = v;
-            scenario.track_lower_bound = true;
-            SweepPoint::new(format!("V={v:e}"), scenario)
+            SweepPoint::new(format!("{prefix}V={v:e}"), scenario)
         })
-        .collect();
-    let report = run_sweep(&points, opts)?;
+        .collect()
+}
+
+/// Fig. 2(a): upper and lower bounds on `ψ*_P1` versus `V`, from a
+/// [`v_sweep`] with the relaxed lower-bound controller co-run.
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+pub fn fig2a(
+    base: &Scenario,
+    v_values: &[f64],
+    opts: &SweepOptions,
+) -> Result<(Vec<BoundsRow>, SweepReport), SimError> {
+    let mut tracked = base.clone();
+    tracked.track_lower_bound = true;
+    let report = v_sweep(&tracked, v_values, opts)?;
     let lambda = base.lambda;
     let rows = v_values
         .iter()
@@ -79,105 +93,6 @@ pub fn fig2a_with(
     Ok((rows, report))
 }
 
-/// One V's backlog trajectories for Fig. 2(b) (BSs) and 2(c) (users).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BacklogRow {
-    /// The Lyapunov weight.
-    pub v: f64,
-    /// Total BS data-queue backlog per slot.
-    pub bs: Series,
-    /// Total user data-queue backlog per slot.
-    pub users: Series,
-}
-
-/// Fig. 2(b)/(c): total data-queue backlogs over time for a sweep of `V`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2bc(base: &Scenario, v_values: &[f64]) -> Result<Vec<BacklogRow>, SimError> {
-    fig2bc_with(base, v_values, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`fig2bc`] on the sweep engine, with telemetry.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2bc_with(
-    base: &Scenario,
-    v_values: &[f64],
-    opts: &SweepOptions,
-) -> Result<(Vec<BacklogRow>, SweepReport), SimError> {
-    let report = run_sweep(&v_points(base, v_values), opts)?;
-    let rows = v_values
-        .iter()
-        .zip(&report.outcomes)
-        .map(|(&v, o)| BacklogRow {
-            v,
-            bs: o.metrics.backlog_bs_series().clone(),
-            users: o.metrics.backlog_users_series().clone(),
-        })
-        .collect();
-    Ok((rows, report))
-}
-
-/// One engine point per `V` value (shared by the Fig. 2 time-series runs).
-fn v_points(base: &Scenario, v_values: &[f64]) -> Vec<SweepPoint> {
-    v_values
-        .iter()
-        .map(|&v| {
-            let mut scenario = base.clone();
-            scenario.v = v;
-            SweepPoint::new(format!("V={v:e}"), scenario)
-        })
-        .collect()
-}
-
-/// One V's energy-buffer trajectories for Fig. 2(d) (BSs, kWh) and 2(e)
-/// (users, Wh).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferRow {
-    /// The Lyapunov weight.
-    pub v: f64,
-    /// Total BS battery level per slot (kWh).
-    pub bs_kwh: Series,
-    /// Total user battery level per slot (Wh).
-    pub users_wh: Series,
-}
-
-/// Fig. 2(d)/(e): total energy-buffer levels over time for a sweep of `V`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2de(base: &Scenario, v_values: &[f64]) -> Result<Vec<BufferRow>, SimError> {
-    fig2de_with(base, v_values, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`fig2de`] on the sweep engine, with telemetry.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2de_with(
-    base: &Scenario,
-    v_values: &[f64],
-    opts: &SweepOptions,
-) -> Result<(Vec<BufferRow>, SweepReport), SimError> {
-    let report = run_sweep(&v_points(base, v_values), opts)?;
-    let rows = v_values
-        .iter()
-        .zip(&report.outcomes)
-        .map(|(&v, o)| BufferRow {
-            v,
-            bs_kwh: o.metrics.buffer_bs_series().clone(),
-            users_wh: o.metrics.buffer_users_series().clone(),
-        })
-        .collect();
-    Ok((rows, report))
-}
-
 /// One `(architecture, V, cost)` cell of Fig. 2(f).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureRow {
@@ -188,37 +103,22 @@ pub struct ArchitectureRow {
 }
 
 /// Fig. 2(f): time-averaged energy cost of the four architectures across
-/// `V` values, under common random numbers.
+/// `V` values, under common random numbers. All `architecture × V` cells
+/// become one flat point list, so a parallel run overlaps the whole grid.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn fig2f(base: &Scenario, v_values: &[f64]) -> Result<Vec<ArchitectureRow>, SimError> {
-    fig2f_with(base, v_values, &SweepOptions::serial()).map(|(rows, _)| rows)
-}
-
-/// [`fig2f`] on the sweep engine: all `architecture × V` cells become one
-/// flat point list, so a parallel run overlaps the whole grid.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn fig2f_with(
+pub fn fig2f(
     base: &Scenario,
     v_values: &[f64],
     opts: &SweepOptions,
 ) -> Result<(Vec<ArchitectureRow>, SweepReport), SimError> {
     let mut points = Vec::with_capacity(Architecture::ALL.len() * v_values.len());
     for architecture in Architecture::ALL {
-        for &v in v_values {
-            let mut scenario = base.clone();
-            scenario.v = v;
-            scenario.architecture = architecture;
-            points.push(SweepPoint::new(
-                format!("{architecture:?}/V={v:e}"),
-                scenario,
-            ));
-        }
+        let mut scenario = base.clone();
+        scenario.architecture = architecture;
+        points.extend(v_points(&scenario, v_values, &format!("{architecture:?}/")));
     }
     let report = run_sweep(&points, opts)?;
     let rows = Architecture::ALL
@@ -262,7 +162,7 @@ pub struct Replication {
 /// # Panics
 ///
 /// Panics if `seeds` is empty.
-pub fn replicate_with(
+pub fn replicate(
     base: &Scenario,
     seeds: &[u64],
     opts: &SweepOptions,
@@ -350,7 +250,7 @@ fn structural_sweep(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn sweep_users_with(
+pub fn sweep_users(
     base: &Scenario,
     counts: &[usize],
     opts: &SweepOptions,
@@ -372,7 +272,7 @@ pub fn sweep_users_with(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn sweep_sessions_with(
+pub fn sweep_sessions(
     base: &Scenario,
     counts: &[usize],
     opts: &SweepOptions,
@@ -394,7 +294,7 @@ pub fn sweep_sessions_with(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn sweep_bands_with(
+pub fn sweep_bands(
     base: &Scenario,
     extra_bands: &[usize],
     opts: &SweepOptions,
@@ -418,7 +318,7 @@ mod tests {
     fn fig2a_rows_are_ordered_bounds() {
         let mut base = Scenario::tiny(23);
         base.horizon = 12;
-        let rows = fig2a(&base, &[1e5, 5e5]).unwrap();
+        let (rows, _) = fig2a(&base, &[1e5, 5e5], &SweepOptions::serial()).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.lower <= row.upper, "bound ordering violated");
@@ -429,22 +329,27 @@ mod tests {
     }
 
     #[test]
-    fn fig2bc_produces_one_series_per_v() {
+    fn v_sweep_runs_one_point_per_v() {
         let mut base = Scenario::tiny(29);
         base.horizon = 8;
-        let rows = fig2bc(&base, &[1e5, 2e5, 3e5]).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.bs.len() == 8 && r.users.len() == 8));
+        let report = v_sweep(&base, &[1e5, 2e5, 3e5], &SweepOptions::with_threads(2)).unwrap();
+        let labels: Vec<&str> = report.outcomes.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, ["V=1e5", "V=2e5", "V=3e5"]);
+        assert!(report.outcomes.iter().all(|o| {
+            let m = &o.metrics;
+            m.backlog_bs_series().len() == 8 && m.buffer_users_series().len() == 8
+        }));
     }
 
     #[test]
     fn fig2f_covers_all_architectures() {
         let mut base = Scenario::tiny(31);
         base.horizon = 8;
-        let rows = fig2f(&base, &[1e5]).unwrap();
+        let (rows, report) = fig2f(&base, &[1e5], &SweepOptions::serial()).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].architecture, Architecture::Proposed);
         assert!(rows.iter().all(|r| r.costs.len() == 1));
+        assert_eq!(report.outcomes[0].label, "Proposed/V=1e5");
     }
 
     #[test]
@@ -452,12 +357,12 @@ mod tests {
         let mut base = Scenario::tiny(37);
         base.horizon = 6;
         let opts = SweepOptions::with_threads(2);
-        let (users, report) = sweep_users_with(&base, &[3, 6], &opts).unwrap();
+        let (users, report) = sweep_users(&base, &[3, 6], &opts).unwrap();
         assert_eq!(users.iter().map(|p| p.x).collect::<Vec<_>>(), [3.0, 6.0]);
         assert_eq!(report.outcomes.len(), 2);
-        let (sessions, _) = sweep_sessions_with(&base, &[1, 2], &opts).unwrap();
+        let (sessions, _) = sweep_sessions(&base, &[1, 2], &opts).unwrap();
         assert_eq!(sessions.len(), 2);
-        let (bands, _) = sweep_bands_with(&base, &[0, 2], &opts).unwrap();
+        let (bands, _) = sweep_bands(&base, &[0, 2], &opts).unwrap();
         assert_eq!(bands.len(), 2);
         assert!(users
             .iter()
@@ -465,7 +370,7 @@ mod tests {
             .chain(&bands)
             .all(|p| p.avg_cost.is_finite() && p.mean_scheduled >= 0.0));
         // Worker count never changes results.
-        let (serial, _) = sweep_users_with(&base, &[3, 6], &SweepOptions::serial()).unwrap();
+        let (serial, _) = sweep_users(&base, &[3, 6], &SweepOptions::serial()).unwrap();
         assert_eq!(serial, users);
     }
 
@@ -473,8 +378,7 @@ mod tests {
     fn replication_aggregates_every_seed() {
         let mut base = Scenario::tiny(41);
         base.horizon = 6;
-        let (rep, report) =
-            replicate_with(&base, &[1, 2, 3], &SweepOptions::with_threads(2)).unwrap();
+        let (rep, report) = replicate(&base, &[1, 2, 3], &SweepOptions::with_threads(2)).unwrap();
         assert_eq!(rep.seeds, [1, 2, 3]);
         assert_eq!(report.outcomes.len(), 3);
         assert!(rep.mean_cost.is_finite() && rep.std_cost >= 0.0);

@@ -11,9 +11,10 @@
 //! * [`Simulator`] — drives a [`greencell_core::Controller`] (and
 //!   optionally the relaxed lower-bound controller on the *same* random
 //!   observations) and collects [`RunMetrics`].
-//! * [`experiments`] — one runner per figure, each returning the exact
-//!   rows/series the paper plots; the `greencell fig2a`/`fig2bc`/`fig2de`/
-//!   `fig2f` subcommands print them.
+//! * [`experiments`] — the figure runners: one `V` sweep whose outcomes
+//!   hold every Fig. 2(b)–(e) series, and the Fig. 2(a)/(f) reductions;
+//!   the `greencell fig2a`/`fig2bc`/`fig2de`/`fig2f` subcommands print
+//!   them through [`report`].
 //!
 //! # Examples
 //!

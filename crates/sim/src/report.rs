@@ -1,9 +1,10 @@
-//! Plain-text rendering of experiment results: aligned tables and
-//! CSV-ready series for each figure.
+//! Plain-text rendering of experiment results: aligned tables and the
+//! CSV writer for the per-slot series of each figure.
 
-use crate::experiments::{ArchitectureRow, BacklogRow, BoundsRow, BufferRow};
-use crate::SimError;
+use crate::experiments::{ArchitectureRow, BoundsRow};
+use crate::{PointOutcome, RunMetrics, SimError};
 use greencell_stochastic::Series;
+use greencell_trace::names;
 use std::fmt::Write as _;
 
 /// Renders Fig. 2(a)'s rows as an aligned table.
@@ -25,20 +26,71 @@ pub fn bounds_table(rows: &[BoundsRow]) -> String {
     out
 }
 
-/// Renders a set of same-length series as CSV with a slot column.
+/// Renders one picked per-slot series of every `V` point as CSV: a `slot`
+/// column, then one `V=<v>` column per point in `v_values` order — e.g.
+/// Fig. 2(b) is `series_csv(&v, &report.outcomes, RunMetrics::backlog_bs_series)`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Serialize`] if the header does not cover every
-/// column or the series lengths differ.
-pub fn series_csv(header: &[&str], series: &[&Series]) -> Result<String, SimError> {
-    if header.len() != series.len() + 1 {
+/// Returns [`SimError::Serialize`] if `v_values` and `outcomes` differ in
+/// length or the picked series do.
+pub fn series_csv(
+    v_values: &[f64],
+    outcomes: &[PointOutcome],
+    pick: Pick,
+) -> Result<String, SimError> {
+    if v_values.len() != outcomes.len() {
         return Err(SimError::Serialize(format!(
-            "one header per column + slot: got {} headers for {} series",
-            header.len(),
-            series.len()
+            "one V per column: got {} V values for {} points",
+            v_values.len(),
+            outcomes.len()
         )));
     }
+    let mut out = String::from("slot");
+    for v in v_values {
+        let _ = write!(out, ",V={v:.0e}");
+    }
+    out.push('\n');
+    let series: Vec<&Series> = outcomes.iter().map(|o| pick(&o.metrics)).collect();
+    write_rows(&mut out, "", &series)?;
+    Ok(out)
+}
+
+/// Picks one per-slot series out of a run's metrics.
+type Pick = fn(&RunMetrics) -> &Series;
+
+/// The columns of [`timeseries_csv`]: the Fig. 2 series, named as the
+/// engine's trace gauges that carry the same values.
+const TIMESERIES: [(&str, Pick); 6] = [
+    (names::COST, RunMetrics::cost_series),
+    (names::GRID_KWH, RunMetrics::grid_series),
+    (names::BACKLOG_BS, RunMetrics::backlog_bs_series),
+    (names::BACKLOG_USERS, RunMetrics::backlog_users_series),
+    (names::BUFFER_BS_KWH, RunMetrics::buffer_bs_series),
+    (names::BUFFER_USERS_WH, RunMetrics::buffer_users_series),
+];
+
+/// The Fig. 2 time series of every point as one CSV: one row per
+/// `(point, slot)`, labelled by point, over the whole horizon.
+pub(crate) fn timeseries_csv(outcomes: &[PointOutcome]) -> Result<String, SimError> {
+    let mut out = String::from("label,slot");
+    for (name, _) in TIMESERIES {
+        let _ = write!(out, ",{name}");
+    }
+    out.push('\n');
+    for o in outcomes {
+        let series: Vec<&Series> = TIMESERIES
+            .iter()
+            .map(|(_, pick)| pick(&o.metrics))
+            .collect();
+        write_rows(&mut out, &format!("{},", csv_escape(&o.label)), &series)?;
+    }
+    Ok(out)
+}
+
+/// Appends one `<prefix><slot>,<v>,…` row per slot of `series`, which
+/// must all have the same length.
+fn write_rows(out: &mut String, prefix: &str, series: &[&Series]) -> Result<(), SimError> {
     let len = series.first().map_or(0, |s| s.len());
     if let Some(bad) = series.iter().find(|s| s.len() != len) {
         return Err(SimError::Serialize(format!(
@@ -46,53 +98,23 @@ pub fn series_csv(header: &[&str], series: &[&Series]) -> Result<String, SimErro
             bad.len()
         )));
     }
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", header.join(","));
     for t in 0..len {
-        let _ = write!(out, "{t}");
+        let _ = write!(out, "{prefix}{t}");
         for s in series {
-            let v = s.at(t).ok_or_else(|| {
-                SimError::Serialize(format!("series shorter than its stated length at slot {t}"))
-            })?;
-            let _ = write!(out, ",{v}");
+            let _ = write!(out, ",{}", s.values()[t]);
         }
-        let _ = writeln!(out);
+        out.push('\n');
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Renders Fig. 2(b)/(c) trajectories as two CSV blocks.
-///
-/// # Errors
-///
-/// Returns [`SimError::Serialize`] if the rows' series lengths differ.
-pub fn backlog_csv(rows: &[BacklogRow]) -> Result<(String, String), SimError> {
-    let mut header = vec!["slot".to_string()];
-    header.extend(rows.iter().map(|r| format!("V={:.0e}", r.v)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let bs: Vec<&Series> = rows.iter().map(|r| &r.bs).collect();
-    let users: Vec<&Series> = rows.iter().map(|r| &r.users).collect();
-    Ok((
-        series_csv(&header_refs, &bs)?,
-        series_csv(&header_refs, &users)?,
-    ))
-}
-
-/// Renders Fig. 2(d)/(e) trajectories as two CSV blocks.
-///
-/// # Errors
-///
-/// Returns [`SimError::Serialize`] if the rows' series lengths differ.
-pub fn buffer_csv(rows: &[BufferRow]) -> Result<(String, String), SimError> {
-    let mut header = vec!["slot".to_string()];
-    header.extend(rows.iter().map(|r| format!("V={:.0e}", r.v)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let bs: Vec<&Series> = rows.iter().map(|r| &r.bs_kwh).collect();
-    let users: Vec<&Series> = rows.iter().map(|r| &r.users_wh).collect();
-    Ok((
-        series_csv(&header_refs, &bs)?,
-        series_csv(&header_refs, &users)?,
-    ))
+/// Quotes a CSV field that holds a comma or a quote.
+pub(crate) fn csv_escape(field: &str) -> String {
+    if field.contains(',') || field.contains('"') {
+        format!("\"{}\"", field.replace('"', "\"\""))
+    } else {
+        field.to_string()
+    }
 }
 
 /// Renders Fig. 2(f)'s comparison as an aligned table.
@@ -170,28 +192,68 @@ mod tests {
         assert!(t.contains("1e5") || t.contains("1.000e5"));
     }
 
+    /// A tiny run's outcome carrying `metrics` instead of its own.
+    fn outcome(label: &str, metrics: RunMetrics) -> PointOutcome {
+        let mut scenario = crate::Scenario::tiny(1);
+        scenario.horizon = 1;
+        let mut o = crate::run_point(label, &scenario).unwrap();
+        o.metrics = metrics;
+        o
+    }
+
+    fn metrics(backlogs: &[f64]) -> RunMetrics {
+        let mut m = RunMetrics::new();
+        for (t, &b) in backlogs.iter().enumerate() {
+            let t = t as f64;
+            m.record_slot(t, t + 0.5, b, 2.0 * b, 3.0, 4.0, 0.0, 0.0, 0.0, 0);
+        }
+        m
+    }
+
     #[test]
     fn series_csv_layout() {
-        let a: Series = [1.0, 2.0].into_iter().collect();
-        let b: Series = [3.0, 4.0].into_iter().collect();
-        let csv = series_csv(&["slot", "a", "b"], &[&a, &b]).unwrap();
-        assert_eq!(csv, "slot,a,b\n0,1,3\n1,2,4\n");
+        let outcomes = [
+            outcome("a", metrics(&[1.0, 2.0])),
+            outcome("b", metrics(&[3.0, 4.0])),
+        ];
+        let csv = series_csv(&[1e5, 2e5], &outcomes, RunMetrics::backlog_bs_series).unwrap();
+        assert_eq!(csv, "slot,V=1e5,V=2e5\n0,1,3\n1,2,4\n");
+        let csv = series_csv(&[1e5, 2e5], &outcomes, RunMetrics::backlog_users_series).unwrap();
+        assert_eq!(csv, "slot,V=1e5,V=2e5\n0,2,6\n1,4,8\n");
     }
 
     #[test]
     fn mismatched_series_rejected() {
-        let a: Series = [1.0].into_iter().collect();
-        let b: Series = [1.0, 2.0].into_iter().collect();
-        let err = series_csv(&["slot", "a", "b"], &[&a, &b]).unwrap_err();
+        let outcomes = [
+            outcome("a", metrics(&[1.0])),
+            outcome("b", metrics(&[1.0, 2.0])),
+        ];
+        let err = series_csv(&[1e5, 2e5], &outcomes, RunMetrics::cost_series).unwrap_err();
         assert!(matches!(err, SimError::Serialize(_)));
         assert!(err.to_string().contains("series lengths differ"));
     }
 
     #[test]
     fn short_header_rejected() {
-        let a: Series = [1.0].into_iter().collect();
-        let err = series_csv(&["slot"], &[&a]).unwrap_err();
+        let outcomes = [outcome("a", metrics(&[1.0]))];
+        let err = series_csv(&[], &outcomes, RunMetrics::cost_series).unwrap_err();
         assert!(matches!(err, SimError::Serialize(_)));
+    }
+
+    #[test]
+    fn timeseries_csv_rows_every_slot_of_every_point() {
+        let outcomes = [
+            outcome("p0", metrics(&[10.0, 11.0])),
+            outcome("p,1", metrics(&[7.0])),
+        ];
+        let csv = timeseries_csv(&outcomes).unwrap();
+        assert_eq!(
+            csv,
+            "label,slot,cost,grid_kwh,backlog_bs,backlog_users,buffer_bs_kwh,buffer_users_wh\n\
+             p0,0,0,0.5,10,20,3,4\n\
+             p0,1,1,1.5,11,22,3,4\n\
+             \"p,1\",0,0,0.5,7,14,3,4\n"
+        );
     }
 
     #[test]

@@ -457,11 +457,7 @@ impl SweepReport {
         for o in &self.outcomes {
             let t = &o.telemetry;
             let s = &t.stages;
-            let label = if o.label.contains(',') || o.label.contains('"') {
-                format!("\"{}\"", o.label.replace('"', "\"\""))
-            } else {
-                o.label.clone()
-            };
+            let label = crate::report::csv_escape(&o.label);
             out.push_str(&format!(
                 "{label},{},{},{:.6},{:.2},{:.6},{:.6},{:.6},{:.6},{:.9},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{:.6},{}\n",
                 o.seed,

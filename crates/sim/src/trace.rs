@@ -30,16 +30,18 @@ pub fn trace_points(
     Ok(TracedRun { report, bundle })
 }
 
-/// Writes the three trace artifacts for `bundle` under `dir`:
+/// Writes the three trace artifacts for `run` under `dir`:
 /// `trace_<stem>.json` (chrome://tracing, Perfetto-loadable),
 /// `trace_<stem>_deterministic.json` (the byte-stable section), and
-/// `trace_<stem>_timeseries.csv` (Fig. 2 axes). Returns the paths.
+/// `trace_<stem>_timeseries.csv` (Fig. 2 axes, every slot of every point,
+/// from each point's [`crate::RunMetrics`] rather than the trace ring).
+/// Returns the paths.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Io`] on I/O failure.
 pub fn write_trace_artifacts(
-    bundle: &TraceBundle,
+    run: &TracedRun,
     dir: impl AsRef<Path>,
     stem: &str,
 ) -> Result<Vec<PathBuf>, SimError> {
@@ -47,9 +49,12 @@ pub fn write_trace_artifacts(
     let chrome = dir.join(format!("trace_{stem}.json"));
     let deterministic = dir.join(format!("trace_{stem}_deterministic.json"));
     let timeseries = dir.join(format!("trace_{stem}_timeseries.csv"));
-    crate::sweep::write_text(&chrome, &bundle.chrome_trace_json())?;
-    crate::sweep::write_text(&deterministic, &bundle.deterministic_json())?;
-    crate::sweep::write_text(&timeseries, &bundle.timeseries_csv())?;
+    crate::sweep::write_text(&chrome, &run.bundle.chrome_trace_json())?;
+    crate::sweep::write_text(&deterministic, &run.bundle.deterministic_json())?;
+    crate::sweep::write_text(
+        &timeseries,
+        &crate::report::timeseries_csv(&run.report.outcomes)?,
+    )?;
     Ok(vec![chrome, deterministic, timeseries])
 }
 
@@ -151,8 +156,8 @@ mod tests {
     #[test]
     fn artifacts_write_and_parse() {
         let run = trace_one(Scenario::tiny(9), "t9");
-        let dir = std::env::temp_dir().join("greencell_trace_test");
-        let paths = write_trace_artifacts(&run.bundle, &dir, "t9").unwrap();
+        let dir = std::env::temp_dir().join(format!("greencell_trace_test_{}", std::process::id()));
+        let paths = write_trace_artifacts(&run, &dir, "t9").unwrap();
         assert_eq!(paths.len(), 3);
         for p in &paths {
             let text = std::fs::read_to_string(p).unwrap();
@@ -162,5 +167,44 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A ring far smaller than the run overwrites the early slots' gauges,
+    /// yet the time series still has one row per slot, equal to the run's
+    /// metrics.
+    #[test]
+    fn timeseries_outlives_a_wrapped_ring() {
+        let mut scenario = Scenario::tiny(11);
+        scenario.horizon = 20;
+        let points = [SweepPoint::new("wrap", scenario)];
+        let run = trace_points(&points, &SweepOptions::serial(), 48).unwrap();
+        assert!(run.bundle.tracks[0].dropped > 0, "the ring must wrap");
+        let dir = std::env::temp_dir().join(format!("greencell_trace_wrap_{}", std::process::id()));
+        let paths = write_trace_artifacts(&run, &dir, "wrap").unwrap();
+        let csv = std::fs::read_to_string(&paths[2]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = &run.report.outcomes[0].metrics;
+        let columns = [
+            m.cost_series(),
+            m.grid_series(),
+            m.backlog_bs_series(),
+            m.backlog_users_series(),
+            m.buffer_bs_series(),
+            m.buffer_users_series(),
+        ];
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 20, "one row per slot");
+        for (t, row) in rows.iter().enumerate() {
+            let cells: Vec<&str> = row.split(',').collect();
+            assert_eq!(cells[..2], ["wrap", t.to_string().as_str()], "{row}");
+            for (cell, series) in cells[2..].iter().zip(columns) {
+                let value: f64 = cell.parse().unwrap();
+                assert_eq!(
+                    value.to_bits(),
+                    series.values()[t].to_bits(),
+                    "slot {t}: {row}"
+                );
+            }
+        }
     }
 }

@@ -233,12 +233,6 @@ impl Series {
     pub fn last(&self) -> Option<f64> {
         self.values.last().copied()
     }
-
-    /// Value at slot `t`; `None` if out of range.
-    #[must_use]
-    pub fn at(&self, t: usize) -> Option<f64> {
-        self.values.get(t).copied()
-    }
 }
 
 impl FromIterator<f64> for Series {
@@ -297,8 +291,7 @@ mod tests {
         assert_eq!(s.mean(), 2.5);
         assert_eq!(s.max(), Some(4.0));
         assert_eq!(s.last(), Some(4.0));
-        assert_eq!(s.at(1), Some(2.0));
-        assert_eq!(s.at(9), None);
+        assert_eq!(s.values()[1], 2.0);
     }
 
     #[test]

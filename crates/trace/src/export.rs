@@ -1,15 +1,13 @@
-//! Exporters: chrome://tracing JSON (Perfetto-loadable), a Fig. 2-axis
-//! CSV time series, a byte-stable deterministic event dump, and a
-//! human-readable histogram summary.
+//! Exporters: chrome://tracing JSON (Perfetto-loadable), a byte-stable
+//! deterministic event dump, and a human-readable histogram summary.
 
 use crate::json::{json_escape, json_f64};
 use crate::{LogHistogram, Stage, TraceEvent};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// Well-known gauge/counter names shared by the instrumented crates and
-/// the exporters, so the CSV pivot and the summary table never drift
-/// from the emitters.
+/// Well-known gauge/counter names shared by the instrumented crates, the
+/// summary table and the simulator's Fig. 2 time-series CSV header, so
+/// none of them drifts from the emitters.
 pub mod names {
     /// Per-slot provider energy cost `f(P(t))` (Fig. 2(a)'s input).
     pub const COST: &str = "cost";
@@ -36,16 +34,6 @@ pub mod names {
     /// (`energy_coop` policy runs only).
     pub const TRANSFER_KWH: &str = "transfer_kwh";
 }
-
-/// The gauge columns of [`TraceBundle::timeseries_csv`], in Fig. 2 order.
-const CSV_GAUGES: [&str; 6] = [
-    names::COST,
-    names::GRID_KWH,
-    names::BACKLOG_BS,
-    names::BACKLOG_USERS,
-    names::BUFFER_BS_KWH,
-    names::BUFFER_USERS_WH,
-];
 
 /// One worker-merged event stream, e.g. one sweep point or one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,37 +177,6 @@ impl TraceBundle {
         out
     }
 
-    /// A per-slot CSV matching Fig. 2's axes: one row per `(track, slot)`
-    /// with the cost, grid draw, backlog, and battery gauges pivoted into
-    /// columns (empty cell when a gauge was not emitted that slot).
-    #[must_use]
-    pub fn timeseries_csv(&self) -> String {
-        let mut out = String::from("label,slot,");
-        out.push_str(&CSV_GAUGES.join(","));
-        out.push('\n');
-        for track in &self.tracks {
-            let mut rows: BTreeMap<u64, [Option<f64>; CSV_GAUGES.len()]> = BTreeMap::new();
-            for e in &track.events {
-                if let TraceEvent::Gauge { slot, name, value } = *e {
-                    if let Some(col) = CSV_GAUGES.iter().position(|&g| g == name) {
-                        rows.entry(slot).or_default()[col] = Some(value);
-                    }
-                }
-            }
-            for (slot, cols) in rows {
-                out.push_str(&format!("{},{slot}", csv_escape(&track.label)));
-                for c in cols {
-                    out.push(',');
-                    if let Some(v) = c {
-                        let _ = write!(out, "{v}");
-                    }
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
     /// Builds the histogram summary over every track.
     #[must_use]
     pub fn summary(&self) -> TraceSummary {
@@ -248,14 +205,6 @@ impl TraceBundle {
             }
         }
         s
-    }
-}
-
-fn csv_escape(label: &str) -> String {
-    if label.contains(',') || label.contains('"') {
-        format!("\"{}\"", label.replace('"', "\"\""))
-    } else {
-        label.to_string()
     }
 }
 
@@ -435,22 +384,6 @@ mod tests {
             ev0[0].get("type").and_then(json::Value::as_str),
             Some("gauge")
         );
-    }
-
-    #[test]
-    fn timeseries_csv_pivots_fig2_gauges() {
-        let b = sample_bundle();
-        let csv = b.timeseries_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "label,slot,cost,grid_kwh,backlog_bs,backlog_users,buffer_bs_kwh,buffer_users_wh"
-        );
-        let row0 = lines.next().unwrap();
-        assert!(row0.starts_with("p0,0,1.25,"), "{row0}");
-        assert!(row0.contains(",10,"), "{row0}");
-        let row1 = lines.next().unwrap();
-        assert!(row1.starts_with("\"p,1\",3,2.5"), "{row1}");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   max) for stage latencies, drift/penalty terms, backlogs, and
 //!   battery levels.
 //! * [`TraceBundle`] — exporters: chrome://tracing JSON (loadable in
-//!   Perfetto), a CSV time series matching the paper's Fig. 2 axes, the
-//!   deterministic event dump, and a human-readable summary table.
+//!   Perfetto), the deterministic event dump, and a human-readable
+//!   summary table.
 //! * [`json`] — a dependency-free JSON parser used to validate exported
 //!   artifacts and round-trip telemetry in tests.
 //!

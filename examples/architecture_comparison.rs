@@ -6,7 +6,7 @@
 //! cargo run --release --example architecture_comparison [seed]
 //! ```
 
-use greencell::sim::{experiments, Architecture, Scenario};
+use greencell::sim::{experiments, Architecture, Scenario, SweepOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args()
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!();
 
-    let rows = experiments::fig2f(&base, &v_values)?;
+    let (rows, _) = experiments::fig2f(&base, &v_values, &SweepOptions::serial())?;
     let ours_avg: f64 = rows[0].costs.iter().sum::<f64>() / rows[0].costs.len() as f64;
 
     println!(

@@ -51,6 +51,9 @@ pub enum Action {
     Fig2f,
     /// Structural sweeps + replication.
     Sweeps,
+    /// Robustness sweep: the scenario fault-free and under four fault
+    /// presets, with the stability watchdog's verdicts.
+    Faults,
     /// Traced run: chrome-trace export + stage-latency histograms.
     Trace,
     /// Long-running service: observations on stdin, events on stdout,
@@ -93,6 +96,11 @@ ACTIONS:
              GREENCELL_THREADS workers, default all cores, with
              bit-identical output, and write per-run telemetry to
              results/<action>_telemetry.{json,csv})
+    faults   robustness sweep: the scenario fault-free and under the
+             bs-outage, drought, price-spike and band-loss presets;
+             prints each run's degradation and watchdog verdict, writes
+             results/fault_sweep_{telemetry.{json,csv},stability.json},
+             and exits non-zero if any run diverges (no --faults here)
     trace    traced run of the scenario and its seed+1 twin; writes a
              Perfetto-loadable chrome trace, a deterministic event dump,
              and a Fig. 2 time-series CSV (default under results/), then
@@ -174,6 +182,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         Some("fig2de") => Action::Fig2de,
         Some("fig2f") => Action::Fig2f,
         Some("sweeps") => Action::Sweeps,
+        Some("faults") => Action::Faults,
         Some("trace") => Action::Trace,
         Some("serve") => Action::Serve,
         Some("frontier") => Action::Frontier,
@@ -265,6 +274,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     scenario.track_lower_bound = track_lower;
     for (key, value) in &scenario_edits {
         apply_edit(&mut scenario, key, value)?;
+    }
+    if action == Action::Faults && fault_preset.is_some() {
+        return Err(ParseError(
+            "faults sets each point's fault plan itself; drop --faults".into(),
+        ));
     }
     if let Some(name) = &fault_preset {
         // Applied after the edits so preset windows scale to the final
@@ -384,6 +398,23 @@ mod tests {
         ] {
             assert_eq!(parse(&argv(name)).unwrap().action, action);
         }
+    }
+
+    #[test]
+    fn faults_action() {
+        let cmd = parse(&argv("faults --seed 7 --horizon 30")).unwrap();
+        assert_eq!(cmd.action, Action::Faults);
+        assert_eq!((cmd.scenario.seed, cmd.scenario.horizon), (7, 30));
+        assert_eq!(cmd.scenario.faults, None);
+        let defaults = parse(&argv("faults")).unwrap();
+        assert_eq!(
+            (defaults.scenario.seed, defaults.scenario.horizon),
+            (42, 100)
+        );
+        // The action picks each point's fault plan; a preset is refused.
+        let err = parse(&argv("faults --faults drought")).unwrap_err();
+        assert!(err.0.contains("drop --faults"), "got {err}");
+        assert!(USAGE.contains("faults   robustness sweep"));
     }
 
     #[test]

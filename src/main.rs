@@ -4,7 +4,8 @@
 
 use greencell::cli::{parse, Action, Command, USAGE};
 use greencell::sim::{
-    experiments, report, sweep, Simulator, SweepOptions, SweepPoint, SweepReport,
+    experiments, report, run_sweep, sweep, FaultSpec, RunMetrics, Simulator, SweepOptions,
+    SweepPoint, SweepReport,
 };
 use greencell_trace::RingSink;
 use std::io::{self, Write};
@@ -69,6 +70,7 @@ fn dispatch(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error
         Action::Fig2de => fig2de(cmd, out),
         Action::Fig2f => fig2f(cmd, out),
         Action::Sweeps => sweeps(cmd, out),
+        Action::Faults => faults(cmd, out),
         Action::Trace => trace(cmd, out),
         Action::Serve => serve(cmd, out),
         Action::Frontier => frontier(cmd, out),
@@ -149,7 +151,7 @@ fn trace(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> 
         greencell_sim::trace_points(&points, &SweepOptions::from_env(), capacity)?
     };
     let dir = cmd.out_dir.clone().unwrap_or_else(|| "results".into());
-    let paths = greencell_sim::write_trace_artifacts(&run.bundle, &dir, preset)?;
+    let paths = greencell_sim::write_trace_artifacts(&run, &dir, preset)?;
     for p in &paths {
         eprintln!("wrote {}", p.display());
     }
@@ -246,7 +248,7 @@ fn fig2a(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> 
         .clone()
         .unwrap_or_else(|| (1..=10).map(|k| k as f64 * 1e5).collect());
     let opts = sweep_options("fig2a", cmd);
-    let (rows, report) = experiments::fig2a_with(&cmd.scenario, &v_values, &opts)?;
+    let (rows, report) = experiments::fig2a(&cmd.scenario, &v_values, &opts)?;
     writeln!(
         out,
         "# Fig 2(a) — time-averaged expected energy cost bounds vs V"
@@ -273,8 +275,13 @@ fn fig2bc(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
         .clone()
         .unwrap_or_else(|| (1..=5).map(|k| k as f64 * 1e5).collect());
     let opts = sweep_options("fig2bc", cmd);
-    let (rows, report) = experiments::fig2bc_with(&cmd.scenario, &v_values, &opts)?;
-    let (bs, users) = report::backlog_csv(&rows)?;
+    let report = experiments::v_sweep(&cmd.scenario, &v_values, &opts)?;
+    let bs = report::series_csv(&v_values, &report.outcomes, RunMetrics::backlog_bs_series)?;
+    let users = report::series_csv(
+        &v_values,
+        &report.outcomes,
+        RunMetrics::backlog_users_series,
+    )?;
     writeln!(
         out,
         "# Fig 2(b) — total data queue backlog of base stations (packets)"
@@ -285,18 +292,21 @@ fn fig2bc(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
         "# Fig 2(c) — total data queue backlog of mobile users (packets)"
     )?;
     write!(out, "{users}")?;
-    for r in &rows {
+    for (v, o) in v_values.iter().zip(&report.outcomes) {
+        let (bs, users) = (
+            o.metrics.backlog_bs_series(),
+            o.metrics.backlog_users_series(),
+        );
         writeln!(
             out,
-            "# V={:.0e}: BS final={:.0} peak={:.0}; users final={:.0} peak={:.0}",
-            r.v,
-            r.bs.last().unwrap_or(0.0),
-            r.bs.max().unwrap_or(0.0),
-            r.users.last().unwrap_or(0.0),
-            r.users.max().unwrap_or(0.0),
+            "# V={v:.0e}: BS final={:.0} peak={:.0}; users final={:.0} peak={:.0}",
+            bs.last().unwrap_or(0.0),
+            bs.max().unwrap_or(0.0),
+            users.last().unwrap_or(0.0),
+            users.max().unwrap_or(0.0),
         )?;
-        writeln!(out, "#   BS    {}", report::sparkline(&r.bs))?;
-        writeln!(out, "#   users {}", report::sparkline(&r.users))?;
+        writeln!(out, "#   BS    {}", report::sparkline(bs))?;
+        writeln!(out, "#   users {}", report::sparkline(users))?;
     }
     write_artifacts(cmd, &[("fig2b.csv", &bs), ("fig2c.csv", &users)])?;
     telemetry(&report, "fig2bc")
@@ -311,8 +321,9 @@ fn fig2de(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
     let mut scenario = cmd.scenario.clone();
     scenario.initial_battery_fraction = 0.0;
     let opts = sweep_options("fig2de", cmd);
-    let (rows, report) = experiments::fig2de_with(&scenario, &v_values, &opts)?;
-    let (bs, users) = report::buffer_csv(&rows)?;
+    let report = experiments::v_sweep(&scenario, &v_values, &opts)?;
+    let bs = report::series_csv(&v_values, &report.outcomes, RunMetrics::buffer_bs_series)?;
+    let users = report::series_csv(&v_values, &report.outcomes, RunMetrics::buffer_users_series)?;
     writeln!(
         out,
         "# Fig 2(d) — total energy buffer size of base stations (kWh)"
@@ -323,16 +334,19 @@ fn fig2de(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
         "# Fig 2(e) — total energy buffer size of mobile users (Wh)"
     )?;
     write!(out, "{users}")?;
-    for r in &rows {
+    for (v, o) in v_values.iter().zip(&report.outcomes) {
+        let (bs, users) = (
+            o.metrics.buffer_bs_series(),
+            o.metrics.buffer_users_series(),
+        );
         writeln!(
             out,
-            "# V={:.0e}: BS final={:.3} kWh; users final={:.1} Wh",
-            r.v,
-            r.bs_kwh.last().unwrap_or(0.0),
-            r.users_wh.last().unwrap_or(0.0),
+            "# V={v:.0e}: BS final={:.3} kWh; users final={:.1} Wh",
+            bs.last().unwrap_or(0.0),
+            users.last().unwrap_or(0.0),
         )?;
-        writeln!(out, "#   BS    {}", report::sparkline(&r.bs_kwh))?;
-        writeln!(out, "#   users {}", report::sparkline(&r.users_wh))?;
+        writeln!(out, "#   BS    {}", report::sparkline(bs))?;
+        writeln!(out, "#   users {}", report::sparkline(users))?;
     }
     write_artifacts(cmd, &[("fig2d.csv", &bs), ("fig2e.csv", &users)])?;
     telemetry(&report, "fig2de")
@@ -351,7 +365,7 @@ fn fig2f(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> 
         scenario.initial_battery_fraction = calibrated.initial_battery_fraction;
     }
     let opts = sweep_options("fig2f", cmd);
-    let (rows, report) = experiments::fig2f_with(&scenario, &v_values, &opts)?;
+    let (rows, report) = experiments::fig2f(&scenario, &v_values, &opts)?;
     writeln!(
         out,
         "# Fig 2(f) — time-averaged expected energy cost by architecture"
@@ -387,17 +401,17 @@ fn sweeps(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
         (
             "user-count sweep (relay density)",
             "users",
-            experiments::sweep_users_with(base, &[5, 10, 20, 40], &opts)?,
+            experiments::sweep_users(base, &[5, 10, 20, 40], &opts)?,
         ),
         (
             "session-count sweep (offered load)",
             "sessions",
-            experiments::sweep_sessions_with(base, &[2, 5, 10, 15], &opts)?,
+            experiments::sweep_sessions(base, &[2, 5, 10, 15], &opts)?,
         ),
         (
             "extra-band sweep (spectrum supply)",
             "bands",
-            experiments::sweep_bands_with(base, &[0, 2, 4, 8], &opts)?,
+            experiments::sweep_bands(base, &[0, 2, 4, 8], &opts)?,
         ),
     ] {
         writeln!(out, "# {title}")?;
@@ -417,7 +431,7 @@ fn sweeps(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
         combined.outcomes.extend(report.outcomes);
         combined.total_wall += report.total_wall;
     }
-    let (rep, report) = experiments::replicate_with(base, &[1, 7, 13, 42, 99], &opts)?;
+    let (rep, report) = experiments::replicate(base, &[1, 7, 13, 42, 99], &opts)?;
     writeln!(out, "# replication across seeds {:?}", rep.seeds)?;
     writeln!(
         out,
@@ -427,6 +441,66 @@ fn sweeps(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>>
     combined.outcomes.extend(report.outcomes);
     combined.total_wall += report.total_wall;
     telemetry(&combined, "sweeps")
+}
+
+/// The robustness sweep: the scenario fault-free and under four fault
+/// presets, with each run's degradation counts and watchdog verdict. The
+/// deterministic record goes to `results/fault_sweep_stability.json`;
+/// a divergent run fails the command after everything is written.
+fn faults(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let horizon = cmd.scenario.horizon;
+    let points: Vec<SweepPoint> = [
+        ("baseline", None),
+        ("bs_outage", Some(FaultSpec::bs_outage())),
+        (
+            "renewable_drought",
+            Some(FaultSpec::renewable_drought(horizon / 4, horizon / 2)),
+        ),
+        (
+            "price_spike",
+            Some(FaultSpec::price_spike(horizon / 4, horizon / 2, 6.0)),
+        ),
+        ("band_loss", Some(FaultSpec::band_loss())),
+    ]
+    .into_iter()
+    .map(|(label, faults)| {
+        let mut scenario = cmd.scenario.clone();
+        scenario.faults = faults;
+        SweepPoint::new(label, scenario)
+    })
+    .collect();
+    let report = run_sweep(&points, &sweep_options("faults", cmd))?;
+    writeln!(
+        out,
+        "{:<20} {:>10} {:>10} {:>8} {:>12} {:>12} {:>10}",
+        "scenario", "degraded", "events", "shed", "avg cost", "slope", "verdict"
+    )?;
+    for o in &report.outcomes {
+        let t = &o.telemetry;
+        writeln!(
+            out,
+            "{:<20} {:>10} {:>10} {:>8} {:>12.6} {:>12.3} {:>10}",
+            o.label,
+            t.degraded_slots,
+            t.degradation_events,
+            o.metrics.shed(),
+            o.metrics.average_cost(),
+            t.watchdog.trailing_slope,
+            if t.watchdog.stable {
+                "stable"
+            } else {
+                "DIVERGENT"
+            },
+        )?;
+    }
+    telemetry(&report, "fault_sweep")?;
+    let stability = std::path::Path::new("results").join("fault_sweep_stability.json");
+    report.write_stability_json(&stability)?;
+    eprintln!("stability record: {}", stability.display());
+    if report.outcomes.iter().any(|o| !o.telemetry.watchdog.stable) {
+        return Err("the stability watchdog flagged divergence".into());
+    }
+    Ok(())
 }
 
 fn write_artifacts(

@@ -2,7 +2,7 @@
 //! paper scenario, exercised through the facade crate.
 
 use greencell::net::NodeId;
-use greencell::sim::{Scenario, Simulator};
+use greencell::sim::{Scenario, Simulator, SweepOptions};
 use greencell::units::Packets;
 
 /// The paper scenario runs the full horizon without shedding or errors,
@@ -69,7 +69,9 @@ fn batteries_stay_within_capacity() {
 fn bounds_are_ordered_and_tighten() {
     let mut base = Scenario::paper(5);
     base.horizon = 40;
-    let rows = greencell::sim::experiments::fig2a(&base, &[1e5, 3e5, 1e6]).expect("fig2a");
+    let (rows, _) =
+        greencell::sim::experiments::fig2a(&base, &[1e5, 3e5, 1e6], &SweepOptions::serial())
+            .expect("fig2a");
     for row in &rows {
         assert!(
             row.lower <= row.upper,
@@ -91,14 +93,16 @@ fn bounds_are_ordered_and_tighten() {
 fn backlog_grows_with_v() {
     let mut base = Scenario::paper(11);
     base.horizon = 100;
-    let rows = greencell::sim::experiments::fig2bc(&base, &[1e5, 5e5]).expect("fig2bc");
+    let report = greencell::sim::experiments::v_sweep(&base, &[1e5, 5e5], &SweepOptions::serial())
+        .expect("fig2bc");
     // Steady state: the mean over the last quarter of the horizon.
     let last_quarter = |v: &[f64]| {
         let tail = &v[v.len() * 3 / 4..];
         tail.iter().sum::<f64>() / tail.len() as f64
     };
-    let small_v = last_quarter(rows[0].bs.values());
-    let large_v = last_quarter(rows[1].bs.values());
+    let bs = |i: usize| report.outcomes[i].metrics.backlog_bs_series().values();
+    let small_v = last_quarter(bs(0));
+    let large_v = last_quarter(bs(1));
     assert!(
         large_v >= small_v,
         "V=5e5 backlog {large_v} below V=1e5 backlog {small_v}"
@@ -112,7 +116,8 @@ fn backlog_grows_with_v() {
 fn architecture_ordering_matches_paper_claims() {
     let mut base = Scenario::fig2f_calibrated(42);
     base.horizon = 60;
-    let rows = greencell::sim::experiments::fig2f(&base, &[1e5]).expect("fig2f");
+    let (rows, _) =
+        greencell::sim::experiments::fig2f(&base, &[1e5], &SweepOptions::serial()).expect("fig2f");
     let cost = |i: usize| rows[i].costs[0];
     let (ours, mh_no_re, oh_re, oh_no_re) = (cost(0), cost(1), cost(2), cost(3));
     assert!(ours <= mh_no_re, "renewables must not hurt (multi-hop)");
