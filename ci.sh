@@ -67,7 +67,8 @@ cargo test -p greencell-net --lib spectrum -q $CARGO_FLAGS
 
 echo "== s4 sweep lockstep gate =="
 # The S4 breakpoint sweep and the bisection reference run on the same
-# input on every S4 solve: through the live pipeline over the scenario
+# input on every coupled S4 solve (the base stations'; users answer at
+# price 0 on their parts): through the live pipeline over the scenario
 # battery (faults, strict degradation, one-hop, grid-only, V = 0), and on
 # random instances (unit and paper scale, lossy batteries, deficits,
 # V = 0). Errors must be identical, grid draw and objective within 1e-9
@@ -206,11 +207,19 @@ cargo test -p greencell-phy --test prop_pruning -q $CARGO_FLAGS
 echo "== city determinism gate =="
 # Partitioned city runs are bit-identical at 1, 2, 3 and 4 workers and at
 # 5 workers on a city with fewer parts than that (the fan-out caps its
-# threads at the part count for the per-part S1–S3 pass and the per-part
-# queue advance), and seeds reproduce byte-identical layouts; the
-# steady-state partitioned slot allocates nothing at one worker.
+# threads at the part count for the per-part pass — S1–S3 and the part's
+# energy step: shifted levels, demands and every non-BS node's S4 answer —
+# and for the per-part advance with its battery update), and seeds
+# reproduce byte-identical layouts; the steady-state partitioned slot
+# allocates nothing at one worker. The split S4 lockstep: on random
+# multi-part instances (base stations and users interleaved, some users in
+# no part, deficits at users and base stations in either order, lossy
+# batteries, V = 0, all three built-in stages) the parts' answers composed
+# with the coupled base-station solve must equal the monolithic
+# whole-network solve bit for bit, errors and their nodes included.
 cargo test -p greencell-sim --test city_determinism -q $CARGO_FLAGS
 cargo test -p greencell-sim --test city_zero_alloc -q $CARGO_FLAGS
+cargo test -p greencell-core --lib energy:: -q $CARGO_FLAGS
 # One fan-out: scoped threads start only in `fan_out` in partition.rs.
 if grep -rn 'thread::scope' crates/*/src src | grep -v '^crates/core/src/partition.rs:'; then
   echo "thread::scope outside the fan-out in crates/core/src/partition.rs" >&2; exit 1
@@ -366,14 +375,14 @@ for action in fig2a fig2bc fig2de fig2f; do
     --out "$FIG_DIR" >/dev/null)
   test -s "$FIG_DIR/results/${action}_telemetry.json"
 done
-for csv in fig2a fig2b fig2c fig2d fig2e; do
+for csv in fig2a fig2b fig2c fig2d fig2e fig2f; do
   test -s "$FIG_DIR/$csv.csv"
 done
 test -s "$FIG_DIR/results/fig2f_telemetry.csv"
 (cd "$FIG_DIR" && "$GREENCELL_BIN" faults --tiny --horizon 5 >/dev/null)
 test -s "$FIG_DIR/results/fault_sweep_stability.json"
 rm -rf "$FIG_DIR"
-echo "figure smoke: fig2a-e CSVs, fig2f telemetry and the fault stability record written"
+echo "figure smoke: fig2a-f CSVs, fig2f telemetry and the fault stability record written"
 
 echo "== trace determinism gate =="
 # Short paper-scenario traced run (the scenario and its seed+1 twin).

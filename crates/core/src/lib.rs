@@ -89,6 +89,7 @@
 mod config;
 mod controller;
 pub mod dpp;
+mod energy;
 mod lower_bound;
 mod netstate;
 mod partition;
@@ -122,7 +123,8 @@ pub use s3::{route_flows_into, route_flows_reference, RoutingTable, S3Scratch};
 pub use s4::{
     energy_lockstep_divergence, solve_energy_management, solve_energy_management_into,
     solve_energy_management_reference, solve_grid_only, solve_grid_only_into, solve_safe_mode,
-    EnergyManagementError, EnergyManagementInput, EnergyOutcome, S4Workspace, SafeModeOutcome,
+    Check, EnergyManagementError, EnergyManagementInput, EnergyOutcome, NodeAnswer, S4Failure,
+    S4Workspace, SafeModeOutcome,
 };
 // The frozen benchmark harness (`perfbench/`) still calls the sweep by its former name.
 #[doc(hidden)]

@@ -365,12 +365,18 @@ impl NetworkState {
     /// Computes this slot's inter-BS transfers: greedy lossy matching of
     /// renewable surplus (beyond demand and battery charge room) at
     /// exporting BSs against renewable deficits at importing BSs,
-    /// importers and exporters both in ascending node order. Fills the
-    /// adjusted renewable vector the `energy_coop` stage hands to the
+    /// importers and exporters both in ascending node order. `input` lists
+    /// the base stations alone, in ascending node order (entry `k` is BS
+    /// `k` of this state). Fills the adjusted renewable vector, one entry
+    /// per entry of `input`, that the `energy_coop` stage hands to the
     /// marginal-price solver.
     ///
     /// With `η_x ≤ 0` the adjusted vector is a verbatim copy, so the
     /// downstream solve is bit-identical to the per-node solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if cooperation is on and `input` does not list every BS.
     pub(crate) fn compute_transfers(&mut self, input: &EnergyManagementInput<'_>) {
         self.r_adj.clear();
         self.r_adj.extend_from_slice(input.renewable);
@@ -382,16 +388,17 @@ impl NetworkState {
             return;
         }
         let n = self.r_adj.len();
-        let up = |i: usize| self.avail.get(i).copied().unwrap_or(true);
+        assert_eq!(n, self.bs.len(), "one input entry per base station");
+        let up = |k: usize| self.avail.get(self.bs[k]).copied().unwrap_or(true);
         self.surplus.clear();
-        for i in 0..n {
-            let s = if input.is_base_station[i] && up(i) {
-                let demand = input.demand[i].as_kilowatt_hours();
-                let renewable = self.r_adj[i].as_kilowatt_hours();
+        for k in 0..n {
+            let s = if up(k) {
+                let demand = input.demand[k].as_kilowatt_hours();
+                let renewable = self.r_adj[k].as_kilowatt_hours();
                 // Charge room mirrors S4's `NodeEnv` exactly: a BS
                 // that can still bank its surplus in its own battery has
                 // nothing to export.
-                let c_room = input.batteries[i].max_charge_now().as_kilowatt_hours();
+                let c_room = input.batteries[k].max_charge_now().as_kilowatt_hours();
                 (renewable - demand - c_room).max(0.0)
             } else {
                 0.0
@@ -399,7 +406,7 @@ impl NetworkState {
             self.surplus.push(s);
         }
         for j in 0..n {
-            if !input.is_base_station[j] || !up(j) {
+            if !up(j) {
                 continue;
             }
             let mut deficit =

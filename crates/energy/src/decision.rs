@@ -96,7 +96,7 @@ impl From<BatteryError> for EnergyDecisionError {
 /// assert_eq!(d.grid_total().as_joules(), 25.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyDecision {
     grid_to_demand: Energy,
     grid_to_battery: Energy,

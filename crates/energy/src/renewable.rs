@@ -6,6 +6,10 @@ use std::error::Error;
 use std::fmt;
 
 const EPS_JOULES: f64 = 1e-6;
+/// Relative balance slack: four units of round-off of the output. It
+/// exceeds [`EPS_JOULES`] only above about 10⁹ J, where a kWh round trip
+/// of the components alone can miss the output by more than a micro-joule.
+const ULPS: f64 = 4.0 * f64::EPSILON;
 
 /// Error constructing an inconsistent [`RenewableSplit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +61,7 @@ impl Error for RenewableSplitError {}
 /// assert_eq!(split.to_demand().as_joules(), 6.0);
 /// # Ok::<(), greencell_energy::RenewableSplitError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RenewableSplit {
     to_demand: Energy,
     to_battery: Energy,
@@ -72,7 +76,8 @@ impl RenewableSplit {
     ///
     /// * [`RenewableSplitError::NegativeComponent`] — any component < 0;
     /// * [`RenewableSplitError::Unbalanced`] — components do not sum to
-    ///   `output` (within a micro-joule).
+    ///   `output` (within a micro-joule, or four units of round-off of
+    ///   `output` where that is larger).
     pub fn new(
         output: Energy,
         to_demand: Energy,
@@ -86,7 +91,8 @@ impl RenewableSplit {
             return Err(RenewableSplitError::NegativeComponent);
         }
         let assigned = to_demand + to_battery + curtailed;
-        if (assigned.as_joules() - output.as_joules()).abs() > EPS_JOULES {
+        let slack = EPS_JOULES.max(ULPS * output.as_joules().abs());
+        if (assigned.as_joules() - output.as_joules()).abs() > slack {
             return Err(RenewableSplitError::Unbalanced { output, assigned });
         }
         Ok(Self {
@@ -137,6 +143,25 @@ mod tests {
             RenewableSplit::new(j(10.0), j(3.0), j(5.0), j(0.0)),
             Err(RenewableSplitError::Unbalanced { .. })
         ));
+    }
+
+    /// Above about 10⁹ J the slack is relative: a 6·10³¹ J output whose
+    /// components lose an ulp in a kWh round trip still balances, while a
+    /// miss of 10⁻⁹ of the output is still rejected. At 1 kJ the slack is
+    /// the micro-joule it always was.
+    #[test]
+    fn balance_slack_is_relative_for_huge_outputs() {
+        let output = j(6e31);
+        let kwh = Energy::from_kilowatt_hours;
+        let round_trip = kwh(output.as_kilowatt_hours());
+        assert_ne!(round_trip, output);
+        assert!(RenewableSplit::new(output, round_trip, Energy::ZERO, Energy::ZERO).is_ok());
+        assert!(matches!(
+            RenewableSplit::new(output, j(6e31 * (1.0 - 1e-9)), Energy::ZERO, Energy::ZERO),
+            Err(RenewableSplitError::Unbalanced { .. })
+        ));
+        assert!(RenewableSplit::new(j(1e3), j(1e3 - 0.9e-6), j(0.0), j(0.0)).is_ok());
+        assert!(RenewableSplit::new(j(1e3), j(1e3 - 1.1e-6), j(0.0), j(0.0)).is_err());
     }
 
     #[test]

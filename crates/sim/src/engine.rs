@@ -236,6 +236,8 @@ pub struct Simulator {
     /// Nearest-BS index per session destination — the diurnal profile's
     /// "cell".
     session_cells: Vec<usize>,
+    /// Per-slot scratch: every node's battery level, in node order.
+    levels: Vec<Energy>,
 }
 
 impl Simulator {
@@ -344,6 +346,7 @@ impl Simulator {
             is_bs,
             session_nominal,
             session_cells: layout.session_cells(),
+            levels: Vec::new(),
         })
     }
 
@@ -612,23 +615,32 @@ impl Simulator {
         }
         let report = self.controller.step_traced(obs, sink)?;
 
-        // One pass in node order: each class's sum gets its terms in the
-        // order a filtered `sum` would, from the same start (`-0.0`).
+        // The buffer sums run in node order, each class's terms in the
+        // order a filtered `sum` would, from the same start (`-0.0`). The
+        // backlog sums are exact integers below 2⁵³, so the controller's
+        // part-order totals are the same `f64`s: `+0.0` once a class has a
+        // node, `-0.0` (the empty sum) while it has none.
         let c = &self.controller;
-        let (mut backlog_bs, mut backlog_users) = (-0.0, -0.0);
+        c.battery_levels_into(&mut self.levels);
         let (mut buffer_bs_kwh, mut buffer_users_wh) = (-0.0, -0.0);
-        for (i, &bs) in self.is_bs.iter().enumerate() {
-            let node = NodeId::from_index(i);
-            let backlog = c.node_backlog(node).count_f64();
-            let level = c.battery(node).level();
+        let mut kinds = [false; 2];
+        for (&level, &bs) in self.levels.iter().zip(&self.is_bs) {
+            kinds[usize::from(!bs)] = true;
             if bs {
-                backlog_bs += backlog;
                 buffer_bs_kwh += level.as_kilowatt_hours();
             } else {
-                backlog_users += backlog;
                 buffer_users_wh += level.as_watt_hours();
             }
         }
+        let backlogs = c.backlog_by_kind();
+        let backlog = |k: usize| {
+            if kinds[k] {
+                backlogs[k].count_f64()
+            } else {
+                -0.0
+            }
+        };
+        let (backlog_bs, backlog_users) = (backlog(0), backlog(1));
         self.watchdog.record(
             backlog_bs + backlog_users,
             buffer_bs_kwh + buffer_users_wh / 1000.0,

@@ -117,6 +117,25 @@ pub(crate) fn csv_escape(field: &str) -> String {
     }
 }
 
+/// Fig. 2(f)'s comparison as CSV: one row per architecture, one column
+/// per `V` (headed `V=<v>`), each cell the time-averaged energy cost.
+#[must_use]
+pub fn architecture_csv(rows: &[ArchitectureRow], v_values: &[f64]) -> String {
+    let mut out = String::from("architecture");
+    for v in v_values {
+        let _ = write!(out, ",V={v}");
+    }
+    out.push('\n');
+    for r in rows {
+        out.push_str(&csv_escape(&r.architecture.to_string()));
+        for c in &r.costs {
+            let _ = write!(out, ",{c}");
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// Renders Fig. 2(f)'s comparison as an aligned table.
 #[must_use]
 pub fn architecture_table(rows: &[ArchitectureRow], v_values: &[f64]) -> String {

@@ -685,4 +685,18 @@ mod tests {
         assert_eq!(summary.stop_reason, StopReason::InputClosed);
         assert!(last_status(&events).contains("\"slot\":2"), "{events}");
     }
+
+    /// A harvest of 10³⁰ W (6·10³¹ J per slot) once panicked in safe
+    /// mode: a kWh round trip of the split misses such an output by more
+    /// than a micro-joule. The renewable split's balance slack is relative
+    /// at that size, so the line steps like any other.
+    #[test]
+    fn an_enormous_harvest_steps_instead_of_panicking() {
+        let s = Scenario::tiny(42);
+        let line = r#"{"renewable_w":[1e30,1.0,0.0,3.0,1.0],"grid":[true,true,false,true,true],"demand":[2,1]}"#;
+        let (summary, _) = serve(&s, &ServeConfig::default(), &format!("{line}\n"));
+        assert_eq!(summary.rejected_lines, 0);
+        assert_eq!(summary.slots_stepped, 1);
+        assert_eq!(summary.stop_reason, StopReason::InputClosed);
+    }
 }

@@ -1,10 +1,11 @@
 //! Same-input lockstep gate for the S4 breakpoint sweep.
 //!
 //! Every scenario of the battery runs through the live pipeline with a
-//! [`LockstepStage`] installed as its S4 stage. On every S4 solve of every
-//! slot, the stage runs the sweep (`solve_energy_management_into`) and the
-//! bisection reference (`solve_energy_management_reference`) on the *same*
-//! input, demands that they agree within the lockstep tolerances of
+//! [`LockstepStage`] installed as its S4 stage. On every coupled S4 solve
+//! of every slot (the base stations' half; the users answer on their own),
+//! the stage runs the sweep (the marginal-price stage's coupled half) and
+//! the bisection reference (`solve_energy_management_reference`) on the
+//! *same* input, demands that they agree within the lockstep tolerances of
 //! `energy_lockstep_divergence` — identical errors, `grid_draw` and
 //! `objective` within 10⁻⁹ relative, the same per-node mode wherever the
 //! reference's two mode objectives differ by more than `EPS` — and hands
@@ -15,11 +16,11 @@
 //! stage (a control: it never reaches the marginal-price solver), and a
 //! `V = 0` pure-stability run.
 
-use greencell_core::pipeline::EnergyStage;
+use greencell_core::pipeline::{EnergyStage, MarginalPriceStage};
 use greencell_core::{
-    energy_lockstep_divergence, solve_energy_management_into, solve_energy_management_reference,
-    DegradationPolicy, EnergyManagementError, EnergyManagementInput, EnergyOutcome, EnergyPolicy,
-    NetworkState, S4Workspace, SchedulerKind,
+    energy_lockstep_divergence, solve_energy_management_reference, DegradationPolicy,
+    EnergyManagementInput, EnergyOutcome, EnergyPolicy, NetworkState, NodeAnswer, S4Failure,
+    S4Workspace, SchedulerKind,
 };
 use greencell_sim::faults::FaultSpec;
 use greencell_sim::{Architecture, Scenario, Simulator};
@@ -29,6 +30,11 @@ use std::sync::Mutex;
 /// Runs the sweep and the reference on the same input, records the first
 /// divergence, and returns the sweep's result. Counts its solves so a
 /// scenario that never reached it is caught.
+///
+/// The controller hands S4's coupled half only the base stations; the
+/// users answer at price 0 on the parts' workers, through the same
+/// uncoupled half as the shipped stage. So every coupled solve is compared
+/// here, on the base stations' input.
 #[derive(Debug, Default)]
 struct LockstepStage {
     solves: AtomicUsize,
@@ -36,19 +42,30 @@ struct LockstepStage {
 }
 
 impl EnergyStage for LockstepStage {
+    fn respond(
+        &self,
+        input: &EnergyManagementInput<'_>,
+        i: usize,
+    ) -> Result<NodeAnswer, S4Failure> {
+        MarginalPriceStage.respond(input, i)
+    }
+
     fn solve(
         &self,
         input: &EnergyManagementInput<'_>,
-        _net_state: &mut NetworkState,
+        net_state: &mut NetworkState,
         ws: &mut S4Workspace,
         out: &mut EnergyOutcome,
-    ) -> Result<(), EnergyManagementError> {
+    ) -> Result<(), S4Failure> {
         self.solves.fetch_add(1, Ordering::Relaxed);
-        let got = solve_energy_management_into(input, ws, out);
+        assert!(input.is_base_station.iter().all(|&bs| bs));
+        let got = MarginalPriceStage.solve(input, net_state, ws, out);
         let reference = solve_energy_management_reference(input);
-        if let Some(d) =
-            energy_lockstep_divergence(input, got.as_ref().map(|()| &*out), reference.as_ref())
-        {
+        if let Some(d) = energy_lockstep_divergence(
+            input,
+            got.as_ref().map(|()| &*out).map_err(|f| &f.error),
+            reference.as_ref(),
+        ) {
             self.divergence.lock().expect("lock").get_or_insert(d);
         }
         got

@@ -314,6 +314,35 @@ fn misfitting_controller_state_is_a_typed_rejection() {
     expect_rejected(&city, reseal(&text, &[(&first_link, "\"link_queues\":[")]));
 }
 
+/// A checksummed image that queues packets on a node's link to itself is a
+/// typed rejection. It once restored, and the next slot panicked in S1:
+/// nothing can serve a self-link, so the scheduler must never see one
+/// backlogged.
+#[test]
+fn a_backlogged_self_link_is_a_typed_rejection() {
+    let s = Scenario::tiny(67);
+    let text = Simulator::new(&s)
+        .expect("builds")
+        .snapshot()
+        .to_file_string();
+    // Five nodes, one part: row 6 of the empty link bank is node 1's G_11.
+    let zero = "\"0x0000000000000000\"";
+    let empty = format!("[{zero},{zero},{zero},{zero}],");
+    let prefix = format!("\"link_queues\":[{}[{zero},", empty.repeat(6));
+    let backlogged = format!(
+        "\"link_queues\":[{}[\"0x0000000000000064\",",
+        empty.repeat(6)
+    );
+    let snap = SimSnapshot::parse_str(&reseal(&text, &[(&prefix, &backlogged)]), "crafted.snap")
+        .expect("image parses");
+    match Simulator::restore(&s, &snap) {
+        Err(SimError::CorruptSnapshot { detail, .. }) => {
+            assert!(detail.contains("node 1's link to itself"), "{detail}");
+        }
+        other => panic!("expected CorruptSnapshot, got {other:?}"),
+    }
+}
+
 /// A checksummed image whose battery fields no battery can hold — a
 /// charge efficiency of 2, a level above the capacity, a negative charge
 /// limit — is a typed rejection when it is read, never a panic in the

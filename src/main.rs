@@ -386,6 +386,8 @@ fn fig2f(cmd: &Command, out: Out<'_>) -> Result<(), Box<dyn std::error::Error>> 
             "baseline cost is zero".to_string()
         }
     )?;
+    let csv = report::architecture_csv(&rows, &v_values);
+    write_artifacts(cmd, &[("fig2f.csv", &csv)])?;
     telemetry(&report, "fig2f")
 }
 
