@@ -19,10 +19,11 @@
 //! [`Simulator`] partitions every unshadowed scenario by
 //! its clusters: with several, it hands one sub-network per cluster to
 //! [`Controller::partitioned`](greencell_core::Controller::partitioned),
-//! which solves each cluster's S1–S3 in one pass and advances its queues
-//! in another (both on [`fan_out`](greencell_core::fan_out) worker
-//! threads) and runs S4 once over the whole network (the grid cost couples
-//! every base station through `f(P)`), and it never builds the dense
+//! which solves each cluster's S1–S3 and its non-BS nodes' S4 answers in
+//! one pass and applies its batteries and advances its queues in another
+//! (both on [`fan_out`](greencell_core::fan_out) worker threads), and
+//! solves S4's base-station coupling once (the grid cost couples every base
+//! station through `f(P)`); it never builds the dense
 //! `n × n` network. With
 //! pruning disabled there is one cluster and the run is the dense
 //! pipeline. Faults, Markov grid chains, BS sleeping, energy cooperation,
