@@ -28,15 +28,21 @@ echo "== s1 power lockstep gate =="
 # iteration per probe) run on the same random instances with 2-5 bands,
 # repeated bandwidths and backlogs (id tiebreaks), fault masks and zero
 # noise, and on crowded ones with 6-64 bands. The kernels take their
-# candidates from one frontier grouped by transmitter: one key per link,
-# built for the link's head band, which a per-slot memo keyed by the
-# link's whole band mask supplies (64 entries, direct-mapped; a link whose
-# H_ij or a slot whose packet counts fall outside the memo's exactness
-# range scans its bands instead). Each transmitter's keys are one range
-# and a heap orders the ranges' minima; a group whose transmitter turned
-# busy leaves whole, a key whose receiver turned busy is dropped when its
-# group is rescanned, and a rejected link's next band (one scan of its
-# bands) takes its key's place. Crowded instances must drop a key for a
+# candidates from lists kept across slots: each transmitter's backlogged
+# links sorted by H_ij, then receiver. The link-queue bank logs the links
+# each advance touched under a new epoch, and a slot moves only those; a
+# bank state that does not follow the last one synced by one advance (the
+# first slot, a restore, another bank) refills every list. A heap orders
+# the transmitter groups' minima; a group enters with its first link's
+# bound H*mu_max and is scanned when that reaches the top, the scan stops
+# once the bound falls below the best weight found, and a later link with
+# the best's H loses an equal bound on its receiver. A link's head band
+# comes from a per-slot memo keyed by its whole band mask (64 entries,
+# direct-mapped; a link whose H_ij or a slot whose packet counts fall
+# outside the memo's exactness range scans its bands instead). A group
+# whose transmitter turned busy leaves whole, a scan passes the links whose
+# receiver turned busy, and a rejected link offers its next band (one scan
+# of its bands) from its place. Crowded instances must pass a link for a
 # busy receiver, re-offer a band behind its group's minimum and empty a
 # group through a link with no band left, and the many-band ones must
 # overflow the memo. They probe with one exact M-matrix solve held as one
@@ -53,14 +59,23 @@ echo "== s1 power lockstep gate =="
 # sub-system, verdicts and powers bit-equal to the whole-system
 # elimination, row sums bit-equal to a recount in push order after any
 # push/pop history, and every reject reason reached (noise floor, row sums,
-# pivot, a cap on the new link, a cap on a held one); the s1 unit tests
-# hold the memo head
-# bit-equal to the band scan and the scan to the per-band minimum, the
-# one-scan next band bit-equal to a filter-and-min over the link's keys,
-# and the frontier's pops equal to a full sort filtered by random busy
-# marks. The net unit tests cover the band-mask bits the memo keys on.
+# pivot, a cap on the new link, a cap on a held one). The s1 unit tests
+# hold the memo head bit-equal to the band scan and the scan to the
+# per-band minimum, the one-scan next band bit-equal to a filter-and-min
+# over the link's keys, and the one-pass frontier (the test oracle: one
+# head key per backlogged link, rebuilt each slot) equal to a full sort
+# filtered by random busy marks; their multi-slot lockstep (48 runs of
+# 40 slots: random advances and band redraws, fault masks and a sleeping
+# base station, energy-admission flips, restores mid-run, equal backlogs,
+# rounding ties past 2^50, and beta the memo cannot serve) pops the
+# persistent lists and the oracle in step under random busy marks, as the
+# greedy loop and as the sequential-fix pool. The queue unit tests hold the
+# change log and the epoch across advance, clone and restore. The net unit
+# tests cover the band-mask bits the memo keys on.
 cargo test -p greencell-core --test prop_s1_kernel -q $CARGO_FLAGS
 cargo test -p greencell-core --lib s1:: -q $CARGO_FLAGS
+cargo test -p greencell-core --lib s1::tests::persistent_frontier_matches_the_one_pass_oracle_across_slots -q $CARGO_FLAGS
+cargo test -p greencell-queue --lib link -q $CARGO_FLAGS
 cargo test -p greencell-phy --test prop_phy -q $CARGO_FLAGS
 cargo test -p greencell-phy --lib workspace -q $CARGO_FLAGS
 cargo test -p greencell-net --lib spectrum -q $CARGO_FLAGS

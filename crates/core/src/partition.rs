@@ -244,11 +244,12 @@ impl Part {
     /// controller covering every node, whose scratch grows to its
     /// steady-state size over the first slots. A cluster part reserves its
     /// scratch at the structural per-slot maxima instead, so none of a
-    /// city's many parts grows after construction: candidate `(i, j, m)`
-    /// triples are bounded by the shared-band count over ordered pairs,
-    /// routable links by the pairs with any shared band, flows by those
-    /// links plus one delivery per session, schedules by the single-radio
-    /// limit `⌊n/2⌋`.
+    /// city's many parts grows after construction: S1 lays out its link
+    /// lists, one arena slot per ordered pair with a shared band;
+    /// routable links are bounded by those pairs, flows by those links
+    /// plus one delivery per session, the link queues' change log by the
+    /// flows plus the schedule, schedules by the single-radio limit
+    /// `⌊n/2⌋`.
     pub(crate) fn new(
         spec: PartSpec,
         energy: &EnergyConfig,
@@ -268,13 +269,8 @@ impl Part {
         let mut routing = RoutingTable::default();
         let (mut link_slots, mut schedule_bound) = (0, 0);
         if !whole {
-            link_slots = net
-                .topology()
-                .ordered_pairs()
-                .filter(|&(i, j)| !net.link_bands(i, j).is_empty())
-                .count();
+            link_slots = s1.reserve(&net);
             schedule_bound = n / 2 + 1;
-            s1.reserve(n, net.band_count(), link_slots);
             outcome.reserve(schedule_bound);
             routing.reserve(n, link_slots);
         }
@@ -320,6 +316,8 @@ impl Part {
         let (n, s) = (self.nodes.len(), self.sessions.len());
         self.s3.reserve(n, s, links);
         self.flows.reserve(s + links);
+        // An advance logs each service triple and each flow entry.
+        self.links.reserve_log(s + links + n / 2 + 1);
         let held = self.psi.flows.len();
         self.psi.flows.reserve((s + links).saturating_sub(held));
         if cfg!(debug_assertions) {

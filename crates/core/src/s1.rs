@@ -26,11 +26,13 @@
 //! maximum same-slot supply — keeps S4 feasible later in the pipeline.
 //!
 //! The scheduling paths never sort the full `(i, j, m)` candidate list.
-//! They hold one packed key per admissible link (its best band not yet
-//! probed) and merge: a link whose head is rejected offers its next band,
-//! a link with a busy endpoint is dropped. That yields the full sort's
-//! candidates in the same order wherever the outcome can depend on them,
-//! with O(1) work per link plus the work around each probe:
+//! They merge one sorted list per admissible link (its candidates in key
+//! order): a link whose head is rejected offers its next band, a link with
+//! a busy endpoint is dropped. That yields the full sort's candidates in
+//! the same order wherever the outcome can depend on them, and the merge
+//! keeps its order across slots, so a slot pays for the links that
+//! changed and for the groups it scans rather than for every backlogged
+//! link:
 //!
 //! * a link's head band is the band of `ℳ_i ∩ ℳ_j` with the most packets
 //!   per slot, the lowest on ties. The packet counts are integers below
@@ -40,16 +42,29 @@
 //!   memoised by mask for the slot; the key keeps the weight `H_ij·c^m`
 //!   bit for bit. A link whose `H_ij` falls outside that range, and every
 //!   link of a slot whose counts are not such integers, scans its bands;
-//! * the frontier groups the heads by transmitter. They arrive row-major,
-//!   so each transmitter's keys form one range, and a heap orders the
-//!   ranges' minima. A group whose transmitter turned busy leaves the heap
-//!   whole when it reaches the top; a key whose receiver turned busy is
-//!   dropped when its group is rescanned. Every pop is therefore the
-//!   smallest key with both endpoints free, which is the full sort's next
-//!   candidate the loop would probe;
-//! * a rejected link's next band is found in one scan of its bands: the
+//! * each transmitter keeps its backlogged links in one list sorted by
+//!   `H_ij` descending, then receiver, across slots. The [`LinkQueueBank`]
+//!   logs the links each advance touched, and a slot moves only those; a
+//!   bank state that does not follow the last one seen by one advance
+//!   (the first slot, a restore, another bank) refills every list;
+//! * `μ^m` is one number per band, so every weight of a transmitter's
+//!   links is at most `H_ij·μ_max`, with `μ_max` the most packets on any of
+//!   its bands. A scan of its list in `H` order can therefore stop at the
+//!   first link whose bound falls below the best weight found, and at an
+//!   equal bound a later link with the best's `H` loses on its receiver.
+//!   The links of one band mask, the (transmitter, mask) classes, share a
+//!   head band and order as `H` does within the list; the bound is what
+//!   lets one scan serve all of a transmitter's classes;
+//! * the frontier groups the offers by transmitter, and a heap orders the
+//!   groups' minima. A group enters the heap with its first link's bound
+//!   and is scanned when that bound reaches the top. A group whose
+//!   transmitter turned busy leaves the heap whole when it reaches the top;
+//!   a scan passes the links whose receiver turned busy. Every pop is
+//!   therefore the smallest key with both endpoints free, which is the
+//!   full sort's next candidate the loop would probe;
+//! * a rejected link's next band is found in one scan of its bands — the
 //!   largest weight after the consumed `(weight, band)`, the lowest band
-//!   on ties.
+//!   on ties — and the link offers it from its place in the list.
 //!
 //! The reference implementations keep the full sort and the
 //! Foschini–Miljanic iteration ([`min_power_assignment_reference`]) as
@@ -63,7 +78,7 @@ use greencell_phy::{
     PowerControlWorkspace, Schedule, SpectrumState, Transmission,
 };
 use greencell_queue::LinkQueueBank;
-use greencell_units::{Energy, PacketSize, Power, TimeDelta};
+use greencell_units::{Energy, PacketSize, Packets, Power, TimeDelta};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -100,23 +115,26 @@ impl ScheduleOutcome {
     }
 }
 
-/// Reusable S1 buffers: the per-link candidate frontier, the per-band
+/// Reusable S1 buffers: the candidate frontier, the per-band
 /// `packets_per_slot` memo and the head-band memo, the per-node admission
 /// memos, and the [`PowerControlWorkspace`] that probes candidate
 /// feasibility and holds the slot's powers. Thread one of these through
 /// [`greedy_schedule_with`] / [`sequential_fix_schedule_with`] across
 /// slots and the steady-state greedy path performs no heap allocation.
+///
+/// The frontier's lists follow the [`LinkQueueBank`] the scratch last
+/// scheduled: a scratch may move between banks, and refills when the
+/// bank's state does not follow the last one it saw, but it assumes that
+/// a bank it follows is scheduled on one network.
 #[derive(Debug, Clone, Default)]
 pub struct S1Scratch {
-    /// One packed `Candidate` key per backlogged, admissible link: the
-    /// link's best band not yet probed.
+    /// The backlogged links' lists, kept across slots, and the slot's
+    /// merge over them.
     frontier: Frontier,
     /// `packets_per_slot(potential_capacity(W_m))` memo, indexed by band —
     /// capacity depends only on the band's bandwidth, so it is computed
     /// once per band per slot instead of once per candidate.
     pkts_per_band: Vec<f64>,
-    /// Each link's head band by its band mask, for this slot.
-    head_bands: BandMemo,
     /// Per-node admission as a transmitter, once per slot: up, and the
     /// worst-case transmit energy within budget.
     tx_ok: Vec<bool>,
@@ -148,22 +166,25 @@ impl S1Scratch {
         Self::default()
     }
 
-    /// Grows every buffer for a `nodes`-node, `bands`-band network with at
-    /// most `max_links` ordered pairs sharing a band (the static bound on
-    /// the per-slot key list: one key per link, not per band). After this,
-    /// scheduling allocates nothing even when traffic hits a new peak.
-    pub fn reserve(&mut self, nodes: usize, bands: usize, max_links: usize) {
-        self.frontier.keys.reserve(max_links);
-        self.frontier.groups.reserve(nodes);
-        self.frontier.minima.reserve(nodes);
+    /// Lays out `net`'s per-transmitter link lists, grows every buffer to
+    /// its static bound, and returns the number of ordered pairs sharing a
+    /// band: the links that can ever hold a candidate. After this,
+    /// scheduling on `net` allocates nothing even when traffic hits a new
+    /// peak. It costs `O(n·D)` after a sort of the `n` band sets, for `D`
+    /// distinct sets, not a pass over the `n²` pairs.
+    pub fn reserve(&mut self, net: &Network) -> usize {
+        let (nodes, bands) = (net.topology().len(), net.band_count());
+        let links = self.frontier.lay_out(net);
+        self.frontier.reserve(nodes);
         self.active
-            .reserve(max_links.saturating_mul(bands).min(MAX_SF_CANDIDATES));
+            .reserve(links.saturating_mul(bands).min(MAX_SF_CANDIDATES));
         self.pkts_per_band.reserve(bands);
         self.tx_ok.reserve(nodes);
         self.rx_ok.reserve(nodes);
         self.busy.reserve(nodes);
         self.ws.reserve(nodes / 2 + 1, bands);
         self.sinr.reserve(nodes / 2);
+        links
     }
 
     /// What the candidate frontier did in the last greedy or
@@ -177,7 +198,7 @@ impl S1Scratch {
 /// Counts of the candidate frontier's rarer paths in one S1 call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontierCounts {
-    /// Keys dropped unprobed because their receiver had turned busy.
+    /// Links passed over unprobed because their receiver had turned busy.
     pub receiver_busy: usize,
     /// Re-offered bands that did not become their group's smallest key.
     pub reoffered_behind: usize,
@@ -274,7 +295,6 @@ fn refresh_memos(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
             // single-best-activation guarantee only holds for the former.
             packets_per_slot(c, inp.packet_size, inp.slot).count_f64()
         }));
-    scratch.head_bands.refresh(&scratch.pkts_per_band);
 
     // Per-node memo of the admission: a down node (fault injection) never
     // transmits or receives, and transmitting at `P_max` (resp. receiving)
@@ -380,7 +400,8 @@ fn next_band(inp: &S1Inputs<'_>, pkts_per_band: &[f64], key: u128) -> Option<u12
 /// Entries of the head-band memo.
 const MEMO_ENTRIES: usize = 64;
 
-/// A memo entry's band when the mask has no band with a positive count.
+/// A memo entry's band when the mask has no band with a positive count;
+/// a link's band when it has none left this slot.
 const NO_BAND: u8 = u8::MAX;
 
 /// Packet counts at or above this are not all exact integers in `f64`
@@ -478,201 +499,365 @@ fn memo_slot(mask: u64) -> usize {
     (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
 }
 
-/// Fills the frontier with each admissible link's head key. Zero heap
-/// allocation once the buffers have grown.
-///
-/// Each link's candidates, in key order, form one sorted list, and the
-/// full candidate order is the merge of those lists. The heads are that
-/// merge's frontier: [`Frontier::advance`] moves it one candidate on.
-fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
-    refresh_memos(inp, scratch);
-    let S1Scratch {
-        frontier,
-        pkts_per_band,
-        head_bands,
-        tx_ok,
-        rx_ok,
-        ..
-    } = scratch;
-    // A plain loop over the backlogs: the same pass written as a
-    // `filter_map` chain measured half again as slow on the paper scenario.
-    let beta = inp.links.beta();
-    frontier.clear(inp.net.topology().len());
-    let mut open = OpenGroup::default();
-    for (i, j, g) in inp.links.backlogs() {
-        let h = beta * g.count_f64();
-        if admissible(tx_ok, rx_ok, i, j, h) {
-            if let Some(key) = head_bands.head(inp.net.link_bands(i, j), pkts_per_band, i, j, h) {
-                frontier.push(&mut open, key);
-            }
-        }
-    }
-    frontier.close(open);
-}
-
-/// One transmitter's keys in [`Frontier::keys`].
+/// One transmitter's backlogged links in the arena, and its group in
+/// this slot's merge.
 #[derive(Debug, Clone, Copy, Default)]
-struct Group {
-    /// The first key.
-    start: usize,
-    /// One past the last key.
-    end: usize,
-    /// The smallest key as of the group's last rescan.
-    min_at: usize,
+struct List {
+    /// Its first arena slot; its room, one slot per receiver it shares a
+    /// band with, ends where the next transmitter's starts.
+    start: u32,
+    /// Its backlogged links fill `start .. start + len`.
+    len: u32,
+    /// This slot: the first arena slot not yet passed over for good.
+    cursor: u32,
+    /// This slot: the arena slot of the group's smallest key, as of its
+    /// last scan.
+    min_at: u32,
+    /// This slot: the most packets per slot on any of the transmitter's
+    /// bands, which bounds every weight of the group by `H·μ_max`.
+    pkts_max: f64,
+    /// This slot: whether the group's key on the heap is its smallest, or
+    /// a bound below it that stands in until it reaches the top.
+    exact: bool,
 }
 
-/// The heads of the per-link merge, grouped by transmitter: each group's
-/// keys lie in one range of `keys`, and a heap holds each live group's
-/// smallest key. A group leaves the heap when its transmitter turns busy
-/// (checked when it reaches the top) or its last key goes.
+/// The candidate merge. Its order persists across slots: an arena holds
+/// each transmitter's backlogged links with their backlogs, sorted by
+/// `G_ij` descending, then receiver. Each slot, a heap holds each
+/// transmitter group's smallest key, which a scan of the group's list
+/// finds: a link's weight is at most `H_ij·μ_max`, and `H` falls along the
+/// list, so the scan stops at the first link whose bound falls below the
+/// best key found. A group enters the heap with the bound of its first
+/// link, and is scanned only when that bound reaches the top. A group
+/// leaves the heap when its transmitter turns busy (checked when it
+/// reaches the top) or its last key goes.
 #[derive(Debug, Clone, Default)]
 struct Frontier {
-    /// The keys, each transmitter's in one contiguous range.
-    keys: Vec<u128>,
-    /// Per node, its range of `keys` as a transmitter. Only the entries of
-    /// this call's transmitters are read.
-    groups: Vec<Group>,
+    /// Per arena slot, a receiver.
+    rx: Vec<u32>,
+    /// Per arena slot, its link's `H_ij = β·G_ij` as of the last sync,
+    /// as [`LinkQueueBank::h`] computes it. `H > 0` is finite or `+∞`, so
+    /// its bits order as it does.
+    h: Vec<f64>,
+    /// Per node, its list as a transmitter.
+    lists: Vec<List>,
+    /// Per node, its band set.
+    bands: Vec<BandSet>,
+    /// The epoch of the bank state the lists hold; 0 for none.
+    synced: u64,
+    /// Per arena slot, `now·2⁸ + band`: the band its link offers in slot
+    /// `now`, or [`NO_BAND`] once it has none left. Other stamps mean
+    /// that the link has offered nothing yet this slot.
+    state: Vec<u32>,
+    /// The current slot's stamp, below 2²⁴.
+    now: u32,
+    /// Each link's head band by its mask, this slot.
+    memo: BandMemo,
     /// The groups' smallest keys, smallest on top.
     minima: BinaryHeap<Reverse<u128>>,
     /// What this call's merge did.
     counts: FrontierCounts,
-}
-
-/// The transmitter group [`Frontier::push`] is filling, held by the
-/// caller so that it stays in registers.
-#[derive(Debug, Clone, Copy)]
-struct OpenGroup {
-    /// Its transmitter; `usize::MAX` before the first key.
-    tx: usize,
-    /// Its first key.
-    start: usize,
-    /// Its smallest key so far.
-    min_at: usize,
-}
-
-impl Default for OpenGroup {
-    fn default() -> Self {
-        Self {
-            tx: usize::MAX,
-            start: 0,
-            min_at: 0,
-        }
-    }
+    /// Layout scratch: each distinct band set and how many nodes hold it.
+    sets: Vec<(BandSet, u32)>,
+    /// Refill scratch: one list's links as sort keys.
+    sort: Vec<u128>,
 }
 
 impl Frontier {
-    /// Empties the frontier for a `nodes`-node network's heads.
-    fn clear(&mut self, nodes: usize) {
-        self.keys.clear();
-        self.groups.clear();
-        self.groups.resize(nodes, Group::default());
-        self.minima.clear();
-        self.counts = FrontierCounts::default();
-    }
-
-    /// Appends a head. The heads must come in row-major order, as
-    /// [`LinkQueueBank::backlogs`] yields them, so that each transmitter's
-    /// keys form one run: a key of a new transmitter closes `open` and
-    /// opens the next group. [`Frontier::close`] closes the last one.
-    fn push(&mut self, open: &mut OpenGroup, key: u128) {
-        let (tx, at) = (tx_of(key), self.keys.len());
-        if tx != open.tx {
-            debug_assert!(open.tx == usize::MAX || open.tx < tx, "heads not row-major");
-            self.close(*open);
-            *open = OpenGroup {
-                tx,
-                start: at,
-                min_at: at,
-            };
-        } else if key < self.keys[open.min_at] {
-            open.min_at = at;
-        }
-        self.keys.push(key);
-    }
-
-    /// Records the group `open` as one range of `keys`, ending at the last
-    /// key, and puts its smallest key on the heap. A group with no key is
-    /// skipped.
-    fn close(&mut self, open: OpenGroup) {
-        if open.start < self.keys.len() {
-            self.groups[open.tx] = Group {
-                start: open.start,
-                end: self.keys.len(),
-                min_at: open.min_at,
-            };
-            self.minima.push(Reverse(self.keys[open.min_at]));
-        }
-    }
-
-    /// The smallest key with both endpoints free, or `None` once every
-    /// group is gone. On the way, a top group whose transmitter is busy
-    /// leaves the heap, and a top key whose receiver is busy makes its
-    /// group rescan, which drops it.
-    fn peek(&mut self, busy: &[bool]) -> Option<u128> {
-        while let Some(&Reverse(top)) = self.minima.peek() {
-            if busy[tx_of(top)] {
-                self.minima.pop();
-            } else if busy[rx_of(top)] {
-                self.rescan(tx_of(top), busy);
-            } else {
-                return Some(top);
+    /// Lays the lists of `net` out, all empty, with one arena slot per
+    /// ordered pair sharing a band, and returns that count. The lists
+    /// then hold no bank's state. A transmitter's room is the number of
+    /// other holders of each distinct band set it meets, so this costs
+    /// `O(n·D)` after a sort of the `n` band sets, for `D` distinct sets.
+    fn lay_out(&mut self, net: &Network) -> usize {
+        let n = net.topology().len();
+        self.bands.clear();
+        self.bands
+            .extend(net.topology().ids().map(|i| net.link_bands(i, i)));
+        let sets = &mut self.sets;
+        sets.clear();
+        sets.extend(self.bands.iter().map(|&set| (set, 1)));
+        sets.sort_unstable_by_key(|&(set, _)| set.bits());
+        sets.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
+            same
+        });
+        self.lists.clear();
+        let mut slots = 0_u32;
+        for &mine in &self.bands {
+            let room: u32 = sets
+                .iter()
+                .filter(|&&(set, _)| !mine.intersection(set).is_empty())
+                // A node is no link of its own.
+                .map(|&(set, holders)| holders - u32::from(set == mine))
+                .sum();
+            self.lists.push(List {
+                start: slots,
+                ..List::default()
+            });
+            slots += room;
         }
-        None
+        let slots = slots as usize;
+        self.rx.clear();
+        self.rx.resize(slots, 0);
+        self.h.clear();
+        self.h.resize(slots, 0.0);
+        self.state.clear();
+        self.state.resize(slots, 0);
+        debug_assert_eq!(self.lists.len(), n);
+        self.now = 0;
+        self.synced = 0;
+        slots
     }
 
-    /// Consumes the key [`Frontier::peek`] returned, whose link was
-    /// probed and rejected (or taken into sequential-fix's pool). `next`,
-    /// the link's next band, takes its place; `None` drops the link.
-    fn advance(&mut self, next: Option<u128>, busy: &[bool]) {
-        let Some(&Reverse(top)) = self.minima.peek() else {
+    /// Grows the heap to its bound for `nodes` nodes.
+    fn reserve(&mut self, nodes: usize) {
+        self.minima.reserve(nodes);
+    }
+
+    /// Whether link `(i, j)` has a place: `i ≠ j`, and the pair shares a
+    /// band.
+    fn placed(&self, i: usize, j: usize) -> bool {
+        i != j && !self.bands[i].intersection(self.bands[j]).is_empty()
+    }
+
+    /// Brings the lists up to the bank's state: re-places the links its
+    /// last advance touched when the lists hold the state that advance
+    /// started from, and refills them otherwise.
+    fn sync(&mut self, net: &Network, links: &LinkQueueBank) {
+        let laid_out = self.lists.len() == net.topology().len();
+        match links.changes_since(self.synced) {
+            Some(changed) if laid_out => {
+                for (i, j) in changed {
+                    let backlogged = links.g(i, j) > Packets::ZERO;
+                    self.re_place(i.index(), j.index(), backlogged.then(|| links.h(i, j)));
+                }
+            }
+            _ => self.refill(net, links),
+        }
+        self.synced = links.epoch();
+    }
+
+    /// Moves link `(i, j)` to its place in `i`'s list: where `(h, j)`
+    /// sorts if it is backlogged with `H_ij = h`, out of the list if not.
+    /// The list stays sorted by the `H` it records throughout, so a link
+    /// the log names twice, or several links of one list, need no second
+    /// pass.
+    fn re_place(&mut self, i: usize, j: usize, h: Option<f64>) {
+        if !self.placed(i, j) {
+            return;
+        }
+        let List { start, len, .. } = self.lists[i];
+        let (s, e) = (start as usize, (start + len) as usize);
+        let r = j as u32;
+        // One past the list, its room's first free slot, if it has one.
+        let room = if i + 1 < self.lists.len() {
+            self.lists[i + 1].start as usize
+        } else {
+            self.rx.len()
+        };
+        let (rx, hs) = (&mut self.rx[s..room], &mut self.h[s..room]);
+        let len = e - s;
+        let held = rx[..len].iter().position(|&x| x == r);
+        let Some(h) = h else {
+            if let Some(k) = held {
+                // By hand: a list is a few links, too few for a `memmove`.
+                for at in k..len - 1 {
+                    (rx[at], hs[at]) = (rx[at + 1], hs[at + 1]);
+                }
+                self.lists[i].len -= 1;
+            }
             return;
         };
-        let tx = tx_of(top);
-        let group = &mut self.groups[tx];
-        let at = group.min_at;
-        match next {
-            Some(next) => self.keys[at] = next,
-            None => {
-                group.end -= 1;
-                self.keys[at] = self.keys[group.end];
+        // The first place whose recorded key is not below the new one.
+        let want = (Reverse(h.to_bits()), r);
+        let (mut place, mut hi) = (0, len);
+        while place < hi {
+            let mid = (place + hi) / 2;
+            if (Reverse(hs[mid].to_bits()), rx[mid]) < want {
+                place = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        let min = self.rescan(tx, busy);
-        match next {
-            Some(next) if min != Some(next) => self.counts.reoffered_behind += 1,
-            None if min.is_none() => self.counts.exhausted += 1,
-            _ => {}
+        // Shift the links between the old place and the new by one.
+        let place = match held {
+            Some(k) if place <= k => {
+                for at in (place..k).rev() {
+                    (rx[at + 1], hs[at + 1]) = (rx[at], hs[at]);
+                }
+                place
+            }
+            Some(k) => {
+                for at in k..place - 1 {
+                    (rx[at], hs[at]) = (rx[at + 1], hs[at + 1]);
+                }
+                place - 1
+            }
+            None => {
+                for at in (place..len).rev() {
+                    (rx[at + 1], hs[at + 1]) = (rx[at], hs[at]);
+                }
+                self.lists[i].len += 1;
+                place
+            }
+        };
+        (rx[place], hs[place]) = (r, h);
+    }
+
+    /// Lays the lists out anew and fills them with every backlogged link
+    /// of the bank.
+    fn refill(&mut self, net: &Network, links: &LinkQueueBank) {
+        self.lay_out(net);
+        for (i, j, _) in links.backlogs() {
+            if self.placed(i.index(), j.index()) {
+                let list = &mut self.lists[i.index()];
+                let at = (list.start + list.len) as usize;
+                (self.rx[at], self.h[at]) = (j.index() as u32, links.h(i, j));
+                list.len += 1;
+            }
+        }
+        for list in &self.lists {
+            let (s, e) = (list.start as usize, (list.start + list.len) as usize);
+            // Sort the two columns together: a key of `H`'s bits, negated,
+            // over the receiver sorts by `H` descending, then receiver.
+            self.sort.clear();
+            self.sort.extend(
+                (s..e)
+                    .map(|at| (u128::from(!self.h[at].to_bits()) << 32) | u128::from(self.rx[at])),
+            );
+            self.sort.sort_unstable();
+            for (at, &key) in (s..e).zip(&self.sort) {
+                let h = f64::from_bits(!((key >> 32) as u64));
+                (self.rx[at], self.h[at]) = (key as u32, h);
+            }
         }
     }
 
-    /// Rescans the top group `tx`, dropping its keys whose receiver is
-    /// busy, and puts its new smallest key on top of the heap (sifted
-    /// down), or pops the group once it is empty. Returns that key.
-    fn rescan(&mut self, tx: usize, busy: &[bool]) -> Option<u128> {
-        // Locals, not the group's fields, in the loop: measured a few
-        // percent of the call faster.
-        let group = &mut self.groups[tx];
-        let (mut k, mut end, mut min_at) = (group.start, group.end, group.start);
-        let mut smallest = u128::MAX;
-        while k < end {
-            let key = self.keys[k];
-            if busy[rx_of(key)] {
-                end -= 1;
-                self.keys[k] = self.keys[end];
-                self.counts.receiver_busy += 1;
-            } else {
-                if key < smallest {
-                    smallest = key;
-                    min_at = k;
-                }
-                k += 1;
+    /// Builds this slot's merge: scans every admissible transmitter's list
+    /// for its smallest key and puts it on the heap.
+    fn fill(&mut self, v: &View<'_>, tx_ok: &[bool]) {
+        self.now = (self.now + 1) & 0xFF_FFFF;
+        if self.now == 0 {
+            self.state.fill(0);
+            self.now = 1;
+        }
+        self.memo.refresh(v.pkts);
+        self.minima.clear();
+        self.counts = FrontierCounts::default();
+        for tx in (0..self.lists.len()).filter(|&tx| tx_ok[tx]) {
+            let list = &mut self.lists[tx];
+            if list.len == 0 {
+                continue;
+            }
+            (list.cursor, list.exact) = (list.start, false);
+            list.pkts_max = self.bands[tx]
+                .iter()
+                .map(|m| v.pkts[m.index()])
+                .fold(0.0, f64::max);
+            // The first link has the largest `H`, so no key of the group
+            // weighs more than this: a key with receiver and band 0 below
+            // them all stands in for the group until it reaches the top.
+            // With no positive count, no link of the group has a weight.
+            let bound = self.h[list.start as usize] * list.pkts_max;
+            if bound > 0.0 {
+                let (tx, zero) = (NodeId::from_index(tx), NodeId::from_index(0));
+                let key = Candidate::key(tx, zero, BandId::from_index(0), bound);
+                self.minima.push(Reverse(key));
             }
         }
-        group.end = end;
-        group.min_at = min_at;
+    }
+
+    /// The key link `at` of transmitter `tx`, whose band set is `own`,
+    /// offers this slot, or `None` once it has none left: its head band's
+    /// the first time, as the one-pass heads built it, then the band a
+    /// rejection moved it to.
+    fn offer(&mut self, v: &View<'_>, tx: usize, own: BandSet, at: usize) -> Option<u128> {
+        let (rx, h, state) = (self.rx[at], self.h[at], self.state[at]);
+        let (txn, rxn) = (NodeId::from_index(tx), NodeId::from_index(rx as usize));
+        if state >> 8 != self.now {
+            let bands = own.intersection(self.bands[rx as usize]);
+            let key = self.memo.head(bands, v.pkts, txn, rxn, h);
+            self.state[at] = self.now << 8 | u32::from(key.map_or(NO_BAND, band_of));
+            return key;
+        }
+        let band = state as u8;
+        (band != NO_BAND).then(|| {
+            let m = BandId::from_index(usize::from(band));
+            Candidate::key(txn, rxn, m, h * v.pkts[m.index()])
+        })
+    }
+
+    /// Scans group `tx` for its smallest key, records where it is, and
+    /// returns it. The scan moves the group's cursor past the links it
+    /// can never offer again this slot (receiver busy or inadmissible, or
+    /// no band left), and stops at the first link whose bound `H·μ_max`
+    /// falls below the best weight found: every later link weighs less.
+    /// At an equal bound, a later link with the best's `H` loses the tie
+    /// on its receiver.
+    fn group_min(&mut self, v: &View<'_>, tx: usize) -> Option<u128> {
+        let List {
+            mut cursor,
+            start,
+            len,
+            pkts_max,
+            ..
+        } = self.lists[tx];
+        let (end, own, dead) = (
+            start + len,
+            self.bands[tx],
+            self.now << 8 | u32::from(NO_BAND),
+        );
+        let (mut best, mut best_weight, mut best_h, mut min_at) =
+            (u128::MAX, f64::NEG_INFINITY, 0.0, 0);
+        let (from, mut lead) = (cursor, true);
+        for at in from..end {
+            let k = at as usize;
+            let h = self.h[k];
+            let bound = h * pkts_max;
+            if bound < best_weight {
+                break;
+            }
+            let r = self.rx[k] as usize;
+            let gone = !v.rx_ok[r] || self.state[k] == dead;
+            if gone || v.busy[r] {
+                if lead {
+                    cursor = at + 1;
+                    self.counts.receiver_busy += usize::from(!gone);
+                }
+                continue;
+            }
+            if bound == best_weight && h == best_h {
+                lead = false;
+                continue;
+            }
+            match self.offer(v, tx, own, k) {
+                Some(key) => {
+                    lead = false;
+                    if key < best {
+                        (best, best_weight, best_h, min_at) =
+                            (key, Candidate::from_key(key).weight, h, at);
+                    }
+                }
+                None if lead => cursor = at + 1,
+                None => {}
+            }
+        }
+        let list = &mut self.lists[tx];
+        (list.cursor, list.min_at) = (cursor, min_at);
         // No key is `u128::MAX`, which would decode to a zero weight.
-        let min = (end > group.start).then_some(smallest);
+        (best != u128::MAX).then_some(best)
+    }
+
+    /// Rescans the top group `tx` ([`Frontier::group_min`]) and puts its
+    /// new smallest key on top of the heap (sifted down), or pops the
+    /// group once it is empty. Returns that key.
+    fn rescan(&mut self, v: &View<'_>, tx: usize) -> Option<u128> {
+        let min = self.group_min(v, tx);
+        self.lists[tx].exact = true;
         if let Some(mut top) = self.minima.peek_mut() {
             match min {
                 Some(min) => *top = Reverse(min),
@@ -683,6 +868,86 @@ impl Frontier {
         }
         min
     }
+
+    /// The smallest key with both endpoints free, or `None` once every
+    /// group is gone. On the way, a top group whose transmitter is busy
+    /// leaves the heap, and a top key whose receiver is busy makes its
+    /// group rescan, which passes it over.
+    fn peek(&mut self, v: &View<'_>) -> Option<u128> {
+        while let Some(&Reverse(top)) = self.minima.peek() {
+            let tx = tx_of(top);
+            if v.busy[tx] {
+                self.minima.pop();
+            } else if !self.lists[tx].exact || v.busy[rx_of(top)] {
+                self.rescan(v, tx);
+            } else {
+                return Some(top);
+            }
+        }
+        None
+    }
+
+    /// Consumes the key [`Frontier::peek`] returned, whose link was
+    /// probed and rejected (or taken into sequential-fix's pool). `next`,
+    /// the link's next band, takes its place; `None` drops the link for
+    /// the slot.
+    fn advance(&mut self, v: &View<'_>, next: Option<u128>) {
+        let Some(&Reverse(top)) = self.minima.peek() else {
+            return;
+        };
+        let tx = tx_of(top);
+        let at = self.lists[tx].min_at as usize;
+        self.state[at] = self.now << 8 | u32::from(next.map_or(NO_BAND, band_of));
+        let min = self.rescan(v, tx);
+        match next {
+            Some(next) if min != Some(next) => self.counts.reoffered_behind += 1,
+            None if min.is_none() => self.counts.exhausted += 1,
+            _ => {}
+        }
+    }
+}
+
+/// What the frontier reads of the slot: the band counts, the receivers'
+/// admission and the busy mask.
+struct View<'a> {
+    pkts: &'a [f64],
+    rx_ok: &'a [bool],
+    busy: &'a [bool],
+}
+
+/// The band index of a packed key.
+fn band_of(key: u128) -> u8 {
+    (key & FIELD) as u8
+}
+
+/// Brings the scratch's frontier up to the bank and fills it for this
+/// slot, with every node free. Zero heap allocation once the buffers have
+/// grown.
+///
+/// Each link's candidates, in key order, form one sorted list, and the
+/// full candidate order is the merge of those lists; each group's
+/// smallest key is that merge's frontier, and [`Frontier::advance`] moves
+/// it one candidate on.
+fn frontier_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch) {
+    refresh_memos(inp, scratch);
+    let S1Scratch {
+        frontier,
+        pkts_per_band,
+        tx_ok,
+        rx_ok,
+        busy,
+        ..
+    } = scratch;
+    busy.clear();
+    busy.resize(inp.net.topology().len(), false);
+    frontier.sync(inp.net, inp.links);
+    frontier.fill(&view(pkts_per_band, rx_ok, busy), tx_ok);
+}
+
+/// The frontier's view of this slot through `scratch`'s memos and busy
+/// mask.
+fn view<'a>(pkts: &'a [f64], rx_ok: &'a [bool], busy: &'a [bool]) -> View<'a> {
+    View { pkts, rx_ok, busy }
 }
 
 /// The full candidate list in scheduling order (weight desc, then ids) —
@@ -731,12 +996,14 @@ pub fn greedy_schedule_with(
     scratch: &mut S1Scratch,
     out: &mut ScheduleOutcome,
 ) {
-    heads_into(inp, scratch);
+    frontier_into(inp, scratch);
     out.clear();
     scratch.ws.clear();
-    scratch.busy.clear();
-    scratch.busy.resize(inp.net.topology().len(), false);
-    while let Some(key) = scratch.frontier.peek(&scratch.busy) {
+    loop {
+        let v = view(&scratch.pkts_per_band, &scratch.rx_ok, &scratch.busy);
+        let Some(key) = scratch.frontier.peek(&v) else {
+            break;
+        };
         let cand = Candidate::from_key(key);
         let t = Transmission::new(cand.tx, cand.rx, cand.band);
         if scratch
@@ -750,7 +1017,8 @@ pub fn greedy_schedule_with(
             debug_assert!(added.is_ok(), "frontier yielded {t}: {added:?}");
             if added.is_err() {
                 scratch.ws.pop_candidate();
-                scratch.frontier.advance(None, &scratch.busy);
+                let v = view(&scratch.pkts_per_band, &scratch.rx_ok, &scratch.busy);
+                scratch.frontier.advance(&v, None);
                 continue;
             }
             // Both endpoints' groups leave the frontier as they reach its
@@ -760,7 +1028,8 @@ pub fn greedy_schedule_with(
             continue;
         }
         let next = next_band(inp, &scratch.pkts_per_band, key);
-        scratch.frontier.advance(next, &scratch.busy);
+        let v = view(&scratch.pkts_per_band, &scratch.rx_ok, &scratch.busy);
+        scratch.frontier.advance(&v, next);
     }
     read_powers(inp, scratch, out);
 }
@@ -886,26 +1155,25 @@ pub fn sequential_fix_schedule_with(
     scratch: &mut S1Scratch,
     out: &mut ScheduleOutcome,
 ) {
-    heads_into(inp, scratch);
+    frontier_into(inp, scratch);
     out.clear();
     scratch.ws.clear();
-    scratch.busy.clear();
-    scratch.busy.resize(inp.net.topology().len(), false);
     // The pool is the first `MAX_SF_CANDIDATES` of the full candidate
     // order: consume every head in turn, each link offering its next band.
     // No node is busy, so the frontier drops nothing. Each pool link's
     // big-M constant is computed here, once per call.
     scratch.active.clear();
     while scratch.active.len() < MAX_SF_CANDIDATES {
-        let Some(key) = scratch.frontier.peek(&scratch.busy) else {
+        let v = view(&scratch.pkts_per_band, &scratch.rx_ok, &scratch.busy);
+        let Some(key) = scratch.frontier.peek(&v) else {
             break;
         };
         let c = Candidate::from_key(key);
+        let next = next_band(inp, &scratch.pkts_per_band, key);
+        scratch.frontier.advance(&v, next);
         scratch
             .active
             .push((c, worst_interference(inp, c.tx, c.rx)));
-        let next = next_band(inp, &scratch.pkts_per_band, key);
-        scratch.frontier.advance(next, &scratch.busy);
     }
     scratch.fixed_interference.clear();
 
@@ -1152,6 +1420,217 @@ fn solve_relaxation(
     Some(alpha_vars.iter().map(|&v| sol.value(v)).collect())
 }
 
+/// The one-pass frontier the persistent classes replaced: every slot, one
+/// head key per backlogged admissible link, grouped by transmitter. Kept
+/// as the lockstep oracle of [`Frontier`].
+#[cfg(test)]
+mod one_pass {
+    use super::*;
+
+    /// Fills `frontier` with each admissible link's head key, built anew
+    /// from every backlogged link, with `scratch`'s memos.
+    pub(super) fn heads_into(inp: &S1Inputs<'_>, scratch: &mut S1Scratch, frontier: &mut Frontier) {
+        refresh_memos(inp, scratch);
+        let S1Scratch {
+            pkts_per_band,
+            tx_ok,
+            rx_ok,
+            ..
+        } = scratch;
+        frontier.memo.refresh(pkts_per_band);
+        let beta = inp.links.beta();
+        frontier.clear(inp.net.topology().len());
+        let mut open = OpenGroup::default();
+        for (i, j, g) in inp.links.backlogs() {
+            let h = beta * g.count_f64();
+            if admissible(tx_ok, rx_ok, i, j, h) {
+                let bands = inp.net.link_bands(i, j);
+                if let Some(key) = frontier.memo.head(bands, pkts_per_band, i, j, h) {
+                    frontier.push(&mut open, key);
+                }
+            }
+        }
+        frontier.close(open);
+    }
+
+    /// One transmitter's keys in [`Frontier::keys`].
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Group {
+        /// The first key.
+        start: usize,
+        /// One past the last key.
+        end: usize,
+        /// The smallest key as of the group's last rescan.
+        min_at: usize,
+    }
+
+    /// The heads of the per-link merge, grouped by transmitter: each group's
+    /// keys lie in one range of `keys`, and a heap holds each live group's
+    /// smallest key. A group leaves the heap when its transmitter turns busy
+    /// (checked when it reaches the top) or its last key goes.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Frontier {
+        /// The head-band memo.
+        memo: BandMemo,
+        /// The keys, each transmitter's in one contiguous range.
+        keys: Vec<u128>,
+        /// Per node, its range of `keys` as a transmitter. Only the entries of
+        /// this call's transmitters are read.
+        groups: Vec<Group>,
+        /// The groups' smallest keys, smallest on top.
+        minima: BinaryHeap<Reverse<u128>>,
+        /// What this call's merge did.
+        pub(super) counts: FrontierCounts,
+    }
+
+    /// The transmitter group [`Frontier::push`] is filling, held by the
+    /// caller so that it stays in registers.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct OpenGroup {
+        /// Its transmitter; `usize::MAX` before the first key.
+        tx: usize,
+        /// Its first key.
+        start: usize,
+        /// Its smallest key so far.
+        min_at: usize,
+    }
+
+    impl Default for OpenGroup {
+        fn default() -> Self {
+            Self {
+                tx: usize::MAX,
+                start: 0,
+                min_at: 0,
+            }
+        }
+    }
+
+    impl Frontier {
+        /// Empties the frontier for a `nodes`-node network's heads.
+        pub(super) fn clear(&mut self, nodes: usize) {
+            self.keys.clear();
+            self.groups.clear();
+            self.groups.resize(nodes, Group::default());
+            self.minima.clear();
+            self.counts = FrontierCounts::default();
+        }
+
+        /// Appends a head. The heads must come in row-major order, as
+        /// [`LinkQueueBank::backlogs`] yields them, so that each transmitter's
+        /// keys form one run: a key of a new transmitter closes `open` and
+        /// opens the next group. [`Frontier::close`] closes the last one.
+        pub(super) fn push(&mut self, open: &mut OpenGroup, key: u128) {
+            let (tx, at) = (tx_of(key), self.keys.len());
+            if tx != open.tx {
+                debug_assert!(open.tx == usize::MAX || open.tx < tx, "heads not row-major");
+                self.close(*open);
+                *open = OpenGroup {
+                    tx,
+                    start: at,
+                    min_at: at,
+                };
+            } else if key < self.keys[open.min_at] {
+                open.min_at = at;
+            }
+            self.keys.push(key);
+        }
+
+        /// Records the group `open` as one range of `keys`, ending at the last
+        /// key, and puts its smallest key on the heap. A group with no key is
+        /// skipped.
+        pub(super) fn close(&mut self, open: OpenGroup) {
+            if open.start < self.keys.len() {
+                self.groups[open.tx] = Group {
+                    start: open.start,
+                    end: self.keys.len(),
+                    min_at: open.min_at,
+                };
+                self.minima.push(Reverse(self.keys[open.min_at]));
+            }
+        }
+
+        /// The smallest key with both endpoints free, or `None` once every
+        /// group is gone. On the way, a top group whose transmitter is busy
+        /// leaves the heap, and a top key whose receiver is busy makes its
+        /// group rescan, which drops it.
+        pub(super) fn peek(&mut self, busy: &[bool]) -> Option<u128> {
+            while let Some(&Reverse(top)) = self.minima.peek() {
+                if busy[tx_of(top)] {
+                    self.minima.pop();
+                } else if busy[rx_of(top)] {
+                    self.rescan(tx_of(top), busy);
+                } else {
+                    return Some(top);
+                }
+            }
+            None
+        }
+
+        /// Consumes the key [`Frontier::peek`] returned, whose link was
+        /// probed and rejected (or taken into sequential-fix's pool). `next`,
+        /// the link's next band, takes its place; `None` drops the link.
+        pub(super) fn advance(&mut self, next: Option<u128>, busy: &[bool]) {
+            let Some(&Reverse(top)) = self.minima.peek() else {
+                return;
+            };
+            let tx = tx_of(top);
+            let group = &mut self.groups[tx];
+            let at = group.min_at;
+            match next {
+                Some(next) => self.keys[at] = next,
+                None => {
+                    group.end -= 1;
+                    self.keys[at] = self.keys[group.end];
+                }
+            }
+            let min = self.rescan(tx, busy);
+            match next {
+                Some(next) if min != Some(next) => self.counts.reoffered_behind += 1,
+                None if min.is_none() => self.counts.exhausted += 1,
+                _ => {}
+            }
+        }
+
+        /// Rescans the top group `tx`, dropping its keys whose receiver is
+        /// busy, and puts its new smallest key on top of the heap (sifted
+        /// down), or pops the group once it is empty. Returns that key.
+        fn rescan(&mut self, tx: usize, busy: &[bool]) -> Option<u128> {
+            // Locals, not the group's fields, in the loop: measured a few
+            // percent of the call faster.
+            let group = &mut self.groups[tx];
+            let (mut k, mut end, mut min_at) = (group.start, group.end, group.start);
+            let mut smallest = u128::MAX;
+            while k < end {
+                let key = self.keys[k];
+                if busy[rx_of(key)] {
+                    end -= 1;
+                    self.keys[k] = self.keys[end];
+                    self.counts.receiver_busy += 1;
+                } else {
+                    if key < smallest {
+                        smallest = key;
+                        min_at = k;
+                    }
+                    k += 1;
+                }
+            }
+            group.end = end;
+            group.min_at = min_at;
+            // No key is `u128::MAX`, which would decode to a zero weight.
+            let min = (end > group.start).then_some(smallest);
+            if let Some(mut top) = self.minima.peek_mut() {
+                match min {
+                    Some(min) => *top = Reverse(min),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+            }
+            min
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1379,8 +1858,8 @@ mod tests {
         );
     }
 
-    /// The grouped frontier pops exactly the keys of a full sort that has
-    /// the keys with a busy endpoint filtered out, on 2 000 random key
+    /// The one-pass oracle frontier pops exactly the keys of a full sort
+    /// that has the keys with a busy endpoint filtered out, on 2 000 random key
     /// sets: 1–4 bands per link with tied weights, each probed key
     /// accepted (both endpoints turn busy) or rejected (the link offers its
     /// next key), and random nodes marked busy between pops. With nothing
@@ -1389,7 +1868,7 @@ mod tests {
     fn frontier_pops_match_a_filtered_full_sort() {
         let mut rng = greencell_stochastic::Rng::seed_from(11);
         let weights = [1.0, 2.0, 2.0, 3.0, 7.5, 1e9];
-        let mut frontier = Frontier::default();
+        let mut frontier = one_pass::Frontier::default();
         let mut total = FrontierCounts::default();
         for case in 0..2_000u64 {
             let nodes = 2 + rng.index(40);
@@ -1451,7 +1930,7 @@ mod tests {
                 vec![false; nodes],
             );
             frontier.clear(nodes);
-            let mut open = OpenGroup::default();
+            let mut open = one_pass::OpenGroup::default();
             for keys in links.values() {
                 frontier.push(&mut open, keys[0]);
             }
@@ -1476,6 +1955,329 @@ mod tests {
         assert!(
             total.receiver_busy > 100 && total.reoffered_behind > 100 && total.exhausted > 100,
             "{total:?}"
+        );
+    }
+
+    /// One multi-slot lockstep run's family: `H`'s scale, the flow sizes
+    /// routing hands the links, and the first slot's (before any
+    /// service).
+    struct Family {
+        beta: f64,
+        flows: &'static [u64],
+        first: &'static [u64],
+    }
+
+    /// What the lockstep runs reached, to show that they cover the paths
+    /// that matter.
+    #[derive(Debug, Default)]
+    struct Reach {
+        pops: usize,
+        refills: usize,
+        masked_nodes: usize,
+        inadmissible: usize,
+        rounding_ties: usize,
+        equal_backlogs: usize,
+        scanned_heads: usize,
+    }
+
+    /// A random network of 6–24 nodes (1–3 base stations), 2–6 bands,
+    /// every third node on a random subset of them.
+    fn lockstep_network(rng: &mut greencell_stochastic::Rng) -> Network {
+        let n = 6 + rng.index(19);
+        let bands = 2 + rng.index(5);
+        let mut b = NetworkBuilder::new(PathLossModel::new(62.5, 4.0), bands);
+        for k in 0..n {
+            let angle = k as f64 * std::f64::consts::TAU / n as f64;
+            let radius = rng.range_f64(100.0, 900.0);
+            let p = Point::new(1000.0 + radius * angle.cos(), 1000.0 + radius * angle.sin());
+            let node = if k < 1 + k % 3 && k < 3 {
+                b.add_base_station(p)
+            } else {
+                b.add_user(p)
+            };
+            if rng.index(3) == 0 {
+                let mut subset = BandSet::empty();
+                subset.insert(BandId::from_index(rng.index(bands)));
+                for m in 0..bands {
+                    if rng.chance(0.5) {
+                        subset.insert(BandId::from_index(m));
+                    }
+                }
+                b.set_bands(node, subset);
+            }
+        }
+        b.build().expect("valid network")
+    }
+
+    /// Pops `persistent`'s frontier and `oracle`'s in step for this slot:
+    /// between pops random nodes turn busy, and each popped link is
+    /// accepted (both endpoints turn busy) or rejected (it offers its next
+    /// band), the same on both sides. With `pool`, nothing turns busy and
+    /// the first `MAX_SF_CANDIDATES` pops are compared, as sequential-fix
+    /// draws them.
+    fn pops_in_step(
+        inp: &S1Inputs<'_>,
+        persistent: &mut S1Scratch,
+        oracle: (&mut S1Scratch, &mut one_pass::Frontier),
+        rng: &mut greencell_stochastic::Rng,
+        pool: bool,
+    ) -> usize {
+        let n = inp.net.topology().len();
+        frontier_into(inp, persistent);
+        let (oracle_scratch, oracle_frontier) = oracle;
+        one_pass::heads_into(inp, oracle_scratch, oracle_frontier);
+        let (mark, accept) = if pool { (0.0, 0.0) } else { (0.2, 0.4) };
+        let mut busy = vec![false; n];
+        let mut pops = 0;
+        loop {
+            let v = view(&persistent.pkts_per_band, &persistent.rx_ok, &busy);
+            let got = persistent.frontier.peek(&v);
+            let want = oracle_frontier.peek(&busy);
+            assert_eq!(
+                got.map(Candidate::from_key).map(|c| (c.tx, c.rx, c.band)),
+                want.map(Candidate::from_key).map(|c| (c.tx, c.rx, c.band)),
+                "pop {pops}"
+            );
+            assert_eq!(got, want, "pop {pops}: keys differ");
+            let Some(key) = got else {
+                break;
+            };
+            pops += 1;
+            if pool && pops == MAX_SF_CANDIDATES {
+                break;
+            }
+            if rng.chance(mark) {
+                busy[rng.index(n)] = true;
+            }
+            if rng.chance(accept) {
+                busy[tx_of(key)] = true;
+                busy[rx_of(key)] = true;
+                continue;
+            }
+            let next = next_band(inp, &persistent.pkts_per_band, key);
+            let v = view(&persistent.pkts_per_band, &persistent.rx_ok, &busy);
+            persistent.frontier.advance(&v, next);
+            oracle_frontier.advance(next, &busy);
+        }
+        pops
+    }
+
+    /// One lockstep run of 40 slots on a random network: each slot routes
+    /// random flows of `family`'s sizes into the bank and serves random
+    /// backlogged links, redraws the bandwidths (a band now and then down
+    /// to zero), marks nodes down (a fault draw, or a base station asleep
+    /// for a stretch of slots), and flips energy budgets. Every seventh
+    /// slot restores an earlier state, into the bank or into a new one.
+    /// The persistent frontier and the one-pass oracle then pop in step,
+    /// as the greedy loop and as sequential-fix's pool, and the kernels'
+    /// schedules equal those of a scratch that refills every slot.
+    fn lockstep_run(seed: u64, family: &Family, reach: &mut Reach) {
+        let mut rng = greencell_stochastic::Rng::seed_from(seed);
+        let net = lockstep_network(&mut rng);
+        let (n, bands) = (net.topology().len(), net.band_count());
+        let mut links = LinkQueueBank::new(n, family.beta);
+        let mut saved = links.clone();
+        let (mut persistent, mut oracle) = (S1Scratch::new(), S1Scratch::new());
+        let mut oracle_frontier = one_pass::Frontier::default();
+        let phy = PhyConfig::new(1.0, 1e-20);
+        let max_powers: Vec<Power> = (0..n)
+            .map(|i| Power::from_watts(if i < 3 { 20.0 } else { 1.0 }))
+            .collect();
+        let models =
+            vec![
+                NodeEnergyModel::new(Energy::ZERO, Energy::ZERO, Power::from_milliwatts(100.0));
+                n
+            ];
+        let (mut asleep, mut asleep_for) = (0, 0);
+        let widths = [0.5, 1.0, 1.0, 2.5, 2.0];
+        for slot in 0..40 {
+            let mut plan = FlowPlan::new(n, 1);
+            let sizes = if slot == 0 {
+                family.first
+            } else {
+                family.flows
+            };
+            for _ in 0..rng.index(2 * n) {
+                let i = rng.index(n);
+                let j = (i + 1 + rng.index(n - 1)) % n;
+                let l = sizes[rng.index(sizes.len())];
+                plan.set(
+                    SessionId::from_index(0),
+                    NodeId::from_index(i),
+                    NodeId::from_index(j),
+                    Packets::new(l),
+                );
+            }
+            let mut service: Vec<(NodeId, NodeId, Packets)> = Vec::new();
+            for (i, j, g) in links.backlogs() {
+                if rng.chance(0.15) {
+                    service.push((i, j, Packets::new(rng.below(g.count() + 1))));
+                }
+            }
+            links.advance(&plan, &service);
+            if slot % 7 == 6 {
+                if rng.chance(0.5) {
+                    links.restore(saved.queues());
+                } else {
+                    let mut fresh = LinkQueueBank::new(n, family.beta);
+                    fresh.restore(saved.queues());
+                    links = fresh;
+                }
+                reach.refills += 1;
+            } else if slot % 5 == 2 {
+                saved = links.clone();
+            }
+            let spectrum = SpectrumState::new(
+                (0..bands)
+                    .map(|_| {
+                        let w = if rng.chance(0.05) {
+                            0.0
+                        } else {
+                            widths[rng.index(widths.len())]
+                        };
+                        Bandwidth::from_megahertz(w)
+                    })
+                    .collect(),
+            );
+            if asleep_for == 0 && rng.chance(0.2) {
+                (asleep, asleep_for) = (rng.index(3.min(n)), 1 + rng.index(5));
+            }
+            let available: Vec<bool> = (0..n)
+                .map(|i| !(asleep_for > 0 && i == asleep || rng.chance(0.08)))
+                .collect();
+            asleep_for = asleep_for.saturating_sub(1);
+            let budget: Vec<Energy> = (0..n)
+                .map(|_| {
+                    if rng.chance(0.2) {
+                        Energy::from_joules(10.0)
+                    } else {
+                        Energy::from_kilowatt_hours(1.0)
+                    }
+                })
+                .collect();
+            reach.masked_nodes += available.iter().filter(|&&up| !up).count();
+            let inp = S1Inputs {
+                net: &net,
+                phy: &phy,
+                spectrum: &spectrum,
+                links: &links,
+                max_powers: &max_powers,
+                energy_models: &models,
+                traffic_budget: &budget,
+                available: &available,
+                slot: TimeDelta::from_minutes(1.0),
+                packet_size: PacketSize::from_bits(10_000),
+            };
+            for pool in [false, true] {
+                reach.pops += pops_in_step(
+                    &inp,
+                    &mut persistent,
+                    (&mut oracle, &mut oracle_frontier),
+                    &mut rng,
+                    pool,
+                );
+            }
+            // The kernels on the persistent frontier schedule as on a
+            // frontier refilled this slot.
+            let (mut out, mut fresh_out) = (ScheduleOutcome::empty(), ScheduleOutcome::empty());
+            greedy_schedule_with(&inp, &mut persistent, &mut out);
+            greedy_schedule_with(&inp, &mut S1Scratch::new(), &mut fresh_out);
+            assert_eq!(out, fresh_out, "greedy, slot {slot}");
+            if slot % 10 == 9 {
+                // Its LPs are slow in a debug build: a few slots suffice.
+                sequential_fix_schedule_with(&inp, &mut persistent, &mut out);
+                sequential_fix_schedule_with(&inp, &mut S1Scratch::new(), &mut fresh_out);
+                assert_eq!(out, fresh_out, "sequential-fix, slot {slot}");
+            }
+
+            reach.inadmissible += (0..n)
+                .filter(|&i| !persistent.tx_ok[i] || !persistent.rx_ok[i])
+                .count();
+            let memo = &persistent.frontier.memo;
+            let by_tx = |i: usize| {
+                links
+                    .backlogs()
+                    .filter(move |&(tx, _, _)| tx.index() == i)
+                    .map(|(_, rx, g)| (rx, g.count()))
+            };
+            for i in 0..n {
+                let heads: Vec<(u64, f64)> = by_tx(i)
+                    .filter_map(|(rx, g)| {
+                        let h = links.h(NodeId::from_index(i), rx);
+                        if !(memo.h_lo <= h && h <= memo.h_hi) {
+                            reach.scanned_heads += 1;
+                        }
+                        let bands = net.link_bands(NodeId::from_index(i), rx);
+                        best_band(bands, &persistent.pkts_per_band, h).map(|(_, w)| (g, w))
+                    })
+                    .collect();
+                for (k, &(g, w)) in heads.iter().enumerate() {
+                    for &(g2, w2) in &heads[k + 1..] {
+                        reach.equal_backlogs += usize::from(g == g2);
+                        reach.rounding_ties += usize::from(g != g2 && w == w2);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The persistent frontier pops what the one-pass oracle pops, slot by
+    /// slot, on 48 runs over six families: ordinary backlogs, backlogs
+    /// that are mostly equal, backlogs past 2⁵⁰ whose weights tie after
+    /// rounding, and `β` so small or large that the head-band memo serves
+    /// no link.
+    #[test]
+    fn persistent_frontier_matches_the_one_pass_oracle_across_slots() {
+        const ORDINARY: &[u64] = &[1, 5, 40, 120, 250, 600];
+        const EQUAL: &[u64] = &[40];
+        const HUGE: &[u64] = &[(1 << 52) + 1, (1 << 53) + 3, (1 << 53) + 4, 1 << 54];
+        let families = [
+            Family {
+                beta: 100.0,
+                flows: ORDINARY,
+                first: ORDINARY,
+            },
+            Family {
+                beta: 12_000.0,
+                flows: EQUAL,
+                first: EQUAL,
+            },
+            Family {
+                beta: 1.0,
+                flows: &[1, 2, 3],
+                first: HUGE,
+            },
+            Family {
+                beta: 0.37,
+                flows: &[1, 2],
+                first: HUGE,
+            },
+            Family {
+                beta: 1e-300,
+                flows: ORDINARY,
+                first: ORDINARY,
+            },
+            Family {
+                beta: 1e290,
+                flows: ORDINARY,
+                first: ORDINARY,
+            },
+        ];
+        let mut reach = Reach::default();
+        for (f, family) in families.iter().enumerate() {
+            for run in 0..8 {
+                lockstep_run(1_000 * f as u64 + run, family, &mut reach);
+            }
+        }
+        assert!(
+            reach.pops > 40_000
+                && reach.refills > 200
+                && reach.masked_nodes > 1_000
+                && reach.inadmissible > 3_000
+                && reach.rounding_ties > 500
+                && reach.equal_backlogs > 20_000
+                && reach.scanned_heads > 20_000,
+            "{reach:?}"
         );
     }
 

@@ -130,11 +130,15 @@ impl From<std::io::Error> for SimError {
     }
 }
 
-/// Rejects a scenario the layout, path-loss, PHY or controller
-/// constructors would panic on: sessions without users, no base station,
-/// `C ≤ 0`, `γ < 0`, `Γ ≤ 0`, `η < 0`, `V < 0` or infinite, `λ < 0` or
-/// infinite, or NaN in any of these. A sweep point or a CLI flag can
-/// carry any scenario, so these are typed errors rather than panics.
+/// Rejects a scenario the layout, path-loss, PHY, controller or
+/// observation draws would panic on: sessions without users, no base
+/// station, `C ≤ 0`, `γ < 0`, `Γ ≤ 0`, `η < 0`, `V < 0` or infinite,
+/// `λ < 0` or infinite, a probability outside `[0, 1]` (the user band and
+/// grid draws, and the Markov grid chain's), a negative or infinite
+/// cellular bandwidth, a random band `(lo, hi)` that is not
+/// `0 ≤ lo ≤ hi < ∞`, a negative or infinite renewable maximum, or NaN in
+/// any of these. A sweep point or a CLI flag can carry any scenario, so
+/// these are typed errors rather than panics.
 fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
     let invalid = |detail: String| Err(SimError::InvalidConfig { detail });
     if s.users == 0 && s.sessions > 0 {
@@ -164,10 +168,52 @@ fn validate_scenario(s: &Scenario) -> Result<(), SimError> {
         ("noise_density", s.noise_density, s.noise_density >= 0.0),
         ("v", s.v, s.v.is_finite() && s.v >= 0.0),
         ("lambda", s.lambda, s.lambda.is_finite() && s.lambda >= 0.0),
+        (
+            "cellular_band_mhz",
+            s.cellular_band_mhz,
+            s.cellular_band_mhz.is_finite() && s.cellular_band_mhz >= 0.0,
+        ),
+        (
+            "user_band_probability",
+            s.user_band_probability,
+            (0.0..=1.0).contains(&s.user_band_probability),
+        ),
+        (
+            "user_grid_probability",
+            s.user_grid_probability,
+            (0.0..=1.0).contains(&s.user_grid_probability),
+        ),
+        (
+            "bs_renewable_max",
+            s.bs_renewable_max.as_watts(),
+            s.bs_renewable_max.as_watts().is_finite() && s.bs_renewable_max.as_watts() >= 0.0,
+        ),
+        (
+            "user_renewable_max",
+            s.user_renewable_max.as_watts(),
+            s.user_renewable_max.as_watts().is_finite() && s.user_renewable_max.as_watts() >= 0.0,
+        ),
     ] {
         // NaN fails every comparison, so `ok` is false for it too.
         if !ok {
             return invalid(format!("{field}: out of range, got {value}"));
+        }
+    }
+    if let Some((lo, hi)) = s
+        .random_bands
+        .iter()
+        .find(|&&(lo, hi)| !(0.0 <= lo && lo <= hi && hi.is_finite()))
+    {
+        return invalid(format!(
+            "random_bands: a band's range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})"
+        ));
+    }
+    if let GridModel::Markov { stay_on, stay_off } = s.grid_model {
+        if ![stay_on, stay_off].iter().all(|p| (0.0..=1.0).contains(p)) {
+            return invalid(format!(
+                "grid_model: the Markov chain's probabilities must lie in [0, 1], got \
+                 stay_on {stay_on}, stay_off {stay_off}"
+            ));
         }
     }
     if s.track_lower_bound && s.v <= 0.0 {
@@ -259,10 +305,10 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] naming the field if the scenario cannot
-    /// be built (sessions without users, no base station, or an
-    /// out-of-range or NaN path-loss, PHY, `V` or `λ` value); propagates
-    /// network validation
-    /// and controller construction failures;
+    /// be built or stepped (sessions without users, no base station, or an
+    /// out-of-range or NaN path-loss, PHY, `V`, `λ`, probability,
+    /// bandwidth or renewable value); propagates network validation and
+    /// controller construction failures;
     /// [`SimError::UnsupportedAtScale`] if a session destination lies in an
     /// interference cluster without a base station.
     pub fn with_workers(scenario: &Scenario, workers: usize) -> Result<Self, SimError> {
@@ -807,6 +853,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::Architecture;
+    use greencell_units::Power;
 
     fn peak(peak_multiplier: f64) -> TouPricing {
         TouPricing::Periodic {
@@ -872,6 +919,133 @@ mod tests {
         s.v = 0.0;
         s.pricing = peak(0.0);
         assert!(Simulator::new(&s).is_ok());
+    }
+
+    /// Each edit makes `Simulator::new` return `InvalidConfig` naming
+    /// `field`.
+    fn assert_rejected(field: &str, edits: &[fn(&mut Scenario)]) {
+        for edit in edits {
+            let mut s = Scenario::tiny(3);
+            edit(&mut s);
+            let detail = rejected_field(&s);
+            assert!(detail.starts_with(field), "{field}: got {detail}");
+        }
+    }
+
+    #[test]
+    fn user_grid_probability_outside_the_unit_interval_is_rejected() {
+        assert_rejected(
+            "user_grid_probability",
+            &[
+                |s| s.user_grid_probability = 1.5,
+                |s| s.user_grid_probability = f64::NAN,
+                |s| s.user_grid_probability = -0.1,
+            ],
+        );
+    }
+
+    #[test]
+    fn user_band_probability_outside_the_unit_interval_is_rejected() {
+        assert_rejected(
+            "user_band_probability",
+            &[
+                |s| s.user_band_probability = 2.0,
+                |s| s.user_band_probability = f64::NAN,
+            ],
+        );
+    }
+
+    #[test]
+    fn a_random_band_with_an_empty_or_unbounded_range_is_rejected() {
+        assert_rejected(
+            "random_bands",
+            &[
+                |s| s.random_bands = vec![(2.0, 1.0)],
+                |s| s.random_bands = vec![(1.0, f64::INFINITY)],
+                |s| s.random_bands = vec![(f64::NAN, 1.0)],
+                |s| s.random_bands = vec![(-1.0, 1.0)],
+            ],
+        );
+    }
+
+    #[test]
+    fn a_negative_bs_renewable_maximum_is_rejected() {
+        assert_rejected(
+            "bs_renewable_max",
+            &[
+                |s| s.bs_renewable_max = Power::from_watts(-1.0),
+                |s| s.bs_renewable_max = Power::from_watts(f64::INFINITY),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_nan_user_renewable_maximum_is_rejected() {
+        assert_rejected(
+            "user_renewable_max",
+            &[
+                |s| s.user_renewable_max = Power::from_watts(f64::NAN),
+                |s| s.user_renewable_max = Power::from_watts(-2.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_negative_cellular_bandwidth_is_rejected() {
+        assert_rejected(
+            "cellular_band_mhz",
+            &[
+                |s| s.cellular_band_mhz = -1.0,
+                |s| s.cellular_band_mhz = f64::NAN,
+                |s| s.cellular_band_mhz = f64::INFINITY,
+            ],
+        );
+    }
+
+    #[test]
+    fn markov_grid_probabilities_outside_the_unit_interval_are_rejected() {
+        assert_rejected(
+            "grid_model",
+            &[
+                |s| {
+                    s.grid_model = GridModel::Markov {
+                        stay_on: 1.5,
+                        stay_off: 0.5,
+                    };
+                },
+                |s| {
+                    s.grid_model = GridModel::Markov {
+                        stay_on: f64::NAN,
+                        stay_off: 0.5,
+                    };
+                },
+                |s| {
+                    s.grid_model = GridModel::Markov {
+                        stay_on: 0.5,
+                        stay_off: -0.5,
+                    };
+                },
+            ],
+        );
+    }
+
+    /// The bounds themselves are valid: probabilities 0 and 1, an empty
+    /// renewable range, a degenerate random band, a sure Markov chain.
+    #[test]
+    fn the_edges_of_each_new_range_still_run() {
+        let mut s = Scenario::tiny(3);
+        s.user_grid_probability = 1.0;
+        s.user_band_probability = 0.0;
+        s.bs_renewable_max = Power::ZERO;
+        s.random_bands = vec![(1.5, 1.5)];
+        s.grid_model = GridModel::Markov {
+            stay_on: 1.0,
+            stay_off: 0.0,
+        };
+        let mut sim = Simulator::new(&s).expect("valid edges build");
+        for _ in 0..3 {
+            sim.step().expect("valid edges step");
+        }
     }
 
     #[test]
