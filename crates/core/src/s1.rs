@@ -78,7 +78,7 @@ use greencell_phy::{
     PowerControlWorkspace, Schedule, SpectrumState, Transmission,
 };
 use greencell_queue::LinkQueueBank;
-use greencell_units::{Energy, PacketSize, Packets, Power, TimeDelta};
+use greencell_units::{Energy, PacketSize, Power, TimeDelta};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -631,9 +631,12 @@ impl Frontier {
         let laid_out = self.lists.len() == net.topology().len();
         match links.changes_since(self.synced) {
             Some(changed) if laid_out => {
+                let (queues, n, beta) = (links.queues(), links.nodes(), links.beta());
                 for (i, j) in changed {
-                    let backlogged = links.g(i, j) > Packets::ZERO;
-                    self.re_place(i.index(), j.index(), backlogged.then(|| links.h(i, j)));
+                    let (i, j) = (i.index(), j.index());
+                    // `H` as `LinkQueueBank::h` computes it.
+                    let g = queues[i * n + j].backlog().count_f64();
+                    self.re_place(i, j, (g > 0.0).then_some(beta * g));
                 }
             }
             _ => self.refill(net, links),
