@@ -32,11 +32,11 @@ echo "== s1 power lockstep gate =="
 # links sorted by H_ij, then receiver. The link-queue bank logs the links
 # each advance touched under a new epoch, and a slot moves only those; a
 # bank state that does not follow the last one synced by one advance (the
-# first slot, a restore, another bank) refills every list. A heap orders
-# the transmitter groups' minima; a group enters with its first link's
-# bound H*mu_max and is scanned when that reaches the top, the scan stops
-# once the bound falls below the best weight found, and a later link with
-# the best's H loses an equal bound on its receiver. A link's head band
+# first slot, a restore, another bank) refills every list. A tournament
+# tree holds the transmitter groups' minima; a group enters with its
+# first link's bound H*mu_max and is scanned when that reaches the top,
+# the scan stops once the bound falls below the best weight found, and a
+# later link with the best's H loses an equal bound on its receiver. A link's head band
 # comes from a per-slot memo keyed by its whole band mask (64 entries,
 # direct-mapped; a link whose H_ij or a slot whose packet counts fall
 # outside the memo's exactness range scans its bands instead). A group

@@ -44,9 +44,10 @@
 //!   link of a slot whose counts are not such integers, scans its bands;
 //! * each transmitter keeps its backlogged links in one list sorted by
 //!   `H_ij` descending, then receiver, across slots. The [`LinkQueueBank`]
-//!   logs the links each advance touched, and a slot moves only those; a
-//!   bank state that does not follow the last one seen by one advance
-//!   (the first slot, a restore, another bank) refills every list;
+//!   logs the links each advance touched, and a slot walks only those to
+//!   their new places; a bank state that does not follow the last one
+//!   seen by one advance (the first slot, a restore, another bank)
+//!   refills every list;
 //! * `μ^m` is one number per band, so every weight of a transmitter's
 //!   links is at most `H_ij·μ_max`, with `μ_max` the most packets on any of
 //!   its bands. A scan of its list in `H` order can therefore stop at the
@@ -55,13 +56,14 @@
 //!   The links of one band mask, the (transmitter, mask) classes, share a
 //!   head band and order as `H` does within the list; the bound is what
 //!   lets one scan serve all of a transmitter's classes;
-//! * the frontier groups the offers by transmitter, and a heap orders the
-//!   groups' minima. A group enters the heap with its first link's bound
-//!   and is scanned when that bound reaches the top. A group whose
-//!   transmitter turned busy leaves the heap whole when it reaches the top;
-//!   a scan passes the links whose receiver turned busy. Every pop is
-//!   therefore the smallest key with both endpoints free, which is the
-//!   full sort's next candidate the loop would probe;
+//! * the frontier groups the offers by transmitter, and a tournament tree
+//!   over the transmitters holds the groups' minima. A group enters it
+//!   with its first link's bound and is scanned when that bound reaches
+//!   the top. A group whose transmitter turned busy leaves the tree whole
+//!   when it reaches the top; a scan passes the links whose receiver
+//!   turned busy. Every pop is therefore the smallest key with both
+//!   endpoints free, which is the full sort's next candidate the loop
+//!   would probe;
 //! * a rejected link's next band is found in one scan of its bands — the
 //!   largest weight after the consumed `(weight, band)`, the lowest band
 //!   on ties — and the link offers it from its place in the list.
@@ -79,8 +81,6 @@ use greencell_phy::{
 };
 use greencell_queue::LinkQueueBank;
 use greencell_units::{Energy, PacketSize, Power, TimeDelta};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The result of S1: a feasible schedule plus its minimal power vector
 /// (one power per transmission, in schedule order).
@@ -360,6 +360,7 @@ fn best_band(bands: BandSet, pkts_per_band: &[f64], h: f64) -> Option<(BandId, f
 /// The smallest of [`link_keys`], built as one key. With `tx` and `rx`
 /// fixed, a link's keys order by weight descending, then band ascending,
 /// which is [`best_band`]'s choice.
+#[cfg(test)]
 fn head_key(bands: BandSet, pkts_per_band: &[f64], tx: NodeId, rx: NodeId, h: f64) -> Option<u128> {
     best_band(bands, pkts_per_band, h).map(|(m, weight)| Candidate::key(tx, rx, m, weight))
 }
@@ -468,6 +469,7 @@ impl BandMemo {
 
     /// [`head_key`]'s key for link `(tx, rx)`, bit for bit: from the memo
     /// where its argument holds, from the scan elsewhere.
+    #[cfg(test)]
     fn head(
         &mut self,
         bands: BandSet,
@@ -476,9 +478,25 @@ impl BandMemo {
         rx: NodeId,
         h: f64,
     ) -> Option<u128> {
-        if !(self.h_lo <= h && h <= self.h_hi) {
+        if !self.serves(h) {
             return head_key(bands, pkts_per_band, tx, rx, h);
         }
+        let band = self.band(bands, pkts_per_band);
+        (band != NO_BAND).then(|| {
+            let m = BandId::from_index(usize::from(band));
+            Candidate::key(tx, rx, m, h * pkts_per_band[m.index()])
+        })
+    }
+
+    /// Whether the memo's bands are the head bands of links weighted `h`
+    /// this slot.
+    fn serves(&self, h: f64) -> bool {
+        self.h_lo <= h && h <= self.h_hi
+    }
+
+    /// The head band of the links whose band mask is `bands`, for every
+    /// `H_ij` the memo [serves](BandMemo::serves), or [`NO_BAND`].
+    fn band(&mut self, bands: BandSet, pkts_per_band: &[f64]) -> u8 {
         let mask = bands.bits();
         let entry = &mut self.entries[memo_slot(mask)];
         if entry.0 != mask {
@@ -486,10 +504,7 @@ impl BandMemo {
                 best_band(bands, pkts_per_band, 1.0).map_or(NO_BAND, |(m, _)| m.index() as u8);
             *entry = (mask, band);
         }
-        (entry.1 != NO_BAND).then(|| {
-            let m = BandId::from_index(usize::from(entry.1));
-            Candidate::key(tx, rx, m, h * pkts_per_band[m.index()])
-        })
+        entry.1
     }
 }
 
@@ -516,20 +531,20 @@ struct List {
     /// This slot: the most packets per slot on any of the transmitter's
     /// bands, which bounds every weight of the group by `H·μ_max`.
     pkts_max: f64,
-    /// This slot: whether the group's key on the heap is its smallest, or
+    /// This slot: whether the group's key in the tree is its smallest, or
     /// a bound below it that stands in until it reaches the top.
     exact: bool,
 }
 
 /// The candidate merge. Its order persists across slots: an arena holds
 /// each transmitter's backlogged links with their backlogs, sorted by
-/// `G_ij` descending, then receiver. Each slot, a heap holds each
-/// transmitter group's smallest key, which a scan of the group's list
-/// finds: a link's weight is at most `H_ij·μ_max`, and `H` falls along the
-/// list, so the scan stops at the first link whose bound falls below the
-/// best key found. A group enters the heap with the bound of its first
-/// link, and is scanned only when that bound reaches the top. A group
-/// leaves the heap when its transmitter turns busy (checked when it
+/// `G_ij` descending, then receiver. Each slot, a tournament tree holds
+/// each transmitter group's smallest key, which a scan of the group's
+/// list finds: a link's weight is at most `H_ij·μ_max`, and `H` falls
+/// along the list, so the scan stops at the first link whose bound falls
+/// below the best key found. A group enters the tree with the bound of
+/// its first link, and is scanned only when that bound reaches the top. A
+/// group leaves the tree when its transmitter turns busy (checked when it
 /// reaches the top) or its last key goes.
 #[derive(Debug, Clone, Default)]
 struct Frontier {
@@ -553,14 +568,79 @@ struct Frontier {
     now: u32,
     /// Each link's head band by its mask, this slot.
     memo: BandMemo,
-    /// The groups' smallest keys, smallest on top.
-    minima: BinaryHeap<Reverse<u128>>,
+    /// The groups' smallest keys.
+    minima: Minima,
     /// What this call's merge did.
     counts: FrontierCounts,
     /// Layout scratch: each distinct band set and how many nodes hold it.
     sets: Vec<(BandSet, u32)>,
     /// Refill scratch: one list's links as sort keys.
     sort: Vec<u128>,
+}
+
+/// A tournament tree over the transmitters: leaf `tx` holds group `tx`'s
+/// key (`u128::MAX` for none, which no key is), and each inner node the
+/// least of its two children, so the root is the smallest key. A change
+/// to one group recomputes the `log₂ n` nodes above its leaf, a fixed
+/// walk of plain minima, and a slot's fill writes the leaves and builds
+/// the nodes above them once.
+#[derive(Debug, Clone, Default)]
+struct Minima {
+    /// Node `k`'s children are `2k` and `2k + 1`; the root is node 1 and
+    /// the leaves are `leaves ..`.
+    tree: Vec<u128>,
+    /// The number of leaves, a power of two.
+    leaves: usize,
+}
+
+impl Minima {
+    /// Grows the tree to its bound for `nodes` transmitters.
+    fn reserve(&mut self, nodes: usize) {
+        let held = self.tree.len();
+        self.tree
+            .reserve((2 * nodes.next_power_of_two()).saturating_sub(held));
+    }
+
+    /// Empties every leaf of a tree over `nodes` transmitters. The leaves
+    /// past the last transmitter stay empty for good.
+    fn clear(&mut self, nodes: usize) {
+        if self.leaves == nodes.next_power_of_two() {
+            self.tree[self.leaves..self.leaves + nodes].fill(u128::MAX);
+        } else {
+            self.leaves = nodes.next_power_of_two();
+            self.tree.clear();
+            self.tree.resize(2 * self.leaves, u128::MAX);
+        }
+    }
+
+    /// Sets group `tx`'s leaf without updating the nodes above it; call
+    /// [`Minima::build`] after the last one.
+    fn put(&mut self, tx: usize, key: u128) {
+        self.tree[self.leaves + tx] = key;
+    }
+
+    /// Computes every inner node from the leaves.
+    fn build(&mut self) {
+        for k in (1..self.leaves).rev() {
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
+
+    /// Sets group `tx`'s key (`u128::MAX` to remove the group) and the
+    /// nodes above it.
+    fn set(&mut self, tx: usize, key: u128) {
+        let mut k = self.leaves + tx;
+        self.tree[k] = key;
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
+
+    /// The smallest key, or `None` once every group is gone.
+    fn top(&self) -> Option<u128> {
+        self.tree.get(1).copied().filter(|&key| key != u128::MAX)
+    }
 }
 
 impl Frontier {
@@ -613,7 +693,7 @@ impl Frontier {
         slots
     }
 
-    /// Grows the heap to its bound for `nodes` nodes.
+    /// Grows the tree of group minima to its bound for `nodes` nodes.
     fn reserve(&mut self, nodes: usize) {
         self.minima.reserve(nodes);
     }
@@ -648,14 +728,15 @@ impl Frontier {
     /// sorts if it is backlogged with `H_ij = h`, out of the list if not.
     /// The list stays sorted by the `H` it records throughout, so a link
     /// the log names twice, or several links of one list, need no second
-    /// pass.
+    /// pass. A slot moves a link's backlog by a flow or a service, so the
+    /// link walks from its old place (a new one from the list's end) one
+    /// neighbour at a time, as an insertion sort does.
     fn re_place(&mut self, i: usize, j: usize, h: Option<f64>) {
         if !self.placed(i, j) {
             return;
         }
         let List { start, len, .. } = self.lists[i];
-        let (s, e) = (start as usize, (start + len) as usize);
-        let r = j as u32;
+        let (s, len) = (start as usize, len as usize);
         // One past the list, its room's first free slot, if it has one.
         let room = if i + 1 < self.lists.len() {
             self.lists[i + 1].start as usize
@@ -663,52 +744,32 @@ impl Frontier {
             self.rx.len()
         };
         let (rx, hs) = (&mut self.rx[s..room], &mut self.h[s..room]);
-        let len = e - s;
+        let r = j as u32;
         let held = rx[..len].iter().position(|&x| x == r);
-        let Some(h) = h else {
-            if let Some(k) = held {
+        let (mut at, len, h) = match (held, h) {
+            (None, None) => return,
+            (Some(k), None) => {
                 // By hand: a list is a few links, too few for a `memmove`.
                 for at in k..len - 1 {
                     (rx[at], hs[at]) = (rx[at + 1], hs[at + 1]);
                 }
                 self.lists[i].len -= 1;
+                return;
             }
-            return;
+            (Some(k), Some(h)) => (k, len, h),
+            (None, Some(h)) => (len, len + 1, h),
         };
-        // The first place whose recorded key is not below the new one.
-        let want = (Reverse(h.to_bits()), r);
-        let (mut place, mut hi) = (0, len);
-        while place < hi {
-            let mid = (place + hi) / 2;
-            if (Reverse(hs[mid].to_bits()), rx[mid]) < want {
-                place = mid + 1;
-            } else {
-                hi = mid;
-            }
+        let want = list_order(h, r);
+        while at > 0 && want < list_order(hs[at - 1], rx[at - 1]) {
+            (rx[at], hs[at]) = (rx[at - 1], hs[at - 1]);
+            at -= 1;
         }
-        // Shift the links between the old place and the new by one.
-        let place = match held {
-            Some(k) if place <= k => {
-                for at in (place..k).rev() {
-                    (rx[at + 1], hs[at + 1]) = (rx[at], hs[at]);
-                }
-                place
-            }
-            Some(k) => {
-                for at in k..place - 1 {
-                    (rx[at], hs[at]) = (rx[at + 1], hs[at + 1]);
-                }
-                place - 1
-            }
-            None => {
-                for at in (place..len).rev() {
-                    (rx[at + 1], hs[at + 1]) = (rx[at], hs[at]);
-                }
-                self.lists[i].len += 1;
-                place
-            }
-        };
-        (rx[place], hs[place]) = (r, h);
+        while at + 1 < len && list_order(hs[at + 1], rx[at + 1]) < want {
+            (rx[at], hs[at]) = (rx[at + 1], hs[at + 1]);
+            at += 1;
+        }
+        (rx[at], hs[at]) = (r, h);
+        self.lists[i].len = len as u32;
     }
 
     /// Lays the lists out anew and fills them with every backlogged link
@@ -725,13 +786,10 @@ impl Frontier {
         }
         for list in &self.lists {
             let (s, e) = (list.start as usize, (list.start + list.len) as usize);
-            // Sort the two columns together: a key of `H`'s bits, negated,
-            // over the receiver sorts by `H` descending, then receiver.
+            // Sort the two columns together.
             self.sort.clear();
-            self.sort.extend(
-                (s..e)
-                    .map(|at| (u128::from(!self.h[at].to_bits()) << 32) | u128::from(self.rx[at])),
-            );
+            self.sort
+                .extend((s..e).map(|at| list_order(self.h[at], self.rx[at])));
             self.sort.sort_unstable();
             for (at, &key) in (s..e).zip(&self.sort) {
                 let h = f64::from_bits(!((key >> 32) as u64));
@@ -740,8 +798,8 @@ impl Frontier {
         }
     }
 
-    /// Builds this slot's merge: scans every admissible transmitter's list
-    /// for its smallest key and puts it on the heap.
+    /// Builds this slot's merge: puts each admissible transmitter's group
+    /// in the tree, under the bound of its first link.
     fn fill(&mut self, v: &View<'_>, tx_ok: &[bool]) {
         self.now = (self.now + 1) & 0xFF_FFFF;
         if self.now == 0 {
@@ -749,7 +807,7 @@ impl Frontier {
             self.now = 1;
         }
         self.memo.refresh(v.pkts);
-        self.minima.clear();
+        self.minima.clear(self.lists.len());
         self.counts = FrontierCounts::default();
         for tx in (0..self.lists.len()).filter(|&tx| tx_ok[tx]) {
             let list = &mut self.lists[tx];
@@ -767,31 +825,28 @@ impl Frontier {
             // With no positive count, no link of the group has a weight.
             let bound = self.h[list.start as usize] * list.pkts_max;
             if bound > 0.0 {
-                let (tx, zero) = (NodeId::from_index(tx), NodeId::from_index(0));
-                let key = Candidate::key(tx, zero, BandId::from_index(0), bound);
-                self.minima.push(Reverse(key));
+                let zero = NodeId::from_index(0);
+                let key =
+                    Candidate::key(NodeId::from_index(tx), zero, BandId::from_index(0), bound);
+                self.minima.put(tx, key);
             }
         }
+        self.minima.build();
     }
 
-    /// The key link `at` of transmitter `tx`, whose band set is `own`,
-    /// offers this slot, or `None` once it has none left: its head band's
-    /// the first time, as the one-pass heads built it, then the band a
-    /// rejection moved it to.
-    fn offer(&mut self, v: &View<'_>, tx: usize, own: BandSet, at: usize) -> Option<u128> {
-        let (rx, h, state) = (self.rx[at], self.h[at], self.state[at]);
-        let (txn, rxn) = (NodeId::from_index(tx), NodeId::from_index(rx as usize));
-        if state >> 8 != self.now {
-            let bands = own.intersection(self.bands[rx as usize]);
-            let key = self.memo.head(bands, v.pkts, txn, rxn, h);
-            self.state[at] = self.now << 8 | u32::from(key.map_or(NO_BAND, band_of));
-            return key;
-        }
-        let band = state as u8;
-        (band != NO_BAND).then(|| {
-            let m = BandId::from_index(usize::from(band));
-            Candidate::key(txn, rxn, m, h * v.pkts[m.index()])
-        })
+    /// The head band of link `at`, to receiver `rx` with `H = h` from a
+    /// transmitter whose band set is `own`, as the one-pass heads chose
+    /// it, stamped as the band the link offers this slot (a rejection
+    /// moves the stamp on), or [`NO_BAND`].
+    fn head_band(&mut self, v: &View<'_>, own: BandSet, rx: usize, h: f64, at: usize) -> u8 {
+        let bands = own.intersection(self.bands[rx]);
+        let band = if self.memo.serves(h) {
+            self.memo.band(bands, v.pkts)
+        } else {
+            best_band(bands, v.pkts, h).map_or(NO_BAND, |(m, _)| m.index() as u8)
+        };
+        self.state[at] = self.now << 8 | u32::from(band);
+        band
     }
 
     /// Scans group `tx` for its smallest key, records where it is, and
@@ -800,7 +855,9 @@ impl Frontier {
     /// no band left), and stops at the first link whose bound `H·μ_max`
     /// falls below the best weight found: every later link weighs less.
     /// At an equal bound, a later link with the best's `H` loses the tie
-    /// on its receiver.
+    /// on its receiver. Within one transmitter, keys order by weight
+    /// descending, then receiver, so the scan compares those and packs
+    /// the winner's key once.
     fn group_min(&mut self, v: &View<'_>, tx: usize) -> Option<u128> {
         let List {
             mut cursor,
@@ -809,13 +866,9 @@ impl Frontier {
             pkts_max,
             ..
         } = self.lists[tx];
-        let (end, own, dead) = (
-            start + len,
-            self.bands[tx],
-            self.now << 8 | u32::from(NO_BAND),
-        );
-        let (mut best, mut best_weight, mut best_h, mut min_at) =
-            (u128::MAX, f64::NEG_INFINITY, 0.0, 0);
+        let (end, own, now) = (start + len, self.bands[tx], self.now);
+        let (mut best_weight, mut best_h, mut best_rx, mut best_band, mut min_at) =
+            (f64::NEG_INFINITY, 0.0, 0, NO_BAND, 0);
         let (from, mut lead) = (cursor, true);
         for at in from..end {
             let k = at as usize;
@@ -824,8 +877,10 @@ impl Frontier {
             if bound < best_weight {
                 break;
             }
-            let r = self.rx[k] as usize;
-            let gone = !v.rx_ok[r] || self.state[k] == dead;
+            let (r, state) = (self.rx[k] as usize, self.state[k]);
+            // Stamped this slot: the band the link offers now.
+            let stamped = state >> 8 == now;
+            let gone = !v.rx_ok[r] || (stamped && state as u8 == NO_BAND);
             if gone || v.busy[r] {
                 if lead {
                     cursor = at + 1;
@@ -837,50 +892,55 @@ impl Frontier {
                 lead = false;
                 continue;
             }
-            match self.offer(v, tx, own, k) {
-                Some(key) => {
-                    lead = false;
-                    if key < best {
-                        (best, best_weight, best_h, min_at) =
-                            (key, Candidate::from_key(key).weight, h, at);
-                    }
+            let band = if stamped {
+                state as u8
+            } else {
+                self.head_band(v, own, r, h, k)
+            };
+            if band == NO_BAND {
+                if lead {
+                    cursor = at + 1;
                 }
-                None if lead => cursor = at + 1,
-                None => {}
+                continue;
+            }
+            lead = false;
+            // The weight the band was chosen on, bit for bit.
+            let weight = h * v.pkts[usize::from(band)];
+            if weight > best_weight || (weight == best_weight && r < best_rx) {
+                (best_weight, best_h, best_rx, best_band, min_at) = (weight, h, r, band, at);
             }
         }
         let list = &mut self.lists[tx];
         (list.cursor, list.min_at) = (cursor, min_at);
-        // No key is `u128::MAX`, which would decode to a zero weight.
-        (best != u128::MAX).then_some(best)
+        (best_band != NO_BAND).then(|| {
+            Candidate::key(
+                NodeId::from_index(tx),
+                NodeId::from_index(best_rx),
+                BandId::from_index(usize::from(best_band)),
+                best_weight,
+            )
+        })
     }
 
-    /// Rescans the top group `tx` ([`Frontier::group_min`]) and puts its
-    /// new smallest key on top of the heap (sifted down), or pops the
-    /// group once it is empty. Returns that key.
+    /// Rescans group `tx` ([`Frontier::group_min`]) and sets its new
+    /// smallest key in the tree, or removes the group once it is empty.
+    /// Returns that key.
     fn rescan(&mut self, v: &View<'_>, tx: usize) -> Option<u128> {
         let min = self.group_min(v, tx);
         self.lists[tx].exact = true;
-        if let Some(mut top) = self.minima.peek_mut() {
-            match min {
-                Some(min) => *top = Reverse(min),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
+        self.minima.set(tx, min.unwrap_or(u128::MAX));
         min
     }
 
     /// The smallest key with both endpoints free, or `None` once every
     /// group is gone. On the way, a top group whose transmitter is busy
-    /// leaves the heap, and a top key whose receiver is busy makes its
+    /// leaves the tree, and a top key whose receiver is busy makes its
     /// group rescan, which passes it over.
     fn peek(&mut self, v: &View<'_>) -> Option<u128> {
-        while let Some(&Reverse(top)) = self.minima.peek() {
+        while let Some(top) = self.minima.top() {
             let tx = tx_of(top);
             if v.busy[tx] {
-                self.minima.pop();
+                self.minima.set(tx, u128::MAX);
             } else if !self.lists[tx].exact || v.busy[rx_of(top)] {
                 self.rescan(v, tx);
             } else {
@@ -895,7 +955,7 @@ impl Frontier {
     /// the link's next band, takes its place; `None` drops the link for
     /// the slot.
     fn advance(&mut self, v: &View<'_>, next: Option<u128>) {
-        let Some(&Reverse(top)) = self.minima.peek() else {
+        let Some(top) = self.minima.top() else {
             return;
         };
         let tx = tx_of(top);
@@ -908,6 +968,13 @@ impl Frontier {
             _ => {}
         }
     }
+}
+
+/// A link's place in its transmitter's list as one integer: ascending, it
+/// sorts by `H` descending (its bits, negated, as `H ≥ 0`), then by
+/// receiver.
+fn list_order(h: f64, rx: u32) -> u128 {
+    (u128::from(!h.to_bits()) << 32) | u128::from(rx)
 }
 
 /// What the frontier reads of the slot: the band counts, the receivers'
@@ -1423,12 +1490,14 @@ fn solve_relaxation(
     Some(alpha_vars.iter().map(|&v| sol.value(v)).collect())
 }
 
-/// The one-pass frontier the persistent classes replaced: every slot, one
+/// The one-pass frontier the persistent lists replaced: every slot, one
 /// head key per backlogged admissible link, grouped by transmitter. Kept
 /// as the lockstep oracle of [`Frontier`].
 #[cfg(test)]
 mod one_pass {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
     /// Fills `frontier` with each admissible link's head key, built anew
     /// from every backlogged link, with `scratch`'s memos.

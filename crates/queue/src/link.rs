@@ -439,6 +439,43 @@ mod tests {
         assert_eq!(changes(&other, restored), Some(vec![(0, 1)]));
     }
 
+    /// A snapshot restore hands the bank queues rebuilt field by field
+    /// (`PacketQueue::from_parts`). The restored state follows no epoch,
+    /// not even the state it rebuilt, and its next advance logs against
+    /// it.
+    #[test]
+    fn a_restore_from_rebuilt_queues_follows_no_epoch() {
+        let mut bank = LinkQueueBank::new(3, 1.0);
+        let mut plan = FlowPlan::new(3, 1);
+        plan.set(SessionId::from_index(0), n(0), n(2), Packets::new(9));
+        plan.set(SessionId::from_index(0), n(2), n(1), Packets::new(4));
+        bank.advance(&plan, &[]);
+        bank.advance(&FlowPlan::new(3, 1), &[(n(0), n(2), Packets::new(5))]);
+        let rebuilt: Vec<PacketQueue> = bank
+            .queues()
+            .iter()
+            .map(|q| {
+                PacketQueue::from_parts(
+                    q.backlog(),
+                    q.total_arrivals(),
+                    q.total_offered(),
+                    q.total_wasted(),
+                )
+            })
+            .collect();
+        let mut restored = LinkQueueBank::new(3, 1.0);
+        let born = restored.epoch();
+        restored.restore(&rebuilt);
+        assert_eq!(restored, bank);
+        for epoch in [born, bank.epoch(), 0] {
+            assert_eq!(changes(&restored, epoch), None, "epoch {epoch}");
+        }
+        let at = restored.epoch();
+        restored.advance(&FlowPlan::new(3, 1), &[(n(2), n(1), Packets::new(1))]);
+        assert_eq!(changes(&restored, at), Some(vec![(2, 1)]));
+        assert_eq!(restored.g(n(2), n(1)), Packets::new(3));
+    }
+
     /// A clone shares its source's epoch and log until either changes;
     /// their advances then draw different epochs, each following the
     /// shared one. Banks built alike never share an epoch.
