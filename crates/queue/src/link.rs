@@ -90,7 +90,7 @@ impl Clone for ChangeLog {
     }
 }
 
-/// A new epoch, never issued before in this process and never 0. Epochs
+/// A new epoch, never handed out before in this process and never 0. Epochs
 /// are compared for equality only, so the order in which threads draw
 /// them changes no result.
 fn fresh_epoch() -> u64 {
