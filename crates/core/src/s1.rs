@@ -580,66 +580,93 @@ struct Frontier {
 
 /// A tournament tree over the transmitters: leaf `tx` holds group `tx`'s
 /// key (`u128::MAX` for none, which no key is), and each inner node the
-/// least of its two children, so the root is the smallest key. A change
-/// to one group recomputes the `log₂ n` nodes above its leaf, a fixed
-/// walk of plain minima, and a slot's fill writes the leaves and builds
-/// the nodes above them once.
+/// least of its [`FANOUT`] children, so the root is the smallest key. A
+/// change to one group recomputes the nodes above its leaf, two for up to
+/// 64 transmitters, and a slot's fill writes the leaves and builds the
+/// nodes above them once.
 #[derive(Debug, Clone, Default)]
 struct Minima {
-    /// Node `k`'s children are `2k` and `2k + 1`; the root is node 1 and
-    /// the leaves are `leaves ..`.
+    /// Node `k`'s children are `FANOUT·k + 1 ..= FANOUT·k + FANOUT`; the
+    /// root is node 0 and the leaves are `inner ..`.
     tree: Vec<u128>,
-    /// The number of leaves, a power of two.
-    leaves: usize,
+    /// The number of inner nodes.
+    inner: usize,
 }
 
+/// The children of an inner node of [`Minima`].
+const FANOUT: usize = 8;
+
 impl Minima {
+    /// The inner nodes and the leaves of the smallest complete tree with a
+    /// leaf per transmitter.
+    fn shape(nodes: usize) -> (usize, usize) {
+        let (mut inner, mut leaves) = (0, 1);
+        while leaves < nodes {
+            inner += leaves;
+            leaves *= FANOUT;
+        }
+        (inner, leaves)
+    }
+
     /// Grows the tree to its bound for `nodes` transmitters.
     fn reserve(&mut self, nodes: usize) {
+        let (inner, leaves) = Self::shape(nodes);
         let held = self.tree.len();
-        self.tree
-            .reserve((2 * nodes.next_power_of_two()).saturating_sub(held));
+        self.tree.reserve((inner + leaves).saturating_sub(held));
     }
 
     /// Empties every leaf of a tree over `nodes` transmitters. The leaves
     /// past the last transmitter stay empty for good.
     fn clear(&mut self, nodes: usize) {
-        if self.leaves == nodes.next_power_of_two() {
-            self.tree[self.leaves..self.leaves + nodes].fill(u128::MAX);
+        let (inner, leaves) = Self::shape(nodes);
+        if (self.inner, self.tree.len()) == (inner, inner + leaves) {
+            self.tree[inner..inner + nodes].fill(u128::MAX);
         } else {
-            self.leaves = nodes.next_power_of_two();
+            self.inner = inner;
             self.tree.clear();
-            self.tree.resize(2 * self.leaves, u128::MAX);
+            self.tree.resize(inner + leaves, u128::MAX);
         }
     }
 
     /// Sets group `tx`'s leaf without updating the nodes above it; call
     /// [`Minima::build`] after the last one.
     fn put(&mut self, tx: usize, key: u128) {
-        self.tree[self.leaves + tx] = key;
+        self.tree[self.inner + tx] = key;
+    }
+
+    /// Recomputes inner node `k` from its children.
+    fn pull(&mut self, k: usize) {
+        let c = &self.tree[FANOUT * k + 1..FANOUT * k + 1 + FANOUT];
+        // Pairwise, so the comparisons of one level do not wait on each
+        // other.
+        let (a, b) = (
+            c[0].min(c[1]).min(c[2].min(c[3])),
+            c[4].min(c[5]).min(c[6].min(c[7])),
+        );
+        self.tree[k] = a.min(b);
     }
 
     /// Computes every inner node from the leaves.
     fn build(&mut self) {
-        for k in (1..self.leaves).rev() {
-            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        for k in (0..self.inner).rev() {
+            self.pull(k);
         }
     }
 
     /// Sets group `tx`'s key (`u128::MAX` to remove the group) and the
     /// nodes above it.
     fn set(&mut self, tx: usize, key: u128) {
-        let mut k = self.leaves + tx;
+        let mut k = self.inner + tx;
         self.tree[k] = key;
-        while k > 1 {
-            k /= 2;
-            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        while k > 0 {
+            k = (k - 1) / FANOUT;
+            self.pull(k);
         }
     }
 
     /// The smallest key, or `None` once every group is gone.
     fn top(&self) -> Option<u128> {
-        self.tree.get(1).copied().filter(|&key| key != u128::MAX)
+        self.tree.first().copied().filter(|&key| key != u128::MAX)
     }
 }
 
