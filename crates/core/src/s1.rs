@@ -708,14 +708,16 @@ impl Frontier {
             slots += room;
         }
         let slots = slots as usize;
-        self.rx.clear();
-        self.rx.resize(slots, 0);
-        self.h.clear();
-        self.h.resize(slots, 0.0);
-        self.state.clear();
-        self.state.resize(slots, 0);
+        if self.rx.len() != slots {
+            // Fresh zeroed columns: the allocator hands out pages no one
+            // has touched, so laying a part out touches none of them. A
+            // slot's receiver and `H` matter only inside its list, and its
+            // state only when stamped with the current `now`, which the
+            // next fill moves past every stamp, so a layout of the same
+            // size keeps the columns as they are.
+            (self.rx, self.h, self.state) = (vec![0; slots], vec![0.0; slots], vec![0; slots]);
+        }
         debug_assert_eq!(self.lists.len(), n);
-        self.now = 0;
         self.synced = 0;
         slots
     }
